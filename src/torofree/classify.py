@@ -39,6 +39,7 @@ Witness certificates come in two exact, independently verified kinds:
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -1408,13 +1409,11 @@ def _poly_sqrt(p: Poly) -> Poly | None:
 
 
 def _isqrt_exact(x: int) -> int | None:
+    """The integer square root of x when x is a perfect square, else None."""
     if x < 0:
         return None
-    r = int(x**0.5)
-    for cand in (r - 1, r, r + 1, r + 2):
-        if cand >= 0 and cand * cand == x:
-            return cand
-    return None
+    r = math.isqrt(x)
+    return r if r * r == x else None
 
 
 def _d_only(p: Poly) -> bool:

@@ -10,8 +10,27 @@ The shift automorphisms are
     sigma_i^k : H_i -> H_i - k        (fixes every other variable)
     tau^a     : d_j -> d_j - a_j      (componentwise)
 
-implemented by binomial expansion with exact integer binomials.  The
-serialized text form is a sum of terms in graded-lex order (total degree
+implemented by binomial expansion with exact integer binomials.
+
+Trusted construction: the public constructor ``Poly(l, n, terms)`` accepts
+arbitrary input, so it coerces every coefficient to Fraction, drops zeros
+and raises StructureError on an exponent of the wrong width or with a
+negative entry.  Results of the kernel operations are canonical by
+construction (tuple keys of width l + n built from valid keys, nonzero
+Fraction values, zeros dropped in the pass that builds the map), so
+``__add__``, ``__neg__``, ``__mul__``, ``scale``, ``shift``, ``try_divide``
+and the ``zero``/``const``/``variable`` constructors wrap their maps with
+the private ``Poly._raw`` instead, which stores the map without
+re-checking it.  ``_raw`` is only for maps this module built itself;
+anything from outside goes through the public constructor.
+
+``__mul__`` and ``shift`` bring the coefficients of an operand over their
+common denominator and accumulate integer numerators, so their inner loops
+do integer arithmetic only and each output coefficient becomes one
+Fraction.  ``shift`` expands only the slots with a nonzero delta, using the
+integer binomial row comb(e, j) * (-delta)^(e - j).
+
+The serialized text form is a sum of terms in graded-lex order (total degree
 descending, then lexicographic on the exponent tuple with H_1 largest),
 e.g. ``3/2*H1^2*d1 - d2 + 5``.
 """
@@ -21,7 +40,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
+from operator import add, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, StructureError
@@ -29,6 +49,7 @@ from .errors import DomainError, StructureError
 Exponent = tuple[int, ...]
 Rat = Fraction
 
+_set = object.__setattr__  # writes a slot past Poly's immutability guard
 _VAR_RE = re.compile(r"^(H|d)(\d+)(?:\^(-?\d+))?$")
 _RAT_RE = re.compile(r"^-?\d+(?:/\d+)?$")
 
@@ -85,24 +106,34 @@ class Poly:
     def __setattr__(self, *_):
         raise AttributeError("Poly is immutable")
 
+    @staticmethod
+    def _raw(l: int, n: int, terms: dict[Exponent, Rat]) -> "Poly":
+        """Wrap a canonical term map (width-(l+n) tuple keys, nonzero Fraction
+        values) without copying or checking it; see the module docstring."""
+        p = object.__new__(Poly)
+        _set(p, "l", l)
+        _set(p, "n", n)
+        _set(p, "terms", terms)
+        return p
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(l: int, n: int) -> "Poly":
-        return Poly(l, n)
+        return Poly._raw(l, n, {})
 
     @staticmethod
     def const(l: int, n: int, value) -> "Poly":
         c = Fraction(value)
         if c == 0:
-            return Poly(l, n)
-        return Poly(l, n, {(0,) * (l + n): c})
+            return Poly._raw(l, n, {})
+        return Poly._raw(l, n, {(0,) * (l + n): c})
 
     @staticmethod
     def variable(l: int, n: int, var: VarId) -> "Poly":
         exp = [0] * (l + n)
         exp[var.position(l, n)] = 1
-        return Poly(l, n, {tuple(exp): Fraction(1)})
+        return Poly._raw(l, n, {tuple(exp): Fraction(1)})
 
     @staticmethod
     def H(l: int, n: int, i: int) -> "Poly":
@@ -152,13 +183,21 @@ class Poly:
         other = self._coerce(other)
         out = dict(self.terms)
         for exp, c in other.terms.items():
-            out[exp] = out.get(exp, Fraction(0)) + c
-        return Poly(self.l, self.n, out)
+            s = out.get(exp)
+            if s is None:
+                out[exp] = c
+                continue
+            s += c
+            if s:
+                out[exp] = s
+            else:
+                del out[exp]
+        return Poly._raw(self.l, self.n, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(self.l, self.n, {e: -c for e, c in self.terms.items()})
+        return Poly._raw(self.l, self.n, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
         return self + (-self._coerce(other))
@@ -170,12 +209,14 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         other = self._coerce(other)
-        out: dict[Exponent, Rat] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                exp = tuple(x + y for x, y in zip(ea, eb))
-                out[exp] = out.get(exp, Fraction(0)) + ca * cb
-        return Poly(self.l, self.n, out)
+        den_a, nums_a = _over_common_denominator(self.terms)
+        den_b, nums_b = _over_common_denominator(other.terms)
+        out: dict[Exponent, int] = {}
+        for ea, ca in nums_a:
+            for eb, cb in nums_b:
+                exp = tuple(map(add, ea, eb))
+                out[exp] = out.get(exp, 0) + ca * cb
+        return Poly._raw(self.l, self.n, _nonzero_fractions(out, den_a * den_b))
 
     __rmul__ = __mul__
 
@@ -183,7 +224,9 @@ class Poly:
         c = Fraction(c)
         if c == 0:
             return Poly.zero(self.l, self.n)
-        return Poly(self.l, self.n, {e: c * k for e, k in self.terms.items()})
+        if c == 1:
+            return self
+        return Poly._raw(self.l, self.n, {e: c * k for e, k in self.terms.items()})
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
@@ -250,46 +293,41 @@ class Poly:
             total += term
         return total
 
-    def coeffs_in(self, var: VarId) -> dict[int, "Poly"]:
-        """Split into { power of var : polynomial in the remaining variables }."""
-        pos = var.position(self.l, self.n)
-        out: dict[int, dict[Exponent, Rat]] = {}
-        for exp, c in self.terms.items():
-            k = exp[pos]
-            rest = exp[:pos] + (0,) + exp[pos + 1 :]
-            out.setdefault(k, {})[rest] = c
-        return {k: Poly(self.l, self.n, t) for k, t in out.items()}
-
     # -- variable shifts ---------------------------------------------------
 
     def shift(self, deltas: Sequence[int]) -> "Poly":
         """Substitute every variable v_p by v_p - deltas[p] (binomial expansion)."""
         if len(deltas) != self.l + self.n:
             raise StructureError("shift vector has wrong length")
-        if not any(deltas):
+        moved = [(pos, dlt) for pos, dlt in enumerate(deltas) if dlt]
+        if not moved:
             return self
-        out: dict[Exponent, Rat] = {}
-        for exp, c in self.terms.items():
-            # expansion of prod_p (v_p - delta_p)^{e_p}
-            partial: dict[Exponent, Rat] = {(0,) * len(exp): c}
-            for pos, (e, dlt) in enumerate(zip(exp, deltas)):
+        # rows[(e, dlt)][j] = comb(e, j) * (-dlt)^(e - j), the coefficient of
+        # v^j in (v - dlt)^e; integers for integer deltas
+        rows: dict[tuple, list] = {}
+        den, nums = _over_common_denominator(self.terms)
+        out: dict[Exponent, int] = {}
+        for exp, c in nums:
+            # expansion of prod over moved slots p of (v_p - delta_p)^{e_p}; the
+            # monomials of one expansion are distinct, so a list suffices
+            partial = [(exp, c)]
+            for pos, dlt in moved:
+                e = exp[pos]
                 if e == 0:
                     continue
-                if dlt == 0:
-                    partial = {
-                        k[:pos] + (e,) + k[pos + 1 :]: v for k, v in partial.items()
-                    }
-                    continue
-                nxt: dict[Exponent, Rat] = {}
-                for k, v in partial.items():
-                    for j in range(e + 1):
-                        w = v * comb(e, j) * Fraction(-dlt) ** (e - j)
-                        key = k[:pos] + (j,) + k[pos + 1 :]
-                        nxt[key] = nxt.get(key, Fraction(0)) + w
-                partial = nxt
-            for k, v in partial.items():
-                out[k] = out.get(k, Fraction(0)) + v
-        return Poly(self.l, self.n, out)
+                row = rows.get((e, dlt))
+                if row is None:
+                    row = rows[e, dlt] = [
+                        comb(e, j) * (-dlt) ** (e - j) for j in range(e + 1)
+                    ]
+                partial = [
+                    (k[:pos] + (j,) + k[pos + 1 :], v * w)
+                    for k, v in partial
+                    for j, w in enumerate(row)
+                ]
+            for k, v in partial:
+                out[k] = out.get(k, 0) + v
+        return Poly._raw(self.l, self.n, _nonzero_fractions(out, den))
 
     # -- text form ---------------------------------------------------------
 
@@ -367,6 +405,21 @@ class Poly:
         return result
 
 
+def _over_common_denominator(terms: dict[Exponent, Rat]) -> tuple[int, list]:
+    """(D, [(exp, c * D)]) with D the lcm of the coefficient denominators."""
+    den = lcm(*[c.denominator for c in terms.values()])
+    if den == 1:
+        return 1, [(e, c.numerator) for e, c in terms.items()]
+    return den, [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()]
+
+
+def _nonzero_fractions(nums: dict[Exponent, int], den: int) -> dict[Exponent, Rat]:
+    """The canonical term map {exp: nums[exp] / den}, zeros dropped."""
+    if den == 1:  # Fraction(v) skips the gcd
+        return {e: Fraction(v) for e, v in nums.items() if v}
+    return {e: Fraction(v, den) for e, v in nums.items() if v}
+
+
 # -- spec-level operations -------------------------------------------------
 
 
@@ -435,17 +488,25 @@ def try_divide(q: Poly, p: Poly) -> Poly | None:
     if q.is_zero():
         return Poly.zero(q.l, q.n)
     lead_exp, lead_c = p.leading()
+    tail = [(e, c) for e, c in p.terms.items() if e != lead_exp]
     quot: dict[Exponent, Rat] = {}
-    rem = q
-    while not rem.is_zero():
-        rexp, rc = rem.leading()
-        diff = tuple(a - b for a, b in zip(rexp, lead_exp))
+    rem = dict(q.terms)
+    while rem:
+        # rem -= c * x^diff * p; its leading term cancels exactly
+        rexp = min(rem, key=_order_key)
+        diff = tuple(map(sub, rexp, lead_exp))
         if any(e < 0 for e in diff):
             return None
-        c = rc / lead_c
+        c = rem.pop(rexp) / lead_c
         quot[diff] = c
-        rem = rem - p * Poly(q.l, q.n, {diff: c})
-    return Poly(q.l, q.n, quot)
+        for e, pc in tail:
+            exp = tuple(map(add, e, diff))
+            s = rem.get(exp, 0) - c * pc
+            if s:
+                rem[exp] = s
+            else:
+                rem.pop(exp, None)
+    return Poly._raw(q.l, q.n, quot)
 
 
 def divides(p: Poly, q: Poly) -> bool:

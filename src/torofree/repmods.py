@@ -23,11 +23,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import DomainError, StructureError
 from .liealg import AlgebraDesc, LieElt
-from .polyalg import Poly, VarId, shift_sigma, shift_tau
+from .polyalg import Poly, VarId, shift_tau
 
 Rat = Fraction
 
@@ -266,13 +267,9 @@ def base_action_factor_lists(spec: ModuleSpec) -> tuple[list[list[Poly]], list[l
     return xs, ys
 
 
-_BASE_CACHE: dict[ModuleSpec, tuple[list[Poly], list[Poly]]] = {}
-
-
+@lru_cache(maxsize=256)
 def _base(spec: ModuleSpec) -> tuple[list[Poly], list[Poly]]:
-    if spec not in _BASE_CACHE:
-        _BASE_CACHE[spec] = base_action_polys(spec)
-    return _BASE_CACHE[spec]
+    return base_action_polys(spec)
 
 
 def c_family_formula_notes(l: int) -> str:
@@ -373,58 +370,17 @@ def act(spec: ModuleSpec, gen: Generator, p: Poly) -> Poly:
         out = Poly.H(l, n, gen.index) * twisted
         return out.scale(spec.lam_pow(r)) if variant != "finite" else out
 
+    # sigma_i^{+-1} and tau^r move disjoint variables: one shift does both
     xs, ys = _base(spec)
+    deltas = [0] * l + list(r)
     if gen.kind == "x":
         base = xs[gen.index - 1]
-        twisted = shift_sigma(gen.index, 1, shift_tau(r, p) if variant != "finite" else p)
+        deltas[gen.index - 1] = 1
     else:
         base = ys[gen.index - 1]
-        twisted = shift_sigma(gen.index, -1, shift_tau(r, p) if variant != "finite" else p)
-    out = twisted * base
+        deltas[gen.index - 1] = -1
+    out = p.shift(deltas) * base
     return out.scale(spec.lam_pow(r)) if variant != "finite" else out
-
-
-# spec-facing aliases for the per-variant operations
-
-
-def act_chevalley_A(spec: ModuleSpec, gen: Generator, p: Poly) -> Poly:
-    if spec.algebra.family != "A":
-        raise DomainError("act_chevalley_A requires an A-family spec")
-    if any(gen.r):
-        raise DomainError("act_chevalley_A acts at loop degree zero")
-    return act(spec, gen, p)
-
-
-def act_chevalley_C(spec: ModuleSpec, gen: Generator, p: Poly) -> Poly:
-    if spec.algebra.family != "C":
-        raise DomainError("act_chevalley_C requires a C-family spec")
-    if any(gen.r):
-        raise DomainError("act_chevalley_C acts at loop degree zero")
-    return act(spec, gen, p)
-
-
-def act_toroidal(spec: ModuleSpec, gen: Generator, p: Poly) -> Poly:
-    if spec.algebra.variant != "toroidal":
-        raise DomainError("act_toroidal requires a toroidal spec")
-    return act(spec, gen, p)
-
-
-def act_witt(spec: ModuleSpec, gen: Generator, p: Poly) -> Poly:
-    if spec.algebra.variant not in ("witt", "full"):
-        raise DomainError("act_witt requires a witt or full spec")
-    if gen.kind != "D":
-        raise DomainError("act_witt acts by derivation generators")
-    if spec.algebra.variant == "witt" and any(
-        exp[pos] for exp in p.terms for pos in range(spec.ranks[0])
-    ):
-        raise DomainError("witt carrier polynomials involve d-variables only")
-    return act(spec, gen, p)
-
-
-def act_full(spec: ModuleSpec, gen: Generator, p: Poly) -> Poly:
-    if spec.algebra.variant != "full":
-        raise DomainError("act_full requires a full-variant spec")
-    return act(spec, gen, p)
 
 
 # -- arbitrary elements ------------------------------------------------------
@@ -528,10 +484,6 @@ def _lie_bracket(desc: AlgebraDesc, X: LieElt, Y: LieElt) -> LieElt:
     from . import liealg
 
     return liealg.bracket(desc, X, Y)
-
-
-def generator_element(spec: ModuleSpec, g: Generator) -> LieElt:
-    return _as_elt(spec.algebra, g)
 
 
 # -- JSON serialization ------------------------------------------------------

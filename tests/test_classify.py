@@ -256,6 +256,22 @@ class TestRecovery:
         assert ("A", frozenset({1, 2}), (F(2),), Poly.const(1, 0, 1)) in tuples
         assert ("A", frozenset(), (F(-2),), Poly.const(1, 0, -2)) in tuples
 
+    @pytest.mark.parametrize("b", [F(10**18 + 1, 7), F(10**200 + 1, 3)])
+    def test_mixed_s_huge_height(self, b):
+        # the leading coefficient's square root must be exact at any height:
+        # a float square root misread the first b and overflowed on the second
+        spec = toroidal(1, b, {1}, a=(3,))
+        rec = C.recover_parameters(C.oracle_from_spec(spec), [(-1,), (0,), (1,)])
+        tuples = [("A", rec.S, rec.base_a, rec.base_b)] + rec.alternates
+        assert ("A", frozenset({1}), (F(3),), Poly.const(1, 1, b)) in tuples
+        assert ("A", frozenset({1}), (F(3),), Poly.const(1, 1, -b - 1)) in tuples
+
+    def test_isqrt_exact(self):
+        big = 10**200 + 1
+        assert C._isqrt_exact(big * big) == big
+        assert C._isqrt_exact(big * big + 1) is None
+        assert C._isqrt_exact(-4) is None
+
     def test_witt_recovery(self):
         spec = mk_spec(rank=0, loop_vars=2, variant="witt", lam=(2, -3), witt_a=-1)
         win = [(0, 0), (1, 0), (0, 1), (1, 1), (-1, 0), (0, -1)]

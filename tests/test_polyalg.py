@@ -25,7 +25,7 @@ D2 = Poly.d(L, N, 2)
 
 
 def rationals():
-    return st.fractions(max_numerator=50, max_denominator=9)
+    return st.fractions(min_value=-50, max_value=50, max_denominator=9)
 
 
 @st.composite
@@ -122,6 +122,51 @@ class TestShifts:
         c = shift_sigma(2, m, shift_sigma(1, k, p))
         d = shift_sigma(1, k, shift_sigma(2, m, p))
         assert c == d
+
+
+def assert_canonical(p):
+    assert all(type(e) is tuple and len(e) == p.l + p.n for e in p.terms)
+    assert all(type(c) is Fraction and c != 0 for c in p.terms.values())
+
+
+def mixed(p, q, a, b):
+    # rational coefficients with unlike denominators
+    return p.scale(a) + q.scale(b)
+
+
+class TestTrustedKernel:
+    @given(polys(), polys(), rationals(), rationals(),
+           st.lists(st.integers(-3, 3), min_size=L + N, max_size=L + N),
+           st.lists(rationals(), min_size=L + N, max_size=L + N))
+    @settings(max_examples=60, deadline=None)
+    def test_shift_evaluation_oracle(self, p, q, a, b, deltas, point):
+        f = mixed(p, q, a, b)
+        moved = [x - dk for x, dk in zip(point, deltas)]
+        assert f.shift(deltas).eval(point) == f.eval(moved)
+
+    @given(polys(), polys(), polys(), rationals(), rationals(), rationals(),
+           st.lists(st.integers(-3, 3), min_size=L + N, max_size=L + N))
+    @settings(max_examples=60, deadline=None)
+    def test_results_are_canonical(self, p, q, r, a, b, c, deltas):
+        f, g = mixed(p, q, a, b), mixed(q, r, b, c)
+        for out in (f + g, f - g, f - f, -f, f * g, f * (g - g), f.scale(c),
+                    f.shift(deltas), f.shift([0] * (L + N))):
+            assert_canonical(out)
+        if not g.is_zero():
+            quot = try_divide(f * g, g)
+            assert quot == f
+            assert_canonical(quot)
+
+    def test_public_constructor_coerces_and_drops_zeros(self):
+        p = Poly(L, N, {(1, 0, 0, 0): 2, (0, 1, 0, 0): 0, (0, 0, 0, 0): Fraction(0)})
+        assert p.terms == {(1, 0, 0, 0): Fraction(2)}
+        assert_canonical(p)
+        assert Poly(L, N, {(0, 0, 1, 0): "1/3"}) == D1.scale(Fraction(1, 3))
+
+    def test_public_constructor_rejects_bad_exponents(self):
+        for bad in ((1, -1, 0, 0), (1, 0, 0), (1, 0, 0, 0, 0)):
+            with pytest.raises(StructureError):
+                Poly(L, N, {bad: 1})
 
 
 class TestDegrees:

@@ -217,15 +217,25 @@ class TestStructuralProperties:
         assert eva_twist_check(sl2_toroidal, samples=5, seed=2).passed
 
     def test_tensor_factorization(self, sl2_toroidal):
-        # act on g(H) * q(d): Chevalley operators touch q only via tau and lambda
-        g = Poly.parse("H1^2 - 3*H1", 1, 1)
-        q = Poly.parse("d1^3 + 2*d1", 1, 1)
-        a = (2,)
-        got = act(sl2_toroidal, Generator("x", 1, a), g * q)
-        xs, _ = R.base_action_polys(sl2_toroidal)
-        lam_a = sl2_toroidal.lam_pow(a)
-        expect = (shift_sigma(1, 1, g) * shift_tau(a, q) * xs[0]).scale(lam_a)
-        assert got == expect
+        # act on g(H) * q(d): x_i(r) / y_i(r) touch g only via sigma_i^{+-1} and
+        # q only via tau^r and lambda^r
+        a2_full = mk_spec(rank=2, loop_vars=2, variant="full", cocycle=(1, 0),
+                          lam=(Fraction(2, 3), -5), witt_a=Fraction(1, 2),
+                          base_a=(3, Fraction(-1, 2)), base_b=Fraction(5, 3), S={1, 3})
+        cases = [
+            (sl2_toroidal, "H1^2 - 3*H1", "d1^3 + 2*d1",
+             [Generator("x", 1, (2,)), Generator("y", 1, (2,))]),
+            (a2_full, "H1^2*H2 - 3/2*H2 + 7", "d1^2*d2 - d2 + 1/3",
+             [Generator("x", 2, (1, -2)), Generator("y", 1, (-1, 3)),
+              Generator("y", 2, (0, 2)), Generator("x", 1, (0, 0))]),
+        ]
+        for spec, g_text, q_text, gens in cases:
+            g, q = (Poly.parse(t, *spec.ranks) for t in (g_text, q_text))
+            xs, ys = R.base_action_polys(spec)
+            for gen in gens:
+                base, k = (xs, 1) if gen.kind == "x" else (ys, -1)
+                expect = shift_sigma(gen.index, k, g) * shift_tau(gen.r, q) * base[gen.index - 1]
+                assert act(spec, gen, g * q) == expect.scale(spec.lam_pow(gen.r)), gen
 
     def test_freeness(self, sl2_toroidal):
         from torofree.verify import freeness_check

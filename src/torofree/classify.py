@@ -21,8 +21,12 @@ Witness certificates come in two exact, independently verified kinds:
 
 * principal: a monic polynomial p in the H-variables with
   p | (x_i.1) sigma_i(p) and p | (y_i.1) sigma_i^{-1}(p) for all i, so the
-  ideal (p) is invariant.  Complete for l = 1 (invariant-ideal factor chains
-  terminate on both sides only along integer-shift intervals).
+  ideal (p) is invariant.  Complete for l = 1 once maxdeg reaches the
+  quotient's dimension (invariant-ideal factor chains terminate on both
+  sides only along integer-shift intervals, and a chain's length is the
+  codimension of its ideal); below that the quotient scan still certifies,
+  e.g. l = 1, b = 5, S = FULL at maxdeg 6 has only the dim-11 quotient, so
+  the scan runs at l = 1 too.
 
 * quotient: matrices (H_1..H_l, X_1..X_l, Y_1..Y_l) on a finite-dimensional
   space plus a vector v0 != 0 with commuting H's, [H_j, X_i] = delta X_i,
@@ -33,7 +37,10 @@ Witness certificates come in two exact, independently verified kinds:
   common factor), so this second kind is what a witness search must produce.
   In two H-variables every proper invariant ideal has either a nontrivial
   gcd (principal witness) or finite codimension (quotient witness), so the
-  two kinds jointly cover l <= 2 at the searched bounds.
+  two kinds jointly cover l <= 2 at the searched bounds.  The quotients are
+  the irreducibles V(m) in their Gelfand-Tsetlin basis, where H is
+  diagonal: p(H) is p evaluated at each basis weight, and v0 is given in
+  Gelfand-Tsetlin coordinates.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from . import repmods
@@ -60,7 +68,8 @@ DenseMatrix = list[list[Rat]]
 
 
 def mat_vec(m: DenseMatrix, v: Vector) -> Vector:
-    return [sum((row[j] * v[j] for j in range(len(v)) if v[j]), Fraction(0)) for row in m]
+    support = [(j, x) for j, x in enumerate(v) if x]
+    return [sum((row[j] * x for j, x in support if row[j]), Fraction(0)) for row in m]
 
 
 def mat_mul_dense(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
@@ -101,9 +110,10 @@ def nullspace(rows: list[Vector], cols: int) -> list[Vector]:
             if j in pivots:
                 factor = row[j]
                 prow = pivots[j]
-                row = [x - factor * y for x, y in zip(row, prow)]
+                row = [x - factor * y if y else x for x, y in zip(row, prow)]
                 continue
-            row = [x / row[j] for x in row]
+            lead = row[j]
+            row = [x / lead if x else x for x in row]
             pivots[j] = row
             break
     free = [j for j in range(cols) if j not in pivots]
@@ -180,7 +190,12 @@ def weyl_dim_A(weights: Sequence[int]) -> int:
 
 @dataclass
 class IrrepA:
-    """Explicit irreducible of sl_{l+1}: H_i diagonal-dual basis matrices."""
+    """Explicit irreducible of sl_{l+1} in its Gelfand-Tsetlin basis.
+
+    The H_i matrices are diagonal; h_diag[j] records the eigenvalues
+    (H_1..H_l) on basis vector j, so consumers can multiply by p(weight)
+    coordinatewise instead of forming p(H).
+    """
 
     rank: int
     weights: tuple[int, ...]
@@ -188,162 +203,98 @@ class IrrepA:
     h_mats: list[DenseMatrix]
     x_mats: list[DenseMatrix]
     y_mats: list[DenseMatrix]
+    h_diag: list[tuple[Rat, ...]]
 
 
-def _subset_action(p: int, q: int, subset: tuple[int, ...]):
-    """E_pq on a wedge basis subset; returns (subset', sign) or None."""
-    if p == q:
-        return (subset, 1) if p in subset else None
-    if q not in subset or p in subset:
-        return None
-    items = [p if x == q else x for x in subset]
-    sign = 1
-    # bubble sort sign
-    arr = items[:]
-    for i in range(len(arr)):
-        for j in range(len(arr) - 1 - i):
-            if arr[j] > arr[j + 1]:
-                arr[j], arr[j + 1] = arr[j + 1], arr[j]
-                sign = -sign
-    return (tuple(arr), sign)
+def _gt_patterns(top: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
+    """Gelfand-Tsetlin patterns with the given top row, as (row_1, .., row_n).
+
+    Row k-1 interlaces row k: row_k[i] >= row_{k-1}[i] >= row_k[i+1].  Rows
+    are chosen from the top down, largest entries first, so the
+    highest-weight pattern comes first.
+    """
+    out: list[tuple[tuple[int, ...], ...]] = []
+
+    def descend(rows: list[tuple[int, ...]]):
+        row = rows[0]
+        if len(row) == 1:
+            out.append(tuple(rows))
+            return
+        ranges = [range(row[i], row[i + 1] - 1, -1) for i in range(len(row) - 1)]
+        for below in itertools.product(*ranges):
+            descend([below] + rows)
+
+    descend([tuple(top)])
+    return out
 
 
 def build_irrep_A(rank: int, weights: Sequence[int]) -> IrrepA:
-    """Highest-weight module V(m_1 w_1 + .. + m_l w_l) inside a tensor power.
+    """Highest-weight module V(m_1 w_1 + .. + m_l w_l) on Gelfand-Tsetlin patterns.
 
-    Each fundamental factor is a wedge power of the defining representation;
-    the module is the span of lowering words applied to the top vector, so
-    every matrix entry is an exact rational.
+    The gl_{l+1} highest weight is lambda_i = m_i + .. + m_l (lambda_{l+1} = 0).
+    With l_ki = lambda_ki - i + 1, the generators act by the rational,
+    non-unitary formulas (Molev, "Gelfand-Tsetlin bases for classical Lie
+    algebras", Thm 2.3)
+
+        E_{k,k+1} xi = - sum_i prod_j (l_ki - l_{k+1,j}) / prod_{j!=i} (l_ki - l_kj) xi[+d_ki]
+        E_{k+1,k} xi =   sum_i prod_j (l_ki - l_{k-1,j}) / prod_{j!=i} (l_ki - l_kj) xi[-d_ki]
+
+    where a shifted array that is not a pattern is zero.  H_i = E_11 + .. +
+    E_ii - i/(l+1) * (E_11 + .. + E_{l+1,l+1}) is diagonal with eigenvalue
+    (sum of row i) - i * |lambda| / (l+1).  Every entry is an exact rational
+    and the cost is polynomial in the dimension.
     """
     l = rank
     size = l + 1
     weights = tuple(int(m) for m in weights)
     if len(weights) != l or any(m < 0 for m in weights):
         raise StructureError("weights must be l non-negative integers")
-    factors: list[int] = []
-    for k, m in enumerate(weights, start=1):
-        factors += [k] * m
-    fund_basis = {
-        k: [tuple(c) for c in itertools.combinations(range(size), k)]
-        for k in set(factors)
-    }
-
-    def apply_epq(p: int, q: int, vec: dict) -> dict:
-        out: dict = {}
-        for key, c in vec.items():
-            for slot, k in enumerate(factors):
-                res = _subset_action(p, q, key[slot])
-                if res is None:
-                    continue
-                sub, sign = res
-                nk = key[:slot] + (sub,) + key[slot + 1 :]
-                v = out.get(nk, Fraction(0)) + c * sign
-                if v:
-                    out[nk] = v
-                else:
-                    out.pop(nk, None)
-        return out
-
-    def apply_h(i: int, vec: dict) -> dict:
-        # H_i = sum_{p<i} E_pp - (i/size) * (number operator)
-        total = sum(factors)
-        out: dict = {}
-        for key, c in vec.items():
-            count = sum(1 for sub in key for x in sub if x < i)
-            eig = Fraction(count) - Fraction(i * total, size)
-            if eig:
-                out[key] = c * eig
-        return out
-
-    top = tuple(tuple(range(k)) for k in factors)
-    if not factors:
-        top = ()
-    added: list[dict] = []
-    span = SpanBasis()
-    hw = {top: Fraction(1)}
-    span.add(hw)
-    added.append(hw)
-    frontier = [hw]
-    while frontier:
-        new_frontier = []
-        for vec in frontier:
-            for i in range(1, l + 1):
-                img = apply_epq(i, i - 1, vec)  # lowering y_i = E_{i+1,i}, 0-based
-                if img and span.add(img):
-                    added.append(img)
-                    new_frontier.append(img)
-        frontier = new_frontier
-    dim = len(added)
+    top = tuple(sum(weights[i:]) for i in range(size))
+    patterns = _gt_patterns(top)
+    dim = len(patterns)
     expected = weyl_dim_A(weights)
     if dim != expected:
         raise StructureError(
             f"irrep construction dimension {dim} != Weyl dimension {expected}"
         )
+    index = {pat: j for j, pat in enumerate(patterns)}
+    total = Fraction(sum(top), size)
 
-    # coordinates of arbitrary vectors in the 'added' list
-    coord_rows: dict = {}
+    def zeros() -> DenseMatrix:
+        return [[Fraction(0)] * dim for _ in range(dim)]
 
-    def coords(vec: dict) -> Vector:
-        # solve sum c_j added[j] = vec by echelon reduction with bookkeeping
-        out = [Fraction(0)] * dim
-        residual = dict(vec)
-        while residual:
-            piv = min(residual)
-            if piv not in coord_rows:
-                raise StructureError("vector outside the module span")
-            row_vec, row_coords = coord_rows[piv]
-            factor = residual[piv] / row_vec[piv]
-            for k, v in row_vec.items():
-                nv = residual.get(k, Fraction(0)) - factor * v
-                if nv:
-                    residual[k] = nv
-                else:
-                    residual.pop(k, None)
-            for j, v in row_coords.items():
-                out[j] += factor * v
-        return out
-
-    for j, vec in enumerate(added):
-        # echelonize with coordinate tracking
-        residual = dict(vec)
-        coords_acc = {j: Fraction(1)}
-        while residual:
-            piv = min(residual)
-            if piv in coord_rows:
-                row_vec, row_coords = coord_rows[piv]
-                factor = residual[piv] / row_vec[piv]
-                for k, v in row_vec.items():
-                    nv = residual.get(k, Fraction(0)) - factor * v
-                    if nv:
-                        residual[k] = nv
-                    else:
-                        residual.pop(k, None)
-                for jj, v in row_coords.items():
-                    coords_acc[jj] = coords_acc.get(jj, Fraction(0)) - factor * v
-            else:
-                coord_rows[piv] = (residual, coords_acc)
-                break
-
-    def op_matrix(apply_fn) -> DenseMatrix:
-        cols = []
-        for vec in added:
-            cols.append(coords(apply_fn(vec)))
-        return [[cols[j][i] for j in range(dim)] for i in range(dim)]
-
-    h_mats = [op_matrix(lambda v, i=i: apply_h(i, v)) for i in range(1, l + 1)]
-    x_mats = [op_matrix(lambda v, i=i: apply_epq(i - 1, i, v)) for i in range(1, l + 1)]
-    y_mats = [op_matrix(lambda v, i=i: apply_epq(i, i - 1, v)) for i in range(1, l + 1)]
-    return IrrepA(l, weights, dim, h_mats, x_mats, y_mats)
+    h_diag = [
+        tuple(sum(pat[i - 1]) - i * total for i in range(1, l + 1)) for pat in patterns
+    ]
+    h_mats = [
+        [[eig[i] if r == c else Fraction(0) for c in range(dim)] for r, eig in enumerate(h_diag)]
+        for i in range(l)
+    ]
+    x_mats = [zeros() for _ in range(l)]
+    y_mats = [zeros() for _ in range(l)]
+    for col, pat in enumerate(patterns):
+        # ls[k-1][i-1] = l_ki; rows k = 1..l carry the E_{k,k+1}, E_{k+1,k} moves
+        ls = [[lam - i for i, lam in enumerate(row)] for row in pat]
+        for k in range(1, size):
+            row = ls[k - 1]
+            for i, lki in enumerate(row):
+                den = math.prod(lki - lkj for j, lkj in enumerate(row) if j != i)
+                for step, mats, rows_j, sign in (
+                    (1, x_mats, ls[k], -1),
+                    (-1, y_mats, ls[k - 2] if k > 1 else [], 1),
+                ):
+                    moved = pat[k - 1][:i] + (pat[k - 1][i] + step,) + pat[k - 1][i + 1 :]
+                    target = index.get(pat[: k - 1] + (moved,) + pat[k:])
+                    num = sign * math.prod(lki - lj for lj in rows_j)
+                    if target is not None and num:
+                        mats[k - 1][target][col] = Fraction(num, den)
+    return IrrepA(l, weights, dim, h_mats, x_mats, y_mats, h_diag)
 
 
-_IRREP_CACHE: dict[tuple[int, tuple[int, ...]], IrrepA] = {}
-
-
-def irrep_A(rank: int, weights: Sequence[int]) -> IrrepA:
-    key = (rank, tuple(int(m) for m in weights))
-    if key not in _IRREP_CACHE:
-        _IRREP_CACHE[key] = build_irrep_A(rank, key[1])
-    return _IRREP_CACHE[key]
+@lru_cache(maxsize=256)
+def irrep_A(rank: int, weights: tuple[int, ...]) -> IrrepA:
+    """build_irrep_A through a bounded cache; weights must be a tuple."""
+    return build_irrep_A(rank, weights)
 
 
 # -- action oracles -----------------------------------------------------------
@@ -573,19 +524,26 @@ class QuotientCert:
         }
 
 
-def _poly_at_h_matrices(p: Poly, h_mats: list[DenseMatrix], v0: Vector) -> Vector:
-    """(p(H_1..H_l) v0) for an H-only polynomial, by iterated mat-vec."""
-    dim = len(v0)
-    out = [Fraction(0)] * dim
-    l = p.l
+def _h_monomial_at_weights(exp: tuple[int, ...], rep: IrrepA) -> Vector:
+    """The value of the H-block of the monomial exp at each basis weight."""
+    return [
+        math.prod((w[i] ** e for i, e in enumerate(exp[: rep.rank]) if e), start=Fraction(1))
+        for w in rep.h_diag
+    ]
+
+
+def _poly_at_weights(p: Poly, rep: IrrepA) -> Vector:
+    """The value of the H-part of p at each basis weight: p(H) is diagonal."""
+    out = [Fraction(0)] * rep.dim
     for exp, c in p.terms.items():
-        vec = v0[:]
-        for i in range(l):
-            for _ in range(exp[i]):
-                vec = mat_vec(h_mats[i], vec)
-        for j in range(dim):
-            out[j] += c * vec[j]
+        for j, m in enumerate(_h_monomial_at_weights(exp, rep)):
+            out[j] += c * m
     return out
+
+
+def _poly_at_h(p: Poly, rep: IrrepA, v0: Vector) -> Vector:
+    """(p(H_1..H_l) v0) for an H-only polynomial, coordinate by coordinate."""
+    return [a * b for a, b in zip(_poly_at_weights(p, rep), v0)]
 
 
 def quotient_certificate_search(spec: ModuleSpec, dim_bound: int) -> QuotientCert | None:
@@ -600,16 +558,13 @@ def quotient_certificate_search(spec: ModuleSpec, dim_bound: int) -> QuotientCer
     for weights in _dominant_weights(l, dim_bound):
         rep = irrep_A(l, weights)
         rows: list[Vector] = []
-        basis_id = [[Fraction(1 if i == j else 0) for j in range(rep.dim)] for i in range(rep.dim)]
         for i in range(1, l + 1):
             for op, poly in ((rep.x_mats[i - 1], xs[i - 1]), (rep.y_mats[i - 1], ys[i - 1])):
-                # rows of (op - poly(H)) as a matrix on V
-                pmat = [
-                    _poly_at_h_matrices(poly, rep.h_mats, basis_id[j])
-                    for j in range(rep.dim)
-                ]
-                for r in range(rep.dim):
-                    rows.append([op[r][j] - pmat[j][r] for j in range(rep.dim)])
+                # rows of (op - poly(H)) as a matrix on V; poly(H) is diagonal
+                for r, value in enumerate(_poly_at_weights(poly, rep)):
+                    row = op[r][:]
+                    row[r] -= value
+                    rows.append(row)
         kernel = nullspace(rows, rep.dim)
         if kernel:
             v0 = kernel[0]
@@ -620,12 +575,25 @@ def quotient_certificate_search(spec: ModuleSpec, dim_bound: int) -> QuotientCer
 
 
 def _dominant_weights(l: int, dim_bound: int) -> list[tuple[int, ...]]:
-    out = []
-    ceiling = dim_bound + 1
-    for weights in itertools.product(range(ceiling), repeat=l):
-        d = weyl_dim_A(weights)
-        if 1 <= d <= dim_bound:
-            out.append(weights)
+    """Highest weights of dimension <= dim_bound, by dimension then weight.
+
+    The Weyl dimension grows strictly in each m_i, so an entry stops rising
+    once the weight with zeros after it exceeds the bound.
+    """
+    out: list[tuple[int, ...]] = []
+
+    def extend(prefix: tuple[int, ...]):
+        if len(prefix) == l:
+            out.append(prefix)
+            return
+        pad = (0,) * (l - len(prefix) - 1)
+        m = 0
+        while weyl_dim_A(prefix + (m,) + pad) <= dim_bound:
+            extend(prefix + (m,))
+            m += 1
+
+    if dim_bound >= 1:
+        extend(())
     out.sort(key=lambda w: (weyl_dim_A(w), w))
     return out
 
@@ -643,14 +611,20 @@ def verify_quotient_certificate(
     ladder relations [H_j, X_i] = delta_ij X_i and [H_j, Y_i] = -delta_ij Y_i,
     and the base conditions X_i v0 = (x_i.1)(H) v0, Y_i v0 = (y_i.1)(H) v0;
     the sampled loop-window intertwining exercises the same facts through
-    the full graded action.
+    the full graded action.  The H-matrices are first checked to be exactly
+    the diagonal of the recorded weights, which the coordinatewise p(H)
+    below relies on.
     """
     l, n = spec.ranks
     if all(c == 0 for c in cert.v0):
         return False
-    rep = irrep_A(l, cert.weights)
+    rep = irrep_A(l, tuple(cert.weights))
     if rep.dim != cert.dim or len(cert.v0) != rep.dim:
         return False
+    for i, h in enumerate(rep.h_mats):
+        for r, row in enumerate(h):
+            if any(x != (rep.h_diag[r][i] if c == r else 0) for c, x in enumerate(row)):
+                return False
     v0 = list(cert.v0)
     for a, b in itertools.combinations(rep.h_mats, 2):
         if not mat_is_zero_dense(mat_comm_dense(a, b)):
@@ -670,9 +644,9 @@ def verify_quotient_certificate(
                 return False
     xs, ys = base_action_polys(spec)
     for i in range(1, l + 1):
-        if mat_vec(rep.x_mats[i - 1], v0) != _poly_at_h_matrices(xs[i - 1], rep.h_mats, v0):
+        if mat_vec(rep.x_mats[i - 1], v0) != _poly_at_h(xs[i - 1], rep, v0):
             return False
-        if mat_vec(rep.y_mats[i - 1], v0) != _poly_at_h_matrices(ys[i - 1], rep.h_mats, v0):
+        if mat_vec(rep.y_mats[i - 1], v0) != _poly_at_h(ys[i - 1], rep, v0):
             return False
     # sampled intertwining through the full graded action
     from .verify import random_poly
@@ -695,14 +669,9 @@ def _phi_map(spec: ModuleSpec, rep: IrrepA, v0: Vector, f: Poly) -> dict:
     l, n = spec.ranks
     out: dict[tuple[int, ...], Vector] = {}
     for exp, c in f.terms.items():
-        beta = exp[l:]
-        vec = v0[:]
-        for i in range(l):
-            for _ in range(exp[i]):
-                vec = mat_vec(rep.h_mats[i], vec)
-        acc = out.setdefault(beta, [Fraction(0)] * rep.dim)
-        for j in range(rep.dim):
-            acc[j] += c * vec[j]
+        acc = out.setdefault(exp[l:], [Fraction(0)] * rep.dim)
+        for j, m in enumerate(_h_monomial_at_weights(exp, rep)):
+            acc[j] += c * m * v0[j]
     return {b: tuple(v) for b, v in out.items() if any(v)}
 
 
@@ -739,10 +708,10 @@ def _phi_apply_generator(
                     acc[j] += kc * vec[j]
         return {b: tuple(v) for b, v in out.items() if any(v)}
 
-    def matapply(mat: DenseMatrix, m: dict) -> dict:
+    def matapply(apply: Callable[[Vector], Vector], m: dict) -> dict:
         out = {}
         for b, v in m.items():
-            img = mat_vec(mat, list(v))
+            img = apply(list(v))
             if any(img):
                 out[b] = tuple(img)
         return out
@@ -776,12 +745,13 @@ def _phi_apply_generator(
             return dmul(phi, gen.index, Fraction(0))
         shifted = dshift(phi, r)
         return scale(dmul(shifted, gen.index, r[gen.index - 1] * (spec.witt_a + 1)), lam_r)
-    mats = {
-        "x": rep.x_mats[gen.index - 1],
-        "y": rep.y_mats[gen.index - 1],
-        "h": rep.h_mats[gen.index - 1],
-    }
-    return scale(matapply(mats[gen.kind], dshift(phi, r)), lam_r)
+    if gen.kind == "h":
+        eigs = [w[gen.index - 1] for w in rep.h_diag]
+        apply = lambda v: [a * x for a, x in zip(eigs, v)]
+    else:
+        mat = (rep.x_mats if gen.kind == "x" else rep.y_mats)[gen.index - 1]
+        apply = lambda v: mat_vec(mat, v)
+    return scale(matapply(apply, dshift(phi, r)), lam_r)
 
 
 # -- witness report and combined search ---------------------------------------
@@ -817,9 +787,17 @@ def submodule_witness_search(
     loop_window: Iterable | None = None,
     dim_bound: int | None = None,
 ) -> WitnessReport:
-    """Search for an invariant-ideal certificate at the given bounds."""
+    """Search for an invariant-ideal certificate at the given bounds.
+
+    A bound of 0 skips that search (maxdeg for the principal one, dim_bound
+    for the quotient scan); a negative bound is a DomainError.
+    """
     if spec.algebra.variant == "witt":
         raise DomainError("witness search applies to finite/toroidal/full variants")
+    if maxdeg < 0:
+        raise DomainError(f"maxdeg must be non-negative, got {maxdeg}")
+    if dim_bound is not None and dim_bound < 0:
+        raise DomainError(f"dim_bound must be non-negative, got {dim_bound}")
     window = _window(spec, loop_window)
     if dim_bound is None:
         # the edge-pattern quotients at degree budget m have dimension

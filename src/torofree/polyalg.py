@@ -13,9 +13,9 @@ The shift automorphisms are
 implemented by binomial expansion with exact integer binomials.
 
 Trusted construction: the public constructor ``Poly(l, n, terms)`` accepts
-arbitrary input, so it coerces every coefficient to Fraction, drops zeros
-and raises StructureError on an exponent of the wrong width or with a
-negative entry.  Results of the kernel operations are canonical by
+arbitrary input, so it raises StructureError on an exponent of the wrong
+width or with a negative entry (whatever its coefficient), coerces every
+coefficient to Fraction and drops zeros.  Results of the kernel operations are canonical by
 construction (tuple keys of width l + n built from valid keys, nonzero
 Fraction values, zeros dropped in the pass that builds the map), so
 ``__add__``, ``__neg__``, ``__mul__``, ``scale``, ``shift``, ``try_divide``
@@ -95,12 +95,11 @@ class Poly:
         if terms:
             width = l + n
             for exp, c in terms.items():
-                c = Fraction(c)
-                if c == 0:
-                    continue
                 if len(exp) != width or any(e < 0 for e in exp):
                     raise StructureError(f"bad exponent {exp} for ranks ({l},{n})")
-                clean[tuple(exp)] = c
+                c = Fraction(c)
+                if c != 0:
+                    clean[tuple(exp)] = c
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, *_):

@@ -170,6 +170,31 @@ class TestCombinedSearch:
         with pytest.raises(DomainError):
             C.submodule_witness_search(spec, 4)
 
+    def test_negative_bounds_rejected(self):
+        spec = mk_spec(rank=2, base_b=F(1, 3), S={1, 2, 3})
+        with pytest.raises(DomainError):
+            C.submodule_witness_search(spec, -1)
+        with pytest.raises(DomainError):
+            C.submodule_witness_search(spec, 4, dim_bound=-3)
+
+    def test_zero_bounds_skip_their_search(self):
+        spec = mk_spec(rank=1, base_b=1, S={1, 2})
+        report = C.submodule_witness_search(spec, 4, dim_bound=0)
+        assert report.found and report.witness is not None
+        report = C.submodule_witness_search(spec, 0, dim_bound=0)
+        assert not report.found and report.checked_dim_bound == 0
+
+    def test_l1_needs_the_quotient_scan(self):
+        # no principal witness up to degree 6; only the dim-11 quotient
+        # V(10) certifies non-simplicity, so the l = 1 scan must stay
+        spec = toroidal(1, 5, {1, 2})
+        assert C.principal_witness_search(spec, 6) is None
+        report = C.submodule_witness_search(spec, 6, WIN1, dim_bound=13)
+        assert report.found and report.verified
+        cert = report.quotient_cert
+        assert cert is not None and (cert.dim, cert.weights) == (11, (10,))
+        assert C.verify_quotient_certificate(spec, cert, WIN1)
+
 
 class TestCyclicity:
     def test_constant_is_immediate(self, sl2_toroidal):
@@ -362,6 +387,47 @@ class TestLinearAlgebraHelpers:
         assert C.weyl_dim_A((1, 1)) == 8
         assert C.weyl_dim_A((0, 3)) == 10
         assert C.irrep_A(2, (1, 1)).dim == 8
+
+    @pytest.mark.parametrize(
+        "rank,weights",
+        [(1, (m,)) for m in range(19)]
+        + [(2, (1, 1)), (2, (2, 2)), (2, (0, 6)), (3, (1, 0, 1)), (3, (1, 1, 1))],
+    )
+    def test_gelfand_tsetlin_irrep_satisfies_sl_relations(self, rank, weights):
+        rep = C.build_irrep_A(rank, weights)
+        assert rep.dim == C.weyl_dim_A(weights)
+        dim = rep.dim
+        # irreducible: the vectors killed by every X_i form one line
+        assert len(C.nullspace([row for x in rep.x_mats for row in x], dim)) == 1
+        zero = [[F(0)] * dim for _ in range(dim)]
+
+        def h(i):
+            return rep.h_mats[i - 1] if 1 <= i <= rank else zero
+
+        def lin(*terms):
+            return [[sum(c * m[r][s] for c, m in terms) for s in range(dim)]
+                    for r in range(dim)]
+
+        for i in range(1, rank + 1):
+            assert all(
+                rep.h_mats[i - 1][r][s] == (rep.h_diag[r][i - 1] if r == s else 0)
+                for r in range(dim) for s in range(dim)
+            )
+        for i in range(1, rank + 1):
+            xi, yi = rep.x_mats[i - 1], rep.y_mats[i - 1]
+            for j in range(1, rank + 1):
+                xj, yj = rep.x_mats[j - 1], rep.y_mats[j - 1]
+                same = i == j
+                cartan = lin((2, h(i)), (-1, h(i - 1)), (-1, h(i + 1)))
+                assert C.mat_comm_dense(xi, yj) == (cartan if same else zero)
+                assert C.mat_comm_dense(h(j), xi) == (xi if same else zero)
+                assert C.mat_comm_dense(h(j), yi) == (lin((-1, yi)) if same else zero)
+                if abs(i - j) == 1:
+                    assert C.mat_is_zero_dense(C.mat_comm_dense(xi, C.mat_comm_dense(xi, xj)))
+                    assert C.mat_is_zero_dense(C.mat_comm_dense(yi, C.mat_comm_dense(yi, yj)))
+                if abs(i - j) >= 2:
+                    assert C.mat_is_zero_dense(C.mat_comm_dense(xi, xj))
+                    assert C.mat_is_zero_dense(C.mat_comm_dense(yi, yj))
 
     def test_irrep_relations(self):
         rep = C.irrep_A(2, (2, 0))

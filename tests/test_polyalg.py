@@ -168,6 +168,14 @@ class TestTrustedKernel:
             with pytest.raises(StructureError):
                 Poly(L, N, {bad: 1})
 
+    def test_public_constructor_rejects_bad_exponents_with_zero_coefficient(self):
+        # the exponent is checked before the zero coefficient is dropped
+        with pytest.raises(StructureError):
+            Poly(1, 1, {(-1, 0): 0, (1,): 0})
+        for bad in ((1, -1, 0, 0), (1, 0, 0), (1, 0, 0, 0, 0)):
+            with pytest.raises(StructureError):
+                Poly(L, N, {bad: 0})
+
 
 class TestDegrees:
     def test_deg_of_zero_is_minus_one(self):

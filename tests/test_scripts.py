@@ -1,0 +1,25 @@
+"""Smoke tests of the experiment scripts, run as subprocesses."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, cwd=ROOT, env=env, timeout=300,
+    )
+
+
+def test_simplicity_grid_l1():
+    proc = run_script("simplicity_grid.py", "--lmax", "1", "--seeds", "1")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "all grid points agree" in proc.stdout

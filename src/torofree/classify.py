@@ -55,8 +55,8 @@ from typing import Callable, Iterable, Sequence
 
 from . import repmods
 from .errors import ClassificationError, DomainError, StructureError
-from .liealg import AlgebraDesc
-from .polyalg import Poly, VarId, deg_in, divides, shift_sigma
+from .liealg import AlgebraDesc, window_degrees
+from .polyalg import Poly, VarId, deg_in, divides
 from .repmods import Generator, ModuleSpec, base_action_polys
 
 Rat = Fraction
@@ -70,32 +70,6 @@ DenseMatrix = list[list[Rat]]
 def mat_vec(m: DenseMatrix, v: Vector) -> Vector:
     support = [(j, x) for j, x in enumerate(v) if x]
     return [sum((row[j] * x for j, x in support if row[j]), Fraction(0)) for row in m]
-
-
-def mat_mul_dense(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
-    size = len(a)
-    cols = len(b[0])
-    out = [[Fraction(0)] * cols for _ in range(size)]
-    for i in range(size):
-        for k in range(len(b)):
-            c = a[i][k]
-            if c:
-                for j in range(cols):
-                    if b[k][j]:
-                        out[i][j] += c * b[k][j]
-    return out
-
-
-def mat_sub_dense(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_comm_dense(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
-    return mat_sub_dense(mat_mul_dense(a, b), mat_mul_dense(b, a))
-
-
-def mat_is_zero_dense(a: DenseMatrix) -> bool:
-    return all(x == 0 for row in a for x in row)
 
 
 def nullspace(rows: list[Vector], cols: int) -> list[Vector]:
@@ -400,22 +374,6 @@ def _h_only(p: Poly) -> bool:
     return all(all(e == 0 for e in exp[l:]) for exp in p.terms)
 
 
-def _linear_factor_data(spec: ModuleSpec) -> list[tuple[Poly, Rat]]:
-    """(normalized orbit key, constant offset) for each linear factor of the
-    base action polynomials: factor = key + offset with key monic, H-led."""
-    xs, ys = repmods.base_action_factor_lists(spec)
-    out: list[tuple[Poly, Rat]] = []
-    for factor in itertools.chain.from_iterable(xs + ys):
-        if factor.is_constant():
-            continue
-        _, lead = factor.leading()
-        norm = factor.scale(1 / lead)
-        const = norm.constant_term()
-        key = norm - Poly.const(norm.l, norm.n, const)
-        out.append((key, const))
-    return out
-
-
 def principal_witness_search(spec: ModuleSpec, maxdeg: int) -> Poly | None:
     """Search monic H-only products of shifted linear factors, per shift orbit.
 
@@ -435,7 +393,7 @@ def principal_witness_search(spec: ModuleSpec, maxdeg: int) -> Poly | None:
     x_norm = [_normalize_factors(fs) for fs in xs_f]
     y_norm = [_normalize_factors(fs) for fs in ys_f]
     orbits: dict = {}
-    for key, const in _linear_factor_data(spec):
+    for key, const in itertools.chain.from_iterable(x_norm + y_norm):
         if not _h_only(key):
             # d-carrying orbits fall outside the H-only witness contract
             continue
@@ -497,7 +455,7 @@ def witness_verify(spec: ModuleSpec, p: Poly, loop_window: Iterable | None = Non
     l, n = spec.ranks
     if not p.is_monic() or p.total_degree() < 1 or not _h_only(p):
         raise DomainError("witness must be a monic polynomial of degree >= 1 in the H-variables")
-    window = _window(spec, loop_window)
+    window = window_degrees(spec.algebra, loop_window)
     for gen in repmods.generators_for(spec, window):
         if not divides(p, repmods.act(spec, gen, p)):
             return False
@@ -612,8 +570,9 @@ def verify_quotient_certificate(
     and the base conditions X_i v0 = (x_i.1)(H) v0, Y_i v0 = (y_i.1)(H) v0;
     the sampled loop-window intertwining exercises the same facts through
     the full graded action.  The H-matrices are first checked to be exactly
-    the diagonal of the recorded weights, which the coordinatewise p(H)
-    below relies on.
+    diag(h_diag).  Then [H_j, M]_rc = (h_r - h_c)_j M_rc: the H's commute,
+    and the ladder relations hold exactly when every nonzero entry (r, c) of
+    X_i has h_r - h_c = e_i (of Y_i: -e_i), which is what is checked.
     """
     l, n = spec.ranks
     if all(c == 0 for c in cert.v0):
@@ -625,23 +584,16 @@ def verify_quotient_certificate(
         for r, row in enumerate(h):
             if any(x != (rep.h_diag[r][i] if c == r else 0) for c, x in enumerate(row)):
                 return False
+    for i in range(l):
+        for mats, step in ((rep.x_mats, 1), (rep.y_mats, -1)):
+            for r, row in enumerate(mats[i]):
+                for c, x in enumerate(row):
+                    if x and any(
+                        a - b != (step if j == i else 0)
+                        for j, (a, b) in enumerate(zip(rep.h_diag[r], rep.h_diag[c]))
+                    ):
+                        return False
     v0 = list(cert.v0)
-    for a, b in itertools.combinations(rep.h_mats, 2):
-        if not mat_is_zero_dense(mat_comm_dense(a, b)):
-            return False
-    for j in range(l):
-        for i in range(l):
-            delta = 1 if i == j else 0
-            comm = mat_comm_dense(rep.h_mats[j], rep.x_mats[i])
-            if not mat_is_zero_dense(
-                mat_sub_dense(comm, [[delta * x for x in row] for row in rep.x_mats[i]])
-            ):
-                return False
-            comm = mat_comm_dense(rep.h_mats[j], rep.y_mats[i])
-            if not mat_is_zero_dense(
-                mat_sub_dense(comm, [[-delta * x for x in row] for row in rep.y_mats[i]])
-            ):
-                return False
     xs, ys = base_action_polys(spec)
     for i in range(1, l + 1):
         if mat_vec(rep.x_mats[i - 1], v0) != _poly_at_h(xs[i - 1], rep, v0):
@@ -652,106 +604,66 @@ def verify_quotient_certificate(
     from .verify import random_poly
 
     rng = random.Random(seed)
-    window = _window(spec, loop_window)
+    gens = repmods.generators_for(spec, window_degrees(spec.algebra, loop_window))
+    powers: dict = {}
     for _ in range(samples):
         f = random_poly(rng, l, n, max_total_deg=3, max_terms=4)
-        phi_f = _phi_map(spec, rep, v0, f)
-        for gen in repmods.generators_for(spec, window):
-            lhs = _phi_map(spec, rep, v0, repmods.act(spec, gen, f))
-            rhs = _phi_apply_generator(spec, rep, v0, gen, phi_f)
-            if lhs != rhs:
+        phi_f = _phi_map(rep, v0, f, powers)
+        for gen in gens:
+            lhs = _phi_map(rep, v0, repmods.act(spec, gen, f), powers)
+            if lhs != _phi_apply_generator(spec, rep, gen, phi_f):
                 return False
     return True
 
 
-def _phi_map(spec: ModuleSpec, rep: IrrepA, v0: Vector, f: Poly) -> dict:
-    """Phi(f) = sum_beta f_beta(H) v0 (x) d^beta, as {beta: tuple-vector}."""
-    l, n = spec.ranks
-    out: dict[tuple[int, ...], Vector] = {}
+def _phi_map(rep: IrrepA, v0: Vector, f: Poly, powers: dict) -> list[Poly]:
+    """Phi(f) = f(H) v0 in V (x) Q[d], one d-polynomial per basis coordinate.
+
+    Coordinate j is f(h_j, d) * v0[j]; ``powers`` caches h_j^alpha * v0[j]
+    per H-exponent alpha across the calls of one verification.
+    """
+    l = rep.rank
+    coords: list[dict] = [{} for _ in range(rep.dim)]
     for exp, c in f.terms.items():
-        acc = out.setdefault(exp[l:], [Fraction(0)] * rep.dim)
-        for j, m in enumerate(_h_monomial_at_weights(exp, rep)):
-            acc[j] += c * m * v0[j]
-    return {b: tuple(v) for b, v in out.items() if any(v)}
+        alpha, beta = exp[:l], exp[l:]
+        vals = powers.get(alpha)
+        if vals is None:
+            vals = powers[alpha] = [
+                m * x for m, x in zip(_h_monomial_at_weights(alpha, rep), v0)
+            ]
+        for acc, m in zip(coords, vals):
+            if m:
+                acc[beta] = acc.get(beta, 0) + c * m
+    return [Poly(0, f.n, acc) for acc in coords]
 
 
 def _phi_apply_generator(
-    spec: ModuleSpec, rep: IrrepA, v0: Vector, gen: Generator, phi: dict
-) -> dict:
+    spec: ModuleSpec, rep: IrrepA, gen: Generator, phi: list[Poly]
+) -> list[Poly]:
     """Apply one graded generator on the quotient side V (x) Q[d]."""
-    l, n = spec.ranks
-    from math import comb
-
-    def dshift(m: dict, r: tuple[int, ...]) -> dict:
-        if not any(r):
-            return m
-        out: dict = {}
-        for beta, vec in m.items():
-            partial = {(0,) * n: Fraction(1)}
-            for pos, (e, dlt) in enumerate(zip(beta, r)):
-                nxt: dict = {}
-                for kb, kc in partial.items():
-                    if dlt == 0:
-                        key = kb[:pos] + (e,) + kb[pos + 1 :]
-                        nxt[key] = nxt.get(key, Fraction(0)) + kc
-                        continue
-                    for jj in range(e + 1):
-                        w = kc * comb(e, jj) * Fraction(-dlt) ** (e - jj)
-                        key = kb[:pos] + (jj,) + kb[pos + 1 :]
-                        nxt[key] = nxt.get(key, Fraction(0)) + w
-                partial = nxt
-            for kb, kc in partial.items():
-                if kc == 0:
-                    continue
-                acc = out.setdefault(kb, [Fraction(0)] * rep.dim)
-                for j in range(rep.dim):
-                    acc[j] += kc * vec[j]
-        return {b: tuple(v) for b, v in out.items() if any(v)}
-
-    def matapply(apply: Callable[[Vector], Vector], m: dict) -> dict:
-        out = {}
-        for b, v in m.items():
-            img = apply(list(v))
-            if any(img):
-                out[b] = tuple(img)
-        return out
-
-    def scale(m: dict, c: Rat) -> dict:
-        if c == 0:
-            return {}
-        return {b: tuple(c * x for x in v) for b, v in m.items()}
-
-    def dmul(m: dict, j: int, const: Rat) -> dict:
-        # multiply by (d_j - const)
-        out: dict = {}
-        for beta, vec in m.items():
-            up = beta[: j - 1] + (beta[j - 1] + 1,) + beta[j:]
-            acc = out.setdefault(up, [Fraction(0)] * rep.dim)
-            for t in range(rep.dim):
-                acc[t] += vec[t]
-            if const:
-                acc2 = out.setdefault(beta, [Fraction(0)] * rep.dim)
-                for t in range(rep.dim):
-                    acc2[t] -= const * vec[t]
-        return {b: tuple(v) for b, v in out.items() if any(v)}
-
-    r = gen.r if gen.r else (0,) * n
+    n = spec.algebra.loop_vars
     variant = spec.algebra.variant
-    lam_r = spec.lam_pow(r) if variant != "finite" else Fraction(1)
+    r = gen.r if gen.r else (0,) * n
+    lam_r = spec.lam_pow(r)
     if gen.kind == "K":
-        return {}
+        return [Poly.zero(0, n)] * rep.dim
+    if gen.kind == "D" and variant in ("finite", "toroidal"):
+        return [q * Poly.d(0, n, gen.index) for q in phi]
+    shifted = [q.shift(r) for q in phi]
     if gen.kind == "D":
-        if variant in ("finite", "toroidal"):
-            return dmul(phi, gen.index, Fraction(0))
-        shifted = dshift(phi, r)
-        return scale(dmul(shifted, gen.index, r[gen.index - 1] * (spec.witt_a + 1)), lam_r)
+        factor = Poly.d(0, n, gen.index) - r[gen.index - 1] * (spec.witt_a + 1)
+        return [(q * factor).scale(lam_r) for q in shifted]
     if gen.kind == "h":
-        eigs = [w[gen.index - 1] for w in rep.h_diag]
-        apply = lambda v: [a * x for a, x in zip(eigs, v)]
-    else:
-        mat = (rep.x_mats if gen.kind == "x" else rep.y_mats)[gen.index - 1]
-        apply = lambda v: mat_vec(mat, v)
-    return scale(matapply(apply, dshift(phi, r)), lam_r)
+        return [q.scale(lam_r * w[gen.index - 1]) for q, w in zip(shifted, rep.h_diag)]
+    mat = (rep.x_mats if gen.kind == "x" else rep.y_mats)[gen.index - 1]
+    out = []
+    for row in mat:
+        acc = Poly.zero(0, n)
+        for q, x in zip(shifted, row):
+            if x:
+                acc = acc + q.scale(lam_r * x)
+        out.append(acc)
+    return out
 
 
 # -- witness report and combined search ---------------------------------------
@@ -798,7 +710,7 @@ def submodule_witness_search(
         raise DomainError(f"maxdeg must be non-negative, got {maxdeg}")
     if dim_bound is not None and dim_bound < 0:
         raise DomainError(f"dim_bound must be non-negative, got {dim_bound}")
-    window = _window(spec, loop_window)
+    window = window_degrees(spec.algebra, loop_window)
     if dim_bound is None:
         # the edge-pattern quotients at degree budget m have dimension
         # m(m+2)/8 (e.g. V(0, 3b) for l = 2), so this bound tracks maxdeg
@@ -938,24 +850,6 @@ class RecoveredParams:
         }
 
 
-def _window(spec_or_oracle, loop_window) -> list[tuple[int, ...]]:
-    n = (
-        spec_or_oracle.algebra.loop_vars
-        if isinstance(spec_or_oracle, ModuleSpec)
-        else spec_or_oracle.loop_vars
-    )
-    variant = (
-        spec_or_oracle.algebra.variant
-        if isinstance(spec_or_oracle, ModuleSpec)
-        else spec_or_oracle.variant
-    )
-    if variant == "finite":
-        return [()]
-    if loop_window is None:
-        return [tuple(r) for r in itertools.product(range(-2, 3), repeat=n)]
-    return [tuple(r) for r in loop_window]
-
-
 def check_assertion_A(oracle: ActionOracle, loop_window: Iterable | None = None):
     """t^a K_j . 1 = 0 for every window degree a and central index j."""
     from .verify import CheckReport
@@ -964,7 +858,7 @@ def check_assertion_A(oracle: ActionOracle, loop_window: Iterable | None = None)
     if oracle.variant not in ("toroidal", "full"):
         return report
     one = oracle.one()
-    for a in _window(oracle, loop_window):
+    for a in window_degrees(oracle, loop_window):
         for j in range(1, oracle.loop_vars + 1):
             got = oracle.eval(Generator("K", j, a), one)
             report.record(
@@ -993,7 +887,7 @@ def check_assertion_B(
     for i in range(1, oracle.rank + 1):
         for kind in ("x", "y", "h"):
             base[kind, i] = oracle.eval(Generator(kind, i, zero), one)
-    for a in _window(oracle, loop_window):
+    for a in window_degrees(oracle, loop_window):
         factor = Fraction(1)
         for lam_j, aj in zip(lam, a):
             factor *= Fraction(lam_j) ** aj
@@ -1101,7 +995,7 @@ def recover_parameters(
     l, n = oracle.ranks
     rng = random.Random(seed)
     one = oracle.one()
-    window = _window(oracle, loop_window)
+    window = window_degrees(oracle, loop_window)
 
     # Cartan freeness first (checked, not assumed)
     probes = [one] + [random_poly(rng, l, n) for _ in range(samples)]
@@ -1266,8 +1160,8 @@ def _solve_b(oracle, S, x_polys, y_polys) -> list[Poly]:
     one = Poly.const(l, n, 1)
     candidates: list[Poly] | None = None
     for i in range(1, l + 1):
-        u = _conv_hvar(l, n, i) - _conv_hvar(l, n, i - 1)
-        v = _conv_hvar(l, n, i + 1) - _conv_hvar(l, n, i)
+        u = repmods.hvar(l, n, i) - repmods.hvar(l, n, i - 1)
+        v = repmods.hvar(l, n, i + 1) - repmods.hvar(l, n, i)
         s_i, s_next = i in S, (i + 1) in S
         Px, Py = x_polys[i - 1], y_polys[i - 1]
         slot: list[Poly] = []
@@ -1293,12 +1187,6 @@ def _solve_b(oracle, S, x_polys, y_polys) -> list[Poly]:
         if not candidates:
             return []
     return candidates if candidates is not None else []
-
-
-def _conv_hvar(l, n, i) -> Poly:
-    if i < 1 or i > l:
-        return Poly.zero(l, n)
-    return Poly.H(l, n, i)
 
 
 def _b_from_linear(P: Poly, form: Poly, offset: int) -> list[Poly]:
@@ -1433,7 +1321,14 @@ def build_spec_from_recovery(
 
 
 def iso_test(s1: ModuleSpec, s2: ModuleSpec) -> bool:
-    """Parameter equality under matching shapes (family, rank, loop_vars, variant)."""
+    """Isomorphism of two modules over the same algebra shape.
+
+    An isomorphism of rank-1 U(h)-free modules commutes with multiplication
+    by h, so it is multiplication by a unit of the carrier, a nonzero scalar.
+    Two modules are therefore isomorphic exactly when they act identically:
+    equal lambda, equal witt_a and equal x_i.1, y_i.1.  Different parameters can give the same action
+    (at l = 1, M(a, b, FULL) = M(-a, -b-1, {}), and b <-> -b-1 for mixed S).
+    """
     a1, a2 = s1.algebra, s2.algebra
     if (a1.family, a1.rank, a1.loop_vars, a1.variant) != (
         a2.family,
@@ -1442,10 +1337,8 @@ def iso_test(s1: ModuleSpec, s2: ModuleSpec) -> bool:
         a2.variant,
     ):
         raise DomainError("isomorphism test requires matching algebra shapes")
-    if s1.lam != s2.lam:
-        return False
-    if s1.witt_a != s2.witt_a:
-        return False
-    if a1.variant == "witt":
-        return True
-    return s1.base_a == s2.base_a and s1.base_b == s2.base_b and s1.S == s2.S
+    return (
+        s1.lam == s2.lam
+        and s1.witt_a == s2.witt_a
+        and base_action_polys(s1) == base_action_polys(s2)
+    )

@@ -724,10 +724,6 @@ def invariant_form(desc: AlgebraDesc, X: LieElt, Y: LieElt) -> Rat:
     return total
 
 
-def generator_word(desc: AlgebraDesc, m: int) -> tuple[tuple, Rat]:
-    return desc.fin.generator_word(m)
-
-
 # -- basis enumeration -------------------------------------------------------
 
 
@@ -735,9 +731,33 @@ def degree_box(n: int, lo: int, hi: int) -> list[tuple[int, ...]]:
     return [tuple(t) for t in itertools.product(range(lo, hi + 1), repeat=n)]
 
 
+def window_degrees(shape, window=None) -> list[tuple[int, ...]]:
+    """The loop degrees a window names for ``shape`` (an AlgebraDesc, or any
+    object with its ``variant`` and ``loop_vars``, such as an action oracle):
+    [()] for the finite variant, the box {-2..2}^n for None,
+    degree_box(n, lo, hi) for a (lo, hi) pair of ints, else the listed
+    degrees, each of length n."""
+    n = shape.loop_vars
+    if shape.variant == "finite":
+        return [()]
+    if window is None:
+        return degree_box(n, -2, 2)
+    if (
+        isinstance(window, tuple)
+        and len(window) == 2
+        and all(isinstance(x, int) for x in window)
+    ):
+        return degree_box(n, window[0], window[1])
+    degrees = [tuple(int(x) for x in r) for r in window]
+    for r in degrees:
+        if len(r) != n:
+            raise StructureError(f"degree {r} has wrong length")
+    return degrees
+
+
 def basis_of(desc: AlgebraDesc, window: Iterable) -> list[LieElt]:
     """All canonical basis symbols with loop degree in the window."""
-    degrees = _normalize_window(desc, window)
+    degrees = window_degrees(desc, window)
     out: list[LieElt] = []
     if desc.variant == "finite":
         for m in range(desc.fin.dim):
@@ -765,19 +785,3 @@ def basis_of(desc: AlgebraDesc, window: Iterable) -> list[LieElt]:
             for i in range(1, n + 1):
                 out.append(elt(desc, ("D", i, r)))
     return out
-
-
-def _normalize_window(desc: AlgebraDesc, window) -> list[tuple[int, ...]]:
-    if desc.variant == "finite":
-        return [()]
-    if (
-        isinstance(window, tuple)
-        and len(window) == 2
-        and all(isinstance(x, int) for x in window)
-    ):
-        return degree_box(desc.loop_vars, window[0], window[1])
-    degrees = [tuple(int(x) for x in r) for r in window]
-    for r in degrees:
-        if len(r) != desc.loop_vars:
-            raise StructureError(f"degree {r} has wrong length")
-    return degrees

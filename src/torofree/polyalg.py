@@ -51,7 +51,7 @@ Rat = Fraction
 
 _set = object.__setattr__  # writes a slot past Poly's immutability guard
 _VAR_RE = re.compile(r"^(H|d)(\d+)(?:\^(-?\d+))?$")
-_RAT_RE = re.compile(r"^-?\d+(?:/\d+)?$")
+_RAT_RE = re.compile(r"^-?\d+(?:/0*[1-9]\d*)?$")  # no zero denominator
 
 
 @dataclass(frozen=True)

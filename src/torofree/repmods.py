@@ -24,15 +24,16 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
+from . import liealg
 from .errors import DomainError, StructureError
 from .liealg import AlgebraDesc, LieElt
 from .polyalg import Poly, VarId, shift_tau
 
 Rat = Fraction
 
-_GEN_RE = re.compile(r"^(x|y|h|K|D|d)(\d+)\s*(?:\(([-\d,\s]*)\))?$")
+_GEN_RE = re.compile(r"^(x|y|h|K|D|d)(\d+)\s*(?:\(\s*(-?\d+(?:\s*,\s*-?\d+)*)?\s*\))?$")
 
 
 @dataclass(frozen=True)
@@ -159,70 +160,11 @@ def _support(p: Poly) -> set[int]:
 # -- base action polynomials x_i.1 and y_i.1 ---------------------------------
 
 
-def _hvar(spec: ModuleSpec, i: int) -> Poly:
+def hvar(l: int, n: int, i: int) -> Poly:
     """H_i with the convention H_0 = H_{l+1} = 0."""
-    l, n = spec.ranks
     if i < 1 or i > l:
         return Poly.zero(l, n)
     return Poly.H(l, n, i)
-
-
-def base_action_polys(spec: ModuleSpec) -> tuple[list[Poly], list[Poly]]:
-    """([x_1.1, .., x_l.1], [y_1.1, .., y_l.1]) for the finite part."""
-    if spec.algebra.variant == "witt":
-        return ([], [])
-    if spec.algebra.family == "A":
-        return _base_polys_A(spec)
-    return _base_polys_C(spec)
-
-
-def _base_polys_A(spec: ModuleSpec) -> tuple[list[Poly], list[Poly]]:
-    l, n = spec.ranks
-    one = spec.one()
-    b = spec.base_b
-    xs: list[Poly] = []
-    ys: list[Poly] = []
-    for i in range(1, l + 1):
-        u = _hvar(spec, i) - _hvar(spec, i - 1)
-        v = _hvar(spec, i + 1) - _hvar(spec, i)
-        a_i = spec.base_a[i - 1]
-        x_first = one if i in spec.S else u - b - 1
-        x_second = v - b if i + 1 in spec.S else one
-        y_first = u - b if i in spec.S else one
-        y_second = one if i + 1 in spec.S else v - b - 1
-        xs.append((x_first * x_second).scale(a_i))
-        ys.append((y_first * y_second).scale(1 / a_i))
-    return xs, ys
-
-
-def _base_polys_C(spec: ModuleSpec) -> tuple[list[Poly], list[Poly]]:
-    l, n = spec.ranks
-    one = spec.one()
-    half = Fraction(1, 2)
-    xs: list[Poly] = []
-    ys: list[Poly] = []
-    for k in range(1, l):
-        u = _hvar(spec, k) - _hvar(spec, k - 1)
-        stretch = 2 if k == l - 1 else 1
-        B = _hvar(spec, k + 1).scale(stretch) - _hvar(spec, k)
-        a_k = spec.base_a[k - 1]
-        x_first = one if k in spec.S else u - half
-        x_second = B + half if k + 1 in spec.S else one
-        y_first = u + half if k in spec.S else one
-        y_second = one if k + 1 in spec.S else B - half
-        xs.append((x_first * x_second).scale(a_k))
-        ys.append((y_first * y_second).scale(1 / a_k))
-    A = _hvar(spec, l) - _hvar(spec, l - 1).scale(half)
-    a_l = spec.base_a[l - 1]
-    if l in spec.S:
-        x_l = one
-        y_l = -(A + Fraction(3, 4)) * (A + Fraction(1, 4))
-    else:
-        x_l = -(A - Fraction(3, 4)) * (A - Fraction(1, 4))
-        y_l = one
-    xs.append(x_l.scale(a_l))
-    ys.append(y_l.scale(1 / a_l))
-    return xs, ys
 
 
 def base_action_factor_lists(spec: ModuleSpec) -> tuple[list[list[Poly]], list[list[Poly]]]:
@@ -236,8 +178,8 @@ def base_action_factor_lists(spec: ModuleSpec) -> tuple[list[list[Poly]], list[l
     ys: list[list[Poly]] = []
     if spec.algebra.family == "A":
         for i in range(1, l + 1):
-            u = _hvar(spec, i) - _hvar(spec, i - 1)
-            v = _hvar(spec, i + 1) - _hvar(spec, i)
+            u = hvar(l, n, i) - hvar(l, n, i - 1)
+            v = hvar(l, n, i + 1) - hvar(l, n, i)
             xf = ([] if i in spec.S else [u - b - 1]) + (
                 [v - b] if i + 1 in spec.S else []
             )
@@ -248,22 +190,42 @@ def base_action_factor_lists(spec: ModuleSpec) -> tuple[list[list[Poly]], list[l
             ys.append(yf)
         return xs, ys
     for k in range(1, l):
-        u = _hvar(spec, k) - _hvar(spec, k - 1)
+        u = hvar(l, n, k) - hvar(l, n, k - 1)
         stretch = 2 if k == l - 1 else 1
-        B = _hvar(spec, k + 1).scale(stretch) - _hvar(spec, k)
+        B = hvar(l, n, k + 1).scale(stretch) - hvar(l, n, k)
         xs.append(
             ([] if k in spec.S else [u - half]) + ([B + half] if k + 1 in spec.S else [])
         )
         ys.append(
             ([u + half] if k in spec.S else []) + ([] if k + 1 in spec.S else [B - half])
         )
-    A = _hvar(spec, l) - _hvar(spec, l - 1).scale(half)
+    A = hvar(l, n, l) - hvar(l, n, l - 1).scale(half)
     if l in spec.S:
         xs.append([])
         ys.append([A + Fraction(3, 4), A + Fraction(1, 4)])
     else:
         xs.append([A - Fraction(3, 4), A - Fraction(1, 4)])
         ys.append([])
+    return xs, ys
+
+
+def base_action_polys(spec: ModuleSpec) -> tuple[list[Poly], list[Poly]]:
+    """([x_1.1, .., x_l.1], [y_1.1, .., y_l.1]) for the finite part.
+
+    Each is a_i (for x_i) or 1/a_i (for y_i) times the product of its
+    linear factors; the C_l quadratic -(A -+ 3/4)(A -+ 1/4) is negated.
+    """
+    xs_f, ys_f = base_action_factor_lists(spec)
+    l = len(xs_f)
+    quad_row = l if spec.algebra.family == "C" else 0
+    xs: list[Poly] = []
+    ys: list[Poly] = []
+    for i, a_i in enumerate(spec.base_a, start=1):
+        for out, factors, scalar in ((xs, xs_f[i - 1], a_i), (ys, ys_f[i - 1], 1 / a_i)):
+            p = factors[0] if factors else spec.one()
+            for f in factors[1:]:
+                p = p * f
+            out.append(p.scale(-scalar if i == quad_row and factors else scalar))
     return xs, ys
 
 
@@ -328,6 +290,9 @@ def _subsets(l: int) -> list[tuple[int, ...]]:
 # -- the action --------------------------------------------------------------
 
 
+ActionFn = Callable[[ModuleSpec, Generator, Poly], Poly]
+
+
 def act(spec: ModuleSpec, gen: Generator, p: Poly) -> Poly:
     """Action of one graded generator on a carrier polynomial."""
     l, n = spec.ranks
@@ -386,8 +351,12 @@ def act(spec: ModuleSpec, gen: Generator, p: Poly) -> Poly:
 # -- arbitrary elements ------------------------------------------------------
 
 
-def act_element(spec: ModuleSpec, X: LieElt, p: Poly) -> Poly:
-    """Action of an arbitrary algebra element, via fixed generator words."""
+def act_element(spec: ModuleSpec, X: LieElt, p: Poly, action: ActionFn = act) -> Poly:
+    """Action of an arbitrary algebra element, via fixed generator words.
+
+    Every symbol, central ones included, goes through ``action``, so a
+    corrupted generator action is seen wherever the element uses it.
+    """
     if X.desc != spec.algebra:
         raise StructureError("element belongs to a different algebra")
     l, n = spec.ranks
@@ -395,24 +364,21 @@ def act_element(spec: ModuleSpec, X: LieElt, p: Poly) -> Poly:
     fin = spec.algebra.fin if spec.algebra.variant != "witt" else None
     for sym, c in X.terms.items():
         kind, idx, r = sym
-        if kind == "K":
-            continue  # central symbols act by zero
-        if kind == "D":
-            out = out + act(spec, Generator("D", idx, r), p).scale(c)
+        if kind in ("K", "D"):
+            out = out + action(spec, Generator(kind, idx, r), p).scale(c)
             continue
         word, scalar = fin.generator_word(idx)
-        out = out + _act_word_tree(spec, word, r, p).scale(c / scalar)
+        out = out + _act_word_tree(spec, word, r, p, action).scale(c / scalar)
     return out
 
 
-def _act_word_tree(spec: ModuleSpec, word: tuple, r: tuple, p: Poly) -> Poly:
+def _act_word_tree(spec: ModuleSpec, word: tuple, r: tuple, p: Poly, action: ActionFn) -> Poly:
     if word[0] in ("x", "y", "h"):
-        return act(spec, Generator(word[0], word[1], r), p)
+        return action(spec, Generator(word[0], word[1], r), p)
     _, left, right = word
     zero = (0,) * len(r)
-    lower = _act_word_tree(spec, right, zero, p)
-    upper = _act_word_tree(spec, left, r, lower)
-    swap = _act_word_tree(spec, right, zero, _act_word_tree(spec, left, r, p))
+    upper = _act_word_tree(spec, left, r, _act_word_tree(spec, right, zero, p, action), action)
+    swap = _act_word_tree(spec, right, zero, _act_word_tree(spec, left, r, p, action), action)
     return upper - swap
 
 
@@ -461,12 +427,10 @@ def generators_for(spec: ModuleSpec, window: Iterable[tuple[int, ...]]) -> list[
 
 def generator_bracket(spec: ModuleSpec, g1: Generator, g2: Generator) -> LieElt:
     """The Lie bracket [g1, g2] as an element of the algebra."""
-    return _lie_bracket(spec.algebra, _as_elt(spec.algebra, g1), _as_elt(spec.algebra, g2))
+    return liealg.bracket(spec.algebra, _as_elt(spec.algebra, g1), _as_elt(spec.algebra, g2))
 
 
 def _as_elt(desc: AlgebraDesc, g: Generator) -> LieElt:
-    from . import liealg
-
     r = g.r if desc.variant != "finite" else ()
     if g.kind == "x":
         return liealg.chevalley_x(desc, g.index, r)
@@ -480,12 +444,6 @@ def _as_elt(desc: AlgebraDesc, g: Generator) -> LieElt:
     return liealg.elt(desc, sym)
 
 
-def _lie_bracket(desc: AlgebraDesc, X: LieElt, Y: LieElt) -> LieElt:
-    from . import liealg
-
-    return liealg.bracket(desc, X, Y)
-
-
 # -- JSON serialization ------------------------------------------------------
 
 
@@ -494,13 +452,30 @@ def _rat_str(x: Rat) -> str:
 
 
 def _rat_from(v) -> Rat:
-    if isinstance(v, bool):
-        raise StructureError("booleans are not rationals")
-    if isinstance(v, int):
+    if isinstance(v, bool) or not isinstance(v, (int, str)):
+        raise StructureError(f"cannot read rational from {v!r}")
+    try:
         return Fraction(v)
-    if isinstance(v, str):
-        return Fraction(v)
-    raise StructureError(f"cannot read rational from {v!r}")
+    except (ValueError, ZeroDivisionError):
+        raise StructureError(f"cannot read rational from {v!r}") from None
+
+
+def _int_from(v, what: str) -> int:
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    if isinstance(v, bool) or not isinstance(v, (int, str)):
+        raise StructureError(f"{what} must be an integer, got {v!r}")
+    try:
+        return int(v)
+    except ValueError:
+        raise StructureError(f"{what} must be an integer, got {v!r}") from None
+
+
+def _list_from(data: dict, key: str) -> list:
+    v = data.get(key, [])
+    if not isinstance(v, list):
+        raise StructureError(f"{key!r} must be a list, got {v!r}")
+    return v
 
 
 def spec_to_json(spec: ModuleSpec) -> dict:
@@ -529,37 +504,41 @@ def spec_to_json(spec: ModuleSpec) -> dict:
 
 
 def spec_from_json(data: dict) -> ModuleSpec:
-    if not isinstance(data, dict) or "algebra" not in data:
-        raise StructureError("spec JSON must be an object with an 'algebra' field")
+    """Inverse of spec_to_json; every malformed field is a StructureError."""
+    if not isinstance(data, dict) or not isinstance(data.get("algebra"), dict):
+        raise StructureError("spec JSON must be an object with an 'algebra' object")
     a = data["algebra"]
     for key in ("family", "rank", "variant"):
         if key not in a:
             raise StructureError(f"algebra description is missing {key!r}")
+    for key in ("family", "variant"):
+        if not isinstance(a[key], str):
+            raise StructureError(f"algebra {key} must be a string, got {a[key]!r}")
     cocycle = a.get("cocycle", [0, 0])
     if not isinstance(cocycle, (list, tuple)) or len(cocycle) != 2:
         raise StructureError("cocycle must be a pair")
     desc = AlgebraDesc(
         family=a["family"],
-        rank=int(a["rank"]),
-        loop_vars=int(a.get("loop_vars", 0)),
+        rank=_int_from(a["rank"], "rank"),
+        loop_vars=_int_from(a.get("loop_vars", 0), "loop_vars"),
         variant=a["variant"],
         cocycle=(_rat_from(cocycle[0]), _rat_from(cocycle[1])),
     )
-    lam = tuple(_rat_from(x) for x in data.get("lambda", []))
+    lam = tuple(_rat_from(x) for x in _list_from(data, "lambda"))
     witt_a = data.get("witt_a")
     if witt_a is not None:
         witt_a = _rat_from(witt_a)
     if desc.variant == "witt":
         return ModuleSpec(algebra=desc, lam=lam, witt_a=witt_a)
     l, n = (desc.rank, desc.loop_vars)
-    base_a = tuple(_rat_from(x) for x in data.get("base_a", []))
+    base_a = tuple(_rat_from(x) for x in _list_from(data, "base_a"))
     raw_b = data.get("base_b", "0")
     if isinstance(raw_b, (int, str)) and not isinstance(raw_b, bool):
         b_text = str(raw_b)
     else:
         raise StructureError("base_b must be a polynomial string")
     base_b = Poly.parse(b_text, l, n)
-    S = frozenset(int(s) for s in data.get("S", []))
+    S = frozenset(_int_from(s, "S entry") for s in _list_from(data, "S"))
     return ModuleSpec(
         algebra=desc, lam=lam, witt_a=witt_a, base_a=base_a, base_b=base_b, S=S
     )

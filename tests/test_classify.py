@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import mk_spec
-from torofree import classify as C, repmods as R
+from torofree import classify as C, liealg as L, repmods as R
 from torofree.errors import ClassificationError, DomainError
 from torofree.polyalg import Poly
 from torofree.verify import random_poly
@@ -147,6 +148,42 @@ class TestQuotientCertificates:
         assert not C.verify_quotient_certificate(spec, bad)
         zero = C.QuotientCert(cert.weights, cert.dim, tuple(F(0) for _ in cert.v0))
         assert not C.verify_quotient_certificate(spec, zero)
+
+    def _tampered_irrep(self, monkeypatch, tamper):
+        """The dim-3 certificate with irrep_A patched to a tampered copy.
+
+        samples=0 leaves only the exact identities, so a False verdict below
+        comes from the check that the tampering breaks.
+        """
+        spec = mk_spec(rank=2, base_b=F(1, 3), S={1, 2, 3})
+        cert = C.quotient_certificate_search(spec, 8)
+        assert C.verify_quotient_certificate(spec, cert, samples=0)
+        rep = C.irrep_A(2, cert.weights)
+        copy = dataclasses.replace(
+            rep,
+            h_mats=[[row[:] for row in m] for m in rep.h_mats],
+            x_mats=[[row[:] for row in m] for m in rep.x_mats],
+        )
+        tamper(copy, cert.v0)
+        monkeypatch.setattr(C, "irrep_A", lambda rank, weights: copy)
+        return C.verify_quotient_certificate(spec, cert, samples=0)
+
+    def test_off_ladder_entry_rejected(self, monkeypatch):
+        def tamper(rep, v0):
+            # X_1 gains a diagonal entry (weight step 0, not e_1); the paired
+            # change in the same row keeps X_1 v0, so the base conditions hold
+            r, c = 0, 1
+            assert v0[r] and v0[c]
+            rep.x_mats[0][r][r] -= v0[c]
+            rep.x_mats[0][r][c] += v0[r]
+
+        assert not self._tampered_irrep(monkeypatch, tamper)
+
+    def test_non_diagonal_cartan_rejected(self, monkeypatch):
+        def tamper(rep, v0):
+            rep.h_mats[1][0][1] = F(1)
+
+        assert not self._tampered_irrep(monkeypatch, tamper)
 
 
 class TestCombinedSearch:
@@ -354,6 +391,23 @@ class TestIso:
         with pytest.raises(DomainError):
             C.iso_test(s1, s2)
 
+    @pytest.mark.parametrize("variant", ["toroidal", "full"])
+    def test_action_identical_pairs_are_isomorphic(self, variant):
+        # at l = 1, b and -b-1 give the same action for mixed S, and
+        # M(a, b, FULL) = M(-a, -b-1, {}); both pairs act identically
+        def spec(a, b, S):
+            return mk_spec(rank=1, loop_vars=1, variant=variant, lam=(2,),
+                           witt_a=0 if variant == "full" else None,
+                           base_a=(a,), base_b=b, S=S)
+
+        for s1, s2 in ((spec(3, F(1, 3), {1}), spec(3, F(-4, 3), {1})),
+                       (spec(3, 2, {1, 2}), spec(-3, -3, ()))):
+            assert R.base_action_polys(s1) == R.base_action_polys(s2)
+            assert C.iso_test(s1, s2) and C.iso_test(s2, s1)
+        # the same b at another a, or another b, is a different module
+        assert not C.iso_test(spec(3, F(1, 3), {1}), spec(-3, F(-4, 3), {1}))
+        assert not C.iso_test(spec(3, 2, {1, 2}), spec(-3, -2, ()))
+
     def test_equivalence_relation(self):
         specs = [
             toroidal(1, b, S, lam=(lam,))
@@ -401,6 +455,9 @@ class TestLinearAlgebraHelpers:
         assert len(C.nullspace([row for x in rep.x_mats for row in x], dim)) == 1
         zero = [[F(0)] * dim for _ in range(dim)]
 
+        def frozen(m):
+            return tuple(tuple(row) for row in m)
+
         def h(i):
             return rep.h_mats[i - 1] if 1 <= i <= rank else zero
 
@@ -419,21 +476,21 @@ class TestLinearAlgebraHelpers:
                 xj, yj = rep.x_mats[j - 1], rep.y_mats[j - 1]
                 same = i == j
                 cartan = lin((2, h(i)), (-1, h(i - 1)), (-1, h(i + 1)))
-                assert C.mat_comm_dense(xi, yj) == (cartan if same else zero)
-                assert C.mat_comm_dense(h(j), xi) == (xi if same else zero)
-                assert C.mat_comm_dense(h(j), yi) == (lin((-1, yi)) if same else zero)
+                assert L.mat_comm(xi, yj) == frozen(cartan if same else zero)
+                assert L.mat_comm(h(j), xi) == frozen(xi if same else zero)
+                assert L.mat_comm(h(j), yi) == frozen(lin((-1, yi)) if same else zero)
                 if abs(i - j) == 1:
-                    assert C.mat_is_zero_dense(C.mat_comm_dense(xi, C.mat_comm_dense(xi, xj)))
-                    assert C.mat_is_zero_dense(C.mat_comm_dense(yi, C.mat_comm_dense(yi, yj)))
+                    assert L.mat_is_zero(L.mat_comm(xi, L.mat_comm(xi, xj)))
+                    assert L.mat_is_zero(L.mat_comm(yi, L.mat_comm(yi, yj)))
                 if abs(i - j) >= 2:
-                    assert C.mat_is_zero_dense(C.mat_comm_dense(xi, xj))
-                    assert C.mat_is_zero_dense(C.mat_comm_dense(yi, yj))
+                    assert L.mat_is_zero(L.mat_comm(xi, xj))
+                    assert L.mat_is_zero(L.mat_comm(yi, yj))
 
     def test_irrep_relations(self):
         rep = C.irrep_A(2, (2, 0))
         for j in range(2):
             for i in range(2):
                 delta = 1 if i == j else 0
-                comm = C.mat_comm_dense(rep.h_mats[j], rep.x_mats[i])
+                comm = L.mat_comm(rep.h_mats[j], rep.x_mats[i])
                 scaled = [[delta * x for x in row] for row in rep.x_mats[i]]
-                assert C.mat_is_zero_dense(C.mat_sub_dense(comm, scaled))
+                assert L.mat_is_zero(L.mat_sub(comm, scaled))

@@ -63,6 +63,13 @@ class TestAct:
         assert code == 2
 
 
+    @pytest.mark.parametrize("gen", ["x1(1,,2)", "x1(-)", "h1(a)"])
+    def test_malformed_degree_is_usage_error(self, specfile, capsys, gen):
+        code = main(["act", "--spec", specfile(FULL_SPEC), "--gen", gen, "--poly", "1"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2 and len(err) == 1 and err[0].startswith("error: ")
+
+
 class TestSimplicity:
     def test_c_family_rule_text(self, specfile, capsys):
         code, out = run(capsys, ["simplicity", "--spec", specfile(C_SPEC)])
@@ -88,6 +95,25 @@ class TestSimplicity:
         bad["lambda"] = ["0"]  # violates the nonzero invariant
         code, _ = run(capsys, ["simplicity", "--spec", specfile(bad)])
         assert code == 2
+
+    @pytest.mark.parametrize("field,value", [
+        ("rank", "x"), ("rank", None), ("rank", 1.5), ("loop_vars", [1]),
+        ("family", ["A"]), ("cocycle", ["1/0", 0]),
+        ("lambda", ["1/0"]), ("lambda", "2"), ("lambda", [2.5]),
+        ("S", ["a"]), ("S", [True]), ("base_a", [None]), ("base_b", "1/0"),
+        ("witt_a", "x"),
+    ])
+    def test_malformed_field_exit_2(self, specfile, capsys, field, value):
+        bad = json.loads(json.dumps(NONSIMPLE_SPEC))
+        if field in ("rank", "loop_vars", "family", "cocycle"):
+            bad["algebra"][field] = value
+        else:
+            bad[field] = value
+        code = main(["simplicity", "--spec", specfile(bad)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 class TestWitnessAndRecover:
@@ -121,6 +147,15 @@ class TestWitnessAndRecover:
         assert code == 0
         rec = json.loads(out)["recovered"]
         assert rec["lambda"] == ["2"] and rec["witt_a"] == "0"
+
+    def test_iso_compares_the_action(self, specfile, capsys):
+        # at l = 1, M(a, b, FULL) and M(-a, -b-1, {}) act identically
+        flip = json.loads(json.dumps(NONSIMPLE_SPEC))
+        flip.update(base_a=["-1"], base_b="-2", S=[])
+        a = specfile(NONSIMPLE_SPEC, "a.json")
+        b = specfile(flip, "b.json")
+        code, out = run(capsys, ["iso", "--spec", a, "--spec2", b])
+        assert code == 0 and json.loads(out)["isomorphic"] is True
 
     def test_iso(self, specfile, capsys):
         a = specfile(FULL_SPEC, "a.json")

@@ -23,3 +23,16 @@ def test_simplicity_grid_l1():
     proc = run_script("simplicity_grid.py", "--lmax", "1", "--seeds", "1")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "all grid points agree" in proc.stdout
+
+
+def test_recovery_demo():
+    proc = run_script("recovery_demo.py")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "round trip exact on recoverable fields: True" in proc.stdout
+    assert "NOT DETECTED" not in proc.stdout
+
+
+def test_verify_panel_few_samples():
+    proc = run_script("verify_panel.py", "--samples", "2")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == '{"failed_suites":0,"summary":"pass"}'

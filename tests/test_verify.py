@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import mk_spec
-from torofree import repmods as R, verify as V
-from torofree.liealg import AlgebraDesc, degree_box
+from torofree import classify as C, repmods as R, verify as V
+from torofree.liealg import AlgebraDesc, central_k, degree_box
 from torofree.polyalg import Poly
 from torofree.repmods import Generator
 
@@ -40,6 +40,21 @@ class TestBracketCompat:
         )
         assert not rep.passed
         assert rep.failures[0]["difference"] != "0"
+
+    def test_center_defect_oracle_detected(self, sl2_toroidal):
+        bad = C.inject_defect(C.oracle_from_spec(sl2_toroidal), "center")
+
+        def action(spec_, gen, p):
+            return bad.eval(gen, p)
+
+        # central symbols of a bracket go through the given action too
+        k1 = central_k(sl2_toroidal.algebra, 1, (0,))
+        one = sl2_toroidal.one()
+        assert R.act_element(sl2_toroidal, k1, one).is_zero()
+        assert R.act_element(sl2_toroidal, k1, one, action) == one
+        rep = V.bracket_compat_check(sl2_toroidal, [(0,), (1,)], samples=2, seed=0,
+                                     action=action)
+        assert not rep.passed
 
     def test_full_variant_with_witt_sector(self):
         spec = mk_spec(rank=1, loop_vars=1, variant="full", cocycle=(2, -3),

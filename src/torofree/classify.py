@@ -58,6 +58,7 @@ from .errors import ClassificationError, DomainError, StructureError
 from .liealg import AlgebraDesc, window_degrees
 from .polyalg import Poly, VarId, deg_in, divides
 from .repmods import Generator, ModuleSpec, base_action_polys
+from .verify import CheckReport, random_poly
 
 Rat = Fraction
 Vector = list[Rat]
@@ -393,13 +394,19 @@ def principal_witness_search(spec: ModuleSpec, maxdeg: int) -> Poly | None:
     x_norm = [_normalize_factors(fs) for fs in xs_f]
     y_norm = [_normalize_factors(fs) for fs in ys_f]
     orbits: dict = {}
-    for key, const in itertools.chain.from_iterable(x_norm + y_norm):
-        if not _h_only(key):
+    for norm in x_norm + y_norm:
+        for key, consts in norm.items():
             # d-carrying orbits fall outside the H-only witness contract
-            continue
-        orbits.setdefault(key, set()).add(const)
+            if _h_only(key):
+                orbits.setdefault(key, set()).update(consts)
     for key in sorted(orbits, key=lambda k: k.text()):
-        deltas = [key.coeff(_unit_exp(l, n, i)) for i in range(l)]
+        # one row per x_i.1 and y_i.1: this orbit's {constant: multiplicity}
+        # of its factors, and the shift sigma_i^{+-1} makes on a constant
+        rows = []
+        for i in range(l):
+            delta = key.coeff(_unit_exp(l, n, i))
+            rows.append((x_norm[i].get(key, {}), -delta))
+            rows.append((y_norm[i].get(key, {}), delta))
         consts = sorted(orbits[key])
         starts = sorted(
             {c + m for c in consts for m in range(-(maxdeg + 1), maxdeg + 2)}
@@ -408,7 +415,7 @@ def principal_witness_search(spec: ModuleSpec, maxdeg: int) -> Poly | None:
             for length in range(1, maxdeg // mult + 1):
                 for start in starts:
                     chain = {start + t: mult for t in range(length)}
-                    if _chain_conditions_hold(key, deltas, chain, x_norm, y_norm, l):
+                    if _chain_conditions_hold(chain, rows):
                         p = Poly.const(l, n, 1)
                         for c, m in sorted(chain.items()):
                             p = p * (key + Poly.const(l, n, c)) ** m
@@ -423,7 +430,7 @@ def _unit_exp(l: int, n: int, pos: int) -> tuple:
 
 
 def _normalize_factors(factors: list[Poly]) -> dict:
-    """{(orbit key, constant): multiplicity} for a factor list."""
+    """{orbit key: {constant: multiplicity}} for a factor list."""
     out: dict = {}
     for f in factors:
         if f.is_constant():
@@ -431,22 +438,20 @@ def _normalize_factors(factors: list[Poly]) -> dict:
         _, lead = f.leading()
         norm = f.scale(1 / lead)
         const = norm.constant_term()
-        key = norm - Poly.const(norm.l, norm.n, const)
-        out[(key, const)] = out.get((key, const), 0) + 1
+        consts = out.setdefault(norm - Poly.const(norm.l, norm.n, const), {})
+        consts[const] = consts.get(const, 0) + 1
     return out
 
 
-def _chain_conditions_hold(key, deltas, chain: dict, x_norm, y_norm, l: int) -> bool:
+def _chain_conditions_hold(chain: dict, rows: list) -> bool:
     """Factor-multiset form of the invariance conditions for one orbit chain."""
-    for i in range(1, l + 1):
-        delta = deltas[i - 1]
-        for absorbers, direction in ((x_norm[i - 1], -delta), (y_norm[i - 1], delta)):
-            # sigma_i^{+-1} shifts a factor constant c to c + direction
-            for c, m in chain.items():
-                budget = absorbers.get((key, c), 0)
-                budget += chain.get(c - direction, 0) if direction != 0 else m
-                if m > budget:
-                    return False
+    for absorbers, direction in rows:
+        # sigma_i^{+-1} shifts a factor constant c to c + direction
+        for c, m in chain.items():
+            budget = absorbers.get(c, 0)
+            budget += chain.get(c - direction, 0) if direction != 0 else m
+            if m > budget:
+                return False
     return True
 
 
@@ -601,8 +606,6 @@ def verify_quotient_certificate(
         if mat_vec(rep.y_mats[i - 1], v0) != _poly_at_h(ys[i - 1], rep, v0):
             return False
     # sampled intertwining through the full graded action
-    from .verify import random_poly
-
     rng = random.Random(seed)
     gens = repmods.generators_for(spec, window_degrees(spec.algebra, loop_window))
     powers: dict = {}
@@ -755,7 +758,6 @@ def cyclicity_check(
     spec: ModuleSpec,
     w: Poly,
     max_word_len: int = 12,
-    degbound: int | None = None,
     loop_window: Iterable | None = None,
 ) -> bool:
     """Try to reach a nonzero constant from w inside the generated submodule.
@@ -782,8 +784,7 @@ def cyclicity_check(
                 ).scale(spec.lam[j - 1])
                 if current.is_zero():
                     raise StructureError("degree reduction annihilated the seed")
-    if degbound is None:
-        degbound = current.total_degree() + max_word_len + 2
+    degbound = current.total_degree() + max_word_len + 2
     gens = []
     zero = spec.algebra.zero_degree()
     for i in range(1, l + 1):
@@ -852,8 +853,6 @@ class RecoveredParams:
 
 def check_assertion_A(oracle: ActionOracle, loop_window: Iterable | None = None):
     """t^a K_j . 1 = 0 for every window degree a and central index j."""
-    from .verify import CheckReport
-
     report = CheckReport("graded_center_annihilation")
     if oracle.variant not in ("toroidal", "full"):
         return report
@@ -868,19 +867,11 @@ def check_assertion_A(oracle: ActionOracle, loop_window: Iterable | None = None)
     return report
 
 
-def check_assertion_B(
-    oracle: ActionOracle,
-    loop_window: Iterable | None = None,
-    lam: Sequence[Rat] | None = None,
-):
+def check_assertion_B(oracle: ActionOracle, loop_window: Iterable | None, lam: Sequence[Rat]):
     """X(a) . 1 = lambda^a (X . 1) for X among x_i, y_i, h_i."""
-    from .verify import CheckReport
-
     report = CheckReport("graded_loop_scaling")
     if oracle.variant not in ("toroidal", "full"):
         return report
-    if lam is None:
-        lam = recover_lambda(oracle)
     one = oracle.one()
     zero = (0,) * oracle.loop_vars
     base = {}
@@ -950,22 +941,37 @@ def _scalar_ratio(p: Poly, q: Poly) -> Rat | None:
     return c if p == q.scale(c) else None
 
 
-def recover_witt_a(oracle: ActionOracle, lam: Sequence[Rat]) -> Rat:
-    """Solve t^{e_j} d_j . 1 = lambda_j (d_j - (a+1)) for a, all directions."""
+def recover_witt_a(oracle: ActionOracle, lam: Sequence[Rat]) -> tuple[tuple[Rat, ...], Rat]:
+    """(lambda, a) from t^{e_j} d_j . 1 = lambda_j (d_j - (a+1)), all directions.
+
+    The witt variant has no h-probes and passes an empty lam: lambda_j is the
+    d_j coefficient of t^{e_j} d_j . 1.  The full variant passes the lambda
+    of the h-probes, which that coefficient must match.
+    """
     n = oracle.loop_vars
     one = oracle.one()
+    units = [tuple(1 if t == j else 0 for t in range(n)) for j in range(n)]
+    ups = [oracle.eval(Generator("D", j, e_j), one) for j, e_j in enumerate(units, 1)]
+    leads = [
+        _scalar_ratio(got - got.constant_term() * one, Poly.d(*oracle.ranks, j))
+        for j, got in enumerate(ups, 1)
+    ]
+    if not lam:
+        for j, lead in enumerate(leads, 1):
+            if not lead:
+                raise ClassificationError(
+                    "witt-scalar-consistency", f"t^(e{j}) d{j}.1 is not affine in d{j}"
+                )
+        lam = leads
+    lam = tuple(Fraction(x) for x in lam)
     value: Rat | None = None
-    for j in range(1, n + 1):
-        e_j = tuple(1 if t == j - 1 else 0 for t in range(n))
-        got = oracle.eval(Generator("D", j, e_j), one)
-        dvar = Poly.d(*oracle.ranks, j)
-        lead = _scalar_ratio(got - got.constant_term() * oracle.one(), dvar)
-        if lead is None or lead != Fraction(lam[j - 1]):
+    for j, (e_j, got, lead, lam_j) in enumerate(zip(units, ups, leads, lam), 1):
+        if lead is None or lead != lam_j:
             raise ClassificationError(
                 "witt-scalar-consistency",
                 f"t^(e{j}) d{j}.1 leading coefficient disagrees with lambda_{j}",
             )
-        a = -got.constant_term() / Fraction(lam[j - 1]) - 1
+        a = -got.constant_term() / lam_j - 1
         if value is None:
             value = a
         elif value != a:
@@ -973,14 +979,14 @@ def recover_witt_a(oracle: ActionOracle, lam: Sequence[Rat]) -> Rat:
                 "witt-scalar-consistency", f"directions give a = {value} and {a}"
             )
         back = oracle.eval(Generator("D", j, tuple(-x for x in e_j)), one)
-        want = (dvar + Poly.const(*oracle.ranks, value + 1)).scale(
-            1 / Fraction(lam[j - 1])
+        want = (Poly.d(*oracle.ranks, j) + Poly.const(*oracle.ranks, value + 1)).scale(
+            1 / lam_j
         )
         if back != want:
             raise ClassificationError(
                 "witt-scalar-consistency", f"t^(-e{j}) d{j}.1 inconsistent with a = {value}"
             )
-    return value
+    return lam, value
 
 
 def recover_parameters(
@@ -990,8 +996,6 @@ def recover_parameters(
     seed: int = 0,
 ) -> RecoveredParams:
     """Read the full parameter tuple off a black-box module and cross-check it."""
-    from .verify import random_poly
-
     l, n = oracle.ranks
     rng = random.Random(seed)
     one = oracle.one()
@@ -1012,11 +1016,9 @@ def recover_parameters(
     witt_a: Rat | None = None
     if oracle.variant in ("toroidal", "full"):
         lam = recover_lambda(oracle)
-    elif oracle.variant == "witt":
-        # no finite part: lambda comes from the derivation sector directly
-        lam = _witt_lambda(oracle)
     if oracle.variant in ("witt", "full"):
-        witt_a = recover_witt_a(oracle, lam)
+        # the witt variant has no h-probes: its lambda comes from the derivation sector
+        lam, witt_a = recover_witt_a(oracle, lam)
     if oracle.variant in ("toroidal", "full"):
         repA = check_assertion_A(oracle, window)
         if not repA.passed:
@@ -1050,39 +1052,60 @@ def recover_parameters(
     )
 
 
-def _witt_lambda(oracle: ActionOracle) -> tuple[Rat, ...]:
-    n = oracle.loop_vars
-    one = oracle.one()
-    lams = []
-    for j in range(1, n + 1):
-        e_j = tuple(1 if t == j - 1 else 0 for t in range(n))
-        got = oracle.eval(Generator("D", j, e_j), one)
-        dvar = Poly.d(*oracle.ranks, j)
-        lead = _scalar_ratio(got - got.constant_term() * one, dvar)
-        if lead is None or lead == 0:
-            raise ClassificationError(
-                "witt-scalar-consistency", f"t^(e{j}) d{j}.1 is not affine in d{j}"
-            )
-        lams.append(lead)
-    return tuple(lams)
-
-
 def _decode_base(oracle, x_polys, y_polys, lam, witt_a) -> list[tuple]:
-    """All (family, S, a, b) tuples whose rebuilt module reproduces the oracle."""
+    """All (family, S, a, b) tuples whose rebuilt module reproduces the oracle.
+
+    u_i and v_i vanish at H = 0, so in the A family
+    (x_i.1 * y_i.1)|_{H=0} = (b + e_i)(b + e_{i+1}) with e_k = [k not in S],
+    whatever a is.  Slot 1 gives at most two b per S, the roots of
+    (2b + e_1 + e_2)^2 = 4 P_1 + (e_1 - e_2)^2, and the other slots prune S;
+    the C family has b = 0.  Each surviving (S, b) is rebuilt once with unit
+    a: x_i.1 and y_i.1 are a_i and 1/a_i times products fixed by (family, S,
+    b), so a_i is the ratio x_i.1 / X_i and the tuple holds iff
+    y_i.1 = Y_i / a_i for every i.
+    """
     l, n = oracle.ranks
+    at_zero = [
+        Poly(l, n, {e: c for e, c in (x * y).terms.items() if not any(e[:l])})
+        for x, y in zip(x_polys, y_polys)
+    ]
+    roots = [_poly_sqrt(at_zero[0].scale(4) + delta) for delta in (0, 1)]
+    slot1: dict = {}
+    for e1, e2 in itertools.product((0, 1), repeat=2):
+        root = roots[(e1 - e2) ** 2]
+        signs = () if root is None else (1, -1) if root else (1,)
+        slot1[e1, e2] = [(root.scale(s) - e1 - e2).scale(Fraction(1, 2)) for s in signs]
+    products: dict = {}
+
+    def slot_product(b: Poly, e: int, f: int) -> Poly:
+        key = (b, e + f)
+        if key not in products:
+            products[key] = (b + e) * (b + f)
+        return products[key]
+
+    ones = (Fraction(1),) * l
     found: list[tuple] = []
-    families = ["A"] if l == 1 else ["A", "C"]
-    for family in families:
+    for family in ("A",) if l == 1 else ("A", "C"):
         smax = l + 1 if family == "A" else l
         for bits in itertools.product((False, True), repeat=smax):
             S = frozenset(i + 1 for i, in_s in enumerate(bits) if in_s)
-            for base_a, base_b in _solve_slots(oracle, family, S, x_polys, y_polys):
-                trial = _trial_spec(oracle, family, base_a, base_b, S, lam, witt_a)
+            if family == "C":
+                bs = [Poly.zero(l, n)]
+            else:
+                e = [int(not in_s) for in_s in bits]
+                bs = [
+                    b
+                    for b in slot1[e[0], e[1]]
+                    if all(at_zero[i] == slot_product(b, e[i], e[i + 1]) for i in range(1, l))
+                ]
+            for b in bs:
+                trial = _trial_spec(oracle, family, ones, b, S, lam, witt_a)
                 if trial is None:
                     continue
                 xs, ys = base_action_polys(trial)
-                if xs == x_polys and ys == y_polys:
-                    entry = (family, S, base_a, base_b)
+                a = tuple(_scalar_ratio(x, X) for x, X in zip(x_polys, xs))
+                if all(a) and all(y == Y.scale(1 / a_i) for y, Y, a_i in zip(y_polys, ys, a)):
+                    entry = (family, S, a, b)
                     if entry not in found:
                         found.append(entry)
     found.sort(key=_decode_key)
@@ -1108,138 +1131,6 @@ def _trial_spec(oracle, family, base_a, base_b, S, lam, witt_a) -> ModuleSpec | 
         )
     except (StructureError, DomainError):
         return None
-
-
-def _solve_slots(oracle, family, S, x_polys, y_polys) -> list[tuple[tuple, Poly]]:
-    """Candidate (a-vector, b) solutions for a fixed family and S."""
-    l, n = oracle.ranks
-    zero_b = Poly.zero(l, n)
-    if family == "C":
-        a = _solve_a_by_ratio(oracle, family, S, zero_b, x_polys)
-        return [(a, zero_b)] if a else []
-    b_candidates = _solve_b(oracle, S, x_polys, y_polys)
-    out = []
-    for b in b_candidates:
-        a = _solve_a_by_ratio(oracle, family, S, b, x_polys)
-        if a:
-            out.append((a, b))
-    return out
-
-
-def _solve_a_by_ratio(oracle, family, S, b, x_polys) -> tuple | None:
-    """a_i as the exact ratio x_i.1 / (unit-a pattern poly)."""
-    l, n = oracle.ranks
-    ones = tuple(Fraction(1) for _ in range(l))
-    trial = _trial_spec(oracle, family, ones, b, S, _unit_lam(oracle), _unit_a(oracle))
-    if trial is None:
-        return None
-    xs, _ = base_action_polys(trial)
-    a = []
-    for i in range(l):
-        ratio = _scalar_ratio(x_polys[i], xs[i])
-        if ratio is None or ratio == 0:
-            return None
-        a.append(ratio)
-    return tuple(a)
-
-
-def _unit_lam(oracle):
-    if oracle.variant == "finite":
-        return ()
-    return tuple(Fraction(1) for _ in range(oracle.loop_vars))
-
-
-def _unit_a(oracle):
-    return Fraction(0) if oracle.variant in ("witt", "full") else None
-
-
-def _solve_b(oracle, S, x_polys, y_polys) -> list[Poly]:
-    """Candidate global b values for the A-family pattern equations."""
-    l, n = oracle.ranks
-    zero = Poly.zero(l, n)
-    one = Poly.const(l, n, 1)
-    candidates: list[Poly] | None = None
-    for i in range(1, l + 1):
-        u = repmods.hvar(l, n, i) - repmods.hvar(l, n, i - 1)
-        v = repmods.hvar(l, n, i + 1) - repmods.hvar(l, n, i)
-        s_i, s_next = i in S, (i + 1) in S
-        Px, Py = x_polys[i - 1], y_polys[i - 1]
-        slot: list[Poly] = []
-        if s_i and s_next:
-            slot = _b_from_linear(Px, v, 0) + _b_from_linear(Py, u, 0)
-        elif s_i and not s_next:
-            a_scalar = Px.as_scalar()
-            if a_scalar:
-                slot = _b_from_quadratic(Py.scale(a_scalar), u, v, swap=False)
-        elif not s_i and s_next:
-            inv = Py.as_scalar()
-            if inv:
-                # Py = 1/a_i, so multiplying Px by it removes the a_i scale
-                slot = _b_from_quadratic(Px.scale(inv), u, v, swap=True)
-        else:
-            slot = _b_from_linear(Px, u, 1) + _b_from_linear(Py, v, 1)
-        slot = _dedupe(slot)
-        if not slot:
-            return []
-        candidates = slot if candidates is None else [
-            b for b in candidates if any(b == c for c in slot)
-        ]
-        if not candidates:
-            return []
-    return candidates if candidates is not None else []
-
-
-def _b_from_linear(P: Poly, form: Poly, offset: int) -> list[Poly]:
-    """Solve P = a*(form - b - offset) for b given the linear form's support."""
-    if form.is_zero() or P.is_zero():
-        return []
-    exp, lead = form.leading()
-    a = P.coeff(exp) / lead
-    if a == 0:
-        return []
-    b = form - P.scale(1 / a) - Poly.const(P.l, P.n, offset)
-    return [b] if _d_only(b) else []
-
-
-def _b_from_quadratic(Q: Poly, u: Poly, v: Poly, swap: bool) -> list[Poly]:
-    """Solve Q = (u - b)(v - b - 1) (or the swapped variant) for b.
-
-    Expanding gives b^2 + b(1 - u - v) + (u v - u) = Q for the plain variant;
-    when u + v has an H-variable the b-linear coefficient determines b, and
-    otherwise (possible only at l = 1) b solves a quadratic whose two roots
-    are the familiar b <-> -b-1 identification.
-    """
-    l, n = Q.l, Q.n
-    tail = u * v - (v if swap else u)
-    T = Q - tail
-    s = u + v
-    if not s.is_zero():
-        exp, lead = s.leading()
-        # T = b^2 + b(1 - u - v): the coefficient of the H-monomial exp is -b*lead
-        coeffs = _coeff_of_h_monomial(T, exp)
-        b = coeffs.scale(-1 / lead)
-        return [b] if _d_only(b) else []
-    # u + v = 0: T = b^2 + b, so (2b+1)^2 = 1 + 4T
-    disc = Poly.const(l, n, 1) + T.scale(4)
-    root = _poly_sqrt(disc)
-    if root is None:
-        return []
-    out = []
-    for sgn in (1, -1):
-        b = (root.scale(sgn) - Poly.const(l, n, 1)).scale(Fraction(1, 2))
-        if _d_only(b):
-            out.append(b)
-    return out
-
-
-def _coeff_of_h_monomial(p: Poly, exp: tuple) -> Poly:
-    """The d-polynomial multiplying a given pure-H monomial of p."""
-    l, n = p.l, p.n
-    out: dict = {}
-    for e, c in p.terms.items():
-        if e[:l] == exp[:l]:
-            out[(0,) * l + e[l:]] = c
-    return Poly(l, n, out)
 
 
 def _poly_sqrt(p: Poly) -> Poly | None:
@@ -1280,18 +1171,6 @@ def _isqrt_exact(x: int) -> int | None:
         return None
     r = math.isqrt(x)
     return r if r * r == x else None
-
-
-def _d_only(p: Poly) -> bool:
-    return all(all(e == 0 for e in exp[: p.l]) for exp in p.terms)
-
-
-def _dedupe(items: list[Poly]) -> list[Poly]:
-    out: list[Poly] = []
-    for x in items:
-        if not any(x == y for y in out):
-            out.append(x)
-    return out
 
 
 def build_spec_from_recovery(

@@ -422,19 +422,6 @@ def _nonzero_fractions(nums: dict[Exponent, int], den: int) -> dict[Exponent, Ra
 # -- spec-level operations -------------------------------------------------
 
 
-def poly_arith(op: str, p: Poly, q) -> Poly:
-    """Dispatch {add, sub, mul, scale} on polynomials (q may be a rational)."""
-    if op == "add":
-        return p + q
-    if op == "sub":
-        return p - q
-    if op == "mul":
-        return p * q
-    if op == "scale":
-        return p.scale(q)
-    raise StructureError(f"unknown arithmetic op {op!r}")
-
-
 def shift_sigma(i: int, k: int, p: Poly) -> Poly:
     """Apply sigma_i^k: H_i -> H_i - k."""
     pos = VarId("H", i).position(p.l, p.n)

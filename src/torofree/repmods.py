@@ -33,6 +33,11 @@ from .polyalg import Poly, VarId, shift_tau
 
 Rat = Fraction
 
+# the largest rank and loop_vars a JSON spec may declare: the carrier and the
+# algebra tables grow with both, so larger values are refused before any is built
+MAX_RANK = 16
+MAX_LOOP_VARS = 8
+
 _GEN_RE = re.compile(r"^(x|y|h|K|D|d)(\d+)\s*(?:\(\s*(-?\d+(?:\s*,\s*-?\d+)*)?\s*\))?$")
 
 
@@ -471,6 +476,13 @@ def _int_from(v, what: str) -> int:
         raise StructureError(f"{what} must be an integer, got {v!r}") from None
 
 
+def _bounded_int(v, what: str, cap: int) -> int:
+    out = _int_from(v, what)
+    if out > cap:
+        raise StructureError(f"{what} must be at most {cap}, got {out}")
+    return out
+
+
 def _list_from(data: dict, key: str) -> list:
     v = data.get(key, [])
     if not isinstance(v, list):
@@ -519,8 +531,8 @@ def spec_from_json(data: dict) -> ModuleSpec:
         raise StructureError("cocycle must be a pair")
     desc = AlgebraDesc(
         family=a["family"],
-        rank=_int_from(a["rank"], "rank"),
-        loop_vars=_int_from(a.get("loop_vars", 0), "loop_vars"),
+        rank=_bounded_int(a["rank"], "rank", MAX_RANK),
+        loop_vars=_bounded_int(a.get("loop_vars", 0), "loop_vars", MAX_LOOP_VARS),
         variant=a["variant"],
         cocycle=(_rat_from(cocycle[0]), _rat_from(cocycle[1])),
     )

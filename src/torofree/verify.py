@@ -13,12 +13,12 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from . import liealg, repmods
 from .errors import DomainError
 from .liealg import AlgebraDesc, LieElt, basis_of, bracket, degree_box, window_degrees
-from .polyalg import Poly, VarId, deg_in, shift_difference, shift_sigma
+from .polyalg import Poly, VarId, deg_in, shift_difference, shift_sigma, shift_tau
 from .repmods import ActionFn, Generator, ModuleSpec
 
 Rat = Fraction
@@ -194,8 +194,6 @@ def eva_twist_check(
     l, n = spec.ranks
     one = spec.one()
     window = window_degrees(spec.algebra, loop_window)
-    from .polyalg import shift_tau
-
     for r in window:
         for p in (random_poly(rng, l, n) for _ in range(samples)):
             tau_p = shift_tau(r, p)
@@ -257,12 +255,14 @@ def degree_reduction_check(
     return report
 
 
+LEMMA_PA_K = (-4, -3, -2, -1, 1, 2, 3, 4)
+LEMMA_PA_KPRIME = tuple(range(8))
+
+
 def lemma_pa_property(
     samples: int = 200,
     ranks: tuple[int, int] = (2, 1),
     seed: int = 0,
-    k_values: Sequence[int] = (-4, -3, -2, -1, 1, 2, 3, 4),
-    kprime_values: Sequence[int] = tuple(range(8)),
 ) -> CheckReport:
     """The two shift-difference degree identities, exact on random polynomials."""
     report = CheckReport("shift_difference_degrees", seed=seed)
@@ -273,7 +273,7 @@ def lemma_pa_property(
         i = rng.randint(1, l)
         var = VarId("H", i)
         dg = deg_in(var, g)
-        for k in k_values:
+        for k in LEMMA_PA_K:
             out = shift_difference("power_minus_id", k, i, g)
             report.record(
                 deg_in(var, out) == dg - 1,
@@ -283,7 +283,7 @@ def lemma_pa_property(
                 rhs=dg - 1,
                 difference=out,
             )
-        for kp in kprime_values:
+        for kp in LEMMA_PA_KPRIME:
             out = shift_difference("difference_power", kp, i, g)
             expect = dg - kp if kp <= dg else -1
             report.record(

@@ -367,6 +367,42 @@ class TestDefectDetection:
         rep = C.check_assertion_A(bad, WIN1)
         assert not rep.passed and rep.failures[0]["generator"].startswith("K1")
 
+    @staticmethod
+    def _tampered(spec, hit, change):
+        """spec's oracle with change(out) applied wherever hit(gen) holds."""
+        oracle = C.oracle_from_spec(spec)
+
+        def eval_fn(gen, p):
+            out = oracle.eval(gen, p)
+            return change(out) if hit(gen) else out
+
+        return C.ActionOracle(oracle.rank, oracle.loop_vars, oracle.variant, eval_fn)
+
+    def test_unmatched_y_is_a_pattern_violation(self):
+        # y_2.1 + H_1 leaves every x_i.1 y_i.1 at H = 0 unchanged, so b and S
+        # survive; only the rebuilt y_2.1 can tell
+        spec = mk_spec(rank=2, base_a=(2, 3), base_b=1, S={1})
+        bad = self._tampered(spec, lambda g: g.kind == "y" and g.index == 2,
+                             lambda out: out + Poly.H(2, 0, 1))
+        with pytest.raises(ClassificationError) as err:
+            C.recover_parameters(bad)
+        assert err.value.violated == "generator-pattern"
+
+    @pytest.mark.parametrize("variant,details", [
+        ("witt", "t^(e1) d1.1 is not affine in d1"),
+        ("full", "t^(e1) d1.1 leading coefficient disagrees with lambda_1"),
+    ])
+    def test_derivation_sector_defects(self, variant, details):
+        rank = 0 if variant == "witt" else 1
+        spec = mk_spec(rank=rank, loop_vars=1, variant=variant, lam=(2,), witt_a=3,
+                       base_a=(2,), base_b=1, S={1})
+        d1 = Poly.d(rank, 1, 1)
+        bad = self._tampered(spec, lambda g: g.kind == "D" and g.r == (1,),
+                             lambda out: out + d1 * d1)
+        with pytest.raises(ClassificationError) as err:
+            C.recover_parameters(bad, WIN1)
+        assert (err.value.violated, err.value.details) == ("witt-scalar-consistency", details)
+
 
 class TestIso:
     def test_reflexive(self):

@@ -101,7 +101,7 @@ class TestSimplicity:
         ("family", ["A"]), ("cocycle", ["1/0", 0]),
         ("lambda", ["1/0"]), ("lambda", "2"), ("lambda", [2.5]),
         ("S", ["a"]), ("S", [True]), ("base_a", [None]), ("base_b", "1/0"),
-        ("witt_a", "x"),
+        ("witt_a", "x"), ("rank", 10**30), ("loop_vars", 10**30),
     ])
     def test_malformed_field_exit_2(self, specfile, capsys, field, value):
         bad = json.loads(json.dumps(NONSIMPLE_SPEC))

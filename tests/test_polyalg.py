@@ -10,7 +10,6 @@ from torofree.polyalg import (
     VarId,
     deg_in,
     divides,
-    poly_arith,
     shift_difference,
     shift_sigma,
     shift_tau,
@@ -48,14 +47,7 @@ class TestArithmetic:
         assert (H1 + 1) * (H1 - 1) == H1 * H1 - 1
 
     def test_rational_cancellation(self):
-        assert poly_arith("scale", D1.scale(3), Fraction(2, 3)) == 2 * D1
-
-    def test_dispatch(self):
-        assert poly_arith("add", H1, H2) == H1 + H2
-        assert poly_arith("sub", H1, 1) == H1 - 1
-        assert poly_arith("mul", H1, D1) == H1 * D1
-        with pytest.raises(StructureError):
-            poly_arith("pow", H1, 2)
+        assert D1.scale(3).scale(Fraction(2, 3)) == 2 * D1
 
     def test_rank_mismatch(self):
         with pytest.raises(StructureError):

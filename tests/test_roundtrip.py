@@ -1,10 +1,11 @@
-"""Property tests of the canonical forms: text and JSON round trips, and the
+"""Property tests of the canonical forms: text and JSON round trips, the
 isomorphism test against the action itself, with rationals of height up to
-about 10^200."""
+about 10^200, and the completeness of the parameter decoder."""
 
 import json
 import random
 from fractions import Fraction
+from functools import partial
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,11 +18,12 @@ from torofree.verify import random_poly
 
 BIG = 10**200
 SHAPES = [("A", 1), ("A", 2), ("C", 2)]
+DECODE_SHAPES = [("A", 1), ("A", 2), ("A", 3), ("C", 2), ("C", 3)]
 VARIANTS = ("finite", "toroidal", "full", "witt")
 
 
-def huge_rationals(nonzero=False):
-    q = st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG))
+def huge_rationals(nonzero=False, height=BIG):
+    q = st.builds(Fraction, st.integers(-height, height), st.integers(1, height))
     return q.filter(bool) if nonzero else q
 
 
@@ -33,25 +35,26 @@ def huge_polys(draw):
 
 
 @st.composite
-def specs(draw, max_loop_vars=2, shapes=SHAPES, variants=VARIANTS):
+def specs(draw, max_loop_vars=2, shapes=SHAPES, variants=VARIANTS, height=BIG):
+    rats = partial(huge_rationals, height=height)
     variant = draw(st.sampled_from(variants))
     family, rank = ("A", 0) if variant == "witt" else draw(st.sampled_from(shapes))
     n = draw(st.integers(0 if variant == "finite" else 1, max_loop_vars))
     cocycle = (0, 0)
     if variant == "full":
-        cocycle = (draw(huge_rationals()), draw(huge_rationals()))
+        cocycle = (draw(rats()), draw(rats()))
     desc = AlgebraDesc(family, rank, n, variant, cocycle)
-    lam = tuple(draw(huge_rationals(True)) for _ in range(n)) if variant != "finite" else ()
-    witt_a = draw(huge_rationals()) if variant in ("witt", "full") else None
+    lam = tuple(draw(rats(True)) for _ in range(n)) if variant != "finite" else ()
+    witt_a = draw(rats()) if variant in ("witt", "full") else None
     if variant == "witt":
         return ModuleSpec(algebra=desc, lam=lam, witt_a=witt_a)
-    base_a = tuple(draw(huge_rationals(True)) for _ in range(rank))
+    base_a = tuple(draw(rats(True)) for _ in range(rank))
     b = Poly.zero(rank, n)
     if family == "A":
-        b = Poly.const(rank, n, draw(huge_rationals()))
+        b = Poly.const(rank, n, draw(rats()))
         if variant == "finite" and n:
             # the finite variant takes a polynomial b in the d-variables
-            b = b + Poly.d(rank, n, 1).scale(draw(huge_rationals()))
+            b = b + Poly.d(rank, n, 1).scale(draw(rats()))
     top = rank + 1 if family == "A" else rank
     S = frozenset(draw(st.sets(st.integers(1, top))))
     return ModuleSpec(algebra=desc, lam=lam, witt_a=witt_a, base_a=base_a, base_b=b, S=S)
@@ -131,3 +134,19 @@ class TestCanonicalForms:
     def test_iso_is_action_equality(self, s, data):
         t = data.draw(perturbed(s))
         assert C.iso_test(s, t) == act_alike(s, t) == C.iso_test(t, s)
+
+    @given(specs(shapes=DECODE_SHAPES, variants=VARIANTS[:3], height=10**20))
+    @settings(max_examples=60, deadline=None)
+    def test_decoder_is_complete(self, s):
+        n = s.algebra.loop_vars
+        window = degree_box(n, -1, 1) if s.algebra.variant != "finite" else None
+        rec = C.recover_parameters(C.oracle_from_spec(s), window)
+        found = [(rec.family, rec.S, rec.base_a, rec.base_b)] + rec.alternates
+        assert (s.algebra.family, s.S, s.base_a, s.base_b) in found
+        keys = [C._decode_key(t) for t in found]
+        assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))  # sorted, no duplicates
+        want = R.base_action_polys(s)
+        for family, S, a, b in found:
+            desc = AlgebraDesc(family, s.algebra.rank, n, s.algebra.variant)
+            t = ModuleSpec(algebra=desc, lam=s.lam, witt_a=s.witt_a, base_a=a, base_b=b, S=S)
+            assert R.base_action_polys(t) == want

@@ -18,7 +18,15 @@ from .classify import (
 )
 from .errors import ClassificationError, DomainError, StructureError
 from .liealg import AlgebraDesc, LieElt, basis_of, bracket
-from .polyalg import Poly, VarId, deg_in, shift_difference, shift_sigma, shift_tau
+from .polyalg import (
+    Poly,
+    ShiftOperator,
+    VarId,
+    deg_in,
+    shift_difference,
+    shift_sigma,
+    shift_tau,
+)
 from .repmods import (
     Generator,
     ModuleSpec,
@@ -26,6 +34,8 @@ from .repmods import (
     act_element,
     act_word,
     base_action_polys,
+    element_operator,
+    generator_operator,
     spec_from_json,
     spec_to_json,
 )
@@ -40,6 +50,7 @@ __all__ = [
     "ModuleSpec",
     "Poly",
     "RecoveredParams",
+    "ShiftOperator",
     "StructureError",
     "VarId",
     "WitnessReport",
@@ -51,6 +62,8 @@ __all__ = [
     "bracket",
     "cyclicity_check",
     "deg_in",
+    "element_operator",
+    "generator_operator",
     "iso_test",
     "oracle_from_spec",
     "recover_parameters",

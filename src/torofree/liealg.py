@@ -126,6 +126,7 @@ class FiniteAlgebra:
             if any(w):
                 self._by_weight[w] = idx
         self._bracket_cache: dict[tuple[int, int], dict[int, Rat]] = {}
+        self._form_cache: dict[tuple[int, int], Rat] = {}
         self._word_cache: dict[int, tuple[tuple, Rat]] = {}
 
     # construction ----------------------------------------------------------
@@ -288,7 +289,10 @@ class FiniteAlgebra:
 
     def form(self, m1: int, m2: int) -> Rat:
         """Normalized invariant form: trace form of the defining realization."""
-        return mat_trace_prod(self.mats[m1], self.mats[m2])
+        key = (m1, m2)
+        if key not in self._form_cache:
+            self._form_cache[key] = mat_trace_prod(self.mats[m1], self.mats[m2])
+        return self._form_cache[key]
 
     def coroot_coords(self, i: int) -> dict[int, Rat]:
         """The coroot h_i^vee = [x_i, y_i] in basis coordinates."""

@@ -10,7 +10,9 @@ The shift automorphisms are
     sigma_i^k : H_i -> H_i - k        (fixes every other variable)
     tau^a     : d_j -> d_j - a_j      (componentwise)
 
-implemented by binomial expansion with exact integer binomials.
+implemented by binomial expansion with exact integer binomials.  A
+``ShiftOperator`` is a finite sum of polynomials times shifts; such sums
+compose and bracket exactly, in closed form.
 
 Trusted construction: the public constructor ``Poly(l, n, terms)`` accepts
 arbitrary input, so it raises StructureError on an exponent of the wrong
@@ -417,6 +419,95 @@ def _nonzero_fractions(nums: dict[Exponent, int], den: int) -> dict[Exponent, Ra
     if den == 1:  # Fraction(v) skips the gcd
         return {e: Fraction(v) for e, v in nums.items() if v}
     return {e: Fraction(v, den) for e, v in nums.items() if v}
+
+
+# -- shift operators ---------------------------------------------------------
+
+
+Shift = tuple[int, ...]
+
+
+class ShiftOperator:
+    """A finite sum  sum_u f_u T_u  with T_u(p) = p.shift(u) and polynomial f_u.
+
+    These are the elements of the skew group ring of Q[H, d] over the shift
+    group Z^(l+n).  Shifts compose additively and move a coefficient past
+    themselves by shifting it:  (f T_u)(g T_v) = f * T_u(g) * T_(u+v), so
+    composition and commutators are exact in closed form and equal
+    operators act equally on every polynomial.  ``terms`` maps each shift
+    (a width-(l+n) tuple) to its nonzero coefficient; an operator is never
+    mutated after construction.
+    """
+
+    __slots__ = ("l", "n", "terms")
+
+    def __init__(self, l: int, n: int, terms: dict[Shift, Poly] | None = None):
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(
+            self, "terms", {tuple(u): f for u, f in (terms or {}).items() if f.terms}
+        )
+
+    def __setattr__(self, *_):
+        raise AttributeError("ShiftOperator is immutable")
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ShiftOperator):
+            return NotImplemented
+        return (self.l, self.n) == (other.l, other.n) and self.terms == other.terms
+
+    __hash__ = None
+
+    def apply(self, p: Poly) -> Poly:
+        """sum_u f_u * p.shift(u)."""
+        if p.ranks != (self.l, self.n):
+            raise StructureError(f"polynomial ranks {p.ranks} do not match {(self.l, self.n)}")
+        out = None
+        for u, f in self.terms.items():
+            term = p.shift(u) * f
+            out = term if out is None else out + term
+        return Poly.zero(self.l, self.n) if out is None else out
+
+    def compose(self, other: "ShiftOperator") -> "ShiftOperator":
+        """self after other: (sum f_u T_u)(sum g_v T_v) = sum f_u T_u(g_v) T_(u+v)."""
+        out: dict[Shift, Poly] = {}
+        for u, f in self.terms.items():
+            for v, g in other.terms.items():
+                w = tuple(map(add, u, v))
+                term = f * g.shift(u)
+                out[w] = out[w] + term if w in out else term
+        return ShiftOperator(self.l, self.n, out)
+
+    def bracket(self, other: "ShiftOperator") -> "ShiftOperator":
+        return self.compose(other) - other.compose(self)
+
+    def __add__(self, other: "ShiftOperator") -> "ShiftOperator":
+        out = dict(self.terms)
+        for u, g in other.terms.items():
+            out[u] = out[u] + g if u in out else g
+        return ShiftOperator(self.l, self.n, out)
+
+    def __sub__(self, other: "ShiftOperator") -> "ShiftOperator":
+        return self + other.scale(-1)
+
+    def scale(self, c) -> "ShiftOperator":
+        return ShiftOperator(self.l, self.n, {u: f.scale(c) for u, f in self.terms.items()})
+
+    def text(self) -> str:
+        """Terms ``(f)*T(u)`` in ascending shift order; "0" for the zero operator."""
+        if not self.terms:
+            return "0"
+        return " + ".join(
+            f"({self.terms[u].text()})*T({','.join(map(str, u))})" for u in sorted(self.terms)
+        )
+
+    __str__ = text
+
+    def __repr__(self):
+        return f"ShiftOperator({self.l},{self.n}: {self.text()})"
 
 
 # -- spec-level operations -------------------------------------------------

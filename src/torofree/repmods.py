@@ -13,6 +13,21 @@ Cartan generators act by multiplication; x_i acts by (x_i . 1) * sigma_i,
 y_i by (y_i . 1) * sigma_i^{-1}; loop degree a twists by lambda^a tau^a;
 t^r K_j acts by zero; t^r d_i acts by lambda^r tau^r(.) * (d_i - r_i(a+1)).
 
+Operator form.  The modules are free of rank 1 over U(h), so every
+generator acts as one term f * T_u of the skew group ring
+(``polyalg.ShiftOperator``): T_u is the shift p -> p.shift(u) of (H, d) and
+f = lambda^r * (X . 1) is a polynomial.  ``generator_operator`` builds that
+term once per (spec, generator) from the formulas above (the only place
+they are written down) and keeps it in a bounded cache; ``act`` applies it
+as f * p.shift(u).  Terms compose in closed form,
+(f T_u)(g T_v) = f * T_u(g) * T_(u+v), so the operator of a root vector is
+the commutator of its generator word (``FiniteAlgebra.generator_word``),
+built once per (spec, basis element, degree), and ``element_operator`` sums
+them for any algebra element.  Two equal operators act equally on every
+polynomial, which is what lets ``verify`` prove an identity once instead of
+sampling it.  A black-box action (any callable other than ``act``) has no
+operator form; ``act_element`` evaluates its generator words directly.
+
 The C-family x_l / y_l polynomials below are the bracket-compatible reading
 of an ambiguously grouped source; ``c_family_formula_notes`` renders the
 resolved formulas, and the sp_4 compatibility suite is the arbiter.
@@ -29,7 +44,7 @@ from typing import Callable, Iterable, Sequence
 from . import liealg
 from .errors import DomainError, StructureError
 from .liealg import AlgebraDesc, LieElt
-from .polyalg import Poly, VarId, shift_tau
+from .polyalg import Poly, ShiftOperator, VarId
 
 Rat = Fraction
 
@@ -135,6 +150,15 @@ class ModuleSpec:
         smax = l + 1 if alg.family == "A" else l
         if not self.S <= set(range(1, smax + 1)):
             raise StructureError(f"S must be a subset of 1..{smax}")
+
+    def __hash__(self):
+        # every field is immutable, so the hash (a key of the operator
+        # caches on every act call) is computed once
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.algebra, self.lam, self.witt_a, self.base_a, self.base_b, self.S))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     @property
     def ranks(self) -> tuple[int, int]:
@@ -298,93 +322,134 @@ def _subsets(l: int) -> list[tuple[int, ...]]:
 ActionFn = Callable[[ModuleSpec, Generator, Poly], Poly]
 
 
-def act(spec: ModuleSpec, gen: Generator, p: Poly) -> Poly:
-    """Action of one graded generator on a carrier polynomial."""
+@lru_cache(maxsize=256)
+def generator_operator(spec: ModuleSpec, gen: Generator) -> ShiftOperator:
+    """The action of one graded generator as a shift operator f * T_u.
+
+    The center acts by the zero operator; every other generator is a single
+    term: h_i(r) is lambda^r H_i T_tau^r, x_i(r) is lambda^r (x_i.1)
+    T_sigma_i tau^r, y_i(r) is lambda^r (y_i.1) T_sigma_i^-1 tau^r, and
+    t^r d_j is lambda^r (d_j - r_j(a+1)) T_tau^r, with sigma_i^(+-1) and
+    tau^r the shift vectors (+-e_i, 0) and (0, r).  An invalid generator
+    raises here, whatever polynomial it would act on.
+    """
     l, n = spec.ranks
-    if p.ranks != (l, n):
-        raise StructureError(f"polynomial ranks {p.ranks} do not match {(l, n)}")
     variant = spec.algebra.variant
     r = gen.r if gen.r else (0,) * n
     if len(r) != n:
         raise StructureError(f"generator degree {gen.r} has wrong length (n={n})")
     if variant == "finite" and any(r):
         raise DomainError("finite variant generators carry no loop degree")
+    tau = (0,) * l + r
+    lam_r = spec.lam_pow(r)
 
     if gen.kind == "K":
         if variant not in ("toroidal", "full"):
             raise DomainError(f"variant {variant} has no central generators")
         if not 1 <= gen.index <= n:
             raise StructureError("central index out of range")
-        return Poly.zero(l, n)
+        return ShiftOperator(l, n)
 
     if gen.kind == "D":
         if not 1 <= gen.index <= n:
             raise StructureError("derivation index out of range")
+        factor = Poly.d(l, n, gen.index)
         if variant in ("finite", "toroidal"):
             if any(r):
                 raise DomainError(
                     f"variant {variant} has degree-zero derivations only"
                 )
-            return Poly.d(l, n, gen.index) * p
-        a1 = spec.witt_a + 1
-        factor = Poly.d(l, n, gen.index) - Poly.const(l, n, r[gen.index - 1] * a1)
-        return (shift_tau(r, p) * factor).scale(spec.lam_pow(r))
+        else:
+            factor = factor - Poly.const(l, n, r[gen.index - 1] * (spec.witt_a + 1))
+        return ShiftOperator(l, n, {tau: factor.scale(lam_r)})
 
     if variant == "witt":
         raise DomainError("witt variant has derivation generators only")
     if not 1 <= gen.index <= l:
         raise StructureError("generator index out of range")
-
     if gen.kind == "h":
-        twisted = shift_tau(r, p) if variant != "finite" else p
-        out = Poly.H(l, n, gen.index) * twisted
-        return out.scale(spec.lam_pow(r)) if variant != "finite" else out
-
+        return ShiftOperator(l, n, {tau: Poly.H(l, n, gen.index).scale(lam_r)})
     # sigma_i^{+-1} and tau^r move disjoint variables: one shift does both
     xs, ys = _base(spec)
-    deltas = [0] * l + list(r)
-    if gen.kind == "x":
-        base = xs[gen.index - 1]
-        deltas[gen.index - 1] = 1
-    else:
-        base = ys[gen.index - 1]
-        deltas[gen.index - 1] = -1
-    out = p.shift(deltas) * base
-    return out.scale(spec.lam_pow(r)) if variant != "finite" else out
+    u = list(tau)
+    u[gen.index - 1] = 1 if gen.kind == "x" else -1
+    base = (xs if gen.kind == "x" else ys)[gen.index - 1]
+    return ShiftOperator(l, n, {tuple(u): base.scale(lam_r)})
+
+
+def act(spec: ModuleSpec, gen: Generator, p: Poly) -> Poly:
+    """Action of one graded generator on a carrier polynomial: f * p.shift(u)."""
+    return generator_operator(spec, gen).apply(p)
 
 
 # -- arbitrary elements ------------------------------------------------------
 
 
-def act_element(spec: ModuleSpec, X: LieElt, p: Poly, action: ActionFn = act) -> Poly:
-    """Action of an arbitrary algebra element, via fixed generator words.
+def _fold_word(word: tuple, r: tuple, letter: Callable, commutator: Callable):
+    """Evaluate a generator word of ``FiniteAlgebra.generator_word``: each
+    letter through ``letter(Generator)``, each bracket through
+    ``commutator(left, right)``; the loop degree r sits on the leftmost letter."""
+    if word[0] != "br":
+        return letter(Generator(word[0], word[1], r))
+    _, left, right = word
+    zero = (0,) * len(r)
+    return commutator(
+        _fold_word(left, r, letter, commutator), _fold_word(right, zero, letter, commutator)
+    )
 
-    Every symbol, central ones included, goes through ``action``, so a
-    corrupted generator action is seen wherever the element uses it.
-    """
+
+@lru_cache(maxsize=256)
+def _root_operator(spec: ModuleSpec, m: int, r: tuple) -> ShiftOperator:
+    """The operator of the finite basis element m at loop degree r."""
+    word, scalar = spec.algebra.fin.generator_word(m)
+    op = _fold_word(
+        word, r, lambda g: generator_operator(spec, g), ShiftOperator.bracket
+    )
+    return op.scale(1 / scalar)
+
+
+def element_operator(spec: ModuleSpec, X: LieElt) -> ShiftOperator:
+    """The action of an arbitrary algebra element as one shift operator."""
     if X.desc != spec.algebra:
         raise StructureError("element belongs to a different algebra")
-    l, n = spec.ranks
-    out = Poly.zero(l, n)
-    fin = spec.algebra.fin if spec.algebra.variant != "witt" else None
-    for sym, c in X.terms.items():
-        kind, idx, r = sym
+    out = ShiftOperator(*spec.ranks)
+    for (kind, idx, r), c in X.terms.items():
         if kind in ("K", "D"):
-            out = out + action(spec, Generator(kind, idx, r), p).scale(c)
-            continue
-        word, scalar = fin.generator_word(idx)
-        out = out + _act_word_tree(spec, word, r, p, action).scale(c / scalar)
+            op = generator_operator(spec, Generator(kind, idx, r))
+        else:
+            op = _root_operator(spec, idx, r)
+        out = out + op.scale(c)
     return out
 
 
-def _act_word_tree(spec: ModuleSpec, word: tuple, r: tuple, p: Poly, action: ActionFn) -> Poly:
-    if word[0] in ("x", "y", "h"):
-        return action(spec, Generator(word[0], word[1], r), p)
-    _, left, right = word
-    zero = (0,) * len(r)
-    upper = _act_word_tree(spec, left, r, _act_word_tree(spec, right, zero, p, action), action)
-    swap = _act_word_tree(spec, right, zero, _act_word_tree(spec, left, r, p, action), action)
-    return upper - swap
+def act_element(spec: ModuleSpec, X: LieElt, p: Poly, action: ActionFn = act) -> Poly:
+    """Action of an arbitrary algebra element.
+
+    With the module's own action (``act``, looked up at call time) this
+    applies ``element_operator``.  Any other ``action`` is a black box: each
+    root vector is evaluated through its fixed generator word and every
+    symbol, central ones included, goes through ``action``, so a corrupted
+    generator action is seen wherever the element uses it.
+    """
+    if action is act:
+        return element_operator(spec, X).apply(p)
+    if X.desc != spec.algebra:
+        raise StructureError("element belongs to a different algebra")
+
+    def letter(g):
+        return lambda q: action(spec, g, q)
+
+    def commutator(A, B):
+        return lambda q: A(B(q)) - B(A(q))
+
+    out = Poly.zero(*spec.ranks)
+    for (kind, idx, r), c in X.terms.items():
+        if kind in ("K", "D"):
+            out = out + action(spec, Generator(kind, idx, r), p).scale(c)
+            continue
+        word, scalar = spec.algebra.fin.generator_word(idx)
+        out = out + _fold_word(word, r, letter, commutator)(p).scale(c / scalar)
+    return out
 
 
 def act_word(spec: ModuleSpec, word: Iterable[Generator], p: Poly) -> Poly:

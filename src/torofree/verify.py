@@ -4,7 +4,9 @@ Each suite samples deterministically from a seeded PRNG, compares exactly
 (no tolerances), and returns a CheckReport whose failures list the inputs
 and the exact mismatch polynomial/element.  Random polynomials are drawn
 with total degree <= 4, at most 6 terms, and nonzero coefficients in
--9..9; loop windows default to {-2..2}^n.
+-9..9; loop windows default to {-2..2}^n.  On the module's own action the
+bracket-compatibility, freeness and twist suites are proofs for every
+polynomial: they compare shift operators (see the module-axiom section).
 """
 
 from __future__ import annotations
@@ -16,9 +18,17 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from . import liealg, repmods
-from .errors import DomainError
+from .errors import DomainError, StructureError
 from .liealg import AlgebraDesc, LieElt, basis_of, bracket, degree_box, window_degrees
-from .polyalg import Poly, VarId, deg_in, shift_difference, shift_sigma, shift_tau
+from .polyalg import (
+    Poly,
+    ShiftOperator,
+    VarId,
+    deg_in,
+    shift_difference,
+    shift_sigma,
+    shift_tau,
+)
 from .repmods import ActionFn, Generator, ModuleSpec
 
 Rat = Fraction
@@ -41,6 +51,10 @@ class CheckReport:
         self.cases_run += 1
         if not ok:
             self.failures.append({k: str(v) for k, v in info.items()})
+
+    def record_lazily(self, ok: bool, info: Callable[[], dict]):
+        """record() with the failure fields built by ``info()`` only on failure."""
+        self.record(ok, **({} if ok else info()))
 
     def to_dict(self) -> dict:
         return {
@@ -73,7 +87,31 @@ def random_poly(
     return p
 
 
+def _check_samples(samples: int) -> None:
+    """A negative sample count is a DomainError, not a run of no cases."""
+    if samples < 0:
+        raise DomainError(f"samples must be non-negative, got {samples}")
+
+
 # -- module-axiom suites -----------------------------------------------------
+#
+# On the module's own action (``action is repmods.act``, looked up at call
+# time) bracket_compat, freeness and eva_twist are decided as identities of
+# shift operators, which hold for every polynomial at once.  A proven
+# identity records its ``samples`` cases as passed without evaluating them.
+# An identity that fails is evaluated on every seeded sample exactly as a
+# black-box action is, so the failures name the same inputs and values; if
+# no sample exposes it, one more failure names the identity and the
+# operator difference, so a false identity never passes.  Any other
+# ``action`` is a black box and is only sampled.
+
+
+def _record_unexposed(report: CheckReport, failures_before: int, gap: ShiftOperator,
+                      key: str, name: str):
+    """Record the false identity ``name`` unless a failure since
+    ``failures_before`` already names it under ``key``."""
+    if all(f[key] != name for f in report.failures[failures_before:]):
+        report.record(False, **{key: name}, input="every polynomial", difference=gap)
 
 
 def bracket_compat_check(
@@ -85,27 +123,45 @@ def bracket_compat_check(
 ) -> CheckReport:
     """act([X,Y], p) = act(X, act(Y, p)) - act(Y, act(X, p)), exactly."""
     report = CheckReport("bracket_compat", seed=seed)
+    _check_samples(samples)
     rng = random.Random(seed)
     l, n = spec.ranks
     window = window_degrees(spec.algebra, loop_window)
     gens = repmods.generators_for(spec, window)
     polys = [random_poly(rng, l, n) for _ in range(samples)]
+    white_box = action is repmods.act
+    ops = [repmods.generator_operator(spec, g) for g in gens] if white_box else []
     # first-level actions are shared across all pairs involving a generator
-    acted = [[action(spec, g, p) for p in polys] for g in gens]
+    acted: dict[tuple[int, int], Poly] = {}
+
+    def first(i: int, k: int) -> Poly:
+        if (i, k) not in acted:
+            acted[i, k] = action(spec, gens[i], polys[k])
+        return acted[i, k]
+
     for i1, i2 in itertools.combinations_with_replacement(range(len(gens)), 2):
         g1, g2 = gens[i1], gens[i2]
         elt = repmods.generator_bracket(spec, g1, g2)
+        pair = f"[{g1.text()}, {g2.text()}]"
+        if white_box:
+            gap = repmods.element_operator(spec, elt) - ops[i1].bracket(ops[i2])
+            if gap.is_zero():
+                report.cases_run += samples
+                continue
+        failures_before = len(report.failures)
         for k, p in enumerate(polys):
             lhs = repmods.act_element(spec, elt, p, action)
-            rhs = action(spec, g1, acted[i2][k]) - action(spec, g2, acted[i1][k])
+            rhs = action(spec, g1, first(i2, k)) - action(spec, g2, first(i1, k))
             report.record(
                 lhs == rhs,
-                generator_pair=f"[{g1.text()}, {g2.text()}]",
+                generator_pair=pair,
                 input=p,
                 lhs=lhs,
                 rhs=rhs,
                 difference=lhs - rhs,
             )
+        if white_box:
+            _record_unexposed(report, failures_before, gap, "generator_pair", pair)
     return report
 
 
@@ -156,6 +212,7 @@ def freeness_check(
 ) -> CheckReport:
     """Every Cartan generator acts by multiplication by its own variable."""
     report = CheckReport("freeness", seed=seed)
+    _check_samples(samples)
     rng = random.Random(seed)
     l, n = spec.ranks
     zero = spec.algebra.zero_degree()
@@ -165,9 +222,22 @@ def freeness_check(
             gens.append((Generator("h", i, zero), Poly.H(l, n, i)))
     for j in range(1, n + 1):
         gens.append((Generator("D", j, zero), Poly.d(l, n, j)))
+    white_box = action is repmods.act
+    gaps: dict[Generator, ShiftOperator] = {}
+    if white_box:
+        # h_i(0) and d_j must be the operators {0: H_i} and {0: d_j}
+        no_shift = (0,) * (l + n)
+        for gen, var in gens:
+            gap = repmods.generator_operator(spec, gen) - ShiftOperator(l, n, {no_shift: var})
+            if not gap.is_zero():
+                gaps[gen] = gap
+        report.cases_run += samples * (len(gens) - len(gaps))
+        if not gaps:
+            return report
+    unproven = [(gen, var) for gen, var in gens if not white_box or gen in gaps]
     for _ in range(samples):
         p = random_poly(rng, l, n)
-        for gen, var in gens:
+        for gen, var in unproven:
             got = action(spec, gen, p)
             report.record(
                 got == var * p,
@@ -177,6 +247,8 @@ def freeness_check(
                 rhs=var * p,
                 difference=got - var * p,
             )
+    for gen, gap in gaps.items():
+        _record_unexposed(report, 0, gap, "generator", gen.text())
     return report
 
 
@@ -186,25 +258,48 @@ def eva_twist_check(
     samples: int = 10,
     seed: int = 0,
 ) -> CheckReport:
-    """act(X(r), p) equals the twisted p times act(X(r), 1) for X in {h, x, y, K}."""
+    """act(X(r), p) equals the twisted p times act(X(r), 1) for X in {h, x, y, K}.
+
+    The identity holds for every p iff the operator of X(r) has no shift
+    other than the expected sigma_i^(+-1) tau^r (the center's is zero).
+    """
     report = CheckReport("eva_twist", seed=seed)
+    _check_samples(samples)
     if spec.algebra.variant not in ("toroidal", "full"):
         raise DomainError("twist consistency requires a loop variant")
     rng = random.Random(seed)
     l, n = spec.ranks
     one = spec.one()
     window = window_degrees(spec.algebra, loop_window)
+    # (generator, power of sigma_i in its twist) per degree, in case order
+    cases: dict[tuple, list[tuple[Generator, int]]] = {}
+    gaps: dict[Generator, ShiftOperator] = {}
+    for r in window:
+        cases[r] = []
+        for i in range(1, l + 1):
+            cases[r] += [(Generator("h", i, r), 0), (Generator("x", i, r), 1),
+                         (Generator("y", i, r), -1)]
+        cases[r] += [(Generator("K", j, r), 0) for j in range(1, n + 1)]
+        for gen, k in cases[r]:
+            op = repmods.generator_operator(spec, gen)
+            sigma = [0] * l
+            if k:
+                sigma[gen.index - 1] = k
+            shift = tuple(sigma) + r
+            if set(op.terms) - {shift}:
+                gaps[gen] = ShiftOperator(
+                    l, n, {u: f for u, f in op.terms.items() if u != shift}
+                )
+    report.cases_run += samples * sum(gen not in gaps for r in window for gen, _ in cases[r])
+    if not gaps:
+        return report
     for r in window:
         for p in (random_poly(rng, l, n) for _ in range(samples)):
             tau_p = shift_tau(r, p)
-            cases = []
-            for i in range(1, l + 1):
-                cases.append((Generator("h", i, r), tau_p))
-                cases.append((Generator("x", i, r), shift_sigma(i, 1, tau_p)))
-                cases.append((Generator("y", i, r), shift_sigma(i, -1, tau_p)))
-            for j in range(1, n + 1):
-                cases.append((Generator("K", j, r), tau_p))
-            for gen, twist in cases:
+            for gen, k in cases[r]:
+                if gen not in gaps:
+                    continue
+                twist = shift_sigma(gen.index, k, tau_p) if k else tau_p
                 lhs = repmods.act(spec, gen, p)
                 rhs = twist * repmods.act(spec, gen, one)
                 report.record(
@@ -215,6 +310,8 @@ def eva_twist_check(
                     rhs=rhs,
                     difference=lhs - rhs,
                 )
+    for gen, gap in gaps.items():
+        _record_unexposed(report, 0, gap, "generator", gen.text())
     return report
 
 
@@ -226,6 +323,7 @@ def degree_reduction_check(
 ) -> CheckReport:
     """deg_dj((h(e_j) - lambda_j h) . w) < deg_dj(w) for the fixed h = H_1."""
     report = CheckReport("degree_reduction", seed=seed)
+    _check_samples(samples)
     if spec.algebra.variant not in ("toroidal", "full"):
         raise DomainError("degree reduction requires a toroidal or full spec")
     rng = random.Random(seed)
@@ -266,8 +364,13 @@ def lemma_pa_property(
 ) -> CheckReport:
     """The two shift-difference degree identities, exact on random polynomials."""
     report = CheckReport("shift_difference_degrees", seed=seed)
-    rng = random.Random(seed)
+    _check_samples(samples)
     l, n = ranks
+    if not 1 <= l <= repmods.MAX_RANK:
+        raise StructureError(f"H-variables must be in 1..{repmods.MAX_RANK}, got {l}")
+    if not 0 <= n <= repmods.MAX_LOOP_VARS:
+        raise StructureError(f"d-variables must be in 0..{repmods.MAX_LOOP_VARS}, got {n}")
+    rng = random.Random(seed)
     for _ in range(samples):
         g = random_poly(rng, l, n, max_total_deg=6)
         i = rng.randint(1, l)
@@ -314,6 +417,7 @@ def jacobi_check(
     The loop window defaults to {-1..1}^n.
     """
     report = CheckReport("lie_axioms", seed=seed)
+    _check_samples(samples)
     basis = basis_of(desc, (-1, 1) if loop_window is None else loop_window)
     size = len(basis)
     pair: dict[tuple[int, int], LieElt] = {}
@@ -323,11 +427,13 @@ def jacobi_check(
     for i in range(size):
         for j in range(i, size):
             s = pair[i, j] + pair[j, i]
-            report.record(
+            report.record_lazily(
                 s.is_zero(),
-                law="antisymmetry",
-                inputs=f"({basis[i].text()}, {basis[j].text()})",
-                difference=s,
+                lambda: dict(
+                    law="antisymmetry",
+                    inputs=f"({basis[i].text()}, {basis[j].text()})",
+                    difference=s,
+                ),
             )
     triples: Iterable[tuple[int, int, int]]
     if samples:
@@ -344,11 +450,13 @@ def jacobi_check(
             + bracket_fn(desc, basis[j], pair[k, i])
             + bracket_fn(desc, basis[k], pair[i, j])
         )
-        report.record(
+        report.record_lazily(
             total.is_zero(),
-            law="jacobi",
-            inputs=f"({basis[i].text()}, {basis[j].text()}, {basis[k].text()})",
-            difference=total,
+            lambda: dict(
+                law="jacobi",
+                inputs=f"({basis[i].text()}, {basis[j].text()}, {basis[k].text()})",
+                difference=total,
+            ),
         )
     return report
 
@@ -362,6 +470,7 @@ def cocycle_identity_check(
 ) -> CheckReport:
     """2-cocycle identity for c1*phi1 + c2*phi2 with the Der(A)-action on K_A."""
     report = CheckReport("cocycle_identity", seed=seed)
+    _check_samples(samples)
     desc = AlgebraDesc("A", 1, n, "full", (Fraction(c[0]), Fraction(c[1])))
     window = window_degrees(desc, loop_window)
     rng = random.Random(seed)
@@ -383,12 +492,14 @@ def cocycle_identity_check(
             + bracket(desc, Z, liealg.cocycle(desc, c, X, Y))
         )
         diff = lhs - rhs
-        report.record(
+        report.record_lazily(
             diff.is_zero(),
-            inputs=f"({X.text()}, {Y.text()}, {Z.text()})",
-            lhs=lhs,
-            rhs=rhs,
-            difference=diff,
+            lambda: dict(
+                inputs=f"({X.text()}, {Y.text()}, {Z.text()})",
+                lhs=lhs,
+                rhs=rhs,
+                difference=diff,
+            ),
         )
     return report
 

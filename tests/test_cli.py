@@ -179,6 +179,31 @@ class TestVerifyCommand:
         assert "bracket_compat" in names and "freeness" in names
 
 
+class TestCountBounds:
+    @pytest.mark.parametrize("argv", [
+        ["lemma-pa", "--hvars", "0"],
+        ["lemma-pa", "--dvars", "-1"],
+        ["lemma-pa", "--hvars", str(10**30)],
+        ["lemma-pa", "--hvars", "17"],
+        ["lemma-pa", "--dvars", "9"],
+        ["lemma-pa", "--samples", "-1"],
+        ["verify", "--samples", "-1"],
+    ])
+    def test_out_of_range_counts_exit_2(self, specfile, capsys, argv):
+        if argv[0] == "verify":
+            argv = argv + ["--spec", specfile(FULL_SPEC), "--window=-1:1"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_largest_counts_run(self, capsys):
+        code, out = run(capsys, ["lemma-pa", "--hvars", "16", "--dvars", "8",
+                                 "--samples", "1"])
+        assert code == 0 and json.loads(out)["report"]["cases_run"] == 16
+
+
 class TestDeterminism:
     def test_byte_identical_outputs(self, specfile, tmp_path, capsys):
         spec = specfile(FULL_SPEC)

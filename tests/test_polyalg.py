@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from torofree.errors import DomainError, StructureError
 from torofree.polyalg import (
     Poly,
+    ShiftOperator,
     VarId,
     deg_in,
     divides,
@@ -114,6 +115,42 @@ class TestShifts:
         c = shift_sigma(2, m, shift_sigma(1, k, p))
         d = shift_sigma(1, k, shift_sigma(2, m, p))
         assert c == d
+
+
+@st.composite
+def operators(draw, max_terms=3):
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        u = tuple(draw(st.integers(-2, 2)) for _ in range(L + N))
+        terms[u] = draw(polys(max_deg=2, max_terms=3))
+    return ShiftOperator(L, N, terms)
+
+
+class TestShiftOperators:
+    @given(operators(), operators(), polys())
+    @settings(max_examples=40, deadline=None)
+    def test_compose_is_composition(self, A, B, p):
+        assert A.compose(B).apply(p) == A.apply(B.apply(p))
+        assert A.bracket(B).apply(p) == A.apply(B.apply(p)) - B.apply(A.apply(p))
+        assert (A + B.scale(3)).apply(p) == A.apply(p) + 3 * B.apply(p)
+
+    def test_single_term_moves_coefficients(self):
+        # (H1 T_u)(H1 T_v) = H1 * sigma_1(H1) T_(u+v); tau_1 fixes H1, so [A, B] = -H1 T_(u+v)
+        A = ShiftOperator(L, N, {(1, 0, 0, 0): H1})
+        B = ShiftOperator(L, N, {(0, 0, 1, 0): H1})
+        assert A.compose(B) == ShiftOperator(L, N, {(1, 0, 1, 0): H1 * (H1 - 1)})
+        assert A.bracket(B) == ShiftOperator(L, N, {(1, 0, 1, 0): -H1})
+
+    def test_zero_terms_dropped_and_text(self):
+        op = ShiftOperator(L, N, {(0, 0, 0, 0): Poly.zero(L, N), (0, -1, 0, 0): H2 - 1})
+        assert list(op.terms) == [(0, -1, 0, 0)]
+        assert op.text() == "(H2 - 1)*T(0,-1,0,0)"
+        assert (op - op).is_zero() and (op - op).text() == "0"
+        assert ShiftOperator(L, N).apply(H1) == Poly.zero(L, N)
+
+    def test_rank_mismatch(self):
+        with pytest.raises(StructureError):
+            ShiftOperator(L, N, {(0, 0, 0, 0): H1}).apply(Poly.H(2, 1, 1))
 
 
 def assert_canonical(p):

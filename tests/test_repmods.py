@@ -1,4 +1,6 @@
+import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from torofree.errors import DomainError, StructureError
 from torofree.liealg import AlgebraDesc
 from torofree.polyalg import Poly, shift_sigma, shift_tau
 from torofree.repmods import Generator, ModuleSpec, act, parse_generator
+from torofree.verify import random_poly
 
 
 class TestSpecValidation:
@@ -241,6 +244,70 @@ class TestStructuralProperties:
         from torofree.verify import freeness_check
 
         assert freeness_check(sl2_toroidal, samples=10, seed=0).passed
+
+
+OPERATOR_PANEL = [
+    mk_spec(rank=1, base_a=(2,), base_b=3, S={1}),
+    mk_spec(rank=1, loop_vars=1, variant="toroidal", lam=(5,), base_a=(2,), base_b=3, S={1}),
+    mk_spec(rank=1, loop_vars=1, variant="full", cocycle=(2, -3), lam=(2,), witt_a=1,
+            base_a=(2,), base_b=1, S={1, 2}),
+    mk_spec(rank=2, base_a=(2, -1), base_b=Fraction(1, 3), S={2}),
+    mk_spec(rank=2, loop_vars=1, variant="toroidal", lam=(3,), base_a=(2, -1),
+            base_b=Fraction(1, 3), S=()),
+    mk_spec(rank=2, loop_vars=1, variant="full", cocycle=(1, 0), lam=(Fraction(2, 3),),
+            witt_a=0, base_a=(1, 1), base_b=2, S={1, 3}),
+    mk_spec(family="C", rank=2, base_a=(1, 1), S={1, 2}),
+    mk_spec(family="C", rank=2, loop_vars=1, variant="toroidal", lam=(2,),
+            base_a=(3, -2), S={1}),
+    mk_spec(family="C", rank=2, loop_vars=1, variant="full", cocycle=(0, 1), lam=(-2,),
+            witt_a=5, base_a=(1, 1), S=()),
+    mk_spec(rank=0, loop_vars=1, variant="witt", lam=(2,), witt_a=Fraction(-1, 2)),
+]
+
+
+def _panel_id(spec):
+    alg = spec.algebra
+    return f"{alg.family}{alg.rank}-{alg.variant}"
+
+
+class TestOperators:
+    WINDOW = [(-1,), (0,), (1,)]
+
+    @pytest.mark.parametrize("spec", OPERATOR_PANEL, ids=_panel_id)
+    def test_composition_is_acting_twice(self, spec):
+        rng = random.Random(7)
+        window = liealg.window_degrees(spec.algebra, self.WINDOW)
+        ops = [R.generator_operator(spec, g) for g in R.generators_for(spec, window)]
+        polys = [random_poly(rng, *spec.ranks, max_total_deg=3, max_terms=4) for _ in range(3)]
+        for k, (A, B) in enumerate(itertools.product(ops, ops)):
+            p = polys[k % len(polys)]
+            assert A.compose(B).apply(p) == A.apply(B.apply(p))
+
+    @pytest.mark.parametrize("spec", OPERATOR_PANEL, ids=_panel_id)
+    def test_generator_operators_are_single_terms(self, spec):
+        window = liealg.window_degrees(spec.algebra, self.WINDOW)
+        for gen in R.generators_for(spec, window):
+            op = R.generator_operator(spec, gen)
+            assert len(op.terms) == (0 if gen.kind == "K" else 1), gen
+
+    @pytest.mark.parametrize("spec", OPERATOR_PANEL, ids=_panel_id)
+    def test_basis_operators_match_the_word_walker(self, spec):
+        rng = random.Random(11)
+
+        def walker(spec_, gen, p):  # not repmods.act itself: forces the word walker
+            return R.act(spec_, gen, p)
+
+        for X in liealg.basis_of(spec.algebra, self.WINDOW):
+            p = random_poly(rng, *spec.ranks, max_total_deg=3, max_terms=4)
+            assert R.element_operator(spec, X).apply(p) == R.act_element(spec, X, p, walker), X
+
+    def test_invalid_generators_raise_without_a_polynomial(self, sl2_toroidal):
+        with pytest.raises(DomainError):
+            R.generator_operator(sl2_toroidal, Generator("D", 1, (1,)))
+        with pytest.raises(StructureError):
+            R.generator_operator(sl2_toroidal, Generator("x", 2, (0,)))
+        with pytest.raises(StructureError):
+            R.generator_operator(sl2_toroidal, Generator("x", 1, (0, 0)))
 
 
 class TestGeneratorLiterals:

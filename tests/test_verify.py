@@ -1,11 +1,14 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
 from conftest import mk_spec
 from torofree import classify as C, repmods as R, verify as V
-from torofree.liealg import AlgebraDesc, central_k, degree_box
-from torofree.polyalg import Poly
+from torofree.errors import DomainError, StructureError
+from torofree.liealg import AlgebraDesc, bracket, central_k, degree_box
+from torofree.polyalg import Poly, ShiftOperator
 from torofree.repmods import Generator
 
 F = Fraction
@@ -61,6 +64,90 @@ class TestBracketCompat:
                        lam=(2,), witt_a=5, base_a=(2,), base_b=1, S={1})
         rep = V.bracket_compat_check(spec, degree_box(1, -1, 1), samples=6, seed=3)
         assert rep.passed
+
+
+def _walker(spec_, gen, p):
+    """The module's own action behind a wrapper: forces the sampled path."""
+    return R.act(spec_, gen, p)
+
+
+@pytest.fixture
+def fresh_operators():
+    """Empty the operator caches around a test that patches the action."""
+    caches = (R.generator_operator, R._root_operator)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+C2_FINITE = mk_spec(family="C", rank=2, base_a=(1, 1), S={1, 2})
+C2_TOROIDAL = mk_spec(family="C", rank=2, loop_vars=1, variant="toroidal", lam=(2,),
+                      base_a=(3, -2), S={1})
+
+
+class TestOperatorProofs:
+    def test_criterion_2_panel_same_report_on_both_paths(self):
+        from test_acceptance import WIN1, _module_axiom_panel
+
+        for spec in _module_axiom_panel():
+            window = None if spec.algebra.variant == "finite" else WIN1
+            proven = V.bracket_compat_check(spec, window, samples=1, seed=11)
+            sampled = V.bracket_compat_check(spec, window, samples=1, seed=11, action=_walker)
+            assert proven.to_dict() == sampled.to_dict(), spec.algebra
+            assert proven.passed and proven.cases_run > 0
+
+    @pytest.mark.parametrize("spec,window", [(C2_FINITE, None),
+                                             (C2_TOROIDAL, degree_box(1, -1, 1))])
+    def test_defective_y1_same_failures_on_both_paths(self, monkeypatch, fresh_operators,
+                                                      spec, window):
+        good = R.base_action_polys
+
+        def bad_base(spec_):
+            xs, ys = good(spec_)
+            return xs, [ys[0] + Poly.H(*spec_.ranks, 1)] + ys[1:]
+
+        monkeypatch.setattr(R, "_base", bad_base)
+        proven = V.bracket_compat_check(spec, window, samples=3, seed=11)
+        sampled = V.bracket_compat_check(spec, window, samples=3, seed=11, action=_walker)
+        assert not proven.passed
+        assert proven.to_dict() == sampled.to_dict()
+        # with no samples only the operator identity can expose the defect
+        unsampled = V.bracket_compat_check(spec, window, samples=0, seed=11)
+        assert not unsampled.passed
+        assert not V.bracket_compat_check(spec, window, samples=0, seed=11,
+                                          action=_walker).failures
+        pairs = {f["generator_pair"] for f in proven.failures}
+        assert {f["generator_pair"] for f in unsampled.failures} == pairs
+        assert all(f["input"] == "every polynomial" for f in unsampled.failures)
+
+    @pytest.mark.parametrize("suite,gen,shift", [
+        ("freeness_check", Generator("h", 1, (0,)), (0, 0)),
+        ("freeness_check", Generator("D", 1, (0,)), (0, 1)),
+        ("eva_twist_check", Generator("x", 1, (1,)), (0, 1)),
+        ("eva_twist_check", Generator("K", 1, (-1,)), (1, -1)),
+    ])
+    def test_false_identity_never_passes(self, monkeypatch, fresh_operators, sl2_toroidal,
+                                         suite, gen, shift):
+        good = R.generator_operator
+
+        def bad_operator(spec_, gen_):
+            op = good(spec_, gen_)
+            if gen_ == gen:
+                op = op + ShiftOperator(1, 1, {shift: Poly.const(1, 1, 1)})
+            return op
+
+        monkeypatch.setattr(R, "generator_operator", bad_operator)
+        check = getattr(V, suite)
+        proven = check(sl2_toroidal, samples=3, seed=2)
+        assert not proven.passed
+        assert {f["generator"] for f in proven.failures} == {gen.text()}
+        if suite == "freeness_check":
+            assert proven.to_dict() == check(sl2_toroidal, samples=3, seed=2,
+                                             action=_walker).to_dict()
+        unsampled = check(sl2_toroidal, samples=0, seed=2)
+        assert [f["input"] for f in unsampled.failures] == ["every polynomial"]
 
 
 class TestCentralIdentity:
@@ -143,6 +230,56 @@ class TestDeterminism:
         a = V.suite_for_spec(sl2_toroidal, samples=4, seed=1)
         b = V.suite_for_spec(sl2_toroidal, samples=4, seed=2)
         assert all(r.passed for r in a + b)
+
+
+class TestJacobiReport:
+    @staticmethod
+    def _bad_bracket(desc, X, Y):
+        """Doubles every bracket of a degree-1 finite symbol that has a central part."""
+        out = bracket(desc, X, Y)
+        if any(s[0] == "f" and s[2] == (1,) for s in X.terms) and any(
+            s[0] == "K" for s in out.terms
+        ):
+            return out.scale(2)
+        return out
+
+    @pytest.mark.parametrize("kwargs,cases,failures,digest,last", [
+        ({}, 352, 22, "fdf2cd83dfbfd10bc656a2b7cfd6cc1f5b6b197917e10a4b6d315e62aa727730",
+         {"law": "jacobi", "inputs": "(h1(-1), h1(1), D1(0))",
+          "difference": "LieElt(-1/2*K1(0))"}),
+        ({"samples": 200, "seed": 5}, 266, 16,
+         "71a9d7fdfb20ecde60967c86d71feca32580fbd677c27cbe009c4bebc6321eef",
+         {"law": "jacobi", "inputs": "(x1(1), y1(-1), y1(-1))",
+          "difference": "LieElt(2*y1(-1))"}),
+    ])
+    def test_injected_bracket_defect_report_is_unchanged(self, kwargs, cases, failures,
+                                                         digest, last):
+        # the failure text is built only for failing cases; the frozen report
+        # (taken when every case built it) must not move
+        desc = AlgebraDesc("A", 1, 1, "toroidal")
+        rep = V.jacobi_check(desc, degree_box(1, -1, 1), bracket_fn=self._bad_bracket, **kwargs)
+        data = rep.to_dict()
+        assert data["cases_run"] == cases and len(data["failures"]) == failures
+        assert data["failures"][0] == {"law": "antisymmetry", "inputs": "(x1(-1), y1(1))",
+                                       "difference": "LieElt(-2*h1(0) + K1(0))"}
+        assert data["failures"][-1] == last
+        blob = json.dumps(data, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == digest
+
+
+class TestSampleCounts:
+    @pytest.mark.parametrize("suite", ["bracket_compat_check", "freeness_check",
+                                       "eva_twist_check", "degree_reduction_check"])
+    def test_negative_samples_rejected(self, sl2_toroidal, suite):
+        with pytest.raises(DomainError):
+            getattr(V, suite)(sl2_toroidal, samples=-1)
+
+    def test_lemma_pa_bounds(self):
+        with pytest.raises(DomainError):
+            V.lemma_pa_property(samples=-1)
+        for ranks in ((0, 1), (17, 1), (1, -1), (1, 9), (10**30, 1)):
+            with pytest.raises(StructureError):
+                V.lemma_pa_property(samples=1, ranks=ranks)
 
 
 class TestSuiteForSpec:

@@ -28,19 +28,18 @@ Witness certificates come in two exact, independently verified kinds:
   e.g. l = 1, b = 5, S = FULL at maxdeg 6 has only the dim-11 quotient, so
   the scan runs at l = 1 too.
 
-* quotient: matrices (H_1..H_l, X_1..X_l, Y_1..Y_l) on a finite-dimensional
-  space plus a vector v0 != 0 with commuting H's, [H_j, X_i] = delta X_i,
-  [H_j, Y_i] = -delta Y_i, and X_i v0 = (x_i.1)(H) v0, Y_i v0 = (y_i.1)(H) v0.
-  Then f -> f(H) v0 is a module map from the carrier, and its kernel is a
-  nonzero proper invariant ideal.  For l >= 2 the edge-pattern submodules
-  have finite codimension and are never principal (their generators share no
-  common factor), so this second kind is what a witness search must produce.
-  In two H-variables every proper invariant ideal has either a nontrivial
-  gcd (principal witness) or finite codimension (quotient witness), so the
-  two kinds jointly cover l <= 2 at the searched bounds.  The quotients are
-  the irreducibles V(m) in their Gelfand-Tsetlin basis, where H is
-  diagonal: p(H) is p evaluated at each basis weight, and v0 is given in
-  Gelfand-Tsetlin coordinates.
+* quotient: an irreducible V(m) of sl_{l+1} in its Gelfand-Tsetlin basis
+  (H diagonal, h_j the weight of basis vector j) plus v0 != 0, given in
+  those coordinates, such that f -> f(H) v0 has an invariant kernel, which
+  is then a nonzero proper invariant ideal.  verify_quotient_certificate
+  proves the invariance for every polynomial on every windowed generator
+  from the generators' shift operators; nothing is sampled.  For l >= 2 the
+  edge-pattern submodules have finite codimension and are never principal
+  (their generators share no common factor), so this second kind is what a
+  witness search must produce.  In two H-variables every proper invariant
+  ideal has either a nontrivial gcd (principal witness) or finite
+  codimension (quotient witness), so the two kinds jointly cover l <= 2 at
+  the searched bounds.
 """
 
 from __future__ import annotations
@@ -167,15 +166,14 @@ def weyl_dim_A(weights: Sequence[int]) -> int:
 class IrrepA:
     """Explicit irreducible of sl_{l+1} in its Gelfand-Tsetlin basis.
 
-    The H_i matrices are diagonal; h_diag[j] records the eigenvalues
-    (H_1..H_l) on basis vector j, so consumers can multiply by p(weight)
-    coordinatewise instead of forming p(H).
+    The H_i act diagonally and are kept only as h_diag: h_diag[j] holds the
+    eigenvalues (H_1..H_l) on basis vector j, so p(H) multiplies coordinate
+    j by p(h_j).
     """
 
     rank: int
     weights: tuple[int, ...]
     dim: int
-    h_mats: list[DenseMatrix]
     x_mats: list[DenseMatrix]
     y_mats: list[DenseMatrix]
     h_diag: list[tuple[Rat, ...]]
@@ -241,10 +239,6 @@ def build_irrep_A(rank: int, weights: Sequence[int]) -> IrrepA:
     h_diag = [
         tuple(sum(pat[i - 1]) - i * total for i in range(1, l + 1)) for pat in patterns
     ]
-    h_mats = [
-        [[eig[i] if r == c else Fraction(0) for c in range(dim)] for r, eig in enumerate(h_diag)]
-        for i in range(l)
-    ]
     x_mats = [zeros() for _ in range(l)]
     y_mats = [zeros() for _ in range(l)]
     for col, pat in enumerate(patterns):
@@ -263,7 +257,7 @@ def build_irrep_A(rank: int, weights: Sequence[int]) -> IrrepA:
                     num = sign * math.prod(lki - lj for lj in rows_j)
                     if target is not None and num:
                         mats[k - 1][target][col] = Fraction(num, den)
-    return IrrepA(l, weights, dim, h_mats, x_mats, y_mats, h_diag)
+    return IrrepA(l, weights, dim, x_mats, y_mats, h_diag)
 
 
 @lru_cache(maxsize=256)
@@ -487,26 +481,18 @@ class QuotientCert:
         }
 
 
-def _h_monomial_at_weights(exp: tuple[int, ...], rep: IrrepA) -> Vector:
-    """The value of the H-block of the monomial exp at each basis weight."""
-    return [
-        math.prod((w[i] ** e for i, e in enumerate(exp[: rep.rank]) if e), start=Fraction(1))
-        for w in rep.h_diag
-    ]
-
-
-def _poly_at_weights(p: Poly, rep: IrrepA) -> Vector:
-    """The value of the H-part of p at each basis weight: p(H) is diagonal."""
-    out = [Fraction(0)] * rep.dim
-    for exp, c in p.terms.items():
-        for j, m in enumerate(_h_monomial_at_weights(exp, rep)):
-            out[j] += c * m
+def _at_weights(p: Poly, rep: IrrepA) -> list[Poly]:
+    """p(h_j, d) for each basis weight h_j: the H-block evaluated, d kept."""
+    l = rep.rank
+    out = []
+    for w in rep.h_diag:
+        acc: dict = {}
+        for exp, c in p.terms.items():
+            beta = exp[l:]
+            value = math.prod((x**e for x, e in zip(w, exp[:l]) if e), start=c)
+            acc[beta] = acc[beta] + value if beta in acc else value
+        out.append(Poly(0, p.n, acc))
     return out
-
-
-def _poly_at_h(p: Poly, rep: IrrepA, v0: Vector) -> Vector:
-    """(p(H_1..H_l) v0) for an H-only polynomial, coordinate by coordinate."""
-    return [a * b for a, b in zip(_poly_at_weights(p, rep), v0)]
 
 
 def quotient_certificate_search(spec: ModuleSpec, dim_bound: int) -> QuotientCert | None:
@@ -524,9 +510,10 @@ def quotient_certificate_search(spec: ModuleSpec, dim_bound: int) -> QuotientCer
         for i in range(1, l + 1):
             for op, poly in ((rep.x_mats[i - 1], xs[i - 1]), (rep.y_mats[i - 1], ys[i - 1])):
                 # rows of (op - poly(H)) as a matrix on V; poly(H) is diagonal
-                for r, value in enumerate(_poly_at_weights(poly, rep)):
+                # and d-free, since b is a scalar here
+                for r, value in enumerate(_at_weights(poly, rep)):
                     row = op[r][:]
-                    row[r] -= value
+                    row[r] -= value.constant_term()
                     rows.append(row)
         kernel = nullspace(rows, rep.dim)
         if kernel:
@@ -562,22 +549,22 @@ def _dominant_weights(l: int, dim_bound: int) -> list[tuple[int, ...]]:
 
 
 def verify_quotient_certificate(
-    spec: ModuleSpec,
-    cert: QuotientCert,
-    loop_window: Iterable | None = None,
-    samples: int = 5,
-    seed: int = 0,
+    spec: ModuleSpec, cert: QuotientCert, loop_window: Iterable | None = None
 ) -> bool:
-    """Exact check of the certificate identities, then sampled intertwining.
+    """Exact proof that f -> f(H) v0 has an invariant kernel, for every f.
 
-    The kernel argument needs only: v0 != 0, the H-matrices commute, the
-    ladder relations [H_j, X_i] = delta_ij X_i and [H_j, Y_i] = -delta_ij Y_i,
-    and the base conditions X_i v0 = (x_i.1)(H) v0, Y_i v0 = (y_i.1)(H) v0;
-    the sampled loop-window intertwining exercises the same facts through
-    the full graded action.  The H-matrices are first checked to be exactly
-    diag(h_diag).  Then [H_j, M]_rc = (h_r - h_c)_j M_rc: the H's commute,
-    and the ladder relations hold exactly when every nonzero entry (r, c) of
-    X_i has h_r - h_c = e_i (of Y_i: -e_i), which is what is checked.
+    Phi(f) has coordinates f(h_j, d) v0_j.  First every nonzero entry (j, c)
+    of X_i (of Y_i) must have h_j - h_c = e_i (-e_i): this is the ladder
+    relation [H_k, X_i] = delta_ki X_i, as [H_k, M]_jc = (h_j - h_c)_k M_jc.
+    Then each term F T_u, u = (u_H, r), of each windowed generator operator
+    (``repmods.generator_operator``) must factor through Phi.  With u_H = 0
+    (h, K, D) it does by construction: on coordinate j it acts as
+    F(h_j, d) T_r.  With u_H = +e_i (-e_i) and M = X_i (Y_i), coordinate j
+    of Phi(F T_u f) is F(h_j, d) f(h_j - u_H, d - r) v0_j and that of
+    lambda^r M T_r Phi(f) is lambda^r f(h_j - u_H, d - r) (M v0)_j, so the
+    term factors iff F(h_j, d) v0_j = lambda^r (M v0)_j for every j; at
+    r = 0 these are the base conditions X_i v0 = (x_i.1)(H) v0 and
+    Y_i v0 = (y_i.1)(H) v0.  Any other H-shift fails.
     """
     l, n = spec.ranks
     if all(c == 0 for c in cert.v0):
@@ -585,10 +572,8 @@ def verify_quotient_certificate(
     rep = irrep_A(l, tuple(cert.weights))
     if rep.dim != cert.dim or len(cert.v0) != rep.dim:
         return False
-    for i, h in enumerate(rep.h_mats):
-        for r, row in enumerate(h):
-            if any(x != (rep.h_diag[r][i] if c == r else 0) for c, x in enumerate(row)):
-                return False
+    v0 = list(cert.v0)
+    images: dict[tuple[int, ...], Vector] = {}
     for i in range(l):
         for mats, step in ((rep.x_mats, 1), (rep.y_mats, -1)):
             for r, row in enumerate(mats[i]):
@@ -598,75 +583,21 @@ def verify_quotient_certificate(
                         for j, (a, b) in enumerate(zip(rep.h_diag[r], rep.h_diag[c]))
                     ):
                         return False
-    v0 = list(cert.v0)
-    xs, ys = base_action_polys(spec)
-    for i in range(1, l + 1):
-        if mat_vec(rep.x_mats[i - 1], v0) != _poly_at_h(xs[i - 1], rep, v0):
-            return False
-        if mat_vec(rep.y_mats[i - 1], v0) != _poly_at_h(ys[i - 1], rep, v0):
-            return False
-    # sampled intertwining through the full graded action
-    rng = random.Random(seed)
-    gens = repmods.generators_for(spec, window_degrees(spec.algebra, loop_window))
-    powers: dict = {}
-    for _ in range(samples):
-        f = random_poly(rng, l, n, max_total_deg=3, max_terms=4)
-        phi_f = _phi_map(rep, v0, f, powers)
-        for gen in gens:
-            lhs = _phi_map(rep, v0, repmods.act(spec, gen, f), powers)
-            if lhs != _phi_apply_generator(spec, rep, gen, phi_f):
+            shift = tuple(step if j == i else 0 for j in range(l))
+            images[shift] = mat_vec(mats[i], v0)
+    window = window_degrees(spec.algebra, loop_window)
+    for gen in repmods.generators_for(spec, window):
+        for u, f in repmods.generator_operator(spec, gen).terms.items():
+            if not any(u[:l]):
+                continue
+            image = images.get(u[:l])
+            if image is None:
                 return False
+            lam_r = spec.lam_pow(u[l:])
+            for fj, x, mx in zip(_at_weights(f, rep), v0, image):
+                if fj.scale(x) != Poly.const(0, n, lam_r * mx):
+                    return False
     return True
-
-
-def _phi_map(rep: IrrepA, v0: Vector, f: Poly, powers: dict) -> list[Poly]:
-    """Phi(f) = f(H) v0 in V (x) Q[d], one d-polynomial per basis coordinate.
-
-    Coordinate j is f(h_j, d) * v0[j]; ``powers`` caches h_j^alpha * v0[j]
-    per H-exponent alpha across the calls of one verification.
-    """
-    l = rep.rank
-    coords: list[dict] = [{} for _ in range(rep.dim)]
-    for exp, c in f.terms.items():
-        alpha, beta = exp[:l], exp[l:]
-        vals = powers.get(alpha)
-        if vals is None:
-            vals = powers[alpha] = [
-                m * x for m, x in zip(_h_monomial_at_weights(alpha, rep), v0)
-            ]
-        for acc, m in zip(coords, vals):
-            if m:
-                acc[beta] = acc.get(beta, 0) + c * m
-    return [Poly(0, f.n, acc) for acc in coords]
-
-
-def _phi_apply_generator(
-    spec: ModuleSpec, rep: IrrepA, gen: Generator, phi: list[Poly]
-) -> list[Poly]:
-    """Apply one graded generator on the quotient side V (x) Q[d]."""
-    n = spec.algebra.loop_vars
-    variant = spec.algebra.variant
-    r = gen.r if gen.r else (0,) * n
-    lam_r = spec.lam_pow(r)
-    if gen.kind == "K":
-        return [Poly.zero(0, n)] * rep.dim
-    if gen.kind == "D" and variant in ("finite", "toroidal"):
-        return [q * Poly.d(0, n, gen.index) for q in phi]
-    shifted = [q.shift(r) for q in phi]
-    if gen.kind == "D":
-        factor = Poly.d(0, n, gen.index) - r[gen.index - 1] * (spec.witt_a + 1)
-        return [(q * factor).scale(lam_r) for q in shifted]
-    if gen.kind == "h":
-        return [q.scale(lam_r * w[gen.index - 1]) for q, w in zip(shifted, rep.h_diag)]
-    mat = (rep.x_mats if gen.kind == "x" else rep.y_mats)[gen.index - 1]
-    out = []
-    for row in mat:
-        acc = Poly.zero(0, n)
-        for q, x in zip(shifted, row):
-            if x:
-                acc = acc + q.scale(lam_r * x)
-        out.append(acc)
-    return out
 
 
 # -- witness report and combined search ---------------------------------------

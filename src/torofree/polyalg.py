@@ -40,6 +40,7 @@ e.g. ``3/2*H1^2*d1 - d2 + 5``.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
@@ -347,12 +348,7 @@ class Poly:
                     name = f"d{pos - self.l + 1}"
                 factors.append(name if e == 1 else f"{name}^{e}")
             mag = abs(c)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = str(mag) + "*" + "*".join(factors)
+            body = "*".join(factors if mag == 1 and factors else [_rat_text(mag)] + factors)
             if not chunks:
                 chunks.append(body if c > 0 else "-" + body)
             else:
@@ -404,6 +400,17 @@ class Poly:
                 exp[VarId(kind, idx).position(l, n)] += e
             result = result + Poly(l, n, {tuple(exp): coeff})
         return result
+
+
+def _rat_text(x: Rat) -> str:
+    """str(x), or a DomainError when x has more digits than Python prints."""
+    try:
+        return str(x)
+    except ValueError as exc:
+        raise DomainError(
+            f"coefficient exceeds the {sys.get_int_max_str_digits()}-digit limit"
+            " for integer string conversion"
+        ) from exc
 
 
 def _over_common_denominator(terms: dict[Exponent, Rat]) -> tuple[int, list]:

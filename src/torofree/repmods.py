@@ -80,16 +80,16 @@ def parse_generator(text: str, n: int) -> Generator:
     if not m:
         raise StructureError(f"bad generator literal {text!r}")
     kind, idx, deg = m.group(1), int(m.group(2)), m.group(3)
-    if kind == "d":
-        if deg not in (None, "", "0" * len(deg or "")) and deg is not None and deg.strip():
-            raise StructureError("d<i> takes no loop degree; use D<i>(r)")
-        return Generator("D", idx, (0,) * n)
-    if deg is None or not deg.strip():
+    if deg is None:
         r = (0,) * n
     else:
         r = tuple(int(x) for x in deg.split(","))
         if len(r) != n:
             raise StructureError(f"loop degree {deg!r} has wrong length (n={n})")
+    if kind == "d":
+        if any(r):
+            raise StructureError("d<i> takes no loop degree; use D<i>(r)")
+        kind = "D"
     return Generator(kind, idx, r)
 
 

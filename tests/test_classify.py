@@ -137,7 +137,7 @@ class TestQuotientCertificates:
         base = mk_spec(rank=2, base_b=F(1, 3), S={1, 2, 3})
         cert = C.quotient_certificate_search(base, 8)
         lift = toroidal(2, F(1, 3), {1, 2, 3}, lam=(3,))
-        assert C.verify_quotient_certificate(lift, cert, WIN1, samples=3)
+        assert C.verify_quotient_certificate(lift, cert, WIN1)
 
     def test_tampered_certificate_rejected(self):
         spec = mk_spec(rank=2, base_b=F(1, 3), S={1, 2, 3})
@@ -150,23 +150,15 @@ class TestQuotientCertificates:
         assert not C.verify_quotient_certificate(spec, zero)
 
     def _tampered_irrep(self, monkeypatch, tamper):
-        """The dim-3 certificate with irrep_A patched to a tampered copy.
-
-        samples=0 leaves only the exact identities, so a False verdict below
-        comes from the check that the tampering breaks.
-        """
+        """The dim-3 certificate with irrep_A patched to a tampered copy."""
         spec = mk_spec(rank=2, base_b=F(1, 3), S={1, 2, 3})
         cert = C.quotient_certificate_search(spec, 8)
-        assert C.verify_quotient_certificate(spec, cert, samples=0)
+        assert C.verify_quotient_certificate(spec, cert)
         rep = C.irrep_A(2, cert.weights)
-        copy = dataclasses.replace(
-            rep,
-            h_mats=[[row[:] for row in m] for m in rep.h_mats],
-            x_mats=[[row[:] for row in m] for m in rep.x_mats],
-        )
+        copy = dataclasses.replace(rep, x_mats=[[row[:] for row in m] for m in rep.x_mats])
         tamper(copy, cert.v0)
         monkeypatch.setattr(C, "irrep_A", lambda rank, weights: copy)
-        return C.verify_quotient_certificate(spec, cert, samples=0)
+        return C.verify_quotient_certificate(spec, cert)
 
     def test_off_ladder_entry_rejected(self, monkeypatch):
         def tamper(rep, v0):
@@ -179,11 +171,28 @@ class TestQuotientCertificates:
 
         assert not self._tampered_irrep(monkeypatch, tamper)
 
-    def test_non_diagonal_cartan_rejected(self, monkeypatch):
-        def tamper(rep, v0):
-            rep.h_mats[1][0][1] = F(1)
+    def test_nonzero_degree_terms_are_checked(self, monkeypatch):
+        # x_1(r) doubled for r != 0 only: the base conditions (r = 0) still
+        # hold, so only the check of the loop-degree terms can see it
+        lift = toroidal(2, F(1, 3), {1, 2, 3}, lam=(3,))
+        cert = C.quotient_certificate_search(mk_spec(rank=2, base_b=F(1, 3), S={1, 2, 3}), 8)
+        assert cert is not None and cert.dim == 3
+        operator = R.generator_operator
 
-        assert not self._tampered_irrep(monkeypatch, tamper)
+        def doubled(spec, gen):
+            op = operator(spec, gen)
+            return op.scale(2) if (gen.kind, gen.index) == ("x", 1) and any(gen.r) else op
+
+        monkeypatch.setattr(R, "generator_operator", doubled)
+        assert not C.verify_quotient_certificate(lift, cert, [(-1,), (0,), (1,)])
+        assert C.verify_quotient_certificate(lift, cert, [(0,)])
+
+    def test_d_stays_a_variable(self):
+        # b = d1 - 2/3 agrees with b = 1/3 only at d1 = 1
+        cert = C.quotient_certificate_search(mk_spec(rank=2, base_b=F(1, 3), S={1, 2, 3}), 8)
+        for b, ok in ((Poly.parse("d1 - 2/3", 2, 1), False), (F(1, 3), True)):
+            spec = mk_spec(rank=2, loop_vars=1, base_b=b, S={1, 2, 3})
+            assert C.verify_quotient_certificate(spec, cert) == ok
 
 
 class TestCombinedSearch:
@@ -495,17 +504,15 @@ class TestLinearAlgebraHelpers:
             return tuple(tuple(row) for row in m)
 
         def h(i):
-            return rep.h_mats[i - 1] if 1 <= i <= rank else zero
+            if not 1 <= i <= rank:
+                return zero
+            return [[w[i - 1] if r == s else F(0) for s in range(dim)]
+                    for r, w in enumerate(rep.h_diag)]
 
         def lin(*terms):
             return [[sum(c * m[r][s] for c, m in terms) for s in range(dim)]
                     for r in range(dim)]
 
-        for i in range(1, rank + 1):
-            assert all(
-                rep.h_mats[i - 1][r][s] == (rep.h_diag[r][i - 1] if r == s else 0)
-                for r in range(dim) for s in range(dim)
-            )
         for i in range(1, rank + 1):
             xi, yi = rep.x_mats[i - 1], rep.y_mats[i - 1]
             for j in range(1, rank + 1):
@@ -525,8 +532,10 @@ class TestLinearAlgebraHelpers:
     def test_irrep_relations(self):
         rep = C.irrep_A(2, (2, 0))
         for j in range(2):
+            hj = [[w[j] if r == s else F(0) for s in range(rep.dim)]
+                  for r, w in enumerate(rep.h_diag)]
             for i in range(2):
                 delta = 1 if i == j else 0
-                comm = L.mat_comm(rep.h_mats[j], rep.x_mats[i])
+                comm = L.mat_comm(hj, rep.x_mats[i])
                 scaled = [[delta * x for x in row] for row in rep.x_mats[i]]
                 assert L.mat_is_zero(L.mat_sub(comm, scaled))

@@ -63,11 +63,19 @@ class TestAct:
         assert code == 2
 
 
-    @pytest.mark.parametrize("gen", ["x1(1,,2)", "x1(-)", "h1(a)"])
+    @pytest.mark.parametrize("gen", ["x1(1,,2)", "x1(-)", "h1(a)", "h1(100000)"])
     def test_malformed_degree_is_usage_error(self, specfile, capsys, gen):
+        # lambda^100000 has too many digits to print: a usage error too
         code = main(["act", "--spec", specfile(FULL_SPEC), "--gen", gen, "--poly", "1"])
         err = capsys.readouterr().err.splitlines()
         assert code == 2 and len(err) == 1 and err[0].startswith("error: ")
+
+    def test_unprintable_coefficient_is_usage_error(self, specfile, capsys):
+        # a 3001-digit lambda parses; its square does not print
+        spec = dict(FULL_SPEC, **{"lambda": ["7" * 3001]})
+        code = main(["act", "--spec", specfile(spec), "--gen", "h1(2)", "--poly", "1"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2 and len(err) == 1 and "digit limit" in err[0]
 
 
 class TestSimplicity:

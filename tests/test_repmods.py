@@ -318,12 +318,17 @@ class TestGeneratorLiterals:
         assert parse_generator("D1(2,1)", 2) == Generator("D", 1, (2, 1))
         assert parse_generator("d2", 3) == Generator("D", 2, (0, 0, 0))
         assert parse_generator("x1", 1) == Generator("x", 1, (0,))
+        assert parse_generator("d1(0,0)", 2) == Generator("D", 1, (0, 0))
+        assert parse_generator("d1()", 2) == Generator("D", 1, (0, 0))
 
     def test_bad_literals(self):
         with pytest.raises(StructureError):
             parse_generator("z1(0)", 1)
         with pytest.raises(StructureError):
             parse_generator("x1(1,2)", 1)  # wrong degree length
+        for text in ("d1(0)", "d1(00)", "d1(1,0)"):  # d<i> degree: n zeros
+            with pytest.raises(StructureError):
+                parse_generator(text, 2)
 
 
 class TestJson:

@@ -50,12 +50,12 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import repmods
 from .errors import ClassificationError, DomainError, StructureError
 from .liealg import AlgebraDesc, window_degrees
-from .polyalg import Poly, VarId, deg_in, divides
+from .polyalg import Poly, VarId, _nonzero_fractions, _over_common_denominator, deg_in, divides
 from .repmods import Generator, ModuleSpec, base_action_polys
 from .verify import CheckReport, random_poly
 
@@ -72,36 +72,57 @@ def mat_vec(m: DenseMatrix, v: Vector) -> Vector:
     return [sum((row[j] * x for j, x in support if row[j]), Fraction(0)) for row in m]
 
 
-def nullspace(rows: list[Vector], cols: int) -> list[Vector]:
-    """Basis of the kernel of the linear map given by stacked rows."""
-    m = [row[:] for row in rows if any(row)]
-    pivots: dict[int, Vector] = {}
-    for row in m:
-        while True:
-            j = next((k for k, x in enumerate(row) if x), None)
-            if j is None:
+def nullspace(rows: Iterable[Vector | dict[int, Rat]], cols: int) -> list[Vector]:
+    """Basis of the kernel of the linear map given by stacked rows.
+
+    Rows are dense lists or sparse {column: value} dicts.  Each row is scaled
+    to integers and reduced fraction-free on its lowest nonzero column by the
+    pivot rows found so far; a row left with a new lowest column becomes a
+    pivot row, and the scan stops once every column has one.  The pivot
+    columns depend only on the row space, and the basis vector of a free
+    column j is the kernel vector that is 1 at j and 0 at every other free
+    column, so the basis is the reduced-row-echelon one whatever the order of
+    the rows.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        if len(pivots) == cols:
+            return []
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        entries = [(j, x) for j, x in items if x]
+        if not entries:
+            continue
+        den = math.lcm(*[x.denominator for _, x in entries])
+        vec = {j: x.numerator * (den // x.denominator) for j, x in entries}
+        while vec:
+            j = min(vec)
+            prow = pivots.get(j)
+            if prow is None:
+                g = math.gcd(*vec.values())
+                pivots[j] = {k: x // g for k, x in vec.items()} if g > 1 else vec
                 break
-            if j in pivots:
-                factor = row[j]
-                prow = pivots[j]
-                row = [x - factor * y if y else x for x, y in zip(row, prow)]
-                continue
-            lead = row[j]
-            row = [x / lead if x else x for x in row]
-            pivots[j] = row
-            break
-    free = [j for j in range(cols) if j not in pivots]
+            g = math.gcd(vec[j], prow[j])
+            a, p = vec[j] // g, prow[j] // g
+            vec = {k: p * x for k, x in vec.items()}
+            for k, y in prow.items():
+                x = vec.get(k, 0) - a * y
+                if x:
+                    vec[k] = x
+                else:
+                    del vec[k]
     basis: list[Vector] = []
-    for j in free:
-        v = [Fraction(0)] * cols
-        v[j] = Fraction(1)
-        # back substitute pivot coordinates
-        for pj in sorted(pivots, reverse=True):
+    order = sorted(pivots, reverse=True)
+    for j in range(cols):
+        if j in pivots:
+            continue
+        v: dict[int, Rat] = {j: Fraction(1)}
+        # back substitute pivot coordinates, highest pivot column first
+        for pj in order:
             prow = pivots[pj]
-            v[pj] = -sum(
-                (prow[k] * v[k] for k in range(pj + 1, cols) if v[k]), Fraction(0)
-            )
-        basis.append(v)
+            s = sum(y * v[k] for k, y in prow.items() if k in v)
+            if s:
+                v[pj] = -s / prow[pj]
+        basis.append([v.get(k, Fraction(0)) for k in range(cols)])
     return basis
 
 
@@ -168,7 +189,8 @@ class IrrepA:
 
     The H_i act diagonally and are kept only as h_diag: h_diag[j] holds the
     eigenvalues (H_1..H_l) on basis vector j, so p(H) multiplies coordinate
-    j by p(h_j).
+    j by p(h_j).  Their denominators divide l + 1, and h_int[j] is the
+    integer tuple (l + 1) h_j.
     """
 
     rank: int
@@ -177,6 +199,11 @@ class IrrepA:
     x_mats: list[DenseMatrix]
     y_mats: list[DenseMatrix]
     h_diag: list[tuple[Rat, ...]]
+    h_int: list[tuple[int, ...]] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        size = self.rank + 1
+        self.h_int = [tuple(int(x * size) for x in w) for w in self.h_diag]
 
 
 def _gt_patterns(top: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
@@ -372,11 +399,19 @@ def _h_only(p: Poly) -> bool:
 def principal_witness_search(spec: ModuleSpec, maxdeg: int) -> Poly | None:
     """Search monic H-only products of shifted linear factors, per shift orbit.
 
-    Candidates are constant-shift chains of one normalized linear form.  The
-    invariance conditions p | (x_i.1) sigma_i(p), p | (y_i.1) sigma_i^(-1)(p)
-    are decided combinatorially on the factor multisets (the factors are
-    irreducible and shifts act on their constant terms), so the loop runs no
-    polynomial division; a found candidate is re-verified through the module
+    Candidates are chains prod_{t < L} (key + s + t)^m of one normalized
+    linear form key, tried by multiplicity m, then length L, then start s.
+    The invariance conditions p | (x_i.1) sigma_i(p), p | (y_i.1)
+    sigma_i^(-1)(p) are decided combinatorially on the factor multisets (the
+    factors are irreducible and shifts act on their constant terms), so the
+    loop runs no polynomial division.  Each of x_i.1 and y_i.1 is a row that
+    shifts a constant c to c + d; element s + t of the chain is covered by
+    the shifted chain when s + t - d is in it, and otherwise needs the factor
+    key + s + t at least m times in that row.  So only a boundary is checked:
+    t < d for an integer d > 0, t >= L + d for an integer d < 0, every t for
+    a non-integer d, and no t for d = 0.  Constants are keyed as
+    (c mod 1, floor c): a chain stays in one class, and each check is an
+    integer dict lookup.  A found candidate is re-verified through the module
     action by witness_verify.
     """
     if maxdeg < 1:
@@ -394,27 +429,58 @@ def principal_witness_search(spec: ModuleSpec, maxdeg: int) -> Poly | None:
             if _h_only(key):
                 orbits.setdefault(key, set()).update(consts)
     for key in sorted(orbits, key=lambda k: k.text()):
-        # one row per x_i.1 and y_i.1: this orbit's {constant: multiplicity}
-        # of its factors, and the shift sigma_i^{+-1} makes on a constant
+        # one row per x_i.1 and y_i.1 whose shift on this orbit is nonzero
         rows = []
         for i in range(l):
             delta = key.coeff(_unit_exp(l, n, i))
-            rows.append((x_norm[i].get(key, {}), -delta))
-            rows.append((y_norm[i].get(key, {}), delta))
-        consts = sorted(orbits[key])
+            for norm, d in ((x_norm[i], -delta), (y_norm[i], delta)):
+                if d:
+                    rows.append(_shift_row(d, norm.get(key, {})))
         starts = sorted(
-            {c + m for c in consts for m in range(-(maxdeg + 1), maxdeg + 2)}
+            {(k + m, r) for r, k in map(_split, orbits[key])
+             for m in range(-(maxdeg + 1), maxdeg + 2)}
         )
+        checks = [(k, r, [(d, absorbers.get(r, {})) for d, absorbers in rows]) for k, r in starts]
         for mult in (1, 2):
             for length in range(1, maxdeg // mult + 1):
-                for start in starts:
-                    chain = {start + t: mult for t in range(length)}
-                    if _chain_conditions_hold(chain, rows):
+                for k, r, row_checks in checks:
+                    if _chain_holds(k, length, mult, row_checks):
                         p = Poly.const(l, n, 1)
-                        for c, m in sorted(chain.items()):
-                            p = p * (key + Poly.const(l, n, c)) ** m
+                        for t in range(length):
+                            p = p * (key + Poly.const(l, n, r + k + t)) ** mult
                         return p
     return None
+
+
+def _split(c: Rat) -> tuple[Rat, int]:
+    """(c mod 1, floor c)."""
+    k = math.floor(c)
+    return c - k, k
+
+
+def _shift_row(d: Rat, consts: dict) -> tuple[int | None, dict]:
+    """A row's nonzero shift d as an int (None when fractional), and its
+    {constant: mult} as {c mod 1: {floor c: mult}}."""
+    classes: dict = {}
+    for c, m in consts.items():
+        r, k = _split(c)
+        classes.setdefault(r, {})[k] = m
+    return (int(d) if d.denominator == 1 else None), classes
+
+
+def _chain_holds(k: int, length: int, mult: int, rows: list) -> bool:
+    """The invariance conditions for the chain of floors k .. k + length - 1."""
+    for d, absorbers in rows:
+        if d is None:
+            ts = range(length)
+        elif d > 0:
+            ts = range(min(d, length))
+        else:
+            ts = range(max(length + d, 0), length)
+        for t in ts:
+            if absorbers.get(k + t, 0) < mult:
+                return False
+    return True
 
 
 def _unit_exp(l: int, n: int, pos: int) -> tuple:
@@ -435,18 +501,6 @@ def _normalize_factors(factors: list[Poly]) -> dict:
         consts = out.setdefault(norm - Poly.const(norm.l, norm.n, const), {})
         consts[const] = consts.get(const, 0) + 1
     return out
-
-
-def _chain_conditions_hold(chain: dict, rows: list) -> bool:
-    """Factor-multiset form of the invariance conditions for one orbit chain."""
-    for absorbers, direction in rows:
-        # sigma_i^{+-1} shifts a factor constant c to c + direction
-        for c, m in chain.items():
-            budget = absorbers.get(c, 0)
-            budget += chain.get(c - direction, 0) if direction != 0 else m
-            if m > budget:
-                return False
-    return True
 
 
 def witness_verify(spec: ModuleSpec, p: Poly, loop_window: Iterable | None = None) -> bool:
@@ -482,21 +536,39 @@ class QuotientCert:
 
 
 def _at_weights(p: Poly, rep: IrrepA) -> list[Poly]:
-    """p(h_j, d) for each basis weight h_j: the H-block evaluated, d kept."""
+    """p(h_j, d) for each basis weight h_j: the H-block evaluated, d kept.
+
+    With D the common denominator of p's coefficients, e the largest degree
+    of an H-monomial and w_j = (l + 1) h_j the integer weights, each value is
+    an integer sum over D (l + 1)^e.
+    """
     l = rep.rank
+    size = l + 1
+    den, nums = _over_common_denominator(p.terms)
+    top = max((sum(exp[:l]) for exp, _ in nums), default=0)
+    monomials = [
+        (exp[l:], [(k, e) for k, e in enumerate(exp[:l]) if e], c * size ** (top - sum(exp[:l])))
+        for exp, c in nums
+    ]
+    den *= size**top
     out = []
-    for w in rep.h_diag:
+    for w in rep.h_int:
         acc: dict = {}
-        for exp, c in p.terms.items():
-            beta = exp[l:]
-            value = math.prod((x**e for x, e in zip(w, exp[:l]) if e), start=c)
-            acc[beta] = acc[beta] + value if beta in acc else value
-        out.append(Poly(0, p.n, acc))
+        for beta, powers, c in monomials:
+            value = math.prod((w[k] ** e for k, e in powers), start=c)
+            acc[beta] = acc.get(beta, 0) + value
+        out.append(Poly._raw(0, p.n, _nonzero_fractions(acc, den)))
     return out
 
 
-def quotient_certificate_search(spec: ModuleSpec, dim_bound: int) -> QuotientCert | None:
-    """Scan irreducibles of dimension <= dim_bound for an intertwining vector."""
+def quotient_certificate_search(
+    spec: ModuleSpec, dim_bound: int, loop_window: Iterable | None = None
+) -> QuotientCert | None:
+    """Scan irreducibles of dimension <= dim_bound for an intertwining vector.
+
+    A kernel vector of the base conditions is returned only once
+    verify_quotient_certificate accepts it at loop_window.
+    """
     alg = spec.algebra
     if alg.variant == "witt" or alg.family != "A":
         return None
@@ -504,22 +576,23 @@ def quotient_certificate_search(spec: ModuleSpec, dim_bound: int) -> QuotientCer
         return None
     l = alg.rank
     xs, ys = base_action_polys(spec)
+
+    def rows(rep: IrrepA) -> Iterator[dict[int, Rat]]:
+        # rows of (op - poly(H)) as a matrix on V, built as nullspace asks for
+        # them; poly(H) is diagonal and d-free, since b is a scalar here
+        for i in range(l):
+            for op, poly in ((rep.x_mats[i], xs[i]), (rep.y_mats[i], ys[i])):
+                for r, value in enumerate(_at_weights(poly, rep)):
+                    row = {c: x for c, x in enumerate(op[r]) if x}
+                    row[r] = row.get(r, 0) - value.constant_term()
+                    yield row
+
     for weights in _dominant_weights(l, dim_bound):
         rep = irrep_A(l, weights)
-        rows: list[Vector] = []
-        for i in range(1, l + 1):
-            for op, poly in ((rep.x_mats[i - 1], xs[i - 1]), (rep.y_mats[i - 1], ys[i - 1])):
-                # rows of (op - poly(H)) as a matrix on V; poly(H) is diagonal
-                # and d-free, since b is a scalar here
-                for r, value in enumerate(_at_weights(poly, rep)):
-                    row = op[r][:]
-                    row[r] -= value.constant_term()
-                    rows.append(row)
-        kernel = nullspace(rows, rep.dim)
+        kernel = nullspace(rows(rep), rep.dim)
         if kernel:
-            v0 = kernel[0]
-            cert = QuotientCert(weights=tuple(weights), dim=rep.dim, v0=tuple(v0))
-            if verify_quotient_certificate(spec, cert):
+            cert = QuotientCert(weights=tuple(weights), dim=rep.dim, v0=tuple(kernel[0]))
+            if verify_quotient_certificate(spec, cert, loop_window):
                 return cert
     return None
 
@@ -661,16 +734,15 @@ def submodule_witness_search(
             verified=ok,
             notes="principal invariant ideal",
         )
-    cert = quotient_certificate_search(spec, dim_bound)
+    cert = quotient_certificate_search(spec, dim_bound, window)
     if cert is not None:
-        ok = verify_quotient_certificate(spec, cert, window)
         return WitnessReport(
-            found=ok,
-            quotient_cert=cert if ok else None,
+            found=True,
+            quotient_cert=cert,
             checked_degree_bound=maxdeg,
             checked_dim_bound=dim_bound,
             checked_loop_window=window,
-            verified=ok,
+            verified=True,
             notes="finite-codimension invariant ideal (module-map kernel)",
         )
     return WitnessReport(

@@ -36,6 +36,7 @@ resolved formulas, and the sp_4 compatibility suite is the arbiter.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -74,16 +75,27 @@ class Generator:
         return f"{self.kind}{self.index}{deg}"
 
 
+def _literal_int(text: str) -> int:
+    """int(text) for a digit string, a StructureError past Python's digit limit."""
+    try:
+        return int(text)
+    except ValueError:
+        raise StructureError(
+            f"integer in a generator literal exceeds the {sys.get_int_max_str_digits()}-digit"
+            " limit for integer string conversion"
+        ) from None
+
+
 def parse_generator(text: str, n: int) -> Generator:
     """Parse "x1(2,0)", "h2(1)", "K1(0)", "D1(2,1)", "d1", bare "x1"..."""
     m = _GEN_RE.match(text.strip())
     if not m:
         raise StructureError(f"bad generator literal {text!r}")
-    kind, idx, deg = m.group(1), int(m.group(2)), m.group(3)
+    kind, idx, deg = m.group(1), _literal_int(m.group(2)), m.group(3)
     if deg is None:
         r = (0,) * n
     else:
-        r = tuple(int(x) for x in deg.split(","))
+        r = tuple(_literal_int(x) for x in deg.split(","))
         if len(r) != n:
             raise StructureError(f"loop degree {deg!r} has wrong length (n={n})")
     if kind == "d":

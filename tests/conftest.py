@@ -1,12 +1,27 @@
 from __future__ import annotations
 
+import os
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from torofree.liealg import AlgebraDesc
 from torofree.polyalg import Poly
 from torofree.repmods import ModuleSpec
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def src_env() -> dict:
+    """The environment with src/ first on PYTHONPATH, for subprocesses that
+    run torofree (pytest's own pythonpath setting does not reach them)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return env
 
 
 def mk_spec(

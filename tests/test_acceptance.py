@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import mk_spec
+from conftest import mk_spec, src_env
 from torofree import classify as C, repmods as R, verify as V
 from torofree.errors import ClassificationError
 from torofree.liealg import AlgebraDesc, degree_box
@@ -270,7 +270,7 @@ def test_criterion_8_c_family_resolution(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "torofree.cli", "formulas", "--rank", "2",
          "--doc", str(doc)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=src_env(),
     )
     assert proc.returncode == 0
     text = doc.read_text()
@@ -306,7 +306,7 @@ def test_criterion_9_cli_determinism(tmp_path):
         for _ in range(2):
             proc = subprocess.run(
                 [sys.executable, "-m", "torofree.cli", *cmd],
-                capture_output=True,
+                capture_output=True, env=src_env(),
             )
             assert proc.returncode == 0, (cmd, proc.stderr)
             outs.append(proc.stdout)

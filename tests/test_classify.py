@@ -1,9 +1,12 @@
 import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import mk_spec
 from torofree import classify as C, liealg as L, repmods as R
@@ -95,6 +98,103 @@ class TestPrincipalWitness:
     def test_l2_edge_has_no_principal_witness(self):
         # finite-codimension submodules in two variables have trivial gcd
         assert C.principal_witness_search(mk_spec(rank=2, base_b=1, S={1, 2, 3}), 8) is None
+
+
+def reference_principal_search(spec, maxdeg):
+    """The chain scan with the plain multiset check: the chain dict is built
+    and every element of it is tested against every row.  Constants and
+    shifts are scaled by their common denominator, which keeps the keys
+    integers without changing which chains pass."""
+    if maxdeg < 1 or spec.ranks[0] == 0:
+        return None
+    l, n = spec.ranks
+    xs_f, ys_f = R.base_action_factor_lists(spec)
+    x_norm = [C._normalize_factors(fs) for fs in xs_f]
+    y_norm = [C._normalize_factors(fs) for fs in ys_f]
+    orbits = {}
+    for norm in x_norm + y_norm:
+        for key, consts in norm.items():
+            if C._h_only(key):
+                orbits.setdefault(key, set()).update(consts)
+    for key in sorted(orbits, key=lambda k: k.text()):
+        deltas = [key.coeff(C._unit_exp(l, n, i)) for i in range(l)]
+        den = math.lcm(*[c.denominator for c in orbits[key] | set(deltas)])
+
+        def scaled(consts):
+            return {int(c * den): m for c, m in consts.items()}
+
+        rows = []
+        for i, delta in enumerate(deltas):
+            d = int(delta * den)
+            rows += [(scaled(x_norm[i].get(key, {})), -d), (scaled(y_norm[i].get(key, {})), d)]
+        starts = sorted({c + m for c in orbits[key] for m in range(-(maxdeg + 1), maxdeg + 2)})
+        for mult in (1, 2):
+            for length in range(1, maxdeg // mult + 1):
+                for start, s0 in zip(starts, [int(c * den) for c in starts]):
+                    if multiset_check({s0 + t * den: mult for t in range(length)}, rows):
+                        p = Poly.const(l, n, 1)
+                        for t in range(length):
+                            p = p * (key + Poly.const(l, n, start + t)) ** mult
+                        return p
+    return None
+
+
+def multiset_check(chain, rows):
+    """m <= (factors c in the row) + (multiplicity of c - d in the chain)."""
+    for absorbers, d in rows:
+        for c, m in chain.items():
+            budget = absorbers.get(c, 0) + (chain.get(c - d, 0) if d != 0 else m)
+            if m > budget:
+                return False
+    return True
+
+
+def edge_patterns(l):
+    return [S for k in range(l + 2) for S in itertools.combinations(range(1, l + 2), k)]
+
+
+class TestPrincipalReference:
+    """The boundary test agrees with the plain multiset check."""
+
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_a_family_grid(self, l):
+        bs = sorted({F(k, q) for q in (1, 2, 3, 5) for k in (-q - 1, 0, 1, q + 1)})
+        for S in edge_patterns(l):
+            for b in bs:
+                spec = toroidal(l, b, S)
+                for maxdeg in (0, 3, 6, 10):
+                    want = reference_principal_search(spec, maxdeg)
+                    assert C.principal_witness_search(spec, maxdeg) == want, (S, b, maxdeg)
+
+    def test_c2_every_pattern(self):
+        # C_2 orbits carry fractional constants and a shift of 2
+        for S in edge_patterns(1):
+            spec = mk_spec(family="C", rank=2, base_a=(1, 1), S=S)
+            for maxdeg in (0, 3, 6, 10):
+                want = reference_principal_search(spec, maxdeg)
+                assert C.principal_witness_search(spec, maxdeg) == want, (S, maxdeg)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.dictionaries(st.sampled_from([F(k, 2) for k in range(-6, 7)]),
+                                st.integers(1, 2), max_size=6),
+                st.sampled_from([F(k, 2) for k in range(-6, 7)]),
+            ),
+            max_size=4,
+        ),
+        start=st.sampled_from([F(k, 2) for k in range(-8, 9)]),
+        length=st.integers(1, 8),
+        mult=st.integers(1, 2),
+    )
+    def test_boundary_check_matches_multiset_check(self, rows, start, length, mult):
+        # absorbers clustered on a half-integer grid, so chains often pass
+        r, k = C._split(start)
+        checks = [(d_int, classes.get(r, {}))
+                  for d_int, classes in (C._shift_row(d, a) for a, d in rows if d)]
+        chain = {start + t: mult for t in range(length)}
+        assert C._chain_holds(k, length, mult, checks) == multiset_check(chain, rows)
 
 
 class TestWitnessVerify:
@@ -229,6 +329,20 @@ class TestCombinedSearch:
         assert report.found and report.witness is not None
         report = C.submodule_witness_search(spec, 0, dim_bound=0)
         assert not report.found and report.checked_dim_bound == 0
+
+    def test_quotient_certificate_verified_once(self, monkeypatch):
+        window = [(-1,), (0,), (1,)]
+        calls = []
+        verify = C.verify_quotient_certificate
+
+        def counted(spec, cert, loop_window=None):
+            calls.append(loop_window)
+            return verify(spec, cert, loop_window)
+
+        monkeypatch.setattr(C, "verify_quotient_certificate", counted)
+        report = C.submodule_witness_search(toroidal(2, F(1, 3), {1, 2, 3}), 4, window)
+        assert report.verified and report.quotient_cert.dim == 3
+        assert calls == [window]
 
     def test_l1_needs_the_quotient_scan(self):
         # no principal witness up to degree 6; only the dim-11 quotient
@@ -467,6 +581,32 @@ class TestIso:
                     assert C.iso_test(s1, s3)
 
 
+def rref_kernel(rows, cols):
+    """Kernel basis read off the reduced row echelon form: one vector per
+    free column j, equal to 1 at j and 0 at the other free columns."""
+    m = [list(row) for row in rows]
+    pivots = []
+    for c in range(cols):
+        r = next((i for i in range(len(pivots), len(m)) if m[i][c]), None)
+        if r is None:
+            continue
+        top = len(pivots)
+        m[top], m[r] = m[r], m[top]
+        m[top] = [x / m[top][c] for x in m[top]]
+        for i in range(len(m)):
+            if i != top and m[i][c]:
+                m[i] = [x - m[i][c] * y for x, y in zip(m[i], m[top])]
+        pivots.append(c)
+    basis = []
+    for j in (c for c in range(cols) if c not in pivots):
+        v = [F(0)] * cols
+        v[j] = F(1)
+        for i, c in enumerate(pivots):
+            v[c] = -m[i][j]
+        basis.append(v)
+    return basis
+
+
 class TestLinearAlgebraHelpers:
     def test_nullspace(self):
         rows = [[F(1), F(2), F(3)], [F(2), F(4), F(6)]]
@@ -480,6 +620,26 @@ class TestLinearAlgebraHelpers:
     def test_nullspace_trivial(self):
         rows = [[F(1), F(0)], [F(0), F(1)]]
         assert C.nullspace(rows, 2) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_nullspace_is_the_rref_basis(self, data):
+        cols = data.draw(st.integers(1, 6))
+        entry = st.builds(F, st.integers(-3, 3), st.integers(1, 4))
+        rows = data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), max_size=7))
+        if rows and data.draw(st.booleans()):
+            rows.append(list(data.draw(st.sampled_from(rows))))
+        if data.draw(st.booleans()):
+            rows.insert(data.draw(st.integers(0, len(rows))), [F(0)] * cols)
+        if data.draw(st.booleans()):
+            # full rank: a unit upper-triangular block, shuffled in
+            square = [[F(int(i == j)) if j <= i else data.draw(entry) for j in range(cols)]
+                      for i in range(cols)]
+            rows = data.draw(st.permutations(rows + square))
+        want = rref_kernel(rows, cols)
+        assert C.nullspace(rows, cols) == want
+        sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+        assert C.nullspace(sparse, cols) == want
 
     def test_irrep_dimensions(self):
         assert C.weyl_dim_A((2,)) == 3

@@ -1,7 +1,10 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
+from conftest import src_env
 from torofree.cli import main
 
 FULL_SPEC = {
@@ -69,6 +72,18 @@ class TestAct:
         code = main(["act", "--spec", specfile(FULL_SPEC), "--gen", gen, "--poly", "1"])
         err = capsys.readouterr().err.splitlines()
         assert code == 2 and len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize("gen", ["h1({})", "h{}(1)"])
+    def test_overlong_integer_is_usage_error(self, specfile, gen):
+        # int() refuses more digits than sys.get_int_max_str_digits()
+        proc = subprocess.run(
+            [sys.executable, "-m", "torofree.cli", "act", "--spec", specfile(FULL_SPEC),
+             "--gen", gen.format("9" * 5000), "--poly", "1"],
+            capture_output=True, text=True, env=src_env(),
+        )
+        err = proc.stderr.splitlines()
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert len(err) == 1 and "digit limit" in err[0] and "Traceback" not in proc.stderr
 
     def test_unprintable_coefficient_is_usage_error(self, specfile, capsys):
         # a 3001-digit lambda parses; its square does not print

@@ -1,21 +1,18 @@
 """Smoke tests of the experiment scripts, run as subprocesses."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
+
+from conftest import src_env
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_script(name, *args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
-        capture_output=True, text=True, cwd=ROOT, env=env, timeout=300,
+        capture_output=True, text=True, cwd=ROOT, env=src_env(), timeout=300,
     )
 
 

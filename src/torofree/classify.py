@@ -203,7 +203,7 @@ class IrrepA:
 
     def __post_init__(self):
         size = self.rank + 1
-        self.h_int = [tuple(int(x * size) for x in w) for w in self.h_diag]
+        self.h_int = [tuple(x.numerator * (size // x.denominator) for x in w) for w in self.h_diag]
 
 
 def _gt_patterns(top: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:

@@ -149,8 +149,9 @@ def multiset_check(chain, rows):
     return True
 
 
-def edge_patterns(l):
-    return [S for k in range(l + 2) for S in itertools.combinations(range(1, l + 2), k)]
+def subsets(size):
+    """Every S inside {1, .., size}."""
+    return [S for k in range(size + 1) for S in itertools.combinations(range(1, size + 1), k)]
 
 
 class TestPrincipalReference:
@@ -159,7 +160,7 @@ class TestPrincipalReference:
     @pytest.mark.parametrize("l", [1, 2, 3])
     def test_a_family_grid(self, l):
         bs = sorted({F(k, q) for q in (1, 2, 3, 5) for k in (-q - 1, 0, 1, q + 1)})
-        for S in edge_patterns(l):
+        for S in subsets(l + 1):
             for b in bs:
                 spec = toroidal(l, b, S)
                 for maxdeg in (0, 3, 6, 10):
@@ -168,7 +169,7 @@ class TestPrincipalReference:
 
     def test_c2_every_pattern(self):
         # C_2 orbits carry fractional constants and a shift of 2
-        for S in edge_patterns(1):
+        for S in subsets(2):
             spec = mk_spec(family="C", rank=2, base_a=(1, 1), S=S)
             for maxdeg in (0, 3, 6, 10):
                 want = reference_principal_search(spec, maxdeg)

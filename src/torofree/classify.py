@@ -61,45 +61,34 @@ from .verify import CheckReport, random_poly
 
 Rat = Fraction
 Vector = list[Rat]
-DenseMatrix = list[list[Rat]]
+Row = dict[int, Rat]
 
 
-# -- exact dense linear algebra ----------------------------------------------
+# -- exact sparse linear algebra ----------------------------------------------
 
 
-def mat_vec(m: DenseMatrix, v: Vector) -> Vector:
-    support = [(j, x) for j, x in enumerate(v) if x]
-    return [sum((row[j] * x for j, x in support if row[j]), Fraction(0)) for row in m]
+def mat_vec(m: list[Row], v: Vector) -> Vector:
+    return [sum((x * v[c] for c, x in row.items() if v[c]), Fraction(0)) for row in m]
 
 
-def nullspace(rows: Iterable[Vector | dict[int, Rat]], cols: int) -> list[Vector]:
-    """Basis of the kernel of the linear map given by stacked rows.
+class Echelon:
+    """Fraction-free echelon form of sparse rows {key: value} with ordered keys.
 
-    Rows are dense lists or sparse {column: value} dicts.  Each row is scaled
-    to integers and reduced fraction-free on its lowest nonzero column by the
-    pivot rows found so far; a row left with a new lowest column becomes a
-    pivot row, and the scan stops once every column has one.  The pivot
-    columns depend only on the row space, and the basis vector of a free
-    column j is the kernel vector that is 1 at j and 0 at every other free
-    column, so the basis is the reduced-row-echelon one whatever the order of
-    the rows.
+    Keys are int columns or exponent tuples.  A row is scaled to integers and
+    reduced on its lowest key by the pivot row of that key; a nonzero
+    remainder, divided by its content, becomes the pivot row of its lowest key.
     """
-    pivots: dict[int, dict[int, int]] = {}
-    for row in rows:
-        if len(pivots) == cols:
-            return []
-        items = row.items() if isinstance(row, dict) else enumerate(row)
-        entries = [(j, x) for j, x in items if x]
-        if not entries:
-            continue
-        den = math.lcm(*[x.denominator for _, x in entries])
-        vec = {j: x.numerator * (den // x.denominator) for j, x in entries}
+
+    def __init__(self):
+        self.pivots: dict = {}
+
+    def reduce(self, row: dict) -> dict:
+        """The integer remainder of a row after elimination; empty iff in the span."""
+        vec = {k: x for k, x in _over_common_denominator(row)[1] if x}
         while vec:
             j = min(vec)
-            prow = pivots.get(j)
+            prow = self.pivots.get(j)
             if prow is None:
-                g = math.gcd(*vec.values())
-                pivots[j] = {k: x // g for k, x in vec.items()} if g > 1 else vec
                 break
             g = math.gcd(vec[j], prow[j])
             a, p = vec[j] // g, prow[j] // g
@@ -110,6 +99,36 @@ def nullspace(rows: Iterable[Vector | dict[int, Rat]], cols: int) -> list[Vector
                     vec[k] = x
                 else:
                     del vec[k]
+        return vec
+
+    def add(self, row: dict) -> bool:
+        """Insert a row; True when it enlarges the span."""
+        vec = self.reduce(row)
+        if not vec:
+            return False
+        g = math.gcd(*vec.values())
+        self.pivots[min(vec)] = {k: x // g for k, x in vec.items()} if g > 1 else vec
+        return True
+
+    def contains(self, row: dict) -> bool:
+        return not self.reduce(row)
+
+
+def nullspace(rows: Iterable[Row], cols: int) -> list[Vector]:
+    """Basis of the kernel of the linear map given by stacked sparse rows.
+
+    The rows go into an Echelon, and the scan stops once every column has a
+    pivot.  The pivot columns depend only on the row space, and the basis
+    vector of a free column j is the kernel vector that is 1 at j and 0 at
+    every other free column, so the basis is the reduced-row-echelon one
+    whatever the order of the rows.
+    """
+    echelon = Echelon()
+    pivots = echelon.pivots
+    for row in rows:
+        if len(pivots) == cols:
+            return []
+        echelon.add(row)
     basis: list[Vector] = []
     order = sorted(pivots, reverse=True)
     for j in range(cols):
@@ -124,49 +143,6 @@ def nullspace(rows: Iterable[Vector | dict[int, Rat]], cols: int) -> list[Vector
                 v[pj] = -s / prow[pj]
         basis.append([v.get(k, Fraction(0)) for k in range(cols)])
     return basis
-
-
-class SpanBasis:
-    """Echelonized span of sparse vectors keyed by hashable monomials."""
-
-    def __init__(self):
-        self.rows: dict = {}
-
-    @staticmethod
-    def _pivot(vec: dict):
-        return min(vec) if vec else None
-
-    def reduce(self, vec: dict) -> dict:
-        vec = {k: v for k, v in vec.items() if v}
-        while vec:
-            piv = min(vec)
-            if piv not in self.rows:
-                return vec
-            coeff = vec[piv]
-            row = self.rows[piv]
-            for k, v in row.items():
-                newv = vec.get(k, Fraction(0)) - coeff * v
-                if newv:
-                    vec[k] = newv
-                else:
-                    vec.pop(k, None)
-        return vec
-
-    def add(self, vec: dict) -> bool:
-        """Insert a vector; returns True when it enlarges the span."""
-        red = self.reduce(vec)
-        if not red:
-            return False
-        piv = min(red)
-        norm = red[piv]
-        self.rows[piv] = {k: v / norm for k, v in red.items()}
-        return True
-
-    def contains(self, vec: dict) -> bool:
-        return not self.reduce(vec)
-
-    def __len__(self):
-        return len(self.rows)
 
 
 # -- finite-dimensional irreducibles of sl_{l+1} ------------------------------
@@ -187,17 +163,18 @@ def weyl_dim_A(weights: Sequence[int]) -> int:
 class IrrepA:
     """Explicit irreducible of sl_{l+1} in its Gelfand-Tsetlin basis.
 
-    The H_i act diagonally and are kept only as h_diag: h_diag[j] holds the
-    eigenvalues (H_1..H_l) on basis vector j, so p(H) multiplies coordinate
-    j by p(h_j).  Their denominators divide l + 1, and h_int[j] is the
-    integer tuple (l + 1) h_j.
+    x_mats[i] and y_mats[i] are X_{i+1} and Y_{i+1} as sparse rows: row r maps
+    each column c with a nonzero entry to that entry.  The H_i act diagonally
+    and are kept only as h_diag: h_diag[j] holds the eigenvalues (H_1..H_l)
+    on basis vector j, so p(H) multiplies coordinate j by p(h_j).  Their
+    denominators divide l + 1, and h_int[j] is the integer tuple (l + 1) h_j.
     """
 
     rank: int
     weights: tuple[int, ...]
     dim: int
-    x_mats: list[DenseMatrix]
-    y_mats: list[DenseMatrix]
+    x_mats: list[list[Row]]
+    y_mats: list[list[Row]]
     h_diag: list[tuple[Rat, ...]]
     h_int: list[tuple[int, ...]] = field(init=False, repr=False)
 
@@ -260,14 +237,11 @@ def build_irrep_A(rank: int, weights: Sequence[int]) -> IrrepA:
     index = {pat: j for j, pat in enumerate(patterns)}
     total = Fraction(sum(top), size)
 
-    def zeros() -> DenseMatrix:
-        return [[Fraction(0)] * dim for _ in range(dim)]
-
     h_diag = [
         tuple(sum(pat[i - 1]) - i * total for i in range(1, l + 1)) for pat in patterns
     ]
-    x_mats = [zeros() for _ in range(l)]
-    y_mats = [zeros() for _ in range(l)]
+    x_mats: list[list[Row]] = [[{} for _ in range(dim)] for _ in range(l)]
+    y_mats: list[list[Row]] = [[{} for _ in range(dim)] for _ in range(l)]
     for col, pat in enumerate(patterns):
         # ls[k-1][i-1] = l_ki; rows k = 1..l carry the E_{k,k+1}, E_{k+1,k} moves
         ls = [[lam - i for i, lam in enumerate(row)] for row in pat]
@@ -583,7 +557,7 @@ def quotient_certificate_search(
         for i in range(l):
             for op, poly in ((rep.x_mats[i], xs[i]), (rep.y_mats[i], ys[i])):
                 for r, value in enumerate(_at_weights(poly, rep)):
-                    row = {c: x for c, x in enumerate(op[r]) if x}
+                    row = dict(op[r])
                     row[r] = row.get(r, 0) - value.constant_term()
                     yield row
 
@@ -650,7 +624,7 @@ def verify_quotient_certificate(
     for i in range(l):
         for mats, step in ((rep.x_mats, 1), (rep.y_mats, -1)):
             for r, row in enumerate(mats[i]):
-                for c, x in enumerate(row):
+                for c, x in row.items():
                     if x and any(
                         a - b != (step if j == i else 0)
                         for j, (a, b) in enumerate(zip(rep.h_diag[r], rep.h_diag[c]))
@@ -793,8 +767,8 @@ def cyclicity_check(
     for i in range(1, l + 1):
         gens += [Generator("x", i, zero), Generator("y", i, zero), Generator("h", i, zero)]
     target = {(0,) * (l + n): Fraction(1)}
-    span = SpanBasis()
-    span.add(dict(current.terms))
+    span = Echelon()
+    span.add(current.terms)
     if span.contains(target):
         return True
     frontier = [current]
@@ -805,7 +779,7 @@ def cyclicity_check(
                 img = repmods.act(spec, gen, vec)
                 if img.is_zero() or img.total_degree() > degbound:
                     continue
-                if span.add(dict(img.terms)):
+                if span.add(img.terms):
                     new_frontier.append(img)
         if span.contains(target):
             return True

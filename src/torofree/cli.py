@@ -58,12 +58,23 @@ def _parse_window(text: str, n: int) -> list[tuple[int, ...]]:
     return degree_box(n, lo_i, hi_i)
 
 
+def _write(path: str, text: str, parents: bool = False) -> None:
+    """Write text to path (making its directories if asked); a path that
+    cannot be written is a usage error."""
+    try:
+        if parents:
+            os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise StructureError(f"cannot write {path}: {exc}") from None
+
+
 def _emit(payload: dict, args) -> None:
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(blob)
+        _write(out, blob)
     if getattr(args, "pretty", False):
         sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
         if not out:
@@ -190,9 +201,7 @@ def cmd_lemma_pa(args) -> int:
 def cmd_formulas(args) -> int:
     text = repmods.c_family_formula_notes(args.rank)
     if args.doc:
-        os.makedirs(os.path.dirname(os.path.abspath(args.doc)), exist_ok=True)
-        with open(args.doc, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.doc, text, parents=True)
     _emit({"command": "formulas", "rank": args.rank, "text": text, "doc": args.doc}, args)
     return EXIT_OK
 

@@ -35,6 +35,7 @@ resolved formulas, and the sp_4 compatibility suite is the arbiter.
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -183,8 +184,21 @@ class ModuleSpec:
         return Poly.const(*self.ranks, 1)
 
     def lam_pow(self, r: Sequence[int]) -> Rat:
+        """lambda^r, a DomainError when a factor would have more digits than
+        Python prints (sys.get_int_max_str_digits(); 0 means no limit)."""
+        limit = sys.get_int_max_str_digits()
         out = Fraction(1)
-        for lam_j, rj in zip(self.lam, r):
+        for j, (lam_j, rj) in enumerate(zip(self.lam, r), 1):
+            # lambda_j^{r_j} has floor(|r_j| log10 m) + 1 digits (none to
+            # bound at m = 1, lambda_j = +-1); every m >= 2 passes the limit
+            # by |r_j| = 4 * limit, and capping |r_j| there keeps the
+            # product a float
+            m = max(abs(lam_j.numerator), lam_j.denominator)
+            if limit and min(abs(rj), 4 * limit) * math.log10(m) >= limit:
+                raise DomainError(
+                    f"lambda_{j}^r_{j} exceeds the {limit}-digit limit"
+                    " for integer string conversion"
+                )
             out *= lam_j**rj
         return out
 
@@ -277,6 +291,8 @@ def _base(spec: ModuleSpec) -> tuple[list[Poly], list[Poly]]:
 
 def c_family_formula_notes(l: int) -> str:
     """Render the resolved C_l action polynomials (audit trail for the fix)."""
+    if l > MAX_RANK:
+        raise StructureError(f"rank must be at most {MAX_RANK}, got {l}")
     desc = AlgebraDesc("C", l)
     lines = [
         f"Resolved C_{l} generator action polynomials (b = 0 throughout).",

@@ -256,7 +256,7 @@ class TestQuotientCertificates:
         cert = C.quotient_certificate_search(spec, 8)
         assert C.verify_quotient_certificate(spec, cert)
         rep = C.irrep_A(2, cert.weights)
-        copy = dataclasses.replace(rep, x_mats=[[row[:] for row in m] for m in rep.x_mats])
+        copy = dataclasses.replace(rep, x_mats=[[dict(row) for row in m] for m in rep.x_mats])
         tamper(copy, cert.v0)
         monkeypatch.setattr(C, "irrep_A", lambda rank, weights: copy)
         return C.verify_quotient_certificate(spec, cert)
@@ -267,8 +267,9 @@ class TestQuotientCertificates:
             # change in the same row keeps X_1 v0, so the base conditions hold
             r, c = 0, 1
             assert v0[r] and v0[c]
-            rep.x_mats[0][r][r] -= v0[c]
-            rep.x_mats[0][r][c] += v0[r]
+            row = rep.x_mats[0][r]
+            row[r] = row.get(r, F(0)) - v0[c]
+            row[c] = row.get(c, F(0)) + v0[r]
 
         assert not self._tampered_irrep(monkeypatch, tamper)
 
@@ -582,6 +583,11 @@ class TestIso:
                     assert C.iso_test(s1, s3)
 
 
+def dense(mats, dim):
+    """Sparse-row matrices as dense lists of rows."""
+    return [[[row.get(c, F(0)) for c in range(dim)] for row in m] for m in mats]
+
+
 def rref_kernel(rows, cols):
     """Kernel basis read off the reduced row echelon form: one vector per
     free column j, equal to 1 at j and 0 at the other free columns."""
@@ -610,16 +616,16 @@ def rref_kernel(rows, cols):
 
 class TestLinearAlgebraHelpers:
     def test_nullspace(self):
-        rows = [[F(1), F(2), F(3)], [F(2), F(4), F(6)]]
+        rows = [{0: F(1), 1: F(2), 2: F(3)}, {0: F(2), 1: F(4), 2: F(6)}]
         basis = C.nullspace(rows, 3)
         assert len(basis) == 2
         for v in basis:
             assert all(
-                sum(r * x for r, x in zip(row, v)) == 0 for row in rows
+                sum(x * v[c] for c, x in row.items()) == 0 for row in rows
             )
 
     def test_nullspace_trivial(self):
-        rows = [[F(1), F(0)], [F(0), F(1)]]
+        rows = [{0: F(1)}, {1: F(1)}]
         assert C.nullspace(rows, 2) == []
 
     @settings(max_examples=200, deadline=None)
@@ -637,10 +643,41 @@ class TestLinearAlgebraHelpers:
             square = [[F(int(i == j)) if j <= i else data.draw(entry) for j in range(cols)]
                       for i in range(cols)]
             rows = data.draw(st.permutations(rows + square))
-        want = rref_kernel(rows, cols)
-        assert C.nullspace(rows, cols) == want
         sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
-        assert C.nullspace(sparse, cols) == want
+        assert C.nullspace(sparse, cols) == rref_kernel(rows, cols)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_echelon_on_exponent_tuples_tracks_the_rank(self, data):
+        # rows keyed like Poly terms; the rank comes from a Gauss-Jordan
+        # elimination over the sorted keys
+        entry = st.builds(F, st.integers(-3, 3), st.integers(1, 4))
+        key = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1))
+        vecs = data.draw(st.lists(st.dictionaries(key, entry, max_size=5), max_size=8))
+        keys = sorted({k for v in vecs for k in v})
+
+        def rank(rows):
+            dense_rows = [[r.get(k, F(0)) for k in keys] for r in rows]
+            return len(keys) - len(rref_kernel(dense_rows, len(keys)))
+
+        echelon = C.Echelon()
+        added: list[dict] = []
+        before = 0
+        for v in vecs:
+            if added and data.draw(st.booleans()):
+                # a combination of the rows so far (zero entries kept), with or
+                # without v added
+                coeffs = data.draw(st.lists(entry, min_size=len(added), max_size=len(added)))
+                v = dict(v) if data.draw(st.booleans()) else {}
+                for c, r in zip(coeffs, added):
+                    for k, x in r.items():
+                        v[k] = v.get(k, F(0)) + c * x
+            after = rank(added + [v])
+            assert echelon.contains(v) == (after == before)
+            assert echelon.add(v) == (after > before)
+            added.append(v)
+            before = after
+            assert echelon.contains(v)
 
     def test_irrep_dimensions(self):
         assert C.weyl_dim_A((2,)) == 3
@@ -660,6 +697,7 @@ class TestLinearAlgebraHelpers:
         # irreducible: the vectors killed by every X_i form one line
         assert len(C.nullspace([row for x in rep.x_mats for row in x], dim)) == 1
         zero = [[F(0)] * dim for _ in range(dim)]
+        x_mats, y_mats = dense(rep.x_mats, dim), dense(rep.y_mats, dim)
 
         def frozen(m):
             return tuple(tuple(row) for row in m)
@@ -675,9 +713,9 @@ class TestLinearAlgebraHelpers:
                     for r in range(dim)]
 
         for i in range(1, rank + 1):
-            xi, yi = rep.x_mats[i - 1], rep.y_mats[i - 1]
+            xi, yi = x_mats[i - 1], y_mats[i - 1]
             for j in range(1, rank + 1):
-                xj, yj = rep.x_mats[j - 1], rep.y_mats[j - 1]
+                xj, yj = x_mats[j - 1], y_mats[j - 1]
                 same = i == j
                 cartan = lin((2, h(i)), (-1, h(i - 1)), (-1, h(i + 1)))
                 assert L.mat_comm(xi, yj) == frozen(cartan if same else zero)
@@ -692,11 +730,12 @@ class TestLinearAlgebraHelpers:
 
     def test_irrep_relations(self):
         rep = C.irrep_A(2, (2, 0))
+        x_mats = dense(rep.x_mats, rep.dim)
         for j in range(2):
             hj = [[w[j] if r == s else F(0) for s in range(rep.dim)]
                   for r, w in enumerate(rep.h_diag)]
             for i in range(2):
                 delta = 1 if i == j else 0
-                comm = L.mat_comm(hj, rep.x_mats[i])
-                scaled = [[delta * x for x in row] for row in rep.x_mats[i]]
+                comm = L.mat_comm(hj, x_mats[i])
+                scaled = [[delta * x for x in row] for row in x_mats[i]]
                 assert L.mat_is_zero(L.mat_sub(comm, scaled))

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import src_env
 from torofree.cli import main
@@ -84,6 +89,22 @@ class TestAct:
         err = proc.stderr.splitlines()
         assert proc.returncode == 2 and proc.stdout == ""
         assert len(err) == 1 and "digit limit" in err[0] and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("lam,code", [("3", 2), ("-1", 0)])
+    def test_huge_lambda_power_is_refused_before_it_is_taken(self, specfile, lam, code):
+        # 3^(10^3999) could never be computed; (-1)^(10^3999) is 1
+        spec = dict(NONSIMPLE_SPEC, **{"lambda": [lam]})
+        proc = subprocess.run(
+            [sys.executable, "-m", "torofree.cli", "act", "--spec", specfile(spec),
+             "--gen", "h1(1{})".format("0" * 3999), "--poly", "1"],
+            capture_output=True, text=True, env=src_env(), timeout=60,
+        )
+        assert proc.returncode == code and "Traceback" not in proc.stderr
+        if code:
+            err = proc.stderr.splitlines()
+            assert proc.stdout == "" and len(err) == 1 and "digit limit" in err[0]
+        else:
+            assert json.loads(proc.stdout)["result"] == "H1"
 
     def test_unprintable_coefficient_is_usage_error(self, specfile, capsys):
         # a 3001-digit lambda parses; its square does not print
@@ -272,3 +293,107 @@ class TestFormulas:
         text = doc.read_text()
         assert "x_l . g" in text and "(A - 3/4)(A - 1/4)" in text
         assert json.loads(out)["text"] == text
+
+    @pytest.mark.parametrize("flag,target", [("--out", "."), ("--doc", "."),
+                                             ("--out", "missing/x.json"),
+                                             ("--rank", "9" * 30)])
+    def test_unwritable_path_or_huge_rank_exit_2(self, tmp_path, capsys, monkeypatch,
+                                                 flag, target):
+        monkeypatch.chdir(tmp_path)
+        code = main(["formulas", flag, target])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and captured.err.startswith("error: ")
+
+
+# -- malformed argv -------------------------------------------------------------
+
+WITT_SPEC = {
+    "algebra": {"family": "A", "rank": 0, "loop_vars": 1, "variant": "witt"},
+    "lambda": ["3"], "witt_a": "-1",
+}
+FUZZ_FILES = {"full.json": FULL_SPEC, "a1.json": NONSIMPLE_SPEC, "c2.json": C_SPEC,
+              "witt.json": WITT_SPEC, "list.json": [1, 2]}
+JUNK = st.text(alphabet="xyhKDdH0123456789()-,:^*/ .=", max_size=6)
+
+
+def _values(*fixed: str):
+    return st.one_of(st.sampled_from(fixed), JUNK)
+
+
+# small counts only: a large valid count is slow, not malformed
+COUNT = _values("-1", "0", "1", "2", "x", "1.5", "")
+FLAG_VALUES = {
+    "--spec": _values(*FUZZ_FILES, "notjson.json", "dir", "missing.json", ""),
+    "--gen": _values("x1(2)", "y1", "h1(-1)", "K1(1)", "D1(2)", "d1", "x0", "x1(1,2)",
+                     "d1(1)", "z1", "x1(", "h1(1{})".format("0" * 3999), "h" + "9" * 5000),
+    "--poly": _values("1", "d1*H1", "H1^2 - 1/3", "H2", "1/0", "H1^-1", "+", "d1 d1"),
+    "--window": _values("-1:1", "0:0", "1:-1", "a:b", "-1", ":"),
+    "--out": _values("out.json", "dir", "missing/out.json", ""),
+    "--doc": _values("doc.txt", "dir", "notjson.json/doc.txt", ""),
+    "--seed": _values("7", "-1", "9" * 30, "9" * 5000),
+    "--rank": _values("2", "3", "1", "0", "-2", "9" * 30),
+    "--hvars": _values("1", "2", "0", "17", "9" * 30),
+    "--dvars": _values("0", "1", "-1", "9", "9" * 30),
+    "--samples": COUNT, "--maxdeg": COUNT, "--dim-bound": COUNT,
+}
+COMMAND_FLAGS = {
+    "act": ["--spec", "--gen", "--poly"],
+    "verify": ["--spec", "--samples", "--window"],
+    "simplicity": ["--spec"],
+    "witness": ["--spec", "--maxdeg", "--window", "--dim-bound"],
+    "recover": ["--spec", "--window"],
+    "iso": ["--spec", "--spec2"],
+    "lemma-pa": ["--samples", "--hvars", "--dvars"],
+    "formulas": ["--rank", "--doc"],
+}
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand with each of its flags present or not, values valid or
+    malformed, in any order, then junk tokens inserted and tokens dropped."""
+    command = draw(st.sampled_from([*COMMAND_FLAGS, "bogus"]))
+    pairs = []
+    for flag in COMMAND_FLAGS.get(command, []) + ["--out", "--pretty", "--seed"]:
+        if draw(st.integers(0, 3)):
+            if flag == "--pretty":
+                pairs.append([flag])
+            else:
+                value = draw(FLAG_VALUES["--spec" if flag == "--spec2" else flag])
+                pairs.append([f"{flag}={value}"] if draw(st.booleans()) else [flag, value])
+    tokens = [t for pair in draw(st.permutations(pairs)) for t in pair]
+    for _ in range(draw(st.integers(0, 2))):
+        extra = draw(st.one_of(JUNK, st.sampled_from([*FLAG_VALUES, "--pretty", "--bogus"])))
+        tokens.insert(draw(st.integers(0, len(tokens))), extra)
+    if tokens and draw(st.integers(0, 3)) == 0:
+        del tokens[draw(st.integers(0, len(tokens) - 1))]
+    return [command, *tokens]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, data in FUZZ_FILES.items():
+        (root / name).write_text(json.dumps(data))
+    (root / "notjson.json").write_text("{not json")
+    (root / "dir").mkdir()
+    return root
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=argvs())
+def test_malformed_argv_exits_cleanly(fuzz_dir, argv):
+    """Every argv ends in exit 0, 1 or 2, never in a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(fuzz_dir)  # relative --out and --doc values land in the fixture
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's own usage errors and --help
+                code = exc.code
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

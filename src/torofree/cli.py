@@ -25,6 +25,9 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
+# the most loop degrees a --window box {lo..hi}^n may hold
+MAX_WINDOW_DEGREES = 10_000
+
 
 def _default_seed() -> int:
     env = os.environ.get("TOROFREE_SEED")
@@ -48,6 +51,8 @@ def _load_spec(path: str) -> ModuleSpec:
 
 
 def _parse_window(text: str, n: int) -> list[tuple[int, ...]]:
+    """The box {lo..hi}^n of a 'lo:hi' window, refused unless it holds at
+    most MAX_WINDOW_DEGREES loop degrees (counted before it is built)."""
     try:
         lo, hi = text.split(":")
         lo_i, hi_i = int(lo), int(hi)
@@ -55,6 +60,11 @@ def _parse_window(text: str, n: int) -> list[tuple[int, ...]]:
         raise StructureError(f"window must look like '-2:2', got {text!r}")
     if lo_i > hi_i:
         raise StructureError(f"empty window {text!r}")
+    if (hi_i - lo_i + 1) ** n > MAX_WINDOW_DEGREES:
+        raise StructureError(
+            f"window {text!r} holds more than {MAX_WINDOW_DEGREES} loop degrees "
+            f"in {n} loop variables"
+        )
     return degree_box(n, lo_i, hi_i)
 
 

@@ -14,12 +14,15 @@ The center is the quotient Omega_A / dA: for every r != 0 the relation
 sum_j r_j K_j(r) = 0 holds; canonical form eliminates K_{j*}(r) where j* is
 the smallest index with r_{j*} != 0.
 
-Brackets: commutators of matrices for the finite part; the toroidal central
-term (x,y) * sum_i r_i K_i(r+s) with (.,.) the trace form of the defining
-matrix realization (not the Killing form; the two differ by a scalar that
-only rescales the K_j, and the modules kill the center anyway); the Witt
-bracket [D(u,r), D(v,s)] = D((u,s)v - (v,r)u, r+s); the derivation action on
-the center; and, in the full variant, the 2-cocycle c1*phi1 + c2*phi2.
+Brackets: structure constants of the finite part, read from a table that
+each FiniteAlgebra builds once, on first use, by integer arithmetic on its
+matrix realization; the toroidal central term (x,y) * sum_i r_i K_i(r+s)
+with (.,.) the trace form of the defining matrix realization (not the
+Killing form; the two differ by a scalar that only rescales the K_j, and
+the modules kill the center anyway); the Witt bracket
+[D(u,r), D(v,s)] = D((u,s)v - (v,r)u, r+s); the derivation action on the
+center; and, in the full variant, the 2-cocycle c1*phi1 + c2*phi2.
+Coefficients are ints where they are integral and Fractions otherwise.
 """
 
 from __future__ import annotations
@@ -27,16 +30,27 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import lcm
+from operator import add, sub
 from typing import Iterable, Sequence
 
 from .errors import DomainError, StructureError
 
-Rat = Fraction
+Rat = Fraction  # an int where a coefficient is integral
 Matrix = tuple[tuple[Rat, ...], ...]
 Symbol = tuple  # ("f", m, r) | ("K", j, r) | ("D", i, r)
+Sparse = dict[tuple[int, int], Rat]  # nonzero matrix entries by (row, column)
 
 VARIANTS = ("finite", "toroidal", "witt", "full")
+
+
+def _exact(num, den: int) -> Rat:
+    """num / den, as an int when den divides num."""
+    if isinstance(num, int) and num % den == 0:
+        return num // den
+    q = Fraction(num, den)
+    return q.numerator if q.denominator == 1 else q
 
 
 # -- exact matrix helpers ----------------------------------------------------
@@ -89,8 +103,25 @@ def mat_is_zero(a: Matrix) -> bool:
 # -- finite-type realizations ------------------------------------------------
 
 
+def _sparse_comm(a: Sparse, b: Sparse) -> Sparse:
+    """[a, b] of two sparse matrices."""
+    out: Sparse = {}
+    for x, y, sign in ((a, b, 1), (b, a, -1)):
+        for (p, k), u in x.items():
+            for (k2, q), v in y.items():
+                if k == k2:
+                    out[p, q] = out.get((p, q), 0) + sign * u * v
+    return {pos: v for pos, v in out.items() if v}
+
+
 class FiniteAlgebra:
-    """Matrix realization of g(A_l) or g(C_l) with Chevalley data."""
+    """Matrix realization of g(A_l) or g(C_l) with Chevalley data.
+
+    ``mats`` is the reference realization.  The structure constants
+    (``table``), the trace form (``forms``) and the generator words are
+    derived from it once, on first use, by integer arithmetic on the sparse
+    matrices scaled to integer entries.
+    """
 
     def __init__(self, family: str, rank: int):
         if family == "A":
@@ -117,17 +148,6 @@ class FiniteAlgebra:
             self._build_sp(rank)
         self.dim = len(self.mats)
         self.size = len(self.mats[0])
-        # alpha-coordinates of each basis element's weight under ad(H_i)
-        self._weights: list[tuple[Rat, ...]] = []
-        for m in self.mats:
-            self._weights.append(self._weight_of(m))
-        self._by_weight: dict[tuple[Rat, ...], int] = {}
-        for idx, w in enumerate(self._weights):
-            if any(w):
-                self._by_weight[w] = idx
-        self._bracket_cache: dict[tuple[int, int], dict[int, Rat]] = {}
-        self._form_cache: dict[tuple[int, int], Rat] = {}
-        self._word_cache: dict[int, tuple[tuple, Rat]] = {}
 
     # construction ----------------------------------------------------------
 
@@ -223,121 +243,124 @@ class FiniteAlgebra:
 
     # structure -------------------------------------------------------------
 
-    def _weight_of(self, mat: Matrix) -> tuple[Rat, ...]:
-        out = []
-        for i in range(1, self.rank + 1):
-            h = self.mats[self.h_index[i]]
-            c = mat_comm(h, mat)
-            if mat_is_zero(c):
-                out.append(Fraction(0))
-                continue
-            ratio = None
-            for p in range(self.size):
-                for q in range(self.size):
-                    if mat[p][q]:
-                        ratio = c[p][q] / mat[p][q]
-                        break
-                if ratio is not None:
-                    break
-            if not mat_is_zero(mat_sub(c, self._scale(mat, ratio))):
-                raise StructureError("basis element is not an ad(H)-weight vector")
-            out.append(ratio)
-        return tuple(out)
+    @cached_property
+    def _scaled(self) -> tuple[int, list[Sparse]]:
+        """(s, sparse): s is the lcm of all entry denominators and sparse[m]
+        holds the nonzero entries of s * mats[m], as ints."""
+        scale = lcm(*(x.denominator for mat in self.mats for row in mat for x in row))
+        return scale, [
+            {(p, q): int(x * scale) for p, row in enumerate(mat) for q, x in enumerate(row) if x}
+            for mat in self.mats
+        ]
 
-    @staticmethod
-    def _scale(mat: Matrix, c: Rat) -> Matrix:
-        return _freeze([[c * x for x in row] for row in mat])
+    @cached_property
+    def _leads(self) -> dict[tuple[int, int], tuple[int, int]]:
+        """Position of the first entry of each root vector, private to it,
+        mapped to (basis index, scaled entry)."""
+        _, sparse = self._scaled
+        cartan = set(self.h_index.values())
+        return {
+            min(sparse[m]): (m, sparse[m][min(sparse[m])])
+            for m in range(self.dim)
+            if m not in cartan
+        }
+
+    def _coords(self, mat: Sparse, den: int) -> dict[int, Rat]:
+        """Basis coordinates of the sparse matrix mat / den, by ascending index."""
+        scale, sparse = self._scaled
+        coords: dict[int, Rat] = {}
+        for pos, v in mat.items():
+            if pos in self._leads:
+                m, b = self._leads[pos]
+                coords[m] = _exact(v * scale, den * b)
+        # Cartan part: alpha_i evaluated on the diagonal
+        diag = [mat.get((k, k), 0) for k in range(self.size)]
+        for i in range(1, self.rank + 1):
+            if self.family == "C" and i == self.rank:
+                c = 2 * diag[i - 1]
+            else:
+                c = diag[i - 1] - diag[i]
+            if c:
+                coords[self.h_index[i]] = _exact(c, den)
+        back: Sparse = {}
+        for m, c in coords.items():
+            for pos, b in sparse[m].items():
+                back[pos] = back.get(pos, 0) + c * b
+        if any(back.get(pos, 0) * den != mat.get(pos, 0) * scale for pos in back.keys() | mat):
+            raise StructureError("matrix is not in the algebra span")
+        return dict(sorted(coords.items()))
 
     def decompose(self, mat: Matrix) -> dict[int, Rat]:
         """Coordinates of a g-matrix in the chosen basis (exact)."""
-        coords: dict[int, Rat] = {}
-        rem = mat
-        for idx, b in enumerate(self.mats):
-            if idx in self.h_index.values():
-                continue
-            # off-diagonal basis elements have a private leading entry
-            p, q = next(
-                (p, q)
-                for p in range(self.size)
-                for q in range(self.size)
-                if b[p][q]
-            )
-            c = rem[p][q] / b[p][q]
-            if c:
-                coords[idx] = c
-                rem = mat_sub(rem, self._scale(b, c))
-        # Cartan part: alpha_i evaluation on the remaining diagonal
-        diag = [rem[k][k] for k in range(self.size)]
-        for i in range(1, self.rank + 1):
-            if self.family == "A":
-                c = diag[i - 1] - diag[i]
-            else:
-                c = diag[i - 1] - diag[i] if i < self.rank else 2 * diag[self.rank - 1]
-            if c:
-                coords[self.h_index[i]] = coords.get(self.h_index[i], Fraction(0)) + c
-                rem = mat_sub(rem, self._scale(self.mats[self.h_index[i]], c))
-        if not mat_is_zero(rem):
-            raise StructureError("matrix is not in the algebra span")
-        return coords
+        entries = {(p, q): x for p, row in enumerate(mat) for q, x in enumerate(row) if x}
+        return self._coords(entries, 1)
 
-    def bracket_coords(self, m1: int, m2: int) -> dict[int, Rat]:
-        key = (m1, m2)
-        if key not in self._bracket_cache:
-            comm = mat_comm(self.mats[m1], self.mats[m2])
-            self._bracket_cache[key] = self.decompose(comm)
-        return self._bracket_cache[key]
+    @cached_property
+    def table(self) -> list[list[tuple[tuple[int, Rat], ...]]]:
+        """Structure constants: table[m1][m2] = ((m, c), ...), ascending in m,
+        with [mats[m1], mats[m2]] = sum c * mats[m]."""
+        scale, sparse = self._scaled
+        rows: list[list[tuple]] = [[()] * self.dim for _ in range(self.dim)]
+        for m1, m2 in itertools.combinations(range(self.dim), 2):
+            coords = self._coords(_sparse_comm(sparse[m1], sparse[m2]), scale * scale)
+            rows[m1][m2] = tuple(coords.items())
+            rows[m2][m1] = tuple((m, -c) for m, c in coords.items())
+        return rows
 
-    def form(self, m1: int, m2: int) -> Rat:
-        """Normalized invariant form: trace form of the defining realization."""
-        key = (m1, m2)
-        if key not in self._form_cache:
-            self._form_cache[key] = mat_trace_prod(self.mats[m1], self.mats[m2])
-        return self._form_cache[key]
+    @cached_property
+    def forms(self) -> list[list[Rat]]:
+        """The normalized invariant form, forms[m1][m2] = trace(mats[m1] mats[m2])
+        (the trace form of the defining realization)."""
+        scale, sparse = self._scaled
+        return [
+            [_exact(sum(u * b.get((q, p), 0) for (p, q), u in a.items()), scale * scale)
+             for b in sparse]
+            for a in sparse
+        ]
 
     def coroot_coords(self, i: int) -> dict[int, Rat]:
         """The coroot h_i^vee = [x_i, y_i] in basis coordinates."""
-        return self.bracket_coords(self.x_index[i], self.y_index[i])
+        return dict(self.table[self.x_index[i]][self.y_index[i]])
 
     def generator_word(self, m: int) -> tuple[tuple, Rat]:
         """Fixed bracket word over {x_i, y_i, h_i} equal to basis elt m / scalar.
 
         Returns (word, scalar) with word one of ("x", i), ("y", i), ("h", i) or
         ("br", w1, w2), such that evaluating the word in the matrix realization
-        gives scalar * mats[m].
+        gives scalar * mats[m]; the scalar is a Fraction.
         """
-        if m in self._word_cache:
-            return self._word_cache[m]
-        for i, idx in self.h_index.items():
-            if idx == m:
-                self._word_cache[m] = (("h", i), Fraction(1))
-                return self._word_cache[m]
-        for i, idx in self.x_index.items():
-            if idx == m:
-                self._word_cache[m] = (("x", i), Fraction(1))
-                return self._word_cache[m]
-        for i, idx in self.y_index.items():
-            if idx == m:
-                self._word_cache[m] = (("y", i), Fraction(1))
-                return self._word_cache[m]
-        w = self._weights[m]
-        positive = sum(w) > 0
-        for i in range(1, self.rank + 1):
-            step = self._weights[self.x_index[i] if positive else self.y_index[i]]
-            lower = tuple(a - b for a, b in zip(w, step))
-            if lower not in self._by_weight:
-                continue
-            base = self._by_weight[lower]
-            gen_idx = self.x_index[i] if positive else self.y_index[i]
-            comm = mat_comm(self.mats[gen_idx], self.mats[base])
-            coords = self.decompose(comm)
-            if set(coords) != {m}:
-                continue
-            word_base, scalar_base = self.generator_word(base)
-            gen_word = ("x", i) if positive else ("y", i)
-            word = ("br", gen_word, word_base)
-            self._word_cache[m] = (word, coords[m] * scalar_base)
-            return self._word_cache[m]
-        raise StructureError(f"no generator word found for basis element {m}")
+        return self._words[m]
+
+    @cached_property
+    def _words(self) -> list[tuple[tuple, Rat]]:
+        words: dict[int, tuple[tuple, Rat]] = {}
+        for kind, index in (("h", self.h_index), ("x", self.x_index), ("y", self.y_index)):
+            for i, m in index.items():
+                words[m] = ((kind, i), Fraction(1))
+        # alpha-coordinates of each basis element's weight under ad(H_i)
+        hs = [self.table[self.h_index[i]] for i in range(1, self.rank + 1)]
+        weights = [tuple(dict(h[m]).get(m, 0) for h in hs) for m in range(self.dim)]
+        by_weight = {w: m for m, w in enumerate(weights) if any(w)}
+
+        def word(m: int) -> tuple[tuple, Rat]:
+            if m in words:
+                return words[m]
+            positive = sum(weights[m]) > 0
+            for i in range(1, self.rank + 1):
+                gen = (self.x_index if positive else self.y_index)[i]
+                base = by_weight.get(tuple(map(sub, weights[m], weights[gen])))
+                if base is None:
+                    continue
+                coords = dict(self.table[gen][base])
+                if set(coords) != {m}:
+                    continue
+                word_base, scalar_base = word(base)
+                letter = ("x" if positive else "y", i)
+                words[m] = (("br", letter, word_base), coords[m] * scalar_base)
+                return words[m]
+            raise StructureError(f"no generator word found for basis element {m}")
+
+        return [word(m) for m in range(self.dim)]
 
 
 @lru_cache(maxsize=None)
@@ -385,25 +408,39 @@ class AlgebraDesc:
 
 
 class LieElt:
-    """Rational linear combination of graded basis symbols, canonical mod dA."""
+    """Rational linear combination of graded basis symbols, canonical mod dA.
+
+    ``terms`` maps canonical symbols to nonzero coefficients.  The
+    constructor validates every symbol and reduces it modulo dA; results of
+    the algebra's own operations, canonical by construction, come through
+    ``_raw`` without that pass.
+    """
 
     __slots__ = ("desc", "terms")
 
     def __init__(self, desc: AlgebraDesc, terms: dict[Symbol, Rat] | None = None):
-        object.__setattr__(self, "desc", desc)
         clean: dict[Symbol, Rat] = {}
         if terms:
             for sym, c in terms.items():
                 c = Fraction(c)
                 if c == 0:
                     continue
-                for rsym, rc in _canon_symbol(desc, sym).items():
-                    v = clean.get(rsym, Fraction(0)) + c * rc
+                for rsym, rc in _canon_symbol(desc, sym):
+                    v = clean.get(rsym, 0) + c * rc
                     if v:
                         clean[rsym] = v
                     else:
                         clean.pop(rsym, None)
-        object.__setattr__(self, "terms", clean)
+        _set_desc(self, desc)
+        _set_terms(self, {s: c.numerator if c.denominator == 1 else c for s, c in clean.items()})
+
+    @staticmethod
+    def _raw(desc: AlgebraDesc, terms: dict[Symbol, Rat]) -> "LieElt":
+        """Trusted constructor: terms are canonical symbols with nonzero coefficients."""
+        self = _new_object(LieElt)
+        _set_desc(self, desc)
+        _set_terms(self, terms)
+        return self
 
     def __setattr__(self, *_):
         raise AttributeError("LieElt is immutable")
@@ -422,19 +459,27 @@ class LieElt:
         return hash((self.desc, frozenset(self.terms.items())))
 
     def __add__(self, other: "LieElt") -> "LieElt":
-        if self.desc != other.desc:
+        if self.desc is not other.desc and self.desc != other.desc:
             raise StructureError("cannot add elements of different algebras")
         out = dict(self.terms)
         for sym, c in other.terms.items():
-            out[sym] = out.get(sym, Fraction(0)) + c
-        return LieElt(self.desc, out)
+            v = out.get(sym, 0) + c
+            if v:
+                out[sym] = v
+            else:
+                del out[sym]
+        return LieElt._raw(self.desc, out)
 
     def __sub__(self, other: "LieElt") -> "LieElt":
         return self + other.scale(-1)
 
     def scale(self, c) -> "LieElt":
         c = Fraction(c)
-        return LieElt(self.desc, {s: c * k for s, k in self.terms.items()})
+        if c.denominator == 1:
+            c = c.numerator
+        if not c:
+            return LieElt._raw(self.desc, {})
+        return LieElt._raw(self.desc, {s: c * k for s, k in self.terms.items()})
 
     def __repr__(self):
         return f"LieElt({self.text()})"
@@ -453,6 +498,12 @@ class LieElt:
             else:
                 chunks.append(("+ " if c > 0 else "- ") + piece)
         return " ".join(chunks)
+
+
+# the slot setters, which bypass the immutability guard of __setattr__
+_new_object = object.__new__
+_set_desc = LieElt.desc.__set__
+_set_terms = LieElt.terms.__set__
 
 
 def _symbol_sort_key(sym: Symbol):
@@ -477,7 +528,7 @@ def symbol_text(desc: AlgebraDesc, sym: Symbol) -> str:
     return f"{fin.labels[idx]}{deg}"
 
 
-def _canon_symbol(desc: AlgebraDesc, sym: Symbol) -> dict[Symbol, Rat]:
+def _canon_symbol(desc: AlgebraDesc, sym: Symbol) -> tuple[tuple[Symbol, Rat], ...]:
     """Validate a symbol for the variant and reduce central symbols mod dA."""
     kind, idx, r = sym
     n = desc.loop_vars
@@ -500,28 +551,33 @@ def _canon_symbol(desc: AlgebraDesc, sym: Symbol) -> dict[Symbol, Rat]:
             raise DomainError("witt variant has no finite part")
         if not 0 <= idx < desc.fin.dim:
             raise StructureError(f"finite basis index {idx} out of range")
-        return {(kind, idx, r): Fraction(1)}
+        return (((kind, idx, r), 1),)
     if kind == "K":
         if variant not in ("toroidal", "full"):
             raise DomainError(f"variant {variant} has no central symbols")
         if not 1 <= idx <= n:
             raise StructureError(f"central index {idx} out of range")
-        if any(r):
-            jstar = next(j for j in range(n) if r[j] != 0) + 1
-            if idx == jstar:
-                out: dict[Symbol, Rat] = {}
-                for p in range(1, n + 1):
-                    if p == jstar or r[p - 1] == 0:
-                        continue
-                    out[("K", p, r)] = Fraction(-r[p - 1], r[jstar - 1])
-                return out
-        return {(kind, idx, r): Fraction(1)}
+        return _central_terms(idx, r)
     # kind == "D"
     if variant == "toroidal" and any(r):
         raise DomainError("toroidal variant has degree-zero derivations only")
     if variant != "finite" and not 1 <= idx <= n:
         raise StructureError(f"derivation index {idx} out of range")
-    return {(kind, idx, r): Fraction(1)}
+    return (((kind, idx, r), 1),)
+
+
+@lru_cache(maxsize=4096)
+def _central_terms(j: int, r: tuple[int, ...]) -> tuple[tuple[Symbol, Rat], ...]:
+    """K_j(r) in canonical form: K_{j*}(r) = -sum_{p != j*} (r_p / r_{j*}) K_p(r),
+    with j* the first index where r is nonzero."""
+    jstar = next((p for p, x in enumerate(r, 1) if x), None)
+    if j != jstar:
+        return ((("K", j, r), 1),)
+    return tuple(
+        (("K", p, r), _exact(-x, r[jstar - 1]))
+        for p, x in enumerate(r, 1)
+        if x and p != jstar
+    )
 
 
 # element constructors
@@ -575,102 +631,125 @@ def _deg(desc: AlgebraDesc, r: Sequence[int]) -> tuple[int, ...]:
 
 
 # -- the bracket -------------------------------------------------------------
+#
+# Each pair of symbols adds its bracket into one accumulator ``out`` with
+# the product of the two coefficients; central symbols are reduced modulo
+# dA as they are added, so the result is canonical once its zeros are gone.
 
 
 def bracket(desc: AlgebraDesc, X: LieElt, Y: LieElt) -> LieElt:
-    """Bilinear bracket, canonicalized modulo dA."""
+    """Bilinear bracket, canonical modulo dA."""
+    if not (X.terms and Y.terms):
+        return LieElt._raw(desc, {})
+    variant = desc.variant
+    fin = None if variant == "witt" else desc.fin
+    central = variant in ("toroidal", "full")
     out: dict[Symbol, Rat] = {}
-    for s1, c1 in X.terms.items():
-        for s2, c2 in Y.terms.items():
-            for sym, c in _bracket_symbols(desc, s1, s2).items():
-                out[sym] = out.get(sym, Fraction(0)) + c1 * c2 * c
-    return LieElt(desc, out)
+    for s1, a in X.terms.items():
+        k1 = s1[0]
+        for s2, b in Y.terms.items():
+            k2 = s2[0]
+            if k1 == "f" and k2 == "f":
+                _loop_loop(fin, central, out, s1, s2, a * b)
+            elif k1 == "K" or k2 == "K":
+                if k1 == "D":
+                    _der_central(out, s1, s2, a * b)
+                elif k2 == "D":
+                    _der_central(out, s2, s1, -a * b)
+            elif variant == "finite":
+                continue  # z-elements are central in the trivial extension
+            elif k1 == "D" and k2 == "D":
+                _witt_into(out, s1, s2, a * b)
+                if variant == "full":
+                    _cocycle_into(out, desc.cocycle, s1, s2, a * b)
+            elif k1 == "D":
+                _der_loop(out, s1, s2, a * b)
+            else:
+                _der_loop(out, s2, s1, -a * b)
+    return LieElt._raw(desc, {s: c for s, c in out.items() if c})
 
 
-def _bracket_symbols(desc: AlgebraDesc, s1: Symbol, s2: Symbol) -> dict[Symbol, Rat]:
-    k1, k2 = s1[0], s2[0]
-    if k1 == "K" or k2 == "K":
-        if k1 == "D":
-            return _der_central(desc, s1, s2)
-        if k2 == "D":
-            return {s: -c for s, c in _der_central(desc, s2, s1).items()}
-        return {}
-    if k1 == "f" and k2 == "f":
-        return _loop_loop(desc, s1, s2)
-    if k1 == "D" and k2 == "f":
-        return _der_loop(desc, s1, s2)
-    if k1 == "f" and k2 == "D":
-        return {s: -c for s, c in _der_loop(desc, s2, s1).items()}
-    return _der_der(desc, s1, s2)
+def _add_central(out: dict[Symbol, Rat], j: int, deg: tuple, c: Rat) -> None:
+    for sym, k in _central_terms(j, deg):
+        out[sym] = out.get(sym, 0) + c * k
 
 
-def _loop_loop(desc: AlgebraDesc, s1: Symbol, s2: Symbol) -> dict[Symbol, Rat]:
+def _loop_loop(fin: FiniteAlgebra, central: bool, out: dict, s1: Symbol, s2: Symbol,
+               c: Rat) -> None:
+    """[x(r), y(s)] = [x, y](r + s) + (x, y) sum_i r_i K_i(r + s)."""
     _, m1, r = s1
     _, m2, s = s2
-    deg = tuple(a + b for a, b in zip(r, s)) if r else ()
-    out: dict[Symbol, Rat] = {
-        ("f", m, deg): c for m, c in desc.fin.bracket_coords(m1, m2).items()
-    }
-    if desc.variant in ("toroidal", "full"):
-        pairing = desc.fin.form(m1, m2)
+    deg = tuple(map(add, r, s))
+    for m, k in fin.table[m1][m2]:
+        sym = ("f", m, deg)
+        out[sym] = out.get(sym, 0) + c * k
+    if central:
+        pairing = fin.forms[m1][m2]
         if pairing:
-            for i, ri in enumerate(r):
+            for i, ri in enumerate(r, 1):
                 if ri:
-                    sym = ("K", i + 1, deg)
-                    out[sym] = out.get(sym, Fraction(0)) + pairing * ri
-    return out
+                    _add_central(out, i, deg, c * pairing * ri)
 
 
-def _der_loop(desc: AlgebraDesc, sd: Symbol, sf: Symbol) -> dict[Symbol, Rat]:
+def _der_loop(out: dict, sd: Symbol, sf: Symbol, c: Rat) -> None:
+    """[D_i(r), x(s)] = s_i x(r + s)."""
     _, i, r = sd
     _, m, s = sf
-    if desc.variant == "finite":
-        return {}  # z-elements are central in the trivial extension
-    coeff = Fraction(s[i - 1])
-    if coeff == 0:
-        return {}
-    deg = tuple(a + b for a, b in zip(r, s))
-    return {("f", m, deg): coeff}
+    if s[i - 1]:
+        sym = ("f", m, tuple(map(add, r, s)))
+        out[sym] = out.get(sym, 0) + c * s[i - 1]
 
 
-def _der_central(desc: AlgebraDesc, sd: Symbol, sk: Symbol) -> dict[Symbol, Rat]:
+def _der_central(out: dict, sd: Symbol, sk: Symbol, c: Rat) -> None:
+    """[D_i(r), K_j(s)] = s_i K_j(r + s) + delta_ij sum_p r_p K_p(r + s)."""
     _, i, r = sd
     _, j, s = sk
-    deg = tuple(a + b for a, b in zip(r, s))
-    out: dict[Symbol, Rat] = {}
-    si = Fraction(s[i - 1])
-    if si:
-        out[("K", j, deg)] = si
+    deg = tuple(map(add, r, s))
+    if s[i - 1]:
+        _add_central(out, j, deg, c * s[i - 1])
     if i == j:
-        for p, rp in enumerate(r):
+        for p, rp in enumerate(r, 1):
             if rp:
-                sym = ("K", p + 1, deg)
-                out[sym] = out.get(sym, Fraction(0)) + rp
-    return out
+                _add_central(out, p, deg, c * rp)
 
 
-def _der_der(desc: AlgebraDesc, s1: Symbol, s2: Symbol) -> dict[Symbol, Rat]:
+def _witt_into(out: dict, s1: Symbol, s2: Symbol, c: Rat) -> None:
+    """[D_i(r), D_j(s)]_0 = s_i D_j(r + s) - r_j D_i(r + s)."""
     _, i, r = s1
     _, j, s = s2
-    if desc.variant == "finite":
-        return {}
-    deg = tuple(a + b for a, b in zip(r, s))
-    out: dict[Symbol, Rat] = {}
-    # D(w, r+s) with w = (e_i, s) e_j - (e_j, r) e_i
-    si, rj = Fraction(s[i - 1]), Fraction(r[j - 1])
-    if si:
-        out[("D", j, deg)] = out.get(("D", j, deg), Fraction(0)) + si
-    if rj:
-        out[("D", i, deg)] = out.get(("D", i, deg), Fraction(0)) - rj
-    if desc.variant == "full":
-        c1, c2 = desc.cocycle
-        weight = -c1 * si * rj + c2 * Fraction(r[i - 1]) * Fraction(s[j - 1])
-        if weight:
-            for p, rp in enumerate(r):
-                if rp:
-                    sym = ("K", p + 1, deg)
-                    out[sym] = out.get(sym, Fraction(0)) + weight * rp
-    return out
+    deg = tuple(map(add, r, s))
+    if s[i - 1]:
+        sym = ("D", j, deg)
+        out[sym] = out.get(sym, 0) + c * s[i - 1]
+    if r[j - 1]:
+        sym = ("D", i, deg)
+        out[sym] = out.get(sym, 0) - c * r[j - 1]
+
+
+def _cocycle_into(out: dict, cc: tuple, s1: Symbol, s2: Symbol, c: Rat) -> None:
+    """(c1 phi1 + c2 phi2)(D_i(r), D_j(s))
+    = (-c1 s_i r_j + c2 r_i s_j) sum_p r_p K_p(r + s)."""
+    _, i, r = s1
+    _, j, s = s2
+    c1, c2 = cc
+    weight = -c1 * (s[i - 1] * r[j - 1]) + c2 * (r[i - 1] * s[j - 1])
+    if not weight:
+        return
+    if weight.denominator == 1:
+        weight = weight.numerator
+    deg = tuple(map(add, r, s))
+    for p, rp in enumerate(r, 1):
+        if rp:
+            _add_central(out, p, deg, c * weight * rp)
+
+
+def _derivation_pairs(X: LieElt, Y: LieElt, what: str):
+    """Every (s1, s2, a * b) over the terms of X and Y, all derivations."""
+    for s1, a in X.terms.items():
+        for s2, b in Y.terms.items():
+            if s1[0] != "D" or s2[0] != "D":
+                raise DomainError(f"{what} arguments must be derivation elements")
+            yield s1, s2, a * b
 
 
 def cocycle(
@@ -679,52 +758,33 @@ def cocycle(
     """Evaluate c[0]*phi1 + c[1]*phi2 on derivation elements (central result)."""
     if desc.loop_vars < 1:
         raise DomainError("cocycles require loop_vars >= 1")
-    c1, c2 = Fraction(c[0]), Fraction(c[1])
+    cc = (Fraction(c[0]), Fraction(c[1]))
     out: dict[Symbol, Rat] = {}
-    for s1, a in X.terms.items():
-        for s2, b in Y.terms.items():
-            if s1[0] != "D" or s2[0] != "D":
-                raise DomainError("cocycle arguments must be derivation elements")
-            _, i, r = s1
-            _, j, s = s2
-            deg = tuple(x + y for x, y in zip(r, s))
-            weight = -c1 * Fraction(s[i - 1]) * Fraction(r[j - 1])
-            weight += c2 * Fraction(r[i - 1]) * Fraction(s[j - 1])
-            if not weight:
-                continue
-            for p, rp in enumerate(r):
-                if rp:
-                    sym = ("K", p + 1, deg)
-                    out[sym] = out.get(sym, Fraction(0)) + a * b * weight * rp
-    return LieElt(desc, out)
+    for s1, s2, ab in _derivation_pairs(X, Y, "cocycle"):
+        _cocycle_into(out, cc, s1, s2, ab)
+    out = {s: v for s, v in out.items() if v}
+    if out and desc.variant not in ("toroidal", "full"):
+        raise DomainError(f"variant {desc.variant} has no central symbols")
+    return LieElt._raw(desc, out)
 
 
 def witt_bracket_part(desc: AlgebraDesc, X: LieElt, Y: LieElt) -> LieElt:
     """The derivation part [X, Y]_0 without any central contribution."""
     out: dict[Symbol, Rat] = {}
-    for s1, a in X.terms.items():
-        for s2, b in Y.terms.items():
-            if s1[0] != "D" or s2[0] != "D":
-                raise DomainError("witt bracket arguments must be derivations")
-            _, i, r = s1
-            _, j, s = s2
-            deg = tuple(x + y for x, y in zip(r, s))
-            si, rj = Fraction(s[i - 1]), Fraction(r[j - 1])
-            if si:
-                out[("D", j, deg)] = out.get(("D", j, deg), Fraction(0)) + a * b * si
-            if rj:
-                out[("D", i, deg)] = out.get(("D", i, deg), Fraction(0)) - a * b * rj
-    return LieElt(desc, out)
+    for s1, s2, ab in _derivation_pairs(X, Y, "witt bracket"):
+        _witt_into(out, s1, s2, ab)
+    return LieElt._raw(desc, {s: v for s, v in out.items() if v})
 
 
 def invariant_form(desc: AlgebraDesc, X: LieElt, Y: LieElt) -> Rat:
     """Trace form of the defining realization, on finite-part elements."""
+    forms = desc.fin.forms
     total = Fraction(0)
     for s1, a in X.terms.items():
         for s2, b in Y.terms.items():
             if s1[0] != "f" or s2[0] != "f":
                 raise DomainError("invariant_form applies to finite-part elements")
-            total += a * b * desc.fin.form(s1[1], s2[1])
+            total += a * b * forms[s1[1]][s2[1]]
     return total
 
 
@@ -762,30 +822,17 @@ def window_degrees(shape, window=None) -> list[tuple[int, ...]]:
 def basis_of(desc: AlgebraDesc, window: Iterable) -> list[LieElt]:
     """All canonical basis symbols with loop degree in the window."""
     degrees = window_degrees(desc, window)
-    out: list[LieElt] = []
-    if desc.variant == "finite":
-        for m in range(desc.fin.dim):
-            out.append(elt(desc, ("f", m, ())))
-        return out
     n = desc.loop_vars
-    if desc.variant in ("toroidal", "full"):
+    variant = desc.variant
+    syms: list[Symbol] = []
+    if variant != "witt":
+        syms += [("f", m, r) for r in degrees for m in range(desc.fin.dim)]
+    if variant in ("toroidal", "full"):
         for r in degrees:
-            for m in range(desc.fin.dim):
-                out.append(elt(desc, ("f", m, r)))
-        for r in degrees:
-            if not any(r):
-                for j in range(1, n + 1):
-                    out.append(elt(desc, ("K", j, r)))
-            else:
-                jstar = next(j for j in range(n) if r[j] != 0) + 1
-                for j in range(1, n + 1):
-                    if j != jstar:
-                        out.append(elt(desc, ("K", j, r)))
-    if desc.variant == "toroidal":
-        for i in range(1, n + 1):
-            out.append(elt(desc, ("D", i, desc.zero_degree())))
-    elif desc.variant in ("witt", "full"):
-        for r in degrees:
-            for i in range(1, n + 1):
-                out.append(elt(desc, ("D", i, r)))
-    return out
+            jstar = next((j for j, x in enumerate(r, 1) if x), None)
+            syms += [("K", j, r) for j in range(1, n + 1) if j != jstar]
+    if variant == "toroidal":
+        syms += [("D", i, desc.zero_degree()) for i in range(1, n + 1)]
+    elif variant in ("witt", "full"):
+        syms += [("D", i, r) for r in degrees for i in range(1, n + 1)]
+    return [LieElt._raw(desc, {sym: 1}) for sym in syms]

@@ -54,6 +54,9 @@ Rat = Fraction
 
 _set = object.__setattr__  # writes a slot past Poly's immutability guard
 _VAR_RE = re.compile(r"^(H|d)(\d+)(?:\^(-?\d+))?$")
+# the largest exponent of one variable in a term of a polynomial literal: a
+# shift expands H^e into e + 1 terms, so Poly.parse refuses a larger one
+MAX_EXPONENT = 1000
 _RAT_RE = re.compile(r"^-?\d+(?:/0*[1-9]\d*)?$")  # no zero denominator
 
 
@@ -393,11 +396,22 @@ class Poly:
                 m = _VAR_RE.match(factor)
                 if not m:
                     raise StructureError(f"bad factor {factor!r} in {text!r}")
-                kind, idx, power = m.group(1), int(m.group(2)), m.group(3)
-                e = 1 if power is None else int(power)
-                if e < 0:
+                kind, idx, power = m.groups()
+                # digit counts first: int() of a long digit string is slow or refused
+                if len(idx.lstrip("0")) > 3:
+                    raise StructureError(f"variable index out of range in {text[:40]!r}")
+                pos = VarId(kind, int(idx)).position(l, n)
+                digits = (power or "1").lstrip("-").lstrip("0")
+                if power is not None and power.startswith("-") and digits:
                     raise StructureError(f"negative exponent in {factor!r}")
-                exp[VarId(kind, idx).position(l, n)] += e
+                if len(digits) > len(str(MAX_EXPONENT)):
+                    exp[pos] = MAX_EXPONENT + 1
+                else:
+                    exp[pos] += int(digits or "0")
+                if exp[pos] > MAX_EXPONENT:
+                    raise StructureError(
+                        f"exponent of {kind}{idx} above {MAX_EXPONENT} in {text[:40]!r}"
+                    )
             result = result + Poly(l, n, {tuple(exp): coeff})
         return result
 

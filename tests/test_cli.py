@@ -4,13 +4,16 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import src_env
-from torofree.cli import main
+from torofree.cli import MAX_WINDOW_DEGREES, _parse_window, main
+from torofree.errors import StructureError
+from torofree.polyalg import MAX_EXPONENT
 
 FULL_SPEC = {
     "algebra": {"family": "A", "rank": 1, "loop_vars": 1, "variant": "full",
@@ -112,6 +115,48 @@ class TestAct:
         code = main(["act", "--spec", specfile(spec), "--gen", "h1(2)", "--poly", "1"])
         err = capsys.readouterr().err.splitlines()
         assert code == 2 and len(err) == 1 and "digit limit" in err[0]
+
+
+class TestSizeBounds:
+    """Windows and exponents too large to expand are refused before expansion."""
+
+    @pytest.mark.parametrize("window", ["-9:9", "-2:2"])
+    def test_oversized_window_exits_2_quickly(self, specfile, capsys, window):
+        # 19^8 and 5^8 loop degrees in 8 loop variables
+        eight = dict(FULL_SPEC, algebra=dict(FULL_SPEC["algebra"], loop_vars=8),
+                     **{"lambda": ["2"] * 8})
+        start = time.perf_counter()
+        code = main(["verify", "--spec", specfile(eight), f"--window={window}"])
+        captured = capsys.readouterr()
+        assert time.perf_counter() - start < 1
+        assert code == 2 and captured.out == ""
+        assert f"more than {MAX_WINDOW_DEGREES} loop degrees" in captured.err
+
+    def test_window_at_the_cap_is_built(self):
+        assert len(_parse_window("-4:5", 4)) == MAX_WINDOW_DEGREES
+        with pytest.raises(StructureError, match=str(MAX_WINDOW_DEGREES)):
+            _parse_window("-4:6", 4)
+
+    @pytest.mark.parametrize("poly", ["H1^1001", "H1^9999999", "d1^600*d1^401",
+                                      "H1^" + "9" * 5000])
+    def test_huge_exponent_exits_2_quickly(self, specfile, capsys, poly):
+        start = time.perf_counter()
+        code = main(["act", "--spec", specfile(FULL_SPEC), "--gen", "x1", "--poly", poly])
+        captured = capsys.readouterr()
+        assert time.perf_counter() - start < 1
+        assert code == 2 and captured.out == ""
+        assert f"above {MAX_EXPONENT}" in captured.err
+
+    def test_largest_exponent_runs(self, specfile, capsys):
+        code, out = run(capsys, ["act", "--spec", specfile(FULL_SPEC), "--gen", "x1",
+                                 "--poly", f"H1^{MAX_EXPONENT}"])
+        assert code == 0 and json.loads(out)["input"] == f"H1^{MAX_EXPONENT}"
+
+    def test_overlong_variable_index_exits_2(self, specfile, capsys):
+        code = main(["act", "--spec", specfile(FULL_SPEC), "--gen", "x1",
+                     "--poly", "H" + "1" * 5000])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2 and len(err) == 1 and "out of range" in err[0]
 
 
 class TestSimplicity:

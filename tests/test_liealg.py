@@ -1,7 +1,12 @@
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import src_env
 from torofree import liealg as L
 from torofree.errors import DomainError, StructureError
 from torofree.verify import cocycle_identity_check, jacobi_check
@@ -188,26 +193,22 @@ class TestGeneratorWords:
         assert word == ("br", ("x", 1), ("br", ("x", 1), ("x", 2)))
         assert scalar == 2
 
-    def test_words_evaluate_back(self):
-        from torofree.liealg import mat_comm
+    @pytest.mark.parametrize("family,rank", [("A", 1), ("A", 2), ("A", 3), ("A", 4),
+                                             ("C", 2), ("C", 3), ("C", 4)])
+    def test_words_evaluate_back(self, family, rank):
+        fin = L.FiniteAlgebra(family, rank)
+        letters = {"x": fin.x_index, "y": fin.y_index, "h": fin.h_index}
 
-        for desc in (L.AlgebraDesc("A", 2), C2):
-            fin = desc.fin
+        def evaluate(word):
+            if word[0] == "br":
+                return L.mat_comm(evaluate(word[1]), evaluate(word[2]))
+            return fin.mats[letters[word[0]][word[1]]]
 
-            def evaluate(word):
-                if word[0] == "x":
-                    return fin.mats[fin.x_index[word[1]]]
-                if word[0] == "y":
-                    return fin.mats[fin.y_index[word[1]]]
-                if word[0] == "h":
-                    return fin.mats[fin.h_index[word[1]]]
-                return mat_comm(evaluate(word[1]), evaluate(word[2]))
-
-            for m in range(fin.dim):
-                word, scalar = fin.generator_word(m)
-                got = evaluate(word)
-                want = fin.mats[m]
-                assert got == tuple(tuple(scalar * x for x in row) for row in want)
+        for m in range(fin.dim):
+            word, scalar = fin.generator_word(m)
+            # consumers divide by the scalar: it stays a Fraction
+            assert isinstance(scalar, Fraction) and scalar
+            assert evaluate(word) == tuple(tuple(scalar * x for x in row) for row in fin.mats[m])
 
 
 class TestTextForms:
@@ -219,3 +220,139 @@ class TestTextForms:
         assert L.derivation(t2, (1, 0), (2, 1)).text() == "D1(2,1)"
         combo = L.derivation(t2, (1, -2), (0, 0))
         assert combo.text() == "D1(0,0) - 2*D2(0,0)"
+
+
+def _combination(fin, coords) -> L.Matrix:
+    """sum c * mats[m] over the (m, c) pairs, in dense Fraction arithmetic."""
+    rows = [[Fraction(0)] * fin.size for _ in range(fin.size)]
+    for m, c in coords:
+        for p, row in enumerate(fin.mats[m]):
+            for q, x in enumerate(row):
+                rows[p][q] += c * x
+    return tuple(tuple(row) for row in rows)
+
+
+class TestStructureTables:
+    """The integer tables are exactly the matrix realization they come from."""
+
+    @pytest.mark.parametrize("family,rank", [("A", 1), ("A", 2), ("A", 3), ("A", 4),
+                                             ("C", 2), ("C", 3), ("C", 4)])
+    def test_tables_match_the_realization(self, family, rank):
+        fin = L.FiniteAlgebra(family, rank)
+        mats = fin.mats
+        for m1 in range(fin.dim):
+            for m2 in range(fin.dim):
+                comm = L.mat_comm(mats[m1], mats[m2])
+                entry = fin.table[m1][m2]
+                assert dict(entry) == fin.decompose(comm)
+                assert _combination(fin, entry) == comm
+                assert [m for m, _ in entry] == sorted(m for m, _ in entry)
+                # integral constants are stored as ints
+                assert all(type(c) is int for _, c in entry if c.denominator == 1)
+                assert fin.forms[m1][m2] == L.mat_trace_prod(mats[m1], mats[m2])
+
+    def test_decompose_refuses_a_matrix_outside_the_algebra(self):
+        fin = L.FiniteAlgebra("A", 1)
+        with pytest.raises(StructureError, match="not in the algebra span"):
+            fin.decompose(((Fraction(1), Fraction(0)), (Fraction(0), Fraction(0))))
+
+    def test_tables_are_built_on_first_use(self):
+        fin = L.FiniteAlgebra("C", 3)
+        assert not {"table", "forms", "_words"} & set(vars(fin))
+        fin.generator_word(0)
+        assert {"table", "_words"} <= set(vars(fin))
+
+    def test_importing_the_cli_builds_no_algebra(self):
+        code = ("import torofree.cli; from torofree import liealg; "
+                "print(liealg.finite_algebra.cache_info().currsize)")
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                              text=True, env=src_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"
+
+
+# -- the bracket against the formulas, through the validating constructor -----
+
+PROPERTY_DESCS = [
+    L.AlgebraDesc("A", 1, 1, "toroidal"),
+    L.AlgebraDesc("C", 2, 2, "toroidal"),
+    L.AlgebraDesc("A", 2, 1, "full", (Fraction(2), Fraction(-3))),
+    L.AlgebraDesc("A", 1, 2, "full", (Fraction(1, 2), Fraction(1))),
+    L.AlgebraDesc("A", 0, 1, "witt"),
+    L.AlgebraDesc("A", 0, 2, "witt"),
+]
+
+
+def _reference_bracket(desc, X, Y):
+    """[X, Y] summed symbol pair by symbol pair from the defining formulas
+    (matrix commutators and trace forms for the finite part), then
+    canonicalized by the public constructor."""
+    out = {}
+
+    def put(sym, c):
+        out[sym] = out.get(sym, 0) + c
+
+    for (k1, i, r), a in X.terms.items():
+        for (k2, j, s), b in Y.terms.items():
+            c = Fraction(a) * Fraction(b)
+            deg = tuple(x + y for x, y in zip(r, s))
+            if k1 == k2 == "f":
+                fin = desc.fin
+                comm = L.mat_comm(fin.mats[i], fin.mats[j])
+                for m, v in fin.decompose(comm).items():
+                    put(("f", m, deg), c * v)
+                form = L.mat_trace_prod(fin.mats[i], fin.mats[j])
+                for p, rp in enumerate(r, 1):
+                    put(("K", p, deg), c * form * rp)
+            elif k1 == "D" and k2 == "K":
+                put(("K", j, deg), c * s[i - 1])
+                for p, rp in enumerate(r, 1):
+                    put(("K", p, deg), c * rp * (i == j))
+            elif k1 == "K" and k2 == "D":
+                put(("K", i, deg), -c * r[j - 1])
+                for p, sp in enumerate(s, 1):
+                    put(("K", p, deg), -c * sp * (i == j))
+            elif k1 == k2 == "D":
+                put(("D", j, deg), c * s[i - 1])
+                put(("D", i, deg), -c * r[j - 1])
+                c1, c2 = desc.cocycle
+                weight = -c1 * s[i - 1] * r[j - 1] + c2 * r[i - 1] * s[j - 1]
+                for p, rp in enumerate(r, 1):
+                    put(("K", p, deg), c * weight * rp)
+            elif k1 == "D" and k2 == "f":
+                put(("f", j, deg), c * s[i - 1])
+            elif k1 == "f" and k2 == "D":
+                put(("f", i, deg), -c * r[j - 1])
+    return L.LieElt(desc, out)
+
+
+@st.composite
+def _elements(draw, desc):
+    """A random element: up to four symbols of degree in {-2..2}^n, central
+    ones in any index (so K_{j*}(r) is reduced too), rational coefficients."""
+    n = desc.loop_vars
+    degree = st.tuples(*[st.integers(-2, 2)] * n)
+    kinds = {"toroidal": "fKD", "full": "fKD", "witt": "D"}[desc.variant]
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "f":
+            sym = ("f", draw(st.integers(0, desc.fin.dim - 1)), draw(degree))
+        elif kind == "K":
+            sym = ("K", draw(st.integers(1, n)), draw(degree))
+        else:
+            r = desc.zero_degree() if desc.variant == "toroidal" else draw(degree)
+            sym = ("D", draw(st.integers(1, n)), r)
+        terms[sym] = Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 3)))
+    return L.LieElt(desc, terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_bracket_matches_the_reference_bracket(data):
+    desc = data.draw(st.sampled_from(PROPERTY_DESCS))
+    X = data.draw(_elements(desc))
+    Y = data.draw(_elements(desc))
+    got = L.bracket(desc, X, Y)
+    assert got == _reference_bracket(desc, X, Y)
+    assert got + L.bracket(desc, Y, X) == L.LieElt(desc)

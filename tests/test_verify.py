@@ -1,6 +1,8 @@
 import hashlib
 import json
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -294,3 +296,67 @@ class TestSuiteForSpec:
             window = degree_box(spec.algebra.loop_vars, -1, 1) if spec.algebra.variant != "finite" else None
             for rep in V.suite_for_spec(spec, window, samples=4, seed=9):
                 assert rep.passed, (spec.algebra, rep.name, rep.failures[:1])
+
+
+def _digest(data) -> str:
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+
+
+class _Recorder:
+    """Stands in for the verify module inside the benchmark's jobs: runs
+    each suite it is asked for and keeps the report."""
+
+    def __init__(self):
+        self.reports = []
+
+    def __getattr__(self, name):
+        suite = getattr(V, name)
+
+        def run(*args, **kwargs):
+            report = suite(*args, **kwargs)
+            self.reports.append(report.to_dict())
+            return report
+
+        return run
+
+
+class TestFrozenReports:
+    """Reports frozen before the structure-constant kernel replaced the
+    matrix bracket: the same suites on the same inputs give the same bytes."""
+
+    # passing reports carry no spec data, so the three seeds share one digest
+    AXIOMS_DIGEST = "2d3661c14ea2655430b357b3106683abc79cf0e8ac001ad0725075a7c5f09dee"
+    CRITERION_1_DIGESTS = {
+        ("A", 1, 1): "61519ab29c212fc5feff2f04d62874d0f437d75d8769c385fd0d7a8f4c350a9f",
+        ("A", 2, 1): "223812a4acc559b4b41cbc51914f70e43518c1b5dc55cb11ec7ef0c9db63aa30",
+        ("A", 1, 2): "3e5cbe8eeaaf58c861d6ced388de79ce2ddf968c9affc565843fd42c64339e35",
+        ("C", 2, 1): "0dac5b7075bf748914275f8fc2c9169bb7259472b7c6ff34a28591136ab3a829",
+    }
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_axioms_panel(self, monkeypatch, seed):
+        # the benchmark's axioms workload is the source of the specs and suite arguments
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        import workloads as W
+
+        recorder = _Recorder()
+        monkeypatch.setattr(W, "V", recorder)
+        reports = {}
+        for job in W.axioms(random.Random(f"axioms:{seed}")):
+            assert job.run() is None, job.label
+            reports[job.label] = recorder.reports[-1]
+        assert len(reports) == len(recorder.reports) == 61
+        assert _digest(reports) == self.AXIOMS_DIGEST
+
+    @pytest.mark.parametrize("config", list(CRITERION_1_DIGESTS),
+                             ids=lambda c: f"{c[0]}{c[1]}-n{c[2]}")
+    def test_criterion_1_configs(self, config):
+        from test_acceptance import COCYCLES, LIE_CONFIGS
+
+        assert config in LIE_CONFIGS
+        family, l, n = config
+        window = degree_box(n, -1, 1)
+        descs = [AlgebraDesc(family, l, n, "toroidal")]
+        descs += [AlgebraDesc(family, l, n, "full", cc) for cc in COCYCLES]
+        reports = [V.jacobi_check(desc, window).to_dict() for desc in descs]
+        assert _digest(reports) == self.CRITERION_1_DIGESTS[config]

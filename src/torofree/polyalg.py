@@ -401,17 +401,12 @@ class Poly:
                 if len(idx.lstrip("0")) > 3:
                     raise StructureError(f"variable index out of range in {text[:40]!r}")
                 pos = VarId(kind, int(idx)).position(l, n)
-                digits = (power or "1").lstrip("-").lstrip("0")
-                if power is not None and power.startswith("-") and digits:
-                    raise StructureError(f"negative exponent in {factor!r}")
-                if len(digits) > len(str(MAX_EXPONENT)):
-                    exp[pos] = MAX_EXPONENT + 1
-                else:
-                    exp[pos] += int(digits or "0")
-                if exp[pos] > MAX_EXPONENT:
+                digits = (power or "1").lstrip("0") or "0"  # "-" never reaches a factor
+                if len(digits) > len(str(MAX_EXPONENT)) or exp[pos] + int(digits) > MAX_EXPONENT:
                     raise StructureError(
                         f"exponent of {kind}{idx} above {MAX_EXPONENT} in {text[:40]!r}"
                     )
+                exp[pos] += int(digits)
             result = result + Poly(l, n, {tuple(exp): coeff})
         return result
 

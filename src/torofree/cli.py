@@ -278,7 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
         "formulas", help="emit the resolved C-family action formulas (audit trail)"
     )
     common(p, spec=False)
-    p.add_argument("--rank", type=int, default=2)
+    p.add_argument("--rank", type=int, default=2,
+                   help="C_l rank, 2..repmods.MAX_FORMULA_RANK = 8 (every S is listed)")
     p.add_argument("--doc", help="also write the plain-text rendering to this file")
     p.set_defaults(fn=cmd_formulas)
 

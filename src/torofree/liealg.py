@@ -64,42 +64,6 @@ def _freeze(rows: list[list[Rat]]) -> Matrix:
     return tuple(tuple(r) for r in rows)
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    size = len(a)
-    out = _zeros(size)
-    for i in range(size):
-        ai = a[i]
-        for k in range(size):
-            c = ai[k]
-            if c == 0:
-                continue
-            bk = b[k]
-            row = out[i]
-            for j in range(size):
-                if bk[j]:
-                    row[j] += c * bk[j]
-    return _freeze(out)
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return _freeze([[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
-
-
-def mat_comm(a: Matrix, b: Matrix) -> Matrix:
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
-
-
-def mat_trace_prod(a: Matrix, b: Matrix) -> Rat:
-    return sum(
-        (a[i][j] * b[j][i] for i in range(len(a)) for j in range(len(a))),
-        Fraction(0),
-    )
-
-
-def mat_is_zero(a: Matrix) -> bool:
-    return all(x == 0 for row in a for x in row)
-
-
 # -- finite-type realizations ------------------------------------------------
 
 

@@ -20,17 +20,22 @@ width or with a negative entry (whatever its coefficient), coerces every
 coefficient to Fraction and drops zeros.  Results of the kernel operations are canonical by
 construction (tuple keys of width l + n built from valid keys, nonzero
 Fraction values, zeros dropped in the pass that builds the map), so
-``__add__``, ``__neg__``, ``__mul__``, ``scale``, ``shift``, ``try_divide``
+``__add__``, ``__sub__``, ``__neg__``, ``__mul__``, ``scale``, ``shift``, ``try_divide``
 and the ``zero``/``const``/``variable`` constructors wrap their maps with
 the private ``Poly._raw`` instead, which stores the map without
 re-checking it.  ``_raw`` is only for maps this module built itself;
 anything from outside goes through the public constructor.
 
-``__mul__`` and ``shift`` bring the coefficients of an operand over their
-common denominator and accumulate integer numerators, so their inner loops
-do integer arithmetic only and each output coefficient becomes one
-Fraction.  ``shift`` expands only the slots with a nonzero delta, using the
-integer binomial row comb(e, j) * (-delta)^(e - j).
+One integer kernel does the arithmetic on numerators over a common
+denominator: ``_shift_nums`` is the only binomial-expansion loop (it expands
+only the slots with a nonzero delta, by the integer rows
+comb(e, j) * (-delta)^(e - j)) and ``_mul_into`` the only product loop.
+``shift`` and ``__mul__`` are thin wrappers over them.
+``ShiftOperator.apply`` brings p over its common denominator once, shifts
+its numerators and multiplies them by the integer numerators of each f_u
+(the operator's integer form, computed on first use and kept), accumulates
+every term in one int map and makes each output coefficient one Fraction at
+the end; ``compose`` uses the same shift-multiply step for f * T_u(g).
 
 The serialized text form is a sum of terms in graded-lex order (total degree
 descending, then lexicographic on the exponent tuple with H_1 largest),
@@ -43,9 +48,9 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, lcm, prod
 from operator import add, sub
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .errors import DomainError, StructureError
 
@@ -57,6 +62,9 @@ _VAR_RE = re.compile(r"^(H|d)(\d+)(?:\^(-?\d+))?$")
 # the largest exponent of one variable in a term of a polynomial literal: a
 # shift expands H^e into e + 1 terms, so Poly.parse refuses a larger one
 MAX_EXPONENT = 1000
+# the most monomials a shift may expand one term of a literal into, i.e. the
+# largest product of (e + 1) over a term's exponents that Poly.parse accepts
+MAX_SHIFT_MONOMIALS = 10_000
 _RAT_RE = re.compile(r"^-?\d+(?:/0*[1-9]\d*)?$")  # no zero denominator
 
 
@@ -185,19 +193,7 @@ class Poly:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other) -> "Poly":
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = out.get(exp)
-            if s is None:
-                out[exp] = c
-                continue
-            s += c
-            if s:
-                out[exp] = s
-            else:
-                del out[exp]
-        return Poly._raw(self.l, self.n, out)
+        return self._merge(other, add)
 
     __radd__ = __add__
 
@@ -205,10 +201,26 @@ class Poly:
         return Poly._raw(self.l, self.n, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
-        return self + (-self._coerce(other))
+        return self._merge(other, sub)
 
     def __rsub__(self, other) -> "Poly":
         return (-self) + other
+
+    def _merge(self, other, op) -> "Poly":
+        """self + other or self - other (``op`` is add or sub) in one pass."""
+        other = self._coerce(other)
+        out = dict(self.terms)
+        for exp, c in other.terms.items():
+            s = out.get(exp)
+            if s is None:
+                out[exp] = c if op is add else -c
+                continue
+            s = op(s, c)
+            if s:
+                out[exp] = s
+            else:
+                del out[exp]
+        return Poly._raw(self.l, self.n, out)
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
@@ -217,10 +229,7 @@ class Poly:
         den_a, nums_a = _over_common_denominator(self.terms)
         den_b, nums_b = _over_common_denominator(other.terms)
         out: dict[Exponent, int] = {}
-        for ea, ca in nums_a:
-            for eb, cb in nums_b:
-                exp = tuple(map(add, ea, eb))
-                out[exp] = out.get(exp, 0) + ca * cb
+        _mul_into(out, nums_a, nums_b)
         return Poly._raw(self.l, self.n, _nonzero_fractions(out, den_a * den_b))
 
     __rmul__ = __mul__
@@ -304,35 +313,11 @@ class Poly:
         """Substitute every variable v_p by v_p - deltas[p] (binomial expansion)."""
         if len(deltas) != self.l + self.n:
             raise StructureError("shift vector has wrong length")
-        moved = [(pos, dlt) for pos, dlt in enumerate(deltas) if dlt]
+        moved = _moved(deltas)
         if not moved:
             return self
-        # rows[(e, dlt)][j] = comb(e, j) * (-dlt)^(e - j), the coefficient of
-        # v^j in (v - dlt)^e; integers for integer deltas
-        rows: dict[tuple, list] = {}
         den, nums = _over_common_denominator(self.terms)
-        out: dict[Exponent, int] = {}
-        for exp, c in nums:
-            # expansion of prod over moved slots p of (v_p - delta_p)^{e_p}; the
-            # monomials of one expansion are distinct, so a list suffices
-            partial = [(exp, c)]
-            for pos, dlt in moved:
-                e = exp[pos]
-                if e == 0:
-                    continue
-                row = rows.get((e, dlt))
-                if row is None:
-                    row = rows[e, dlt] = [
-                        comb(e, j) * (-dlt) ** (e - j) for j in range(e + 1)
-                    ]
-                partial = [
-                    (k[:pos] + (j,) + k[pos + 1 :], v * w)
-                    for k, v in partial
-                    for j, w in enumerate(row)
-                ]
-            for k, v in partial:
-                out[k] = out.get(k, 0) + v
-        return Poly._raw(self.l, self.n, _nonzero_fractions(out, den))
+        return Poly._raw(self.l, self.n, _nonzero_fractions(_shift_nums(nums, moved), den))
 
     # -- text form ---------------------------------------------------------
 
@@ -407,6 +392,11 @@ class Poly:
                         f"exponent of {kind}{idx} above {MAX_EXPONENT} in {text[:40]!r}"
                     )
                 exp[pos] += int(digits)
+            if prod(e + 1 for e in exp) > MAX_SHIFT_MONOMIALS:
+                raise StructureError(
+                    f"a term of {text[:40]!r} shifts into more than {MAX_SHIFT_MONOMIALS}"
+                    " monomials (the product of exponent + 1 over its variables)"
+                )
             result = result + Poly(l, n, {tuple(exp): coeff})
         return result
 
@@ -437,6 +427,56 @@ def _nonzero_fractions(nums: dict[Exponent, int], den: int) -> dict[Exponent, Ra
     return {e: Fraction(v, den) for e, v in nums.items() if v}
 
 
+# -- the integer kernel: one binomial-expansion loop, one product loop -------
+
+
+def _moved(deltas: Sequence[int]) -> list[tuple[int, int]]:
+    """The (slot, delta) pairs of a shift vector with a nonzero delta."""
+    return [(pos, dlt) for pos, dlt in enumerate(deltas) if dlt]
+
+
+def _shift_nums(nums: Iterable[tuple[Exponent, int]],
+                moved: list[tuple[int, int]]) -> dict[Exponent, int]:
+    """Integer numerators of the shift by ``moved`` of the terms ``nums``."""
+    out: dict[Exponent, int] = {}
+    # rows[(e, dlt)][j] = comb(e, j) * (-dlt)^(e - j), the coefficient of
+    # v^j in (v - dlt)^e; integers for integer deltas
+    rows: dict[tuple[int, int], list[int]] = {}
+    for exp, c in nums:
+        # expansion of prod over moved slots p of (v_p - delta_p)^{e_p}; the
+        # monomials of one expansion are distinct, so a list suffices
+        partial = [(exp, c)]
+        for pos, dlt in moved:
+            e = exp[pos]
+            if e:
+                row = rows.get((e, dlt))
+                if row is None:
+                    row = rows[e, dlt] = [comb(e, j) * (-dlt) ** (e - j) for j in range(e + 1)]
+                partial = [
+                    (k[:pos] + (j,) + k[pos + 1 :], v * w)
+                    for k, v in partial
+                    for j, w in enumerate(row)
+                ]
+        for k, v in partial:
+            out[k] = out.get(k, 0) + v
+    return out
+
+
+def _mul_into(out: dict[Exponent, int], nums_a: Iterable[tuple[Exponent, int]],
+              nums_b: Collection[tuple[Exponent, int]]) -> None:
+    """Accumulate the product of two integer term lists into ``out``."""
+    for ea, ca in nums_a:
+        for eb, cb in nums_b:
+            exp = tuple(map(add, ea, eb))
+            out[exp] = out.get(exp, 0) + ca * cb
+
+
+def _shift_mul_into(out: dict[Exponent, int], nums_f: Iterable[tuple[Exponent, int]],
+                    nums_p: list[tuple[Exponent, int]], moved: list[tuple[int, int]]) -> None:
+    """Accumulate f * T_u(p) into ``out``, all as integer numerators."""
+    _mul_into(out, nums_f, _shift_nums(nums_p, moved).items() if moved else nums_p)
+
+
 # -- shift operators ---------------------------------------------------------
 
 
@@ -455,7 +495,7 @@ class ShiftOperator:
     mutated after construction.
     """
 
-    __slots__ = ("l", "n", "terms")
+    __slots__ = ("l", "n", "terms", "_ints")
 
     def __init__(self, l: int, n: int, terms: dict[Shift, Poly] | None = None):
         object.__setattr__(self, "l", l)
@@ -463,6 +503,7 @@ class ShiftOperator:
         object.__setattr__(
             self, "terms", {tuple(u): f for u, f in (terms or {}).items() if f.terms}
         )
+        object.__setattr__(self, "_ints", None)
 
     def __setattr__(self, *_):
         raise AttributeError("ShiftOperator is immutable")
@@ -477,23 +518,46 @@ class ShiftOperator:
 
     __hash__ = None
 
+    def _integer_form(self) -> tuple[int, ...]:
+        """(D, numerators...): D is the lcm of every coefficient denominator,
+        followed by the integer numerators of D * f_u, term by term in the
+        order of ``terms`` and of each f_u's terms.  Built on first use and
+        kept as one flat tuple (numerators that need no scaling are shared
+        with the coefficients), which keeps a cached operator small."""
+        if self._ints is None:
+            den = lcm(*[c.denominator for f in self.terms.values() for c in f.terms.values()])
+            object.__setattr__(self, "_ints", (den, *(
+                c.numerator if c.denominator == den else c.numerator * (den // c.denominator)
+                for f in self.terms.values() for c in f.terms.values()
+            )))
+        return self._ints
+
     def apply(self, p: Poly) -> Poly:
-        """sum_u f_u * p.shift(u)."""
+        """sum_u f_u * p.shift(u), accumulated as integers over one denominator."""
         if p.ranks != (self.l, self.n):
             raise StructureError(f"polynomial ranks {p.ranks} do not match {(self.l, self.n)}")
-        out = None
+        ints = self._integer_form()
+        den_p, nums_p = _over_common_denominator(p.terms)
+        out: dict[Exponent, int] = {}
+        start = 1
         for u, f in self.terms.items():
-            term = p.shift(u) * f
-            out = term if out is None else out + term
-        return Poly.zero(self.l, self.n) if out is None else out
+            end = start + len(f.terms)
+            _shift_mul_into(out, zip(f.terms, ints[start:end]), nums_p, _moved(u))
+            start = end
+        return Poly._raw(self.l, self.n, _nonzero_fractions(out, ints[0] * den_p))
 
     def compose(self, other: "ShiftOperator") -> "ShiftOperator":
         """self after other: (sum f_u T_u)(sum g_v T_v) = sum f_u T_u(g_v) T_(u+v)."""
         out: dict[Shift, Poly] = {}
+        others = [(v, *_over_common_denominator(g.terms)) for v, g in other.terms.items()]
         for u, f in self.terms.items():
-            for v, g in other.terms.items():
+            den_f, nums_f = _over_common_denominator(f.terms)
+            moved = _moved(u)
+            for v, den_g, nums_g in others:
+                nums: dict[Exponent, int] = {}
+                _shift_mul_into(nums, nums_f, nums_g, moved)
+                term = Poly._raw(self.l, self.n, _nonzero_fractions(nums, den_f * den_g))
                 w = tuple(map(add, u, v))
-                term = f * g.shift(u)
                 out[w] = out[w] + term if w in out else term
         return ShiftOperator(self.l, self.n, out)
 

@@ -54,6 +54,9 @@ Rat = Fraction
 # algebra tables grow with both, so larger values are refused before any is built
 MAX_RANK = 16
 MAX_LOOP_VARS = 8
+# the largest rank c_family_formula_notes renders: it lists the action of
+# every one of the 2^l subsets S, which at rank 8 is about a second of work
+MAX_FORMULA_RANK = 8
 
 _GEN_RE = re.compile(r"^(x|y|h|K|D|d)(\d+)\s*(?:\(\s*(-?\d+(?:\s*,\s*-?\d+)*)?\s*\))?$")
 
@@ -291,8 +294,10 @@ def _base(spec: ModuleSpec) -> tuple[list[Poly], list[Poly]]:
 
 def c_family_formula_notes(l: int) -> str:
     """Render the resolved C_l action polynomials (audit trail for the fix)."""
-    if l > MAX_RANK:
-        raise StructureError(f"rank must be at most {MAX_RANK}, got {l}")
+    if l > MAX_FORMULA_RANK:
+        raise StructureError(
+            f"formulas list all 2^l subsets S: rank must be at most {MAX_FORMULA_RANK}, got {l}"
+        )
     desc = AlgebraDesc("C", l)
     lines = [
         f"Resolved C_{l} generator action polynomials (b = 0 throughout).",
@@ -323,7 +328,7 @@ def c_family_formula_notes(l: int) -> str:
         "  * the stray b in the printed x_k line is 0: these modules have",
         "    no b parameter, and two other printed constants force b = 0.",
         "",
-        "Concrete sp_4 values with a = (1, 1):",
+        f"Concrete sp_{2 * l} values with a = ({', '.join(['1'] * l)}):",
     ]
     for S in _subsets(l):
         spec = ModuleSpec(

@@ -74,17 +74,16 @@ def random_poly(
     max_terms: int = 6,
 ) -> Poly:
     """A random sparse polynomial: <= max_terms terms, coefficients in -9..9 \\ {0}."""
-    p = Poly.zero(l, n)
+    terms: dict[tuple[int, ...], int] = {}
     width = l + n
     for _ in range(rng.randint(1, max_terms)):
         exp = [0] * width
         for _ in range(rng.randint(0, max_total_deg)):
             exp[rng.randrange(width)] += 1
         coeff = rng.choice([c for c in range(-9, 10) if c])
-        p = p + Poly(l, n, {tuple(exp): Fraction(coeff)})
-    if p.is_zero():
-        p = Poly.const(l, n, 1)
-    return p
+        terms[tuple(exp)] = terms.get(tuple(exp), 0) + coeff
+    p = Poly(l, n, terms)
+    return p if p else Poly.const(l, n, 1)
 
 
 def _check_samples(samples: int) -> None:
@@ -103,7 +102,8 @@ def _check_samples(samples: int) -> None:
 # black-box action is, so the failures name the same inputs and values; if
 # no sample exposes it, one more failure names the identity and the
 # operator difference, so a false identity never passes.  Any other
-# ``action`` is a black box and is only sampled.
+# ``action`` is a black box and is only sampled; bracket_compat evaluates it
+# through a ``_Memo``, once per (generator, input).
 
 
 def _record_unexposed(report: CheckReport, failures_before: int, gap: ShiftOperator,
@@ -112,6 +112,29 @@ def _record_unexposed(report: CheckReport, failures_before: int, gap: ShiftOpera
     ``failures_before`` already names it under ``key``."""
     if all(f[key] != name for f in report.failures[failures_before:]):
         report.record(False, **{key: name}, input="every polynomial", difference=gap)
+
+
+class _Memo:
+    """A black-box ``action`` evaluated at most once per (generator, input).
+
+    Entries are keyed on the input's id and hold the input, so no id in a
+    key is reused while its entry lives.  ``keep_only`` drops every entry
+    whose input is not among the given ones.
+    """
+
+    def __init__(self, action: ActionFn):
+        self.action = action
+        self.memo: dict[tuple[Generator, int], tuple[Poly, Poly]] = {}
+
+    def __call__(self, spec: ModuleSpec, gen: Generator, q: Poly) -> Poly:
+        key = (gen, id(q))
+        hit = self.memo.get(key)
+        if hit is None:
+            hit = self.memo[key] = (q, self.action(spec, gen, q))
+        return hit[1]
+
+    def keep_only(self, inputs: set[int]) -> None:
+        self.memo = {k: v for k, v in self.memo.items() if k[1] in inputs}
 
 
 def bracket_compat_check(
@@ -131,14 +154,12 @@ def bracket_compat_check(
     polys = [random_poly(rng, l, n) for _ in range(samples)]
     white_box = action is repmods.act
     ops = [repmods.generator_operator(spec, g) for g in gens] if white_box else []
-    # first-level actions are shared across all pairs involving a generator
-    acted: dict[tuple[int, int], Poly] = {}
-
-    def first(i: int, k: int) -> Poly:
-        if (i, k) not in acted:
-            acted[i, k] = action(spec, gens[i], polys[k])
-        return acted[i, k]
-
+    if not white_box:
+        # first-level actions serve every pair; deeper ones (the second
+        # level and the generator words of act_element) are kept for one
+        # pair only, which keeps the memo small
+        action = _Memo(action)
+        sample_ids = {id(p) for p in polys}
     for i1, i2 in itertools.combinations_with_replacement(range(len(gens)), 2):
         g1, g2 = gens[i1], gens[i2]
         elt = repmods.generator_bracket(spec, g1, g2)
@@ -149,19 +170,18 @@ def bracket_compat_check(
                 report.cases_run += samples
                 continue
         failures_before = len(report.failures)
-        for k, p in enumerate(polys):
+        for p in polys:
             lhs = repmods.act_element(spec, elt, p, action)
-            rhs = action(spec, g1, first(i2, k)) - action(spec, g2, first(i1, k))
-            report.record(
-                lhs == rhs,
-                generator_pair=pair,
-                input=p,
-                lhs=lhs,
-                rhs=rhs,
-                difference=lhs - rhs,
+            rhs = action(spec, g1, action(spec, g2, p)) - action(spec, g2, action(spec, g1, p))
+            diff = lhs - rhs
+            report.record_lazily(
+                diff.is_zero(),
+                lambda: dict(generator_pair=pair, input=p, lhs=lhs, rhs=rhs, difference=diff),
             )
         if white_box:
             _record_unexposed(report, failures_before, gap, "generator_pair", pair)
+        else:
+            action.keep_only(sample_ids)
     return report
 
 

@@ -57,6 +57,42 @@ def mk_spec(
     )
 
 
+# -- dense reference matrix arithmetic ------------------------------------------
+#
+# The library works on sparse integer tables; these plain Fraction loops over
+# square matrices (sequences of rows) are the independent reference the tests
+# compare it with.
+
+
+def _mat_mul(a, b):
+    size = len(a)
+    out = [[Fraction(0)] * size for _ in range(size)]
+    for i in range(size):
+        row = out[i]
+        for k, c in enumerate(a[i]):
+            if c:
+                for j, x in enumerate(b[k]):
+                    if x:
+                        row[j] += c * x
+    return tuple(tuple(r) for r in out)
+
+
+def mat_sub(a, b):
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def mat_comm(a, b):
+    return mat_sub(_mat_mul(a, b), _mat_mul(b, a))
+
+
+def mat_trace_prod(a, b):
+    return sum((a[i][j] * b[j][i] for i in range(len(a)) for j in range(len(a))), Fraction(0))
+
+
+def mat_is_zero(a) -> bool:
+    return all(x == 0 for row in a for x in row)
+
+
 @pytest.fixture
 def sl2_finite():
     # the worked example: a = (2), b = 3, S = {1}

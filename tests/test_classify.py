@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mk_spec
+from conftest import mat_comm, mat_is_zero, mat_sub, mk_spec
 from torofree import classify as C, liealg as L, repmods as R
 from torofree.errors import ClassificationError, DomainError
 from torofree.polyalg import Poly
@@ -718,15 +718,15 @@ class TestLinearAlgebraHelpers:
                 xj, yj = x_mats[j - 1], y_mats[j - 1]
                 same = i == j
                 cartan = lin((2, h(i)), (-1, h(i - 1)), (-1, h(i + 1)))
-                assert L.mat_comm(xi, yj) == frozen(cartan if same else zero)
-                assert L.mat_comm(h(j), xi) == frozen(xi if same else zero)
-                assert L.mat_comm(h(j), yi) == frozen(lin((-1, yi)) if same else zero)
+                assert mat_comm(xi, yj) == frozen(cartan if same else zero)
+                assert mat_comm(h(j), xi) == frozen(xi if same else zero)
+                assert mat_comm(h(j), yi) == frozen(lin((-1, yi)) if same else zero)
                 if abs(i - j) == 1:
-                    assert L.mat_is_zero(L.mat_comm(xi, L.mat_comm(xi, xj)))
-                    assert L.mat_is_zero(L.mat_comm(yi, L.mat_comm(yi, yj)))
+                    assert mat_is_zero(mat_comm(xi, mat_comm(xi, xj)))
+                    assert mat_is_zero(mat_comm(yi, mat_comm(yi, yj)))
                 if abs(i - j) >= 2:
-                    assert L.mat_is_zero(L.mat_comm(xi, xj))
-                    assert L.mat_is_zero(L.mat_comm(yi, yj))
+                    assert mat_is_zero(mat_comm(xi, xj))
+                    assert mat_is_zero(mat_comm(yi, yj))
 
     def test_irrep_relations(self):
         rep = C.irrep_A(2, (2, 0))
@@ -736,6 +736,6 @@ class TestLinearAlgebraHelpers:
                   for r, w in enumerate(rep.h_diag)]
             for i in range(2):
                 delta = 1 if i == j else 0
-                comm = L.mat_comm(hj, x_mats[i])
+                comm = mat_comm(hj, x_mats[i])
                 scaled = [[delta * x for x in row] for row in x_mats[i]]
-                assert L.mat_is_zero(L.mat_sub(comm, scaled))
+                assert mat_is_zero(mat_sub(comm, scaled))

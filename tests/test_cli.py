@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from conftest import src_env
 from torofree.cli import MAX_WINDOW_DEGREES, _parse_window, main
 from torofree.errors import StructureError
-from torofree.polyalg import MAX_EXPONENT
+from torofree.polyalg import MAX_EXPONENT, MAX_SHIFT_MONOMIALS
+from torofree.repmods import MAX_FORMULA_RANK
 
 FULL_SPEC = {
     "algebra": {"family": "A", "rank": 1, "loop_vars": 1, "variant": "full",
@@ -151,6 +152,25 @@ class TestSizeBounds:
         code, out = run(capsys, ["act", "--spec", specfile(FULL_SPEC), "--gen", "x1",
                                  "--poly", f"H1^{MAX_EXPONENT}"])
         assert code == 0 and json.loads(out)["input"] == f"H1^{MAX_EXPONENT}"
+
+    @pytest.mark.parametrize("poly", ["H1^300*d1^300", "H1^100*d1^99", "H1^1000*d1^1000",
+                                      "d1^10*H1^1000 + 2"])
+    def test_term_with_too_many_shift_monomials_exits_2_quickly(self, specfile, capsys, poly):
+        start = time.perf_counter()
+        code = main(["act", "--spec", specfile(FULL_SPEC), "--gen", "x1(1)", "--poly", poly])
+        captured = capsys.readouterr()
+        assert time.perf_counter() - start < 1
+        assert code == 2 and captured.out == ""
+        assert f"more than {MAX_SHIFT_MONOMIALS} monomials" in captured.err
+
+    def test_term_at_the_shift_monomial_cap_runs(self, specfile, capsys):
+        # (99 + 1) * (99 + 1) = MAX_SHIFT_MONOMIALS monomials after the shift
+        assert MAX_SHIFT_MONOMIALS == 100 * 100
+        code, out = run(capsys, ["act", "--spec", specfile(FULL_SPEC), "--gen", "x1(1)",
+                                 "--poly", "H1^99*d1^99"])
+        result = json.loads(out)["result"]
+        terms = result.count(" + ") + result.count(" - ") + 1
+        assert code == 0 and terms == MAX_SHIFT_MONOMIALS
 
     def test_overlong_variable_index_exits_2(self, specfile, capsys):
         code = main(["act", "--spec", specfile(FULL_SPEC), "--gen", "x1",
@@ -338,6 +358,29 @@ class TestFormulas:
         text = doc.read_text()
         assert "x_l . g" in text and "(A - 3/4)(A - 1/4)" in text
         assert json.loads(out)["text"] == text
+
+    def test_rank_above_the_cap_exits_2_quickly(self, capsys):
+        start = time.perf_counter()
+        code = main(["formulas", "--rank", str(MAX_FORMULA_RANK + 1)])
+        captured = capsys.readouterr()
+        assert time.perf_counter() - start < 1
+        assert code == 2 and captured.out == ""
+        assert f"at most {MAX_FORMULA_RANK}" in captured.err
+
+    def test_rank_at_the_cap_runs(self, capsys):
+        code, out = run(capsys, ["formulas", "--rank", str(MAX_FORMULA_RANK)])
+        text = json.loads(out)["text"]
+        assert code == 0 and text.count(f"S={{}}: x_{MAX_FORMULA_RANK}.1") == 1
+
+    def test_concrete_values_header_names_the_rank(self, capsys):
+        headers = {}
+        for rank in (2, 3):
+            code, out = run(capsys, ["formulas", "--rank", str(rank)])
+            assert code == 0
+            headers[rank] = [line for line in json.loads(out)["text"].splitlines()
+                             if line.startswith("Concrete")]
+        assert headers == {2: ["Concrete sp_4 values with a = (1, 1):"],
+                           3: ["Concrete sp_6 values with a = (1, 1, 1):"]}
 
     @pytest.mark.parametrize("flag,target", [("--out", "."), ("--doc", "."),
                                              ("--out", "missing/x.json"),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import src_env
+from conftest import mat_comm, mat_trace_prod, src_env
 from torofree import liealg as L
 from torofree.errors import DomainError, StructureError
 from torofree.verify import cocycle_identity_check, jacobi_check
@@ -201,7 +201,7 @@ class TestGeneratorWords:
 
         def evaluate(word):
             if word[0] == "br":
-                return L.mat_comm(evaluate(word[1]), evaluate(word[2]))
+                return mat_comm(evaluate(word[1]), evaluate(word[2]))
             return fin.mats[letters[word[0]][word[1]]]
 
         for m in range(fin.dim):
@@ -242,14 +242,14 @@ class TestStructureTables:
         mats = fin.mats
         for m1 in range(fin.dim):
             for m2 in range(fin.dim):
-                comm = L.mat_comm(mats[m1], mats[m2])
+                comm = mat_comm(mats[m1], mats[m2])
                 entry = fin.table[m1][m2]
                 assert dict(entry) == fin.decompose(comm)
                 assert _combination(fin, entry) == comm
                 assert [m for m, _ in entry] == sorted(m for m, _ in entry)
                 # integral constants are stored as ints
                 assert all(type(c) is int for _, c in entry if c.denominator == 1)
-                assert fin.forms[m1][m2] == L.mat_trace_prod(mats[m1], mats[m2])
+                assert fin.forms[m1][m2] == mat_trace_prod(mats[m1], mats[m2])
 
     def test_decompose_refuses_a_matrix_outside_the_algebra(self):
         fin = L.FiniteAlgebra("A", 1)
@@ -298,10 +298,10 @@ def _reference_bracket(desc, X, Y):
             deg = tuple(x + y for x, y in zip(r, s))
             if k1 == k2 == "f":
                 fin = desc.fin
-                comm = L.mat_comm(fin.mats[i], fin.mats[j])
+                comm = mat_comm(fin.mats[i], fin.mats[j])
                 for m, v in fin.decompose(comm).items():
                     put(("f", m, deg), c * v)
-                form = L.mat_trace_prod(fin.mats[i], fin.mats[j])
+                form = mat_trace_prod(fin.mats[i], fin.mats[j])
                 for p, rp in enumerate(r, 1):
                     put(("K", p, deg), c * form * rp)
             elif k1 == "D" and k2 == "K":

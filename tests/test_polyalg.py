@@ -1,4 +1,6 @@
+import itertools
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -163,6 +165,56 @@ def mixed(p, q, a, b):
     return p.scale(a) + q.scale(b)
 
 
+def tall_rationals():
+    # heights up to ~1e20, with unlike denominators
+    return rationals() | st.builds(Fraction, st.integers(-10**20, 10**20),
+                                   st.integers(1, 10**20))
+
+
+@st.composite
+def tall_polys(draw, max_deg=3, max_terms=4):
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        exp = [0] * (L + N)
+        for _ in range(draw(st.integers(0, max_deg))):
+            exp[draw(st.integers(0, L + N - 1))] += 1
+        terms[tuple(exp)] = draw(tall_rationals())
+    return Poly(L, N, terms)
+
+
+@st.composite
+def tall_operators(draw, max_terms=3):
+    # several terms, negative shifts, tall rational coefficients
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        u = tuple(draw(st.integers(-3, 2)) for _ in range(L + N))
+        terms[u] = draw(tall_polys(max_deg=2, max_terms=3))
+    return ShiftOperator(L, N, terms)
+
+
+def reference_apply(A, p):
+    """sum_u f_u * p.shift(u) by plain Fraction arithmetic: each variable v is
+    replaced by v - u_v term by term, then multiplied out, and the sum goes
+    through the public constructor."""
+    total = {}
+    for u, f in A.terms.items():
+        shifted = {}
+        for exp, c in p.terms.items():
+            choices = [[(j, Fraction(comb(e, j)) * Fraction(-d) ** (e - j)) for j in range(e + 1)]
+                       for e, d in zip(exp, u)]
+            for picks in itertools.product(*choices):
+                key = tuple(j for j, _ in picks)
+                value = c
+                for _, w in picks:
+                    value *= w
+                shifted[key] = shifted.get(key, Fraction(0)) + value
+        for ea, ca in shifted.items():
+            for eb, cb in f.terms.items():
+                key = tuple(x + y for x, y in zip(ea, eb))
+                total[key] = total.get(key, Fraction(0)) + ca * cb
+    return Poly(A.l, A.n, total)
+
+
 class TestTrustedKernel:
     @given(polys(), polys(), rationals(), rationals(),
            st.lists(st.integers(-3, 3), min_size=L + N, max_size=L + N),
@@ -185,6 +237,21 @@ class TestTrustedKernel:
             quot = try_divide(f * g, g)
             assert quot == f
             assert_canonical(quot)
+
+    @given(tall_operators(), tall_polys())
+    @settings(max_examples=60, deadline=None)
+    def test_apply_matches_fraction_reference(self, A, p):
+        got = A.apply(p)
+        assert got == reference_apply(A, p)
+        assert_canonical(got)
+
+    @given(tall_operators(), tall_operators(), tall_polys())
+    @settings(max_examples=40, deadline=None)
+    def test_compose_applied_is_nested_apply(self, A, B, p):
+        AB = A.compose(B)
+        assert AB.apply(p) == A.apply(B.apply(p))
+        for f in AB.terms.values():
+            assert_canonical(f)
 
     def test_public_constructor_coerces_and_drops_zeros(self):
         p = Poly(L, N, {(1, 0, 0, 0): 2, (0, 1, 0, 0): 0, (0, 0, 0, 0): Fraction(0)})

@@ -360,3 +360,69 @@ class TestFrozenReports:
         descs += [AlgebraDesc(family, l, n, "full", cc) for cc in COCYCLES]
         reports = [V.jacobi_check(desc, window).to_dict() for desc in descs]
         assert _digest(reports) == self.CRITERION_1_DIGESTS[config]
+
+
+class TestBlackBoxBracketCompat:
+    """bracket_compat_check through a defective black-box oracle at heights
+    ~1e20: each action is evaluated once, and the reports keep their bytes."""
+
+    SPEC = mk_spec(rank=2, loop_vars=1, variant="toroidal", lam=(F(10**20 + 3, 7),),
+                   base_a=(F(-(10**19) - 1, 11), F(13, 10**20 + 9)),
+                   base_b=F(10**20 + 1, 3), S={2, 3})
+    WINDOW = [(0,), (1,)]
+    # (cases, failures, SHA-256 of the report's to_dict()) per (defect, seed),
+    # frozen before the black-box actions were memoised
+    FROZEN = {
+        ("center", 1): (240, 52, "c4a320b33dc34fcd7391850a2aa153047d1acbbcc1fb85c33f9e156bc44019bb"),
+        ("center", 2): (240, 52, "c7bfedd5aec24b0bd94d058c1a0b10c24360be7600ab57803880da0c701fc828"),
+        ("center", 3): (240, 52, "b3a28bd9849457d1bbf6d5eaba5ccc3fd190491f7538940ad679ba8a1e75b891"),
+        ("loop-scaling", 1):
+            (240, 30, "9f3e2979325a33da934b4fa966fb32612f8a62e1bdccae7a9821940f304c1fad"),
+        ("loop-scaling", 2):
+            (240, 30, "9067b342f1610620b085ad06d51586c37d8fafaa1e678c978a1cc2d023d88fb8"),
+        ("loop-scaling", 3):
+            (240, 30, "3bffef9fc4b952aa9e52136c57da55477db546badd54cedda5fd3a8f289546c4"),
+        ("lambda-mismatch", 1):
+            (240, 20, "452fd7cff28fc711003245af23e5efb628b601e0563c68432230b0fb824b8fb4"),
+        ("lambda-mismatch", 2):
+            (240, 20, "bb99bd73f45bdcd4dd2a2272b0637031fb0d45b6fe704526ae78e24830da502c"),
+        ("lambda-mismatch", 3):
+            (240, 20, "4b6035c2bfb6b2a20c0a2b0c80673955d0d4fee5e7ecf8a46d284949ae0b5961"),
+    }
+
+    @pytest.mark.parametrize("kind,seed", list(FROZEN), ids=lambda v: str(v))
+    def test_defect_oracle_report_is_unchanged(self, kind, seed):
+        bad = C.inject_defect(C.oracle_from_spec(self.SPEC), kind)
+        report = V.bracket_compat_check(self.SPEC, self.WINDOW, samples=2, seed=seed,
+                                        action=lambda s, g, p: bad.eval(g, p)).to_dict()
+        assert (report["cases_run"], len(report["failures"]), _digest(report)) \
+            == self.FROZEN[kind, seed]
+
+    def test_each_action_is_evaluated_once(self, monkeypatch):
+        bad = C.inject_defect(C.oracle_from_spec(self.SPEC), "center")
+        current = []  # the generator pair whose cases are running
+        calls = []    # (pair, generator, input); holding the inputs keeps their ids unique
+
+        def bracket(spec, g1, g2):
+            current[:] = [(g1, g2)]
+            return generator_bracket(spec, g1, g2)
+
+        def action(spec, gen, p):
+            calls.append((current[0], gen, p))
+            return bad.eval(gen, p)
+
+        generator_bracket = R.generator_bracket
+        monkeypatch.setattr(R, "generator_bracket", bracket)
+        seed = 1
+        rng = random.Random(seed)
+        samples = [V.random_poly(rng, *self.SPEC.ranks) for _ in range(2)]
+        assert not V.bracket_compat_check(self.SPEC, self.WINDOW, samples=2, seed=seed,
+                                          action=action).passed
+        # within one generator pair, each (generator, input) is evaluated once
+        per_pair = [(pair, gen, id(p)) for pair, gen, p in calls]
+        assert len(per_pair) == len(set(per_pair))
+        # across the whole check, each generator acts on each sample once
+        first = [(gen, p.text()) for _, gen, p in calls if p in samples]
+        assert first and len(first) == len(set(first))
+        # 508 oracle calls; before the memo the same check made 650
+        assert len(calls) <= 508

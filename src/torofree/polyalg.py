@@ -1,9 +1,12 @@
 """Exact sparse polynomial arithmetic over Q with shift automorphisms.
 
-Polynomials live in Q[H_1..H_l, d_1..d_n].  A polynomial is a map from
-exponent tuples (length l + n, H-block first) to nonzero Fraction
-coefficients; the zero polynomial is the empty map.  This canonical form
-makes equality testing exact: two values are equal iff their term maps are.
+Polynomials live in Q[H_1..H_l, d_1..d_n].  A polynomial is stored as one
+positive integer denominator ``den`` and a map ``nums`` from exponent tuples
+(length l + n, H-block first) to nonzero int numerators; its value is
+sum_e nums[e] / den * x^e.  The form is reduced, gcd(den, every numerator)
+= 1, and the zero polynomial is (1, {}).  So it is canonical: two values are
+equal iff their denominators and numerator maps are, and equality and
+hashing compare integers only.
 
 The shift automorphisms are
 
@@ -17,25 +20,31 @@ compose and bracket exactly, in closed form.
 Trusted construction: the public constructor ``Poly(l, n, terms)`` accepts
 arbitrary input, so it raises StructureError on an exponent of the wrong
 width or with a negative entry (whatever its coefficient), coerces every
-coefficient to Fraction and drops zeros.  Results of the kernel operations are canonical by
-construction (tuple keys of width l + n built from valid keys, nonzero
-Fraction values, zeros dropped in the pass that builds the map), so
-``__add__``, ``__sub__``, ``__neg__``, ``__mul__``, ``scale``, ``shift``, ``try_divide``
-and the ``zero``/``const``/``variable`` constructors wrap their maps with
-the private ``Poly._raw`` instead, which stores the map without
-re-checking it.  ``_raw`` is only for maps this module built itself;
-anything from outside goes through the public constructor.
+coefficient that is not an int or a Fraction through Fraction, drops zeros
+and brings the rest over the lcm of their denominators, which leaves the
+form reduced.  Every other operation
+builds the integer form itself and wraps it with the private ``Poly._raw``,
+which stores it without checking, or ``Poly._reduced``, which first divides
+out gcd(den, numerators).  Both are only for maps built here (or in
+``classify``) from valid keys and nonzero numerators.
 
-One integer kernel does the arithmetic on numerators over a common
-denominator: ``_shift_nums`` is the only binomial-expansion loop (it expands
-only the slots with a nonzero delta, by the integer rows
-comb(e, j) * (-delta)^(e - j)) and ``_mul_into`` the only product loop.
-``shift`` and ``__mul__`` are thin wrappers over them.
-``ShiftOperator.apply`` brings p over its common denominator once, shifts
-its numerators and multiplies them by the integer numerators of each f_u
-(the operator's integer form, computed on first use and kept), accumulates
-every term in one int map and makes each output coefficient one Fraction at
-the end; ``compose`` uses the same shift-multiply step for f * T_u(g).
+One integer kernel does the arithmetic: ``_shift_nums`` is the only
+binomial-expansion loop (it expands only the slots with a nonzero delta, by
+the integer rows comb(e, j) * (-delta)^(e - j)) and ``_mul_into`` the only
+product loop.  ``+`` and ``-`` work over the lcm of the two denominators,
+``*`` over their product and ``scale`` over den times the scalar's
+denominator, each dividing out the gcd at the end.  ``shift`` needs no gcd:
+an integer shift is an automorphism of Z[H, d], so it keeps the content of
+the numerators.  ``ShiftOperator.apply`` multiplies the shifted numerators
+of p by those of each f_u, brought over their lcm D, into one int map over
+D * den(p) and reduces once; ``compose`` uses the same shift-multiply step
+for f * T_u(g), and ``try_divide`` divides numerators fraction-free.
+
+``Fraction``s are made only at the edges: by ``terms`` (a read-only view
+exponent -> Fraction that makes each coefficient as it is read),
+``sorted_terms`` and iteration, ``coeff``, ``constant_term``, ``leading``,
+``as_scalar``, ``eval`` and ``text``, and where the public constructor,
+``const``, ``scale`` or ``==`` coerce a scalar argument.
 
 The serialized text form is a sum of terms in graded-lex order (total degree
 descending, then lexicographic on the exponent tuple with H_1 largest),
@@ -46,9 +55,10 @@ from __future__ import annotations
 
 import re
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm, prod
+from math import comb, gcd, lcm, prod
 from operator import add, sub
 from typing import Collection, Iterable, Iterator, Sequence
 
@@ -97,56 +107,95 @@ def _order_key(exp: Exponent):
     return (-sum(exp), tuple(-e for e in exp))
 
 
-class Poly:
-    """Immutable sparse polynomial with exact rational coefficients."""
+class _Terms(Mapping):
+    """Read-only view of a polynomial as {exponent: Fraction coefficient};
+    each coefficient is made when it is read."""
 
-    __slots__ = ("l", "n", "terms")
+    __slots__ = ("_den", "_nums")
+
+    def __init__(self, den: int, nums: dict[Exponent, int]):
+        self._den = den
+        self._nums = nums
+
+    def __getitem__(self, exp: Exponent) -> Rat:
+        return Fraction(self._nums[exp], self._den)
+
+    def __iter__(self) -> Iterator[Exponent]:
+        return iter(self._nums)
+
+    def __len__(self) -> int:
+        return len(self._nums)
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
+class Poly:
+    """Immutable sparse polynomial with exact rational coefficients, stored as
+    integer numerators over one denominator (see the module docstring)."""
+
+    __slots__ = ("l", "n", "den", "nums")
 
     def __init__(self, l: int, n: int, terms: dict[Exponent, Rat] | None = None):
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "n", n)
+        _set(self, "l", l)
+        _set(self, "n", n)
         clean: dict[Exponent, Rat] = {}
         if terms:
             width = l + n
             for exp, c in terms.items():
                 if len(exp) != width or any(e < 0 for e in exp):
                     raise StructureError(f"bad exponent {exp} for ranks ({l},{n})")
-                c = Fraction(c)
-                if c != 0:
-                    clean[tuple(exp)] = c
-        object.__setattr__(self, "terms", clean)
+                clean[tuple(exp)] = c if isinstance(c, (int, Fraction)) else Fraction(c)
+        # over the lcm of reduced denominators no prime divides every numerator
+        den, nums = _over_common_denominator(clean)
+        _set(self, "den", den)
+        _set(self, "nums", nums)
 
     def __setattr__(self, *_):
         raise AttributeError("Poly is immutable")
 
     @staticmethod
-    def _raw(l: int, n: int, terms: dict[Exponent, Rat]) -> "Poly":
-        """Wrap a canonical term map (width-(l+n) tuple keys, nonzero Fraction
-        values) without copying or checking it; see the module docstring."""
+    def _raw(l: int, n: int, den: int, nums: dict[Exponent, int]) -> "Poly":
+        """Wrap a reduced integer form (width-(l+n) tuple keys, nonzero int
+        numerators, gcd 1 with den > 0) without copying or checking it; see
+        the module docstring."""
         p = object.__new__(Poly)
         _set(p, "l", l)
         _set(p, "n", n)
-        _set(p, "terms", terms)
+        _set(p, "den", den)
+        _set(p, "nums", nums)
         return p
+
+    @staticmethod
+    def _reduced(l: int, n: int, den: int, nums: dict[Exponent, int]) -> "Poly":
+        """``_raw`` of nonzero numerators over den > 0 once their gcd with den
+        is divided out."""
+        if den != 1:
+            g = gcd(den, *nums.values())
+            if g != 1:
+                den //= g
+                nums = {e: v // g for e, v in nums.items()}
+        return Poly._raw(l, n, den, nums)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(l: int, n: int) -> "Poly":
-        return Poly._raw(l, n, {})
+        return Poly._raw(l, n, 1, {})
 
     @staticmethod
     def const(l: int, n: int, value) -> "Poly":
-        c = Fraction(value)
-        if c == 0:
-            return Poly._raw(l, n, {})
-        return Poly._raw(l, n, {(0,) * (l + n): c})
+        if not isinstance(value, (int, Fraction)):
+            value = Fraction(value)
+        if not value:
+            return Poly._raw(l, n, 1, {})
+        return Poly._raw(l, n, value.denominator, {(0,) * (l + n): value.numerator})
 
     @staticmethod
     def variable(l: int, n: int, var: VarId) -> "Poly":
         exp = [0] * (l + n)
         exp[var.position(l, n)] = 1
-        return Poly._raw(l, n, {tuple(exp): Fraction(1)})
+        return Poly._raw(l, n, 1, {tuple(exp): 1})
 
     @staticmethod
     def H(l: int, n: int, i: int) -> "Poly":
@@ -162,21 +211,27 @@ class Poly:
     def ranks(self) -> tuple[int, int]:
         return (self.l, self.n)
 
+    @property
+    def terms(self) -> Mapping[Exponent, Rat]:
+        """The coefficients as a read-only {exponent: Fraction} view."""
+        return _Terms(self.den, self.nums)
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = Poly.const(self.l, self.n, other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return (self.l, self.n) == (other.l, other.n) and self.terms == other.terms
+        return ((self.l, self.n, self.den) == (other.l, other.n, other.den)
+                and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self.l, self.n, frozenset(self.terms.items())))
+        return hash((self.l, self.n, self.den, frozenset(self.nums.items())))
 
     def _check_ranks(self, other: "Poly"):
         if (self.l, self.n) != (other.l, other.n):
@@ -198,7 +253,7 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly._raw(self.l, self.n, {e: -c for e, c in self.terms.items()})
+        return Poly._raw(self.l, self.n, self.den, {e: -v for e, v in self.nums.items()})
 
     def __sub__(self, other) -> "Poly":
         return self._merge(other, sub)
@@ -207,10 +262,14 @@ class Poly:
         return (-self) + other
 
     def _merge(self, other, op) -> "Poly":
-        """self + other or self - other (``op`` is add or sub) in one pass."""
+        """self + other or self - other (``op`` is add or sub) in one pass,
+        over the lcm of the two denominators."""
         other = self._coerce(other)
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
+        g = gcd(self.den, other.den)
+        m_a, m_b = other.den // g, self.den // g
+        out = {e: v * m_a for e, v in self.nums.items()} if m_a != 1 else dict(self.nums)
+        items = [(e, v * m_b) for e, v in other.nums.items()] if m_b != 1 else other.nums.items()
+        for exp, c in items:
             s = out.get(exp)
             if s is None:
                 out[exp] = c if op is add else -c
@@ -220,27 +279,33 @@ class Poly:
                 out[exp] = s
             else:
                 del out[exp]
-        return Poly._raw(self.l, self.n, out)
+        # with coprime denominators the sum is reduced: modulo a prime of
+        # self.den (so not of other.den) its numerators are those of self
+        # times other.den, and no such prime divides every one of those
+        if g == 1:
+            return Poly._raw(self.l, self.n, self.den * m_a, out)
+        return Poly._reduced(self.l, self.n, self.den * m_a, out)
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         other = self._coerce(other)
-        den_a, nums_a = _over_common_denominator(self.terms)
-        den_b, nums_b = _over_common_denominator(other.terms)
         out: dict[Exponent, int] = {}
-        _mul_into(out, nums_a, nums_b)
-        return Poly._raw(self.l, self.n, _nonzero_fractions(out, den_a * den_b))
+        _mul_into(out, self.nums.items(), other.nums.items())
+        return Poly._reduced(self.l, self.n, self.den * other.den, _nonzero(out))
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "Poly":
-        c = Fraction(c)
-        if c == 0:
+        if not isinstance(c, (int, Fraction)):
+            c = Fraction(c)
+        num, c_den = c.numerator, c.denominator
+        if not num:
             return Poly.zero(self.l, self.n)
-        if c == 1:
+        if num == c_den:  # c == 1
             return self
-        return Poly._raw(self.l, self.n, {e: c * k for e, k in self.terms.items()})
+        return Poly._reduced(self.l, self.n, self.den * c_den,
+                             {e: num * v for e, v in self.nums.items()})
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
@@ -257,35 +322,39 @@ class Poly:
     # -- structure ---------------------------------------------------------
 
     def sorted_terms(self) -> list[tuple[Exponent, Rat]]:
-        return sorted(self.terms.items(), key=lambda t: _order_key(t[0]))
+        den, nums = self.den, self.nums
+        return [(e, Fraction(nums[e], den)) for e in sorted(nums, key=_order_key)]
 
     def __iter__(self) -> Iterator[tuple[Exponent, Rat]]:
         return iter(self.sorted_terms())
 
     def coeff(self, exp: Exponent) -> Rat:
-        return self.terms.get(tuple(exp), Fraction(0))
+        return Fraction(self.nums.get(tuple(exp), 0), self.den)
 
     def constant_term(self) -> Rat:
-        return self.terms.get((0,) * (self.l + self.n), Fraction(0))
+        return Fraction(self.nums.get((0,) * (self.l + self.n), 0), self.den)
 
     def total_degree(self) -> int:
         """Maximum total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self.nums:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self.nums)
+
+    def _leading_exp(self) -> Exponent:
+        if not self.nums:
+            raise DomainError("zero polynomial has no leading term")
+        return min(self.nums, key=_order_key)
 
     def leading(self) -> tuple[Exponent, Rat]:
         """Leading (exponent, coefficient) in graded-lex order; zero poly is an error."""
-        if not self.terms:
-            raise DomainError("zero polynomial has no leading term")
-        exp = min(self.terms, key=_order_key)
-        return exp, self.terms[exp]
+        exp = self._leading_exp()
+        return exp, Fraction(self.nums[exp], self.den)
 
     def is_monic(self) -> bool:
-        return bool(self.terms) and self.leading()[1] == 1
+        return bool(self.nums) and self.nums[self._leading_exp()] == self.den
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        return all(sum(e) == 0 for e in self.nums)
 
     def as_scalar(self) -> Rat | None:
         """The constant value if this poly is constant, else None."""
@@ -299,13 +368,13 @@ class Poly:
         if len(vals) != self.l + self.n:
             raise StructureError("evaluation point has wrong length")
         total = Fraction(0)
-        for exp, c in self.terms.items():
+        for exp, c in self.nums.items():
             term = c
             for e, v in zip(exp, vals):
                 if e:
                     term *= v**e
             total += term
-        return total
+        return total / self.den
 
     # -- variable shifts ---------------------------------------------------
 
@@ -316,16 +385,18 @@ class Poly:
         moved = _moved(deltas)
         if not moved:
             return self
-        den, nums = _over_common_denominator(self.terms)
-        return Poly._raw(self.l, self.n, _nonzero_fractions(_shift_nums(nums, moved), den))
+        # an integer shift keeps the content of the numerators: no gcd to divide out
+        return Poly._raw(self.l, self.n, self.den, _nonzero(_shift_nums(self.nums.items(), moved)))
 
     # -- text form ---------------------------------------------------------
 
     def text(self) -> str:
-        if not self.terms:
+        if not self.nums:
             return "0"
+        den, nums = self.den, self.nums
         chunks: list[str] = []
-        for exp, c in self.sorted_terms():
+        for exp in sorted(nums, key=_order_key):
+            v = nums[exp]
             factors = []
             for pos, e in enumerate(exp):
                 if e == 0:
@@ -335,12 +406,13 @@ class Poly:
                 else:
                     name = f"d{pos - self.l + 1}"
                 factors.append(name if e == 1 else f"{name}^{e}")
-            mag = abs(c)
-            body = "*".join(factors if mag == 1 and factors else [_rat_text(mag)] + factors)
+            mag = abs(v)
+            body = "*".join(factors if mag == den and factors
+                            else [_rat_text(Fraction(mag, den))] + factors)
             if not chunks:
-                chunks.append(body if c > 0 else "-" + body)
+                chunks.append(body if v > 0 else "-" + body)
             else:
-                chunks.append(("+ " if c > 0 else "- ") + body)
+                chunks.append(("+ " if v > 0 else "- ") + body)
         return " ".join(chunks)
 
     __str__ = text
@@ -412,19 +484,16 @@ def _rat_text(x: Rat) -> str:
         ) from exc
 
 
-def _over_common_denominator(terms: dict[Exponent, Rat]) -> tuple[int, list]:
-    """(D, [(exp, c * D)]) with D the lcm of the coefficient denominators."""
-    den = lcm(*[c.denominator for c in terms.values()])
-    if den == 1:
-        return 1, [(e, c.numerator) for e, c in terms.items()]
-    return den, [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()]
+def _over_common_denominator(values: dict) -> tuple[int, dict]:
+    """(D, {key: c * D}) over the nonzero values c (ints or Fractions) of a
+    map, with D the lcm of their denominators."""
+    den = lcm(*[c.denominator for c in values.values()])
+    return den, {k: c.numerator * (den // c.denominator) for k, c in values.items() if c}
 
 
-def _nonzero_fractions(nums: dict[Exponent, int], den: int) -> dict[Exponent, Rat]:
-    """The canonical term map {exp: nums[exp] / den}, zeros dropped."""
-    if den == 1:  # Fraction(v) skips the gcd
-        return {e: Fraction(v) for e, v in nums.items() if v}
-    return {e: Fraction(v, den) for e, v in nums.items() if v}
+def _nonzero(nums: dict[Exponent, int]) -> dict[Exponent, int]:
+    """The entries of an accumulated numerator map that did not cancel."""
+    return {e: v for e, v in nums.items() if v}
 
 
 # -- the integer kernel: one binomial-expansion loop, one product loop -------
@@ -472,7 +541,8 @@ def _mul_into(out: dict[Exponent, int], nums_a: Iterable[tuple[Exponent, int]],
 
 
 def _shift_mul_into(out: dict[Exponent, int], nums_f: Iterable[tuple[Exponent, int]],
-                    nums_p: list[tuple[Exponent, int]], moved: list[tuple[int, int]]) -> None:
+                    nums_p: Collection[tuple[Exponent, int]],
+                    moved: list[tuple[int, int]]) -> None:
     """Accumulate f * T_u(p) into ``out``, all as integer numerators."""
     _mul_into(out, nums_f, _shift_nums(nums_p, moved).items() if moved else nums_p)
 
@@ -495,15 +565,14 @@ class ShiftOperator:
     mutated after construction.
     """
 
-    __slots__ = ("l", "n", "terms", "_ints")
+    __slots__ = ("l", "n", "terms")
 
     def __init__(self, l: int, n: int, terms: dict[Shift, Poly] | None = None):
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "n", n)
         object.__setattr__(
-            self, "terms", {tuple(u): f for u, f in (terms or {}).items() if f.terms}
+            self, "terms", {tuple(u): f for u, f in (terms or {}).items() if f.nums}
         )
-        object.__setattr__(self, "_ints", None)
 
     def __setattr__(self, *_):
         raise AttributeError("ShiftOperator is immutable")
@@ -518,45 +587,28 @@ class ShiftOperator:
 
     __hash__ = None
 
-    def _integer_form(self) -> tuple[int, ...]:
-        """(D, numerators...): D is the lcm of every coefficient denominator,
-        followed by the integer numerators of D * f_u, term by term in the
-        order of ``terms`` and of each f_u's terms.  Built on first use and
-        kept as one flat tuple (numerators that need no scaling are shared
-        with the coefficients), which keeps a cached operator small."""
-        if self._ints is None:
-            den = lcm(*[c.denominator for f in self.terms.values() for c in f.terms.values()])
-            object.__setattr__(self, "_ints", (den, *(
-                c.numerator if c.denominator == den else c.numerator * (den // c.denominator)
-                for f in self.terms.values() for c in f.terms.values()
-            )))
-        return self._ints
-
     def apply(self, p: Poly) -> Poly:
         """sum_u f_u * p.shift(u), accumulated as integers over one denominator."""
         if p.ranks != (self.l, self.n):
             raise StructureError(f"polynomial ranks {p.ranks} do not match {(self.l, self.n)}")
-        ints = self._integer_form()
-        den_p, nums_p = _over_common_denominator(p.terms)
+        den = lcm(*[f.den for f in self.terms.values()])
+        nums_p = p.nums.items()
         out: dict[Exponent, int] = {}
-        start = 1
         for u, f in self.terms.items():
-            end = start + len(f.terms)
-            _shift_mul_into(out, zip(f.terms, ints[start:end]), nums_p, _moved(u))
-            start = end
-        return Poly._raw(self.l, self.n, _nonzero_fractions(out, ints[0] * den_p))
+            m = den // f.den
+            nums_f = f.nums.items() if m == 1 else [(e, v * m) for e, v in f.nums.items()]
+            _shift_mul_into(out, nums_f, nums_p, _moved(u))
+        return Poly._reduced(self.l, self.n, den * p.den, _nonzero(out))
 
     def compose(self, other: "ShiftOperator") -> "ShiftOperator":
         """self after other: (sum f_u T_u)(sum g_v T_v) = sum f_u T_u(g_v) T_(u+v)."""
         out: dict[Shift, Poly] = {}
-        others = [(v, *_over_common_denominator(g.terms)) for v, g in other.terms.items()]
         for u, f in self.terms.items():
-            den_f, nums_f = _over_common_denominator(f.terms)
             moved = _moved(u)
-            for v, den_g, nums_g in others:
+            for v, g in other.terms.items():
                 nums: dict[Exponent, int] = {}
-                _shift_mul_into(nums, nums_f, nums_g, moved)
-                term = Poly._raw(self.l, self.n, _nonzero_fractions(nums, den_f * den_g))
+                _shift_mul_into(nums, f.nums.items(), g.nums.items(), moved)
+                term = Poly._reduced(self.l, self.n, f.den * g.den, _nonzero(nums))
                 w = tuple(map(add, u, v))
                 out[w] = out[w] + term if w in out else term
         return ShiftOperator(self.l, self.n, out)
@@ -612,9 +664,9 @@ def shift_tau(a: Sequence[int], p: Poly) -> Poly:
 def deg_in(v: VarId, p: Poly) -> int:
     """Highest exponent of v in p; -1 when p = 0."""
     pos = v.position(p.l, p.n)
-    if not p.terms:
+    if not p.nums:
         return -1
-    return max(exp[pos] for exp in p.terms)
+    return max(exp[pos] for exp in p.nums)
 
 
 def shift_difference(mode: str, k: int, i: int, p: Poly) -> Poly:
@@ -638,32 +690,47 @@ def shift_difference(mode: str, k: int, i: int, p: Poly) -> Poly:
 
 
 def try_divide(q: Poly, p: Poly) -> Poly | None:
-    """Return q / p when p divides q exactly, else None."""
+    """Return q / p when p divides q exactly, else None.
+
+    Fraction-free division of the numerators: with N_q, N_p the numerator
+    polynomials, it keeps s * N_q = quot * N_p + rem in integers, and when
+    the leading coefficient of N_p does not divide that of rem, it first
+    multiplies s, quot and rem by the missing factor.  Then q / p =
+    quot * den(p) / (s * den(q)).
+    """
     q._check_ranks(p)
     if p.is_zero():
         raise DomainError("division by zero polynomial")
     if q.is_zero():
         return Poly.zero(q.l, q.n)
-    lead_exp, lead_c = p.leading()
-    tail = [(e, c) for e, c in p.terms.items() if e != lead_exp]
-    quot: dict[Exponent, Rat] = {}
-    rem = dict(q.terms)
+    lead_exp = p._leading_exp()
+    lead = p.nums[lead_exp]
+    tail = [(e, c) for e, c in p.nums.items() if e != lead_exp]
+    s = 1
+    quot: dict[Exponent, int] = {}
+    rem = dict(q.nums)
     while rem:
-        # rem -= c * x^diff * p; its leading term cancels exactly
+        # rem -= c * x^diff * N_p; its leading term cancels exactly
         rexp = min(rem, key=_order_key)
         diff = tuple(map(sub, rexp, lead_exp))
         if any(e < 0 for e in diff):
             return None
-        c = rem.pop(rexp) / lead_c
+        r = rem.pop(rexp)
+        g = gcd(r, lead)
+        c, m = (r // g, lead // g) if lead > 0 else (-r // g, -lead // g)
+        if m != 1:
+            s *= m
+            rem = {e: v * m for e, v in rem.items()}
+            quot = {e: v * m for e, v in quot.items()}
         quot[diff] = c
         for e, pc in tail:
             exp = tuple(map(add, e, diff))
-            s = rem.get(exp, 0) - c * pc
-            if s:
-                rem[exp] = s
+            x = rem.get(exp, 0) - c * pc
+            if x:
+                rem[exp] = x
             else:
                 rem.pop(exp, None)
-    return Poly._raw(q.l, q.n, quot)
+    return Poly._reduced(q.l, q.n, s * q.den, {e: v * p.den for e, v in quot.items()})
 
 
 def divides(p: Poly, q: Poly) -> bool:

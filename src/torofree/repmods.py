@@ -208,7 +208,7 @@ class ModuleSpec:
 
 def _support(p: Poly) -> set[int]:
     out: set[int] = set()
-    for exp in p.terms:
+    for exp in p.nums:
         for pos, e in enumerate(exp):
             if e:
                 out.add(pos)

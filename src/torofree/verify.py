@@ -103,7 +103,7 @@ def _check_samples(samples: int) -> None:
 # no sample exposes it, one more failure names the identity and the
 # operator difference, so a false identity never passes.  Any other
 # ``action`` is a black box and is only sampled; bracket_compat evaluates it
-# through a ``_Memo``, once per (generator, input).
+# through a ``_Memo``, once per (generator, input value).
 
 
 def _record_unexposed(report: CheckReport, failures_before: int, gap: ShiftOperator,
@@ -115,26 +115,33 @@ def _record_unexposed(report: CheckReport, failures_before: int, gap: ShiftOpera
 
 
 class _Memo:
-    """A black-box ``action`` evaluated at most once per (generator, input).
+    """A black-box ``action`` evaluated at most once per (generator, input value).
 
-    Entries are keyed on the input's id and hold the input, so no id in a
-    key is reused while its entry lives.  ``keep_only`` drops every entry
-    whose input is not among the given ones.
+    Actions on a ``lasting`` input or on a constant are kept for the whole
+    check, the others only until ``forget_rest``.  Constants recur across
+    pairs (a central generator acts by a scalar, so many words end on one)
+    and are few, so keeping their entries costs little memory.
     """
 
-    def __init__(self, action: ActionFn):
+    def __init__(self, action: ActionFn, lasting: Iterable[Poly]):
         self.action = action
-        self.memo: dict[tuple[Generator, int], tuple[Poly, Poly]] = {}
+        self.lasting = set(lasting)
+        self.kept: dict[tuple[Generator, Poly], Poly] = {}
+        self.rest: dict[tuple[Generator, Poly], Poly] = {}
 
     def __call__(self, spec: ModuleSpec, gen: Generator, q: Poly) -> Poly:
-        key = (gen, id(q))
-        hit = self.memo.get(key)
+        key = (gen, q)
+        hit = self.kept.get(key)
         if hit is None:
-            hit = self.memo[key] = (q, self.action(spec, gen, q))
-        return hit[1]
+            hit = self.rest.get(key)
+            if hit is None:
+                hit = self.action(spec, gen, q)
+                lasting = q.is_constant() or q in self.lasting
+                (self.kept if lasting else self.rest)[key] = hit
+        return hit
 
-    def keep_only(self, inputs: set[int]) -> None:
-        self.memo = {k: v for k, v in self.memo.items() if k[1] in inputs}
+    def forget_rest(self) -> None:
+        self.rest.clear()
 
 
 def bracket_compat_check(
@@ -158,8 +165,7 @@ def bracket_compat_check(
         # first-level actions serve every pair; deeper ones (the second
         # level and the generator words of act_element) are kept for one
         # pair only, which keeps the memo small
-        action = _Memo(action)
-        sample_ids = {id(p) for p in polys}
+        action = _Memo(action, polys)
     for i1, i2 in itertools.combinations_with_replacement(range(len(gens)), 2):
         g1, g2 = gens[i1], gens[i2]
         elt = repmods.generator_bracket(spec, g1, g2)
@@ -181,7 +187,7 @@ def bracket_compat_check(
         if white_box:
             _record_unexposed(report, failures_before, gap, "generator_pair", pair)
         else:
-            action.keep_only(sample_ids)
+            action.forget_rest()
     return report
 
 

@@ -59,10 +59,16 @@ class TestSimplicityPredict:
         assert C.simplicity_predict(
             mk_spec(rank=0, loop_vars=1, variant="witt", lam=(2,), witt_a=0))
 
-    def test_nonscalar_b_rejected(self):
-        spec = mk_spec(rank=1, loop_vars=1, base_b=Poly.d(1, 1, 1), S=())
-        with pytest.raises(DomainError):
-            C.simplicity_predict(spec)
+    @pytest.mark.parametrize("b", [0, Poly.d(1, 1, 1)], ids=["b=0", "b=d1"])
+    def test_finite_with_loop_variables_is_not_simple(self, b):
+        # (d1) is a proper invariant ideal whatever b in Q[d] is
+        spec = mk_spec(rank=1, loop_vars=1, base_b=b, S={1})
+        simple, rule = C.simplicity_rule(spec)
+        assert not simple and "(d1)" in rule
+        d1 = Poly.d(1, 1, 1)
+        for k, gen in enumerate(R.generators_for(spec, [()])):
+            p = d1 * random_poly(random.Random(k), 1, 1)
+            assert C.divides(d1, R.act(spec, gen, p)), gen
 
 
 class TestPrincipalWitness:
@@ -345,6 +351,26 @@ class TestCombinedSearch:
         report = C.submodule_witness_search(toroidal(2, F(1, 3), {1, 2, 3}), 4, window)
         assert report.verified and report.quotient_cert.dim == 3
         assert calls == [window]
+
+    def test_rank_3_default_dim_bound_reaches_the_edge_quotient(self):
+        # A_3, b = 1, S = FULL: the certificate is V(0,0,4), of dimension
+        # C(4 + 3, 3) = 35, past the rank-2 default of 19 at maxdeg 10
+        spec = toroidal(3, 1, {1, 2, 3, 4})
+        window = [(-1,), (0,), (1,)]
+        report = C.submodule_witness_search(spec, 10, window)
+        assert report.found and report.verified and report.checked_dim_bound == 35
+        assert (report.quotient_cert.weights, report.quotient_cert.dim) == ((0, 0, 4), 35)
+        assert not C.simplicity_predict(spec)
+
+    def test_default_dim_bound_is_rank_aware_and_capped(self):
+        def default(l, maxdeg):
+            spec = toroidal(l, F(1, 7), set(range(1, l + 2)))
+            return C.submodule_witness_search(spec, maxdeg, [(0,)]).checked_dim_bound
+
+        # l <= 2 keeps the maxdeg formula
+        assert [default(l, 10) for l in (1, 2)] == [19, 19]
+        assert default(4, 10) == math.comb(4 + 4, 4)
+        assert default(3, 22) == C.MAX_DEFAULT_DIM_BOUND  # C(10 + 3, 3) = 286
 
     def test_l1_needs_the_quotient_scan(self):
         # no principal witness up to degree 6; only the dim-11 quotient

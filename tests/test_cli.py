@@ -191,6 +191,17 @@ class TestSimplicity:
             "spec": payload["spec"],
         }
 
+    @pytest.mark.parametrize("b", ["0", "d1"])
+    def test_finite_with_loop_variables_is_not_simple(self, specfile, capsys, b):
+        spec = {"algebra": {"family": "A", "rank": 1, "loop_vars": 1, "variant": "finite"},
+                "base_a": ["1"], "base_b": b, "S": [1]}
+        code, out = run(capsys, ["simplicity", "--spec", specfile(spec)])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["simple"] is False
+        assert payload["rule"] == (
+            "finite variant with loop variables: (d1) is a proper invariant ideal")
+
     def test_family_gate_exit_2(self, specfile, capsys):
         bad = {"algebra": {"family": "B", "rank": 3, "loop_vars": 1,
                            "variant": "toroidal"},

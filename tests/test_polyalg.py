@@ -1,6 +1,8 @@
+import hashlib
 import itertools
+import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -156,7 +158,12 @@ class TestShiftOperators:
 
 
 def assert_canonical(p):
-    assert all(type(e) is tuple and len(e) == p.l + p.n for e in p.terms)
+    # the reduced integer form: den >= 1, nonzero int numerators, gcd 1
+    assert type(p.den) is int and p.den >= 1
+    assert all(type(e) is tuple and len(e) == p.l + p.n for e in p.nums)
+    assert all(type(v) is int and v != 0 for v in p.nums.values())
+    assert gcd(p.den, *p.nums.values()) == 1
+    # and the Fraction view of it
     assert all(type(c) is Fraction and c != 0 for c in p.terms.values())
 
 
@@ -192,26 +199,63 @@ def tall_operators(draw, max_terms=3):
     return ShiftOperator(L, N, terms)
 
 
+def reference_shift(terms, u):
+    """{exp: Fraction} of the shift by u of a {exp: Fraction} map: each
+    variable v is replaced by v - u_v term by term."""
+    shifted = {}
+    for exp, c in terms.items():
+        choices = [[(j, Fraction(comb(e, j)) * Fraction(-d) ** (e - j)) for j in range(e + 1)]
+                   for e, d in zip(exp, u)]
+        for picks in itertools.product(*choices):
+            key = tuple(j for j, _ in picks)
+            value = c
+            for _, w in picks:
+                value *= w
+            shifted[key] = shifted.get(key, Fraction(0)) + value
+    return {e: c for e, c in shifted.items() if c}
+
+
+def reference_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            out[key] = out.get(key, Fraction(0)) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def reference_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def reference_divide(a, b):
+    """a / b by Fraction long division in graded-lex order, None when inexact."""
+    def order(e):
+        return (-sum(e), tuple(-x for x in e))
+
+    lead = min(b, key=order)
+    quot, rem = {}, dict(a)
+    while rem:
+        rexp = min(rem, key=order)
+        diff = tuple(x - y for x, y in zip(rexp, lead))
+        if min(diff) < 0:
+            return None
+        c = rem[rexp] / b[lead]
+        quot[diff] = c
+        rem = reference_add(rem, reference_mul({diff: c}, b), -1)
+    return quot
+
+
 def reference_apply(A, p):
-    """sum_u f_u * p.shift(u) by plain Fraction arithmetic: each variable v is
-    replaced by v - u_v term by term, then multiplied out, and the sum goes
+    """sum_u f_u * p.shift(u) by plain Fraction arithmetic, the sum built
     through the public constructor."""
     total = {}
     for u, f in A.terms.items():
-        shifted = {}
-        for exp, c in p.terms.items():
-            choices = [[(j, Fraction(comb(e, j)) * Fraction(-d) ** (e - j)) for j in range(e + 1)]
-                       for e, d in zip(exp, u)]
-            for picks in itertools.product(*choices):
-                key = tuple(j for j, _ in picks)
-                value = c
-                for _, w in picks:
-                    value *= w
-                shifted[key] = shifted.get(key, Fraction(0)) + value
-        for ea, ca in shifted.items():
-            for eb, cb in f.terms.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                total[key] = total.get(key, Fraction(0)) + ca * cb
+        total = reference_add(total, reference_mul(reference_shift(dict(p.terms), u),
+                                                   dict(f.terms)))
     return Poly(A.l, A.n, total)
 
 
@@ -271,6 +315,144 @@ class TestTrustedKernel:
         for bad in ((1, -1, 0, 0), (1, 0, 0), (1, 0, 0, 0, 0)):
             with pytest.raises(StructureError):
                 Poly(L, N, {bad: 0})
+
+
+def seeded_kernel_texts(seed, rounds=40):
+    """The text() of +, -, negation, scale, *, shift, apply, compose and an
+    exact try_divide on seeded inputs with heights up to 1e20."""
+    rng = random.Random(seed)
+
+    def rat():
+        if rng.random() < 0.5:
+            return Fraction(rng.randint(-50, 50), rng.randint(1, 9))
+        return Fraction(rng.randint(-10**20, 10**20), rng.randint(1, 10**20))
+
+    def poly(max_deg=3, max_terms=4):
+        terms = {}
+        for _ in range(rng.randint(0, max_terms)):
+            exp = [0] * (L + N)
+            for _ in range(rng.randint(0, max_deg)):
+                exp[rng.randrange(L + N)] += 1
+            terms[tuple(exp)] = rat()
+        return Poly(L, N, terms)
+
+    def operator():
+        terms = {}
+        for _ in range(rng.randint(0, 3)):
+            u = tuple(rng.randint(-3, 2) for _ in range(L + N))
+            terms[u] = poly(max_deg=2, max_terms=3)
+        return ShiftOperator(L, N, terms)
+
+    texts = []
+    for _ in range(rounds):
+        p, q, c = poly(), poly(), rat()
+        deltas = [rng.randint(-3, 3) for _ in range(L + N)]
+        A, B = operator(), operator()
+        results = [p + q, p - q, -p, p.scale(c), p * q, p.shift(deltas),
+                   A.apply(p), A.compose(B)]
+        if q:
+            results.append(try_divide(p * q, q))
+        texts += [r.text() for r in results]
+    return texts
+
+
+class TestIntegerForm:
+    """Every kernel operation on the integer form against plain Fraction
+    arithmetic on the term maps, at heights up to 1e20 with unlike
+    denominators."""
+
+    @given(tall_polys(), tall_polys(), tall_rationals(),
+           st.lists(st.integers(-3, 3), min_size=L + N, max_size=L + N))
+    @settings(max_examples=80, deadline=None)
+    def test_poly_operations_match_fraction_reference(self, p, q, c, deltas):
+        a, b = dict(p.terms), dict(q.terms)
+        scaled = {e: c * x for e, x in a.items() if c * x}
+        for got, want in ((p + q, reference_add(a, b)), (p - q, reference_add(a, b, -1)),
+                          (-p, {e: -x for e, x in a.items()}), (p.scale(c), scaled),
+                          (p * q, reference_mul(a, b)),
+                          (p.shift(deltas), reference_shift(a, deltas))):
+            assert_canonical(got)
+            assert got.terms == want
+            assert got == Poly(L, N, want)
+
+    @given(tall_polys(), tall_polys(), tall_polys())
+    @settings(max_examples=60, deadline=None)
+    def test_try_divide_matches_fraction_reference(self, p, q, r):
+        if q.is_zero():
+            return
+        exact = try_divide(p * q, q)
+        assert exact == p
+        assert_canonical(exact)
+        # p * q + r divides only when the long division comes out exact
+        want = reference_divide(dict((p * q + r).terms), dict(q.terms))
+        got = try_divide(p * q + r, q)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.terms == want
+            assert_canonical(got)
+
+    @given(tall_operators(), tall_operators(), tall_polys())
+    @settings(max_examples=40, deadline=None)
+    def test_apply_and_compose_match_fraction_reference(self, A, B, p):
+        got = A.apply(p)
+        assert_canonical(got)
+        assert got.terms == dict(reference_apply(A, p).terms)
+        want = {}
+        for u, f in A.terms.items():
+            for v, g in B.terms.items():
+                w = tuple(x + y for x, y in zip(u, v))
+                want[w] = reference_add(want.get(w, {}),
+                                        reference_mul(dict(f.terms),
+                                                      reference_shift(dict(g.terms), u)))
+        AB = A.compose(B)
+        assert {u: dict(f.terms) for u, f in AB.terms.items()} \
+            == {w: t for w, t in want.items() if t}
+        for f in AB.terms.values():
+            assert_canonical(f)
+
+    @given(tall_polys(), tall_polys(), tall_rationals())
+    @settings(max_examples=60, deadline=None)
+    def test_equal_values_by_different_paths_are_equal_and_hash_equal(self, p, q, c):
+        for other in ((p + q) - q, -(-p), (p * q + p) - p * q, p.shift([1, -2, 0, 3]).shift(
+                [-1, 2, 0, -3]), Poly(L, N, dict(reversed(list(p.terms.items()))))):
+            assert other == p and hash(other) == hash(p)
+            assert (other.den, other.nums) == (p.den, p.nums)
+        if c:
+            assert p.scale(c).scale(1 / c) == p and hash(p.scale(c).scale(1 / c)) == hash(p)
+        if not q.is_zero():
+            assert hash(try_divide(p * q, q)) == hash(p)
+
+    def test_zero_and_scalars(self):
+        zero = H1 - H1
+        assert (zero.den, zero.nums) == (1, {}) and zero == Poly.zero(L, N) == 0
+        assert hash(zero) == hash(Poly.zero(L, N))
+        half = Poly.const(L, N, Fraction(1, 2))
+        assert (half.den, half.nums) == (2, {(0, 0, 0, 0): 1}) and half == Fraction(1, 2)
+        # 2/3 * H1 + 4/3: numerators 2 and 4 share 2, but not with 3
+        p = H1.scale(Fraction(2, 3)) + Fraction(4, 3)
+        assert (p.den, p.nums) == (3, {(1, 0, 0, 0): 2, (0, 0, 0, 0): 4})
+        q = p.scale(Fraction(3, 2))  # H1 + 2
+        assert (q.den, q.nums) == (1, {(1, 0, 0, 0): 1, (0, 0, 0, 0): 2})
+
+    def test_terms_is_a_read_only_fraction_view(self):
+        p = H1.scale(Fraction(3, 4)) - 2
+        assert p.terms == {(1, 0, 0, 0): Fraction(3, 4), (0, 0, 0, 0): Fraction(-2)}
+        assert all(type(c) is Fraction for c in p.terms.values())
+        assert len(p.terms) == 2 and (0, 0, 0, 0) in p.terms
+        with pytest.raises(TypeError):
+            p.terms[(0, 0, 0, 0)] = Fraction(1)
+
+    def test_seeded_kernel_results_are_unchanged(self):
+        # SHA-256 of the text() of seeded kernel results, taken with
+        # Fraction-coefficient storage
+        frozen = {
+            1: "871ddab4f45efea23d3a6d62e14254d3f4f4b29afb077d2a324a353c25ed3563",
+            2: "8a72cf567f0931c16b3927a9d07eb57c2e2dc7c68c32a80c5434cc67dade703f",
+            3: "d7bd4e28cd11fb06e494d8812362b48e4da03da50048caa0fafbd4f67ef62c98",
+        }
+        for seed, digest in frozen.items():
+            texts = "\n".join(seeded_kernel_texts(seed))
+            assert hashlib.sha256(texts.encode()).hexdigest() == digest, seed
 
 
 class TestDegrees:

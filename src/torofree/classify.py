@@ -47,7 +47,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
@@ -161,7 +160,6 @@ def weyl_dim_A(weights: Sequence[int]) -> int:
     return num // den
 
 
-@dataclass
 class IrrepA:
     """Explicit irreducible of sl_{l+1} in its Gelfand-Tsetlin basis.
 
@@ -172,17 +170,16 @@ class IrrepA:
     denominators divide l + 1, and h_int[j] is the integer tuple (l + 1) h_j.
     """
 
-    rank: int
-    weights: tuple[int, ...]
-    dim: int
-    x_mats: list[list[Row]]
-    y_mats: list[list[Row]]
-    h_diag: list[tuple[Rat, ...]]
-    h_int: list[tuple[int, ...]] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        size = self.rank + 1
-        self.h_int = [tuple(x.numerator * (size // x.denominator) for x in w) for w in self.h_diag]
+    def __init__(self, rank: int, weights: tuple[int, ...], dim: int, x_mats: list[list[Row]],
+                 y_mats: list[list[Row]], h_diag: list[tuple[Rat, ...]]):
+        self.rank = rank
+        self.weights = weights
+        self.dim = dim
+        self.x_mats = x_mats
+        self.y_mats = y_mats
+        self.h_diag = h_diag
+        size = rank + 1
+        self.h_int = [tuple(x.numerator * (size // x.denominator) for x in w) for w in h_diag]
 
 
 def _gt_patterns(top: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
@@ -272,14 +269,15 @@ def irrep_A(rank: int, weights: tuple[int, ...]) -> IrrepA:
 # -- action oracles -----------------------------------------------------------
 
 
-@dataclass
 class ActionOracle:
     """Black-box generator action with declared shape."""
 
-    rank: int
-    loop_vars: int
-    variant: str
-    eval: Callable[[Generator, Poly], Poly]
+    def __init__(self, rank: int, loop_vars: int, variant: str,
+                 eval: Callable[[Generator, Poly], Poly]):
+        self.rank = rank
+        self.loop_vars = loop_vars
+        self.variant = variant
+        self.eval = eval
 
     @property
     def ranks(self) -> tuple[int, int]:
@@ -498,13 +496,13 @@ def witness_verify(spec: ModuleSpec, p: Poly, loop_window: Iterable | None = Non
 # -- quotient certificates -------------------------------------------------------
 
 
-@dataclass
 class QuotientCert:
     """Finite-dimensional quotient data certifying non-simplicity."""
 
-    weights: tuple[int, ...]
-    dim: int
-    v0: tuple[Rat, ...]
+    def __init__(self, weights: tuple[int, ...], dim: int, v0: tuple[Rat, ...]):
+        self.weights = weights
+        self.dim = dim
+        self.v0 = v0
 
     def to_dict(self) -> dict:
         return {
@@ -661,16 +659,26 @@ def verify_quotient_certificate(
 MAX_DEFAULT_DIM_BOUND = 220
 
 
-@dataclass
 class WitnessReport:
-    found: bool
-    witness: Poly | None = None
-    quotient_cert: QuotientCert | None = None
-    checked_degree_bound: int = 0
-    checked_dim_bound: int = 0
-    checked_loop_window: list = field(default_factory=list)
-    verified: bool = False
-    notes: str = ""
+    def __init__(
+        self,
+        found: bool,
+        witness: Poly | None = None,
+        quotient_cert: QuotientCert | None = None,
+        checked_degree_bound: int = 0,
+        checked_dim_bound: int = 0,
+        checked_loop_window: list | None = None,
+        verified: bool = False,
+        notes: str = "",
+    ):
+        self.found = found
+        self.witness = witness
+        self.quotient_cert = quotient_cert
+        self.checked_degree_bound = checked_degree_bound
+        self.checked_dim_bound = checked_dim_bound
+        self.checked_loop_window = [] if checked_loop_window is None else checked_loop_window
+        self.verified = verified
+        self.notes = notes
 
     def to_dict(self) -> dict:
         return {
@@ -809,19 +817,30 @@ def cyclicity_check(
 # -- recovery ------------------------------------------------------------------
 
 
-@dataclass
 class RecoveredParams:
     """Parameters read off a black-box rank-1 module, canonical decode first."""
 
-    family: str | None
-    lam: tuple[Rat, ...]
-    witt_a: Rat | None
-    x_polys: list[Poly]
-    y_polys: list[Poly]
-    base_a: tuple[Rat, ...] = ()
-    base_b: Poly | None = None
-    S: frozenset[int] = frozenset()
-    alternates: list[tuple] = field(default_factory=list)
+    def __init__(
+        self,
+        family: str | None,
+        lam: tuple[Rat, ...],
+        witt_a: Rat | None,
+        x_polys: list[Poly],
+        y_polys: list[Poly],
+        base_a: tuple[Rat, ...] = (),
+        base_b: Poly | None = None,
+        S: frozenset[int] = frozenset(),
+        alternates: list[tuple] | None = None,
+    ):
+        self.family = family
+        self.lam = lam
+        self.witt_a = witt_a
+        self.x_polys = x_polys
+        self.y_polys = y_polys
+        self.base_a = base_a
+        self.base_b = base_b
+        self.S = S
+        self.alternates: list[tuple] = [] if alternates is None else alternates
 
     def to_dict(self) -> dict:
         return {

@@ -5,6 +5,12 @@ a rerun with the same configuration and seed is byte-identical; --pretty adds
 an indented human-readable rendering on stdout without changing the canonical
 bytes written to --out.  Exit status: 0 success/pass, 1 check failure,
 2 usage or validation error.
+
+Each command imports the torofree modules it runs, as its first statement:
+``act`` and ``formulas`` load no ``verify`` or ``classify``, and
+``verify`` and ``lemma-pa`` no ``classify``.  Only ``errors`` is imported at
+module level, because what a process imports first also sets where its heap
+lies and so its peak RSS.
 """
 
 from __future__ import annotations
@@ -13,13 +19,12 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import classify, repmods, verify
 from .errors import ClassificationError, DomainError, StructureError
-from .liealg import degree_box
-from .polyalg import Poly
-from .repmods import ModuleSpec, parse_generator, spec_from_json, spec_to_json
+
+if TYPE_CHECKING:
+    from .repmods import ModuleSpec
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -40,6 +45,8 @@ def _default_seed() -> int:
 
 
 def _load_spec(path: str) -> ModuleSpec:
+    from .repmods import spec_from_json
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -53,6 +60,8 @@ def _load_spec(path: str) -> ModuleSpec:
 def _parse_window(text: str, n: int) -> list[tuple[int, ...]]:
     """The box {lo..hi}^n of a 'lo:hi' window, refused unless it holds at
     most MAX_WINDOW_DEGREES loop degrees (counted before it is built)."""
+    from .liealg import degree_box
+
     try:
         lo, hi = text.split(":")
         lo_i, hi_i = int(lo), int(hi)
@@ -97,14 +106,17 @@ def _emit(payload: dict, args) -> None:
 
 
 def cmd_act(args) -> int:
+    from . import repmods
+    from .polyalg import Poly
+
     spec = _load_spec(args.spec)
-    gen = parse_generator(args.gen, spec.algebra.loop_vars)
+    gen = repmods.parse_generator(args.gen, spec.algebra.loop_vars)
     p = Poly.parse(args.poly, *spec.ranks)
     result = repmods.act(spec, gen, p)
     _emit(
         {
             "command": "act",
-            "spec": spec_to_json(spec),
+            "spec": repmods.spec_to_json(spec),
             "generator": gen.text(),
             "input": p.text(),
             "result": result.text(),
@@ -115,6 +127,9 @@ def cmd_act(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+    from .repmods import spec_to_json
+
     spec = _load_spec(args.spec)
     window = None
     if args.window:
@@ -133,6 +148,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simplicity(args) -> int:
+    from . import classify
+    from .repmods import spec_to_json
+
     spec = _load_spec(args.spec)
     simple, rule = classify.simplicity_rule(spec)
     _emit(
@@ -143,6 +161,9 @@ def cmd_simplicity(args) -> int:
 
 
 def cmd_witness(args) -> int:
+    from . import classify
+    from .repmods import spec_to_json
+
     spec = _load_spec(args.spec)
     window = None
     if args.window:
@@ -158,6 +179,9 @@ def cmd_witness(args) -> int:
 
 
 def cmd_recover(args) -> int:
+    from . import classify
+    from .repmods import spec_to_json
+
     spec = _load_spec(args.spec)
     oracle = classify.oracle_from_spec(spec)
     window = None
@@ -185,6 +209,9 @@ def cmd_recover(args) -> int:
 
 
 def cmd_iso(args) -> int:
+    from . import classify
+    from .repmods import spec_to_json
+
     s1 = _load_spec(args.spec)
     s2 = _load_spec(args.spec2)
     result = classify.iso_test(s1, s2)
@@ -201,6 +228,8 @@ def cmd_iso(args) -> int:
 
 
 def cmd_lemma_pa(args) -> int:
+    from . import verify
+
     report = verify.lemma_pa_property(
         samples=args.samples, ranks=(args.hvars, args.dvars), seed=args.seed
     )
@@ -209,6 +238,8 @@ def cmd_lemma_pa(args) -> int:
 
 
 def cmd_formulas(args) -> int:
+    from . import repmods
+
     text = repmods.c_family_formula_notes(args.rank)
     if args.doc:
         _write(args.doc, text, parents=True)

@@ -1,6 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types and the immutable-value base shared across the package."""
 
 from __future__ import annotations
+
+from operator import attrgetter
 
 
 class StructureError(ValueError):
@@ -29,3 +31,41 @@ class ClassificationError(RuntimeError):
         self.details = details
         msg = violated if not details else f"{violated}: {details}"
         super().__init__(msg)
+
+
+class Frozen:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields, in order, in ``_fields`` (and in its
+    ``__slots__``) and sets each once in ``__init__`` through
+    ``object.__setattr__``.  Equality and hashing compare the field values,
+    ``repr`` lists them, and any later assignment raises AttributeError.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._values = attrgetter(*cls._fields)  # instance -> tuple of field values
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, which takes the
+        # fields in _fields order
+        return type(self), self._values(self)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"

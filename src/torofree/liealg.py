@@ -28,14 +28,13 @@ Coefficients are ints where they are integral and Fractions otherwise.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
 from operator import add, sub
 from typing import Iterable, Sequence
 
-from .errors import DomainError, StructureError
+from .errors import DomainError, Frozen, StructureError
 
 Rat = Fraction  # an int where a coefficient is integral
 Matrix = tuple[tuple[Rat, ...], ...]
@@ -43,6 +42,7 @@ Symbol = tuple  # ("f", m, r) | ("K", j, r) | ("D", i, r)
 Sparse = dict[tuple[int, int], Rat]  # nonzero matrix entries by (row, column)
 
 VARIANTS = ("finite", "toroidal", "witt", "full")
+_set = object.__setattr__  # writes a field past Frozen's immutability guard
 
 
 def _exact(num, den: int) -> Rat:
@@ -335,30 +335,34 @@ def finite_algebra(family: str, rank: int) -> FiniteAlgebra:
 # -- algebra descriptor ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AlgebraDesc:
+class AlgebraDesc(Frozen):
     """Which Lie algebra: family/rank of the finite part, loop variables, variant."""
 
+    __slots__ = _fields = ("family", "rank", "loop_vars", "variant", "cocycle")
     family: str
     rank: int
-    loop_vars: int = 0
-    variant: str = "finite"
-    cocycle: tuple[Rat, Rat] = (Fraction(0), Fraction(0))
+    loop_vars: int
+    variant: str
+    cocycle: tuple[Rat, Rat]
 
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise StructureError(f"unknown variant {self.variant!r}")
-        if self.variant != "witt":
-            finite_algebra(self.family, self.rank)  # validates the family gate
-        if self.variant != "finite" and self.loop_vars < 1:
-            raise StructureError(f"variant {self.variant} requires loop_vars >= 1")
-        if self.loop_vars < 0:
+    def __init__(self, family: str, rank: int, loop_vars: int = 0,
+                 variant: str = "finite", cocycle: tuple[Rat, Rat] = (0, 0)):
+        if variant not in VARIANTS:
+            raise StructureError(f"unknown variant {variant!r}")
+        if variant != "witt":
+            finite_algebra(family, rank)  # validates the family gate
+        if variant != "finite" and loop_vars < 1:
+            raise StructureError(f"variant {variant} requires loop_vars >= 1")
+        if loop_vars < 0:
             raise StructureError("loop_vars must be >= 0")
-        object.__setattr__(
-            self, "cocycle", (Fraction(self.cocycle[0]), Fraction(self.cocycle[1]))
-        )
-        if self.variant != "full" and any(self.cocycle):
+        cocycle = (Fraction(cocycle[0]), Fraction(cocycle[1]))
+        if variant != "full" and any(cocycle):
             raise StructureError("cocycle coefficients only apply to the full variant")
+        _set(self, "family", family)
+        _set(self, "rank", rank)
+        _set(self, "loop_vars", loop_vars)
+        _set(self, "variant", variant)
+        _set(self, "cocycle", cocycle)
 
     @property
     def fin(self) -> FiniteAlgebra:

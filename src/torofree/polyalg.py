@@ -56,18 +56,17 @@ from __future__ import annotations
 import re
 import sys
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm, prod
 from operator import add, sub
 from typing import Collection, Iterable, Iterator, Sequence
 
-from .errors import DomainError, StructureError
+from .errors import DomainError, Frozen, StructureError
 
 Exponent = tuple[int, ...]
 Rat = Fraction
 
-_set = object.__setattr__  # writes a slot past Poly's immutability guard
+_set = object.__setattr__  # writes a slot past Poly's and VarId's immutability guards
 _VAR_RE = re.compile(r"^(H|d)(\d+)(?:\^(-?\d+))?$")
 # the largest exponent of one variable in a term of a polynomial literal: a
 # shift expands H^e into e + 1 terms, so Poly.parse refuses a larger one
@@ -78,18 +77,20 @@ MAX_SHIFT_MONOMIALS = 10_000
 _RAT_RE = re.compile(r"^-?\d+(?:/0*[1-9]\d*)?$")  # no zero denominator
 
 
-@dataclass(frozen=True)
-class VarId:
+class VarId(Frozen):
     """A named variable: kind "H" (index 1..l) or "d" (index 1..n)."""
 
+    __slots__ = _fields = ("kind", "index")
     kind: str
     index: int
 
-    def __post_init__(self):
-        if self.kind not in ("H", "d"):
-            raise StructureError(f"unknown variable kind {self.kind!r}")
-        if self.index < 1:
-            raise StructureError(f"variable index must be positive, got {self.index}")
+    def __init__(self, kind: str, index: int):
+        if kind not in ("H", "d"):
+            raise StructureError(f"unknown variable kind {kind!r}")
+        if index < 1:
+            raise StructureError(f"variable index must be positive, got {index}")
+        _set(self, "kind", kind)
+        _set(self, "index", index)
 
     def position(self, l: int, n: int) -> int:
         """Slot of this variable in an exponent tuple of ranks (l, n)."""

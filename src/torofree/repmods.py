@@ -38,17 +38,17 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from . import liealg
-from .errors import DomainError, StructureError
+from .errors import DomainError, Frozen, StructureError
 from .liealg import AlgebraDesc, LieElt
 from .polyalg import Poly, ShiftOperator, VarId
 
 Rat = Fraction
+_set = object.__setattr__  # writes a field past Frozen's immutability guard
 
 # the largest rank and loop_vars a JSON spec may declare: the carrier and the
 # algebra tables grow with both, so larger values are refused before any is built
@@ -61,18 +61,20 @@ MAX_FORMULA_RANK = 8
 _GEN_RE = re.compile(r"^(x|y|h|K|D|d)(\d+)\s*(?:\(\s*(-?\d+(?:\s*,\s*-?\d+)*)?\s*\))?$")
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(Frozen):
     """A graded generator symbol: kind in {x, y, h, K, D}, 1-based index, degree r."""
 
+    __slots__ = _fields = ("kind", "index", "r")
     kind: str
     index: int
-    r: tuple[int, ...] = ()
+    r: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.kind not in ("x", "y", "h", "K", "D"):
-            raise StructureError(f"unknown generator kind {self.kind!r}")
-        object.__setattr__(self, "r", tuple(int(x) for x in self.r))
+    def __init__(self, kind: str, index: int, r: Sequence[int] = ()):
+        if kind not in ("x", "y", "h", "K", "D"):
+            raise StructureError(f"unknown generator kind {kind!r}")
+        _set(self, "kind", kind)
+        _set(self, "index", index)
+        _set(self, "r", tuple(int(x) for x in r))
 
     def text(self) -> str:
         deg = "(" + ",".join(str(x) for x in self.r) + ")" if self.r else ""
@@ -109,71 +111,87 @@ def parse_generator(text: str, n: int) -> Generator:
     return Generator(kind, idx, r)
 
 
-@dataclass(frozen=True)
-class ModuleSpec:
+class ModuleSpec(Frozen):
     """Full parameter record for one Cartan-free module."""
 
+    __slots__ = ("algebra", "lam", "witt_a", "base_a", "base_b", "S", "_hash")
+    _fields = __slots__[:-1]
     algebra: AlgebraDesc
-    lam: tuple[Rat, ...] = ()
-    witt_a: Rat | None = None
-    base_a: tuple[Rat, ...] = ()
-    base_b: Poly | None = None
-    S: frozenset[int] = frozenset()
+    lam: tuple[Rat, ...]
+    witt_a: Rat | None
+    base_a: tuple[Rat, ...]
+    base_b: Poly | None
+    S: frozenset[int]
 
-    def __post_init__(self):
-        alg = self.algebra
+    def __init__(
+        self,
+        algebra: AlgebraDesc,
+        lam: Sequence[Rat] = (),
+        witt_a: Rat | None = None,
+        base_a: Sequence[Rat] = (),
+        base_b: Poly | Rat | None = None,
+        S: Iterable[int] = frozenset(),
+    ):
+        _set(self, "algebra", algebra)
+        alg = algebra
         l, n = self.ranks
-        object.__setattr__(self, "lam", tuple(Fraction(x) for x in self.lam))
-        object.__setattr__(self, "base_a", tuple(Fraction(x) for x in self.base_a))
-        object.__setattr__(self, "S", frozenset(int(s) for s in self.S))
+        lam = tuple(Fraction(x) for x in lam)
+        base_a = tuple(Fraction(x) for x in base_a)
+        S = frozenset(int(s) for s in S)
         if alg.variant == "finite":
-            if self.lam:
+            if lam:
                 raise StructureError("finite variant takes no lambda vector")
         else:
-            if len(self.lam) != n:
+            if len(lam) != n:
                 raise StructureError(f"lambda must have length n={n}")
-            if any(x == 0 for x in self.lam):
+            if any(x == 0 for x in lam):
                 raise StructureError("lambda entries must be nonzero")
         if alg.variant in ("witt", "full"):
-            if self.witt_a is None:
+            if witt_a is None:
                 raise StructureError(f"variant {alg.variant} requires witt_a")
-            object.__setattr__(self, "witt_a", Fraction(self.witt_a))
-        elif self.witt_a is not None:
+            witt_a = Fraction(witt_a)
+        elif witt_a is not None:
             raise StructureError(f"variant {alg.variant} takes no witt_a")
         if alg.variant == "witt":
-            if self.base_a or self.S or (self.base_b is not None and self.base_b):
+            if base_a or S or (base_b is not None and base_b):
                 raise StructureError("witt variant takes no base-module parameters")
-            object.__setattr__(self, "base_b", None)
-            return
-        if len(self.base_a) != l:
-            raise StructureError(f"base_a must have length l={l}")
-        if any(x == 0 for x in self.base_a):
-            raise StructureError("base_a entries must be nonzero")
-        b = self.base_b if self.base_b is not None else Poly.zero(l, n)
-        if isinstance(b, (int, Fraction)):
-            b = Poly.const(l, n, b)
-        if b.ranks != (l, n):
-            raise StructureError("base_b has wrong ranks")
-        if any(VarId("H", i).position(l, n) in _support(b) for i in range(1, l + 1)):
-            raise StructureError("base_b must have zero degree in every H-variable")
-        if alg.family == "C" and not b.is_zero():
-            raise StructureError("the C-family modules carry no b parameter")
-        if alg.variant in ("toroidal", "full") and b.as_scalar() is None:
-            raise StructureError(
-                "b must be a scalar for the toroidal/full variants"
-            )
-        object.__setattr__(self, "base_b", b)
-        smax = l + 1 if alg.family == "A" else l
-        if not self.S <= set(range(1, smax + 1)):
-            raise StructureError(f"S must be a subset of 1..{smax}")
+            base_b = None
+        else:
+            if len(base_a) != l:
+                raise StructureError(f"base_a must have length l={l}")
+            if any(x == 0 for x in base_a):
+                raise StructureError("base_a entries must be nonzero")
+            b = base_b if base_b is not None else Poly.zero(l, n)
+            if isinstance(b, (int, Fraction)):
+                b = Poly.const(l, n, b)
+            if b.ranks != (l, n):
+                raise StructureError("base_b has wrong ranks")
+            if any(VarId("H", i).position(l, n) in _support(b) for i in range(1, l + 1)):
+                raise StructureError("base_b must have zero degree in every H-variable")
+            if alg.family == "C" and not b.is_zero():
+                raise StructureError("the C-family modules carry no b parameter")
+            if alg.variant in ("toroidal", "full") and b.as_scalar() is None:
+                raise StructureError(
+                    "b must be a scalar for the toroidal/full variants"
+                )
+            base_b = b
+            smax = l + 1 if alg.family == "A" else l
+            if not S <= set(range(1, smax + 1)):
+                raise StructureError(f"S must be a subset of 1..{smax}")
+        _set(self, "lam", lam)
+        _set(self, "witt_a", witt_a)
+        _set(self, "base_a", base_a)
+        _set(self, "base_b", base_b)
+        _set(self, "S", S)
+        _set(self, "_hash", None)
 
     def __hash__(self):
         # every field is immutable, so the hash (a key of the operator
         # caches on every act call) is computed once
-        h = self.__dict__.get("_hash")
+        h = self._hash
         if h is None:
-            h = hash((self.algebra, self.lam, self.witt_a, self.base_a, self.base_b, self.S))
-            object.__setattr__(self, "_hash", h)
+            h = hash(self._values(self))
+            _set(self, "_hash", h)
         return h
 
     @property

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -34,14 +33,15 @@ from .repmods import ActionFn, Generator, ModuleSpec
 Rat = Fraction
 
 
-@dataclass
 class CheckReport:
     """Outcome of one suite: exact, deterministic under the recorded seed."""
 
-    name: str
-    cases_run: int = 0
-    failures: list[dict] = field(default_factory=list)
-    seed: int = 0
+    def __init__(self, name: str, cases_run: int = 0, failures: list[dict] | None = None,
+                 seed: int = 0):
+        self.name = name
+        self.cases_run = cases_run
+        self.failures: list[dict] = [] if failures is None else failures
+        self.seed = seed
 
     @property
     def passed(self) -> bool:
@@ -440,19 +440,34 @@ def jacobi_check(
 ) -> CheckReport:
     """Antisymmetry + Jacobi, exhaustive over basis triples (or sampled).
 
-    The loop window defaults to {-1..1}^n.
+    Every basis pair is bracketed for antisymmetry; with ``samples`` only the
+    brackets the sampled triples read are kept.  The loop window defaults
+    to {-1..1}^n.
     """
     report = CheckReport("lie_axioms", seed=seed)
     _check_samples(samples)
     basis = basis_of(desc, (-1, 1) if loop_window is None else loop_window)
     size = len(basis)
+    triples: Iterable[tuple[int, int, int]]
+    kept: set[tuple[int, int]] | None = None
+    if samples:
+        rng = random.Random(seed)
+        triples = [
+            (rng.randrange(size), rng.randrange(size), rng.randrange(size))
+            for _ in range(samples)
+        ]
+        kept = {p for i, j, k in triples for p in ((j, k), (k, i), (i, j))}
+    else:
+        triples = itertools.combinations_with_replacement(range(size), 3)
     pair: dict[tuple[int, int], LieElt] = {}
     for i in range(size):
-        for j in range(size):
-            pair[i, j] = bracket_fn(desc, basis[i], basis[j])
-    for i in range(size):
         for j in range(i, size):
-            s = pair[i, j] + pair[j, i]
+            ij = bracket_fn(desc, basis[i], basis[j])
+            ji = ij if j == i else bracket_fn(desc, basis[j], basis[i])
+            for key, value in (((i, j), ij), ((j, i), ji)):
+                if kept is None or key in kept:
+                    pair[key] = value
+            s = ij + ji
             report.record_lazily(
                 s.is_zero(),
                 lambda: dict(
@@ -461,15 +476,6 @@ def jacobi_check(
                     difference=s,
                 ),
             )
-    triples: Iterable[tuple[int, int, int]]
-    if samples:
-        rng = random.Random(seed)
-        triples = [
-            (rng.randrange(size), rng.randrange(size), rng.randrange(size))
-            for _ in range(samples)
-        ]
-    else:
-        triples = itertools.combinations_with_replacement(range(size), 3)
     for i, j, k in triples:
         total = (
             bracket_fn(desc, basis[i], pair[j, k])

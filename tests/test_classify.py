@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import random
@@ -262,7 +261,8 @@ class TestQuotientCertificates:
         cert = C.quotient_certificate_search(spec, 8)
         assert C.verify_quotient_certificate(spec, cert)
         rep = C.irrep_A(2, cert.weights)
-        copy = dataclasses.replace(rep, x_mats=[[dict(row) for row in m] for m in rep.x_mats])
+        copy = C.IrrepA(rep.rank, rep.weights, rep.dim,
+                        [[dict(row) for row in m] for m in rep.x_mats], rep.y_mats, rep.h_diag)
         tamper(copy, cert.v0)
         monkeypatch.setattr(C, "irrep_A", lambda rank, weights: copy)
         return C.verify_quotient_certificate(spec, cert)

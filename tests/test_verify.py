@@ -268,6 +268,23 @@ class TestJacobiReport:
         blob = json.dumps(data, sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest() == digest
 
+    def test_sampled_report_on_two_loop_variables_is_frozen(self):
+        # frozen while the sampled mode still stored every basis pair's bracket
+        def bad_bracket(desc, X, Y):
+            out = bracket(desc, X, Y)
+            if any(s[0] == "f" and s[2][0] == 1 for s in X.terms) and any(
+                s[0] == "K" for s in out.terms
+            ):
+                return out.scale(2)
+            return out
+
+        desc = AlgebraDesc("A", 1, 2, "full", (F(1), F(1, 2)))
+        data = V.jacobi_check(desc, degree_box(2, -1, 1), samples=400, seed=7,
+                              bracket_fn=bad_bracket).to_dict()
+        assert data["cases_run"] == 1940 and len(data["failures"]) == 65
+        assert sum(f["law"] == "jacobi" for f in data["failures"]) == 20
+        assert _digest(data) == "26c7cdd716b378da3254edc31c094e5765d2a50263c09646e74f4374c6fbd759"
+
 
 class TestSampleCounts:
     @pytest.mark.parametrize("suite", ["bracket_compat_check", "freeness_check",

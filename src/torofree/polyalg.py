@@ -39,6 +39,8 @@ the numerators.  ``ShiftOperator.apply`` multiplies the shifted numerators
 of p by those of each f_u, brought over their lcm D, into one int map over
 D * den(p) and reduces once; ``compose`` uses the same shift-multiply step
 for f * T_u(g), and ``try_divide`` divides numerators fraction-free.
+``shift_difference``'s ``(sigma_i - Id)^k`` is one pass over the numerators
+with a cached integer row per (exponent, k), not k shift-and-subtract passes.
 
 ``Fraction``s are made only at the edges: by ``terms`` (a read-only view
 exponent -> Fraction that makes each coefficient as it is read),
@@ -57,6 +59,7 @@ import re
 import sys
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd, lcm, prod
 from operator import add, sub
 from typing import Collection, Iterable, Iterator, Sequence
@@ -683,11 +686,34 @@ def shift_difference(mode: str, k: int, i: int, p: Poly) -> Poly:
     if mode == "difference_power":
         if k < 0:
             raise DomainError("difference_power requires k >= 0")
-        out = p
-        for _ in range(k):
-            out = shift_sigma(i, 1, out) - out
-        return out
+        # one pass: c * H_i^e goes to c times the row of (sigma_i - Id)^k H_i^e,
+        # which is zero for e < k
+        pos = VarId("H", i).position(p.l, p.n)
+        out: dict[Exponent, int] = {}
+        for exp, c in p.nums.items():
+            if exp[pos] >= k:
+                head, tail = exp[:pos], exp[pos + 1 :]
+                for j, w in enumerate(_difference_row(exp[pos], k)):
+                    key = head + (j,) + tail
+                    out[key] = out.get(key, 0) + c * w
+        return Poly._reduced(p.l, p.n, p.den, _nonzero(out))
     raise StructureError(f"unknown shift_difference mode {mode!r}")
+
+
+@lru_cache(maxsize=1024)
+def _difference_row(e: int, k: int) -> tuple[int, ...]:
+    """Integer coefficients of v^0 .. v^(e-k) in (sigma - Id)^k v^e, sigma: v -> v - 1.
+
+    (sigma - Id)^k = sum_t comb(k, t) (-1)^(k-t) sigma^t and sigma^t v^e =
+    sum_j comb(e, j) (-t)^(e-j) v^j; the coefficient of v^j vanishes for
+    j > e - k, and that of v^(e-k) is (-1)^k e!/(e-k)!, so the degree drops
+    by exactly k.
+    """
+    signed = [comb(k, t) * (-1) ** (k - t) for t in range(k + 1)]
+    return tuple(
+        comb(e, j) * sum(s * (-t) ** (e - j) for t, s in enumerate(signed))
+        for j in range(e - k + 1)
+    )
 
 
 def try_divide(q: Poly, p: Poly) -> Poly | None:

@@ -5,8 +5,9 @@ Each suite samples deterministically from a seeded PRNG, compares exactly
 and the exact mismatch polynomial/element.  Random polynomials are drawn
 with total degree <= 4, at most 6 terms, and nonzero coefficients in
 -9..9; loop windows default to {-2..2}^n.  On the module's own action the
-bracket-compatibility, freeness and twist suites are proofs for every
-polynomial: they compare shift operators (see the module-axiom section).
+bracket-compatibility, freeness, twist and degree-reduction suites are
+proofs for every polynomial: they compare shift operators (see the
+module-axiom section).
 """
 
 from __future__ import annotations
@@ -96,7 +97,10 @@ def _check_samples(samples: int) -> None:
 #
 # On the module's own action (``action is repmods.act``, looked up at call
 # time) bracket_compat, freeness and eva_twist are decided as identities of
-# shift operators, which hold for every polynomial at once.  A proven
+# shift operators, which hold for every polynomial at once; degree_reduction
+# is proved once h_1(e_j) is the operator lambda_j H_1 T_(e_j) for every j,
+# and is otherwise sampled as a black box is, with no failure of its own,
+# since a different operator may still lower the degree.  A proven
 # identity records its ``samples`` cases as passed without evaluating them.
 # An identity that fails is evaluated on every seeded sample exactly as a
 # black-box action is, so the failures name the same inputs and values; if
@@ -355,8 +359,17 @@ def degree_reduction_check(
     rng = random.Random(seed)
     l, n = spec.ranks
     hvar = Poly.H(l, n, 1)
-    for j in range(1, n + 1):
-        e_j = tuple(1 if t == j - 1 else 0 for t in range(n))
+    units = [tuple(int(t == j) for t in range(n)) for j in range(n)]
+    if action is repmods.act:
+        # h_1(e_j) = lambda_j H_1 T_(e_j) makes (h_1(e_j) - lambda_j h_1) . w =
+        # lambda_j H_1 (w(d_j - 1) - w), whose d_j-degree is that of w less one
+        # (leading coefficient -m c_m lambda_j H_1) for every w with deg_dj(w) >= 1
+        if all(repmods.generator_operator(spec, Generator("h", 1, e_j))
+               == ShiftOperator(l, n, {(0,) * l + e_j: hvar.scale(lam_j)})
+               for e_j, lam_j in zip(units, spec.lam)):
+            report.cases_run += samples * n
+            return report
+    for j, e_j in enumerate(units, 1):
         var = VarId("d", j)
         produced = 0
         while produced < samples:

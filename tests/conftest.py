@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from torofree.liealg import AlgebraDesc
-from torofree.polyalg import Poly
+from torofree.polyalg import Poly, shift_sigma
 from torofree.repmods import ModuleSpec
 
 
@@ -91,6 +91,26 @@ def mat_trace_prod(a, b):
 
 def mat_is_zero(a) -> bool:
     return all(x == 0 for row in a for x in row)
+
+
+# -- reference shift differences ------------------------------------------------
+#
+# polyalg.shift_difference works in one pass; this is its definition, applied
+# one shift at a time.
+
+
+def iterated_shift_difference(mode, k, i, p):
+    """(sigma_i^k - Id)(p) by |k| one-step shifts and one subtraction, or
+    (sigma_i - Id)^k (p) by k shift-and-subtract passes."""
+    if mode == "power_minus_id":
+        out = p
+        for _ in range(abs(k)):
+            out = shift_sigma(i, 1 if k > 0 else -1, out)
+        return out - p
+    out = p
+    for _ in range(k):
+        out = shift_sigma(i, 1, out) - out
+    return out
 
 
 @pytest.fixture

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import iterated_shift_difference
 from torofree.errors import DomainError, StructureError
 from torofree.polyalg import (
     Poly,
@@ -33,13 +34,13 @@ def rationals():
 
 
 @st.composite
-def polys(draw, l=L, n=N, max_deg=4, max_terms=5):
+def polys(draw, l=L, n=N, max_deg=4, max_terms=5, coeffs=st.integers(-9, 9)):
     terms = {}
     for _ in range(draw(st.integers(0, max_terms))):
         exp = [0] * (l + n)
         for _ in range(draw(st.integers(0, max_deg))):
             exp[draw(st.integers(0, l + n - 1))] += 1
-        coeff = draw(st.integers(-9, 9))
+        coeff = draw(coeffs)
         terms[tuple(exp)] = terms.get(tuple(exp), 0) + coeff
     return Poly(l, n, {e: Fraction(c) for e, c in terms.items()})
 
@@ -479,6 +480,24 @@ class TestDegrees:
     def test_power_minus_id_rejects_zero(self):
         with pytest.raises(DomainError):
             shift_difference("power_minus_id", 0, 1, H1)
+
+    def test_difference_power_beyond_the_degree_is_zero_at_once(self):
+        p = (H1**3 * D1).scale(Fraction(2, 3)) + H2 - 1
+        assert shift_difference("difference_power", 10**18, 1, p).is_zero()
+        assert shift_difference("difference_power", 10**18, 2, Poly.zero(L, N)).is_zero()
+
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_both_modes_match_the_iterated_definition(self, data):
+        l, n = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 2))
+        p = data.draw(polys(l, n, max_deg=6, coeffs=rationals()))
+        i = data.draw(st.integers(1, l))
+        kp = data.draw(st.integers(0, 9))
+        assert shift_difference("difference_power", kp, i, p) \
+            == iterated_shift_difference("difference_power", kp, i, p)
+        k = data.draw(st.sampled_from((-4, -3, -2, -1, 1, 2, 3, 4)))
+        assert shift_difference("power_minus_id", k, i, p) \
+            == iterated_shift_difference("power_minus_id", k, i, p)
 
 
 class TestTextForm:

@@ -179,15 +179,17 @@ class TestFreeness:
         assert not V.freeness_check(sl2_toroidal, samples=4, seed=4, action=action).passed
 
 
+FULL_N2 = mk_spec(rank=1, loop_vars=2, variant="full", lam=(5, 3), witt_a=0,
+                  base_a=(2,), base_b=3, S={1})
+
+
 class TestDegreeReduction:
     def test_toroidal_n1(self, sl2_toroidal):
         rep = V.degree_reduction_check(sl2_toroidal, samples=30, seed=5)
         assert rep.passed and rep.cases_run == 30
 
     def test_full_n2(self):
-        spec = mk_spec(rank=1, loop_vars=2, variant="full", lam=(5, 3), witt_a=0,
-                       base_a=(2,), base_b=3, S={1})
-        rep = V.degree_reduction_check(spec, samples=30, seed=6)
+        rep = V.degree_reduction_check(FULL_N2, samples=30, seed=6)
         assert rep.passed and rep.cases_run == 60  # both d-directions
 
     def test_example_value(self, sl2_toroidal):
@@ -205,6 +207,61 @@ class TestDegreeReduction:
             return out
 
         assert not V.degree_reduction_check(sl2_toroidal, samples=6, seed=6, action=action).passed
+
+    def test_proof_reports_what_sampling_reports(self, sl2_toroidal):
+        for spec in (sl2_toroidal, FULL_N2):
+            proven = V.degree_reduction_check(spec, samples=30, seed=6)
+            sampled = V.degree_reduction_check(spec, samples=30, seed=6, action=_walker)
+            assert proven.to_dict() == sampled.to_dict()
+            assert proven.passed and proven.cases_run == 30 * spec.algebra.loop_vars
+
+    H1E1 = Generator("h", 1, (1,))
+
+    def _patch_h1e1(self, monkeypatch, change) -> list:
+        """Make the operator of h_1(e_1) ``change(op)``; returns the list of
+        generators whose operator was asked for."""
+        good = R.generator_operator
+        asked = []
+
+        def operator(spec_, gen_):
+            asked.append(gen_)
+            op = good(spec_, gen_)
+            return change(op) if gen_ == self.H1E1 else op
+
+        monkeypatch.setattr(R, "generator_operator", operator)
+        return asked
+
+    def test_non_lowering_operator_fails_as_the_black_box_does(
+            self, monkeypatch, fresh_operators, sl2_toroidal):
+        d1 = Poly.d(1, 1, 1)
+
+        def black_box(spec_, gen, p):  # h_1(e_1) + d_1^5 T_0 through an opaque action
+            out = R.act(spec_, gen, p)
+            return out + d1**5 * p if gen == self.H1E1 else out
+
+        def constant_defect(spec_, gen, p):  # the defect of test_defect_detected
+            out = R.act(spec_, gen, p)
+            return out + d1**5 if gen == self.H1E1 else out
+
+        expected = V.degree_reduction_check(sl2_toroidal, samples=6, seed=6, action=black_box)
+        constant = V.degree_reduction_check(sl2_toroidal, samples=6, seed=6,
+                                            action=constant_defect)
+        self._patch_h1e1(monkeypatch, lambda op: op + ShiftOperator(1, 1, {(0, 0): d1**5}))
+        got = V.degree_reduction_check(sl2_toroidal, samples=6, seed=6)
+        assert not got.passed and got.to_dict() == expected.to_dict()
+        assert [f["input"] for f in got.failures] == [f["input"] for f in constant.failures]
+        assert len(got.failures) == 6
+
+    def test_fallback_adds_no_failure_of_its_own(self, monkeypatch, fresh_operators,
+                                                 sl2_toroidal):
+        # h_1(e_1) - 5 h_1 doubled, 10 H_1 (T_(e_1) - 1), still lowers the d_1-degree;
+        # h_1(e_1) doubled alone would not: 10 H_1 T_(e_1) - 5 H_1 keeps it
+        five_h = ShiftOperator(1, 1, {(0, 0): Poly.H(1, 1, 1).scale(5)})
+        asked = self._patch_h1e1(monkeypatch, lambda op: op.scale(2) - five_h)
+        got = V.degree_reduction_check(sl2_toroidal, samples=6, seed=6)
+        assert asked.count(self.H1E1) == 1 + 6  # the comparison, then one per sample
+        assert got.passed and got.to_dict() == V.degree_reduction_check(
+            sl2_toroidal, samples=6, seed=6, action=_walker).to_dict()
 
 
 class TestLemmaPa:
@@ -377,6 +434,38 @@ class TestFrozenReports:
         descs += [AlgebraDesc(family, l, n, "full", cc) for cc in COCYCLES]
         reports = [V.jacobi_check(desc, window).to_dict() for desc in descs]
         assert _digest(reports) == self.CRITERION_1_DIGESTS[config]
+
+
+class TestFrozenDegreeReports:
+    """Reports frozen before degree_reduction became a proof on the module's
+    own action and (sigma - 1)^k a one-pass kernel."""
+
+    def test_criterion_3_lemma_pa(self):
+        data = V.lemma_pa_property(200, (2, 1), 23).to_dict()
+        assert data["cases_run"] == 3200 and data["passed"]
+        assert _digest(data) == "2752edb4fc9260878c8d1ca41de062277b12d34934e748f4754993918437c67c"
+
+    def test_black_box_degree_reduction_defect(self):
+        spec = mk_spec(rank=2, loop_vars=2, variant="full", cocycle=(1, F(1, 2)),
+                       lam=(F(3, 2), F(-5, 7)), witt_a=F(1, 3), base_a=(F(2), F(-1, 3)),
+                       base_b=F(5, 4), S={1, 3})
+        d1, d2 = Poly.d(2, 2, 1), Poly.d(2, 2, 2)
+
+        def action(spec_, gen, p):
+            out = R.act(spec_, gen, p)
+            if gen == Generator("h", 1, (1, 0)):
+                out = out + d1**5
+            if gen == Generator("h", 1, (0, 1)):
+                out = out + d2**2  # passes on inputs of d_2-degree above 2
+            return out
+
+        data = V.degree_reduction_check(spec, samples=12, seed=4, action=action).to_dict()
+        assert data["cases_run"] == 24 and len(data["failures"]) == 22
+        assert data["failures"][0] == {
+            "d_index": "1", "input": "7*H1*d1*d2 - 7*H1*d1",
+            "lhs": "d1^5 - 21/2*H1^2*d2 + 21/2*H1^2", "rhs": "d1-degree below 1",
+            "difference": "5"}
+        assert _digest(data) == "bae184bac9c9f31af75f807060654fe25e7652dbef802d12f9ca69230670c3b9"
 
 
 class TestBlackBoxBracketCompat:

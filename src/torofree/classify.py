@@ -165,21 +165,19 @@ class IrrepA:
 
     x_mats[i] and y_mats[i] are X_{i+1} and Y_{i+1} as sparse rows: row r maps
     each column c with a nonzero entry to that entry.  The H_i act diagonally
-    and are kept only as h_diag: h_diag[j] holds the eigenvalues (H_1..H_l)
-    on basis vector j, so p(H) multiplies coordinate j by p(h_j).  Their
-    denominators divide l + 1, and h_int[j] is the integer tuple (l + 1) h_j.
+    and are kept only as h_int: the eigenvalues h_j = (H_1..H_l) on basis
+    vector j have denominators dividing l + 1, and h_int[j] is the integer
+    tuple (l + 1) h_j, so p(H) multiplies coordinate j by p(h_int[j] / (l + 1)).
     """
 
     def __init__(self, rank: int, weights: tuple[int, ...], dim: int, x_mats: list[list[Row]],
-                 y_mats: list[list[Row]], h_diag: list[tuple[Rat, ...]]):
+                 y_mats: list[list[Row]], h_int: list[tuple[int, ...]]):
         self.rank = rank
         self.weights = weights
         self.dim = dim
         self.x_mats = x_mats
         self.y_mats = y_mats
-        self.h_diag = h_diag
-        size = rank + 1
-        self.h_int = [tuple(x.numerator * (size // x.denominator) for x in w) for w in h_diag]
+        self.h_int = h_int
 
 
 def _gt_patterns(top: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
@@ -217,8 +215,9 @@ def build_irrep_A(rank: int, weights: Sequence[int]) -> IrrepA:
 
     where a shifted array that is not a pattern is zero.  H_i = E_11 + .. +
     E_ii - i/(l+1) * (E_11 + .. + E_{l+1,l+1}) is diagonal with eigenvalue
-    (sum of row i) - i * |lambda| / (l+1).  Every entry is an exact rational
-    and the cost is polynomial in the dimension.
+    (sum of row i) - i * |lambda| / (l+1), kept times l + 1 as an integer.
+    Every entry is an exact rational and the cost is polynomial in the
+    dimension.
     """
     l = rank
     size = l + 1
@@ -234,10 +233,9 @@ def build_irrep_A(rank: int, weights: Sequence[int]) -> IrrepA:
             f"irrep construction dimension {dim} != Weyl dimension {expected}"
         )
     index = {pat: j for j, pat in enumerate(patterns)}
-    total = Fraction(sum(top), size)
-
-    h_diag = [
-        tuple(sum(pat[i - 1]) - i * total for i in range(1, l + 1)) for pat in patterns
+    total = sum(top)
+    h_int = [
+        tuple(size * sum(pat[i - 1]) - i * total for i in range(1, l + 1)) for pat in patterns
     ]
     x_mats: list[list[Row]] = [[{} for _ in range(dim)] for _ in range(l)]
     y_mats: list[list[Row]] = [[{} for _ in range(dim)] for _ in range(l)]
@@ -248,7 +246,7 @@ def build_irrep_A(rank: int, weights: Sequence[int]) -> IrrepA:
             row = ls[k - 1]
             for i, lki in enumerate(row):
                 den = math.prod(lki - lkj for j, lkj in enumerate(row) if j != i)
-                for step, mats, rows_j, sign in (
+                for step, ops, rows_j, sign in (
                     (1, x_mats, ls[k], -1),
                     (-1, y_mats, ls[k - 2] if k > 1 else [], 1),
                 ):
@@ -256,8 +254,8 @@ def build_irrep_A(rank: int, weights: Sequence[int]) -> IrrepA:
                     target = index.get(pat[: k - 1] + (moved,) + pat[k:])
                     num = sign * math.prod(lki - lj for lj in rows_j)
                     if target is not None and num:
-                        mats[k - 1][target][col] = Fraction(num, den)
-    return IrrepA(l, weights, dim, x_mats, y_mats, h_diag)
+                        ops[k - 1][target][col] = Fraction(num, den)
+    return IrrepA(l, weights, dim, x_mats, y_mats, h_int)
 
 
 @lru_cache(maxsize=256)
@@ -605,7 +603,8 @@ def verify_quotient_certificate(
 
     Phi(f) has coordinates f(h_j, d) v0_j.  First every nonzero entry (j, c)
     of X_i (of Y_i) must have h_j - h_c = e_i (-e_i): this is the ladder
-    relation [H_k, X_i] = delta_ki X_i, as [H_k, M]_jc = (h_j - h_c)_k M_jc.
+    relation [H_k, X_i] = delta_ki X_i, as [H_k, M]_jc = (h_j - h_c)_k M_jc
+    (checked on the integer weights (l + 1) h, which step by (l + 1) e_i).
     Then each term F T_u, u = (u_H, r), of each windowed generator operator
     (``repmods.generator_operator``) must factor through Phi.  With u_H = 0
     (h, K, D) it does by construction: on coordinate j it acts as
@@ -625,16 +624,16 @@ def verify_quotient_certificate(
     v0 = list(cert.v0)
     images: dict[tuple[int, ...], Vector] = {}
     for i in range(l):
-        for mats, step in ((rep.x_mats, 1), (rep.y_mats, -1)):
-            for r, row in enumerate(mats[i]):
+        for ops, step in ((rep.x_mats, 1), (rep.y_mats, -1)):
+            for r, row in enumerate(ops[i]):
                 for c, x in row.items():
                     if x and any(
-                        a - b != (step if j == i else 0)
-                        for j, (a, b) in enumerate(zip(rep.h_diag[r], rep.h_diag[c]))
+                        a - b != (step * (l + 1) if j == i else 0)
+                        for j, (a, b) in enumerate(zip(rep.h_int[r], rep.h_int[c]))
                     ):
                         return False
             shift = tuple(step if j == i else 0 for j in range(l))
-            images[shift] = mat_vec(mats[i], v0)
+            images[shift] = mat_vec(ops[i], v0)
     window = window_degrees(spec.algebra, loop_window)
     for gen in repmods.generators_for(spec, window):
         for u, f in repmods.generator_operator(spec, gen).terms.items():

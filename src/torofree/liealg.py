@@ -30,14 +30,12 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
 from operator import add, sub
 from typing import Iterable, Sequence
 
 from .errors import DomainError, Frozen, StructureError
 
 Rat = Fraction  # an int where a coefficient is integral
-Matrix = tuple[tuple[Rat, ...], ...]
 Symbol = tuple  # ("f", m, r) | ("K", j, r) | ("D", i, r)
 Sparse = dict[tuple[int, int], Rat]  # nonzero matrix entries by (row, column)
 
@@ -51,17 +49,6 @@ def _exact(num, den: int) -> Rat:
         return num // den
     q = Fraction(num, den)
     return q.numerator if q.denominator == 1 else q
-
-
-# -- exact matrix helpers ----------------------------------------------------
-
-
-def _zeros(size: int) -> list[list[Rat]]:
-    return [[Fraction(0)] * size for _ in range(size)]
-
-
-def _freeze(rows: list[list[Rat]]) -> Matrix:
-    return tuple(tuple(r) for r in rows)
 
 
 # -- finite-type realizations ------------------------------------------------
@@ -79,12 +66,13 @@ def _sparse_comm(a: Sparse, b: Sparse) -> Sparse:
 
 
 class FiniteAlgebra:
-    """Matrix realization of g(A_l) or g(C_l) with Chevalley data.
+    """The matrix realization of g(A_l) or g(C_l), with Chevalley data.
 
-    ``mats`` is the reference realization.  The structure constants
-    (``table``), the trace form (``forms``) and the generator words are
-    derived from it once, on first use, by integer arithmetic on the sparse
-    matrices scaled to integer entries.
+    ``sparse[m]`` holds the nonzero entries of ``scale`` times basis matrix
+    m, as ints; ``scale`` is l + 1 for A_l and 2 for C_l, the least that
+    makes every entry integral.  The structure constants (``table``), the
+    trace form (``forms``) and the generator words are derived from it once,
+    on first use, by integer arithmetic.
     """
 
     def __init__(self, family: str, rank: int):
@@ -102,136 +90,86 @@ class FiniteAlgebra:
         self.family = family
         self.rank = rank
         self.labels: list[str] = []
-        self.mats: list[Matrix] = []
+        self.sparse: list[Sparse] = []
         self.x_index: dict[int, int] = {}
         self.y_index: dict[int, int] = {}
         self.h_index: dict[int, int] = {}
         if family == "A":
+            self.scale = self.size = rank + 1
             self._build_sl(rank)
         else:
+            self.scale, self.size = 2, 2 * rank
             self._build_sp(rank)
-        self.dim = len(self.mats)
-        self.size = len(self.mats[0])
+        self.dim = len(self.sparse)
 
     # construction ----------------------------------------------------------
 
-    def _unit(self, size: int, p: int, q: int) -> Matrix:
-        rows = _zeros(size)
-        rows[p][q] = Fraction(1)
-        return _freeze(rows)
-
-    def _add(self, label: str, mat: Matrix) -> int:
+    def _add(self, label: str, entries: Sparse) -> int:
         self.labels.append(label)
-        self.mats.append(mat)
-        return len(self.mats) - 1
+        self.sparse.append(entries)
+        return len(self.sparse) - 1
 
     def _build_sl(self, l: int):
-        size = l + 1
-        for p in range(size):
-            for q in range(size):
+        s = self.scale
+        for p in range(s):
+            for q in range(s):
                 if p == q:
                     continue
-                idx = self._add(f"E({p + 1},{q + 1})", self._unit(size, p, q))
+                idx = self._add(f"E({p + 1},{q + 1})", {(p, q): s})
                 if q == p + 1:
                     self.x_index[p + 1] = idx
                 if q == p - 1:
                     self.y_index[q + 1] = idx
+        # H_i = E_11 + .. + E_ii - i/(l+1) Id: no diagonal entry is zero
         for i in range(1, l + 1):
-            rows = _zeros(size)
-            for k in range(size):
-                rows[k][k] = Fraction(1 if k < i else 0) - Fraction(i, size)
-            self.h_index[i] = self._add(f"h{i}", _freeze(rows))
+            diag = {(k, k): (s if k < i else 0) - i for k in range(s)}
+            self.h_index[i] = self._add(f"h{i}", diag)
 
     def _build_sp(self, l: int):
-        size = 2 * l
-
-        def m_mat(i, j):
-            rows = _zeros(size)
-            rows[i][j] += 1
-            rows[l + j][l + i] -= 1
-            return _freeze(rows)
-
-        def b_mat(i, j):
-            rows = _zeros(size)
-            rows[i][l + j] += 1
-            rows[j][l + i] += 1
-            return _freeze(rows) if i != j else _freeze(rows)
-
-        def b_diag(i):
-            rows = _zeros(size)
-            rows[i][l + i] += 1
-            return _freeze(rows)
-
-        def c_mat(i, j):
-            rows = _zeros(size)
-            rows[l + j][i] += 1
-            rows[l + i][j] += 1
-            return _freeze(rows)
-
-        def c_diag(i):
-            rows = _zeros(size)
-            rows[l + i][i] += 1
-            return _freeze(rows)
-
+        # B(i,j) = E_{i,l+j} + E_{j,l+i} and C(i,j) = E_{l+i,j} + E_{l+j,i} for
+        # i < j; at i = j the two keys coincide, so B(i,i) = E_{i,l+i}, C(i,i) = E_{l+i,i}
         for i in range(l):
             for j in range(l):
                 if i == j:
                     continue
-                idx = self._add(f"M({i + 1},{j + 1})", m_mat(i, j))
+                idx = self._add(f"M({i + 1},{j + 1})", {(i, j): 2, (l + j, l + i): -2})
                 if j == i + 1:
                     self.x_index[i + 1] = idx
                 if j == i - 1:
                     self.y_index[j + 1] = idx
         for i in range(l):
             for j in range(i, l):
-                mat = b_diag(i) if i == j else b_mat(i, j)
-                idx = self._add(f"B({i + 1},{j + 1})", mat)
+                idx = self._add(f"B({i + 1},{j + 1})", {(i, l + j): 2, (j, l + i): 2})
                 if i == j == l - 1:
                     self.x_index[l] = idx
         for i in range(l):
             for j in range(i, l):
-                mat = c_diag(i) if i == j else c_mat(i, j)
-                idx = self._add(f"C({i + 1},{j + 1})", mat)
+                idx = self._add(f"C({i + 1},{j + 1})", {(l + i, j): 2, (l + j, i): 2})
                 if i == j == l - 1:
                     self.y_index[l] = idx
-        # H_i dual to the simple roots: t = (1,..,1,0,..,0) (i ones), H_l halved
+        # H_i dual to the simple roots: diag(t, -t), t = (1,..,1,0,..,0) (i ones), H_l halved
         for i in range(1, l + 1):
-            rows = _zeros(size)
-            t = [Fraction(1) if k < i else Fraction(0) for k in range(l)]
-            if i == l:
-                t = [Fraction(1, 2)] * l
-            for k in range(l):
-                rows[k][k] = t[k]
-                rows[l + k][l + k] = -t[k]
-            self.h_index[i] = self._add(f"h{i}", _freeze(rows))
+            t = [1] * l if i == l else [2] * i
+            diag = {(k, k): x for k, x in enumerate(t)}
+            diag.update({(l + k, l + k): -x for k, x in enumerate(t)})
+            self.h_index[i] = self._add(f"h{i}", diag)
 
     # structure -------------------------------------------------------------
-
-    @cached_property
-    def _scaled(self) -> tuple[int, list[Sparse]]:
-        """(s, sparse): s is the lcm of all entry denominators and sparse[m]
-        holds the nonzero entries of s * mats[m], as ints."""
-        scale = lcm(*(x.denominator for mat in self.mats for row in mat for x in row))
-        return scale, [
-            {(p, q): int(x * scale) for p, row in enumerate(mat) for q, x in enumerate(row) if x}
-            for mat in self.mats
-        ]
 
     @cached_property
     def _leads(self) -> dict[tuple[int, int], tuple[int, int]]:
         """Position of the first entry of each root vector, private to it,
         mapped to (basis index, scaled entry)."""
-        _, sparse = self._scaled
         cartan = set(self.h_index.values())
         return {
-            min(sparse[m]): (m, sparse[m][min(sparse[m])])
-            for m in range(self.dim)
+            min(mat): (m, mat[min(mat)])
+            for m, mat in enumerate(self.sparse)
             if m not in cartan
         }
 
     def _coords(self, mat: Sparse, den: int) -> dict[int, Rat]:
         """Basis coordinates of the sparse matrix mat / den, by ascending index."""
-        scale, sparse = self._scaled
+        scale, sparse = self.scale, self.sparse
         coords: dict[int, Rat] = {}
         for pos, v in mat.items():
             if pos in self._leads:
@@ -254,7 +192,7 @@ class FiniteAlgebra:
             raise StructureError("matrix is not in the algebra span")
         return dict(sorted(coords.items()))
 
-    def decompose(self, mat: Matrix) -> dict[int, Rat]:
+    def decompose(self, mat: Sequence[Sequence[Rat]]) -> dict[int, Rat]:
         """Coordinates of a g-matrix in the chosen basis (exact)."""
         entries = {(p, q): x for p, row in enumerate(mat) for q, x in enumerate(row) if x}
         return self._coords(entries, 1)
@@ -262,8 +200,8 @@ class FiniteAlgebra:
     @cached_property
     def table(self) -> list[list[tuple[tuple[int, Rat], ...]]]:
         """Structure constants: table[m1][m2] = ((m, c), ...), ascending in m,
-        with [mats[m1], mats[m2]] = sum c * mats[m]."""
-        scale, sparse = self._scaled
+        with [basis m1, basis m2] = sum c * basis m."""
+        scale, sparse = self.scale, self.sparse
         rows: list[list[tuple]] = [[()] * self.dim for _ in range(self.dim)]
         for m1, m2 in itertools.combinations(range(self.dim), 2):
             coords = self._coords(_sparse_comm(sparse[m1], sparse[m2]), scale * scale)
@@ -273,9 +211,9 @@ class FiniteAlgebra:
 
     @cached_property
     def forms(self) -> list[list[Rat]]:
-        """The normalized invariant form, forms[m1][m2] = trace(mats[m1] mats[m2])
+        """The normalized invariant form, forms[m1][m2] = trace(basis m1 basis m2)
         (the trace form of the defining realization)."""
-        scale, sparse = self._scaled
+        scale, sparse = self.scale, self.sparse
         return [
             [_exact(sum(u * b.get((q, p), 0) for (p, q), u in a.items()), scale * scale)
              for b in sparse]
@@ -291,7 +229,7 @@ class FiniteAlgebra:
 
         Returns (word, scalar) with word one of ("x", i), ("y", i), ("h", i) or
         ("br", w1, w2), such that evaluating the word in the matrix realization
-        gives scalar * mats[m]; the scalar is a Fraction.
+        gives scalar times basis matrix m; the scalar is a Fraction.
         """
         return self._words[m]
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -91,6 +92,18 @@ def mat_trace_prod(a, b):
 
 def mat_is_zero(a) -> bool:
     return all(x == 0 for row in a for x in row)
+
+
+@lru_cache(maxsize=None)
+def dense_basis(fin) -> list:
+    """The basis matrices of a FiniteAlgebra as dense Fraction rows, fin.sparse
+    over fin.scale; cached per algebra, since the references that read it run
+    once per pair of symbols."""
+    return [
+        tuple(tuple(Fraction(mat.get((p, q), 0), fin.scale) for q in range(fin.size))
+              for p in range(fin.size))
+        for mat in fin.sparse
+    ]
 
 
 # -- reference shift differences ------------------------------------------------

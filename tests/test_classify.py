@@ -262,7 +262,7 @@ class TestQuotientCertificates:
         assert C.verify_quotient_certificate(spec, cert)
         rep = C.irrep_A(2, cert.weights)
         copy = C.IrrepA(rep.rank, rep.weights, rep.dim,
-                        [[dict(row) for row in m] for m in rep.x_mats], rep.y_mats, rep.h_diag)
+                        [[dict(row) for row in m] for m in rep.x_mats], rep.y_mats, rep.h_int)
         tamper(copy, cert.v0)
         monkeypatch.setattr(C, "irrep_A", lambda rank, weights: copy)
         return C.verify_quotient_certificate(spec, cert)
@@ -731,8 +731,8 @@ class TestLinearAlgebraHelpers:
         def h(i):
             if not 1 <= i <= rank:
                 return zero
-            return [[w[i - 1] if r == s else F(0) for s in range(dim)]
-                    for r, w in enumerate(rep.h_diag)]
+            return [[F(w[i - 1], rank + 1) if r == s else F(0) for s in range(dim)]
+                    for r, w in enumerate(rep.h_int)]
 
         def lin(*terms):
             return [[sum(c * m[r][s] for c, m in terms) for s in range(dim)]
@@ -758,8 +758,8 @@ class TestLinearAlgebraHelpers:
         rep = C.irrep_A(2, (2, 0))
         x_mats = dense(rep.x_mats, rep.dim)
         for j in range(2):
-            hj = [[w[j] if r == s else F(0) for s in range(rep.dim)]
-                  for r, w in enumerate(rep.h_diag)]
+            hj = [[F(w[j], 3) if r == s else F(0) for s in range(rep.dim)]
+                  for r, w in enumerate(rep.h_int)]
             for i in range(2):
                 delta = 1 if i == j else 0
                 comm = mat_comm(hj, x_mats[i])

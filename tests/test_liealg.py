@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 from fractions import Fraction
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mat_comm, mat_trace_prod, src_env
+from conftest import dense_basis, mat_comm, mat_trace_prod, src_env
 from torofree import liealg as L
 from torofree.errors import DomainError, StructureError
 from torofree.verify import cocycle_identity_check, jacobi_check
@@ -197,18 +198,19 @@ class TestGeneratorWords:
                                              ("C", 2), ("C", 3), ("C", 4)])
     def test_words_evaluate_back(self, family, rank):
         fin = L.FiniteAlgebra(family, rank)
+        mats = dense_basis(fin)
         letters = {"x": fin.x_index, "y": fin.y_index, "h": fin.h_index}
 
         def evaluate(word):
             if word[0] == "br":
                 return mat_comm(evaluate(word[1]), evaluate(word[2]))
-            return fin.mats[letters[word[0]][word[1]]]
+            return mats[letters[word[0]][word[1]]]
 
         for m in range(fin.dim):
             word, scalar = fin.generator_word(m)
             # consumers divide by the scalar: it stays a Fraction
             assert isinstance(scalar, Fraction) and scalar
-            assert evaluate(word) == tuple(tuple(scalar * x for x in row) for row in fin.mats[m])
+            assert evaluate(word) == tuple(tuple(scalar * x for x in row) for row in mats[m])
 
 
 class TestTextForms:
@@ -222,11 +224,11 @@ class TestTextForms:
         assert combo.text() == "D1(0,0) - 2*D2(0,0)"
 
 
-def _combination(fin, coords) -> L.Matrix:
-    """sum c * mats[m] over the (m, c) pairs, in dense Fraction arithmetic."""
+def _combination(fin, coords):
+    """sum c * (basis matrix m) over the (m, c) pairs, in dense Fraction arithmetic."""
     rows = [[Fraction(0)] * fin.size for _ in range(fin.size)]
     for m, c in coords:
-        for p, row in enumerate(fin.mats[m]):
+        for p, row in enumerate(dense_basis(fin)[m]):
             for q, x in enumerate(row):
                 rows[p][q] += c * x
     return tuple(tuple(row) for row in rows)
@@ -239,7 +241,7 @@ class TestStructureTables:
                                              ("C", 2), ("C", 3), ("C", 4)])
     def test_tables_match_the_realization(self, family, rank):
         fin = L.FiniteAlgebra(family, rank)
-        mats = fin.mats
+        mats = dense_basis(fin)
         for m1 in range(fin.dim):
             for m2 in range(fin.dim):
                 comm = mat_comm(mats[m1], mats[m2])
@@ -271,6 +273,44 @@ class TestStructureTables:
         assert proc.stdout.strip() == "0"
 
 
+class TestFrozenRealization:
+    """Digests of the realization and of everything derived from it, frozen
+    from the dense Fraction builders the sparse integer ones replaced: with
+    the table tests and their dense reference now read from one source,
+    these pin each basis matrix and each constant entry by entry."""
+
+    REALIZED = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("C", 2), ("C", 3), ("C", 4)]
+
+    def test_realization_digest(self):
+        h = hashlib.sha256()
+        for family, rank in self.REALIZED:
+            fin = L.FiniteAlgebra(family, rank)
+            h.update(repr((family, rank, fin.labels, sorted(fin.x_index.items()),
+                           sorted(fin.y_index.items()), sorted(fin.h_index.items()))).encode())
+            for mat in dense_basis(fin):
+                h.update(" ".join(str(x) for row in mat for x in row).encode() + b"\n")
+        assert h.hexdigest() == \
+            "ae5577846c7ac429ddd76adf39f6cb18f6d0867a77d10662fd640e1501dad8b7"
+
+    def test_constants_digest(self):
+        def typed(c):
+            return f"{type(c).__name__}:{c}"
+
+        h = hashlib.sha256()
+        for family, rank in self.REALIZED + [("A", 8), ("C", 6)]:
+            fin = L.FiniteAlgebra(family, rank)
+            h.update(f"{family}{rank}\n".encode())
+            for row in fin.table:
+                h.update(repr([[(m, typed(c)) for m, c in entry] for entry in row]).encode())
+            for row in fin.forms:
+                h.update(repr([typed(c) for c in row]).encode())
+            for m in range(fin.dim):
+                word, scalar = fin.generator_word(m)
+                h.update(repr((word, typed(scalar))).encode())
+        assert h.hexdigest() == \
+            "81a39d339121edd3020b085933cbe7783c8740e0b66a0a61fd05e0fc5b3631dc"
+
+
 # -- the bracket against the formulas, through the validating constructor -----
 
 PROPERTY_DESCS = [
@@ -298,10 +338,11 @@ def _reference_bracket(desc, X, Y):
             deg = tuple(x + y for x, y in zip(r, s))
             if k1 == k2 == "f":
                 fin = desc.fin
-                comm = mat_comm(fin.mats[i], fin.mats[j])
+                mats = dense_basis(fin)
+                comm = mat_comm(mats[i], mats[j])
                 for m, v in fin.decompose(comm).items():
                     put(("f", m, deg), c * v)
-                form = mat_trace_prod(fin.mats[i], fin.mats[j])
+                form = mat_trace_prod(mats[i], mats[j])
                 for p, rp in enumerate(r, 1):
                     put(("K", p, deg), c * form * rp)
             elif k1 == "D" and k2 == "K":

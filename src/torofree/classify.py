@@ -54,7 +54,15 @@ from typing import Callable, Iterable, Iterator, Sequence
 from . import repmods
 from .errors import ClassificationError, DomainError, StructureError
 from .liealg import AlgebraDesc, window_degrees
-from .polyalg import Poly, VarId, _over_common_denominator, deg_in, divides
+from .polyalg import (
+    SLOT_BITS,
+    Poly,
+    VarId,
+    _over_common_denominator,
+    deg_in,
+    divides,
+    unpack_exponent,
+)
 from .repmods import Generator, ModuleSpec, base_action_polys
 from .verify import CheckReport, random_poly
 
@@ -73,7 +81,7 @@ def mat_vec(m: list[Row], v: Vector) -> Vector:
 class Echelon:
     """Fraction-free echelon form of sparse rows {key: value} with ordered keys.
 
-    Keys are int columns or exponent tuples; values are ints or Fractions (a
+    Keys are int columns or packed monomial keys; values are ints or Fractions (a
     polynomial's integer ``nums`` serve as its row).  A row is scaled to
     integers and reduced on its lowest key by the pivot row of that key; a
     nonzero remainder, divided by its content, becomes the pivot row of its
@@ -368,8 +376,8 @@ def simplicity_predict(spec: ModuleSpec) -> bool:
 
 
 def _h_only(p: Poly) -> bool:
-    l = p.l
-    return all(all(e == 0 for e in exp[l:]) for exp in p.nums)
+    # the d-block fills the slots above the H-block
+    return max(p.nums, default=0) >> SLOT_BITS * p.l == 0
 
 
 def principal_witness_search(spec: ModuleSpec, maxdeg: int) -> Poly | None:
@@ -520,10 +528,14 @@ def _at_weights(p: Poly, rep: IrrepA) -> list[Poly]:
     """
     l = rep.rank
     size = l + 1
-    top = max((sum(exp[:l]) for exp in p.nums), default=0)
+    low = SLOT_BITS * l
+    h_block = (1 << low) - 1
+    # (key of the d-part in Q[d], H-exponents, numerator) once per monomial
+    split = [(key >> low, unpack_exponent(key & h_block, l), c) for key, c in p.nums.items()]
+    top = max((sum(h) for _, h, _ in split), default=0)
     monomials = [
-        (exp[l:], [(k, e) for k, e in enumerate(exp[:l]) if e], c * size ** (top - sum(exp[:l])))
-        for exp, c in p.nums.items()
+        (beta, [(k, e) for k, e in enumerate(h) if e], c * size ** (top - sum(h)))
+        for beta, h, c in split
     ]
     den = p.den * size**top
     out = []
@@ -790,7 +802,7 @@ def cyclicity_check(
     zero = spec.algebra.zero_degree()
     for i in range(1, l + 1):
         gens += [Generator("x", i, zero), Generator("y", i, zero), Generator("h", i, zero)]
-    target = {(0,) * (l + n): 1}
+    target = {0: 1}  # the constant 1 as a numerator row
     span = Echelon()
     span.add(current.nums)
     if span.contains(target):

@@ -192,11 +192,6 @@ class FiniteAlgebra:
             raise StructureError("matrix is not in the algebra span")
         return dict(sorted(coords.items()))
 
-    def decompose(self, mat: Sequence[Sequence[Rat]]) -> dict[int, Rat]:
-        """Coordinates of a g-matrix in the chosen basis (exact)."""
-        entries = {(p, q): x for p, row in enumerate(mat) for q, x in enumerate(row) if x}
-        return self._coords(entries, 1)
-
     @cached_property
     def table(self) -> list[list[tuple[tuple[int, Rat], ...]]]:
         """Structure constants: table[m1][m2] = ((m, c), ...), ascending in m,

@@ -1,12 +1,25 @@
 """Exact sparse polynomial arithmetic over Q with shift automorphisms.
 
 Polynomials live in Q[H_1..H_l, d_1..d_n].  A polynomial is stored as one
-positive integer denominator ``den`` and a map ``nums`` from exponent tuples
-(length l + n, H-block first) to nonzero int numerators; its value is
-sum_e nums[e] / den * x^e.  The form is reduced, gcd(den, every numerator)
-= 1, and the zero polynomial is (1, {}).  So it is canonical: two values are
-equal iff their denominators and numerator maps are, and equality and
-hashing compare integers only.
+positive integer denominator ``den`` and a map ``nums`` from packed monomial
+keys to nonzero int numerators; its value is sum_k nums[k] / den * x^e(k).
+The form is reduced, gcd(den, every numerator) = 1, and the zero polynomial
+is (1, {}).  So it is canonical: two values are equal iff their denominators
+and numerator maps are, and equality and hashing compare integers only.
+
+A monomial key is one non-negative int holding the exponent tuple e (length
+l + n, H-block first) in fixed slots of SLOT_BITS = 16 bits: slot p, the bits
+16p .. 16p + 15, holds e_p, so key = sum_p e_p << 16p and the H-block sits in
+the low slots.  A product of monomials is one integer ``+`` of their keys, a
+shift that moves slot p from exponent e to j adds (j - e) << 16p, the
+constant monomial is the key 0, and the d-part of a key is key >> 16l, itself
+the key of that monomial in Q[d].  Slots never spill into each other: an
+exponent is at most MAX_SLOT_EXPONENT = 2^16 - 1, and an operation that
+would form a monomial with a larger exponent (a product, a power, the public
+constructor) raises DomainError rather than return a wrapped key.  A shift
+never raises an exponent, so it needs no check; a product is checked once
+per operation, on the bitwise OR of each factor's keys, and only when that
+OR has the top bit of some slot set are the per-slot maxima compared.
 
 The shift automorphisms are
 
@@ -15,18 +28,19 @@ The shift automorphisms are
 
 implemented by binomial expansion with exact integer binomials.  A
 ``ShiftOperator`` is a finite sum of polynomials times shifts; such sums
-compose and bracket exactly, in closed form.
+compose and bracket exactly, in closed form.  Its shifts are plain tuples
+(their entries may be negative).
 
 Trusted construction: the public constructor ``Poly(l, n, terms)`` accepts
 arbitrary input, so it raises StructureError on an exponent of the wrong
-width or with a negative entry (whatever its coefficient), coerces every
-coefficient that is not an int or a Fraction through Fraction, drops zeros
-and brings the rest over the lcm of their denominators, which leaves the
-form reduced.  Every other operation
-builds the integer form itself and wraps it with the private ``Poly._raw``,
-which stores it without checking, or ``Poly._reduced``, which first divides
-out gcd(den, numerators).  Both are only for maps built here (or in
-``classify``) from valid keys and nonzero numerators.
+width or with a negative entry (whatever its coefficient) and DomainError on
+an entry above MAX_SLOT_EXPONENT, coerces every coefficient that is not an
+int or a Fraction through Fraction, drops zeros and brings the rest over the
+lcm of their denominators, which leaves the form reduced.  Every other
+operation builds the integer form itself and wraps it with the private
+``Poly._raw``, which stores it without checking, or ``Poly._reduced``, which
+first divides out gcd(den, numerators).  Both are only for maps built here
+(or in ``classify``) from valid keys and nonzero numerators.
 
 One integer kernel does the arithmetic: ``_shift_nums`` is the only
 binomial-expansion loop (it expands only the slots with a nonzero delta, by
@@ -38,14 +52,17 @@ an integer shift is an automorphism of Z[H, d], so it keeps the content of
 the numerators.  ``ShiftOperator.apply`` multiplies the shifted numerators
 of p by those of each f_u, brought over their lcm D, into one int map over
 D * den(p) and reduces once; ``compose`` uses the same shift-multiply step
-for f * T_u(g), and ``try_divide`` divides numerators fraction-free.
+for f * T_u(g), and ``try_divide`` divides numerators fraction-free, reading
+divisibility of two monomials off the borrows of one key subtraction.
 ``shift_difference``'s ``(sigma_i - Id)^k`` is one pass over the numerators
 with a cached integer row per (exponent, k), not k shift-and-subtract passes.
 
-``Fraction``s are made only at the edges: by ``terms`` (a read-only view
-exponent -> Fraction that makes each coefficient as it is read),
-``sorted_terms`` and iteration, ``coeff``, ``constant_term``, ``leading``,
-``as_scalar``, ``eval`` and ``text``, and where the public constructor,
+Keys are unpacked to exponent tuples (``unpack_exponent``, once per key) and
+``Fraction``s made only at the edges: by ``terms`` (a read-only view
+exponent tuple -> Fraction that packs the tuple it is asked for and makes
+each coefficient as it is read), ``sorted_terms`` and iteration, ``coeff``,
+``constant_term``, ``leading``, ``as_scalar``, ``eval`` and ``text``, by
+``total_degree`` and the graded-lex order, and where the public constructor,
 ``const``, ``scale`` or ``==`` coerce a scalar argument.
 
 The serialized text form is a sum of terms in graded-lex order (total degree
@@ -56,17 +73,19 @@ e.g. ``3/2*H1^2*d1 - d2 + 5``.
 from __future__ import annotations
 
 import re
+import struct
 import sys
 from collections.abc import Mapping
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb, gcd, lcm, prod
-from operator import add, sub
-from typing import Collection, Iterable, Iterator, Sequence
+from operator import add, or_, sub
+from typing import Collection, Iterator, Sequence
 
 from .errors import DomainError, Frozen, StructureError
 
 Exponent = tuple[int, ...]
+Shift = tuple[int, ...]
 Rat = Fraction
 
 _set = object.__setattr__  # writes a slot past Poly's and VarId's immutability guards
@@ -78,6 +97,10 @@ MAX_EXPONENT = 1000
 # largest product of (e + 1) over a term's exponents that Poly.parse accepts
 MAX_SHIFT_MONOMIALS = 10_000
 _RAT_RE = re.compile(r"^-?\d+(?:/0*[1-9]\d*)?$")  # no zero denominator
+
+# the width of one exponent slot of a packed monomial key
+SLOT_BITS = 16
+MAX_SLOT_EXPONENT = (1 << SLOT_BITS) - 1
 
 
 class VarId(Frozen):
@@ -106,26 +129,99 @@ class VarId(Frozen):
         return l + self.index - 1
 
 
-def _order_key(exp: Exponent):
-    # Graded lex, descending: sort() with this key lists the leading term first.
-    return (-sum(exp), tuple(-e for e in exp))
+# -- packed monomial keys -----------------------------------------------------
+
+
+class _PerWidth(dict):
+    """width -> make(width), made on first use."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, width: int):
+        value = self[width] = self.make(width)
+        return value
+
+
+# the mask of the top bit of each slot of a key, and the struct codec of a
+# key as little-endian bytes ("H": one unsigned 16-bit field per slot, so
+# packing checks every entry's range)
+_TOP_BITS = _PerWidth(lambda width: sum(1 << SLOT_BITS * (p + 1) - 1 for p in range(width)))
+_CODEC = _PerWidth(lambda width: struct.Struct(f"<{width}H"))
+_SLOT_BYTES = SLOT_BITS // 8
+
+
+def pack_exponent(exp: Sequence[int]) -> int:
+    """The key of an exponent tuple: StructureError on an entry that is not a
+    non-negative int, DomainError on one above MAX_SLOT_EXPONENT."""
+    try:
+        return int.from_bytes(_CODEC[len(exp)].pack(*exp), "little")
+    except struct.error:
+        if all(isinstance(e, int) and e >= 0 for e in exp):
+            raise DomainError(f"exponent in {exp} above the limit {MAX_SLOT_EXPONENT}") from None
+        raise StructureError(f"bad exponent {exp}") from None
+
+
+def unpack_exponent(key: int, width: int) -> Exponent:
+    """The exponent tuple of length ``width`` held by a key below 2^(SLOT_BITS * width)."""
+    return _CODEC[width].unpack(key.to_bytes(_SLOT_BYTES * width, "little"))
+
+
+def _key_of(exp: Sequence[int], width: int) -> int | None:
+    """The key of exp when it is an exponent of this width, else None."""
+    if len(exp) == width:
+        try:
+            return int.from_bytes(_CODEC[width].pack(*exp), "little")
+        except struct.error:
+            pass
+    return None
+
+
+def _order_key(exp: Exponent) -> tuple[int, Exponent]:
+    # graded lex: the exponent with the largest key leads
+    return sum(exp), exp
+
+
+def _check_products(keys_a: Collection[int], keys_b: Collection[int], width: int) -> None:
+    """Raise DomainError when the product of a monomial of ``keys_a`` and one
+    of ``keys_b`` has an exponent above MAX_SLOT_EXPONENT.
+
+    When no key has the top bit of a slot set, every exponent is below
+    2^(SLOT_BITS - 1) and every sum fits; otherwise the per-slot maxima
+    decide, and a slot whose maxima add past the limit is reached by the
+    product of the two monomials that hold them.
+    """
+    if (reduce(or_, keys_a, 0) | reduce(or_, keys_b, 0)) & _TOP_BITS[width]:
+        def maxima(keys):
+            return [max(slot) for slot in zip(*[unpack_exponent(k, width) for k in keys])]
+
+        top = max(map(add, maxima(keys_a), maxima(keys_b)), default=0)
+        if top > MAX_SLOT_EXPONENT:
+            raise DomainError(f"a product would hold the exponent {top},"
+                              f" above the limit {MAX_SLOT_EXPONENT}")
 
 
 class _Terms(Mapping):
-    """Read-only view of a polynomial as {exponent: Fraction coefficient};
+    """Read-only view of a polynomial as {exponent tuple: Fraction coefficient};
     each coefficient is made when it is read."""
 
-    __slots__ = ("_den", "_nums")
+    __slots__ = ("_den", "_nums", "_width")
 
-    def __init__(self, den: int, nums: dict[Exponent, int]):
+    def __init__(self, den: int, nums: dict[int, int], width: int):
         self._den = den
         self._nums = nums
+        self._width = width
 
     def __getitem__(self, exp: Exponent) -> Rat:
-        return Fraction(self._nums[exp], self._den)
+        key = _key_of(exp, self._width)
+        if key not in self._nums:
+            raise KeyError(exp)
+        return Fraction(self._nums[key], self._den)
 
     def __iter__(self) -> Iterator[Exponent]:
-        return iter(self._nums)
+        width = self._width
+        return (unpack_exponent(k, width) for k in self._nums)
 
     def __len__(self) -> int:
         return len(self._nums)
@@ -136,20 +232,21 @@ class _Terms(Mapping):
 
 class Poly:
     """Immutable sparse polynomial with exact rational coefficients, stored as
-    integer numerators over one denominator (see the module docstring)."""
+    integer numerators of packed monomial keys over one denominator (see the
+    module docstring)."""
 
     __slots__ = ("l", "n", "den", "nums")
 
     def __init__(self, l: int, n: int, terms: dict[Exponent, Rat] | None = None):
         _set(self, "l", l)
         _set(self, "n", n)
-        clean: dict[Exponent, Rat] = {}
+        clean: dict[int, Rat] = {}
         if terms:
             width = l + n
             for exp, c in terms.items():
-                if len(exp) != width or any(e < 0 for e in exp):
+                if len(exp) != width:
                     raise StructureError(f"bad exponent {exp} for ranks ({l},{n})")
-                clean[tuple(exp)] = c if isinstance(c, (int, Fraction)) else Fraction(c)
+                clean[pack_exponent(exp)] = c if isinstance(c, (int, Fraction)) else Fraction(c)
         # over the lcm of reduced denominators no prime divides every numerator
         den, nums = _over_common_denominator(clean)
         _set(self, "den", den)
@@ -159,8 +256,8 @@ class Poly:
         raise AttributeError("Poly is immutable")
 
     @staticmethod
-    def _raw(l: int, n: int, den: int, nums: dict[Exponent, int]) -> "Poly":
-        """Wrap a reduced integer form (width-(l+n) tuple keys, nonzero int
+    def _raw(l: int, n: int, den: int, nums: dict[int, int]) -> "Poly":
+        """Wrap a reduced integer form (keys of width l + n, nonzero int
         numerators, gcd 1 with den > 0) without copying or checking it; see
         the module docstring."""
         p = object.__new__(Poly)
@@ -171,7 +268,7 @@ class Poly:
         return p
 
     @staticmethod
-    def _reduced(l: int, n: int, den: int, nums: dict[Exponent, int]) -> "Poly":
+    def _reduced(l: int, n: int, den: int, nums: dict[int, int]) -> "Poly":
         """``_raw`` of nonzero numerators over den > 0 once their gcd with den
         is divided out."""
         if den != 1:
@@ -193,13 +290,11 @@ class Poly:
             value = Fraction(value)
         if not value:
             return Poly._raw(l, n, 1, {})
-        return Poly._raw(l, n, value.denominator, {(0,) * (l + n): value.numerator})
+        return Poly._raw(l, n, value.denominator, {0: value.numerator})
 
     @staticmethod
     def variable(l: int, n: int, var: VarId) -> "Poly":
-        exp = [0] * (l + n)
-        exp[var.position(l, n)] = 1
-        return Poly._raw(l, n, 1, {tuple(exp): 1})
+        return Poly._raw(l, n, 1, {1 << SLOT_BITS * var.position(l, n): 1})
 
     @staticmethod
     def H(l: int, n: int, i: int) -> "Poly":
@@ -217,8 +312,8 @@ class Poly:
 
     @property
     def terms(self) -> Mapping[Exponent, Rat]:
-        """The coefficients as a read-only {exponent: Fraction} view."""
-        return _Terms(self.den, self.nums)
+        """The coefficients as a read-only {exponent tuple: Fraction} view."""
+        return _Terms(self.den, self.nums, self.l + self.n)
 
     def is_zero(self) -> bool:
         return not self.nums
@@ -273,16 +368,16 @@ class Poly:
         m_a, m_b = other.den // g, self.den // g
         out = {e: v * m_a for e, v in self.nums.items()} if m_a != 1 else dict(self.nums)
         items = [(e, v * m_b) for e, v in other.nums.items()] if m_b != 1 else other.nums.items()
-        for exp, c in items:
-            s = out.get(exp)
+        for key, c in items:
+            s = out.get(key)
             if s is None:
-                out[exp] = c if op is add else -c
+                out[key] = c if op is add else -c
                 continue
             s = op(s, c)
             if s:
-                out[exp] = s
+                out[key] = s
             else:
-                del out[exp]
+                del out[key]
         # with coprime denominators the sum is reduced: modulo a prime of
         # self.den (so not of other.den) its numerators are those of self
         # times other.den, and no such prime divides every one of those
@@ -294,8 +389,9 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         other = self._coerce(other)
-        out: dict[Exponent, int] = {}
-        _mul_into(out, self.nums.items(), other.nums.items())
+        _check_products(self.nums, other.nums, self.l + self.n)
+        out: dict[int, int] = {}
+        _mul_into(out, self.nums, other.nums)
         return Poly._reduced(self.l, self.n, self.den * other.den, _nonzero(out))
 
     __rmul__ = __mul__
@@ -314,6 +410,14 @@ class Poly:
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
             raise DomainError("negative polynomial power")
+        # the degree of p^k in each variable is k times that of p, so a power
+        # past the exponent limit is refused before anything is expanded
+        width = self.l + self.n
+        if k > 1 and width and self.nums:
+            top = k * max(max(unpack_exponent(key, width)) for key in self.nums)
+            if top > MAX_SLOT_EXPONENT:
+                raise DomainError(f"the power would hold the exponent {top},"
+                                  f" above the limit {MAX_SLOT_EXPONENT}")
         out = Poly.const(self.l, self.n, 1)
         base = self
         while k:
@@ -325,40 +429,48 @@ class Poly:
 
     # -- structure ---------------------------------------------------------
 
+    def _unpacked(self) -> list[tuple[Exponent, int]]:
+        """(exponent tuple, numerator) pairs in graded-lex order, leading first."""
+        width = self.l + self.n
+        return sorted(((unpack_exponent(k, width), v) for k, v in self.nums.items()),
+                      key=lambda term: _order_key(term[0]), reverse=True)
+
     def sorted_terms(self) -> list[tuple[Exponent, Rat]]:
-        den, nums = self.den, self.nums
-        return [(e, Fraction(nums[e], den)) for e in sorted(nums, key=_order_key)]
+        den = self.den
+        return [(e, Fraction(v, den)) for e, v in self._unpacked()]
 
     def __iter__(self) -> Iterator[tuple[Exponent, Rat]]:
         return iter(self.sorted_terms())
 
     def coeff(self, exp: Exponent) -> Rat:
-        return Fraction(self.nums.get(tuple(exp), 0), self.den)
+        return Fraction(self.nums.get(_key_of(exp, self.l + self.n), 0), self.den)
 
     def constant_term(self) -> Rat:
-        return Fraction(self.nums.get((0,) * (self.l + self.n), 0), self.den)
+        return Fraction(self.nums.get(0, 0), self.den)
 
     def total_degree(self) -> int:
         """Maximum total degree; -1 for the zero polynomial."""
         if not self.nums:
             return -1
-        return max(sum(e) for e in self.nums)
+        width = self.l + self.n
+        return max(sum(unpack_exponent(k, width)) for k in self.nums)
 
-    def _leading_exp(self) -> Exponent:
+    def _leading_key(self) -> int:
         if not self.nums:
             raise DomainError("zero polynomial has no leading term")
-        return min(self.nums, key=_order_key)
+        width = self.l + self.n
+        return max(self.nums, key=lambda k: _order_key(unpack_exponent(k, width)))
 
     def leading(self) -> tuple[Exponent, Rat]:
         """Leading (exponent, coefficient) in graded-lex order; zero poly is an error."""
-        exp = self._leading_exp()
-        return exp, Fraction(self.nums[exp], self.den)
+        key = self._leading_key()
+        return unpack_exponent(key, self.l + self.n), Fraction(self.nums[key], self.den)
 
     def is_monic(self) -> bool:
-        return bool(self.nums) and self.nums[self._leading_exp()] == self.den
+        return bool(self.nums) and self.nums[self._leading_key()] == self.den
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.nums)
+        return not self.nums or (len(self.nums) == 1 and 0 in self.nums)
 
     def as_scalar(self) -> Rat | None:
         """The constant value if this poly is constant, else None."""
@@ -369,12 +481,13 @@ class Poly:
     def eval(self, point: Sequence) -> Rat:
         """Evaluate at a point given as l+n rationals (H-block first)."""
         vals = [Fraction(v) for v in point]
-        if len(vals) != self.l + self.n:
+        width = self.l + self.n
+        if len(vals) != width:
             raise StructureError("evaluation point has wrong length")
         total = Fraction(0)
-        for exp, c in self.nums.items():
+        for key, c in self.nums.items():
             term = c
-            for e, v in zip(exp, vals):
+            for e, v in zip(unpack_exponent(key, width), vals):
                 if e:
                     term *= v**e
             total += term
@@ -386,21 +499,20 @@ class Poly:
         """Substitute every variable v_p by v_p - deltas[p] (binomial expansion)."""
         if len(deltas) != self.l + self.n:
             raise StructureError("shift vector has wrong length")
-        moved = _moved(deltas)
+        moved = _moved(tuple(deltas))
         if not moved:
             return self
         # an integer shift keeps the content of the numerators: no gcd to divide out
-        return Poly._raw(self.l, self.n, self.den, _nonzero(_shift_nums(self.nums.items(), moved)))
+        return Poly._raw(self.l, self.n, self.den, _nonzero(_shift_nums(self.nums, moved)))
 
     # -- text form ---------------------------------------------------------
 
     def text(self) -> str:
         if not self.nums:
             return "0"
-        den, nums = self.den, self.nums
+        den = self.den
         chunks: list[str] = []
-        for exp in sorted(nums, key=_order_key):
-            v = nums[exp]
+        for exp, v in self._unpacked():
             factors = []
             for pos, e in enumerate(exp):
                 if e == 0:
@@ -495,7 +607,7 @@ def _over_common_denominator(values: dict) -> tuple[int, dict]:
     return den, {k: c.numerator * (den // c.denominator) for k, c in values.items() if c}
 
 
-def _nonzero(nums: dict[Exponent, int]) -> dict[Exponent, int]:
+def _nonzero(nums: dict[int, int]) -> dict[int, int]:
     """The entries of an accumulated numerator map that did not cancel."""
     return {e: v for e, v in nums.items() if v}
 
@@ -503,58 +615,61 @@ def _nonzero(nums: dict[Exponent, int]) -> dict[Exponent, int]:
 # -- the integer kernel: one binomial-expansion loop, one product loop -------
 
 
-def _moved(deltas: Sequence[int]) -> list[tuple[int, int]]:
-    """The (slot, delta) pairs of a shift vector with a nonzero delta."""
-    return [(pos, dlt) for pos, dlt in enumerate(deltas) if dlt]
+@lru_cache(maxsize=4096)
+def _moved(deltas: Shift) -> tuple[tuple[int, int], ...]:
+    """The (bit offset of the slot, delta) pairs of a shift vector with a
+    nonzero delta."""
+    return tuple((SLOT_BITS * pos, dlt) for pos, dlt in enumerate(deltas) if dlt)
 
 
-def _shift_nums(nums: Iterable[tuple[Exponent, int]],
-                moved: list[tuple[int, int]]) -> dict[Exponent, int]:
+@lru_cache(maxsize=256)
+def _shift_row(s: int, e: int, dlt: int) -> tuple[tuple[int, int], ...]:
+    """((e - j) << s, comb(e, j) * (-dlt)^(e - j)) for j = 0 .. e: the key
+    decrement and the integer coefficient of v^j in (v - dlt)^e, for the slot
+    at bit offset s."""
+    return tuple(((e - j) << s, comb(e, j) * (-dlt) ** (e - j)) for j in range(e + 1))
+
+
+def _shift_nums(nums: dict[int, int], moved: tuple[tuple[int, int], ...]) -> dict[int, int]:
     """Integer numerators of the shift by ``moved`` of the terms ``nums``."""
-    out: dict[Exponent, int] = {}
-    # rows[(e, dlt)][j] = comb(e, j) * (-dlt)^(e - j), the coefficient of
-    # v^j in (v - dlt)^e; integers for integer deltas
-    rows: dict[tuple[int, int], list[int]] = {}
-    for exp, c in nums:
-        # expansion of prod over moved slots p of (v_p - delta_p)^{e_p}; the
-        # monomials of one expansion are distinct, so a list suffices
-        partial = [(exp, c)]
-        for pos, dlt in moved:
-            e = exp[pos]
+    out: dict[int, int] = {}
+    if len(moved) == 1:
+        ((s, dlt),) = moved
+        for key, c in nums.items():
+            e = key >> s & MAX_SLOT_EXPONENT
+            if not e:
+                out[key] = out.get(key, 0) + c
+                continue
+            for drop, w in _shift_row(s, e, dlt):
+                k = key - drop
+                out[k] = out.get(k, 0) + c * w
+        return out
+    for key, c in nums.items():
+        # expansion of prod over moved slots of (v - delta)^e; the monomials
+        # of one expansion are distinct, so a list suffices
+        partial = [(key, c)]
+        for s, dlt in moved:
+            e = key >> s & MAX_SLOT_EXPONENT
             if e:
-                row = rows.get((e, dlt))
-                if row is None:
-                    row = rows[e, dlt] = [comb(e, j) * (-dlt) ** (e - j) for j in range(e + 1)]
-                partial = [
-                    (k[:pos] + (j,) + k[pos + 1 :], v * w)
-                    for k, v in partial
-                    for j, w in enumerate(row)
-                ]
+                row = _shift_row(s, e, dlt)
+                partial = [(k - drop, v * w) for k, v in partial for drop, w in row]
         for k, v in partial:
             out[k] = out.get(k, 0) + v
     return out
 
 
-def _mul_into(out: dict[Exponent, int], nums_a: Iterable[tuple[Exponent, int]],
-              nums_b: Collection[tuple[Exponent, int]]) -> None:
-    """Accumulate the product of two integer term lists into ``out``."""
-    for ea, ca in nums_a:
-        for eb, cb in nums_b:
-            exp = tuple(map(add, ea, eb))
-            out[exp] = out.get(exp, 0) + ca * cb
-
-
-def _shift_mul_into(out: dict[Exponent, int], nums_f: Iterable[tuple[Exponent, int]],
-                    nums_p: Collection[tuple[Exponent, int]],
-                    moved: list[tuple[int, int]]) -> None:
-    """Accumulate f * T_u(p) into ``out``, all as integer numerators."""
-    _mul_into(out, nums_f, _shift_nums(nums_p, moved).items() if moved else nums_p)
+def _mul_into(out: dict[int, int], nums_a: dict[int, int], nums_b: dict[int, int]) -> None:
+    """Accumulate the product of two integer term maps into ``out``; the
+    caller has run ``_check_products`` on their keys (for f * T_u(p), on the
+    keys of f and p, which bound those of T_u(p) slot by slot)."""
+    items_b = nums_b.items()
+    for ka, ca in nums_a.items():
+        for kb, cb in items_b:
+            key = ka + kb
+            out[key] = out.get(key, 0) + ca * cb
 
 
 # -- shift operators ---------------------------------------------------------
-
-
-Shift = tuple[int, ...]
 
 
 class ShiftOperator:
@@ -569,14 +684,13 @@ class ShiftOperator:
     mutated after construction.
     """
 
-    __slots__ = ("l", "n", "terms")
+    __slots__ = ("l", "n", "terms", "_plan")
 
     def __init__(self, l: int, n: int, terms: dict[Shift, Poly] | None = None):
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(
-            self, "terms", {tuple(u): f for u, f in (terms or {}).items() if f.nums}
-        )
+        _set(self, "l", l)
+        _set(self, "n", n)
+        _set(self, "terms", {tuple(u): f for u, f in (terms or {}).items() if f.nums})
+        _set(self, "_plan", None)
 
     def __setattr__(self, *_):
         raise AttributeError("ShiftOperator is immutable")
@@ -593,25 +707,44 @@ class ShiftOperator:
 
     def apply(self, p: Poly) -> Poly:
         """sum_u f_u * p.shift(u), accumulated as integers over one denominator."""
-        if p.ranks != (self.l, self.n):
+        if p.l != self.l or p.n != self.n:
             raise StructureError(f"polynomial ranks {p.ranks} do not match {(self.l, self.n)}")
-        den = lcm(*[f.den for f in self.terms.values()])
-        nums_p = p.nums.items()
-        out: dict[Exponent, int] = {}
-        for u, f in self.terms.items():
-            m = den // f.den
-            nums_f = f.nums.items() if m == 1 else [(e, v * m) for e, v in f.nums.items()]
-            _shift_mul_into(out, nums_f, nums_p, _moved(u))
+        den, keys_f, held_f, steps = self._plan or self._make_plan()
+        nums_p = p.nums
+        width = self.l + self.n
+        if (held_f | reduce(or_, nums_p, 0)) & _TOP_BITS[width]:
+            _check_products(keys_f, nums_p, width)
+        out: dict[int, int] = {}
+        for moved, nums_f in steps:
+            _mul_into(out, nums_f, _shift_nums(nums_p, moved) if moved else nums_p)
         return Poly._reduced(self.l, self.n, den * p.den, _nonzero(out))
+
+    def _make_plan(self) -> tuple:
+        """What ``apply`` reads of the operator, made on its first call: the
+        lcm D of the coefficients' denominators, their keys and the OR of
+        those, and per term the moved slots of u with the numerators of f_u
+        over D."""
+        coeffs = self.terms.values()
+        den = lcm(*[f.den for f in coeffs])
+        keys_f = [k for f in coeffs for k in f.nums]
+        steps = [
+            (_moved(u), f.nums if f.den == den else {k: v * (den // f.den) for k, v in f.nums.items()})
+            for u, f in self.terms.items()
+        ]
+        plan = (den, keys_f, reduce(or_, keys_f, 0), steps)
+        _set(self, "_plan", plan)
+        return plan
 
     def compose(self, other: "ShiftOperator") -> "ShiftOperator":
         """self after other: (sum f_u T_u)(sum g_v T_v) = sum f_u T_u(g_v) T_(u+v)."""
+        width = self.l + self.n
         out: dict[Shift, Poly] = {}
         for u, f in self.terms.items():
             moved = _moved(u)
             for v, g in other.terms.items():
-                nums: dict[Exponent, int] = {}
-                _shift_mul_into(nums, f.nums.items(), g.nums.items(), moved)
+                _check_products(f.nums, g.nums, width)
+                nums: dict[int, int] = {}
+                _mul_into(nums, f.nums, _shift_nums(g.nums, moved) if moved else g.nums)
                 term = Poly._reduced(self.l, self.n, f.den * g.den, _nonzero(nums))
                 w = tuple(map(add, u, v))
                 out[w] = out[w] + term if w in out else term
@@ -667,10 +800,10 @@ def shift_tau(a: Sequence[int], p: Poly) -> Poly:
 
 def deg_in(v: VarId, p: Poly) -> int:
     """Highest exponent of v in p; -1 when p = 0."""
-    pos = v.position(p.l, p.n)
+    s = SLOT_BITS * v.position(p.l, p.n)
     if not p.nums:
         return -1
-    return max(exp[pos] for exp in p.nums)
+    return max(key >> s & MAX_SLOT_EXPONENT for key in p.nums)
 
 
 def shift_difference(mode: str, k: int, i: int, p: Poly) -> Poly:
@@ -688,14 +821,15 @@ def shift_difference(mode: str, k: int, i: int, p: Poly) -> Poly:
             raise DomainError("difference_power requires k >= 0")
         # one pass: c * H_i^e goes to c times the row of (sigma_i - Id)^k H_i^e,
         # which is zero for e < k
-        pos = VarId("H", i).position(p.l, p.n)
-        out: dict[Exponent, int] = {}
-        for exp, c in p.nums.items():
-            if exp[pos] >= k:
-                head, tail = exp[:pos], exp[pos + 1 :]
-                for j, w in enumerate(_difference_row(exp[pos], k)):
-                    key = head + (j,) + tail
-                    out[key] = out.get(key, 0) + c * w
+        s = SLOT_BITS * VarId("H", i).position(p.l, p.n)
+        out: dict[int, int] = {}
+        for key, c in p.nums.items():
+            e = key >> s & MAX_SLOT_EXPONENT
+            if e >= k:
+                rest = key - (e << s)
+                for j, w in enumerate(_difference_row(e, k)):
+                    jkey = rest + (j << s)
+                    out[jkey] = out.get(jkey, 0) + c * w
         return Poly._reduced(p.l, p.n, p.den, _nonzero(out))
     raise StructureError(f"unknown shift_difference mode {mode!r}")
 
@@ -723,41 +857,51 @@ def try_divide(q: Poly, p: Poly) -> Poly | None:
     polynomials, it keeps s * N_q = quot * N_p + rem in integers, and when
     the leading coefficient of N_p does not divide that of rem, it first
     multiplies s, quot and rem by the missing factor.  Then q / p =
-    quot * den(p) / (s * den(q)).
+    quot * den(p) / (s * den(q)).  The leading monomial of N_p divides that
+    of rem iff their key difference is non-negative and borrows across no
+    slot boundary.
     """
     q._check_ranks(p)
     if p.is_zero():
         raise DomainError("division by zero polynomial")
     if q.is_zero():
         return Poly.zero(q.l, q.n)
-    lead_exp = p._leading_exp()
-    lead = p.nums[lead_exp]
-    tail = [(e, c) for e, c in p.nums.items() if e != lead_exp]
+    width = q.l + q.n
+    top_bits = _TOP_BITS[width]
+    # the lowest bit of every slot but the first: a borrow into one of them
+    # is a slot that went negative
+    boundaries = top_bits << 1 & ~(1 << SLOT_BITS * width)
+    lead_key = p._leading_key()
+    lead = p.nums[lead_key]
+    tail = {k: c for k, c in p.nums.items() if k != lead_key}
+    tail_top = reduce(or_, tail, 0) & top_bits
     s = 1
-    quot: dict[Exponent, int] = {}
+    quot: dict[int, int] = {}
     rem = dict(q.nums)
     while rem:
         # rem -= c * x^diff * N_p; its leading term cancels exactly
-        rexp = min(rem, key=_order_key)
-        diff = tuple(map(sub, rexp, lead_exp))
-        if any(e < 0 for e in diff):
+        rkey = max(rem, key=lambda k: _order_key(unpack_exponent(k, width)))
+        diff = rkey - lead_key
+        if diff < 0 or (rkey ^ lead_key ^ diff) & boundaries:
             return None
-        r = rem.pop(rexp)
+        if tail_top or diff & top_bits:
+            _check_products((diff,), tail, width)
+        r = rem.pop(rkey)
         g = gcd(r, lead)
         c, m = (r // g, lead // g) if lead > 0 else (-r // g, -lead // g)
         if m != 1:
             s *= m
-            rem = {e: v * m for e, v in rem.items()}
-            quot = {e: v * m for e, v in quot.items()}
+            rem = {k: v * m for k, v in rem.items()}
+            quot = {k: v * m for k, v in quot.items()}
         quot[diff] = c
-        for e, pc in tail:
-            exp = tuple(map(add, e, diff))
-            x = rem.get(exp, 0) - c * pc
+        for k, pc in tail.items():
+            key = k + diff
+            x = rem.get(key, 0) - c * pc
             if x:
-                rem[exp] = x
+                rem[key] = x
             else:
-                rem.pop(exp, None)
-    return Poly._reduced(q.l, q.n, s * q.den, {e: v * p.den for e, v in quot.items()})
+                rem.pop(key, None)
+    return Poly._reduced(q.l, q.n, s * q.den, {k: v * p.den for k, v in quot.items()})
 
 
 def divides(p: Poly, q: Poly) -> bool:

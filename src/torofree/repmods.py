@@ -39,13 +39,14 @@ import math
 import re
 import sys
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 from typing import Callable, Iterable, Sequence
 
 from . import liealg
 from .errors import DomainError, Frozen, StructureError
 from .liealg import AlgebraDesc, LieElt
-from .polyalg import Poly, ShiftOperator, VarId
+from .polyalg import MAX_SLOT_EXPONENT, SLOT_BITS, Poly, ShiftOperator, VarId
 
 Rat = Fraction
 _set = object.__setattr__  # writes a field past Frozen's immutability guard
@@ -225,12 +226,10 @@ class ModuleSpec(Frozen):
 
 
 def _support(p: Poly) -> set[int]:
-    out: set[int] = set()
-    for exp in p.nums:
-        for pos, e in enumerate(exp):
-            if e:
-                out.add(pos)
-    return out
+    """The slots of the variables p involves: those of the OR of its keys
+    that are nonzero."""
+    held = reduce(or_, p.nums, 0)
+    return {pos for pos in range(p.l + p.n) if held >> SLOT_BITS * pos & MAX_SLOT_EXPONENT}
 
 
 # -- base action polynomials x_i.1 and y_i.1 ---------------------------------

@@ -124,27 +124,30 @@ class _Memo:
     Actions on a ``lasting`` input or on a constant are kept for the whole
     check, the others only until ``forget_rest``.  Constants recur across
     pairs (a central generator acts by a scalar, so many words end on one)
-    and are few, so keeping their entries costs little memory.
+    and are few, so keeping their entries costs little memory.  One dict
+    holds every entry, so a call looks its key up once; ``rest`` lists the
+    keys that ``forget_rest`` drops.
     """
 
     def __init__(self, action: ActionFn, lasting: Iterable[Poly]):
         self.action = action
         self.lasting = set(lasting)
-        self.kept: dict[tuple[Generator, Poly], Poly] = {}
-        self.rest: dict[tuple[Generator, Poly], Poly] = {}
+        self.memo: dict[tuple[Generator, Poly], Poly] = {}
+        self.rest: list[tuple[Generator, Poly]] = []
 
     def __call__(self, spec: ModuleSpec, gen: Generator, q: Poly) -> Poly:
         key = (gen, q)
-        hit = self.kept.get(key)
+        hit = self.memo.get(key)
         if hit is None:
-            hit = self.rest.get(key)
-            if hit is None:
-                hit = self.action(spec, gen, q)
-                lasting = q.is_constant() or q in self.lasting
-                (self.kept if lasting else self.rest)[key] = hit
+            hit = self.memo[key] = self.action(spec, gen, q)
+            if not (q.is_constant() or q in self.lasting):
+                self.rest.append(key)
         return hit
 
     def forget_rest(self) -> None:
+        memo = self.memo
+        for key in self.rest:
+            del memo[key]
         self.rest.clear()
 
 

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import itertools
 import os
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -104,6 +106,155 @@ def dense_basis(fin) -> list:
               for p in range(fin.size))
         for mat in fin.sparse
     ]
+
+
+@lru_cache(maxsize=None)
+def _coordinate_solver(fin) -> tuple:
+    """(positions, inverse): dim matrix positions at which the basis matrices
+    are independent, and the inverse of the dim x dim matrix of their
+    entries there, both found by Gauss-Jordan elimination over Fractions."""
+    basis = [[x for row in mat for x in row] for mat in dense_basis(fin)]
+    rows = [list(b) for b in basis]
+    positions = []
+    for col in range(fin.size * fin.size):
+        pivot = next((r for r in range(len(positions), fin.dim) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        top = len(positions)
+        rows[top], rows[pivot] = rows[pivot], rows[top]
+        for r in range(fin.dim):
+            if r != top and rows[r][col]:
+                f = rows[r][col] / rows[top][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[top])]
+        positions.append(col)
+    assert len(positions) == fin.dim, "the basis matrices are dependent"
+    # invert a[m][k] = entry of basis m at positions[k], augmented by the identity
+    aug = [[basis[m][pos] for pos in positions] + [Fraction(int(m == j)) for j in range(fin.dim)]
+           for m in range(fin.dim)]
+    for k in range(fin.dim):
+        pivot = next(r for r in range(k, fin.dim) if aug[r][k])
+        aug[k], aug[pivot] = aug[pivot], aug[k]
+        lead = aug[k][k]
+        aug[k] = [x / lead for x in aug[k]]
+        for r in range(fin.dim):
+            if r != k and aug[r][k]:
+                f = aug[r][k]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[k])]
+    return tuple(positions), [row[fin.dim:] for row in aug]
+
+
+def decompose(fin, mat) -> dict:
+    """Coordinates {m: c} (ascending m, zeros dropped) of a dense square
+    matrix in the basis of a FiniteAlgebra, by a dense Fraction solve that
+    shares nothing with the library's own coordinates; raises ValueError
+    when the matrix is not in the span of the basis."""
+    positions, inverse = _coordinate_solver(fin)
+    flat = [x for row in mat for x in row]
+    # sum_m c_m a[m][k] = flat[positions[k]] for each k, so c = v a^-1
+    coords = [sum((flat[pos] * inverse[k][m] for k, pos in enumerate(positions) if flat[pos]),
+                  Fraction(0)) for m in range(fin.dim)]
+    out = {m: c for m, c in enumerate(coords) if c}
+    back = [Fraction(0)] * len(flat)
+    for m, c in out.items():
+        for t, x in enumerate(dense_basis(fin)[m]):
+            for q, y in enumerate(x):
+                if y:
+                    back[t * fin.size + q] += c * y
+    if back != flat:
+        raise ValueError("matrix is not in the span of the basis")
+    return out
+
+
+# -- tuple-keyed reference polynomial arithmetic ---------------------------------
+#
+# The library stores a monomial as one packed int key; these plain Fraction
+# loops over {exponent tuple: coefficient} maps are the reference it is
+# compared with.
+
+
+def reference_shift(terms, u):
+    """{exp: Fraction} of the shift by u of a {exp: Fraction} map: each
+    variable v is replaced by v - u_v term by term."""
+    shifted = {}
+    for exp, c in terms.items():
+        choices = [[(j, Fraction(comb(e, j)) * Fraction(-d) ** (e - j)) for j in range(e + 1)]
+                   for e, d in zip(exp, u)]
+        for picks in itertools.product(*choices):
+            key = tuple(j for j, _ in picks)
+            value = c
+            for _, w in picks:
+                value *= w
+            shifted[key] = shifted.get(key, Fraction(0)) + value
+    return {e: c for e, c in shifted.items() if c}
+
+
+def reference_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            out[key] = out.get(key, Fraction(0)) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def reference_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def reference_divide(a, b):
+    """a / b by Fraction long division in graded-lex order, None when inexact."""
+    def order(e):
+        return (-sum(e), tuple(-x for x in e))
+
+    lead = min(b, key=order)
+    quot, rem = {}, dict(a)
+    while rem:
+        rexp = min(rem, key=order)
+        diff = tuple(x - y for x, y in zip(rexp, lead))
+        if min(diff) < 0:
+            return None
+        c = rem[rexp] / b[lead]
+        quot[diff] = c
+        rem = reference_add(rem, reference_mul({diff: c}, b), -1)
+    return quot
+
+
+def reference_apply(A, p):
+    """sum_u f_u * p.shift(u) by plain Fraction arithmetic, the sum built
+    through the public constructor."""
+    total = {}
+    for u, f in A.terms.items():
+        total = reference_add(total, reference_mul(reference_shift(dict(p.terms), u),
+                                                   dict(f.terms)))
+    return Poly(A.l, A.n, total)
+
+
+def reference_compose(A, B):
+    """{shift tuple: {exp: Fraction}} of A after B: sum f_u T_u(g_v) T_(u+v)."""
+    out = {}
+    for u, f in A.terms.items():
+        for v, g in B.terms.items():
+            w = tuple(x + y for x, y in zip(u, v))
+            out[w] = reference_add(out.get(w, {}),
+                                   reference_mul(dict(f.terms), reference_shift(dict(g.terms), u)))
+    return {w: t for w, t in out.items() if t}
+
+
+def reference_shift_difference(mode, k, i, terms, width):
+    """(sigma_i^k - Id) or (sigma_i - Id)^k of a {exp: Fraction} map, by
+    reference shifts of the H_i slot (slot i - 1)."""
+    def sigma(t, steps):
+        return reference_shift(t, tuple(steps if p == i - 1 else 0 for p in range(width)))
+
+    if mode == "power_minus_id":
+        return reference_add(sigma(terms, k), terms, -1)
+    out = dict(terms)
+    for _ in range(k):
+        out = reference_add(sigma(out, 1), out, -1)
+    return out
 
 
 # -- reference shift differences ------------------------------------------------

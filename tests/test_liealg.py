@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_basis, mat_comm, mat_trace_prod, src_env
+from conftest import decompose, dense_basis, mat_comm, mat_trace_prod, src_env
 from torofree import liealg as L
 from torofree.errors import DomainError, StructureError
 from torofree.verify import cocycle_identity_check, jacobi_check
@@ -246,17 +246,20 @@ class TestStructureTables:
             for m2 in range(fin.dim):
                 comm = mat_comm(mats[m1], mats[m2])
                 entry = fin.table[m1][m2]
-                assert dict(entry) == fin.decompose(comm)
+                assert dict(entry) == decompose(fin, comm)
                 assert _combination(fin, entry) == comm
                 assert [m for m, _ in entry] == sorted(m for m, _ in entry)
                 # integral constants are stored as ints
                 assert all(type(c) is int for _, c in entry if c.denominator == 1)
                 assert fin.forms[m1][m2] == mat_trace_prod(mats[m1], mats[m2])
 
-    def test_decompose_refuses_a_matrix_outside_the_algebra(self):
+    def test_coords_refuse_a_matrix_outside_the_algebra(self):
+        # E_11 has trace 1, so it is not in sl_2
         fin = L.FiniteAlgebra("A", 1)
         with pytest.raises(StructureError, match="not in the algebra span"):
-            fin.decompose(((Fraction(1), Fraction(0)), (Fraction(0), Fraction(0))))
+            fin._coords({(0, 0): 1}, 1)
+        with pytest.raises(ValueError, match="not in the span"):
+            decompose(fin, ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(0))))
 
     def test_tables_are_built_on_first_use(self):
         fin = L.FiniteAlgebra("C", 3)
@@ -340,7 +343,7 @@ def _reference_bracket(desc, X, Y):
                 fin = desc.fin
                 mats = dense_basis(fin)
                 comm = mat_comm(mats[i], mats[j])
-                for m, v in fin.decompose(comm).items():
+                for m, v in decompose(fin, comm).items():
                     put(("f", m, deg), c * v)
                 form = mat_trace_prod(mats[i], mats[j])
                 for p, rp in enumerate(r, 1):

@@ -1,25 +1,38 @@
 import hashlib
-import itertools
 import random
 from fractions import Fraction
-from math import comb, gcd
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import iterated_shift_difference
+from conftest import (
+    iterated_shift_difference,
+    reference_add,
+    reference_apply,
+    reference_compose,
+    reference_divide,
+    reference_mul,
+    reference_shift,
+    reference_shift_difference,
+)
 from torofree.errors import DomainError, StructureError
 from torofree.polyalg import (
+    MAX_EXPONENT,
+    MAX_SLOT_EXPONENT,
+    SLOT_BITS,
     Poly,
     ShiftOperator,
     VarId,
     deg_in,
     divides,
+    pack_exponent,
     shift_difference,
     shift_sigma,
     shift_tau,
     try_divide,
+    unpack_exponent,
 )
 
 L, N = 2, 2
@@ -159,9 +172,16 @@ class TestShiftOperators:
 
 
 def assert_canonical(p):
-    # the reduced integer form: den >= 1, nonzero int numerators, gcd 1
+    # the reduced integer form: den >= 1, nonzero int numerators, gcd 1, over
+    # packed keys: non-negative ints of l + n slots, each below 2^SLOT_BITS,
+    # that round-trip through the unpacker
+    width = p.l + p.n
     assert type(p.den) is int and p.den >= 1
-    assert all(type(e) is tuple and len(e) == p.l + p.n for e in p.nums)
+    assert all(type(k) is int and 0 <= k < 1 << SLOT_BITS * width for k in p.nums)
+    for k in p.nums:
+        exp = unpack_exponent(k, width)
+        assert len(exp) == width and all(0 <= e <= MAX_SLOT_EXPONENT for e in exp)
+        assert pack_exponent(exp) == k
     assert all(type(v) is int and v != 0 for v in p.nums.values())
     assert gcd(p.den, *p.nums.values()) == 1
     # and the Fraction view of it
@@ -198,66 +218,6 @@ def tall_operators(draw, max_terms=3):
         u = tuple(draw(st.integers(-3, 2)) for _ in range(L + N))
         terms[u] = draw(tall_polys(max_deg=2, max_terms=3))
     return ShiftOperator(L, N, terms)
-
-
-def reference_shift(terms, u):
-    """{exp: Fraction} of the shift by u of a {exp: Fraction} map: each
-    variable v is replaced by v - u_v term by term."""
-    shifted = {}
-    for exp, c in terms.items():
-        choices = [[(j, Fraction(comb(e, j)) * Fraction(-d) ** (e - j)) for j in range(e + 1)]
-                   for e, d in zip(exp, u)]
-        for picks in itertools.product(*choices):
-            key = tuple(j for j, _ in picks)
-            value = c
-            for _, w in picks:
-                value *= w
-            shifted[key] = shifted.get(key, Fraction(0)) + value
-    return {e: c for e, c in shifted.items() if c}
-
-
-def reference_mul(a, b):
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            out[key] = out.get(key, Fraction(0)) + ca * cb
-    return {e: c for e, c in out.items() if c}
-
-
-def reference_add(a, b, sign=1):
-    out = dict(a)
-    for e, c in b.items():
-        out[e] = out.get(e, Fraction(0)) + sign * c
-    return {e: c for e, c in out.items() if c}
-
-
-def reference_divide(a, b):
-    """a / b by Fraction long division in graded-lex order, None when inexact."""
-    def order(e):
-        return (-sum(e), tuple(-x for x in e))
-
-    lead = min(b, key=order)
-    quot, rem = {}, dict(a)
-    while rem:
-        rexp = min(rem, key=order)
-        diff = tuple(x - y for x, y in zip(rexp, lead))
-        if min(diff) < 0:
-            return None
-        c = rem[rexp] / b[lead]
-        quot[diff] = c
-        rem = reference_add(rem, reference_mul({diff: c}, b), -1)
-    return quot
-
-
-def reference_apply(A, p):
-    """sum_u f_u * p.shift(u) by plain Fraction arithmetic, the sum built
-    through the public constructor."""
-    total = {}
-    for u, f in A.terms.items():
-        total = reference_add(total, reference_mul(reference_shift(dict(p.terms), u),
-                                                   dict(f.terms)))
-    return Poly(A.l, A.n, total)
 
 
 class TestTrustedKernel:
@@ -428,12 +388,18 @@ class TestIntegerForm:
         assert (zero.den, zero.nums) == (1, {}) and zero == Poly.zero(L, N) == 0
         assert hash(zero) == hash(Poly.zero(L, N))
         half = Poly.const(L, N, Fraction(1, 2))
-        assert (half.den, half.nums) == (2, {(0, 0, 0, 0): 1}) and half == Fraction(1, 2)
+        assert (half.den, half.nums) == (2, {0: 1}) and half == Fraction(1, 2)
         # 2/3 * H1 + 4/3: numerators 2 and 4 share 2, but not with 3
         p = H1.scale(Fraction(2, 3)) + Fraction(4, 3)
-        assert (p.den, p.nums) == (3, {(1, 0, 0, 0): 2, (0, 0, 0, 0): 4})
+        assert (p.den, p.nums) == (3, {1: 2, 0: 4})
         q = p.scale(Fraction(3, 2))  # H1 + 2
-        assert (q.den, q.nums) == (1, {(1, 0, 0, 0): 1, (0, 0, 0, 0): 2})
+        assert (q.den, q.nums) == (1, {1: 1, 0: 2})
+        # slot p of a key holds the exponent of variable p: H1, H2, d1, d2
+        # at bit offsets 0, 16, 32 and 48
+        r = H1 * H2**2 * D2.scale(Fraction(5, 7)) - D1**3
+        assert SLOT_BITS == 16
+        assert (r.den, r.nums) == (7, {1 + (2 << 16) + (1 << 48): 5, 3 << 32: -7})
+        assert r.terms == {(1, 2, 0, 1): Fraction(5, 7), (0, 0, 3, 0): Fraction(-1)}
 
     def test_terms_is_a_read_only_fraction_view(self):
         p = H1.scale(Fraction(3, 4)) - 2
@@ -454,6 +420,100 @@ class TestIntegerForm:
         for seed, digest in frozen.items():
             texts = "\n".join(seeded_kernel_texts(seed))
             assert hashlib.sha256(texts.encode()).hexdigest() == digest, seed
+
+
+@st.composite
+def ranked_operands(draw):
+    """Ranks (l, n) up to (3, 2), two polynomials, shift vectors and two
+    operators at those ranks, with negative deltas."""
+    l, n = draw(st.sampled_from([(l, n) for l in range(4) for n in range(3) if l + n]))
+    width = l + n
+    shifts = st.lists(st.integers(-3, 3), min_size=width, max_size=width).map(tuple)
+
+    def operator():
+        terms = {}
+        for _ in range(draw(st.integers(0, 3))):
+            terms[draw(shifts)] = draw(polys(l, n, max_deg=2, max_terms=3, coeffs=rationals()))
+        return ShiftOperator(l, n, terms)
+
+    p, q = (draw(polys(l, n, max_deg=3, max_terms=4, coeffs=rationals())) for _ in range(2))
+    return l, n, p, q, draw(shifts), operator(), operator()
+
+
+class TestPackedKernel:
+    """The packed-key kernel against the tuple-keyed reference of conftest,
+    and its exponent limit."""
+
+    @given(ranked_operands(), st.integers(0, 5), st.sampled_from((-3, -2, -1, 1, 2, 3)))
+    @settings(max_examples=80, deadline=None)
+    def test_kernel_matches_the_tuple_keyed_reference(self, operands, kp, k):
+        l, n, p, q, deltas, A, B = operands
+        a, b = dict(p.terms), dict(q.terms)
+        for got, want in ((p * q, reference_mul(a, b)), (p.shift(deltas), reference_shift(a, deltas)),
+                          (A.apply(p), dict(reference_apply(A, p).terms))):
+            assert_canonical(got)
+            assert got.terms == want
+        AB = A.compose(B)
+        assert {u: dict(f.terms) for u, f in AB.terms.items()} == reference_compose(A, B)
+        if q:
+            r = p * q + p
+            want = reference_divide(dict(r.terms), b)
+            got = try_divide(r, q)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.terms == want
+            assert try_divide(p * q, q) == p
+        for i in range(1, l + 1):
+            for mode, power in (("difference_power", kp), ("power_minus_id", k)):
+                got = shift_difference(mode, power, i, p)
+                assert_canonical(got)
+                assert got.terms == reference_shift_difference(mode, power, i, a, l + n)
+
+    def test_an_exponent_past_the_slot_width_raises(self):
+        top = MAX_SLOT_EXPONENT
+        assert top == 2**SLOT_BITS - 1
+        # the largest exponent is accepted, by the constructor and by a power
+        h = Poly.H(2, 1, 2)
+        edge = Poly(2, 1, {(0, top, 0): 3})
+        assert edge == (h**top).scale(3) and edge.terms == {(0, top, 0): Fraction(3)}
+        assert_canonical(edge)
+        # neighbouring slots stay apart: H1 and d1 next to a full H2 slot
+        full = edge * Poly.H(2, 1, 1) * Poly.d(2, 1, 1)
+        assert full.terms == {(1, top, 1): Fraction(3)}
+        # 3 (H1 - 1) H2^top (d1 + 1)
+        assert full.shift([1, 0, -1]).terms == {(1, top, 1): 3, (1, top, 0): 3,
+                                                (0, top, 1): -3, (0, top, 0): -3}
+        # the first product or power past it raises, it never wraps
+        for step in (lambda: edge * h, lambda: h * edge, lambda: h ** (top + 1),
+                     lambda: edge ** 2, lambda: (edge + 1) * (h + 1),
+                     lambda: (h + 1) ** (top + 1), lambda: h ** 10**18):
+            with pytest.raises(DomainError, match="exponent"):
+                step()
+        with pytest.raises(DomainError):
+            Poly(2, 1, {(0, top + 1, 0): 1})
+        half = Poly(2, 1, {(0, 2**(SLOT_BITS - 1), 0): 1})
+        assert (half * Poly(2, 1, {(0, top - 2**(SLOT_BITS - 1), 0): 1})).terms \
+            == {(0, top, 0): Fraction(1)}
+        # operators check f * T_u(p) as products do
+        # (the shift moves H1, so the checks come before any expansion matters)
+        op = ShiftOperator(2, 1, {(-1, 0, 0): half})
+        assert op.apply(Poly.H(2, 1, 1)).terms \
+            == {(1, 2**(SLOT_BITS - 1), 0): Fraction(1), (0, 2**(SLOT_BITS - 1), 0): Fraction(1)}
+        for step in (lambda: op.apply(half), lambda: op.compose(op)):
+            with pytest.raises(DomainError):
+                step()
+        # a division whose remainder would pass the limit raises too: the
+        # tail H2 of H1^2 + H2 times x^(0, top) is H2^(top + 1)
+        with pytest.raises(DomainError):
+            try_divide(Poly(2, 0, {(2, top): 1}), Poly(2, 0, {(2, 0): 1, (0, 1): 1}))
+        assert try_divide(Poly(2, 0, {(2, top): 1}), Poly(2, 0, {(2, 0): 1})) \
+            == Poly(2, 0, {(0, top): 1})
+
+    def test_parse_keeps_its_own_exponent_bound(self):
+        assert Poly.parse(f"H1^{MAX_EXPONENT}", L, N) == H1**MAX_EXPONENT
+        for bad in (f"H1^{MAX_EXPONENT + 1}", f"H1^{MAX_SLOT_EXPONENT}", f"H1^{MAX_EXPONENT}*H1"):
+            with pytest.raises(StructureError, match="above"):
+                Poly.parse(bad, L, N)
 
 
 class TestDegrees:

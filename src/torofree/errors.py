@@ -61,6 +61,15 @@ class Frozen:
     def __hash__(self):
         return hash(self._values(self))
 
+    def _cached_hash(self):
+        # the __hash__ of a subclass with a ``_hash`` slot outside _fields,
+        # set to None in __init__: the fields are immutable, so it is computed once
+        h = self._hash
+        if h is None:
+            h = hash(self._values(self))
+            object.__setattr__(self, "_hash", h)
+        return h
+
     def __reduce__(self):
         # copy and pickle rebuild through the constructor, which takes the
         # fields in _fields order

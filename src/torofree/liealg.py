@@ -271,7 +271,8 @@ def finite_algebra(family: str, rank: int) -> FiniteAlgebra:
 class AlgebraDesc(Frozen):
     """Which Lie algebra: family/rank of the finite part, loop variables, variant."""
 
-    __slots__ = _fields = ("family", "rank", "loop_vars", "variant", "cocycle")
+    __slots__ = ("family", "rank", "loop_vars", "variant", "cocycle", "_hash")
+    _fields = __slots__[:-1]
     family: str
     rank: int
     loop_vars: int
@@ -296,6 +297,10 @@ class AlgebraDesc(Frozen):
         _set(self, "loop_vars", loop_vars)
         _set(self, "variant", variant)
         _set(self, "cocycle", cocycle)
+        _set(self, "_hash", None)
+
+    # a key of the element and operator caches, and hashing it hashes two Fractions
+    __hash__ = Frozen._cached_hash
 
     @property
     def fin(self) -> FiniteAlgebra:

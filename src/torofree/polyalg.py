@@ -52,7 +52,8 @@ an integer shift is an automorphism of Z[H, d], so it keeps the content of
 the numerators.  ``ShiftOperator.apply`` multiplies the shifted numerators
 of p by those of each f_u, brought over their lcm D, into one int map over
 D * den(p) and reduces once; ``compose`` uses the same shift-multiply step
-for f * T_u(g), and ``try_divide`` divides numerators fraction-free, reading
+for f * T_u(g), and ``bracket`` for f * T_u(g) - g * T_v(f) into one map per
+pair of terms, and ``try_divide`` divides numerators fraction-free, reading
 divisibility of two monomials off the borrows of one key subtraction.
 ``shift_difference``'s ``(sigma_i - Id)^k`` is one pass over the numerators
 with a cached integer row per (exponent, k), not k shift-and-subtract passes.
@@ -658,12 +659,15 @@ def _shift_nums(nums: dict[int, int], moved: tuple[tuple[int, int], ...]) -> dic
     return out
 
 
-def _mul_into(out: dict[int, int], nums_a: dict[int, int], nums_b: dict[int, int]) -> None:
-    """Accumulate the product of two integer term maps into ``out``; the
-    caller has run ``_check_products`` on their keys (for f * T_u(p), on the
-    keys of f and p, which bound those of T_u(p) slot by slot)."""
+def _mul_into(out: dict[int, int], nums_a: dict[int, int], nums_b: dict[int, int],
+              sign: int = 1) -> None:
+    """Accumulate ``sign`` times the product of two integer term maps into
+    ``out``; the caller has run ``_check_products`` on their keys (for
+    f * T_u(p), on the keys of f and p, which bound those of T_u(p) slot by
+    slot)."""
     items_b = nums_b.items()
     for ka, ca in nums_a.items():
+        ca *= sign
         for kb, cb in items_b:
             key = ka + kb
             out[key] = out.get(key, 0) + ca * cb
@@ -680,16 +684,34 @@ class ShiftOperator:
     themselves by shifting it:  (f T_u)(g T_v) = f * T_u(g) * T_(u+v), so
     composition and commutators are exact in closed form and equal
     operators act equally on every polynomial.  ``terms`` maps each shift
-    (a width-(l+n) tuple) to its nonzero coefficient; an operator is never
-    mutated after construction.
+    (a width-(l+n) tuple) to its nonzero coefficient of ranks (l, n); the
+    constructor refuses any other, and an operator is never mutated after
+    construction.  Operators of different ranks never mix: ``compose``,
+    ``bracket``, ``+`` and ``-`` raise StructureError, as ``apply`` does.
+
+    The commutator is one pass per pair of terms, not two compositions and
+    a difference: with F, G the numerators of f, g, the coefficient
+    [f T_u, g T_v] = (f * T_u(g) - g * T_v(f)) T_(u+v) is accumulated as
+    F * T_u(G) - G * T_v(F) into one integer map over den(f) * den(g) and
+    reduced once, when it is nonzero.  ``compose`` runs the same term
+    product without the second half.
     """
 
     __slots__ = ("l", "n", "terms", "_plan")
 
     def __init__(self, l: int, n: int, terms: dict[Shift, Poly] | None = None):
+        clean: dict[Shift, Poly] = {}
+        for u, f in (terms or {}).items():
+            u = tuple(u)
+            if len(u) != l + n:
+                raise StructureError(f"shift {u} has the wrong length for ranks ({l},{n})")
+            if (f.l, f.n) != (l, n):
+                raise StructureError(f"coefficient ranks {f.ranks} do not match {(l, n)}")
+            if f.nums:
+                clean[u] = f
         _set(self, "l", l)
         _set(self, "n", n)
-        _set(self, "terms", {tuple(u): f for u, f in (terms or {}).items() if f.nums})
+        _set(self, "terms", clean)
         _set(self, "_plan", None)
 
     def __setattr__(self, *_):
@@ -704,6 +726,7 @@ class ShiftOperator:
         return (self.l, self.n) == (other.l, other.n) and self.terms == other.terms
 
     __hash__ = None
+    _check_ranks = Poly._check_ranks  # reads only the ranks l, n of both sides
 
     def apply(self, p: Poly) -> Poly:
         """sum_u f_u * p.shift(u), accumulated as integers over one denominator."""
@@ -737,23 +760,38 @@ class ShiftOperator:
 
     def compose(self, other: "ShiftOperator") -> "ShiftOperator":
         """self after other: (sum f_u T_u)(sum g_v T_v) = sum f_u T_u(g_v) T_(u+v)."""
-        width = self.l + self.n
-        out: dict[Shift, Poly] = {}
-        for u, f in self.terms.items():
-            moved = _moved(u)
-            for v, g in other.terms.items():
-                _check_products(f.nums, g.nums, width)
-                nums: dict[int, int] = {}
-                _mul_into(nums, f.nums, _shift_nums(g.nums, moved) if moved else g.nums)
-                term = Poly._reduced(self.l, self.n, f.den * g.den, _nonzero(nums))
-                w = tuple(map(add, u, v))
-                out[w] = out[w] + term if w in out else term
-        return ShiftOperator(self.l, self.n, out)
+        return self._term_products(other, False)
 
     def bracket(self, other: "ShiftOperator") -> "ShiftOperator":
-        return self.compose(other) - other.compose(self)
+        """[self, other] = self other - other self, one integer pass per pair of terms."""
+        return self._term_products(other, True)
+
+    def _term_products(self, other: "ShiftOperator", commutator: bool) -> "ShiftOperator":
+        """sum over the term pairs (f T_u, g T_v) of F * T_u(G) T_(u+v) over
+        den(f) * den(g), less G * T_v(F) when ``commutator``; the exponent
+        check on the keys of f and g covers both products."""
+        self._check_ranks(other)
+        l, n = self.l, self.n
+        out: dict[Shift, Poly] = {}
+        for u, f in self.terms.items():
+            moved_u = _moved(u)
+            for v, g in other.terms.items():
+                _check_products(f.nums, g.nums, l + n)
+                nums: dict[int, int] = {}
+                _mul_into(nums, f.nums, _shift_nums(g.nums, moved_u) if moved_u else g.nums)
+                if commutator:
+                    moved_v = _moved(v)
+                    _mul_into(nums, g.nums, _shift_nums(f.nums, moved_v) if moved_v else f.nums,
+                              -1)
+                nums = _nonzero(nums)
+                if nums:
+                    term = Poly._reduced(l, n, f.den * g.den, nums)
+                    w = tuple(map(add, u, v))
+                    out[w] = out[w] + term if w in out else term
+        return ShiftOperator(l, n, out)
 
     def __add__(self, other: "ShiftOperator") -> "ShiftOperator":
+        self._check_ranks(other)
         out = dict(self.terms)
         for u, g in other.terms.items():
             out[u] = out[u] + g if u in out else g

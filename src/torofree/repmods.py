@@ -23,10 +23,13 @@ as f * p.shift(u).  Terms compose in closed form,
 (f T_u)(g T_v) = f * T_u(g) * T_(u+v), so the operator of a root vector is
 the commutator of its generator word (``FiniteAlgebra.generator_word``),
 built once per (spec, basis element, degree), and ``element_operator`` sums
-them for any algebra element.  Two equal operators act equally on every
-polynomial, which is what lets ``verify`` prove an identity once instead of
-sampling it.  A black-box action (any callable other than ``act``) has no
-operator form; ``act_element`` evaluates its generator words directly.
+them for any algebra element.  ``ShiftOperator.bracket`` forms each
+commutator in one integer pass per pair of terms, f * T_u(g) - g * T_v(f)
+over den(f) * den(g), rather than as two compositions and a difference.  Two
+equal operators act equally on every polynomial, which is what lets
+``verify`` prove an identity once instead of sampling it.  A black-box
+action (any callable other than ``act``) has no operator form;
+``act_element`` evaluates its generator words directly.
 
 The C-family x_l / y_l polynomials below are the bracket-compatible reading
 of an ambiguously grouped source; ``c_family_formula_notes`` renders the
@@ -186,14 +189,7 @@ class ModuleSpec(Frozen):
         _set(self, "S", S)
         _set(self, "_hash", None)
 
-    def __hash__(self):
-        # every field is immutable, so the hash (a key of the operator
-        # caches on every act call) is computed once
-        h = self._hash
-        if h is None:
-            h = hash(self._values(self))
-            _set(self, "_hash", h)
-        return h
+    __hash__ = Frozen._cached_hash  # a key of the operator caches on every act call
 
     @property
     def ranks(self) -> tuple[int, int]:
@@ -462,14 +458,16 @@ def element_operator(spec: ModuleSpec, X: LieElt) -> ShiftOperator:
     """The action of an arbitrary algebra element as one shift operator."""
     if X.desc != spec.algebra:
         raise StructureError("element belongs to a different algebra")
-    out = ShiftOperator(*spec.ranks)
+    out = None
     for (kind, idx, r), c in X.terms.items():
         if kind in ("K", "D"):
             op = generator_operator(spec, Generator(kind, idx, r))
         else:
             op = _root_operator(spec, idx, r)
-        out = out + op.scale(c)
-    return out
+        if c != 1:
+            op = op.scale(c)
+        out = op if out is None else out + op
+    return ShiftOperator(*spec.ranks) if out is None else out
 
 
 def act_element(spec: ModuleSpec, X: LieElt, p: Poly, action: ActionFn = act) -> Poly:
@@ -550,7 +548,9 @@ def generator_bracket(spec: ModuleSpec, g1: Generator, g2: Generator) -> LieElt:
     return liealg.bracket(spec.algebra, _as_elt(spec.algebra, g1), _as_elt(spec.algebra, g2))
 
 
+@lru_cache(maxsize=1024)
 def _as_elt(desc: AlgebraDesc, g: Generator) -> LieElt:
+    """The element of one generator symbol, made once per (desc, generator)."""
     r = g.r if desc.variant != "finite" else ()
     if g.kind == "x":
         return liealg.chevalley_x(desc, g.index, r)

@@ -101,7 +101,9 @@ def _check_samples(samples: int) -> None:
 # is proved once h_1(e_j) is the operator lambda_j H_1 T_(e_j) for every j,
 # and is otherwise sampled as a black box is, with no failure of its own,
 # since a different operator may still lower the degree.  A proven
-# identity records its ``samples`` cases as passed without evaluating them.
+# identity records its ``samples`` cases as passed without evaluating them;
+# bracket_compat compares the two operators of a pair and builds their
+# difference, and the pair's text, only when they differ.
 # An identity that fails is evaluated on every seeded sample exactly as a
 # black-box action is, so the failures name the same inputs and values; if
 # no sample exposes it, one more failure names the identity and the
@@ -176,12 +178,14 @@ def bracket_compat_check(
     for i1, i2 in itertools.combinations_with_replacement(range(len(gens)), 2):
         g1, g2 = gens[i1], gens[i2]
         elt = repmods.generator_bracket(spec, g1, g2)
-        pair = f"[{g1.text()}, {g2.text()}]"
         if white_box:
-            gap = repmods.element_operator(spec, elt) - ops[i1].bracket(ops[i2])
-            if gap.is_zero():
+            lhs_op = repmods.element_operator(spec, elt)
+            rhs_op = ops[i1].bracket(ops[i2])
+            if lhs_op == rhs_op:
                 report.cases_run += samples
                 continue
+            gap = lhs_op - rhs_op
+        pair = f"[{g1.text()}, {g2.text()}]"
         failures_before = len(report.failures)
         for p in polys:
             lhs = repmods.act_element(spec, elt, p, action)

@@ -170,6 +170,31 @@ class TestShiftOperators:
         with pytest.raises(StructureError):
             ShiftOperator(L, N, {(0, 0, 0, 0): H1}).apply(Poly.H(2, 1, 1))
 
+    def test_operators_of_different_ranks_never_mix(self):
+        # (1, 1) and (2, 1) operators: the H2 of one ring is not the d1 of the other
+        A = ShiftOperator(1, 1, {(1, 0): Poly.H(1, 1, 1)})
+        B = ShiftOperator(2, 1, {(0, 1, 0): Poly.H(2, 1, 2)})
+        for X, Y in ((A, B), (B, A)):
+            for step in (X.compose, X.bracket, X.__add__, X.__sub__):
+                with pytest.raises(StructureError, match="rank mismatch"):
+                    step(Y)
+        # an empty operator of other ranks is refused too
+        with pytest.raises(StructureError):
+            A.bracket(ShiftOperator(2, 1))
+
+    def test_constructor_refuses_a_shift_of_the_wrong_length(self):
+        for bad in ((1, 0, 0), (1, 0, 0, 0, 0), ()):
+            with pytest.raises(StructureError, match="length"):
+                ShiftOperator(L, N, {bad: H1})
+        # whatever its coefficient
+        with pytest.raises(StructureError, match="length"):
+            ShiftOperator(L, N, {(1,): Poly.zero(L, N)})
+
+    def test_constructor_refuses_a_coefficient_of_other_ranks(self):
+        for coeff in (Poly.H(2, 1, 1), Poly.zero(2, 1), Poly.const(L, N + 1, 3)):
+            with pytest.raises(StructureError, match="ranks"):
+                ShiftOperator(L, N, {(0, 0, 0, 0): coeff})
+
 
 def assert_canonical(p):
     # the reduced integer form: den >= 1, nonzero int numerators, gcd 1, over
@@ -514,6 +539,83 @@ class TestPackedKernel:
         for bad in (f"H1^{MAX_EXPONENT + 1}", f"H1^{MAX_SLOT_EXPONENT}", f"H1^{MAX_EXPONENT}*H1"):
             with pytest.raises(StructureError, match="above"):
                 Poly.parse(bad, L, N)
+
+
+class TestOneBracketPass:
+    """The one-pass commutator against two compositions and a difference,
+    and against nested application."""
+
+    @given(ranked_operands(), st.booleans(), rationals())
+    @settings(max_examples=120, deadline=None)
+    def test_bracket_is_the_commutator(self, operands, cancel, c):
+        # ranks up to (3, 2), multi-term fractional coefficients, negative shifts
+        l, n, p, _, _, A, B = operands
+        if cancel:
+            B = A.scale(c) + B  # term pairs of A with c * A cancel
+        AB = A.bracket(B)
+        assert AB == A.compose(B) - B.compose(A)
+        assert AB.apply(p) == A.apply(B.apply(p)) - B.apply(A.apply(p))
+        assert B.bracket(A) == AB.scale(-1)
+        assert A.bracket(A).is_zero()
+        for u, f in AB.terms.items():
+            assert len(u) == l + n and f.ranks == (l, n)
+            assert_canonical(f)
+
+    def test_cancelling_pairs_leave_no_term(self):
+        # H2 T_(e1) and H2^2 T_(-e1) on Q[H1, H2]: neither shift moves H2, so
+        # both products are H2^3 and the commutator has no term at T_0
+        h1, h2 = Poly.H(2, 0, 1), Poly.H(2, 0, 2)
+        A = ShiftOperator(2, 0, {(1, 0): h2})
+        B = ShiftOperator(2, 0, {(-1, 0): h2 * h2})
+        assert A.compose(B) == B.compose(A) == ShiftOperator(2, 0, {(0, 0): h2**3})
+        assert A.bracket(B).is_zero() and A.bracket(B).terms == {}
+        # two pairs meet at one shift and cancel there, a third pair survives
+        C = ShiftOperator(2, 0, {(1, 0): h1, (0, 1): h2})
+        D = ShiftOperator(2, 0, {(0, 1): h1, (1, 0): h2, (-1, 0): Poly.const(2, 0, Fraction(1, 3))})
+        assert C.bracket(D) == C.compose(D) - D.compose(C)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_an_exponent_past_the_slot_width_raises_where_compose_does(self, data):
+        # H2-exponents around 2^15 and the limit, so a pair of terms passes
+        # it or not; the shifts move only H1 and d1, which keeps every
+        # expansion small
+        near = st.sampled_from((0, 1, 2**15 - 1, 2**15, 2**15 + 1, MAX_SLOT_EXPONENT))
+        small = st.integers(0, 2)
+        shifts = st.tuples(st.integers(-1, 1), st.just(0), st.integers(-1, 1))
+
+        def operator():
+            terms = {}
+            for _ in range(data.draw(st.integers(1, 2))):
+                exp = (data.draw(small), data.draw(near), data.draw(small))
+                terms[data.draw(shifts)] = Poly(2, 1, {exp: data.draw(rationals().filter(bool))})
+            return ShiftOperator(2, 1, terms)
+
+        A, B = operator(), operator()
+        raised = []
+        for step in (lambda: A.compose(B), lambda: B.compose(A), lambda: A.bracket(B)):
+            try:
+                step()
+                raised.append(False)
+            except DomainError:
+                raised.append(True)
+        assert raised[0] == raised[1] == raised[2]
+        try:
+            AA = A.compose(A)
+        except DomainError:
+            with pytest.raises(DomainError):
+                A.bracket(A)
+        else:
+            assert AA - AA == A.bracket(A)
+
+    def test_a_zero_commutator_still_checks_the_exponent_limit(self):
+        half = Poly(2, 1, {(0, 2**(SLOT_BITS - 1), 0): 1})
+        op = ShiftOperator(2, 1, {(-1, 0, 0): half})
+        for step in (lambda: op.compose(op), lambda: op.bracket(op)):
+            with pytest.raises(DomainError, match="exponent"):
+                step()
+        fits = ShiftOperator(2, 1, {(-1, 0, 0): Poly(2, 1, {(0, 2**(SLOT_BITS - 1) - 1, 0): 1})})
+        assert op.bracket(fits) == op.compose(fits) - fits.compose(op)
 
 
 class TestDegrees:

@@ -9,7 +9,7 @@ from conftest import mk_spec
 from torofree import liealg, repmods as R
 from torofree.errors import DomainError, StructureError
 from torofree.liealg import AlgebraDesc
-from torofree.polyalg import Poly, shift_sigma, shift_tau
+from torofree.polyalg import Poly, ShiftOperator, shift_sigma, shift_tau
 from torofree.repmods import Generator, ModuleSpec, act, parse_generator
 from torofree.verify import random_poly
 
@@ -300,6 +300,29 @@ class TestOperators:
         for X in liealg.basis_of(spec.algebra, self.WINDOW):
             p = random_poly(rng, *spec.ranks, max_total_deg=3, max_terms=4)
             assert R.element_operator(spec, X).apply(p) == R.act_element(spec, X, p, walker), X
+
+    @pytest.mark.parametrize("spec", OPERATOR_PANEL, ids=_panel_id)
+    def test_element_operator_is_the_sum_of_scaled_basis_operators(self, spec):
+        basis = liealg.basis_of(spec.algebra, self.WINDOW)
+        l, n = spec.ranks
+        assert R.element_operator(spec, liealg.LieElt(spec.algebra)) == ShiftOperator(l, n)
+        X = liealg.LieElt(spec.algebra)
+        want = ShiftOperator(l, n)
+        for k, B in enumerate(basis):
+            c = (1, Fraction(-2, 3), 5)[k % 3]
+            X = X + B.scale(c)
+            want = want + R.element_operator(spec, B).scale(c)
+        assert R.element_operator(spec, X) == want
+
+    def test_generator_elements_are_built_once(self, sl2_toroidal):
+        desc = sl2_toroidal.algebra
+        g = Generator("x", 1, (1,))
+        elt = R._as_elt(desc, g)
+        assert elt == liealg.chevalley_x(desc, 1, (1,))
+        assert R._as_elt(AlgebraDesc("A", 1, 1, "toroidal"), parse_generator("x1(1)", 1)) is elt
+        # the bracket is a new element each time: the cached ones are never handed out
+        br = R.generator_bracket(sl2_toroidal, g, Generator("y", 1, (0,)))
+        assert br is not elt and br == liealg.bracket(desc, elt, liealg.chevalley_y(desc, 1, (0,)))
 
     def test_invalid_generators_raise_without_a_polynomial(self, sl2_toroidal):
         with pytest.raises(DomainError):

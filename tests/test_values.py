@@ -80,9 +80,22 @@ def test_fields_are_coerced():
     assert spec.base_b == Poly.const(1, 1, 1) and spec.S == frozenset({1})
 
 
+def test_algebra_desc_caches_its_hash():
+    desc, twin = _samples()[2]
+    assert desc._hash is None
+    h = hash(desc)
+    assert desc._hash == h == hash(twin) == hash(desc._values(desc))
+    # the cache stays out of the fields: repr, equality and copies
+    assert "_hash" not in repr(desc) and desc == twin and twin._hash == h
+    for copied in (copy.copy(desc), copy.deepcopy(desc), pickle.loads(pickle.dumps(desc))):
+        assert copied == desc and hash(copied) == h and repr(copied) == repr(desc)
+    assert hash(AlgebraDesc("A", 1, 2, "full", (1, F(1, 3)))) != h
+
+
 @pytest.mark.parametrize("value,field", [
     (VarId("H", 1), "index"),
     (AlgebraDesc("A", 1), "rank"),
+    (AlgebraDesc("A", 1, 2, "full", (1, F(1, 2))), "_hash"),
     (Generator("x", 1), "r"),
     (_full_spec(), "lam"),
     (_full_spec(), "_hash"),

@@ -124,6 +124,27 @@ class TestOperatorProofs:
         assert {f["generator_pair"] for f in unsampled.failures} == pairs
         assert all(f["input"] == "every polynomial" for f in unsampled.failures)
 
+    # SHA-256 of the samples=0 and samples=3 reports of the defective-y_1
+    # check, frozen before the white box compared operators before
+    # subtracting them; the samples=0 failures print the gap operator
+    DEFECTIVE_Y1_DIGESTS = {
+        "finite": "46f37237976477d7c12cbf39ec52f1df863279d568a2b3e11608fd4bb3dcd6b6",
+        "toroidal": "d7d4b69c872cca5d4e8811f49d918e61a776324ede75528365eb5f838e85c3fb",
+    }
+
+    @pytest.mark.parametrize("spec,window", [(C2_FINITE, None),
+                                             (C2_TOROIDAL, degree_box(1, -1, 1))])
+    def test_defective_y1_reports_are_frozen(self, monkeypatch, fresh_operators, spec, window):
+        good = R.base_action_polys
+
+        def bad_base(spec_):
+            xs, ys = good(spec_)
+            return xs, [ys[0] + Poly.H(*spec_.ranks, 1)] + ys[1:]
+
+        monkeypatch.setattr(R, "_base", bad_base)
+        data = [V.bracket_compat_check(spec, window, samples=s, seed=11).to_dict() for s in (0, 3)]
+        assert _digest(data) == self.DEFECTIVE_Y1_DIGESTS[spec.algebra.variant]
+
     @pytest.mark.parametrize("suite,gen,shift", [
         ("freeness_check", Generator("h", 1, (0,)), (0, 0)),
         ("freeness_check", Generator("D", 1, (0,)), (0, 1)),

@@ -6,7 +6,7 @@ witness-search outcome (principal polynomial or finite-quotient certificate),
 and, for predicted-simple points, whether cyclicity succeeds from seeded
 random elements.  Exits nonzero on any disagreement.
 
-Usage: python scripts/simplicity_grid.py [--seeds 3] [--lmax 2]
+Usage: python scripts/simplicity_grid.py [--seeds 3] [--lmax {1,2,3}]  (default 2)
 """
 
 import argparse
@@ -38,7 +38,7 @@ def grid_point(l: int, b: Fraction, S) -> ModuleSpec:
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--seeds", type=int, default=3)
-    ap.add_argument("--lmax", type=int, default=2, choices=(1, 2))
+    ap.add_argument("--lmax", type=int, default=2, choices=(1, 2, 3))
     args = ap.parse_args()
 
     bad = 0

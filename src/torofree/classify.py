@@ -555,6 +555,20 @@ def quotient_certificate_search(
 
     A kernel vector of the base conditions is returned only once
     verify_quotient_certificate accepts it at loop_window.
+
+    An irrep is ruled out from its weights, before it is built, when it
+    cannot carry a kernel vector.  Let v0 != 0 solve X_i v0 = (x_i.1)(H) v0
+    and Y_i v0 = (y_i.1)(H) v0 for every i.  X_i maps weight nu - e_i to nu,
+    so at the weight nu of v0's support with the smallest coordinate sum the
+    nu-component of X_i v0 is 0, and (x_i.1)(nu) = 0 for every i; at the one
+    with the largest sum every (y_i.1)(nu) = 0.  So V(m) needs a weight where
+    all the x_i.1 vanish and one where all the y_i.1 vanish.  Each x_i.1 is
+    a product of affine factors, so those weights are the solutions of the
+    systems that pick one factor per row (_common_zeros), and membership in
+    V(m) is a majorization test (_weight_key).  A side whose zeros are not a
+    finite list filters nothing, and a side with no zero ends the scan.  A
+    ruled-out irrep has no kernel vector, so the scan's result is the same
+    and "searched up to dim_bound" still holds.
     """
     alg = spec.algebra
     if alg.variant == "witt" or alg.family != "A":
@@ -562,26 +576,118 @@ def quotient_certificate_search(
     if spec.base_b is not None and spec.base_b.as_scalar() is None:
         return None
     l = alg.rank
+    sides = [_common_zeros(factors, l) for factors in repmods.base_action_factor_lists(spec)]
+    if set() in sides:
+        return None
     xs, ys = base_action_polys(spec)
-
-    def rows(rep: IrrepA) -> Iterator[dict[int, Rat]]:
-        # rows of (op - poly(H)) as a matrix on V, built as nullspace asks for
-        # them; poly(H) is diagonal and d-free, since b is a scalar here
-        for i in range(l):
-            for op, poly in ((rep.x_mats[i], xs[i]), (rep.y_mats[i], ys[i])):
-                for r, value in enumerate(_at_weights(poly, rep)):
-                    row = dict(op[r])
-                    row[r] = row.get(r, 0) - value.constant_term()
-                    yield row
-
     for weights in _dominant_weights(l, dim_bound):
+        if not all(keys is None or _has_weight(weights, keys) for keys in sides):
+            continue
         rep = irrep_A(l, weights)
-        kernel = nullspace(rows(rep), rep.dim)
+        kernel = nullspace(_base_condition_rows(xs, ys, rep), rep.dim)
         if kernel:
             cert = QuotientCert(weights=tuple(weights), dim=rep.dim, v0=tuple(kernel[0]))
             if verify_quotient_certificate(spec, cert, loop_window):
                 return cert
     return None
+
+
+def _base_condition_rows(xs: list[Poly], ys: list[Poly], rep: IrrepA) -> Iterator[Row]:
+    """Rows of each X_i - (x_i.1)(H) and Y_i - (y_i.1)(H) as matrices on rep.
+
+    They are built as nullspace asks for them; poly(H) is diagonal and
+    d-free, since b is a scalar here.
+    """
+    for i in range(rep.rank):
+        for op, poly in ((rep.x_mats[i], xs[i]), (rep.y_mats[i], ys[i])):
+            for r, value in enumerate(_at_weights(poly, rep)):
+                row = dict(op[r])
+                row[r] = row.get(r, 0) - value.constant_term()
+                yield row
+
+
+def _common_zeros(factor_lists: list[list[Poly]], l: int) -> set | None:
+    """Weight keys of the points h where every list has a vanishing factor.
+
+    Each choice of one factor per list is a system of l affine equations in
+    H_1..H_l, solved by integer elimination; a unique solution h is kept as
+    the _weight_key of (l + 1) h when that is an integer vector (every
+    weight of every V(m) is one).  None when a factor is not affine in H or
+    a consistent system has more than one solution: the zeros are then no
+    finite list.
+    """
+    size = l + 1
+    units = [1 << SLOT_BITS * k for k in range(l)]
+    lists = []
+    for factors in factor_lists:
+        equations = []
+        for f in factors:
+            if not f.nums.keys() <= {0, *units}:
+                return None
+            equations.append([f.nums.get(u, 0) for u in units] + [-f.nums.get(0, 0)])
+        lists.append(equations)
+    keys = set()
+    for system in itertools.product(*lists):
+        m = [list(eq) for eq in system]
+        rank = 0
+        for col in range(l):
+            pivot = next((r for r in range(rank, l) if m[r][col]), None)
+            if pivot is None:
+                continue
+            m[rank], m[pivot] = m[pivot], m[rank]
+            prow = m[rank]
+            for r in range(l):
+                a = m[r][col]
+                if r != rank and a:
+                    m[r] = [prow[col] * x - a * y for x, y in zip(m[r], prow)]
+            rank += 1
+        if any(eq[l] for eq in m[rank:]):
+            continue
+        if rank < l:
+            return None
+        # pivots sit on the diagonal: (l + 1) h_k = (l + 1) c_k / a_kk
+        if all(size * eq[l] % eq[k] == 0 for k, eq in enumerate(m)):
+            key = _weight_key([size * eq[l] // eq[k] for k, eq in enumerate(m)])
+            if key is not None:
+                keys.add(key)
+    return keys
+
+
+def _weight_key(w: Sequence[int]) -> tuple[int, tuple[int, ...]] | None:
+    """Majorization data of h = w / (l + 1): (r, (P_1, .., P_l)), or None.
+
+    With w_0 = w_{l+1} = 0 and d_i = w_i - w_{i-1}, h is a weight of V(m)
+    iff mu_i = (d_i + |lambda|) / (l + 1) is a gl_{l+1} weight of it, where
+    lambda_i = m_i + .. + m_l (the H_i eigenvalue of a Gelfand-Tsetlin
+    pattern is its row-i sum minus i |lambda| / (l + 1)).  So every d_i is
+    r mod l + 1, else h is no weight of any V(m) (None), and P_k sums the k
+    largest d_i.
+    """
+    size = len(w) + 1
+    d = [b - a for a, b in zip((0, *w), (*w, 0))]
+    r = d[0] % size
+    if any(x % size != r for x in d):
+        return None
+    return r, tuple(itertools.accumulate(sorted(d, reverse=True)))[:-1]
+
+
+def _has_weight(weights: Sequence[int], keys: Iterable) -> bool:
+    """True iff some _weight_key is of a weight of V(weights).
+
+    h is a weight iff mu is an integer vector, i.e. |lambda| + r = 0 mod
+    l + 1, and the sorted mu is majorized by lambda: its k largest entries
+    sum to at most lambda_1 + .. + lambda_k, i.e. P_k + k |lambda| <=
+    (l + 1)(lambda_1 + .. + lambda_k), for k = 1..l (at k = l + 1 both sums
+    are |lambda|).  Integers throughout.
+    """
+    size = len(weights) + 1
+    top = [sum(weights[i:]) for i in range(size)]
+    total = sum(top)
+    bounds = list(itertools.accumulate(size * x - total for x in top))
+    for r, prefix in keys:
+        if (total + r) % size == 0 and all(p <= b for p, b in zip(prefix, bounds)):
+            return True
+    return False
 
 
 def _dominant_weights(l: int, dim_bound: int) -> list[tuple[int, ...]]:
@@ -664,9 +770,11 @@ def verify_quotient_certificate(
 # -- witness report and combined search ---------------------------------------
 
 
-# the default quotient bound from rank 3 on stops here: a scan that finds
-# nothing (a simple point) up to dimension 220 took 0.24 s at l = 3 and 0.34 s
-# at l = 4, and up to 1000 took 5.2 s and 4.2 s
+# the default quotient bound from rank 3 on stops here, and reports carry it
+# as checked_dim_bound: a scan of the simple point M(b = 1, S = {}) up to
+# dimension 220 takes 0.013 s at l = 3 and 0.001 s at l = 4, and up to 1000
+# 0.19 s and 0.002 s (2-core machine, Python 3.11); of the 156 l = 3 irreps
+# up to 1000 the weight filter leaves 4 to build
 MAX_DEFAULT_DIM_BOUND = 220
 
 

@@ -54,6 +54,8 @@ class Frozen:
     __delattr__ = __setattr__
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if other.__class__ is self.__class__:
             return self._values(self) == other._values(other)
         return NotImplemented

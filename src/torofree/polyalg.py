@@ -627,8 +627,18 @@ def _moved(deltas: Shift) -> tuple[tuple[int, int], ...]:
 def _shift_row(s: int, e: int, dlt: int) -> tuple[tuple[int, int], ...]:
     """((e - j) << s, comb(e, j) * (-dlt)^(e - j)) for j = 0 .. e: the key
     decrement and the integer coefficient of v^j in (v - dlt)^e, for the slot
-    at bit offset s."""
-    return tuple(((e - j) << s, comb(e, j) * (-dlt) ** (e - j)) for j in range(e + 1))
+    at bit offset s.
+
+    The row is built from j = e down, with comb(e, j - 1) = comb(e, j) j /
+    (e - j + 1) and one more factor -dlt each step: O(e) integer products."""
+    row = []
+    c, power = 1, 1
+    for j in range(e, -1, -1):
+        row.append(((e - j) << s, c * power))
+        c = c * j // (e - j + 1)
+        power *= -dlt
+    row.reverse()
+    return tuple(row)
 
 
 def _shift_nums(nums: dict[int, int], moved: tuple[tuple[int, int], ...]) -> dict[int, int]:

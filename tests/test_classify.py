@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -382,6 +384,84 @@ class TestCombinedSearch:
         cert = report.quotient_cert
         assert cert is not None and (cert.dim, cert.weights) == (11, (10,))
         assert C.verify_quotient_certificate(spec, cert, WIN1)
+
+
+# the edge patterns are non-simple at b = 0, 1, 1/3, 1/2, 2/3 (S = FULL) and
+# b = -2, -4/3 (S = {}), for some of l = 1, 2, 3; 5/7 is simple everywhere
+FILTER_BS = (F(0), F(1), F(-2), F(1, 3), F(-4, 3), F(1, 2), F(2, 3), F(5, 7))
+
+
+def filter_grid():
+    """(l, S, b) for l in {1, 2, 3}, every S and every b of FILTER_BS."""
+    for l in (1, 2, 3):
+        for k in range(l + 2):
+            for S in itertools.combinations(range(1, l + 2), k):
+                for b in FILTER_BS:
+                    yield l, S, b
+
+
+class TestQuotientWeightFilter:
+    """The quotient scan rules an irrep out from its weights alone."""
+
+    def test_weight_test_matches_the_gelfand_tsetlin_weights(self):
+        for l in (1, 2, 3):
+            for weights in C._dominant_weights(l, 64):
+                h_ints = set(C.build_irrep_A(l, weights).h_int)
+                # every point of denominator l + 1 in a box one step past the weights
+                r = max(abs(x) for w in h_ints for x in w) + 1
+                for w in itertools.product(range(-r, r + 1), repeat=l):
+                    key = C._weight_key(w)
+                    assert (key is not None and C._has_weight(weights, [key])) \
+                        == (w in h_ints), (weights, w)
+
+    def test_rejected_irreps_have_no_kernel_vector(self):
+        rejected = 0
+        for l, S, b in filter_grid():
+            spec = mk_spec(rank=l, base_b=b, S=S)
+            sides = [C._common_zeros(fs, l) for fs in R.base_action_factor_lists(spec)]
+            assert None not in sides
+            xs, ys = R.base_action_polys(spec)
+            for weights in C._dominant_weights(l, 40):
+                if all(C._has_weight(weights, keys) for keys in sides):
+                    continue
+                rejected += 1
+                rep = C.irrep_A(l, weights)
+                assert C.nullspace(C._base_condition_rows(xs, ys, rep), rep.dim) == [], \
+                    (l, S, b, weights)
+        assert rejected > 4000
+
+    def test_witness_reports_are_frozen(self):
+        # computed on the scan without the weight filter
+        reports = []
+        for l, S, b in filter_grid():
+            for spec, window in ((mk_spec(rank=l, base_b=b, S=S), None),
+                                 (toroidal(l, b, S), [(-1,), (0,), (1,)])):
+                for maxdeg, dim_bound in ((6, None), (2, 40)):
+                    reports.append(
+                        C.submodule_witness_search(spec, maxdeg, window, dim_bound).to_dict())
+        assert sum(r["quotient_cert"] is not None for r in reports) == 40
+        blob = json.dumps(reports, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == \
+            "dbf7df50825e0e983e959833d6e50c704be26bdbd75d82f5feb0b4fc36b8043c"
+
+    def test_common_zeros_fall_back_or_end_the_scan(self):
+        H1, H2 = Poly.H(2, 0, 1), Poly.H(2, 0, 2)
+        one = Poly.const(2, 0, 1)
+        # h = (1, 2) on the second choice; the first, H1 = 1 and H1 = 0, has no zero
+        assert C._common_zeros([[H1 - one], [H1, H2 - one - one]], 2) \
+            == {C._weight_key((3, 6))}
+        # a line of common zeros, or a factor that is not affine: no finite list
+        assert C._common_zeros([[H1 - H2], [(H1 - H2).scale(2)]], 2) is None
+        assert C._common_zeros([[H1 * H1], [H2]], 2) is None
+        # a row with no factor has no zero
+        assert C._common_zeros([[H1], []], 2) == set()
+
+    def test_a_side_without_zeros_builds_no_irrep(self, monkeypatch):
+        # S = {1}: x_1.1 is a nonzero constant, so no irrep carries a kernel vector
+        built = []
+        monkeypatch.setattr(C, "irrep_A", lambda *args: built.append(args))
+        assert C.quotient_certificate_search(mk_spec(rank=2, base_b=F(1, 3), S={1}), 64) is None
+        assert built == []
 
 
 class TestCyclicity:

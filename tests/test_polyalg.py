@@ -1,7 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +25,7 @@ from torofree.polyalg import (
     Poly,
     ShiftOperator,
     VarId,
+    _shift_row,
     deg_in,
     divides,
     pack_exponent,
@@ -112,6 +113,19 @@ class TestShifts:
     def test_tau_length_check(self):
         with pytest.raises(StructureError):
             shift_tau((1,), D1)
+
+    def test_shift_row_matches_the_binomial_formula(self):
+        for e in range(41):
+            for dlt in range(-2, 3):
+                want = tuple(((e - j) << SLOT_BITS, comb(e, j) * (-dlt) ** (e - j))
+                             for j in range(e + 1))
+                assert _shift_row.__wrapped__(SLOT_BITS, e, dlt) == want, (e, dlt)
+
+    def test_large_exponent_shift_returns(self):
+        # one slot at exponent 2^12: 4097 terms of (H1 - 1)^4096
+        p = Poly(1, 0, {(2**12,): 1}).shift([1])
+        assert len(p.nums) == 2**12 + 1
+        assert p.coeff((2**12 - 1,)) == -(2**12) and p.constant_term() == 1
 
     @given(polys(), polys(), st.integers(-3, 3), st.integers(1, L))
     @settings(max_examples=40, deadline=None)

@@ -23,6 +23,14 @@ def test_simplicity_grid_l1():
     assert "all grid points agree" in proc.stdout
 
 
+def test_simplicity_grid_l3():
+    # the l = 3 edge quotients are V(0,0,4) and V(0,0,8), of dimension 35 and 165
+    proc = run_script("simplicity_grid.py", "--lmax", "3", "--seeds", "1")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "quotient dim=165 weights=(0, 0, 8)" in proc.stdout
+    assert "all grid points agree" in proc.stdout
+
+
 def test_recovery_demo():
     proc = run_script("recovery_demo.py")
     assert proc.returncode == 0, proc.stdout + proc.stderr

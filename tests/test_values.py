@@ -44,6 +44,16 @@ def test_equal_fields_give_equal_objects_and_hashes(a, b):
     assert repr(a) == repr(b) and repr(a).startswith(f"{type(a).__name__}(")
 
 
+@pytest.mark.parametrize("a,b", _samples(), ids=lambda v: type(v).__name__)
+def test_self_comparison_reads_no_fields(a, b, monkeypatch):
+    reads = []
+    values = type(a)._values
+    monkeypatch.setattr(type(a), "_values", staticmethod(lambda v: reads.append(v) or values(v)))
+    assert a == a and not (a != a) and reads == []
+    # equal-but-distinct values still compare (and hash) by their fields
+    assert a == b and not (a != b) and hash(a) == hash(b) and reads
+
+
 # a ModuleSpec with a base_b Poly is left out: Poly itself does not pickle
 @pytest.mark.parametrize("value", [a for a, _ in _samples() if getattr(a, "base_b", None) is None],
                          ids=lambda v: type(v).__name__)

@@ -64,7 +64,7 @@ from .polyalg import (
     unpack_exponent,
 )
 from .repmods import Generator, ModuleSpec, base_action_polys
-from .verify import CheckReport, random_poly
+from .verify import CheckReport, _check_samples, random_poly
 
 Rat = Fraction
 Vector = list[Rat]
@@ -101,7 +101,8 @@ class Echelon:
                 break
             g = math.gcd(vec[j], prow[j])
             a, p = vec[j] // g, prow[j] // g
-            vec = {k: p * x for k, x in vec.items()}
+            if p != 1:
+                vec = {k: p * x for k, x in vec.items()}
             for k, y in prow.items():
                 x = vec.get(k, 0) - a * y
                 if x:
@@ -395,8 +396,14 @@ def principal_witness_search(spec: ModuleSpec, maxdeg: int) -> Poly | None:
     t < d for an integer d > 0, t >= L + d for an integer d < 0, every t for
     a non-integer d, and no t for d = 0.  Constants are keyed as
     (c mod 1, floor c): a chain stays in one class, and each check is an
-    integer dict lookup.  A found candidate is re-verified through the module
-    action by witness_verify.
+    integer dict lookup.  The classes are indexed in increasing order of
+    c mod 1 once per orbit, so sorting the starts by (floor, class index) is
+    sorting them by value.  Only rows with d != 0 are kept, and each checks
+    at least one floor of every chain (t = 0 for d > 0, t = L - 1 for d < 0),
+    so a class in which some row absorbs no floor m times holds no chain of
+    multiplicity m and is skipped; the order of the remaining tries, and so
+    the first chain found, is unchanged.  A found candidate is re-verified
+    through the module action by witness_verify.
     """
     if maxdeg < 1:
         return None
@@ -420,19 +427,33 @@ def principal_witness_search(spec: ModuleSpec, maxdeg: int) -> Poly | None:
             for norm, d in ((x_norm[i], -delta), (y_norm[i], delta)):
                 if d:
                     rows.append(_shift_row(d, norm.get(key, {})))
-        starts = sorted(
-            {(k + m, r) for r, k in map(_split, orbits[key])
-             for m in range(-(maxdeg + 1), maxdeg + 2)}
-        )
-        checks = [(k, r, [(d, absorbers.get(r, {})) for d, absorbers in rows]) for k, r in starts]
-        for mult in (1, 2):
-            for length in range(1, maxdeg // mult + 1):
-                for k, r, row_checks in checks:
-                    if _chain_holds(k, length, mult, row_checks):
-                        p = Poly.const(l, n, 1)
-                        for t in range(length):
-                            p = p * (key + Poly.const(l, n, r + k + t)) ** mult
-                        return p
+        found = _first_chain(orbits[key], rows, maxdeg)
+        if found is not None:
+            mult, length, start = found
+            p = Poly.const(l, n, 1)
+            for t in range(length):
+                p = p * (key + Poly.const(l, n, start + t)) ** mult
+            return p
+    return None
+
+
+def _first_chain(consts: set, rows: list, maxdeg: int) -> tuple[int, int, Rat] | None:
+    """(mult, length, start) of the first chain of an orbit that holds, in
+    the search order of principal_witness_search, or None."""
+    split = [_split(c) for c in consts]
+    residues = sorted({r for r, _ in split})
+    index = {r: ci for ci, r in enumerate(residues)}
+    floors = [(k, index[r]) for r, k in split]
+    starts = sorted({(k + m, ci) for k, ci in floors for m in range(-(maxdeg + 1), maxdeg + 2)})
+    class_rows = [[(d, absorbers.get(r, {})) for d, absorbers in rows] for r in residues]
+    for mult in (1, 2):
+        live = [all(any(a >= mult for a in absorbers.values()) for _, absorbers in row_checks)
+                for row_checks in class_rows]
+        tries = [(k, ci, class_rows[ci]) for k, ci in starts if live[ci]]
+        for length in range(1, maxdeg // mult + 1):
+            for k, ci, row_checks in tries:
+                if _chain_holds(k, length, mult, row_checks):
+                    return mult, length, residues[ci] + k
     return None
 
 
@@ -570,12 +591,9 @@ def quotient_certificate_search(
     ruled-out irrep has no kernel vector, so the scan's result is the same
     and "searched up to dim_bound" still holds.
     """
-    alg = spec.algebra
-    if alg.variant == "witt" or alg.family != "A":
+    if not _quotient_scan_applies(spec):
         return None
-    if spec.base_b is not None and spec.base_b.as_scalar() is None:
-        return None
-    l = alg.rank
+    l = spec.algebra.rank
     sides = [_common_zeros(factors, l) for factors in repmods.base_action_factor_lists(spec)]
     if set() in sides:
         return None
@@ -590,6 +608,14 @@ def quotient_certificate_search(
             if verify_quotient_certificate(spec, cert, loop_window):
                 return cert
     return None
+
+
+def _quotient_scan_applies(spec: ModuleSpec) -> bool:
+    """The quotient scan covers the A family with a scalar b."""
+    alg = spec.algebra
+    if alg.variant == "witt" or alg.family != "A":
+        return False
+    return spec.base_b is None or spec.base_b.as_scalar() is not None
 
 
 def _base_condition_rows(xs: list[Poly], ys: list[Poly], rep: IrrepA) -> Iterator[Row]:
@@ -840,6 +866,9 @@ def submodule_witness_search(
             # C(k + l, l), with k up to (maxdeg - 2) / 2
             k = (maxdeg - 2) // 2
             dim_bound = min(max(dim_bound, math.comb(k + l, l)), MAX_DEFAULT_DIM_BOUND)
+    if not _quotient_scan_applies(spec):
+        # no irrep is scanned, so none is claimed
+        dim_bound = 0
     p = principal_witness_search(spec, maxdeg)
     if p is not None:
         ok = witness_verify(spec, p, window)
@@ -1128,6 +1157,7 @@ def recover_parameters(
     seed: int = 0,
 ) -> RecoveredParams:
     """Read the full parameter tuple off a black-box module and cross-check it."""
+    _check_samples(samples)
     l, n = oracle.ranks
     rng = random.Random(seed)
     one = oracle.one()

@@ -204,6 +204,8 @@ class ModuleSpec(Frozen):
     def lam_pow(self, r: Sequence[int]) -> Rat:
         """lambda^r, a DomainError when a factor would have more digits than
         Python prints (sys.get_int_max_str_digits(); 0 means no limit)."""
+        if not any(r):
+            return Fraction(1)
         limit = sys.get_int_max_str_digits()
         out = Fraction(1)
         for j, (lam_j, rj) in enumerate(zip(self.lam, r), 1):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from fractions import Fraction
 from functools import lru_cache
@@ -163,6 +164,40 @@ def decompose(fin, mat) -> dict:
     if back != flat:
         raise ValueError("matrix is not in the span of the basis")
     return out
+
+
+# -- reference elimination ---------------------------------------------------------
+
+
+class RescalingEchelon:
+    """classify.Echelon with the row multiplied by the pivot's cofactor p at
+    every elimination step, p = 1 included: the plain fraction-free step the
+    library's shortcut must agree with."""
+
+    def __init__(self):
+        self.pivots = {}
+
+    def reduce(self, row):
+        den = math.lcm(*[Fraction(c).denominator for c in row.values()])
+        vec = {k: int(c * den) for k, c in row.items() if c}
+        while vec and min(vec) in self.pivots:
+            j = min(vec)
+            prow = self.pivots[j]
+            g = math.gcd(vec[j], prow[j])
+            a, p = vec[j] // g, prow[j] // g
+            vec = {k: p * x for k, x in vec.items()}
+            for k, y in prow.items():
+                vec[k] = vec.get(k, 0) - a * y
+            vec = {k: x for k, x in vec.items() if x}
+        return vec
+
+    def add(self, row):
+        vec = self.reduce(row)
+        if not vec:
+            return False
+        g = math.gcd(*vec.values())
+        self.pivots[min(vec)] = {k: x // g for k, x in vec.items()}
+        return True
 
 
 # -- tuple-keyed reference polynomial arithmetic ---------------------------------

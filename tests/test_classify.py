@@ -4,12 +4,13 @@ import json
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mat_comm, mat_is_zero, mat_sub, mk_spec
+from conftest import RescalingEchelon, mat_comm, mat_is_zero, mat_sub, mk_spec
 from torofree import classify as C, liealg as L, repmods as R
 from torofree.errors import ClassificationError, DomainError
 from torofree.polyalg import Poly
@@ -146,6 +147,18 @@ def reference_principal_search(spec, maxdeg):
     return None
 
 
+def reference_first_chain(consts, rows, maxdeg):
+    """(mult, length, start) of the first chain that passes multiset_check,
+    with the starts tried in increasing order of value."""
+    starts = sorted({c + m for c in consts for m in range(-(maxdeg + 1), maxdeg + 2)})
+    for mult in (1, 2):
+        for length in range(1, maxdeg // mult + 1):
+            for start in starts:
+                if multiset_check({start + t: mult for t in range(length)}, rows):
+                    return mult, length, start
+    return None
+
+
 def multiset_check(chain, rows):
     """m <= (factors c in the row) + (multiplicity of c - d in the chain)."""
     for absorbers, d in rows:
@@ -182,6 +195,45 @@ class TestPrincipalReference:
                 want = reference_principal_search(spec, maxdeg)
                 assert C.principal_witness_search(spec, maxdeg) == want, (S, maxdeg)
 
+    def test_c3_every_pattern(self):
+        for S in subsets(3):
+            spec = mk_spec(family="C", rank=3, base_a=(1, 2, 1), S=S)
+            for maxdeg in (0, 3, 6, 10):
+                want = reference_principal_search(spec, maxdeg)
+                assert C.principal_witness_search(spec, maxdeg) == want, (S, maxdeg)
+
+    def test_finite_a2_with_a_loop_variable(self):
+        # b = d1 + c puts d1 into the orbits of the factors that carry b,
+        # which the search skips; the H-only orbits are still scanned
+        d1, one = Poly.d(2, 1, 1), Poly.const(2, 1, 1)
+        skipped = 0
+        for S in subsets(3):
+            for b in (d1, d1 + one.scale(F(1, 2)), one):
+                spec = mk_spec(rank=2, loop_vars=1, base_b=b, S=S)
+                keys = {key for fs in R.base_action_factor_lists(spec)[0]
+                        for key in C._normalize_factors(fs)}
+                skipped += any(not C._h_only(key) for key in keys)
+                for maxdeg in (0, 3, 6, 10):
+                    want = reference_principal_search(spec, maxdeg)
+                    assert C.principal_witness_search(spec, maxdeg) == want, (S, b, maxdeg)
+        assert skipped
+
+    def test_dead_classes_make_no_chain_check(self, monkeypatch):
+        # at M(l = 2, b = 5/7, S = {}) every class has a row that absorbs no
+        # floor, so no chain is checked; checking every start made 405 calls
+        calls = []
+        holds = C._chain_holds
+        monkeypatch.setattr(C, "_chain_holds", lambda *args: calls.append(args) or holds(*args))
+        spec = mk_spec(rank=2, base_b=F(5, 7), S=())
+        assert C.principal_witness_search(spec, 6) is None
+        assert reference_principal_search(spec, 6) is None
+        assert len(calls) < 40
+        # a live class is still scanned in order: the l = 1 edge witness
+        spec = mk_spec(rank=1, base_b=1, S={1, 2})
+        assert C.principal_witness_search(spec, 4) == reference_principal_search(spec, 4) \
+            == Poly.parse("H1^3 - H1", 1, 0)
+        assert calls
+
     @settings(max_examples=300, deadline=None)
     @given(
         rows=st.lists(
@@ -203,6 +255,26 @@ class TestPrincipalReference:
                   for d_int, classes in (C._shift_row(d, a) for a, d in rows if d)]
         chain = {start + t: mult for t in range(length)}
         assert C._chain_holds(k, length, mult, checks) == multiset_check(chain, rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        consts=st.sets(st.sampled_from([F(k, 3) for k in range(-9, 10)]), min_size=1, max_size=4),
+        rows=st.lists(
+            st.tuples(
+                st.dictionaries(st.sampled_from([F(k, 3) for k in range(-9, 10)]),
+                                st.integers(1, 2), max_size=12),
+                st.sampled_from([F(k, 3) for k in range(-6, 7) if k]),
+            ),
+            min_size=1, max_size=3,
+        ),
+        maxdeg=st.integers(1, 6),
+    )
+    def test_first_chain_matches_the_scan_by_value(self, consts, rows, maxdeg):
+        # constants in up to three residue classes, so chains of two classes
+        # can start on one floor and the class order decides between them
+        checks = [C._shift_row(d, a) for a, d in rows]
+        want = reference_first_chain(consts, rows, maxdeg)
+        assert C._first_chain(consts, checks, maxdeg) == want
 
 
 class TestWitnessVerify:
@@ -332,6 +404,25 @@ class TestCombinedSearch:
             C.submodule_witness_search(spec, -1)
         with pytest.raises(DomainError):
             C.submodule_witness_search(spec, 4, dim_bound=-3)
+
+    def test_c_family_claims_no_quotient_scan(self):
+        spec = mk_spec(family="C", rank=3, loop_vars=1, variant="toroidal", lam=(2,),
+                       base_a=(1, 1, 1), S={1})
+        assert C.quotient_certificate_search(spec, 64) is None
+        for dim_bound in (None, 10):
+            report = C.submodule_witness_search(spec, 3, [(0,)], dim_bound)
+            assert not report.found and report.checked_dim_bound == 0
+
+    def test_non_scalar_b_claims_no_quotient_scan(self):
+        spec = mk_spec(rank=2, loop_vars=2, base_b=Poly.parse("d1^2 + 3*d2", 2, 2),
+                       S={1, 2, 3})
+        assert C.quotient_certificate_search(spec, 64) is None
+        for dim_bound in (None, 10):
+            report = C.submodule_witness_search(spec, 3, dim_bound=dim_bound)
+            assert not report.found and report.checked_dim_bound == 0
+        # a scan the weight filter ends before any irrep is built still counts
+        report = C.submodule_witness_search(mk_spec(rank=2, base_b=F(1, 3), S={1}), 3)
+        assert not report.found and report.checked_dim_bound == 6
 
     def test_zero_bounds_skip_their_search(self):
         spec = mk_spec(rank=1, base_b=1, S={1, 2})
@@ -565,6 +656,17 @@ class TestRecovery:
         assert C._isqrt_exact(big * big + 1) is None
         assert C._isqrt_exact(-4) is None
 
+    def test_negative_samples_rejected_before_any_probe(self):
+        probes = []
+        inner = C.oracle_from_spec(toroidal(1, 3, {1}, a=(2,)))
+        oracle = C.ActionOracle(1, 1, "toroidal",
+                                lambda gen, p: probes.append(gen) or inner.eval(gen, p))
+        with pytest.raises(DomainError):
+            C.recover_parameters(oracle, [(-1,), (0,), (1,)], samples=-5)
+        assert probes == []
+        rec = C.recover_parameters(oracle, [(-1,), (0,), (1,)], samples=0)
+        assert rec.S == {1} and rec.lam == (F(2),)
+
     def test_witt_recovery(self):
         spec = mk_spec(rank=0, loop_vars=2, variant="witt", lam=(2, -3), witt_a=-1)
         win = [(0, 0), (1, 0), (0, 1), (1, 1), (-1, 0), (0, -1)]
@@ -784,6 +886,26 @@ class TestLinearAlgebraHelpers:
             added.append(v)
             before = after
             assert echelon.contains(v)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(st.dictionaries(st.integers(0, 5), st.sampled_from([-2, -1, -1, 1, 1, 3]),
+                                      min_size=1, max_size=4), max_size=8),
+        probe=st.dictionaries(st.integers(0, 5), st.integers(-2, 2), max_size=4),
+    )
+    def test_echelon_matches_the_always_rescaling_reference(self, rows, probe):
+        # integer rows with leads of +-1, so most cofactors p are +-1
+        echelon, reference = C.Echelon(), RescalingEchelon()
+        for row in rows:
+            kept = dict(row)
+            assert echelon.reduce(row) == reference.reduce(row)
+            assert echelon.add(row) == reference.add(row)
+            assert row == kept
+            assert echelon.pivots == reference.pivots
+        assert echelon.reduce(probe) == reference.reduce(probe)
+        with mock.patch.object(C, "Echelon", RescalingEchelon):
+            want = C.nullspace(rows, 6)
+        assert C.nullspace(rows, 6) == want
 
     def test_irrep_dimensions(self):
         assert C.weyl_dim_A((2,)) == 3

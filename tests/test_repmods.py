@@ -129,6 +129,18 @@ class TestToroidal:
         with pytest.raises(DomainError):
             act(sl2_toroidal, Generator("D", 1, (1,)), sl2_toroidal.one())
 
+    def test_lam_pow_is_the_product_of_powers(self):
+        spec = mk_spec(rank=1, loop_vars=3, variant="toroidal", lam=(Fraction(-7, 2), 3, 1),
+                       base_a=(2,), base_b=3, S={1})
+        for r in itertools.product(range(-3, 4), repeat=3):
+            want = Fraction(-7, 2) ** r[0] * Fraction(3) ** r[1]
+            assert spec.lam_pow(r) == want, r
+        assert spec.lam_pow((0, 0, 0)) == 1
+
+    def test_lam_pow_oversized_degree_raises(self, sl2_toroidal):
+        with pytest.raises(DomainError):
+            sl2_toroidal.lam_pow((10**6,))
+
 
 class TestWittAndFull:
     def test_witt_shift(self):

@@ -402,7 +402,9 @@ def principal_witness_search(spec: ModuleSpec, maxdeg: int) -> Poly | None:
     at least one floor of every chain (t = 0 for d > 0, t = L - 1 for d < 0),
     so a class in which some row absorbs no floor m times holds no chain of
     multiplicity m and is skipped; the order of the remaining tries, and so
-    the first chain found, is unchanged.  A found candidate is re-verified
+    the first chain found, is unchanged.  Orbit keys, shifts and constants
+    are read off the factors' integer numerators (_normalize_factors); a Poly
+    is built per orbit, not per factor.  A found candidate is re-verified
     through the module action by witness_verify.
     """
     if maxdeg < 1:
@@ -416,14 +418,15 @@ def principal_witness_search(spec: ModuleSpec, maxdeg: int) -> Poly | None:
     orbits: dict = {}
     for norm in x_norm + y_norm:
         for key, consts in norm.items():
-            # d-carrying orbits fall outside the H-only witness contract
-            if _h_only(key):
-                orbits.setdefault(key, set()).update(consts)
-    for key in sorted(orbits, key=lambda k: k.text()):
+            orbits.setdefault(key, set()).update(consts)
+    # an integer key over its positive lead is the normalized form, reduced
+    polys = {key: Poly._raw(l, n, key[0][1], dict(key)) for key in orbits}
+    for key in sorted(orbits, key=lambda k: polys[k].text()):
+        form = polys[key]
         # one row per x_i.1 and y_i.1 whose shift on this orbit is nonzero
         rows = []
         for i in range(l):
-            delta = key.coeff(_unit_exp(l, n, i))
+            delta = Fraction(form.nums.get(1 << SLOT_BITS * i, 0), form.den)
             for norm, d in ((x_norm[i], -delta), (y_norm[i], delta)):
                 if d:
                     rows.append(_shift_row(d, norm.get(key, {})))
@@ -432,7 +435,7 @@ def principal_witness_search(spec: ModuleSpec, maxdeg: int) -> Poly | None:
             mult, length, start = found
             p = Poly.const(l, n, 1)
             for t in range(length):
-                p = p * (key + Poly.const(l, n, start + t)) ** mult
+                p = p * (form + Poly.const(l, n, start + t)) ** mult
             return p
     return None
 
@@ -488,22 +491,30 @@ def _chain_holds(k: int, length: int, mult: int, rows: list) -> bool:
     return True
 
 
-def _unit_exp(l: int, n: int, pos: int) -> tuple:
-    exp = [0] * (l + n)
-    exp[pos] = 1
-    return tuple(exp)
+def _normalize_factors(factors: Sequence[Poly]) -> dict:
+    """{orbit key: {constant: multiplicity}} for the H-only factors of a list.
 
-
-def _normalize_factors(factors: list[Poly]) -> dict:
-    """{orbit key: {constant: multiplicity}} for a factor list."""
+    A factor c_0 + sum_k c_k H_k, scaled to leading coefficient 1, is
+    key + c_0 / c_lead, where the lead is its lowest nonzero key (the
+    graded-lex leading term of an affine form).  The key is read off the
+    integer numerators: the pairs (monomial key, c_k) of its linear part
+    over their gcd, signed so that the lead is positive.  d-carrying factors
+    fall outside the H-only witness contract and are dropped.
+    """
     out: dict = {}
     for f in factors:
-        if f.is_constant():
+        if not _h_only(f):
             continue
-        _, lead = f.leading()
-        norm = f.scale(1 / lead)
-        const = norm.constant_term()
-        consts = out.setdefault(norm - Poly.const(norm.l, norm.n, const), {})
+        nums = f.nums
+        linear = sorted((k, c) for k, c in nums.items() if k)
+        if not linear:
+            continue
+        lead = linear[0][1]
+        g = math.gcd(*(c for _, c in linear))
+        if lead < 0:
+            g = -g
+        consts = out.setdefault(tuple((k, c // g) for k, c in linear), {})
+        const = Fraction(nums.get(0, 0), lead)
         consts[const] = consts.get(const, 0) + 1
     return out
 
@@ -914,11 +925,17 @@ def cyclicity_check(
 
     Phase 1 kills the d-degrees with (h_1(e_j) - lambda_j h_1); phase 2 closes
     the span under the finite-type generators breadth-first (each round is one
-    more letter of enveloping-algebra filtration).  False means "not within
-    budget", never a proof of non-cyclicity.
+    more letter of enveloping-algebra filtration), up to max_word_len rounds.
+    The span only grows, so the check returns True at the first insert after
+    which it holds 1; the rest of that round could not change the verdict.
+    False means "not within budget", never a proof of non-cyclicity.
+    loop_window is accepted but unused: phase 2 uses degree-zero generators
+    only.  A negative max_word_len is a DomainError.
     """
     if w.is_zero():
         raise DomainError("cyclicity seed must be nonzero")
+    if max_word_len < 0:
+        raise DomainError(f"max_word_len must be non-negative, got {max_word_len}")
     if spec.algebra.variant == "witt":
         raise DomainError("cyclicity check applies to finite/toroidal/full variants")
     l, n = spec.ranks
@@ -953,13 +970,13 @@ def cyclicity_check(
                 if img.is_zero() or img.total_degree() > degbound:
                     continue
                 if span.add(img.nums):
+                    if span.contains(target):
+                        return True
                     new_frontier.append(img)
-        if span.contains(target):
-            return True
         if not new_frontier:
             return False
         frontier = new_frontier
-    return span.contains(target)
+    return False
 
 
 # -- recovery ------------------------------------------------------------------
@@ -1224,9 +1241,12 @@ def _decode_base(oracle, x_polys, y_polys, lam, witt_a) -> list[tuple]:
     the C family has b = 0.  Each surviving (S, b) is rebuilt once with unit
     a: x_i.1 and y_i.1 are a_i and 1/a_i times products fixed by (family, S,
     b), so a_i is the ratio x_i.1 / X_i and the tuple holds iff
-    y_i.1 = Y_i / a_i for every i.
+    y_i.1 = Y_i / a_i for every i.  Every factor of X_i and Y_i is linear in
+    H with a nonzero H part, so a pattern whose factor counts differ from the
+    H-degrees of the read x_i.1 and y_i.1 is skipped before it is rebuilt.
     """
     l, n = oracle.ranks
+    degrees = (tuple(map(_h_degree, x_polys)), tuple(map(_h_degree, y_polys)))
     at_zero = [
         Poly(l, n, {e: c for e, c in (x * y).terms.items() if not any(e[:l])})
         for x, y in zip(x_polys, y_polys)
@@ -1251,6 +1271,8 @@ def _decode_base(oracle, x_polys, y_polys, lam, witt_a) -> list[tuple]:
         smax = l + 1 if family == "A" else l
         for bits in itertools.product((False, True), repeat=smax):
             S = frozenset(i + 1 for i, in_s in enumerate(bits) if in_s)
+            if repmods.factor_counts(family, l, S) != degrees:
+                continue
             if family == "C":
                 bs = [Poly.zero(l, n)]
             else:
@@ -1272,6 +1294,12 @@ def _decode_base(oracle, x_polys, y_polys, lam, witt_a) -> list[tuple]:
                         found.append(entry)
     found.sort(key=_decode_key)
     return found
+
+
+def _h_degree(p: Poly) -> int:
+    """Total degree in the H-variables; -1 for the zero polynomial."""
+    h_block = (1 << SLOT_BITS * p.l) - 1
+    return max((sum(unpack_exponent(k & h_block, p.l)) for k in p.nums), default=-1)
 
 
 def _decode_key(entry):

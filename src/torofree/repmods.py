@@ -240,10 +240,17 @@ def hvar(l: int, n: int, i: int) -> Poly:
     return Poly.H(l, n, i)
 
 
-def base_action_factor_lists(spec: ModuleSpec) -> tuple[list[list[Poly]], list[list[Poly]]]:
-    """Linear factors of each x_i.1 and y_i.1 (unit scalars omitted)."""
+@lru_cache(maxsize=256)
+def base_action_factor_lists(spec: ModuleSpec) -> tuple[tuple[tuple[Poly, ...], ...], ...]:
+    """Linear factors of each x_i.1 and y_i.1 (unit scalars omitted).
+
+    Built once per spec and shared by base_action_polys and the witness
+    searches, so the lists are tuples.  Each factor is affine in H with a
+    nonzero H part (b carries no H), so x_i.1 and y_i.1 have H-degree equal
+    to their factor counts (factor_counts).
+    """
     if spec.algebra.variant == "witt":
-        return ([], [])
+        return ((), ())
     l, n = spec.ranks
     b = spec.base_b
     half = Fraction(1, 2)
@@ -261,7 +268,7 @@ def base_action_factor_lists(spec: ModuleSpec) -> tuple[list[list[Poly]], list[l
             )
             xs.append(xf)
             ys.append(yf)
-        return xs, ys
+        return tuple(map(tuple, xs)), tuple(map(tuple, ys))
     for k in range(1, l):
         u = hvar(l, n, k) - hvar(l, n, k - 1)
         stretch = 2 if k == l - 1 else 1
@@ -279,7 +286,20 @@ def base_action_factor_lists(spec: ModuleSpec) -> tuple[list[list[Poly]], list[l
     else:
         xs.append([A - Fraction(3, 4), A - Fraction(1, 4)])
         ys.append([])
-    return xs, ys
+    return tuple(map(tuple, xs)), tuple(map(tuple, ys))
+
+
+def factor_counts(family: str, l: int, S: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+    """The number of linear factors of each x_i.1 and of each y_i.1 of the
+    family-l modules with pattern S (len() of base_action_factor_lists)."""
+    S = frozenset(S)
+    top = l if family == "A" else l - 1  # C_l: x_l.1 and y_l.1 are read apart
+    xs = [(i not in S) + (i + 1 in S) for i in range(1, top + 1)]
+    ys = [(i in S) + (i + 1 not in S) for i in range(1, top + 1)]
+    if family == "C":
+        xs.append(0 if l in S else 2)
+        ys.append(2 if l in S else 0)
+    return tuple(xs), tuple(ys)
 
 
 def base_action_polys(spec: ModuleSpec) -> tuple[list[Poly], list[Poly]]:

@@ -1,9 +1,11 @@
 import hashlib
+import importlib.util
 import itertools
 import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -13,7 +15,8 @@ from hypothesis import strategies as st
 from conftest import RescalingEchelon, mat_comm, mat_is_zero, mat_sub, mk_spec
 from torofree import classify as C, liealg as L, repmods as R
 from torofree.errors import ClassificationError, DomainError
-from torofree.polyalg import Poly
+from torofree.polyalg import Poly, unpack_exponent
+from torofree.repmods import Generator
 from torofree.verify import random_poly
 
 F = Fraction
@@ -108,6 +111,26 @@ class TestPrincipalWitness:
         assert C.principal_witness_search(mk_spec(rank=2, base_b=1, S={1, 2, 3}), 8) is None
 
 
+def reference_normalize_factors(factors):
+    """{orbit key: {constant: multiplicity}} for a factor list, with each
+    factor scaled to leading coefficient 1 as a Poly and the key its
+    non-constant part."""
+    out = {}
+    for f in factors:
+        if f.is_constant():
+            continue
+        _, lead = f.leading()
+        norm = f.scale(1 / lead)
+        const = norm.constant_term()
+        consts = out.setdefault(norm - Poly.const(norm.l, norm.n, const), {})
+        consts[const] = consts.get(const, 0) + 1
+    return out
+
+
+def unit_exp(l, n, pos):
+    return tuple(int(k == pos) for k in range(l + n))
+
+
 def reference_principal_search(spec, maxdeg):
     """The chain scan with the plain multiset check: the chain dict is built
     and every element of it is tested against every row.  Constants and
@@ -117,15 +140,15 @@ def reference_principal_search(spec, maxdeg):
         return None
     l, n = spec.ranks
     xs_f, ys_f = R.base_action_factor_lists(spec)
-    x_norm = [C._normalize_factors(fs) for fs in xs_f]
-    y_norm = [C._normalize_factors(fs) for fs in ys_f]
+    x_norm = [reference_normalize_factors(fs) for fs in xs_f]
+    y_norm = [reference_normalize_factors(fs) for fs in ys_f]
     orbits = {}
     for norm in x_norm + y_norm:
         for key, consts in norm.items():
             if C._h_only(key):
                 orbits.setdefault(key, set()).update(consts)
     for key in sorted(orbits, key=lambda k: k.text()):
-        deltas = [key.coeff(C._unit_exp(l, n, i)) for i in range(l)]
+        deltas = [key.coeff(unit_exp(l, n, i)) for i in range(l)]
         den = math.lcm(*[c.denominator for c in orbits[key] | set(deltas)])
 
         def scaled(consts):
@@ -211,12 +234,29 @@ class TestPrincipalReference:
             for b in (d1, d1 + one.scale(F(1, 2)), one):
                 spec = mk_spec(rank=2, loop_vars=1, base_b=b, S=S)
                 keys = {key for fs in R.base_action_factor_lists(spec)[0]
-                        for key in C._normalize_factors(fs)}
+                        for key in reference_normalize_factors(fs)}
                 skipped += any(not C._h_only(key) for key in keys)
                 for maxdeg in (0, 3, 6, 10):
                     want = reference_principal_search(spec, maxdeg)
                     assert C.principal_witness_search(spec, maxdeg) == want, (S, b, maxdeg)
         assert skipped
+
+    def test_integer_keys_match_the_poly_normalization(self):
+        # the integer key over its leading entry is the monic linear part
+        d1 = Poly.d(2, 1, 1)
+        specs = [toroidal(l, b, S) for l in (1, 2, 3) for S in subsets(l + 1)
+                 for b in (F(0), F(-5, 3))]
+        specs += [mk_spec(family="C", rank=l, base_a=(1,) * l, S=S)
+                  for l in (2, 3) for S in subsets(l)]
+        specs += [mk_spec(rank=2, loop_vars=1, base_b=d1, S=S) for S in subsets(3)]
+        for spec in specs:
+            l, n = spec.ranks
+            for fs in itertools.chain(*R.base_action_factor_lists(spec)):
+                got = {Poly._raw(l, n, key[0][1], dict(key)): consts
+                       for key, consts in C._normalize_factors(fs).items()}
+                want = {key: consts for key, consts in reference_normalize_factors(fs).items()
+                        if C._h_only(key)}
+                assert got == want, (spec.algebra, spec.S, fs)
 
     def test_dead_classes_make_no_chain_check(self, monkeypatch):
         # at M(l = 2, b = 5/7, S = {}) every class has a row that absorbs no
@@ -555,9 +595,91 @@ class TestQuotientWeightFilter:
         assert built == []
 
 
+def reference_cyclicity(spec, w, max_word_len):
+    """The cyclicity check with the span tested only at the end of each layer
+    of words."""
+    l, n = spec.ranks
+    current = w
+    if spec.algebra.variant != "finite":
+        for j in range(n):
+            e_j = tuple(int(t == j) for t in range(n))
+            while any(unpack_exponent(k, l + n)[l + j] for k in current.nums):
+                current = R.act(spec, Generator("h", 1, e_j), current) \
+                    - (Poly.H(l, n, 1) * current).scale(spec.lam[j])
+    degbound = current.total_degree() + max_word_len + 2
+    zero = spec.algebra.zero_degree()
+    gens = [Generator(kind, i, zero) for i in range(1, l + 1) for kind in "xyh"]
+    span = C.Echelon()
+    span.add(current.nums)
+    frontier = [current]
+    for _ in range(max_word_len):
+        if span.contains({0: 1}):
+            return True
+        new_frontier = []
+        for vec in frontier:
+            for gen in gens:
+                img = R.act(spec, gen, vec)
+                if img and img.total_degree() <= degbound and span.add(img.nums):
+                    new_frontier.append(img)
+        if not new_frontier:
+            break
+        frontier = new_frontier
+    return span.contains({0: 1})
+
+
+def load_workloads():
+    """perfbench/workloads.py, loaded read-only from its file."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestCyclicity:
     def test_constant_is_immediate(self, sl2_toroidal):
         assert C.cyclicity_check(sl2_toroidal, sl2_toroidal.one(), 1)
+
+    def test_negative_budget_rejected(self, sl2_toroidal):
+        with pytest.raises(DomainError):
+            C.cyclicity_check(sl2_toroidal, sl2_toroidal.one(), -1)
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_search_grid_matches_the_layer_end_check(self, seed):
+        # the seeded (spec, seed polynomial) points of the benchmark's search grid
+        W = load_workloads()
+        points = 0
+        for job in W.build("search", seed):
+            cells = [cell.cell_contents for cell in job.run.__closure__]
+            spec = next(v for v in cells if isinstance(v, R.ModuleSpec))
+            w = next(v for v in cells if isinstance(v, Poly))
+            want = reference_cyclicity(spec, w, 12)
+            assert C.cyclicity_check(spec, w, 12, W.W3) == want, (spec.S, w.text())
+            points += 1
+        assert points == 28
+
+    def test_short_budgets_match_the_layer_end_check(self):
+        # this degree-6 seed of a simple module first reaches 1 with three
+        # letters; the witness H1^3 - H1 of a non-simple one never does
+        simple, w = toroidal(1, F(1, 3), {1}), Poly.parse("H1^6 + H1", 1, 1)
+        edge, witness = toroidal(1, 1, {1, 2}), Poly.parse("H1^3 - H1", 1, 1)
+        for budget in range(4):
+            want = budget == 3
+            assert C.cyclicity_check(simple, w, budget) == want
+            assert reference_cyclicity(simple, w, budget) == want
+            assert not C.cyclicity_check(edge, witness, budget)
+            assert not reference_cyclicity(edge, witness, budget)
+
+    def test_stops_at_the_first_insert_that_holds_one(self, monkeypatch):
+        calls = []
+        act = R.act
+        monkeypatch.setattr(R, "act", lambda *args: calls.append(args) or act(*args))
+        spec, w = toroidal(2, 1, {2}), Poly.parse("H1*H2", 2, 1)
+        assert reference_cyclicity(spec, w, 12)
+        assert len(calls) == 42  # two layers of 6 and 36 words
+        calls.clear()
+        assert C.cyclicity_check(spec, w, 12)
+        assert len(calls) == 16
 
     def test_zero_rejected(self, sl2_toroidal):
         with pytest.raises(DomainError):
@@ -572,6 +694,7 @@ class TestCyclicity:
         spec = toroidal(1, 1, {1, 2})
         w = Poly.parse("H1^3 - H1", 1, 1)
         assert not C.cyclicity_check(spec, w, 8)
+        assert not reference_cyclicity(spec, w, 8)
 
     def test_random_seeds_on_simple_modules(self):
         spec = toroidal(2, 1, {2})
@@ -672,6 +795,108 @@ class TestRecovery:
         win = [(0, 0), (1, 0), (0, 1), (1, 1), (-1, 0), (0, -1)]
         rec = C.recover_parameters(C.oracle_from_spec(spec), win)
         assert rec.family is None and rec.lam == (F(2), F(-3)) and rec.witt_a == F(-1)
+
+
+def reference_decode_base(oracle, x_polys, y_polys, lam, witt_a):
+    """Every (family, S) pattern rebuilt and compared, with no pruning by
+    degree: the decoder before the factor-count check."""
+    l, n = oracle.ranks
+    at_zero = [Poly(l, n, {e: c for e, c in (x * y).terms.items() if not any(e[:l])})
+               for x, y in zip(x_polys, y_polys)]
+    roots = [C._poly_sqrt(at_zero[0].scale(4) + delta) for delta in (0, 1)]
+    ones = (F(1),) * l
+    found = []
+    for family in ("A",) if l == 1 else ("A", "C"):
+        smax = l + 1 if family == "A" else l
+        for bits in itertools.product((False, True), repeat=smax):
+            S = frozenset(i + 1 for i, in_s in enumerate(bits) if in_s)
+            if family == "C":
+                bs = [Poly.zero(l, n)]
+            else:
+                e = [int(not in_s) for in_s in bits]
+                root = roots[(e[0] - e[1]) ** 2]
+                signs = () if root is None else (1, -1) if root else (1,)
+                bs = [(root.scale(s) - e[0] - e[1]).scale(F(1, 2)) for s in signs]
+                bs = [b for b in bs if all(at_zero[i] == (b + e[i]) * (b + e[i + 1])
+                                           for i in range(1, l))]
+            for b in bs:
+                trial = C._trial_spec(oracle, family, ones, b, S, lam, witt_a)
+                if trial is None:
+                    continue
+                xs, ys = R.base_action_polys(trial)
+                a = tuple(C._scalar_ratio(x, X) for x, X in zip(x_polys, xs))
+                if all(a) and all(y == Y.scale(1 / a_i) for y, Y, a_i in zip(y_polys, ys, a)):
+                    entry = (family, S, a, b)
+                    if entry not in found:
+                        found.append(entry)
+    found.sort(key=C._decode_key)
+    return found
+
+
+class TestDecodePruning:
+    """Patterns whose factor counts differ from the read H-degrees are skipped
+    before they are rebuilt, and the decodings stay the same."""
+
+    @staticmethod
+    def _decode_both(spec, lam=(), witt_a=None):
+        oracle = C.oracle_from_spec(spec)
+        l, n = oracle.ranks
+        zero = spec.algebra.zero_degree()
+        xs = [oracle.eval(Generator("x", i, zero), oracle.one()) for i in range(1, l + 1)]
+        ys = [oracle.eval(Generator("y", i, zero), oracle.one()) for i in range(1, l + 1)]
+        return (C._decode_base(oracle, xs, ys, lam, witt_a),
+                reference_decode_base(oracle, xs, ys, lam, witt_a))
+
+    def test_a_family_every_pattern(self):
+        for l in (1, 2, 3):
+            for S in subsets(l + 1):
+                for b in (F(0), F(1), F(-2), F(1, 3), F(-5, 2)):
+                    spec = toroidal(l, b, S, a=tuple(F(k + 2, 3) for k in range(l)))
+                    got, want = self._decode_both(spec, spec.lam)
+                    assert got == want and got, (l, S, b)
+
+    def test_l1_full_and_empty_patterns_both_decoded(self):
+        # M(a, b, FULL) = M(-a, -b-1, {}): both patterns have one factor per side
+        spec = mk_spec(rank=1, base_a=(2,), base_b=1, S={1, 2})
+        got, want = self._decode_both(spec)
+        assert got == want
+        assert [(S, a) for _, S, a, _ in got] == [(frozenset(), (F(-2),)),
+                                                  (frozenset({1, 2}), (F(2),))]
+
+    def test_c_family_every_pattern(self):
+        for l in (2, 3):
+            for S in subsets(l):
+                spec = mk_spec(family="C", rank=l, base_a=tuple(range(1, l + 1)), S=S)
+                got, want = self._decode_both(spec)
+                assert got == want and got, (l, S)
+
+    def test_finite_n2_with_a_d_polynomial_b(self):
+        b = Poly.parse("3*d1^2 - 1/2*d2", 2, 2)
+        for S in subsets(3):
+            spec = mk_spec(rank=2, loop_vars=2, base_a=(2, 5), base_b=b, S=S)
+            got, want = self._decode_both(spec)
+            assert got == want and got, S
+
+    def test_only_matching_patterns_are_rebuilt(self, monkeypatch):
+        spec = mk_spec(rank=2, base_a=(2, 3), base_b=F(1, 3), S={1})
+        oracle = C.oracle_from_spec(spec)
+        xs, ys = R.base_action_polys(spec)
+        tried = []
+        trial = C._trial_spec
+        monkeypatch.setattr(C, "_trial_spec", lambda oracle, family, a, b, S, *rest: (
+            tried.append((family, S)) or trial(oracle, family, a, b, S, *rest)))
+        got = C._decode_base(oracle, xs, ys, (), None)
+        pruned = list(tried)
+        assert got == reference_decode_base(oracle, xs, ys, (), None)
+        counts = R.factor_counts("A", 2, {1})
+        assert pruned and all(R.factor_counts(f, 2, S) == counts for f, S in pruned)
+        assert len(pruned) < len(tried) - len(pruned)
+        # a y_1.1 of the wrong H-degree (its value at H = 0 kept, so b still
+        # decodes) matches no pattern, whatever the x_i.1 say
+        tried.clear()
+        ys = [ys[0] * (Poly.H(2, 0, 1) + 1)] + ys[1:]
+        assert C._decode_base(oracle, xs, ys, (), None) == [] == tried
+        assert reference_decode_base(oracle, xs, ys, (), None) == [] != tried
 
 
 class TestDefectDetection:

@@ -107,6 +107,38 @@ class TestBaseActionC:
         assert bracket_compat_check(spec, samples=6, seed=1).passed
 
 
+class TestFactorLists:
+    @staticmethod
+    def _specs():
+        for l in (1, 2, 3, 4):
+            for k in range(l + 2):
+                for S in itertools.combinations(range(1, l + 2), k):
+                    yield "A", l, S, mk_spec(rank=l, base_b=Fraction(1, 3), S=S)
+        for l in (2, 3, 4):
+            for k in range(l + 1):
+                for S in itertools.combinations(range(1, l + 1), k):
+                    yield "C", l, S, mk_spec(family="C", rank=l, S=S)
+
+    def test_counts_are_the_list_lengths(self):
+        for family, l, S, spec in self._specs():
+            xs_f, ys_f = R.base_action_factor_lists(spec)
+            want = (tuple(map(len, xs_f)), tuple(map(len, ys_f)))
+            assert R.factor_counts(family, l, S) == want, (family, l, S)
+
+    def test_counts_are_the_h_degrees(self):
+        # each factor is affine in H with a nonzero H part
+        for family, l, S, spec in self._specs():
+            xs, ys = R.base_action_polys(spec)
+            degrees = tuple(tuple(p.total_degree() for p in side) for side in (xs, ys))
+            assert R.factor_counts(family, l, S) == degrees, (family, l, S)
+
+    def test_lists_are_shared_immutable_tuples(self):
+        spec = mk_spec(rank=2, base_b=1, S={1})
+        lists = R.base_action_factor_lists(spec)
+        assert R.base_action_factor_lists(mk_spec(rank=2, base_b=1, S={1})) is lists
+        assert all(isinstance(fs, tuple) for side in lists for fs in (side, *side))
+
+
 class TestToroidal:
     def test_cartan_loop_action(self, sl2_toroidal):
         H, d = Poly.H(1, 1, 1), Poly.d(1, 1, 1)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from conftest import RescalingEchelon, mat_comm, mat_is_zero, mat_sub, mk_spec
 from torofree import classify as C, liealg as L, repmods as R
 from torofree.errors import ClassificationError, DomainError
-from torofree.polyalg import Poly, unpack_exponent
+from torofree.polyalg import MAX_EXPONENT, Poly, unpack_exponent
 from torofree.repmods import Generator
 from torofree.verify import random_poly
 
@@ -258,9 +258,9 @@ class TestPrincipalReference:
                         if C._h_only(key)}
                 assert got == want, (spec.algebra, spec.S, fs)
 
-    def test_dead_classes_make_no_chain_check(self, monkeypatch):
-        # at M(l = 2, b = 5/7, S = {}) every class has a row that absorbs no
-        # floor, so no chain is checked; checking every start made 405 calls
+    def test_only_pairs_of_constants_are_checked(self, monkeypatch):
+        # at M(l = 2, b = 5/7, S = {}) only chains from one row constant to
+        # another are checked; checking every start made 405 calls
         calls = []
         holds = C._chain_holds
         monkeypatch.setattr(C, "_chain_holds", lambda *args: calls.append(args) or holds(*args))
@@ -268,7 +268,12 @@ class TestPrincipalReference:
         assert C.principal_witness_search(spec, 6) is None
         assert reference_principal_search(spec, 6) is None
         assert len(calls) < 40
-        # a live class is still scanned in order: the l = 1 edge witness
+        # the pairs do not depend on maxdeg
+        at_6 = len(calls)
+        calls.clear()
+        assert C.principal_witness_search(spec, 10**6) is None
+        assert len(calls) <= at_6
+        # chains are still tried in order: the l = 1 edge witness
         spec = mk_spec(rank=1, base_b=1, S={1, 2})
         assert C.principal_witness_search(spec, 4) == reference_principal_search(spec, 4) \
             == Poly.parse("H1^3 - H1", 1, 0)
@@ -276,45 +281,58 @@ class TestPrincipalReference:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        rows=st.lists(
+        pairs=st.lists(
             st.tuples(
                 st.dictionaries(st.sampled_from([F(k, 2) for k in range(-6, 7)]),
                                 st.integers(1, 2), max_size=6),
-                st.sampled_from([F(k, 2) for k in range(-6, 7)]),
+                st.dictionaries(st.sampled_from([F(k, 2) for k in range(-6, 7)]),
+                                st.integers(1, 2), max_size=6),
+                st.sampled_from([F(k, 2) for k in range(-6, 7) if k]),
             ),
-            max_size=4,
+            min_size=1, max_size=3,
         ),
         start=st.sampled_from([F(k, 2) for k in range(-8, 9)]),
         length=st.integers(1, 8),
         mult=st.integers(1, 2),
     )
-    def test_boundary_check_matches_multiset_check(self, rows, start, length, mult):
+    def test_boundary_check_matches_multiset_check(self, pairs, start, length, mult):
         # absorbers clustered on a half-integer grid, so chains often pass
-        r, k = C._split(start)
-        checks = [(d_int, classes.get(r, {}))
-                  for d_int, classes in (C._shift_row(d, a) for a, d in rows if d)]
+        rows = paired_rows(pairs)
         chain = {start + t: mult for t in range(length)}
-        assert C._chain_holds(k, length, mult, checks) == multiset_check(chain, rows)
+        assert C._chain_holds(start, length, mult, chain_rows(rows)) == multiset_check(chain, rows)
 
     @settings(max_examples=300, deadline=None)
     @given(
-        consts=st.sets(st.sampled_from([F(k, 3) for k in range(-9, 10)]), min_size=1, max_size=4),
-        rows=st.lists(
+        pairs=st.lists(
             st.tuples(
                 st.dictionaries(st.sampled_from([F(k, 3) for k in range(-9, 10)]),
-                                st.integers(1, 2), max_size=12),
+                                st.integers(1, 2), max_size=8),
+                st.dictionaries(st.sampled_from([F(k, 3) for k in range(-9, 10)]),
+                                st.integers(1, 2), max_size=8),
                 st.sampled_from([F(k, 3) for k in range(-6, 7) if k]),
             ),
-            min_size=1, max_size=3,
+            min_size=1, max_size=2,
         ),
         maxdeg=st.integers(1, 6),
     )
-    def test_first_chain_matches_the_scan_by_value(self, consts, rows, maxdeg):
+    def test_first_chain_matches_the_scan_by_value(self, pairs, maxdeg):
         # constants in up to three residue classes, so chains of two classes
-        # can start on one floor and the class order decides between them
-        checks = [C._shift_row(d, a) for a, d in rows]
+        # can start on one floor and the value order decides between them
+        rows = paired_rows(pairs)
+        consts = {c for absorbers, _ in rows for c in absorbers}
         want = reference_first_chain(consts, rows, maxdeg)
-        assert C._first_chain(consts, checks, maxdeg) == want
+        assert C._first_chain(chain_rows(rows), maxdeg) == want
+
+
+def paired_rows(pairs):
+    """(absorbers, d) rows of the search's contract: each delta_i != 0 gives
+    an x_i row shifting by -delta_i and a y_i row shifting by +delta_i."""
+    return [row for x, y, delta in pairs for row in ((x, -delta), (y, delta))]
+
+
+def chain_rows(rows):
+    """The (d, absorbers) rows of _chain_holds, d an int or None when fractional."""
+    return [(int(d) if d.denominator == 1 else None, absorbers) for absorbers, d in rows]
 
 
 class TestWitnessVerify:
@@ -444,6 +462,11 @@ class TestCombinedSearch:
             C.submodule_witness_search(spec, -1)
         with pytest.raises(DomainError):
             C.submodule_witness_search(spec, 4, dim_bound=-3)
+        # a longer l = 1 witness could not be parsed back
+        with pytest.raises(DomainError):
+            C.submodule_witness_search(spec, MAX_EXPONENT + 1)
+        report = C.submodule_witness_search(mk_spec(rank=1, base_b=1, S={1, 2}), MAX_EXPONENT)
+        assert report.found and report.checked_degree_bound == MAX_EXPONENT
 
     def test_c_family_claims_no_quotient_scan(self):
         spec = mk_spec(family="C", rank=3, loop_vars=1, variant="toroidal", lam=(2,),
@@ -571,6 +594,16 @@ class TestQuotientWeightFilter:
                     reports.append(
                         C.submodule_witness_search(spec, maxdeg, window, dim_bound).to_dict())
         assert sum(r["quotient_cert"] is not None for r in reports) == 40
+        # a principal witness ends the search before the quotient scan runs
+        principal = [r for r in reports if r["notes"] == "principal invariant ideal"]
+        assert principal and all(r["checked_dim_bound"] == 0 for r in principal)
+        blob = json.dumps(reports, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == \
+            "3dc4a8bee4e309f5b92de8a61a0748020e2829c1adf42250d6e2b8c7c10ac030"
+        # frozen while those reports carried the quotient bound (10 is the
+        # default at maxdeg 6 for l <= 3): nothing else moved
+        for r in principal:
+            r["checked_dim_bound"] = 10 if r["checked_degree_bound"] == 6 else 40
         blob = json.dumps(reports, sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest() == \
             "dbf7df50825e0e983e959833d6e50c704be26bdbd75d82f5feb0b4fc36b8043c"
@@ -587,12 +620,61 @@ class TestQuotientWeightFilter:
         # a row with no factor has no zero
         assert C._common_zeros([[H1], []], 2) == set()
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_common_zeros_match_a_nullspace_solve(self, data):
+        # coefficients in {0, +-1, 2, 1/2} make singular and inconsistent
+        # systems common; an occasional factor times H_k is not affine
+        l = data.draw(st.integers(1, 3))
+        coeff = st.sampled_from([F(0), F(0), F(1), F(-1), F(2), F(1, 2)])
+        const = st.sampled_from([F(k, 2) for k in range(-6, 7)])
+        lists = []
+        for _ in range(l):
+            factors = []
+            for _ in range(data.draw(st.integers(0, 3))):
+                f = Poly.const(l, 0, data.draw(const))
+                for k in range(l):
+                    f = f + Poly.H(l, 0, k + 1).scale(data.draw(coeff))
+                if data.draw(st.integers(0, 9)) == 0:
+                    f = f * Poly.H(l, 0, data.draw(st.integers(1, l)))
+                factors.append(f)
+            lists.append(factors)
+        assert C._common_zeros(lists, l) == reference_common_zeros(lists, l)
+
     def test_a_side_without_zeros_builds_no_irrep(self, monkeypatch):
         # S = {1}: x_1.1 is a nonzero constant, so no irrep carries a kernel vector
         built = []
         monkeypatch.setattr(C, "irrep_A", lambda *args: built.append(args))
         assert C.quotient_certificate_search(mk_spec(rank=2, base_b=F(1, 3), S={1}), 64) is None
         assert built == []
+
+
+def reference_common_zeros(factor_lists, l):
+    """_common_zeros by a nullspace solve: the zeros of the factors chosen
+    one per list are the kernel vectors (h, 1) of their coefficient rows."""
+    coeffs = {}
+    for f in itertools.chain(*factor_lists):
+        c = [f.coeff(unit_exp(l, f.n, k)) for k in range(l)] + [f.constant_term()]
+        affine = Poly.const(l, f.n, c[l])
+        for k in range(l):
+            affine = affine + Poly.H(l, f.n, k + 1).scale(c[k])
+        if f != affine:
+            return None
+        coeffs[f] = c
+    keys = set()
+    for system in itertools.product(*factor_lists):
+        rows = [{k: c for k, c in enumerate(coeffs[f]) if c} for f in system]
+        basis = C.nullspace(rows, l + 1)
+        if all(v[l] == 0 for v in basis):
+            continue  # no solution
+        if len(basis) > 1:
+            return None  # a consistent system with more than one solution
+        w = [(l + 1) * x / basis[0][l] for x in basis[0][:l]]
+        if all(x.denominator == 1 for x in w):
+            key = C._weight_key([int(x) for x in w])
+            if key is not None:
+                keys.add(key)
+    return keys
 
 
 def reference_cyclicity(spec, w, max_word_len):

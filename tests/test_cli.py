@@ -254,7 +254,7 @@ class TestWitnessAndRecover:
         }
         path = specfile(sl3_edge)
         for flags in (["--maxdeg", "-1"], ["--dim-bound", "-3"],
-                      ["--maxdeg", "-1", "--dim-bound", "-3"]):
+                      ["--maxdeg", "-1", "--dim-bound", "-3"], ["--maxdeg", "1001"]):
             code, out = run(capsys, ["witness", "--spec", path, *flags])
             assert code == 2 and out == ""
         code, out = run(capsys, ["witness", "--spec", path, "--maxdeg", "4"])

@@ -62,13 +62,15 @@ Keys are unpacked to exponent tuples (``unpack_exponent``, once per key) and
 ``Fraction``s made only at the edges: by ``terms`` (a read-only view
 exponent tuple -> Fraction that packs the tuple it is asked for and makes
 each coefficient as it is read), ``sorted_terms`` and iteration, ``coeff``,
-``constant_term``, ``leading``, ``as_scalar``, ``eval`` and ``text``, by
-``total_degree`` and the graded-lex order, and where the public constructor,
-``const``, ``scale`` or ``==`` coerce a scalar argument.
+``constant_term``, ``leading``, ``as_scalar`` and ``eval``, by
+``total_degree``, ``text`` and the graded-lex order, and where the public
+constructor, ``const``, ``scale`` or ``==`` coerce a scalar argument.
 
 The serialized text form is a sum of terms in graded-lex order (total degree
 descending, then lexicographic on the exponent tuple with H_1 largest),
-e.g. ``3/2*H1^2*d1 - d2 + 5``.
+e.g. ``3/2*H1^2*d1 - d2 + 5``; ``text`` writes each coefficient from its
+numerator and ``den`` over their gcd, as ``str(Fraction)`` would.  A
+``Poly`` hashes by value, once: the hash is kept in a slot on first use.
 """
 
 from __future__ import annotations
@@ -236,7 +238,9 @@ class Poly:
     integer numerators of packed monomial keys over one denominator (see the
     module docstring)."""
 
-    __slots__ = ("l", "n", "den", "nums")
+    # ``_hash`` stays unset until the first __hash__, so making a Poly costs
+    # nothing for it
+    __slots__ = ("l", "n", "den", "nums", "_hash")
 
     def __init__(self, l: int, n: int, terms: dict[Exponent, Rat] | None = None):
         _set(self, "l", l)
@@ -255,6 +259,10 @@ class Poly:
 
     def __setattr__(self, *_):
         raise AttributeError("Poly is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild the integer form through _raw, without the hash
+        return Poly._raw, (self.l, self.n, self.den, dict(self.nums))
 
     @staticmethod
     def _raw(l: int, n: int, den: int, nums: dict[int, int]) -> "Poly":
@@ -331,7 +339,13 @@ class Poly:
                 and self.nums == other.nums)
 
     def __hash__(self):
-        return hash((self.l, self.n, self.den, frozenset(self.nums.items())))
+        # computed on first use and kept: a value is hashed by every memo lookup
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.l, self.n, self.den, frozenset(self.nums.items())))
+            _set(self, "_hash", h)
+            return h
 
     def _check_ranks(self, other: "Poly"):
         if (self.l, self.n) != (other.l, other.n):
@@ -363,8 +377,13 @@ class Poly:
 
     def _merge(self, other, op) -> "Poly":
         """self + other or self - other (``op`` is add or sub) in one pass,
-        over the lcm of the two denominators."""
+        over the lcm of the two denominators; p + 0, p - 0 and 0 + p return
+        p itself."""
         other = self._coerce(other)
+        if not other.nums:
+            return self
+        if not self.nums and op is add:
+            return other
         g = gcd(self.den, other.den)
         m_a, m_b = other.den // g, self.den // g
         out = {e: v * m_a for e, v in self.nums.items()} if m_a != 1 else dict(self.nums)
@@ -433,8 +452,12 @@ class Poly:
     def _unpacked(self) -> list[tuple[Exponent, int]]:
         """(exponent tuple, numerator) pairs in graded-lex order, leading first."""
         width = self.l + self.n
-        return sorted(((unpack_exponent(k, width), v) for k, v in self.nums.items()),
-                      key=lambda term: _order_key(term[0]), reverse=True)
+        graded = []
+        for key, v in self.nums.items():
+            exp = unpack_exponent(key, width)
+            graded.append((sum(exp), exp, v))
+        graded.sort(reverse=True)  # the exponents differ, so no numerator is compared
+        return [(exp, v) for _, exp, v in graded]
 
     def sorted_terms(self) -> list[tuple[Exponent, Rat]]:
         den = self.den
@@ -512,20 +535,13 @@ class Poly:
         if not self.nums:
             return "0"
         den = self.den
+        names = _var_names(self.l, self.n)
         chunks: list[str] = []
         for exp, v in self._unpacked():
-            factors = []
-            for pos, e in enumerate(exp):
-                if e == 0:
-                    continue
-                if pos < self.l:
-                    name = f"H{pos + 1}"
-                else:
-                    name = f"d{pos - self.l + 1}"
-                factors.append(name if e == 1 else f"{name}^{e}")
+            factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exp) if e]
             mag = abs(v)
             body = "*".join(factors if mag == den and factors
-                            else [_rat_text(Fraction(mag, den))] + factors)
+                            else [_rat_text(mag, den)] + factors)
             if not chunks:
                 chunks.append(body if v > 0 else "-" + body)
             else:
@@ -590,10 +606,20 @@ class Poly:
         return result
 
 
-def _rat_text(x: Rat) -> str:
-    """str(x), or a DomainError when x has more digits than Python prints."""
+@lru_cache(maxsize=64)
+def _var_names(l: int, n: int) -> tuple[str, ...]:
+    """The names of the variables of ranks (l, n), in exponent-slot order."""
+    return tuple([f"H{i}" for i in range(1, l + 1)] + [f"d{j}" for j in range(1, n + 1)])
+
+
+def _rat_text(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0, from the integers, or a
+    DomainError when it has more digits than Python prints."""
+    g = gcd(num, den)
+    if g != 1:
+        num, den = num // g, den // g
     try:
-        return str(x)
+        return str(num) if den == 1 else f"{num}/{den}"
     except ValueError as exc:
         raise DomainError(
             f"coefficient exceeds the {sys.get_int_max_str_digits()}-digit limit"

@@ -29,7 +29,8 @@ over den(f) * den(g), rather than as two compositions and a difference.  Two
 equal operators act equally on every polynomial, which is what lets
 ``verify`` prove an identity once instead of sampling it.  A black-box
 action (any callable other than ``act``) has no operator form;
-``act_element`` evaluates its generator words directly.
+``act_element`` evaluates its generator words directly, each resolved to
+Generators once per (algebra, basis symbol).
 
 The C-family x_l / y_l polynomials below are the bracket-compatible reading
 of an ambiguously grouped source; ``c_family_formula_notes`` renders the
@@ -68,7 +69,8 @@ _GEN_RE = re.compile(r"^(x|y|h|K|D|d)(\d+)\s*(?:\(\s*(-?\d+(?:\s*,\s*-?\d+)*)?\s
 class Generator(Frozen):
     """A graded generator symbol: kind in {x, y, h, K, D}, 1-based index, degree r."""
 
-    __slots__ = _fields = ("kind", "index", "r")
+    __slots__ = ("kind", "index", "r", "_hash")
+    _fields = __slots__[:-1]
     kind: str
     index: int
     r: tuple[int, ...]
@@ -79,6 +81,10 @@ class Generator(Frozen):
         _set(self, "kind", kind)
         _set(self, "index", index)
         _set(self, "r", tuple(int(x) for x in r))
+        _set(self, "_hash", None)
+
+    # the operator caches and the black-box memo hash a generator on every call
+    __hash__ = Frozen._cached_hash
 
     def text(self) -> str:
         deg = "(" + ",".join(str(x) for x in self.r) + ")" if self.r else ""
@@ -506,20 +512,32 @@ def act_element(spec: ModuleSpec, X: LieElt, p: Poly, action: ActionFn = act) ->
     if X.desc != spec.algebra:
         raise StructureError("element belongs to a different algebra")
 
-    def letter(g):
-        return lambda q: action(spec, g, q)
+    def evaluate(word, q):
+        if word.__class__ is Generator:
+            return action(spec, word, q)
+        left, right = word
+        return evaluate(left, evaluate(right, q)) - evaluate(right, evaluate(left, q))
 
-    def commutator(A, B):
-        return lambda q: A(B(q)) - B(A(q))
+    out = None
+    for sym, c in X.terms.items():
+        word, scalar = _symbol_word(X.desc, sym)
+        term = evaluate(word, p).scale(c / scalar)
+        out = term if out is None else out + term
+    return Poly.zero(*spec.ranks) if out is None else out
 
-    out = Poly.zero(*spec.ranks)
-    for (kind, idx, r), c in X.terms.items():
-        if kind in ("K", "D"):
-            out = out + action(spec, Generator(kind, idx, r), p).scale(c)
-            continue
-        word, scalar = spec.algebra.fin.generator_word(idx)
-        out = out + _fold_word(word, r, letter, commutator)(p).scale(c / scalar)
-    return out
+
+@lru_cache(maxsize=1024)
+def _symbol_word(desc: AlgebraDesc, sym: tuple) -> tuple:
+    """(word, scalar) with the basis symbol ``sym`` equal to word / scalar: a
+    central or derivation symbol is its own Generator, a root vector its
+    ``generator_word`` as nested (left, right) commutator pairs of
+    Generators.  Made once per (desc, symbol), so a black-box element builds
+    no Generator per evaluation."""
+    kind, idx, r = sym
+    if kind in ("K", "D"):
+        return Generator(kind, idx, r), Fraction(1)
+    word, scalar = desc.fin.generator_word(idx)
+    return _fold_word(word, r, lambda g: g, lambda a, b: (a, b)), scalar
 
 
 def act_word(spec: ModuleSpec, word: Iterable[Generator], p: Poly) -> Poly:

@@ -21,6 +21,8 @@ from . import liealg, repmods
 from .errors import DomainError, StructureError
 from .liealg import AlgebraDesc, LieElt, basis_of, bracket, degree_box, window_degrees
 from .polyalg import (
+    MAX_SLOT_EXPONENT,
+    SLOT_BITS,
     Poly,
     ShiftOperator,
     VarId,
@@ -67,6 +69,9 @@ class CheckReport:
         }
 
 
+_COEFFS = tuple(c for c in range(-9, 10) if c)  # random_poly's coefficients
+
+
 def random_poly(
     rng: random.Random,
     l: int,
@@ -74,17 +79,23 @@ def random_poly(
     max_total_deg: int = 4,
     max_terms: int = 6,
 ) -> Poly:
-    """A random sparse polynomial: <= max_terms terms, coefficients in -9..9 \\ {0}."""
-    terms: dict[tuple[int, ...], int] = {}
-    width = l + n
+    """A random sparse polynomial: <= max_terms terms, coefficients in -9..9 \\ {0}.
+
+    Each unit of a term's degree adds one to the packed key slot of a random
+    variable, so the integer form is built directly; a zero polynomial is
+    replaced by 1."""
+    if max_total_deg > MAX_SLOT_EXPONENT:
+        raise DomainError(f"max_total_deg above the exponent limit {MAX_SLOT_EXPONENT}")
+    units = [1 << SLOT_BITS * pos for pos in range(l + n)]
+    width = len(units)
+    nums: dict[int, int] = {}
     for _ in range(rng.randint(1, max_terms)):
-        exp = [0] * width
+        key = 0
         for _ in range(rng.randint(0, max_total_deg)):
-            exp[rng.randrange(width)] += 1
-        coeff = rng.choice([c for c in range(-9, 10) if c])
-        terms[tuple(exp)] = terms.get(tuple(exp), 0) + coeff
-    p = Poly(l, n, terms)
-    return p if p else Poly.const(l, n, 1)
+            key += units[rng.randrange(width)]
+        nums[key] = nums.get(key, 0) + rng.choice(_COEFFS)
+    nums = {k: c for k, c in nums.items() if c}
+    return Poly._raw(l, n, 1, nums) if nums else Poly.const(l, n, 1)
 
 
 def _check_samples(samples: int) -> None:
@@ -109,7 +120,8 @@ def _check_samples(samples: int) -> None:
 # no sample exposes it, one more failure names the identity and the
 # operator difference, so a false identity never passes.  Any other
 # ``action`` is a black box and is only sampled; bracket_compat evaluates it
-# through a ``_Memo``, once per (generator, input value).
+# through a ``_Memo``, once per (generator, input value), and compares each
+# case before it builds any difference.
 
 
 def _record_unexposed(report: CheckReport, failures_before: int, gap: ShiftOperator,
@@ -185,21 +197,28 @@ def bracket_compat_check(
                 report.cases_run += samples
                 continue
             gap = lhs_op - rhs_op
-        pair = f"[{g1.text()}, {g2.text()}]"
         failures_before = len(report.failures)
         for p in polys:
             lhs = repmods.act_element(spec, elt, p, action)
-            rhs = action(spec, g1, action(spec, g2, p)) - action(spec, g2, action(spec, g1, p))
-            diff = lhs - rhs
-            report.record_lazily(
-                diff.is_zero(),
-                lambda: dict(generator_pair=pair, input=p, lhs=lhs, rhs=rhs, difference=diff),
-            )
+            xy = action(spec, g1, action(spec, g2, p))
+            yx = action(spec, g2, action(spec, g1, p))
+            # lhs = xy - yx tested as lhs + yx = xy, which adds nothing when
+            # the bracket is zero; the failure fields are built only on failure
+            report.record_lazily(lhs + yx == xy, lambda: _compat_failure(g1, g2, p, lhs, xy - yx))
         if white_box:
-            _record_unexposed(report, failures_before, gap, "generator_pair", pair)
+            _record_unexposed(report, failures_before, gap, "generator_pair", _pair_text(g1, g2))
         else:
             action.forget_rest()
     return report
+
+
+def _pair_text(g1: Generator, g2: Generator) -> str:
+    return f"[{g1.text()}, {g2.text()}]"
+
+
+def _compat_failure(g1: Generator, g2: Generator, p: Poly, lhs: Poly, rhs: Poly) -> dict:
+    return dict(generator_pair=_pair_text(g1, g2), input=p, lhs=lhs, rhs=rhs,
+                difference=lhs - rhs)
 
 
 def central_identity_check(

@@ -468,6 +468,18 @@ class TestCombinedSearch:
         report = C.submodule_witness_search(mk_spec(rank=1, base_b=1, S={1, 2}), MAX_EXPONENT)
         assert report.found and report.checked_degree_bound == MAX_EXPONENT
 
+    def test_dim_bound_above_the_ceiling_rejected_before_any_search(self, monkeypatch):
+        spec = mk_spec(rank=1, base_b=-3, S={1, 2})
+        searched = []
+        monkeypatch.setattr(C, "principal_witness_search", lambda *a: searched.append(a))
+        with pytest.raises(DomainError, match=str(C.MAX_DIM_BOUND)):
+            C.submodule_witness_search(spec, 4, dim_bound=C.MAX_DIM_BOUND + 1)
+        assert not searched
+        monkeypatch.undo()
+        # the ceiling itself is accepted (a rank-3 simple point scans it quickly)
+        report = C.submodule_witness_search(mk_spec(rank=3, base_b=1), 0, dim_bound=C.MAX_DIM_BOUND)
+        assert not report.found and report.checked_dim_bound == C.MAX_DIM_BOUND
+
     def test_c_family_claims_no_quotient_scan(self):
         spec = mk_spec(family="C", rank=3, loop_vars=1, variant="toroidal", lam=(2,),
                        base_a=(1, 1, 1), S={1})

@@ -248,17 +248,27 @@ class TestWitnessAndRecover:
         assert report["witness"] == "H1^3 - H1"
 
     def test_witness_negative_bounds_exit_2(self, specfile, capsys):
+        from torofree.classify import MAX_DIM_BOUND
+
         sl3_edge = {
             "algebra": {"family": "A", "rank": 2, "loop_vars": 0, "variant": "finite"},
             "base_a": ["1", "1"], "base_b": "1/3", "S": [1, 2, 3],
         }
         path = specfile(sl3_edge)
         for flags in (["--maxdeg", "-1"], ["--dim-bound", "-3"],
-                      ["--maxdeg", "-1", "--dim-bound", "-3"], ["--maxdeg", "1001"]):
+                      ["--maxdeg", "-1", "--dim-bound", "-3"], ["--maxdeg", "1001"],
+                      ["--dim-bound", str(MAX_DIM_BOUND + 1)]):
             code, out = run(capsys, ["witness", "--spec", path, *flags])
             assert code == 2 and out == ""
         code, out = run(capsys, ["witness", "--spec", path, "--maxdeg", "4"])
         assert code == 0 and json.loads(out)["report"]["found"]
+
+    def test_witness_help_states_the_dim_bound_ceiling(self, capsys):
+        from torofree.classify import MAX_DIM_BOUND
+
+        with pytest.raises(SystemExit):
+            main(["witness", "--help"])
+        assert f"MAX_DIM_BOUND = {MAX_DIM_BOUND}" in " ".join(capsys.readouterr().out.split())
 
     def test_recover_round_trip(self, specfile, capsys):
         code, out = run(capsys, [

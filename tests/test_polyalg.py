@@ -422,6 +422,30 @@ class TestIntegerForm:
         if not q.is_zero():
             assert hash(try_divide(p * q, q)) == hash(p)
 
+    @given(tall_polys(), tall_polys(), tall_rationals())
+    @settings(max_examples=60, deadline=None)
+    def test_kept_hash_agrees_with_equality(self, p, q, c):
+        deltas = [1, -2, 0, 3]
+
+        def routes():
+            # new objects on every call (adding zero may return an operand
+            # itself), built from unhashed copies of p and q
+            P, Q = Poly(L, N, dict(p.terms)), Poly(L, N, dict(q.terms))
+            out = [P, (P + Q) - Q, (Q - P) - Q + P + P, P.shift(deltas).shift([-d for d in deltas])]
+            return out + [P.scale(c).scale(1 / c)] if c else out
+
+        hashed = routes()
+        members = set(hashed)  # the first hash of each
+        assert len(members) == 1
+        table = {hashed[0]: "p"}
+        fresh = routes()
+        assert all(r == p and not hasattr(r, "_hash") for r in fresh)
+        for r in fresh:
+            assert r in members and table[r] == "p"
+            assert r._hash == hash(r) == hash(p) == hash(hashed[0])
+        for other in (p + 1, q, p.scale(2), p.shift(deltas)):
+            assert (other in members) == (other == p) == (other in table)
+
     def test_zero_and_scalars(self):
         zero = H1 - H1
         assert (zero.den, zero.nums) == (1, {}) and zero == Poly.zero(L, N) == 0
@@ -676,6 +700,21 @@ class TestDegrees:
             == iterated_shift_difference("power_minus_id", k, i, p)
 
 
+def reference_text(p):
+    """The text form built term by term from Fraction coefficients, sorted by
+    (total degree, exponent tuple) descending."""
+    if p.is_zero():
+        return "0"
+    names = [f"H{i}" for i in range(1, p.l + 1)] + [f"d{j}" for j in range(1, p.n + 1)]
+    chunks = []
+    for exp, c in sorted(p.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True):
+        factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exp) if e]
+        body = "*".join(factors if abs(c) == 1 and factors else [str(abs(c))] + factors)
+        sign = ("" if c > 0 else "-") if not chunks else ("+ " if c > 0 else "- ")
+        chunks.append(sign + body)
+    return " ".join(chunks)
+
+
 class TestTextForm:
     def test_example_round_trip(self):
         text = "3/2*H1^2*d1 - d2 + 5"
@@ -695,6 +734,13 @@ class TestTextForm:
     @settings(max_examples=60, deadline=None)
     def test_round_trip(self, p):
         assert Poly.parse(p.text(), L, N) == p
+
+    @given(ranked_operands(), tall_rationals())
+    @settings(max_examples=80, deadline=None)
+    def test_text_matches_the_fraction_rendering(self, operands, c):
+        l, n, p, q, *_ = operands
+        for r in (p, p.scale(c) - q, p * q):
+            assert r.text() == reference_text(r)
 
     @given(polys())
     @settings(max_examples=30, deadline=None)

@@ -54,12 +54,25 @@ def test_self_comparison_reads_no_fields(a, b, monkeypatch):
     assert a == b and not (a != b) and hash(a) == hash(b) and reads
 
 
-# a ModuleSpec with a base_b Poly is left out: Poly itself does not pickle
-@pytest.mark.parametrize("value", [a for a, _ in _samples() if getattr(a, "base_b", None) is None],
-                         ids=lambda v: type(v).__name__)
+@pytest.mark.parametrize("value", [a for a, _ in _samples()], ids=lambda v: type(v).__name__ + (
+    "-with-base_b" if getattr(v, "base_b", None) is not None else ""))
 def test_copy_and_pickle_rebuild_an_equal_value(value):
     assert copy.copy(value) == value and copy.deepcopy(value) == value
     assert pickle.loads(pickle.dumps(value)) == value
+
+
+def test_poly_copies_and_pickles_without_its_cached_hash():
+    p = Poly.H(1, 1, 1).scale(F(10**20 + 3, 7)) - Poly.d(1, 1, 1) ** 2
+    h = hash(p)
+    for copied in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert copied is not p and copied == p and copied.nums is not p.nums
+        assert (copied.l, copied.n, copied.den, copied.nums) == (p.l, p.n, p.den, p.nums)
+        assert not hasattr(copied, "_hash") and hash(copied) == h
+    # a finite spec's b may be a polynomial in the d-variables
+    b = Poly.d(1, 1, 1).scale(F(10**20 + 3, 7)) - 1
+    spec = ModuleSpec(AlgebraDesc("A", 1, 1), base_a=[3], base_b=b, S=[1])
+    for copied in (copy.deepcopy(spec), pickle.loads(pickle.dumps(spec))):
+        assert copied == spec and copied.base_b == b and hash(copied) == hash(spec)
 
 
 def test_unequal_fields_and_other_types_compare_unequal():

@@ -555,3 +555,63 @@ class TestBlackBoxBracketCompat:
         # repeats act on deeper inputs of an earlier pair.  A memo keyed on
         # the input's id made 508 calls, and no memo 650
         assert len(calls) == 463
+
+    # black-box reports on C_2 full (window {0, 1}) and a Witt spec (window
+    # {0, 1}^2, D_1 corrupted off degree 0), frozen before each polynomial
+    # was hashed once and the check compared before subtracting
+    C2_FULL = mk_spec(family="C", rank=2, loop_vars=1, variant="full", cocycle=(1, F(-1, 2)),
+                      lam=(F(7, 3),), witt_a=F(-2, 5), base_a=(F(3, 2), F(-5)), S={2})
+    WITT = mk_spec(rank=0, loop_vars=2, variant="witt", lam=(F(3, 2), F(-2)), witt_a=F(1, 3))
+    FROZEN_MORE = {
+        ("C2-full center", 0):
+            (272, 56, "b2e32a39e286dfaa9a91da3696c8b00cf455d8ff2644fb98f28e49b9b25266e2"),
+        ("C2-full center", 1):
+            (272, 56, "75f1035bd96fd9687c66af69060206fb1ab6ba41f330979caaf41775ce16db0a"),
+        ("C2-full loop-scaling", 0):
+            (272, 32, "3bde6591130843aa1b0f79a23b9e426343de6544d1cf99ec0303f6583262d52f"),
+        ("C2-full loop-scaling", 1):
+            (272, 32, "e0d363f4053a48c700079018b0186971435af9135fdd4a5985f99a3402e8b776"),
+        ("witt D1", 0): (72, 36, "a2cc8e9c0cd3919cff62c7fbb8075bc07c6375517bac04830a9ab2299338bd94"),
+        ("witt D1", 1): (72, 36, "27350f4bf9e9383ff3e2397d601eed8f7cabb55b43d3df163dfcad2817d36c75"),
+        ("witt pass", 0): (72, 0, "769d5b059ccdef20f660585636bdf792f6f76c8187897405e61c29dba3fc5acf"),
+    }
+
+    @pytest.mark.parametrize("case,seed", list(FROZEN_MORE), ids=lambda v: str(v))
+    def test_c2_full_and_witt_reports_are_unchanged(self, case, seed):
+        if case.startswith("C2"):
+            bad = C.inject_defect(C.oracle_from_spec(self.C2_FULL), case.split()[1])
+            spec, window, action = self.C2_FULL, [(0,), (1,)], lambda s, g, p: bad.eval(g, p)
+        else:
+            spec, window = self.WITT, degree_box(2, 0, 1)
+            action = _corrupt(spec, {("D", 1)}) if case == "witt D1" else _walker
+        report = V.bracket_compat_check(spec, window, samples=2, seed=seed,
+                                        action=action).to_dict()
+        assert (report["cases_run"], len(report["failures"]), _digest(report)) \
+            == self.FROZEN_MORE[case, seed]
+
+
+def _constructor_random_poly(rng, l, n, max_total_deg=4, max_terms=6):
+    """random_poly as it was written with the validating constructor."""
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        exp = [0] * (l + n)
+        for _ in range(rng.randint(0, max_total_deg)):
+            exp[rng.randrange(l + n)] += 1
+        coeff = rng.choice([c for c in range(-9, 10) if c])
+        terms[tuple(exp)] = terms.get(tuple(exp), 0) + coeff
+    p = Poly(l, n, terms)
+    return p if p else Poly.const(l, n, 1)
+
+
+@pytest.mark.parametrize("ranks", [(1, 0), (2, 1), (3, 2)], ids=str)
+def test_random_poly_equals_the_constructor_built_polynomial(ranks):
+    for seed in range(200):
+        for degree, terms in ((4, 6), (6, 6), (2, 3)):
+            got_rng, want_rng = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                got = V.random_poly(got_rng, *ranks, degree, terms)
+                want = _constructor_random_poly(want_rng, *ranks, degree, terms)
+                assert (got.l, got.n, got.den, got.nums) == (want.l, want.n, want.den, want.nums)
+                assert got.text() == want.text() and list(got.nums) == list(want.nums)
+            # the same draws, so the generators end in the same state
+            assert got_rng.getstate() == want_rng.getstate()

@@ -8,9 +8,9 @@ Usage: python scripts/recovery_demo.py
 import json
 from fractions import Fraction
 
-from torofree import classify
+from torofree import recovery
+from torofree.algebras import AlgebraDesc, degree_box
 from torofree.errors import ClassificationError
-from torofree.liealg import AlgebraDesc, degree_box
 from torofree.polyalg import Poly
 from torofree.repmods import ModuleSpec, spec_to_json
 
@@ -30,12 +30,12 @@ def main() -> None:
     print("constructed spec:")
     print(json.dumps(spec_to_json(spec), indent=2, sort_keys=True))
 
-    oracle = classify.oracle_from_spec(spec)
-    rec = classify.recover_parameters(oracle, window)
+    oracle = recovery.oracle_from_spec(spec)
+    rec = recovery.recover_parameters(oracle, window)
     print("\nrecovered from the black-box action:")
     print(json.dumps(rec.to_dict(), indent=2, sort_keys=True))
 
-    rebuilt = classify.build_spec_from_recovery(rec, oracle)
+    rebuilt = recovery.build_spec_from_recovery(rec, oracle)
     # the cocycle coefficients are not recoverable: the center acts by zero,
     # so the module determines every field except algebra.cocycle
     fields = lambda s: (s.lam, s.witt_a, s.base_a, s.base_b, s.S)
@@ -43,9 +43,9 @@ def main() -> None:
 
     print("\ninjecting defects:")
     for defect in ("center", "loop-scaling", "lambda-mismatch"):
-        bad = classify.inject_defect(oracle, defect)
+        bad = recovery.inject_defect(oracle, defect)
         try:
-            classify.recover_parameters(bad, window)
+            recovery.recover_parameters(bad, window)
             print(f"  {defect}: NOT DETECTED (bug!)")
         except ClassificationError as exc:
             print(f"  {defect}: rejected, violated = {exc.violated}")

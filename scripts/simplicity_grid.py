@@ -16,11 +16,11 @@ import sys
 import time
 from fractions import Fraction
 
-from torofree import classify
-from torofree.liealg import AlgebraDesc, degree_box
+from torofree import search
+from torofree.algebras import AlgebraDesc, degree_box
+from torofree.checks import random_poly
 from torofree.polyalg import Poly
-from torofree.repmods import ModuleSpec
-from torofree.verify import random_poly
+from torofree.repmods import ModuleSpec, simplicity_predict
 
 WINDOW = degree_box(1, -2, 2)
 
@@ -51,9 +51,9 @@ def main() -> int:
             maxdeg = int(2 * (l + 1) * b) + 2
             for S in subsets:
                 spec = grid_point(l, b, S)
-                simple = classify.simplicity_predict(spec)
+                simple = simplicity_predict(spec)
                 t0 = time.time()
-                rep = classify.submodule_witness_search(spec, maxdeg, WINDOW)
+                rep = search.submodule_witness_search(spec, maxdeg, WINDOW)
                 if rep.witness is not None:
                     what = f"witness {rep.witness.text()}"
                 elif rep.quotient_cert is not None:
@@ -67,7 +67,7 @@ def main() -> int:
                     for s in range(args.seeds):
                         w = random_poly(random.Random(1000 * l + s), l, 1,
                                         max_total_deg=2, max_terms=3)
-                        oks.append(classify.cyclicity_check(spec, w, 12))
+                        oks.append(search.cyclicity_check(spec, w, 12))
                     cyc = "yes" if all(oks) else "FAILED"
                 agree = simple == (not rep.found) and (cyc != "FAILED")
                 if not agree:

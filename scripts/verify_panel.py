@@ -14,7 +14,7 @@ import sys
 import time
 from fractions import Fraction
 
-from torofree.liealg import AlgebraDesc, degree_box
+from torofree.algebras import AlgebraDesc, degree_box
 from torofree.polyalg import Poly
 from torofree.repmods import ModuleSpec, spec_to_json
 from torofree.verify import suite_for_spec

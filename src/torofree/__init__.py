@@ -2,8 +2,9 @@
 modules over finite-type (A_l, C_l), toroidal, Witt and full toroidal Lie
 algebras on the polynomial carrier Q[H_1..H_l, d_1..d_n].
 
-The public names below are imported from their submodules on first access,
-so ``import torofree`` (and each CLI command) loads only what it uses.
+The public names below are imported on first access from the submodule
+that defines each, so ``import torofree`` loads no submodule and a name
+loads only its own module and what that imports.
 """
 
 __version__ = "0.1.0"
@@ -12,21 +13,21 @@ __version__ = "0.1.0"
 _EXPORTS = {
     name: module
     for module, names in (
-        ("classify", (
-            "ActionOracle", "RecoveredParams", "WitnessReport", "cyclicity_check",
-            "iso_test", "oracle_from_spec", "recover_parameters", "simplicity_predict",
-            "submodule_witness_search", "witness_verify",
-        )),
+        ("algebras", ("AlgebraDesc",)),
         ("errors", ("ClassificationError", "DomainError", "StructureError")),
-        ("liealg", ("AlgebraDesc", "LieElt", "basis_of", "bracket")),
+        ("liealg", ("LieElt", "basis_of", "bracket")),
         ("polyalg", (
             "Poly", "ShiftOperator", "VarId", "deg_in", "shift_difference", "shift_sigma",
             "shift_tau",
         )),
+        ("recovery", ("ActionOracle", "RecoveredParams", "oracle_from_spec", "recover_parameters")),
         ("repmods", (
             "Generator", "ModuleSpec", "act", "act_element", "act_word", "base_action_polys",
-            "element_operator", "generator_operator", "spec_from_json", "spec_to_json",
+            "element_operator", "generator_operator", "iso_test", "simplicity_predict",
+            "spec_from_json", "spec_to_json",
         )),
+        ("search", ("WitnessReport", "cyclicity_check", "submodule_witness_search",
+                    "witness_verify")),
     )
     for name in names
 }

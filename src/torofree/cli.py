@@ -6,11 +6,19 @@ an indented human-readable rendering on stdout without changing the canonical
 bytes written to --out.  Exit status: 0 success/pass, 1 check failure,
 2 usage or validation error.
 
-Each command imports the torofree modules it runs, as its first statement:
-``act`` and ``formulas`` load no ``verify`` or ``classify``, and
-``verify`` and ``lemma-pa`` no ``classify``.  Only ``errors`` is imported at
-module level, because what a process imports first also sets where its heap
-lies and so its peak RSS.
+Each command imports the torofree modules it runs, as its first statement,
+and nothing else:
+
+* ``act``, ``formulas``, ``simplicity`` and ``iso`` load ``repmods`` and
+  what it imports (``algebras``, ``polyalg``, ``errors``), and no Lie
+  bracket (``liealg``), ``verify``, ``search`` or ``recovery``;
+* ``witness`` adds ``search``, and ``recover`` adds ``recovery`` and
+  ``checks``; neither loads ``liealg`` or ``verify``;
+* ``verify`` and ``lemma-pa`` load ``verify``, ``liealg`` and ``checks``,
+  and no ``search`` or ``recovery``.
+
+Only ``errors`` is imported at module level, because what a process imports
+first also sets where its heap lies and so its peak RSS.
 """
 
 from __future__ import annotations
@@ -19,10 +27,10 @@ import argparse
 import json
 import os
 import sys
-from typing import TYPE_CHECKING
 
 from .errors import ClassificationError, DomainError, StructureError
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without loading typing
 if TYPE_CHECKING:
     from .repmods import ModuleSpec
 
@@ -60,7 +68,7 @@ def _load_spec(path: str) -> ModuleSpec:
 def _parse_window(text: str, n: int) -> list[tuple[int, ...]]:
     """The box {lo..hi}^n of a 'lo:hi' window, refused unless it holds at
     most MAX_WINDOW_DEGREES loop degrees (counted before it is built)."""
-    from .liealg import degree_box
+    from .algebras import degree_box
 
     try:
         lo, hi = text.split(":")
@@ -148,11 +156,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simplicity(args) -> int:
-    from . import classify
-    from .repmods import spec_to_json
+    from .repmods import simplicity_rule, spec_to_json
 
     spec = _load_spec(args.spec)
-    simple, rule = classify.simplicity_rule(spec)
+    simple, rule = simplicity_rule(spec)
     _emit(
         {"command": "simplicity", "spec": spec_to_json(spec), "simple": simple, "rule": rule},
         args,
@@ -161,16 +168,14 @@ def cmd_simplicity(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    from . import classify
     from .repmods import spec_to_json
+    from .search import submodule_witness_search
 
     spec = _load_spec(args.spec)
     window = None
     if args.window:
         window = _parse_window(args.window, spec.algebra.loop_vars)
-    report = classify.submodule_witness_search(
-        spec, args.maxdeg, window, args.dim_bound
-    )
+    report = submodule_witness_search(spec, args.maxdeg, window, args.dim_bound)
     _emit(
         {"command": "witness", "spec": spec_to_json(spec), "report": report.to_dict()},
         args,
@@ -179,16 +184,16 @@ def cmd_witness(args) -> int:
 
 
 def cmd_recover(args) -> int:
-    from . import classify
+    from .recovery import oracle_from_spec, recover_parameters
     from .repmods import spec_to_json
 
     spec = _load_spec(args.spec)
-    oracle = classify.oracle_from_spec(spec)
+    oracle = oracle_from_spec(spec)
     window = None
     if args.window:
         window = _parse_window(args.window, spec.algebra.loop_vars)
     try:
-        rec = classify.recover_parameters(oracle, window, seed=args.seed)
+        rec = recover_parameters(oracle, window, seed=args.seed)
     except ClassificationError as exc:
         _emit(
             {
@@ -209,12 +214,11 @@ def cmd_recover(args) -> int:
 
 
 def cmd_iso(args) -> int:
-    from . import classify
-    from .repmods import spec_to_json
+    from .repmods import iso_test, spec_to_json
 
     s1 = _load_spec(args.spec)
     s2 = _load_spec(args.spec2)
-    result = classify.iso_test(s1, s2)
+    result = iso_test(s1, s2)
     _emit(
         {
             "command": "iso",
@@ -286,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--maxdeg", type=int, default=6)
     p.add_argument("--window", help="loop-degree window 'lo:hi'")
     p.add_argument("--dim-bound", type=int, default=None, dest="dim_bound",
-                   help="largest irrep dimension the quotient scan tries, 0..classify."
+                   help="largest irrep dimension the quotient scan tries, 0..search."
                         "MAX_DIM_BOUND = 500 (default: grows with --maxdeg)")
     p.set_defaults(fn=cmd_witness)
 

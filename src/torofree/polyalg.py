@@ -40,7 +40,7 @@ lcm of their denominators, which leaves the form reduced.  Every other
 operation builds the integer form itself and wraps it with the private
 ``Poly._raw``, which stores it without checking, or ``Poly._reduced``, which
 first divides out gcd(den, numerators).  Both are only for maps built here
-(or in ``classify``) from valid keys and nonzero numerators.
+(or in ``search`` and ``checks``) from valid keys and nonzero numerators.
 
 One integer kernel does the arithmetic: ``_shift_nums`` is the only
 binomial-expansion loop (it expands only the slots with a nonzero delta, by
@@ -78,12 +78,11 @@ from __future__ import annotations
 import re
 import struct
 import sys
-from collections.abc import Mapping
+from collections.abc import Collection, Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb, gcd, lcm, prod
 from operator import add, or_, sub
-from typing import Collection, Iterator, Sequence
 
 from .errors import DomainError, Frozen, StructureError
 

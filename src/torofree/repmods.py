@@ -29,8 +29,14 @@ over den(f) * den(g), rather than as two compositions and a difference.  Two
 equal operators act equally on every polynomial, which is what lets
 ``verify`` prove an identity once instead of sampling it.  A black-box
 action (any callable other than ``act``) has no operator form;
-``act_element`` evaluates its generator words directly, each resolved to
-Generators once per (algebra, basis symbol).
+``act_element`` evaluates its generator words directly, each resolved once
+per (algebra, basis symbol) to the same Generator objects that
+``generators_for`` lists.
+
+The simplicity rule and the isomorphism test read only a spec and its
+x_i.1, y_i.1, so they are here too.  The Lie bracket (``liealg``) is loaded
+only by ``generator_bracket``, on first use: a spec, its action and its
+operators need just the algebra descriptor (``algebras``).
 
 The C-family x_l / y_l polynomials below are the bracket-compatible reading
 of an ambiguously grouped source; ``c_family_formula_notes`` renders the
@@ -42,15 +48,18 @@ from __future__ import annotations
 import math
 import re
 import sys
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import or_
-from typing import Callable, Iterable, Sequence
 
-from . import liealg
+from .algebras import AlgebraDesc
 from .errors import DomainError, Frozen, StructureError
-from .liealg import AlgebraDesc, LieElt
 from .polyalg import MAX_SLOT_EXPONENT, SLOT_BITS, Poly, ShiftOperator, VarId
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without loading typing
+if TYPE_CHECKING:
+    from .liealg import LieElt
 
 Rat = Fraction
 _set = object.__setattr__  # writes a field past Frozen's immutability guard
@@ -89,6 +98,17 @@ class Generator(Frozen):
     def text(self) -> str:
         deg = "(" + ",".join(str(x) for x in self.r) + ")" if self.r else ""
         return f"{self.kind}{self.index}{deg}"
+
+
+@lru_cache(maxsize=1 << 16)
+def _generator(kind: str, index: int, r: tuple[int, ...]) -> Generator:
+    """The one Generator of (kind, index, r) that generators_for and the
+    generator words share, so a memo keyed by generators finds them by
+    identity, without comparing fields.  The bound is far above the
+    generators of any window a check can finish, so a word cached elsewhere
+    keeps holding this cache's object; past it, equal generators still
+    compare equal, field by field."""
+    return Generator(kind, index, r)
 
 
 def _literal_int(text: str) -> int:
@@ -333,6 +353,86 @@ def _base(spec: ModuleSpec) -> tuple[list[Poly], list[Poly]]:
     return base_action_polys(spec)
 
 
+# -- simplicity rule and isomorphism ------------------------------------------
+
+
+def simplicity_rule(spec: ModuleSpec) -> tuple[bool, str]:
+    """(simple, reason) for the module, read off its parameters.
+
+    A-family rule: write FULL = {1..l+1}.  The module is non-simple iff S is
+    an edge pattern (empty or FULL) and the integrality test holds for the
+    pattern's effective parameter:
+
+        S = FULL : (l+1) * b        is a non-negative integer
+        S = {}   : (l+1) * (-b - 1) is a non-negative integer
+
+    The two patterns are exchanged by the diagram flip (for l = 1 the
+    modules M(a, b, FULL) and M(-a, -b-1, {}) are literally equal), which is
+    why a single unsigned reading of the integrality test cannot serve both;
+    the witness search (``search``) arbitrates every grid point
+    independently.  C-family modules are always simple.  A Witt-variant
+    module is simple iff witt_a != -1 (at witt_a = -1 the ideal generated by
+    the d-variables is invariant).  The toroidal/full variants inherit the
+    answer of the finite part: a base witness p works verbatim for the lift
+    because sigma/tau twists fix H-only polynomials up to the recorded
+    shifts.
+    """
+    alg = spec.algebra
+    if alg.variant == "witt":
+        simple = spec.witt_a != -1
+        return simple, "Witt module simple iff a != -1"
+    if alg.variant == "finite" and alg.loop_vars:
+        # x, y and h shift no d-variable and D_j multiplies by d_j, so every
+        # generator maps (d_1) into itself, whatever b in Q[d] is
+        return False, "finite variant with loop variables: (d1) is a proper invariant ideal"
+    if alg.family == "C":
+        return True, "C-family always simple"
+    b = spec.base_b.as_scalar()
+    if b is None:
+        raise DomainError("simplicity prediction requires a scalar b")
+    l = alg.rank
+    full = frozenset(range(1, l + 2))
+    if spec.S == full:
+        eff = (l + 1) * b
+        tag = "(l+1)*b"
+    elif not spec.S:
+        eff = (l + 1) * (-b - 1)
+        tag = "(l+1)*(-b-1)"
+    else:
+        return True, "mixed S: some generator acts invertibly"
+    if eff.denominator == 1 and eff >= 0:
+        return False, f"edge S with {tag} = {eff} a non-negative integer"
+    return True, f"edge S but {tag} = {eff} is not a non-negative integer"
+
+
+def simplicity_predict(spec: ModuleSpec) -> bool:
+    return simplicity_rule(spec)[0]
+
+
+def iso_test(s1: ModuleSpec, s2: ModuleSpec) -> bool:
+    """Isomorphism of two modules over the same algebra shape.
+
+    An isomorphism of rank-1 U(h)-free modules commutes with multiplication
+    by h, so it is multiplication by a unit of the carrier, a nonzero scalar.
+    Two modules are therefore isomorphic exactly when they act identically:
+    equal lambda, equal witt_a and equal x_i.1, y_i.1.  Different parameters can give the same action
+    (at l = 1, M(a, b, FULL) = M(-a, -b-1, {}), and b <-> -b-1 for mixed S).
+    """
+    a1, a2 = s1.algebra, s2.algebra
+    if (a1.family, a1.rank, a1.loop_vars, a1.variant) != (
+        a2.family,
+        a2.rank,
+        a2.loop_vars,
+        a2.variant,
+    ):
+        raise DomainError("isomorphism test requires matching algebra shapes")
+    return (
+        s1.lam == s2.lam
+        and s1.witt_a == s2.witt_a
+        and base_action_polys(s1) == base_action_polys(s2)
+    )
+
+
 def c_family_formula_notes(l: int) -> str:
     """Render the resolved C_l action polynomials (audit trail for the fix)."""
     if l > MAX_FORMULA_RANK:
@@ -464,7 +564,7 @@ def _fold_word(word: tuple, r: tuple, letter: Callable, commutator: Callable):
     letter through ``letter(Generator)``, each bracket through
     ``commutator(left, right)``; the loop degree r sits on the leftmost letter."""
     if word[0] != "br":
-        return letter(Generator(word[0], word[1], r))
+        return letter(_generator(word[0], word[1], r))
     _, left, right = word
     zero = (0,) * len(r)
     return commutator(
@@ -484,7 +584,7 @@ def _root_operator(spec: ModuleSpec, m: int, r: tuple) -> ShiftOperator:
 
 def element_operator(spec: ModuleSpec, X: LieElt) -> ShiftOperator:
     """The action of an arbitrary algebra element as one shift operator."""
-    if X.desc != spec.algebra:
+    if X.desc is not spec.algebra and X.desc != spec.algebra:
         raise StructureError("element belongs to a different algebra")
     out = None
     for (kind, idx, r), c in X.terms.items():
@@ -509,7 +609,7 @@ def act_element(spec: ModuleSpec, X: LieElt, p: Poly, action: ActionFn = act) ->
     """
     if action is act:
         return element_operator(spec, X).apply(p)
-    if X.desc != spec.algebra:
+    if X.desc is not spec.algebra and X.desc != spec.algebra:
         raise StructureError("element belongs to a different algebra")
 
     def evaluate(word, q):
@@ -535,7 +635,7 @@ def _symbol_word(desc: AlgebraDesc, sym: tuple) -> tuple:
     no Generator per evaluation."""
     kind, idx, r = sym
     if kind in ("K", "D"):
-        return Generator(kind, idx, r), Fraction(1)
+        return _generator(kind, idx, r), Fraction(1)
     word, scalar = desc.fin.generator_word(idx)
     return _fold_word(word, r, lambda g: g, lambda a, b: (a, b)), scalar
 
@@ -554,54 +654,65 @@ def generators_for(spec: ModuleSpec, window: Iterable[tuple[int, ...]]) -> list[
     l, n = spec.algebra.rank, spec.algebra.loop_vars
     variant = spec.algebra.variant
     degrees = [tuple(r) for r in window]
+    gen = _generator
     out: list[Generator] = []
     if variant == "finite":
         for i in range(1, l + 1):
-            out += [Generator("x", i), Generator("y", i), Generator("h", i)]
+            out += [gen("x", i, ()), gen("y", i, ()), gen("h", i, ())]
         for j in range(1, n + 1):
-            out.append(Generator("D", j))
+            out.append(gen("D", j, ()))
         return out
     zero = (0,) * n
     if variant != "witt":
         for r in degrees:
             for i in range(1, l + 1):
-                out += [
-                    Generator("x", i, r),
-                    Generator("y", i, r),
-                    Generator("h", i, r),
-                ]
+                out += [gen("x", i, r), gen("y", i, r), gen("h", i, r)]
         for r in degrees:
             for j in range(1, n + 1):
-                out.append(Generator("K", j, r))
+                out.append(gen("K", j, r))
     if variant == "toroidal":
         for j in range(1, n + 1):
-            out.append(Generator("D", j, zero))
+            out.append(gen("D", j, zero))
     else:
         for r in degrees:
             for j in range(1, n + 1):
-                out.append(Generator("D", j, r))
+                out.append(gen("D", j, r))
     return out
+
+
+# the Lie bracket module, imported by the first generator_bracket or _as_elt,
+# so that a spec, its action and its operators load no bracket
+liealg = None
+
+
+def _lie():
+    global liealg
+    if liealg is None:
+        from . import liealg
+    return liealg
 
 
 def generator_bracket(spec: ModuleSpec, g1: Generator, g2: Generator) -> LieElt:
     """The Lie bracket [g1, g2] as an element of the algebra."""
-    return liealg.bracket(spec.algebra, _as_elt(spec.algebra, g1), _as_elt(spec.algebra, g2))
+    lie = liealg or _lie()
+    return lie.bracket(spec.algebra, _as_elt(spec.algebra, g1), _as_elt(spec.algebra, g2))
 
 
 @lru_cache(maxsize=1024)
 def _as_elt(desc: AlgebraDesc, g: Generator) -> LieElt:
     """The element of one generator symbol, made once per (desc, generator)."""
+    lie = _lie()
     r = g.r if desc.variant != "finite" else ()
     if g.kind == "x":
-        return liealg.chevalley_x(desc, g.index, r)
+        return lie.chevalley_x(desc, g.index, r)
     if g.kind == "y":
-        return liealg.chevalley_y(desc, g.index, r)
+        return lie.chevalley_y(desc, g.index, r)
     if g.kind == "h":
-        return liealg.cartan_h(desc, g.index, r)
+        return lie.cartan_h(desc, g.index, r)
     if g.kind == "K":
-        return liealg.central_k(desc, g.index, r)
+        return lie.central_k(desc, g.index, r)
     sym = ("D", g.index, r if desc.variant != "finite" else ())
-    return liealg.elt(desc, sym)
+    return lie.elt(desc, sym)
 
 
 # -- JSON serialization ------------------------------------------------------

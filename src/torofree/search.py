@@ -1,0 +1,844 @@
+"""Submodule witness search, exact certificates and the cyclicity search.
+
+A witness certifies that a module is not simple: a nonzero proper invariant
+ideal of the carrier.  Certificates come in two exact, independently
+verified kinds:
+
+* principal: a monic polynomial p in the H-variables with
+  p | (x_i.1) sigma_i(p) and p | (y_i.1) sigma_i^{-1}(p) for all i, so the
+  ideal (p) is invariant.  Complete for l = 1 once maxdeg reaches the
+  quotient's dimension (invariant-ideal factor chains terminate on both
+  sides only along integer-shift intervals, and a chain's length is the
+  codimension of its ideal); below that the quotient scan still certifies,
+  e.g. l = 1, b = 5, S = FULL at maxdeg 6 has only the dim-11 quotient, so
+  the scan runs at l = 1 too.
+
+* quotient: an irreducible V(m) of sl_{l+1} in its Gelfand-Tsetlin basis
+  (H diagonal, h_j the weight of basis vector j) plus v0 != 0, given in
+  those coordinates, such that f -> f(H) v0 has an invariant kernel, which
+  is then a nonzero proper invariant ideal.  verify_quotient_certificate
+  proves the invariance for every polynomial on every windowed generator
+  from the generators' shift operators; nothing is sampled.  For l >= 2 the
+  edge-pattern submodules have finite codimension and are never principal
+  (their generators share no common factor), so this second kind is what a
+  witness search must produce.  In two H-variables every proper invariant
+  ideal has either a nontrivial gcd (principal witness) or finite
+  codimension (quotient witness), so the two kinds jointly cover l <= 2 at
+  the searched bounds.
+
+The rule these searches arbitrate is ``repmods.simplicity_rule``.  The
+exact linear algebra (``Echelon``, ``nullspace``) serves both the quotient
+scan and ``cyclicity_check``.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from collections.abc import Iterable, Iterator, Sequence
+from fractions import Fraction
+from functools import lru_cache
+
+from . import repmods
+from .algebras import window_degrees
+from .errors import DomainError, StructureError
+from .polyalg import (
+    MAX_EXPONENT,
+    SLOT_BITS,
+    Poly,
+    VarId,
+    _over_common_denominator,
+    deg_in,
+    divides,
+    unpack_exponent,
+)
+from .repmods import Generator, ModuleSpec, base_action_polys
+
+Rat = Fraction
+Vector = list[Rat]
+Row = dict[int, Rat]
+
+
+# -- exact sparse linear algebra ----------------------------------------------
+
+
+def mat_vec(m: list[Row], v: Vector) -> Vector:
+    return [sum((x * v[c] for c, x in row.items() if v[c]), Fraction(0)) for row in m]
+
+
+class Echelon:
+    """Fraction-free echelon form of sparse rows {key: value} with ordered keys.
+
+    Keys are int columns or packed monomial keys; values are ints or Fractions (a
+    polynomial's integer ``nums`` serve as its row).  A row is scaled to
+    integers and reduced on its lowest key by the pivot row of that key; a
+    nonzero remainder, divided by its content, becomes the pivot row of its
+    lowest key.
+    """
+
+    def __init__(self):
+        self.pivots: dict = {}
+
+    def reduce(self, row: dict) -> dict:
+        """The integer remainder of a row after elimination; empty iff in the span."""
+        vec = _over_common_denominator(row)[1]
+        while vec:
+            j = min(vec)
+            prow = self.pivots.get(j)
+            if prow is None:
+                break
+            g = math.gcd(vec[j], prow[j])
+            a, p = vec[j] // g, prow[j] // g
+            if p != 1:
+                vec = {k: p * x for k, x in vec.items()}
+            for k, y in prow.items():
+                x = vec.get(k, 0) - a * y
+                if x:
+                    vec[k] = x
+                else:
+                    del vec[k]
+        return vec
+
+    def add(self, row: dict) -> bool:
+        """Insert a row; True when it enlarges the span."""
+        vec = self.reduce(row)
+        if not vec:
+            return False
+        g = math.gcd(*vec.values())
+        self.pivots[min(vec)] = {k: x // g for k, x in vec.items()} if g > 1 else vec
+        return True
+
+    def contains(self, row: dict) -> bool:
+        return not self.reduce(row)
+
+
+def nullspace(rows: Iterable[Row], cols: int) -> list[Vector]:
+    """Basis of the kernel of the linear map given by stacked sparse rows.
+
+    The rows go into an Echelon, and the scan stops once every column has a
+    pivot.  The pivot columns depend only on the row space, and the basis
+    vector of a free column j is the kernel vector that is 1 at j and 0 at
+    every other free column, so the basis is the reduced-row-echelon one
+    whatever the order of the rows.
+    """
+    echelon = Echelon()
+    pivots = echelon.pivots
+    for row in rows:
+        if len(pivots) == cols:
+            return []
+        echelon.add(row)
+    basis: list[Vector] = []
+    order = sorted(pivots, reverse=True)
+    for j in range(cols):
+        if j in pivots:
+            continue
+        v: dict[int, Rat] = {j: Fraction(1)}
+        # back substitute pivot coordinates, highest pivot column first
+        for pj in order:
+            prow = pivots[pj]
+            s = sum(y * v[k] for k, y in prow.items() if k in v)
+            if s:
+                v[pj] = -s / prow[pj]
+        basis.append([v.get(k, Fraction(0)) for k in range(cols)])
+    return basis
+
+
+# -- finite-dimensional irreducibles of sl_{l+1} ------------------------------
+
+
+def weyl_dim_A(weights: Sequence[int]) -> int:
+    l = len(weights)
+    num = 1
+    den = 1
+    for i in range(l):
+        for j in range(i, l):
+            num *= sum(weights[i : j + 1]) + (j - i + 1)
+            den *= j - i + 1
+    return num // den
+
+
+class IrrepA:
+    """Explicit irreducible of sl_{l+1} in its Gelfand-Tsetlin basis.
+
+    x_mats[i] and y_mats[i] are X_{i+1} and Y_{i+1} as sparse rows: row r maps
+    each column c with a nonzero entry to that entry.  The H_i act diagonally
+    and are kept only as h_int: the eigenvalues h_j = (H_1..H_l) on basis
+    vector j have denominators dividing l + 1, and h_int[j] is the integer
+    tuple (l + 1) h_j, so p(H) multiplies coordinate j by p(h_int[j] / (l + 1)).
+    """
+
+    def __init__(self, rank: int, weights: tuple[int, ...], dim: int, x_mats: list[list[Row]],
+                 y_mats: list[list[Row]], h_int: list[tuple[int, ...]]):
+        self.rank = rank
+        self.weights = weights
+        self.dim = dim
+        self.x_mats = x_mats
+        self.y_mats = y_mats
+        self.h_int = h_int
+
+
+def _gt_patterns(top: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
+    """Gelfand-Tsetlin patterns with the given top row, as (row_1, .., row_n).
+
+    Row k-1 interlaces row k: row_k[i] >= row_{k-1}[i] >= row_k[i+1].  Rows
+    are chosen from the top down, largest entries first, so the
+    highest-weight pattern comes first.
+    """
+    out: list[tuple[tuple[int, ...], ...]] = []
+
+    def descend(rows: list[tuple[int, ...]]):
+        row = rows[0]
+        if len(row) == 1:
+            out.append(tuple(rows))
+            return
+        ranges = [range(row[i], row[i + 1] - 1, -1) for i in range(len(row) - 1)]
+        for below in itertools.product(*ranges):
+            descend([below] + rows)
+
+    descend([tuple(top)])
+    return out
+
+
+def build_irrep_A(rank: int, weights: Sequence[int]) -> IrrepA:
+    """Highest-weight module V(m_1 w_1 + .. + m_l w_l) on Gelfand-Tsetlin patterns.
+
+    The gl_{l+1} highest weight is lambda_i = m_i + .. + m_l (lambda_{l+1} = 0).
+    With l_ki = lambda_ki - i + 1, the generators act by the rational,
+    non-unitary formulas (Molev, "Gelfand-Tsetlin bases for classical Lie
+    algebras", Thm 2.3)
+
+        E_{k,k+1} xi = - sum_i prod_j (l_ki - l_{k+1,j}) / prod_{j!=i} (l_ki - l_kj) xi[+d_ki]
+        E_{k+1,k} xi =   sum_i prod_j (l_ki - l_{k-1,j}) / prod_{j!=i} (l_ki - l_kj) xi[-d_ki]
+
+    where a shifted array that is not a pattern is zero.  H_i = E_11 + .. +
+    E_ii - i/(l+1) * (E_11 + .. + E_{l+1,l+1}) is diagonal with eigenvalue
+    (sum of row i) - i * |lambda| / (l+1), kept times l + 1 as an integer.
+    Every entry is an exact rational and the cost is polynomial in the
+    dimension.
+    """
+    l = rank
+    size = l + 1
+    weights = tuple(int(m) for m in weights)
+    if len(weights) != l or any(m < 0 for m in weights):
+        raise StructureError("weights must be l non-negative integers")
+    top = tuple(sum(weights[i:]) for i in range(size))
+    patterns = _gt_patterns(top)
+    dim = len(patterns)
+    expected = weyl_dim_A(weights)
+    if dim != expected:
+        raise StructureError(
+            f"irrep construction dimension {dim} != Weyl dimension {expected}"
+        )
+    index = {pat: j for j, pat in enumerate(patterns)}
+    total = sum(top)
+    h_int = [
+        tuple(size * sum(pat[i - 1]) - i * total for i in range(1, l + 1)) for pat in patterns
+    ]
+    x_mats: list[list[Row]] = [[{} for _ in range(dim)] for _ in range(l)]
+    y_mats: list[list[Row]] = [[{} for _ in range(dim)] for _ in range(l)]
+    for col, pat in enumerate(patterns):
+        # ls[k-1][i-1] = l_ki; rows k = 1..l carry the E_{k,k+1}, E_{k+1,k} moves
+        ls = [[lam - i for i, lam in enumerate(row)] for row in pat]
+        for k in range(1, size):
+            row = ls[k - 1]
+            for i, lki in enumerate(row):
+                den = math.prod(lki - lkj for j, lkj in enumerate(row) if j != i)
+                for step, ops, rows_j, sign in (
+                    (1, x_mats, ls[k], -1),
+                    (-1, y_mats, ls[k - 2] if k > 1 else [], 1),
+                ):
+                    moved = pat[k - 1][:i] + (pat[k - 1][i] + step,) + pat[k - 1][i + 1 :]
+                    target = index.get(pat[: k - 1] + (moved,) + pat[k:])
+                    num = sign * math.prod(lki - lj for lj in rows_j)
+                    if target is not None and num:
+                        ops[k - 1][target][col] = Fraction(num, den)
+    return IrrepA(l, weights, dim, x_mats, y_mats, h_int)
+
+
+@lru_cache(maxsize=256)
+def irrep_A(rank: int, weights: tuple[int, ...]) -> IrrepA:
+    """build_irrep_A through a bounded cache; weights must be a tuple."""
+    return build_irrep_A(rank, weights)
+
+
+# -- principal witness search ---------------------------------------------------
+
+
+def _h_only(p: Poly) -> bool:
+    # the d-block fills the slots above the H-block
+    return max(p.nums, default=0) >> SLOT_BITS * p.l == 0
+
+
+def principal_witness_search(spec: ModuleSpec, maxdeg: int) -> Poly | None:
+    """Search monic H-only products of shifted linear factors, per shift orbit.
+
+    Candidates are chains prod_{t < L} (key + s + t)^m of one normalized
+    linear form key, tried by multiplicity m, then length L, then start s.
+    The invariance conditions p | (x_i.1) sigma_i(p), p | (y_i.1)
+    sigma_i^(-1)(p) are decided on the factor multisets, with no polynomial
+    division: x_i.1 and y_i.1 are rows that shift a constant c to c + d, and
+    element s + t of the chain needs the factor key + s + t at least m times
+    in a row unless s + t - d is in the chain (_chain_holds).  Every
+    delta_i != 0 gives a row with d = -delta_i and one with d = +delta_i, so
+    the start is absorbed by a row with d > 0 or a fractional d and the end
+    by a row with d < 0 or a fractional d: both ends are constants of the
+    rows, and only chains between two of them are tried (_first_chain).  A
+    found candidate is re-verified through the module action by
+    witness_verify.
+    """
+    if maxdeg < 1:
+        return None
+    l, n = spec.ranks
+    if l == 0:
+        return None
+    xs_f, ys_f = repmods.base_action_factor_lists(spec)
+    x_norm = [_normalize_factors(fs) for fs in xs_f]
+    y_norm = [_normalize_factors(fs) for fs in ys_f]
+    # an integer key over its positive lead is the normalized form, reduced
+    polys = {key: Poly._raw(l, n, key[0][1], dict(key)) for norm in x_norm + y_norm for key in norm}
+    for key in sorted(polys, key=lambda k: polys[k].text()):
+        form = polys[key]
+        # one row per x_i.1 and y_i.1 whose shift on this orbit is nonzero
+        rows = []
+        for i in range(l):
+            delta = Fraction(form.nums.get(1 << SLOT_BITS * i, 0), form.den)
+            for norm, d in ((x_norm[i], -delta), (y_norm[i], delta)):
+                if d:
+                    rows.append((int(d) if d.denominator == 1 else None, norm.get(key, {})))
+        found = _first_chain(rows, maxdeg)
+        if found is not None:
+            mult, length, start = found
+            p = Poly.const(l, n, 1)
+            for t in range(length):
+                p = p * (form + Poly.const(l, n, start + t)) ** mult
+            return p
+    return None
+
+
+def _first_chain(rows: list, maxdeg: int) -> tuple[int, int, Rat] | None:
+    """(mult, length, start) of the least chain that holds, or None.
+
+    Rows are (d, {constant: mult}), d an int or None when fractional.
+    """
+    consts = {c for _, absorbers in rows for c in absorbers}
+    for mult in (1, 2):
+        chains = sorted((int(e - s) + 1, s) for s in consts for e in consts
+                        if (e - s).denominator == 1 and 0 <= e - s < maxdeg // mult)
+        for length, start in chains:
+            if _chain_holds(start, length, mult, rows):
+                return mult, length, start
+    return None
+
+
+def _chain_holds(start: Rat, length: int, mult: int, rows: list) -> bool:
+    """The invariance conditions for the chain start .. start + length - 1:
+    t < d for d > 0, t >= length + d for d < 0, every t for a fractional d."""
+    for d, absorbers in rows:
+        if d is None:
+            ts = range(length)
+        elif d > 0:
+            ts = range(min(d, length))
+        else:
+            ts = range(max(length + d, 0), length)
+        for t in ts:
+            if absorbers.get(start + t, 0) < mult:
+                return False
+    return True
+
+
+def _normalize_factors(factors: Sequence[Poly]) -> dict:
+    """{orbit key: {constant: multiplicity}} for the H-only factors of a list.
+
+    A factor c_0 + sum_k c_k H_k, scaled to leading coefficient 1, is
+    key + c_0 / c_lead, where the lead is its lowest nonzero key (the
+    graded-lex leading term of an affine form).  The key is read off the
+    integer numerators: the pairs (monomial key, c_k) of its linear part
+    over their gcd, signed so that the lead is positive.  d-carrying factors
+    fall outside the H-only witness contract and are dropped.
+    """
+    out: dict = {}
+    for f in factors:
+        if not _h_only(f):
+            continue
+        nums = f.nums
+        linear = sorted((k, c) for k, c in nums.items() if k)
+        if not linear:
+            continue
+        lead = linear[0][1]
+        g = math.gcd(*(c for _, c in linear))
+        if lead < 0:
+            g = -g
+        consts = out.setdefault(tuple((k, c // g) for k, c in linear), {})
+        const = Fraction(nums.get(0, 0), lead)
+        consts[const] = consts.get(const, 0) + 1
+    return out
+
+
+def witness_verify(spec: ModuleSpec, p: Poly, loop_window: Iterable | None = None) -> bool:
+    """True iff the principal ideal (p) is stable under every windowed generator."""
+    l, n = spec.ranks
+    if not p.is_monic() or p.total_degree() < 1 or not _h_only(p):
+        raise DomainError("witness must be a monic polynomial of degree >= 1 in the H-variables")
+    window = window_degrees(spec.algebra, loop_window)
+    for gen in repmods.generators_for(spec, window):
+        if not divides(p, repmods.act(spec, gen, p)):
+            return False
+    return True
+
+
+# -- quotient certificates -------------------------------------------------------
+
+
+class QuotientCert:
+    """Finite-dimensional quotient data certifying non-simplicity."""
+
+    def __init__(self, weights: tuple[int, ...], dim: int, v0: tuple[Rat, ...]):
+        self.weights = weights
+        self.dim = dim
+        self.v0 = v0
+
+    def to_dict(self) -> dict:
+        return {
+            "kind": "finite_quotient",
+            "weights": list(self.weights),
+            "dim": self.dim,
+            "v0": [str(c) for c in self.v0],
+        }
+
+
+def _at_weights(p: Poly, rep: IrrepA) -> list[Poly]:
+    """p(h_j, d) for each basis weight h_j: the H-block evaluated, d kept.
+
+    With D the denominator of p, e the largest degree of an H-monomial and
+    w_j = (l + 1) h_j the integer weights, each value is an integer sum over
+    D (l + 1)^e.
+    """
+    l = rep.rank
+    size = l + 1
+    low = SLOT_BITS * l
+    h_block = (1 << low) - 1
+    # (key of the d-part in Q[d], H-exponents, numerator) once per monomial
+    split = [(key >> low, unpack_exponent(key & h_block, l), c) for key, c in p.nums.items()]
+    top = max((sum(h) for _, h, _ in split), default=0)
+    monomials = [
+        (beta, [(k, e) for k, e in enumerate(h) if e], c * size ** (top - sum(h)))
+        for beta, h, c in split
+    ]
+    den = p.den * size**top
+    out = []
+    for w in rep.h_int:
+        acc: dict = {}
+        for beta, powers, c in monomials:
+            value = math.prod((w[k] ** e for k, e in powers), start=c)
+            acc[beta] = acc.get(beta, 0) + value
+        out.append(Poly._reduced(0, p.n, den, {e: v for e, v in acc.items() if v}))
+    return out
+
+
+def quotient_certificate_search(
+    spec: ModuleSpec, dim_bound: int, loop_window: Iterable | None = None
+) -> QuotientCert | None:
+    """Scan irreducibles of dimension <= dim_bound for an intertwining vector.
+
+    A kernel vector of the base conditions is returned only once
+    verify_quotient_certificate accepts it at loop_window.
+
+    An irrep is ruled out from its weights, before it is built, when it
+    cannot carry a kernel vector.  Let v0 != 0 solve X_i v0 = (x_i.1)(H) v0
+    and Y_i v0 = (y_i.1)(H) v0 for every i.  X_i maps weight nu - e_i to nu,
+    so at the weight nu of v0's support with the smallest coordinate sum the
+    nu-component of X_i v0 is 0, and (x_i.1)(nu) = 0 for every i; at the one
+    with the largest sum every (y_i.1)(nu) = 0.  So V(m) needs a weight where
+    all the x_i.1 vanish and one where all the y_i.1 vanish.  Each x_i.1 is
+    a product of affine factors, so those weights are the solutions of the
+    systems that pick one factor per row (_common_zeros), and membership in
+    V(m) is a majorization test (_weight_key).  A side whose zeros are not a
+    finite list filters nothing, and a side with no zero ends the scan.  A
+    ruled-out irrep has no kernel vector, so the scan's result is the same
+    and "searched up to dim_bound" still holds.
+    """
+    if not _quotient_scan_applies(spec):
+        return None
+    l = spec.algebra.rank
+    sides = [_common_zeros(factors, l) for factors in repmods.base_action_factor_lists(spec)]
+    if set() in sides:
+        return None
+    xs, ys = base_action_polys(spec)
+    for weights in _dominant_weights(l, dim_bound):
+        if not all(keys is None or _has_weight(weights, keys) for keys in sides):
+            continue
+        rep = irrep_A(l, weights)
+        kernel = nullspace(_base_condition_rows(xs, ys, rep), rep.dim)
+        if kernel:
+            cert = QuotientCert(weights=tuple(weights), dim=rep.dim, v0=tuple(kernel[0]))
+            if verify_quotient_certificate(spec, cert, loop_window):
+                return cert
+    return None
+
+
+def _quotient_scan_applies(spec: ModuleSpec) -> bool:
+    """The quotient scan covers the A family with a scalar b."""
+    alg = spec.algebra
+    if alg.variant == "witt" or alg.family != "A":
+        return False
+    return spec.base_b is None or spec.base_b.as_scalar() is not None
+
+
+def _base_condition_rows(xs: list[Poly], ys: list[Poly], rep: IrrepA) -> Iterator[Row]:
+    """Rows of each X_i - (x_i.1)(H) and Y_i - (y_i.1)(H) as matrices on rep.
+
+    They are built as nullspace asks for them; poly(H) is diagonal and
+    d-free, since b is a scalar here.
+    """
+    for i in range(rep.rank):
+        for op, poly in ((rep.x_mats[i], xs[i]), (rep.y_mats[i], ys[i])):
+            for r, value in enumerate(_at_weights(poly, rep)):
+                row = dict(op[r])
+                row[r] = row.get(r, 0) - value.constant_term()
+                yield row
+
+
+def _common_zeros(factor_lists: list[list[Poly]], l: int) -> set | None:
+    """Weight keys of the points h where every list has a vanishing factor.
+
+    Each choice of one factor per list is a system of l affine equations in
+    H_1..H_l, solved by integer elimination; a unique solution h is kept as
+    the _weight_key of (l + 1) h when that is an integer vector (every
+    weight of every V(m) is one).  None when a factor is not affine in H or
+    a consistent system has more than one solution: the zeros are then no
+    finite list.  The systems are l x l and there are many of them, so the
+    elimination is kept here rather than routed through nullspace, which gives
+    the same keys on the 120 scalar-A specs of the search workload's seeds
+    1-5 at ~92 us per spec against ~24 us (2-core machine, Python 3.11).
+    """
+    size = l + 1
+    units = [1 << SLOT_BITS * k for k in range(l)]
+    lists = []
+    for factors in factor_lists:
+        equations = []
+        for f in factors:
+            if not f.nums.keys() <= {0, *units}:
+                return None
+            equations.append([f.nums.get(u, 0) for u in units] + [-f.nums.get(0, 0)])
+        lists.append(equations)
+    keys = set()
+    for system in itertools.product(*lists):
+        m = [list(eq) for eq in system]
+        rank = 0
+        for col in range(l):
+            pivot = next((r for r in range(rank, l) if m[r][col]), None)
+            if pivot is None:
+                continue
+            m[rank], m[pivot] = m[pivot], m[rank]
+            prow = m[rank]
+            for r in range(l):
+                a = m[r][col]
+                if r != rank and a:
+                    m[r] = [prow[col] * x - a * y for x, y in zip(m[r], prow)]
+            rank += 1
+        if any(eq[l] for eq in m[rank:]):
+            continue
+        if rank < l:
+            return None
+        # pivots sit on the diagonal: (l + 1) h_k = (l + 1) c_k / a_kk
+        if all(size * eq[l] % eq[k] == 0 for k, eq in enumerate(m)):
+            key = _weight_key([size * eq[l] // eq[k] for k, eq in enumerate(m)])
+            if key is not None:
+                keys.add(key)
+    return keys
+
+
+def _weight_key(w: Sequence[int]) -> tuple[int, tuple[int, ...]] | None:
+    """Majorization data of h = w / (l + 1): (r, (P_1, .., P_l)), or None.
+
+    With w_0 = w_{l+1} = 0 and d_i = w_i - w_{i-1}, h is a weight of V(m)
+    iff mu_i = (d_i + |lambda|) / (l + 1) is a gl_{l+1} weight of it, where
+    lambda_i = m_i + .. + m_l (the H_i eigenvalue of a Gelfand-Tsetlin
+    pattern is its row-i sum minus i |lambda| / (l + 1)).  So every d_i is
+    r mod l + 1, else h is no weight of any V(m) (None), and P_k sums the k
+    largest d_i.
+    """
+    size = len(w) + 1
+    d = [b - a for a, b in zip((0, *w), (*w, 0))]
+    r = d[0] % size
+    if any(x % size != r for x in d):
+        return None
+    return r, tuple(itertools.accumulate(sorted(d, reverse=True)))[:-1]
+
+
+def _has_weight(weights: Sequence[int], keys: Iterable) -> bool:
+    """True iff some _weight_key is of a weight of V(weights).
+
+    h is a weight iff mu is an integer vector, i.e. |lambda| + r = 0 mod
+    l + 1, and the sorted mu is majorized by lambda: its k largest entries
+    sum to at most lambda_1 + .. + lambda_k, i.e. P_k + k |lambda| <=
+    (l + 1)(lambda_1 + .. + lambda_k), for k = 1..l (at k = l + 1 both sums
+    are |lambda|).  Integers throughout.
+    """
+    size = len(weights) + 1
+    top = [sum(weights[i:]) for i in range(size)]
+    total = sum(top)
+    bounds = list(itertools.accumulate(size * x - total for x in top))
+    for r, prefix in keys:
+        if (total + r) % size == 0 and all(p <= b for p, b in zip(prefix, bounds)):
+            return True
+    return False
+
+
+def _dominant_weights(l: int, dim_bound: int) -> list[tuple[int, ...]]:
+    """Highest weights of dimension <= dim_bound, by dimension then weight.
+
+    The Weyl dimension grows strictly in each m_i, so an entry stops rising
+    once the weight with zeros after it exceeds the bound.
+    """
+    out: list[tuple[int, ...]] = []
+
+    def extend(prefix: tuple[int, ...]):
+        if len(prefix) == l:
+            out.append(prefix)
+            return
+        pad = (0,) * (l - len(prefix) - 1)
+        m = 0
+        while weyl_dim_A(prefix + (m,) + pad) <= dim_bound:
+            extend(prefix + (m,))
+            m += 1
+
+    if dim_bound >= 1:
+        extend(())
+    out.sort(key=lambda w: (weyl_dim_A(w), w))
+    return out
+
+
+def verify_quotient_certificate(
+    spec: ModuleSpec, cert: QuotientCert, loop_window: Iterable | None = None
+) -> bool:
+    """Exact proof that f -> f(H) v0 has an invariant kernel, for every f.
+
+    Phi(f) has coordinates f(h_j, d) v0_j.  First every nonzero entry (j, c)
+    of X_i (of Y_i) must have h_j - h_c = e_i (-e_i): this is the ladder
+    relation [H_k, X_i] = delta_ki X_i, as [H_k, M]_jc = (h_j - h_c)_k M_jc
+    (checked on the integer weights (l + 1) h, which step by (l + 1) e_i).
+    Then each term F T_u, u = (u_H, r), of each windowed generator operator
+    (``repmods.generator_operator``) must factor through Phi.  With u_H = 0
+    (h, K, D) it does by construction: on coordinate j it acts as
+    F(h_j, d) T_r.  With u_H = +e_i (-e_i) and M = X_i (Y_i), coordinate j
+    of Phi(F T_u f) is F(h_j, d) f(h_j - u_H, d - r) v0_j and that of
+    lambda^r M T_r Phi(f) is lambda^r f(h_j - u_H, d - r) (M v0)_j, so the
+    term factors iff F(h_j, d) v0_j = lambda^r (M v0)_j for every j; at
+    r = 0 these are the base conditions X_i v0 = (x_i.1)(H) v0 and
+    Y_i v0 = (y_i.1)(H) v0.  Any other H-shift fails.
+    """
+    l, n = spec.ranks
+    if all(c == 0 for c in cert.v0):
+        return False
+    rep = irrep_A(l, tuple(cert.weights))
+    if rep.dim != cert.dim or len(cert.v0) != rep.dim:
+        return False
+    v0 = list(cert.v0)
+    images: dict[tuple[int, ...], Vector] = {}
+    for i in range(l):
+        for ops, step in ((rep.x_mats, 1), (rep.y_mats, -1)):
+            for r, row in enumerate(ops[i]):
+                for c, x in row.items():
+                    if x and any(
+                        a - b != (step * (l + 1) if j == i else 0)
+                        for j, (a, b) in enumerate(zip(rep.h_int[r], rep.h_int[c]))
+                    ):
+                        return False
+            shift = tuple(step if j == i else 0 for j in range(l))
+            images[shift] = mat_vec(ops[i], v0)
+    window = window_degrees(spec.algebra, loop_window)
+    for gen in repmods.generators_for(spec, window):
+        for u, f in repmods.generator_operator(spec, gen).terms.items():
+            if not any(u[:l]):
+                continue
+            image = images.get(u[:l])
+            if image is None:
+                return False
+            lam_r = spec.lam_pow(u[l:])
+            for fj, x, mx in zip(_at_weights(f, rep), v0, image):
+                if fj.scale(x) != Poly.const(0, n, lam_r * mx):
+                    return False
+    return True
+
+
+# -- witness report and combined search ---------------------------------------
+
+
+# the default quotient bound from rank 3 on stops here, and reports carry it
+# as checked_dim_bound: a scan of the simple point M(b = 1, S = {}) up to
+# dimension 220 takes 0.013 s at l = 3 and 0.001 s at l = 4, and up to 1000
+# 0.19 s and 0.002 s (2-core machine, Python 3.11); of the 156 l = 3 irreps
+# up to 1000 the weight filter leaves 4 to build
+MAX_DEFAULT_DIM_BOUND = 220
+# the largest quotient bound a search accepts: the scan of a simple point
+# grows faster than linearly in it, and M(l = 1, b = -3, S = FULL) takes
+# 0.24 s at 200, 0.85 s at 400 and 1.4 s at 500 (2-core machine, Python 3.11)
+MAX_DIM_BOUND = 500
+
+
+class WitnessReport:
+    def __init__(
+        self,
+        found: bool,
+        witness: Poly | None = None,
+        quotient_cert: QuotientCert | None = None,
+        checked_degree_bound: int = 0,
+        checked_dim_bound: int = 0,
+        checked_loop_window: list | None = None,
+        verified: bool = False,
+        notes: str = "",
+    ):
+        self.found = found
+        self.witness = witness
+        self.quotient_cert = quotient_cert
+        self.checked_degree_bound = checked_degree_bound
+        self.checked_dim_bound = checked_dim_bound
+        self.checked_loop_window = [] if checked_loop_window is None else checked_loop_window
+        self.verified = verified
+        self.notes = notes
+
+    def to_dict(self) -> dict:
+        return {
+            "found": self.found,
+            "witness": self.witness.text() if self.witness is not None else None,
+            "quotient_cert": self.quotient_cert.to_dict() if self.quotient_cert else None,
+            "checked_degree_bound": self.checked_degree_bound,
+            "checked_dim_bound": self.checked_dim_bound,
+            "checked_loop_window": [list(r) for r in self.checked_loop_window],
+            "verified": self.verified,
+            "notes": self.notes,
+        }
+
+
+def submodule_witness_search(
+    spec: ModuleSpec,
+    maxdeg: int,
+    loop_window: Iterable | None = None,
+    dim_bound: int | None = None,
+) -> WitnessReport:
+    """Search for an invariant-ideal certificate at the given bounds.
+
+    A bound of 0 skips that search (maxdeg for the principal one, dim_bound
+    for the quotient scan); a negative bound is a DomainError, and so is a
+    maxdeg above MAX_EXPONENT, since an l = 1 witness that long could not be
+    parsed back, and a dim_bound above MAX_DIM_BOUND, whose scan would run
+    for seconds.  A principal witness ends the search before the quotient
+    scan, so its report says checked_dim_bound 0.
+    """
+    if spec.algebra.variant == "witt":
+        raise DomainError("witness search applies to finite/toroidal/full variants")
+    if not 0 <= maxdeg <= MAX_EXPONENT:
+        raise DomainError(f"maxdeg must be in 0..{MAX_EXPONENT}, got {maxdeg}")
+    if dim_bound is not None and not 0 <= dim_bound <= MAX_DIM_BOUND:
+        raise DomainError(f"dim_bound must be in 0..{MAX_DIM_BOUND}, got {dim_bound}")
+    window = window_degrees(spec.algebra, loop_window)
+    if dim_bound is None:
+        # the edge-pattern quotients at degree budget m have dimension
+        # m(m+2)/8 (e.g. V(0, 3b) for l = 2), so this bound tracks maxdeg
+        dim_bound = min(max(6, maxdeg * (maxdeg + 2) // 8 + 4), 64)
+        l = spec.algebra.rank
+        if l >= 3:
+            # from rank 3 on they are V(k w_l) or V(k w_1), of dimension
+            # C(k + l, l), with k up to (maxdeg - 2) / 2
+            k = (maxdeg - 2) // 2
+            dim_bound = min(max(dim_bound, math.comb(k + l, l)), MAX_DEFAULT_DIM_BOUND)
+    if not _quotient_scan_applies(spec):
+        # no irrep is scanned, so none is claimed
+        dim_bound = 0
+    p = principal_witness_search(spec, maxdeg)
+    if p is not None:
+        ok = witness_verify(spec, p, window)
+        return WitnessReport(
+            found=ok,
+            witness=p if ok else None,
+            checked_degree_bound=maxdeg,
+            checked_loop_window=window,
+            verified=ok,
+            notes="principal invariant ideal",
+        )
+    cert = quotient_certificate_search(spec, dim_bound, window)
+    if cert is not None:
+        return WitnessReport(
+            found=True,
+            quotient_cert=cert,
+            checked_degree_bound=maxdeg,
+            checked_dim_bound=dim_bound,
+            checked_loop_window=window,
+            verified=True,
+            notes="finite-codimension invariant ideal (module-map kernel)",
+        )
+    return WitnessReport(
+        found=False,
+        checked_degree_bound=maxdeg,
+        checked_dim_bound=dim_bound,
+        checked_loop_window=window,
+        notes="no witness at the searched bounds",
+    )
+
+
+# -- cyclicity -----------------------------------------------------------------
+
+
+def cyclicity_check(
+    spec: ModuleSpec,
+    w: Poly,
+    max_word_len: int = 12,
+    loop_window: Iterable | None = None,
+) -> bool:
+    """Try to reach a nonzero constant from w inside the generated submodule.
+
+    Phase 1 kills the d-degrees with (h_1(e_j) - lambda_j h_1); phase 2 closes
+    the span under the finite-type generators breadth-first (each round is one
+    more letter of enveloping-algebra filtration), up to max_word_len rounds.
+    The span only grows, so the check returns True at the first insert after
+    which it holds 1; the rest of that round could not change the verdict.
+    False means "not within budget", never a proof of non-cyclicity.
+    loop_window is accepted but unused: phase 2 uses degree-zero generators
+    only.  A negative max_word_len is a DomainError.
+    """
+    if w.is_zero():
+        raise DomainError("cyclicity seed must be nonzero")
+    if max_word_len < 0:
+        raise DomainError(f"max_word_len must be non-negative, got {max_word_len}")
+    if spec.algebra.variant == "witt":
+        raise DomainError("cyclicity check applies to finite/toroidal/full variants")
+    l, n = spec.ranks
+    hvar = Poly.H(l, n, 1)
+    current = w
+    if spec.algebra.variant != "finite":
+        for j in range(1, n + 1):
+            var = VarId("d", j)
+            e_j = tuple(1 if t == j - 1 else 0 for t in range(n))
+            while deg_in(var, current) > 0:
+                current = repmods.act(spec, Generator("h", 1, e_j), current) - (
+                    hvar * current
+                ).scale(spec.lam[j - 1])
+                if current.is_zero():
+                    raise StructureError("degree reduction annihilated the seed")
+    degbound = current.total_degree() + max_word_len + 2
+    gens = []
+    zero = spec.algebra.zero_degree()
+    for i in range(1, l + 1):
+        gens += [Generator("x", i, zero), Generator("y", i, zero), Generator("h", i, zero)]
+    target = {0: 1}  # the constant 1 as a numerator row
+    span = Echelon()
+    span.add(current.nums)
+    if span.contains(target):
+        return True
+    frontier = [current]
+    for _ in range(max_word_len):
+        new_frontier = []
+        for vec in frontier:
+            for gen in gens:
+                img = repmods.act(spec, gen, vec)
+                if img.is_zero() or img.total_degree() > degbound:
+                    continue
+                if span.add(img.nums):
+                    if span.contains(target):
+                        return True
+                    new_frontier.append(img)
+        if not new_frontier:
+            return False
+        frontier = new_frontier
+    return False

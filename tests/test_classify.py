@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import RescalingEchelon, mat_comm, mat_is_zero, mat_sub, mk_spec
-from torofree import classify as C, liealg as L, repmods as R
+from torofree import classify as C, liealg as L, recovery as RC, repmods as R, search as SR
 from torofree.errors import ClassificationError, DomainError
 from torofree.polyalg import MAX_EXPONENT, Poly, unpack_exponent
 from torofree.repmods import Generator
@@ -262,8 +262,8 @@ class TestPrincipalReference:
         # at M(l = 2, b = 5/7, S = {}) only chains from one row constant to
         # another are checked; checking every start made 405 calls
         calls = []
-        holds = C._chain_holds
-        monkeypatch.setattr(C, "_chain_holds", lambda *args: calls.append(args) or holds(*args))
+        holds = SR._chain_holds
+        monkeypatch.setattr(SR, "_chain_holds", lambda *args: calls.append(args) or holds(*args))
         spec = mk_spec(rank=2, base_b=F(5, 7), S=())
         assert C.principal_witness_search(spec, 6) is None
         assert reference_principal_search(spec, 6) is None
@@ -396,7 +396,7 @@ class TestQuotientCertificates:
         copy = C.IrrepA(rep.rank, rep.weights, rep.dim,
                         [[dict(row) for row in m] for m in rep.x_mats], rep.y_mats, rep.h_int)
         tamper(copy, cert.v0)
-        monkeypatch.setattr(C, "irrep_A", lambda rank, weights: copy)
+        monkeypatch.setattr(SR, "irrep_A", lambda rank, weights: copy)
         return C.verify_quotient_certificate(spec, cert)
 
     def test_off_ladder_entry_rejected(self, monkeypatch):
@@ -471,7 +471,7 @@ class TestCombinedSearch:
     def test_dim_bound_above_the_ceiling_rejected_before_any_search(self, monkeypatch):
         spec = mk_spec(rank=1, base_b=-3, S={1, 2})
         searched = []
-        monkeypatch.setattr(C, "principal_witness_search", lambda *a: searched.append(a))
+        monkeypatch.setattr(SR, "principal_witness_search", lambda *a: searched.append(a))
         with pytest.raises(DomainError, match=str(C.MAX_DIM_BOUND)):
             C.submodule_witness_search(spec, 4, dim_bound=C.MAX_DIM_BOUND + 1)
         assert not searched
@@ -509,13 +509,13 @@ class TestCombinedSearch:
     def test_quotient_certificate_verified_once(self, monkeypatch):
         window = [(-1,), (0,), (1,)]
         calls = []
-        verify = C.verify_quotient_certificate
+        verify = SR.verify_quotient_certificate
 
         def counted(spec, cert, loop_window=None):
             calls.append(loop_window)
             return verify(spec, cert, loop_window)
 
-        monkeypatch.setattr(C, "verify_quotient_certificate", counted)
+        monkeypatch.setattr(SR, "verify_quotient_certificate", counted)
         report = C.submodule_witness_search(toroidal(2, F(1, 3), {1, 2, 3}), 4, window)
         assert report.verified and report.quotient_cert.dim == 3
         assert calls == [window]
@@ -656,7 +656,7 @@ class TestQuotientWeightFilter:
     def test_a_side_without_zeros_builds_no_irrep(self, monkeypatch):
         # S = {1}: x_1.1 is a nonzero constant, so no irrep carries a kernel vector
         built = []
-        monkeypatch.setattr(C, "irrep_A", lambda *args: built.append(args))
+        monkeypatch.setattr(SR, "irrep_A", lambda *args: built.append(args))
         assert C.quotient_certificate_search(mk_spec(rank=2, base_b=F(1, 3), S={1}), 64) is None
         assert built == []
 
@@ -897,7 +897,7 @@ def reference_decode_base(oracle, x_polys, y_polys, lam, witt_a):
     l, n = oracle.ranks
     at_zero = [Poly(l, n, {e: c for e, c in (x * y).terms.items() if not any(e[:l])})
                for x, y in zip(x_polys, y_polys)]
-    roots = [C._poly_sqrt(at_zero[0].scale(4) + delta) for delta in (0, 1)]
+    roots = [RC._poly_sqrt(at_zero[0].scale(4) + delta) for delta in (0, 1)]
     ones = (F(1),) * l
     found = []
     for family in ("A",) if l == 1 else ("A", "C"):
@@ -914,11 +914,11 @@ def reference_decode_base(oracle, x_polys, y_polys, lam, witt_a):
                 bs = [b for b in bs if all(at_zero[i] == (b + e[i]) * (b + e[i + 1])
                                            for i in range(1, l))]
             for b in bs:
-                trial = C._trial_spec(oracle, family, ones, b, S, lam, witt_a)
+                trial = RC._trial_spec(oracle, family, ones, b, S, lam, witt_a)
                 if trial is None:
                     continue
                 xs, ys = R.base_action_polys(trial)
-                a = tuple(C._scalar_ratio(x, X) for x, X in zip(x_polys, xs))
+                a = tuple(RC._scalar_ratio(x, X) for x, X in zip(x_polys, xs))
                 if all(a) and all(y == Y.scale(1 / a_i) for y, Y, a_i in zip(y_polys, ys, a)):
                     entry = (family, S, a, b)
                     if entry not in found:
@@ -976,8 +976,8 @@ class TestDecodePruning:
         oracle = C.oracle_from_spec(spec)
         xs, ys = R.base_action_polys(spec)
         tried = []
-        trial = C._trial_spec
-        monkeypatch.setattr(C, "_trial_spec", lambda oracle, family, a, b, S, *rest: (
+        trial = RC._trial_spec
+        monkeypatch.setattr(RC, "_trial_spec", lambda oracle, family, a, b, S, *rest: (
             tried.append((family, S)) or trial(oracle, family, a, b, S, *rest)))
         got = C._decode_base(oracle, xs, ys, (), None)
         pruned = list(tried)

@@ -335,6 +335,25 @@ class TestOperators:
             assert len(op.terms) == (0 if gen.kind == "K" else 1), gen
 
     @pytest.mark.parametrize("spec", OPERATOR_PANEL, ids=_panel_id)
+    def test_word_letters_are_the_listed_generators(self, spec):
+        # a black-box memo keyed by generators then finds each by identity
+        window = liealg.window_degrees(spec.algebra, self.WINDOW)
+        listed = {id(g) for g in R.generators_for(spec, window)}
+
+        def letters(word):
+            if isinstance(word, Generator):
+                yield word
+            else:
+                for part in word:
+                    yield from letters(part)
+
+        for X in liealg.basis_of(spec.algebra, self.WINDOW):
+            (sym,) = X.terms
+            for g in letters(R._symbol_word(spec.algebra, sym)[0]):
+                assert id(g) in listed, (sym, g)
+        assert R.generators_for(spec, window) == R.generators_for(spec, list(window))
+
+    @pytest.mark.parametrize("spec", OPERATOR_PANEL, ids=_panel_id)
     def test_basis_operators_match_the_word_walker(self, spec):
         rng = random.Random(11)
 

@@ -7,12 +7,14 @@ in its own ``python -S`` subprocess, so that nothing this test process or the
 site-packages scan imported can hide a load.
 """
 
+import importlib
 import json
 import subprocess
 import sys
 
 import pytest
 
+import torofree
 from conftest import src_env
 
 
@@ -46,7 +48,8 @@ def test_import_torofree_loads_no_submodule_and_resolves_every_public_name():
 def test_import_cli_loads_neither_dataclasses_nor_classify():
     loaded = _loaded_after("import torofree.cli")
     assert "torofree.cli" in loaded
-    assert not loaded & {"dataclasses", "torofree.classify", "torofree.verify"}
+    assert not loaded & {"dataclasses", "typing", "torofree.classify", "torofree.verify",
+                         "torofree.repmods", "torofree.search", "torofree.recovery"}
 
 
 A1_TOROIDAL = {
@@ -55,12 +58,28 @@ A1_TOROIDAL = {
 }
 
 
+# the modules a command may not load, beyond dataclasses and typing (each
+# costs milliseconds to import, for no code a command runs): a command that
+# states a verdict from the spec loads no Lie bracket (liealg), no suites
+# (verify) and no search or recovery, and none loads the classify facade
+FACADE = {"torofree.classify"}
+SPEC_ONLY = FACADE | {"torofree.liealg", "torofree.verify", "torofree.search",
+                      "torofree.recovery", "torofree.checks"}
+
+
 @pytest.mark.parametrize("args,unloaded", [
-    (["formulas", "--rank", "2"], {"torofree.classify", "torofree.verify"}),
-    (["act", "--spec", "{spec}", "--gen", "x1(1)", "--poly", "d1*H1"],
-     {"torofree.classify", "torofree.verify"}),
-    (["lemma-pa", "--samples", "5"], {"torofree.classify"}),
-], ids=["formulas", "act", "lemma-pa"])
+    (["formulas", "--rank", "2"], SPEC_ONLY),
+    (["act", "--spec", "{spec}", "--gen", "x1(1)", "--poly", "d1*H1"], SPEC_ONLY),
+    (["simplicity", "--spec", "{spec}"], SPEC_ONLY),
+    (["iso", "--spec", "{spec}", "--spec2", "{spec}"], SPEC_ONLY),
+    (["witness", "--spec", "{spec}", "--maxdeg", "2", "--window=0:1"],
+     FACADE | {"torofree.recovery", "torofree.verify", "torofree.liealg", "torofree.checks"}),
+    (["recover", "--spec", "{spec}", "--window=0:1"],
+     FACADE | {"torofree.search", "torofree.verify", "torofree.liealg"}),
+    (["verify", "--spec", "{spec}", "--samples", "2", "--window=0:1"],
+     FACADE | {"torofree.search", "torofree.recovery"}),
+    (["lemma-pa", "--samples", "5"], FACADE | {"torofree.search", "torofree.recovery"}),
+], ids=["formulas", "act", "simplicity", "iso", "witness", "recover", "verify", "lemma-pa"])
 def test_command_loads_only_the_modules_it_runs(tmp_path, args, unloaded):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(A1_TOROIDAL))
@@ -71,4 +90,27 @@ def test_command_loads_only_the_modules_it_runs(tmp_path, args, unloaded):
     loaded = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
               if line.startswith("import time:")}
     assert "torofree.repmods" in loaded
-    assert not loaded & (unloaded | {"dataclasses"})
+    assert not loaded & (unloaded | {"dataclasses", "typing"})
+
+
+def _torofree_loaded_after(code: str) -> set[str]:
+    return {m for m in _loaded_after(code) if m.startswith("torofree")}
+
+
+@pytest.mark.parametrize("module", sorted(set(torofree._EXPORTS.values())))
+def test_a_public_name_loads_only_its_defining_module(module):
+    """Reading the package's names of one module loads what importing that
+    module does, and no more (``torofree.iso_test`` loads ``repmods`` and its
+    imports, not the classification modules)."""
+    names = [name for name, home in torofree._EXPORTS.items() if home == module]
+    got = _torofree_loaded_after(
+        "import torofree\n" + "".join(f"torofree.{name}\n" for name in names))
+    assert got == _torofree_loaded_after(f"import torofree.{module}")
+    assert all(getattr(importlib.import_module(f"torofree.{module}"), name)
+               is getattr(torofree, name) for name in names)
+
+
+def test_simplicity_and_iso_load_only_the_module_specs():
+    got = _torofree_loaded_after("import torofree\ntorofree.iso_test\ntorofree.simplicity_predict")
+    assert got == {"torofree", "torofree.algebras", "torofree.errors", "torofree.polyalg",
+                   "torofree.repmods"}

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import mk_spec
 from torofree import classify as C, repmods as R, verify as V
-from torofree.errors import DomainError, StructureError
+from torofree.errors import DomainError, Frozen, StructureError
 from torofree.liealg import AlgebraDesc, bracket, central_k, degree_box
 from torofree.polyalg import Poly, ShiftOperator
 from torofree.repmods import Generator
@@ -555,6 +555,24 @@ class TestBlackBoxBracketCompat:
         # repeats act on deeper inputs of an earlier pair.  A memo keyed on
         # the input's id made 508 calls, and no memo 650
         assert len(calls) == 463
+
+    def test_memo_and_algebra_checks_compare_no_fields(self, monkeypatch):
+        # the generator words and generators_for share one Generator per
+        # symbol and each algebra test tries identity first, so no value is
+        # compared field by field: 639 Frozen.__eq__ calls before, 0 after.
+        # The caches keyed by the algebra are emptied first, since an entry
+        # of an equal algebra made by an earlier test is matched by value
+        for cache in (R._symbol_word, R._as_elt):
+            cache.cache_clear()
+        bad = C.inject_defect(C.oracle_from_spec(self.SPEC), "center")
+        eq_calls = []
+        eq = Frozen.__eq__
+        monkeypatch.setattr(Frozen, "__eq__", lambda a, b: eq_calls.append(a) or eq(a, b))
+        report = V.bracket_compat_check(self.SPEC, self.WINDOW, samples=2, seed=1,
+                                        action=lambda s, g, p: bad.eval(g, p))
+        monkeypatch.undo()
+        assert (report.cases_run, len(report.failures)) == self.FROZEN["center", 1][:2]
+        assert len(eq_calls) <= 0
 
     # black-box reports on C_2 full (window {0, 1}) and a Witt spec (window
     # {0, 1}^2, D_1 corrupted off degree 0), frozen before each polynomial

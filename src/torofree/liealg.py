@@ -2,9 +2,7 @@
 algebras, with the exact bracket.
 
 Which algebra an element lives in is an ``AlgebraDesc``, defined with the
-finite-type realizations in ``algebras`` (and re-exported here under its
-old import path, with ``FiniteAlgebra``, ``finite_algebra``, ``VARIANTS``,
-``degree_box`` and ``window_degrees``).
+finite-type realizations in ``algebras``.
 
 Loop/toroidal elements are rational combinations of graded symbols
 
@@ -34,22 +32,15 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
-# what ``algebras`` defines, and ``Frozen``, stay importable from here under
-# their old path; this module uses some of them
 from .algebras import (
-    VARIANTS,
     AlgebraDesc,
     FiniteAlgebra,
     Rat,
-    Sparse,
     _exact,
-    _set,
-    _sparse_comm,
-    degree_box,
-    finite_algebra,
+    finite_algebra,  # unused here: the benchmark traces it as ``liealg.finite_algebra``
     window_degrees,
 )
-from .errors import DomainError, Frozen, StructureError
+from .errors import DomainError, StructureError
 
 Symbol = tuple  # ("f", m, r) | ("K", j, r) | ("D", i, r)
 

@@ -23,7 +23,7 @@ from .algebras import AlgebraDesc, window_degrees
 from .checks import CheckReport, _check_samples, random_poly
 from .errors import ClassificationError, DomainError, StructureError
 from .polyalg import SLOT_BITS, Poly, unpack_exponent
-from .repmods import Generator, ModuleSpec, base_action_polys
+from .repmods import Generator, ModuleSpec, _generator, base_action_polys
 
 Rat = Fraction
 
@@ -150,9 +150,9 @@ def check_assertion_A(oracle: ActionOracle, loop_window: Iterable | None = None)
     one = oracle.one()
     for a in window_degrees(oracle, loop_window):
         for j in range(1, oracle.loop_vars + 1):
-            got = oracle.eval(Generator("K", j, a), one)
+            got = oracle.eval(_generator("K", j, a), one)
             report.record_lazily(got.is_zero(), lambda: dict(
-                generator=Generator("K", j, a).text(), input=one,
+                generator=_generator("K", j, a).text(), input=one,
                 lhs=got, rhs=Poly.zero(*oracle.ranks), difference=got,
             ))
     return report
@@ -168,16 +168,16 @@ def check_assertion_B(oracle: ActionOracle, loop_window: Iterable | None, lam: S
     base = {}
     for i in range(1, oracle.rank + 1):
         for kind in ("x", "y", "h"):
-            base[kind, i] = oracle.eval(Generator(kind, i, zero), one)
+            base[kind, i] = oracle.eval(_generator(kind, i, zero), one)
     for a in window_degrees(oracle, loop_window):
         factor = Fraction(1)
         for lam_j, aj in zip(lam, a):
             factor *= Fraction(lam_j) ** aj
         for (kind, i), b0 in base.items():
-            got = oracle.eval(Generator(kind, i, a), one)
+            got = oracle.eval(_generator(kind, i, a), one)
             want = b0.scale(factor)
             report.record_lazily(got == want, lambda: dict(
-                generator=Generator(kind, i, a).text(),
+                generator=_generator(kind, i, a).text(),
                 input=one,
                 lhs=got,
                 rhs=want,
@@ -197,7 +197,7 @@ def recover_lambda(oracle: ActionOracle) -> tuple[Rat, ...]:
         value: Rat | None = None
         for i in range(1, l + 1):
             hvar = Poly.H(*oracle.ranks, i)
-            got = oracle.eval(Generator("h", i, e_j), one)
+            got = oracle.eval(_generator("h", i, e_j), one)
             ratio = _scalar_ratio(got, hvar)
             if ratio is None or ratio == 0:
                 raise ClassificationError(
@@ -210,7 +210,7 @@ def recover_lambda(oracle: ActionOracle) -> tuple[Rat, ...]:
                     "shift-scalar-consistency",
                     f"direction {j}: rows give {value} and {ratio}",
                 )
-            back = oracle.eval(Generator("h", i, neg), one)
+            back = oracle.eval(_generator("h", i, neg), one)
             if back != hvar.scale(1 / ratio):
                 raise ClassificationError(
                     "shift-scalar-consistency",
@@ -241,7 +241,7 @@ def recover_witt_a(oracle: ActionOracle, lam: Sequence[Rat]) -> tuple[tuple[Rat,
     n = oracle.loop_vars
     one = oracle.one()
     units = [tuple(1 if t == j else 0 for t in range(n)) for j in range(n)]
-    ups = [oracle.eval(Generator("D", j, e_j), one) for j, e_j in enumerate(units, 1)]
+    ups = [oracle.eval(_generator("D", j, e_j), one) for j, e_j in enumerate(units, 1)]
     leads = [
         _scalar_ratio(got - got.constant_term() * one, Poly.d(*oracle.ranks, j))
         for j, got in enumerate(ups, 1)
@@ -268,7 +268,7 @@ def recover_witt_a(oracle: ActionOracle, lam: Sequence[Rat]) -> tuple[tuple[Rat,
             raise ClassificationError(
                 "witt-scalar-consistency", f"directions give a = {value} and {a}"
             )
-        back = oracle.eval(Generator("D", j, tuple(-x for x in e_j)), one)
+        back = oracle.eval(_generator("D", j, tuple(-x for x in e_j)), one)
         want = (Poly.d(*oracle.ranks, j) + Poly.const(*oracle.ranks, value + 1)).scale(
             1 / lam_j
         )
@@ -297,10 +297,10 @@ def recover_parameters(
     zero = (0,) * n if oracle.variant != "finite" else ()
     for p in probes:
         for i in range(1, l + 1):
-            if oracle.eval(Generator("h", i, zero), p) != Poly.H(l, n, i) * p:
+            if oracle.eval(_generator("h", i, zero), p) != Poly.H(l, n, i) * p:
                 raise ClassificationError("cartan-freeness", f"H{i} is not multiplication")
         for j in range(1, n + 1):
-            if oracle.eval(Generator("D", j, zero), p) != Poly.d(l, n, j) * p:
+            if oracle.eval(_generator("D", j, zero), p) != Poly.d(l, n, j) * p:
                 raise ClassificationError("cartan-freeness", f"d{j} is not multiplication")
 
     lam: tuple[Rat, ...] = ()
@@ -322,8 +322,8 @@ def recover_parameters(
     if oracle.variant == "witt":
         return RecoveredParams(None, lam, witt_a, [], [])
 
-    x_polys = [oracle.eval(Generator("x", i, zero), one) for i in range(1, l + 1)]
-    y_polys = [oracle.eval(Generator("y", i, zero), one) for i in range(1, l + 1)]
+    x_polys = [oracle.eval(_generator("x", i, zero), one) for i in range(1, l + 1)]
+    y_polys = [oracle.eval(_generator("y", i, zero), one) for i in range(1, l + 1)]
     decodings = _decode_base(oracle, x_polys, y_polys, lam, witt_a)
     if not decodings:
         raise ClassificationError(

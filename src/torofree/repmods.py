@@ -102,12 +102,12 @@ class Generator(Frozen):
 
 @lru_cache(maxsize=1 << 16)
 def _generator(kind: str, index: int, r: tuple[int, ...]) -> Generator:
-    """The one Generator of (kind, index, r) that generators_for and the
-    generator words share, so a memo keyed by generators finds them by
-    identity, without comparing fields.  The bound is far above the
-    generators of any window a check can finish, so a word cached elsewhere
-    keeps holding this cache's object; past it, equal generators still
-    compare equal, field by field."""
+    """The one Generator of (kind, index, r) that the operator words, the
+    checks, the searches and recovery share, so a memo keyed by generators
+    finds them by identity, without comparing fields.  The bound is far
+    above the generators of any window a check can finish, so a word cached
+    elsewhere keeps holding this cache's object; past it, equal generators
+    still compare equal, field by field."""
     return Generator(kind, index, r)
 
 
@@ -589,7 +589,7 @@ def element_operator(spec: ModuleSpec, X: LieElt) -> ShiftOperator:
     out = None
     for (kind, idx, r), c in X.terms.items():
         if kind in ("K", "D"):
-            op = generator_operator(spec, Generator(kind, idx, r))
+            op = generator_operator(spec, _generator(kind, idx, r))
         else:
             op = _root_operator(spec, idx, r)
         if c != 1:

@@ -52,7 +52,7 @@ from .polyalg import (
     divides,
     unpack_exponent,
 )
-from .repmods import Generator, ModuleSpec, base_action_polys
+from .repmods import ModuleSpec, _generator, base_action_polys
 
 Rat = Fraction
 Vector = list[Rat]
@@ -811,7 +811,7 @@ def cyclicity_check(
             var = VarId("d", j)
             e_j = tuple(1 if t == j - 1 else 0 for t in range(n))
             while deg_in(var, current) > 0:
-                current = repmods.act(spec, Generator("h", 1, e_j), current) - (
+                current = repmods.act(spec, _generator("h", 1, e_j), current) - (
                     hvar * current
                 ).scale(spec.lam[j - 1])
                 if current.is_zero():
@@ -820,7 +820,7 @@ def cyclicity_check(
     gens = []
     zero = spec.algebra.zero_degree()
     for i in range(1, l + 1):
-        gens += [Generator("x", i, zero), Generator("y", i, zero), Generator("h", i, zero)]
+        gens += [_generator("x", i, zero), _generator("y", i, zero), _generator("h", i, zero)]
     target = {0: 1}  # the constant 1 as a numerator row
     span = Echelon()
     span.add(current.nums)

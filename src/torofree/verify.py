@@ -19,14 +19,10 @@ from fractions import Fraction
 
 from . import liealg, repmods
 from .algebras import AlgebraDesc, degree_box, window_degrees
-# the report and the random polynomials are defined in ``checks`` and
-# re-exported here under their old import path, as are the polyalg names
-from .checks import _COEFFS, CheckReport, _check_samples, random_poly
+from .checks import CheckReport, _check_samples, random_poly
 from .errors import DomainError, StructureError
 from .liealg import LieElt, basis_of, bracket
 from .polyalg import (
-    MAX_SLOT_EXPONENT,
-    SLOT_BITS,
     Poly,
     ShiftOperator,
     VarId,
@@ -35,7 +31,7 @@ from .polyalg import (
     shift_sigma,
     shift_tau,
 )
-from .repmods import ActionFn, Generator, ModuleSpec
+from .repmods import ActionFn, Generator, ModuleSpec, _generator
 
 Rat = Fraction
 
@@ -175,8 +171,8 @@ def central_identity_check(
             e_j = tuple(1 if t == j - 1 else 0 for t in range(n))
             a_minus = tuple(x - y for x, y in zip(a, e_j))
             for i in range(1, l + 1):
-                gx = Generator("x", i, e_j)
-                gy = Generator("y", i, a_minus)
+                gx = _generator("x", i, e_j)
+                gy = _generator("y", i, a_minus)
                 comm = action(spec, gx, action(spec, gy, one)) - action(
                     spec, gy, action(spec, gx, one)
                 )
@@ -211,9 +207,9 @@ def freeness_check(
     gens: list[tuple[Generator, Poly]] = []
     if spec.algebra.variant != "witt":
         for i in range(1, l + 1):
-            gens.append((Generator("h", i, zero), Poly.H(l, n, i)))
+            gens.append((_generator("h", i, zero), Poly.H(l, n, i)))
     for j in range(1, n + 1):
-        gens.append((Generator("D", j, zero), Poly.d(l, n, j)))
+        gens.append((_generator("D", j, zero), Poly.d(l, n, j)))
     white_box = action is repmods.act
     gaps: dict[Generator, ShiftOperator] = {}
     if white_box:
@@ -269,9 +265,9 @@ def eva_twist_check(
     for r in window:
         cases[r] = []
         for i in range(1, l + 1):
-            cases[r] += [(Generator("h", i, r), 0), (Generator("x", i, r), 1),
-                         (Generator("y", i, r), -1)]
-        cases[r] += [(Generator("K", j, r), 0) for j in range(1, n + 1)]
+            cases[r] += [(_generator("h", i, r), 0), (_generator("x", i, r), 1),
+                         (_generator("y", i, r), -1)]
+        cases[r] += [(_generator("K", j, r), 0) for j in range(1, n + 1)]
         for gen, k in cases[r]:
             op = repmods.generator_operator(spec, gen)
             sigma = [0] * l
@@ -326,7 +322,7 @@ def degree_reduction_check(
         # h_1(e_j) = lambda_j H_1 T_(e_j) makes (h_1(e_j) - lambda_j h_1) . w =
         # lambda_j H_1 (w(d_j - 1) - w), whose d_j-degree is that of w less one
         # (leading coefficient -m c_m lambda_j H_1) for every w with deg_dj(w) >= 1
-        if all(repmods.generator_operator(spec, Generator("h", 1, e_j))
+        if all(repmods.generator_operator(spec, _generator("h", 1, e_j))
                == ShiftOperator(l, n, {(0,) * l + e_j: hvar.scale(lam_j)})
                for e_j, lam_j in zip(units, spec.lam)):
             report.cases_run += samples * n
@@ -338,7 +334,7 @@ def degree_reduction_check(
             w = random_poly(rng, l, n)
             if deg_in(var, w) < 1:
                 w = w * Poly.d(l, n, j)
-            reduced = action(spec, Generator("h", 1, e_j), w) - (
+            reduced = action(spec, _generator("h", 1, e_j), w) - (
                 hvar * w
             ).scale(spec.lam[j - 1])
             ok = deg_in(var, reduced) < deg_in(var, w)

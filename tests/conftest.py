@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from torofree.liealg import AlgebraDesc
+from torofree.algebras import AlgebraDesc
 from torofree.polyalg import Poly, shift_sigma
 from torofree.repmods import ModuleSpec
 
@@ -170,7 +170,7 @@ def decompose(fin, mat) -> dict:
 
 
 class RescalingEchelon:
-    """classify.Echelon with the row multiplied by the pivot's cofactor p at
+    """search.Echelon with the row multiplied by the pivot's cofactor p at
     every elimination step, p = 1 included: the plain fraction-free step the
     library's shortcut must agree with."""
 

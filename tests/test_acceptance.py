@@ -14,12 +14,12 @@ from fractions import Fraction
 import pytest
 
 from conftest import mk_spec, src_env
-from torofree import classify as C, repmods as R, verify as V
+from torofree import recovery as RC, repmods as R, search as SR, verify as V
+from torofree.algebras import AlgebraDesc, degree_box
+from torofree.checks import random_poly
 from torofree.errors import ClassificationError
-from torofree.liealg import AlgebraDesc, degree_box
 from torofree.polyalg import Poly
 from torofree.repmods import spec_to_json
-from torofree.verify import random_poly
 
 F = Fraction
 WIN1 = degree_box(1, -2, 2)
@@ -108,8 +108,8 @@ def test_criterion_5_simplicity_grid():
             for S in subsets:
                 spec = mk_spec(rank=l, loop_vars=1, variant="toroidal", lam=(2,),
                                base_b=b, S=S)
-                predicted_simple = C.simplicity_predict(spec)
-                report = C.submodule_witness_search(spec, maxdeg, WIN1)
+                predicted_simple = R.simplicity_predict(spec)
+                report = SR.submodule_witness_search(spec, maxdeg, WIN1)
                 if predicted_simple == report.found or (report.found and not report.verified):
                     mism.append((l, str(b), sorted(S), predicted_simple, report.found))
                     continue
@@ -117,14 +117,14 @@ def test_criterion_5_simplicity_grid():
                     for s in range(5):
                         w = random_poly(random.Random(1000 * l + 10 * s), l, 1,
                                         max_total_deg=2, max_terms=3)
-                        if not C.cyclicity_check(spec, w, max_word_len=12,
+                        if not SR.cyclicity_check(spec, w, max_word_len=12,
                                                  loop_window=WIN1):
                             mism.append((l, str(b), sorted(S), "cyclicity", s))
     for S in [frozenset(s) for k in range(3) for s in itertools.combinations((1, 2), k)]:
         spec = mk_spec(family="C", rank=2, loop_vars=1, variant="toroidal",
                        lam=(2,), S=S)
-        assert C.simplicity_predict(spec)
-        if C.submodule_witness_search(spec, 6, WIN1).found:
+        assert R.simplicity_predict(spec)
+        if SR.submodule_witness_search(spec, 6, WIN1).found:
             mism.append(("C2", sorted(S), "unexpected witness"))
     assert not mism, mism
     _line(5, "simplicity grid (predictions = witness/cyclicity outcomes, 52 points)")
@@ -179,8 +179,8 @@ def test_criterion_6_recovery_round_trip():
     for spec in specs:
         n = spec.algebra.loop_vars
         window = degree_box(n, -2, 2) if spec.algebra.variant != "finite" else None
-        oracle = C.oracle_from_spec(spec)
-        rec = C.recover_parameters(oracle, window)
+        oracle = RC.oracle_from_spec(spec)
+        rec = RC.recover_parameters(oracle, window)
         assert rec.lam == spec.lam, spec_to_json(spec)
         assert rec.witt_a == spec.witt_a
         if spec.algebra.variant == "witt":
@@ -192,8 +192,8 @@ def test_criterion_6_recovery_round_trip():
         xs, ys = R.base_action_polys(spec)
         assert rec.x_polys == xs and rec.y_polys == ys
         if spec.algebra.variant in ("toroidal", "full"):
-            assert C.check_assertion_A(oracle, window).passed
-            assert C.check_assertion_B(oracle, window, spec.lam).passed
+            assert RC.check_assertion_A(oracle, window).passed
+            assert RC.check_assertion_B(oracle, window, spec.lam).passed
     base = mk_spec(rank=2, loop_vars=1, variant="toroidal", lam=(3,),
                    base_a=(2, 1), base_b=1, S={1})
     for defect, violated in [
@@ -201,9 +201,9 @@ def test_criterion_6_recovery_round_trip():
         ("loop-scaling", "loop-scaling"),
         ("lambda-mismatch", "shift-scalar-consistency"),
     ]:
-        bad = C.inject_defect(C.oracle_from_spec(base), defect)
+        bad = RC.inject_defect(RC.oracle_from_spec(base), defect)
         with pytest.raises(ClassificationError) as err:
-            C.recover_parameters(bad, degree_box(1, -2, 2))
+            RC.recover_parameters(bad, degree_box(1, -2, 2))
         assert err.value.violated == violated
     _line(6, f"recovery round-trip ({len(specs)} specs + 3 attributed defects)")
 
@@ -235,7 +235,7 @@ def test_criterion_7_isomorphism_grid():
             if (a1.family, a1.rank, a1.loop_vars, a1.variant) != (
                     a2.family, a2.rank, a2.loop_vars, a2.variant):
                 continue
-            assert C.iso_test(s1, s2) == (key(s1) == key(s2))
+            assert R.iso_test(s1, s2) == (key(s1) == key(s2))
     # single-field perturbations flip the verdict
     base = mk_spec(rank=1, loop_vars=1, variant="full", lam=(2,), witt_a=0,
                    base_a=(2,), base_b=3, S={1})
@@ -251,9 +251,9 @@ def test_criterion_7_isomorphism_grid():
         mk_spec(rank=1, loop_vars=1, variant="full", lam=(2,), witt_a=0,
                 base_a=(2,), base_b=3, S={1, 2}),
     ]
-    assert C.iso_test(base, base)
+    assert R.iso_test(base, base)
     for other in perturbed:
-        assert not C.iso_test(base, other)
+        assert not R.iso_test(base, other)
     _line(7, f"isomorphism grid ({len(grid)} specs, single-field perturbations flip)")
 
 

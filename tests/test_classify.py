@@ -13,11 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import RescalingEchelon, mat_comm, mat_is_zero, mat_sub, mk_spec
-from torofree import classify as C, liealg as L, recovery as RC, repmods as R, search as SR
+from torofree import recovery as RC, repmods as R, search as SR
+from torofree.checks import random_poly
 from torofree.errors import ClassificationError, DomainError
-from torofree.polyalg import MAX_EXPONENT, Poly, unpack_exponent
+from torofree.polyalg import MAX_EXPONENT, Poly, divides, unpack_exponent
 from torofree.repmods import Generator
-from torofree.verify import random_poly
 
 F = Fraction
 WIN1 = [(-2,), (-1,), (0,), (1,), (2,)]
@@ -30,24 +30,24 @@ def toroidal(l, b, S, lam=(2,), a=None):
 
 class TestSimplicityPredict:
     def test_sl2_fractional_b(self):
-        assert C.simplicity_predict(mk_spec(rank=1, base_b=F(1, 3), S=()))
+        assert R.simplicity_predict(mk_spec(rank=1, base_b=F(1, 3), S=()))
 
     def test_sl2_full_integer_b(self):
         # S = {1,2} with 2b a non-negative integer: not simple
-        assert not C.simplicity_predict(mk_spec(rank=1, base_b=1, S={1, 2}))
-        assert not C.simplicity_predict(mk_spec(rank=1, base_b=0, S={1, 2}))
+        assert not R.simplicity_predict(mk_spec(rank=1, base_b=1, S={1, 2}))
+        assert not R.simplicity_predict(mk_spec(rank=1, base_b=0, S={1, 2}))
 
     def test_sl2_empty_pattern_flips_parameter(self):
         # the empty pattern tests (l+1)(-b-1): simple at b = 1, not at b = -2
-        assert C.simplicity_predict(mk_spec(rank=1, base_b=1, S=()))
-        assert not C.simplicity_predict(mk_spec(rank=1, base_b=-2, S=()))
+        assert R.simplicity_predict(mk_spec(rank=1, base_b=1, S=()))
+        assert not R.simplicity_predict(mk_spec(rank=1, base_b=-2, S=()))
 
     def test_mixed_s_always_simple(self):
         for b in (0, 1, F(7, 2)):
-            assert C.simplicity_predict(mk_spec(rank=1, base_b=b, S={1}))
+            assert R.simplicity_predict(mk_spec(rank=1, base_b=b, S={1}))
 
     def test_c_family(self):
-        assert C.simplicity_predict(mk_spec(family="C", rank=2, base_a=(5, 1), S={1}))
+        assert R.simplicity_predict(mk_spec(family="C", rank=2, base_a=(5, 1), S={1}))
 
     def test_variant_does_not_change_answer(self):
         for S, b in (((1, 2), 1), ((), F(1, 3)), ((1,), 2)):
@@ -55,25 +55,25 @@ class TestSimplicityPredict:
             tor = toroidal(1, b, S)
             ful = mk_spec(rank=1, loop_vars=1, variant="full", lam=(2,), witt_a=0,
                           base_b=b, S=S)
-            assert C.simplicity_predict(fin) == C.simplicity_predict(tor)
-            assert C.simplicity_predict(fin) == C.simplicity_predict(ful)
+            assert R.simplicity_predict(fin) == R.simplicity_predict(tor)
+            assert R.simplicity_predict(fin) == R.simplicity_predict(ful)
 
     def test_witt_variant(self):
-        assert not C.simplicity_predict(
+        assert not R.simplicity_predict(
             mk_spec(rank=0, loop_vars=1, variant="witt", lam=(2,), witt_a=-1))
-        assert C.simplicity_predict(
+        assert R.simplicity_predict(
             mk_spec(rank=0, loop_vars=1, variant="witt", lam=(2,), witt_a=0))
 
     @pytest.mark.parametrize("b", [0, Poly.d(1, 1, 1)], ids=["b=0", "b=d1"])
     def test_finite_with_loop_variables_is_not_simple(self, b):
         # (d1) is a proper invariant ideal whatever b in Q[d] is
         spec = mk_spec(rank=1, loop_vars=1, base_b=b, S={1})
-        simple, rule = C.simplicity_rule(spec)
+        simple, rule = R.simplicity_rule(spec)
         assert not simple and "(d1)" in rule
         d1 = Poly.d(1, 1, 1)
         for k, gen in enumerate(R.generators_for(spec, [()])):
             p = d1 * random_poly(random.Random(k), 1, 1)
-            assert C.divides(d1, R.act(spec, gen, p)), gen
+            assert divides(d1, R.act(spec, gen, p)), gen
 
 
 class TestPrincipalWitness:
@@ -81,34 +81,34 @@ class TestPrincipalWitness:
         # (the integral edge pattern sits at S = {1,2}; the empty pattern at
         #  b = 1 is simple: its effective parameter is -4)
         spec = mk_spec(rank=1, base_a=(1,), base_b=1, S={1, 2})
-        w = C.principal_witness_search(spec, 4)
+        w = SR.principal_witness_search(spec, 4)
         assert w == Poly.parse("H1^3 - H1", 1, 0)
-        assert C.witness_verify(spec, w)
+        assert SR.witness_verify(spec, w)
 
     def test_simple_point_has_none(self):
-        assert C.principal_witness_search(mk_spec(rank=1, base_b=1, S=()), 6) is None
-        assert C.principal_witness_search(mk_spec(rank=1, base_b=F(1, 3), S={1}), 4) is None
+        assert SR.principal_witness_search(mk_spec(rank=1, base_b=1, S=()), 6) is None
+        assert SR.principal_witness_search(mk_spec(rank=1, base_b=F(1, 3), S={1}), 4) is None
 
     def test_degree_one_witness(self):
         spec = mk_spec(rank=1, base_b=0, S={1, 2})
-        assert C.principal_witness_search(spec, 2) == Poly.H(1, 0, 1)
+        assert SR.principal_witness_search(spec, 2) == Poly.H(1, 0, 1)
 
     def test_empty_pattern_negative_b(self):
         spec = mk_spec(rank=1, base_b=-2, S=())
-        w = C.principal_witness_search(spec, 6)
-        assert w is not None and C.witness_verify(spec, w)
+        w = SR.principal_witness_search(spec, 6)
+        assert w is not None and SR.witness_verify(spec, w)
 
     def test_toroidal_lift_same_witness(self):
         base = mk_spec(rank=1, base_a=(1,), base_b=1, S={1, 2})
         lift = toroidal(1, 1, {1, 2}, a=(F(1),))
-        wb = C.principal_witness_search(base, 4)
-        wl = C.principal_witness_search(lift, 4)
+        wb = SR.principal_witness_search(base, 4)
+        wl = SR.principal_witness_search(lift, 4)
         assert wb.text() == wl.text()  # same polynomial, carrier ranks aside
-        assert C.witness_verify(lift, wl, WIN1)
+        assert SR.witness_verify(lift, wl, WIN1)
 
     def test_l2_edge_has_no_principal_witness(self):
         # finite-codimension submodules in two variables have trivial gcd
-        assert C.principal_witness_search(mk_spec(rank=2, base_b=1, S={1, 2, 3}), 8) is None
+        assert SR.principal_witness_search(mk_spec(rank=2, base_b=1, S={1, 2, 3}), 8) is None
 
 
 def reference_normalize_factors(factors):
@@ -145,7 +145,7 @@ def reference_principal_search(spec, maxdeg):
     orbits = {}
     for norm in x_norm + y_norm:
         for key, consts in norm.items():
-            if C._h_only(key):
+            if SR._h_only(key):
                 orbits.setdefault(key, set()).update(consts)
     for key in sorted(orbits, key=lambda k: k.text()):
         deltas = [key.coeff(unit_exp(l, n, i)) for i in range(l)]
@@ -208,7 +208,7 @@ class TestPrincipalReference:
                 spec = toroidal(l, b, S)
                 for maxdeg in (0, 3, 6, 10):
                     want = reference_principal_search(spec, maxdeg)
-                    assert C.principal_witness_search(spec, maxdeg) == want, (S, b, maxdeg)
+                    assert SR.principal_witness_search(spec, maxdeg) == want, (S, b, maxdeg)
 
     def test_c2_every_pattern(self):
         # C_2 orbits carry fractional constants and a shift of 2
@@ -216,14 +216,14 @@ class TestPrincipalReference:
             spec = mk_spec(family="C", rank=2, base_a=(1, 1), S=S)
             for maxdeg in (0, 3, 6, 10):
                 want = reference_principal_search(spec, maxdeg)
-                assert C.principal_witness_search(spec, maxdeg) == want, (S, maxdeg)
+                assert SR.principal_witness_search(spec, maxdeg) == want, (S, maxdeg)
 
     def test_c3_every_pattern(self):
         for S in subsets(3):
             spec = mk_spec(family="C", rank=3, base_a=(1, 2, 1), S=S)
             for maxdeg in (0, 3, 6, 10):
                 want = reference_principal_search(spec, maxdeg)
-                assert C.principal_witness_search(spec, maxdeg) == want, (S, maxdeg)
+                assert SR.principal_witness_search(spec, maxdeg) == want, (S, maxdeg)
 
     def test_finite_a2_with_a_loop_variable(self):
         # b = d1 + c puts d1 into the orbits of the factors that carry b,
@@ -235,10 +235,10 @@ class TestPrincipalReference:
                 spec = mk_spec(rank=2, loop_vars=1, base_b=b, S=S)
                 keys = {key for fs in R.base_action_factor_lists(spec)[0]
                         for key in reference_normalize_factors(fs)}
-                skipped += any(not C._h_only(key) for key in keys)
+                skipped += any(not SR._h_only(key) for key in keys)
                 for maxdeg in (0, 3, 6, 10):
                     want = reference_principal_search(spec, maxdeg)
-                    assert C.principal_witness_search(spec, maxdeg) == want, (S, b, maxdeg)
+                    assert SR.principal_witness_search(spec, maxdeg) == want, (S, b, maxdeg)
         assert skipped
 
     def test_integer_keys_match_the_poly_normalization(self):
@@ -253,9 +253,9 @@ class TestPrincipalReference:
             l, n = spec.ranks
             for fs in itertools.chain(*R.base_action_factor_lists(spec)):
                 got = {Poly._raw(l, n, key[0][1], dict(key)): consts
-                       for key, consts in C._normalize_factors(fs).items()}
+                       for key, consts in SR._normalize_factors(fs).items()}
                 want = {key: consts for key, consts in reference_normalize_factors(fs).items()
-                        if C._h_only(key)}
+                        if SR._h_only(key)}
                 assert got == want, (spec.algebra, spec.S, fs)
 
     def test_only_pairs_of_constants_are_checked(self, monkeypatch):
@@ -265,17 +265,17 @@ class TestPrincipalReference:
         holds = SR._chain_holds
         monkeypatch.setattr(SR, "_chain_holds", lambda *args: calls.append(args) or holds(*args))
         spec = mk_spec(rank=2, base_b=F(5, 7), S=())
-        assert C.principal_witness_search(spec, 6) is None
+        assert SR.principal_witness_search(spec, 6) is None
         assert reference_principal_search(spec, 6) is None
         assert len(calls) < 40
         # the pairs do not depend on maxdeg
         at_6 = len(calls)
         calls.clear()
-        assert C.principal_witness_search(spec, 10**6) is None
+        assert SR.principal_witness_search(spec, 10**6) is None
         assert len(calls) <= at_6
         # chains are still tried in order: the l = 1 edge witness
         spec = mk_spec(rank=1, base_b=1, S={1, 2})
-        assert C.principal_witness_search(spec, 4) == reference_principal_search(spec, 4) \
+        assert SR.principal_witness_search(spec, 4) == reference_principal_search(spec, 4) \
             == Poly.parse("H1^3 - H1", 1, 0)
         assert calls
 
@@ -299,7 +299,7 @@ class TestPrincipalReference:
         # absorbers clustered on a half-integer grid, so chains often pass
         rows = paired_rows(pairs)
         chain = {start + t: mult for t in range(length)}
-        assert C._chain_holds(start, length, mult, chain_rows(rows)) == multiset_check(chain, rows)
+        assert SR._chain_holds(start, length, mult, chain_rows(rows)) == multiset_check(chain, rows)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -321,7 +321,7 @@ class TestPrincipalReference:
         rows = paired_rows(pairs)
         consts = {c for absorbers, _ in rows for c in absorbers}
         want = reference_first_chain(consts, rows, maxdeg)
-        assert C._first_chain(chain_rows(rows), maxdeg) == want
+        assert SR._first_chain(chain_rows(rows), maxdeg) == want
 
 
 def paired_rows(pairs):
@@ -339,22 +339,22 @@ class TestWitnessVerify:
     def test_rejects_degree_zero(self):
         spec = mk_spec(rank=1, base_b=1, S={1, 2})
         with pytest.raises(DomainError):
-            C.witness_verify(spec, spec.one())
+            SR.witness_verify(spec, spec.one())
 
     def test_rejects_non_monic(self):
         spec = mk_spec(rank=1, base_b=1, S={1, 2})
         with pytest.raises(DomainError):
-            C.witness_verify(spec, Poly.H(1, 0, 1).scale(2))
+            SR.witness_verify(spec, Poly.H(1, 0, 1).scale(2))
 
     def test_false_on_simple_module(self):
         spec = mk_spec(rank=1, base_b=F(1, 3), S=())
-        assert not C.witness_verify(spec, Poly.H(1, 0, 1))
+        assert not SR.witness_verify(spec, Poly.H(1, 0, 1))
 
     def test_round_trip_with_search(self):
         spec = toroidal(1, 2, {1, 2}, a=(F(1),))
-        report = C.submodule_witness_search(spec, 10, WIN1)
+        report = SR.submodule_witness_search(spec, 10, WIN1)
         assert report.found and report.verified
-        assert C.witness_verify(spec, report.witness, WIN1)
+        assert SR.witness_verify(spec, report.witness, WIN1)
 
 
 class TestQuotientCertificates:
@@ -363,41 +363,41 @@ class TestQuotientCertificates:
     )
     def test_sl3_edge_certificates(self, b, dim):
         spec = mk_spec(rank=2, base_b=b, S={1, 2, 3})
-        cert = C.quotient_certificate_search(spec, 16)
+        cert = SR.quotient_certificate_search(spec, 16)
         assert cert is not None and cert.dim == dim
-        assert C.verify_quotient_certificate(spec, cert)
+        assert SR.verify_quotient_certificate(spec, cert)
 
     def test_simple_points_have_none(self):
-        assert C.quotient_certificate_search(mk_spec(rank=2, base_b=1, S=()), 16) is None
-        assert C.quotient_certificate_search(mk_spec(rank=2, base_b=F(1, 3), S={1}), 12) is None
+        assert SR.quotient_certificate_search(mk_spec(rank=2, base_b=1, S=()), 16) is None
+        assert SR.quotient_certificate_search(mk_spec(rank=2, base_b=F(1, 3), S={1}), 12) is None
 
     def test_certificate_verifies_through_lift(self):
         base = mk_spec(rank=2, base_b=F(1, 3), S={1, 2, 3})
-        cert = C.quotient_certificate_search(base, 8)
+        cert = SR.quotient_certificate_search(base, 8)
         lift = toroidal(2, F(1, 3), {1, 2, 3}, lam=(3,))
-        assert C.verify_quotient_certificate(lift, cert, WIN1)
+        assert SR.verify_quotient_certificate(lift, cert, WIN1)
 
     def test_tampered_certificate_rejected(self):
         spec = mk_spec(rank=2, base_b=F(1, 3), S={1, 2, 3})
-        cert = C.quotient_certificate_search(spec, 8)
-        bad = C.QuotientCert(cert.weights, cert.dim, tuple(
+        cert = SR.quotient_certificate_search(spec, 8)
+        bad = SR.QuotientCert(cert.weights, cert.dim, tuple(
             c + 1 for c in cert.v0
         ))
-        assert not C.verify_quotient_certificate(spec, bad)
-        zero = C.QuotientCert(cert.weights, cert.dim, tuple(F(0) for _ in cert.v0))
-        assert not C.verify_quotient_certificate(spec, zero)
+        assert not SR.verify_quotient_certificate(spec, bad)
+        zero = SR.QuotientCert(cert.weights, cert.dim, tuple(F(0) for _ in cert.v0))
+        assert not SR.verify_quotient_certificate(spec, zero)
 
     def _tampered_irrep(self, monkeypatch, tamper):
         """The dim-3 certificate with irrep_A patched to a tampered copy."""
         spec = mk_spec(rank=2, base_b=F(1, 3), S={1, 2, 3})
-        cert = C.quotient_certificate_search(spec, 8)
-        assert C.verify_quotient_certificate(spec, cert)
-        rep = C.irrep_A(2, cert.weights)
-        copy = C.IrrepA(rep.rank, rep.weights, rep.dim,
+        cert = SR.quotient_certificate_search(spec, 8)
+        assert SR.verify_quotient_certificate(spec, cert)
+        rep = SR.irrep_A(2, cert.weights)
+        copy = SR.IrrepA(rep.rank, rep.weights, rep.dim,
                         [[dict(row) for row in m] for m in rep.x_mats], rep.y_mats, rep.h_int)
         tamper(copy, cert.v0)
         monkeypatch.setattr(SR, "irrep_A", lambda rank, weights: copy)
-        return C.verify_quotient_certificate(spec, cert)
+        return SR.verify_quotient_certificate(spec, cert)
 
     def test_off_ladder_entry_rejected(self, monkeypatch):
         def tamper(rep, v0):
@@ -415,7 +415,7 @@ class TestQuotientCertificates:
         # x_1(r) doubled for r != 0 only: the base conditions (r = 0) still
         # hold, so only the check of the loop-degree terms can see it
         lift = toroidal(2, F(1, 3), {1, 2, 3}, lam=(3,))
-        cert = C.quotient_certificate_search(mk_spec(rank=2, base_b=F(1, 3), S={1, 2, 3}), 8)
+        cert = SR.quotient_certificate_search(mk_spec(rank=2, base_b=F(1, 3), S={1, 2, 3}), 8)
         assert cert is not None and cert.dim == 3
         operator = R.generator_operator
 
@@ -424,15 +424,15 @@ class TestQuotientCertificates:
             return op.scale(2) if (gen.kind, gen.index) == ("x", 1) and any(gen.r) else op
 
         monkeypatch.setattr(R, "generator_operator", doubled)
-        assert not C.verify_quotient_certificate(lift, cert, [(-1,), (0,), (1,)])
-        assert C.verify_quotient_certificate(lift, cert, [(0,)])
+        assert not SR.verify_quotient_certificate(lift, cert, [(-1,), (0,), (1,)])
+        assert SR.verify_quotient_certificate(lift, cert, [(0,)])
 
     def test_d_stays_a_variable(self):
         # b = d1 - 2/3 agrees with b = 1/3 only at d1 = 1
-        cert = C.quotient_certificate_search(mk_spec(rank=2, base_b=F(1, 3), S={1, 2, 3}), 8)
+        cert = SR.quotient_certificate_search(mk_spec(rank=2, base_b=F(1, 3), S={1, 2, 3}), 8)
         for b, ok in ((Poly.parse("d1 - 2/3", 2, 1), False), (F(1, 3), True)):
             spec = mk_spec(rank=2, loop_vars=1, base_b=b, S={1, 2, 3})
-            assert C.verify_quotient_certificate(spec, cert) == ok
+            assert SR.verify_quotient_certificate(spec, cert) == ok
 
 
 class TestCombinedSearch:
@@ -446,64 +446,65 @@ class TestCombinedSearch:
         ]:
             spec = toroidal(l, b, S)
             maxdeg = int(2 * (l + 1) * F(b)) + 2
-            report = C.submodule_witness_search(spec, maxdeg, WIN1)
-            assert C.simplicity_predict(spec) == (not report.found)
+            report = SR.submodule_witness_search(spec, maxdeg, WIN1)
+            assert R.simplicity_predict(spec) == (not report.found)
             if report.found:
                 assert report.verified
 
     def test_witt_variant_rejected(self):
         spec = mk_spec(rank=0, loop_vars=1, variant="witt", lam=(2,), witt_a=0)
         with pytest.raises(DomainError):
-            C.submodule_witness_search(spec, 4)
+            SR.submodule_witness_search(spec, 4)
 
     def test_negative_bounds_rejected(self):
         spec = mk_spec(rank=2, base_b=F(1, 3), S={1, 2, 3})
         with pytest.raises(DomainError):
-            C.submodule_witness_search(spec, -1)
+            SR.submodule_witness_search(spec, -1)
         with pytest.raises(DomainError):
-            C.submodule_witness_search(spec, 4, dim_bound=-3)
+            SR.submodule_witness_search(spec, 4, dim_bound=-3)
         # a longer l = 1 witness could not be parsed back
         with pytest.raises(DomainError):
-            C.submodule_witness_search(spec, MAX_EXPONENT + 1)
-        report = C.submodule_witness_search(mk_spec(rank=1, base_b=1, S={1, 2}), MAX_EXPONENT)
+            SR.submodule_witness_search(spec, MAX_EXPONENT + 1)
+        report = SR.submodule_witness_search(mk_spec(rank=1, base_b=1, S={1, 2}), MAX_EXPONENT)
         assert report.found and report.checked_degree_bound == MAX_EXPONENT
 
     def test_dim_bound_above_the_ceiling_rejected_before_any_search(self, monkeypatch):
         spec = mk_spec(rank=1, base_b=-3, S={1, 2})
         searched = []
         monkeypatch.setattr(SR, "principal_witness_search", lambda *a: searched.append(a))
-        with pytest.raises(DomainError, match=str(C.MAX_DIM_BOUND)):
-            C.submodule_witness_search(spec, 4, dim_bound=C.MAX_DIM_BOUND + 1)
+        with pytest.raises(DomainError, match=str(SR.MAX_DIM_BOUND)):
+            SR.submodule_witness_search(spec, 4, dim_bound=SR.MAX_DIM_BOUND + 1)
         assert not searched
         monkeypatch.undo()
         # the ceiling itself is accepted (a rank-3 simple point scans it quickly)
-        report = C.submodule_witness_search(mk_spec(rank=3, base_b=1), 0, dim_bound=C.MAX_DIM_BOUND)
-        assert not report.found and report.checked_dim_bound == C.MAX_DIM_BOUND
+        report = SR.submodule_witness_search(mk_spec(rank=3, base_b=1), 0,
+                                             dim_bound=SR.MAX_DIM_BOUND)
+        assert not report.found and report.checked_dim_bound == SR.MAX_DIM_BOUND
 
     def test_c_family_claims_no_quotient_scan(self):
         spec = mk_spec(family="C", rank=3, loop_vars=1, variant="toroidal", lam=(2,),
                        base_a=(1, 1, 1), S={1})
-        assert C.quotient_certificate_search(spec, 64) is None
+        assert SR.quotient_certificate_search(spec, 64) is None
         for dim_bound in (None, 10):
-            report = C.submodule_witness_search(spec, 3, [(0,)], dim_bound)
+            report = SR.submodule_witness_search(spec, 3, [(0,)], dim_bound)
             assert not report.found and report.checked_dim_bound == 0
 
     def test_non_scalar_b_claims_no_quotient_scan(self):
         spec = mk_spec(rank=2, loop_vars=2, base_b=Poly.parse("d1^2 + 3*d2", 2, 2),
                        S={1, 2, 3})
-        assert C.quotient_certificate_search(spec, 64) is None
+        assert SR.quotient_certificate_search(spec, 64) is None
         for dim_bound in (None, 10):
-            report = C.submodule_witness_search(spec, 3, dim_bound=dim_bound)
+            report = SR.submodule_witness_search(spec, 3, dim_bound=dim_bound)
             assert not report.found and report.checked_dim_bound == 0
         # a scan the weight filter ends before any irrep is built still counts
-        report = C.submodule_witness_search(mk_spec(rank=2, base_b=F(1, 3), S={1}), 3)
+        report = SR.submodule_witness_search(mk_spec(rank=2, base_b=F(1, 3), S={1}), 3)
         assert not report.found and report.checked_dim_bound == 6
 
     def test_zero_bounds_skip_their_search(self):
         spec = mk_spec(rank=1, base_b=1, S={1, 2})
-        report = C.submodule_witness_search(spec, 4, dim_bound=0)
+        report = SR.submodule_witness_search(spec, 4, dim_bound=0)
         assert report.found and report.witness is not None
-        report = C.submodule_witness_search(spec, 0, dim_bound=0)
+        report = SR.submodule_witness_search(spec, 0, dim_bound=0)
         assert not report.found and report.checked_dim_bound == 0
 
     def test_quotient_certificate_verified_once(self, monkeypatch):
@@ -516,7 +517,7 @@ class TestCombinedSearch:
             return verify(spec, cert, loop_window)
 
         monkeypatch.setattr(SR, "verify_quotient_certificate", counted)
-        report = C.submodule_witness_search(toroidal(2, F(1, 3), {1, 2, 3}), 4, window)
+        report = SR.submodule_witness_search(toroidal(2, F(1, 3), {1, 2, 3}), 4, window)
         assert report.verified and report.quotient_cert.dim == 3
         assert calls == [window]
 
@@ -525,31 +526,31 @@ class TestCombinedSearch:
         # C(4 + 3, 3) = 35, past the rank-2 default of 19 at maxdeg 10
         spec = toroidal(3, 1, {1, 2, 3, 4})
         window = [(-1,), (0,), (1,)]
-        report = C.submodule_witness_search(spec, 10, window)
+        report = SR.submodule_witness_search(spec, 10, window)
         assert report.found and report.verified and report.checked_dim_bound == 35
         assert (report.quotient_cert.weights, report.quotient_cert.dim) == ((0, 0, 4), 35)
-        assert not C.simplicity_predict(spec)
+        assert not R.simplicity_predict(spec)
 
     def test_default_dim_bound_is_rank_aware_and_capped(self):
         def default(l, maxdeg):
             spec = toroidal(l, F(1, 7), set(range(1, l + 2)))
-            return C.submodule_witness_search(spec, maxdeg, [(0,)]).checked_dim_bound
+            return SR.submodule_witness_search(spec, maxdeg, [(0,)]).checked_dim_bound
 
         # l <= 2 keeps the maxdeg formula
         assert [default(l, 10) for l in (1, 2)] == [19, 19]
         assert default(4, 10) == math.comb(4 + 4, 4)
-        assert default(3, 22) == C.MAX_DEFAULT_DIM_BOUND  # C(10 + 3, 3) = 286
+        assert default(3, 22) == SR.MAX_DEFAULT_DIM_BOUND  # C(10 + 3, 3) = 286
 
     def test_l1_needs_the_quotient_scan(self):
         # no principal witness up to degree 6; only the dim-11 quotient
         # V(10) certifies non-simplicity, so the l = 1 scan must stay
         spec = toroidal(1, 5, {1, 2})
-        assert C.principal_witness_search(spec, 6) is None
-        report = C.submodule_witness_search(spec, 6, WIN1, dim_bound=13)
+        assert SR.principal_witness_search(spec, 6) is None
+        report = SR.submodule_witness_search(spec, 6, WIN1, dim_bound=13)
         assert report.found and report.verified
         cert = report.quotient_cert
         assert cert is not None and (cert.dim, cert.weights) == (11, (10,))
-        assert C.verify_quotient_certificate(spec, cert, WIN1)
+        assert SR.verify_quotient_certificate(spec, cert, WIN1)
 
 
 # the edge patterns are non-simple at b = 0, 1, 1/3, 1/2, 2/3 (S = FULL) and
@@ -571,28 +572,28 @@ class TestQuotientWeightFilter:
 
     def test_weight_test_matches_the_gelfand_tsetlin_weights(self):
         for l in (1, 2, 3):
-            for weights in C._dominant_weights(l, 64):
-                h_ints = set(C.build_irrep_A(l, weights).h_int)
+            for weights in SR._dominant_weights(l, 64):
+                h_ints = set(SR.build_irrep_A(l, weights).h_int)
                 # every point of denominator l + 1 in a box one step past the weights
                 r = max(abs(x) for w in h_ints for x in w) + 1
                 for w in itertools.product(range(-r, r + 1), repeat=l):
-                    key = C._weight_key(w)
-                    assert (key is not None and C._has_weight(weights, [key])) \
+                    key = SR._weight_key(w)
+                    assert (key is not None and SR._has_weight(weights, [key])) \
                         == (w in h_ints), (weights, w)
 
     def test_rejected_irreps_have_no_kernel_vector(self):
         rejected = 0
         for l, S, b in filter_grid():
             spec = mk_spec(rank=l, base_b=b, S=S)
-            sides = [C._common_zeros(fs, l) for fs in R.base_action_factor_lists(spec)]
+            sides = [SR._common_zeros(fs, l) for fs in R.base_action_factor_lists(spec)]
             assert None not in sides
             xs, ys = R.base_action_polys(spec)
-            for weights in C._dominant_weights(l, 40):
-                if all(C._has_weight(weights, keys) for keys in sides):
+            for weights in SR._dominant_weights(l, 40):
+                if all(SR._has_weight(weights, keys) for keys in sides):
                     continue
                 rejected += 1
-                rep = C.irrep_A(l, weights)
-                assert C.nullspace(C._base_condition_rows(xs, ys, rep), rep.dim) == [], \
+                rep = SR.irrep_A(l, weights)
+                assert SR.nullspace(SR._base_condition_rows(xs, ys, rep), rep.dim) == [], \
                     (l, S, b, weights)
         assert rejected > 4000
 
@@ -604,7 +605,7 @@ class TestQuotientWeightFilter:
                                  (toroidal(l, b, S), [(-1,), (0,), (1,)])):
                 for maxdeg, dim_bound in ((6, None), (2, 40)):
                     reports.append(
-                        C.submodule_witness_search(spec, maxdeg, window, dim_bound).to_dict())
+                        SR.submodule_witness_search(spec, maxdeg, window, dim_bound).to_dict())
         assert sum(r["quotient_cert"] is not None for r in reports) == 40
         # a principal witness ends the search before the quotient scan runs
         principal = [r for r in reports if r["notes"] == "principal invariant ideal"]
@@ -624,13 +625,13 @@ class TestQuotientWeightFilter:
         H1, H2 = Poly.H(2, 0, 1), Poly.H(2, 0, 2)
         one = Poly.const(2, 0, 1)
         # h = (1, 2) on the second choice; the first, H1 = 1 and H1 = 0, has no zero
-        assert C._common_zeros([[H1 - one], [H1, H2 - one - one]], 2) \
-            == {C._weight_key((3, 6))}
+        assert SR._common_zeros([[H1 - one], [H1, H2 - one - one]], 2) \
+            == {SR._weight_key((3, 6))}
         # a line of common zeros, or a factor that is not affine: no finite list
-        assert C._common_zeros([[H1 - H2], [(H1 - H2).scale(2)]], 2) is None
-        assert C._common_zeros([[H1 * H1], [H2]], 2) is None
+        assert SR._common_zeros([[H1 - H2], [(H1 - H2).scale(2)]], 2) is None
+        assert SR._common_zeros([[H1 * H1], [H2]], 2) is None
         # a row with no factor has no zero
-        assert C._common_zeros([[H1], []], 2) == set()
+        assert SR._common_zeros([[H1], []], 2) == set()
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -651,13 +652,13 @@ class TestQuotientWeightFilter:
                     f = f * Poly.H(l, 0, data.draw(st.integers(1, l)))
                 factors.append(f)
             lists.append(factors)
-        assert C._common_zeros(lists, l) == reference_common_zeros(lists, l)
+        assert SR._common_zeros(lists, l) == reference_common_zeros(lists, l)
 
     def test_a_side_without_zeros_builds_no_irrep(self, monkeypatch):
         # S = {1}: x_1.1 is a nonzero constant, so no irrep carries a kernel vector
         built = []
         monkeypatch.setattr(SR, "irrep_A", lambda *args: built.append(args))
-        assert C.quotient_certificate_search(mk_spec(rank=2, base_b=F(1, 3), S={1}), 64) is None
+        assert SR.quotient_certificate_search(mk_spec(rank=2, base_b=F(1, 3), S={1}), 64) is None
         assert built == []
 
 
@@ -676,14 +677,14 @@ def reference_common_zeros(factor_lists, l):
     keys = set()
     for system in itertools.product(*factor_lists):
         rows = [{k: c for k, c in enumerate(coeffs[f]) if c} for f in system]
-        basis = C.nullspace(rows, l + 1)
+        basis = SR.nullspace(rows, l + 1)
         if all(v[l] == 0 for v in basis):
             continue  # no solution
         if len(basis) > 1:
             return None  # a consistent system with more than one solution
         w = [(l + 1) * x / basis[0][l] for x in basis[0][:l]]
         if all(x.denominator == 1 for x in w):
-            key = C._weight_key([int(x) for x in w])
+            key = SR._weight_key([int(x) for x in w])
             if key is not None:
                 keys.add(key)
     return keys
@@ -703,7 +704,7 @@ def reference_cyclicity(spec, w, max_word_len):
     degbound = current.total_degree() + max_word_len + 2
     zero = spec.algebra.zero_degree()
     gens = [Generator(kind, i, zero) for i in range(1, l + 1) for kind in "xyh"]
-    span = C.Echelon()
+    span = SR.Echelon()
     span.add(current.nums)
     frontier = [current]
     for _ in range(max_word_len):
@@ -732,11 +733,11 @@ def load_workloads():
 
 class TestCyclicity:
     def test_constant_is_immediate(self, sl2_toroidal):
-        assert C.cyclicity_check(sl2_toroidal, sl2_toroidal.one(), 1)
+        assert SR.cyclicity_check(sl2_toroidal, sl2_toroidal.one(), 1)
 
     def test_negative_budget_rejected(self, sl2_toroidal):
         with pytest.raises(DomainError):
-            C.cyclicity_check(sl2_toroidal, sl2_toroidal.one(), -1)
+            SR.cyclicity_check(sl2_toroidal, sl2_toroidal.one(), -1)
 
     @pytest.mark.parametrize("seed", [1, 7])
     def test_search_grid_matches_the_layer_end_check(self, seed):
@@ -748,7 +749,7 @@ class TestCyclicity:
             spec = next(v for v in cells if isinstance(v, R.ModuleSpec))
             w = next(v for v in cells if isinstance(v, Poly))
             want = reference_cyclicity(spec, w, 12)
-            assert C.cyclicity_check(spec, w, 12, W.W3) == want, (spec.S, w.text())
+            assert SR.cyclicity_check(spec, w, 12, W.W3) == want, (spec.S, w.text())
             points += 1
         assert points == 28
 
@@ -759,9 +760,9 @@ class TestCyclicity:
         edge, witness = toroidal(1, 1, {1, 2}), Poly.parse("H1^3 - H1", 1, 1)
         for budget in range(4):
             want = budget == 3
-            assert C.cyclicity_check(simple, w, budget) == want
+            assert SR.cyclicity_check(simple, w, budget) == want
             assert reference_cyclicity(simple, w, budget) == want
-            assert not C.cyclicity_check(edge, witness, budget)
+            assert not SR.cyclicity_check(edge, witness, budget)
             assert not reference_cyclicity(edge, witness, budget)
 
     def test_stops_at_the_first_insert_that_holds_one(self, monkeypatch):
@@ -772,29 +773,29 @@ class TestCyclicity:
         assert reference_cyclicity(spec, w, 12)
         assert len(calls) == 42  # two layers of 6 and 36 words
         calls.clear()
-        assert C.cyclicity_check(spec, w, 12)
+        assert SR.cyclicity_check(spec, w, 12)
         assert len(calls) == 16
 
     def test_zero_rejected(self, sl2_toroidal):
         with pytest.raises(DomainError):
-            C.cyclicity_check(sl2_toroidal, Poly.zero(1, 1), 4)
+            SR.cyclicity_check(sl2_toroidal, Poly.zero(1, 1), 4)
 
     def test_degree_reduction_then_descent(self):
         spec = toroidal(1, F(1, 3), {1}, lam=(5,))
         w = Poly.parse("H1*d1", 1, 1)
-        assert C.cyclicity_check(spec, w, 12)
+        assert SR.cyclicity_check(spec, w, 12)
 
     def test_witness_is_not_cyclic(self):
         spec = toroidal(1, 1, {1, 2})
         w = Poly.parse("H1^3 - H1", 1, 1)
-        assert not C.cyclicity_check(spec, w, 8)
+        assert not SR.cyclicity_check(spec, w, 8)
         assert not reference_cyclicity(spec, w, 8)
 
     def test_random_seeds_on_simple_modules(self):
         spec = toroidal(2, 1, {2})
         for s in range(3):
             w = random_poly(random.Random(s), 2, 1, max_total_deg=2, max_terms=3)
-            assert C.cyclicity_check(spec, w, 12)
+            assert SR.cyclicity_check(spec, w, 12)
 
 
 class TestRecovery:
@@ -802,7 +803,7 @@ class TestRecovery:
         spec = mk_spec(rank=1, loop_vars=2, variant="full", cocycle=(1, 0),
                        lam=(3, 4), witt_a=5, base_a=(2,), base_b=3, S={1})
         win = [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)]
-        rec = C.recover_parameters(C.oracle_from_spec(spec), win)
+        rec = RC.recover_parameters(RC.oracle_from_spec(spec), win)
         assert rec.lam == (F(3), F(4)) and rec.witt_a == F(5)
         tuples = [(rec.S, rec.base_a, rec.base_b)] + [
             (S, a, b) for _, S, a, b in rec.alternates
@@ -812,10 +813,10 @@ class TestRecovery:
     def test_fixed_point(self):
         spec = mk_spec(rank=1, loop_vars=1, variant="toroidal",
                        lam=(F(-7, 2),), base_a=(2,), base_b=3, S={1})
-        oracle = C.oracle_from_spec(spec)
-        rec = C.recover_parameters(oracle, WIN1)
-        rebuilt = C.build_spec_from_recovery(rec, oracle)
-        rec2 = C.recover_parameters(C.oracle_from_spec(rebuilt), WIN1)
+        oracle = RC.oracle_from_spec(spec)
+        rec = RC.recover_parameters(oracle, WIN1)
+        rebuilt = RC.build_spec_from_recovery(rec, oracle)
+        rec2 = RC.recover_parameters(RC.oracle_from_spec(rebuilt), WIN1)
         assert (rec2.family, rec2.S, rec2.base_a, rec2.base_b) == (
             rec.family, rec.S, rec.base_a, rec.base_b,
         )
@@ -823,14 +824,14 @@ class TestRecovery:
     def test_degenerate_parameters(self):
         spec = mk_spec(rank=1, loop_vars=1, variant="full", lam=(1,), witt_a=-1,
                        base_a=(1,), base_b=F(-1, 2), S={1})
-        rec = C.recover_parameters(C.oracle_from_spec(spec), WIN1)
+        rec = RC.recover_parameters(RC.oracle_from_spec(spec), WIN1)
         assert rec.lam == (F(1),) and rec.witt_a == F(-1)
         assert rec.base_b == Poly.const(1, 1, F(-1, 2))
 
     def test_l2_exact_reproduction(self):
         spec = mk_spec(rank=2, loop_vars=1, variant="toroidal", lam=(2,),
                        base_a=(3, F(-1, 2)), base_b=F(5, 3), S={1, 3})
-        rec = C.recover_parameters(C.oracle_from_spec(spec), [(-1,), (0,), (1,)])
+        rec = RC.recover_parameters(RC.oracle_from_spec(spec), [(-1,), (0,), (1,)])
         assert (rec.S, rec.base_a, rec.base_b) == (
             frozenset({1, 3}), (F(3), F(-1, 2)), Poly.const(2, 1, F(5, 3)))
         assert not rec.alternates
@@ -838,20 +839,20 @@ class TestRecovery:
     def test_c_family_decode(self):
         spec = mk_spec(family="C", rank=2, loop_vars=1, variant="toroidal",
                        lam=(2,), base_a=(3, -2), S={2})
-        rec = C.recover_parameters(C.oracle_from_spec(spec), [(-1,), (0,), (1,)])
+        rec = RC.recover_parameters(RC.oracle_from_spec(spec), [(-1,), (0,), (1,)])
         assert rec.family == "C" and rec.S == {2} and rec.base_a == (F(3), F(-2))
 
     def test_d_polynomial_b(self):
         b = Poly.parse("3*d1^2 - 1/2*d2", 2, 2)
         spec = mk_spec(rank=2, loop_vars=2, variant="finite",
                        base_a=(2, 5), base_b=b, S={2})
-        rec = C.recover_parameters(C.oracle_from_spec(spec))
+        rec = RC.recover_parameters(RC.oracle_from_spec(spec))
         assert rec.base_b == b and rec.S == {2} and rec.base_a == (F(2), F(5))
 
     def test_l1_identification_is_surfaced(self):
         # M(a, b, FULL) = M(-a, -b-1, {}) for l = 1: both tuples are reported
         spec = mk_spec(rank=1, base_a=(2,), base_b=1, S={1, 2})
-        rec = C.recover_parameters(C.oracle_from_spec(spec))
+        rec = RC.recover_parameters(RC.oracle_from_spec(spec))
         tuples = [("A", rec.S, rec.base_a, rec.base_b)] + rec.alternates
         assert len(tuples) == 2
         assert ("A", frozenset({1, 2}), (F(2),), Poly.const(1, 0, 1)) in tuples
@@ -862,32 +863,32 @@ class TestRecovery:
         # the leading coefficient's square root must be exact at any height:
         # a float square root misread the first b and overflowed on the second
         spec = toroidal(1, b, {1}, a=(3,))
-        rec = C.recover_parameters(C.oracle_from_spec(spec), [(-1,), (0,), (1,)])
+        rec = RC.recover_parameters(RC.oracle_from_spec(spec), [(-1,), (0,), (1,)])
         tuples = [("A", rec.S, rec.base_a, rec.base_b)] + rec.alternates
         assert ("A", frozenset({1}), (F(3),), Poly.const(1, 1, b)) in tuples
         assert ("A", frozenset({1}), (F(3),), Poly.const(1, 1, -b - 1)) in tuples
 
     def test_isqrt_exact(self):
         big = 10**200 + 1
-        assert C._isqrt_exact(big * big) == big
-        assert C._isqrt_exact(big * big + 1) is None
-        assert C._isqrt_exact(-4) is None
+        assert RC._isqrt_exact(big * big) == big
+        assert RC._isqrt_exact(big * big + 1) is None
+        assert RC._isqrt_exact(-4) is None
 
     def test_negative_samples_rejected_before_any_probe(self):
         probes = []
-        inner = C.oracle_from_spec(toroidal(1, 3, {1}, a=(2,)))
-        oracle = C.ActionOracle(1, 1, "toroidal",
+        inner = RC.oracle_from_spec(toroidal(1, 3, {1}, a=(2,)))
+        oracle = RC.ActionOracle(1, 1, "toroidal",
                                 lambda gen, p: probes.append(gen) or inner.eval(gen, p))
         with pytest.raises(DomainError):
-            C.recover_parameters(oracle, [(-1,), (0,), (1,)], samples=-5)
+            RC.recover_parameters(oracle, [(-1,), (0,), (1,)], samples=-5)
         assert probes == []
-        rec = C.recover_parameters(oracle, [(-1,), (0,), (1,)], samples=0)
+        rec = RC.recover_parameters(oracle, [(-1,), (0,), (1,)], samples=0)
         assert rec.S == {1} and rec.lam == (F(2),)
 
     def test_witt_recovery(self):
         spec = mk_spec(rank=0, loop_vars=2, variant="witt", lam=(2, -3), witt_a=-1)
         win = [(0, 0), (1, 0), (0, 1), (1, 1), (-1, 0), (0, -1)]
-        rec = C.recover_parameters(C.oracle_from_spec(spec), win)
+        rec = RC.recover_parameters(RC.oracle_from_spec(spec), win)
         assert rec.family is None and rec.lam == (F(2), F(-3)) and rec.witt_a == F(-1)
 
 
@@ -923,7 +924,7 @@ def reference_decode_base(oracle, x_polys, y_polys, lam, witt_a):
                     entry = (family, S, a, b)
                     if entry not in found:
                         found.append(entry)
-    found.sort(key=C._decode_key)
+    found.sort(key=RC._decode_key)
     return found
 
 
@@ -933,12 +934,12 @@ class TestDecodePruning:
 
     @staticmethod
     def _decode_both(spec, lam=(), witt_a=None):
-        oracle = C.oracle_from_spec(spec)
+        oracle = RC.oracle_from_spec(spec)
         l, n = oracle.ranks
         zero = spec.algebra.zero_degree()
         xs = [oracle.eval(Generator("x", i, zero), oracle.one()) for i in range(1, l + 1)]
         ys = [oracle.eval(Generator("y", i, zero), oracle.one()) for i in range(1, l + 1)]
-        return (C._decode_base(oracle, xs, ys, lam, witt_a),
+        return (RC._decode_base(oracle, xs, ys, lam, witt_a),
                 reference_decode_base(oracle, xs, ys, lam, witt_a))
 
     def test_a_family_every_pattern(self):
@@ -973,13 +974,13 @@ class TestDecodePruning:
 
     def test_only_matching_patterns_are_rebuilt(self, monkeypatch):
         spec = mk_spec(rank=2, base_a=(2, 3), base_b=F(1, 3), S={1})
-        oracle = C.oracle_from_spec(spec)
+        oracle = RC.oracle_from_spec(spec)
         xs, ys = R.base_action_polys(spec)
         tried = []
         trial = RC._trial_spec
         monkeypatch.setattr(RC, "_trial_spec", lambda oracle, family, a, b, S, *rest: (
             tried.append((family, S)) or trial(oracle, family, a, b, S, *rest)))
-        got = C._decode_base(oracle, xs, ys, (), None)
+        got = RC._decode_base(oracle, xs, ys, (), None)
         pruned = list(tried)
         assert got == reference_decode_base(oracle, xs, ys, (), None)
         counts = R.factor_counts("A", 2, {1})
@@ -989,7 +990,7 @@ class TestDecodePruning:
         # decodes) matches no pattern, whatever the x_i.1 say
         tried.clear()
         ys = [ys[0] * (Poly.H(2, 0, 1) + 1)] + ys[1:]
-        assert C._decode_base(oracle, xs, ys, (), None) == [] == tried
+        assert RC._decode_base(oracle, xs, ys, (), None) == [] == tried
         assert reference_decode_base(oracle, xs, ys, (), None) == [] != tried
 
 
@@ -1005,30 +1006,30 @@ class TestDefectDetection:
     def test_injected_defects_are_attributed(self, defect, violated):
         spec = mk_spec(rank=2, loop_vars=1, variant="toroidal", lam=(3,),
                        base_a=(2, 1), base_b=1, S={1})
-        bad = C.inject_defect(C.oracle_from_spec(spec), defect)
+        bad = RC.inject_defect(RC.oracle_from_spec(spec), defect)
         with pytest.raises(ClassificationError) as err:
-            C.recover_parameters(bad, [(-1,), (0,), (1,)])
+            RC.recover_parameters(bad, [(-1,), (0,), (1,)])
         assert err.value.violated == violated
 
     def test_assertion_checks_directly(self):
         spec = toroidal(1, 3, {1}, lam=(2,))
-        oracle = C.oracle_from_spec(spec)
-        assert C.check_assertion_A(oracle, WIN1).passed
-        assert C.check_assertion_B(oracle, WIN1, lam=spec.lam).passed
-        bad = C.inject_defect(oracle, "center")
-        rep = C.check_assertion_A(bad, WIN1)
+        oracle = RC.oracle_from_spec(spec)
+        assert RC.check_assertion_A(oracle, WIN1).passed
+        assert RC.check_assertion_B(oracle, WIN1, lam=spec.lam).passed
+        bad = RC.inject_defect(oracle, "center")
+        rep = RC.check_assertion_A(bad, WIN1)
         assert not rep.passed and rep.failures[0]["generator"].startswith("K1")
 
     @staticmethod
     def _tampered(spec, hit, change):
         """spec's oracle with change(out) applied wherever hit(gen) holds."""
-        oracle = C.oracle_from_spec(spec)
+        oracle = RC.oracle_from_spec(spec)
 
         def eval_fn(gen, p):
             out = oracle.eval(gen, p)
             return change(out) if hit(gen) else out
 
-        return C.ActionOracle(oracle.rank, oracle.loop_vars, oracle.variant, eval_fn)
+        return RC.ActionOracle(oracle.rank, oracle.loop_vars, oracle.variant, eval_fn)
 
     def test_unmatched_y_is_a_pattern_violation(self):
         # y_2.1 + H_1 leaves every x_i.1 y_i.1 at H = 0 unchanged, so b and S
@@ -1037,7 +1038,7 @@ class TestDefectDetection:
         bad = self._tampered(spec, lambda g: g.kind == "y" and g.index == 2,
                              lambda out: out + Poly.H(2, 0, 1))
         with pytest.raises(ClassificationError) as err:
-            C.recover_parameters(bad)
+            RC.recover_parameters(bad)
         assert err.value.violated == "generator-pattern"
 
     @pytest.mark.parametrize("variant,details", [
@@ -1052,32 +1053,32 @@ class TestDefectDetection:
         bad = self._tampered(spec, lambda g: g.kind == "D" and g.r == (1,),
                              lambda out: out + d1 * d1)
         with pytest.raises(ClassificationError) as err:
-            C.recover_parameters(bad, WIN1)
+            RC.recover_parameters(bad, WIN1)
         assert (err.value.violated, err.value.details) == ("witt-scalar-consistency", details)
 
 
 class TestIso:
     def test_reflexive(self):
         s = toroidal(1, 3, {1})
-        assert C.iso_test(s, s)
+        assert R.iso_test(s, s)
 
     def test_witt_a_matters(self):
         s1 = mk_spec(rank=1, loop_vars=1, variant="full", lam=(2,), witt_a=0,
                      base_a=(2,), base_b=3, S={1})
         s2 = mk_spec(rank=1, loop_vars=1, variant="full", lam=(2,), witt_a=1,
                      base_a=(2,), base_b=3, S={1})
-        assert not C.iso_test(s1, s2)
+        assert not R.iso_test(s1, s2)
 
     def test_lambda_matters(self):
         s1 = toroidal(1, 3, {1}, lam=(2,))
         s2 = toroidal(1, 3, {1}, lam=(3,))
-        assert not C.iso_test(s1, s2)
+        assert not R.iso_test(s1, s2)
 
     def test_shape_mismatch_rejected(self):
         s1 = toroidal(1, 3, {1})
         s2 = mk_spec(rank=1, base_b=3, S={1})
         with pytest.raises(DomainError):
-            C.iso_test(s1, s2)
+            R.iso_test(s1, s2)
 
     @pytest.mark.parametrize("variant", ["toroidal", "full"])
     def test_action_identical_pairs_are_isomorphic(self, variant):
@@ -1091,10 +1092,10 @@ class TestIso:
         for s1, s2 in ((spec(3, F(1, 3), {1}), spec(3, F(-4, 3), {1})),
                        (spec(3, 2, {1, 2}), spec(-3, -3, ()))):
             assert R.base_action_polys(s1) == R.base_action_polys(s2)
-            assert C.iso_test(s1, s2) and C.iso_test(s2, s1)
+            assert R.iso_test(s1, s2) and R.iso_test(s2, s1)
         # the same b at another a, or another b, is a different module
-        assert not C.iso_test(spec(3, F(1, 3), {1}), spec(-3, F(-4, 3), {1}))
-        assert not C.iso_test(spec(3, 2, {1, 2}), spec(-3, -2, ()))
+        assert not R.iso_test(spec(3, F(1, 3), {1}), spec(-3, F(-4, 3), {1}))
+        assert not R.iso_test(spec(3, 2, {1, 2}), spec(-3, -2, ()))
 
     def test_equivalence_relation(self):
         specs = [
@@ -1102,12 +1103,12 @@ class TestIso:
             for b in (0, 1) for S in ((), (1,)) for lam in (2, 3)
         ]
         for s1, s2 in itertools.product(specs, repeat=2):
-            r12 = C.iso_test(s1, s2)
-            assert r12 == C.iso_test(s2, s1)
-            assert C.iso_test(s1, s1)
+            r12 = R.iso_test(s1, s2)
+            assert r12 == R.iso_test(s2, s1)
+            assert R.iso_test(s1, s1)
             for s3 in specs:
-                if r12 and C.iso_test(s2, s3):
-                    assert C.iso_test(s1, s3)
+                if r12 and R.iso_test(s2, s3):
+                    assert R.iso_test(s1, s3)
 
 
 def dense(mats, dim):
@@ -1144,7 +1145,7 @@ def rref_kernel(rows, cols):
 class TestLinearAlgebraHelpers:
     def test_nullspace(self):
         rows = [{0: F(1), 1: F(2), 2: F(3)}, {0: F(2), 1: F(4), 2: F(6)}]
-        basis = C.nullspace(rows, 3)
+        basis = SR.nullspace(rows, 3)
         assert len(basis) == 2
         for v in basis:
             assert all(
@@ -1153,7 +1154,7 @@ class TestLinearAlgebraHelpers:
 
     def test_nullspace_trivial(self):
         rows = [{0: F(1)}, {1: F(1)}]
-        assert C.nullspace(rows, 2) == []
+        assert SR.nullspace(rows, 2) == []
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -1171,7 +1172,7 @@ class TestLinearAlgebraHelpers:
                       for i in range(cols)]
             rows = data.draw(st.permutations(rows + square))
         sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
-        assert C.nullspace(sparse, cols) == rref_kernel(rows, cols)
+        assert SR.nullspace(sparse, cols) == rref_kernel(rows, cols)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -1187,7 +1188,7 @@ class TestLinearAlgebraHelpers:
             dense_rows = [[r.get(k, F(0)) for k in keys] for r in rows]
             return len(keys) - len(rref_kernel(dense_rows, len(keys)))
 
-        echelon = C.Echelon()
+        echelon = SR.Echelon()
         added: list[dict] = []
         before = 0
         for v in vecs:
@@ -1214,7 +1215,7 @@ class TestLinearAlgebraHelpers:
     )
     def test_echelon_matches_the_always_rescaling_reference(self, rows, probe):
         # integer rows with leads of +-1, so most cofactors p are +-1
-        echelon, reference = C.Echelon(), RescalingEchelon()
+        echelon, reference = SR.Echelon(), RescalingEchelon()
         for row in rows:
             kept = dict(row)
             assert echelon.reduce(row) == reference.reduce(row)
@@ -1222,15 +1223,15 @@ class TestLinearAlgebraHelpers:
             assert row == kept
             assert echelon.pivots == reference.pivots
         assert echelon.reduce(probe) == reference.reduce(probe)
-        with mock.patch.object(C, "Echelon", RescalingEchelon):
-            want = C.nullspace(rows, 6)
-        assert C.nullspace(rows, 6) == want
+        with mock.patch.object(SR, "Echelon", RescalingEchelon):
+            want = SR.nullspace(rows, 6)
+        assert SR.nullspace(rows, 6) == want
 
     def test_irrep_dimensions(self):
-        assert C.weyl_dim_A((2,)) == 3
-        assert C.weyl_dim_A((1, 1)) == 8
-        assert C.weyl_dim_A((0, 3)) == 10
-        assert C.irrep_A(2, (1, 1)).dim == 8
+        assert SR.weyl_dim_A((2,)) == 3
+        assert SR.weyl_dim_A((1, 1)) == 8
+        assert SR.weyl_dim_A((0, 3)) == 10
+        assert SR.irrep_A(2, (1, 1)).dim == 8
 
     @pytest.mark.parametrize(
         "rank,weights",
@@ -1238,11 +1239,11 @@ class TestLinearAlgebraHelpers:
         + [(2, (1, 1)), (2, (2, 2)), (2, (0, 6)), (3, (1, 0, 1)), (3, (1, 1, 1))],
     )
     def test_gelfand_tsetlin_irrep_satisfies_sl_relations(self, rank, weights):
-        rep = C.build_irrep_A(rank, weights)
-        assert rep.dim == C.weyl_dim_A(weights)
+        rep = SR.build_irrep_A(rank, weights)
+        assert rep.dim == SR.weyl_dim_A(weights)
         dim = rep.dim
         # irreducible: the vectors killed by every X_i form one line
-        assert len(C.nullspace([row for x in rep.x_mats for row in x], dim)) == 1
+        assert len(SR.nullspace([row for x in rep.x_mats for row in x], dim)) == 1
         zero = [[F(0)] * dim for _ in range(dim)]
         x_mats, y_mats = dense(rep.x_mats, dim), dense(rep.y_mats, dim)
 
@@ -1276,7 +1277,7 @@ class TestLinearAlgebraHelpers:
                     assert mat_is_zero(mat_comm(yi, yj))
 
     def test_irrep_relations(self):
-        rep = C.irrep_A(2, (2, 0))
+        rep = SR.irrep_A(2, (2, 0))
         x_mats = dense(rep.x_mats, rep.dim)
         for j in range(2):
             hj = [[F(w[j], 3) if r == s else F(0) for s in range(rep.dim)]

@@ -248,7 +248,7 @@ class TestWitnessAndRecover:
         assert report["witness"] == "H1^3 - H1"
 
     def test_witness_negative_bounds_exit_2(self, specfile, capsys):
-        from torofree.classify import MAX_DIM_BOUND
+        from torofree.search import MAX_DIM_BOUND
 
         sl3_edge = {
             "algebra": {"family": "A", "rank": 2, "loop_vars": 0, "variant": "finite"},
@@ -264,7 +264,7 @@ class TestWitnessAndRecover:
         assert code == 0 and json.loads(out)["report"]["found"]
 
     def test_witness_help_states_the_dim_bound_ceiling(self, capsys):
-        from torofree.classify import MAX_DIM_BOUND
+        from torofree.search import MAX_DIM_BOUND
 
         with pytest.raises(SystemExit):
             main(["witness", "--help"])

@@ -9,35 +9,36 @@ from hypothesis import strategies as st
 
 from conftest import decompose, dense_basis, mat_comm, mat_trace_prod, src_env
 from torofree import liealg as L
+from torofree.algebras import AlgebraDesc, FiniteAlgebra, degree_box
 from torofree.errors import DomainError, StructureError
 from torofree.verify import cocycle_identity_check, jacobi_check
 
-A1T = L.AlgebraDesc("A", 1, 1, "toroidal")
-A1F = L.AlgebraDesc("A", 1, 1, "full", (Fraction(1), Fraction(0)))
-C2 = L.AlgebraDesc("C", 2)
+A1T = AlgebraDesc("A", 1, 1, "toroidal")
+A1F = AlgebraDesc("A", 1, 1, "full", (Fraction(1), Fraction(0)))
+C2 = AlgebraDesc("C", 2)
 
 
 class TestDescriptors:
     def test_family_gate(self):
         with pytest.raises(StructureError, match="families A"):
-            L.AlgebraDesc("B", 3)
+            AlgebraDesc("B", 3)
         with pytest.raises(StructureError):
-            L.AlgebraDesc("C", 1)  # C needs l >= 2
+            AlgebraDesc("C", 1)  # C needs l >= 2
         with pytest.raises(StructureError):
-            L.AlgebraDesc("A", 0)
+            AlgebraDesc("A", 0)
 
     def test_loop_vars_required(self):
         with pytest.raises(StructureError):
-            L.AlgebraDesc("A", 1, 0, "toroidal")
+            AlgebraDesc("A", 1, 0, "toroidal")
 
     def test_cocycle_only_for_full(self):
         with pytest.raises(StructureError):
-            L.AlgebraDesc("A", 1, 1, "toroidal", (Fraction(1), Fraction(0)))
+            AlgebraDesc("A", 1, 1, "toroidal", (Fraction(1), Fraction(0)))
 
 
 class TestBasis:
     def test_finite_sl2(self):
-        basis = L.basis_of(L.AlgebraDesc("A", 1), (0, 0))
+        basis = L.basis_of(AlgebraDesc("A", 1), (0, 0))
         assert len(basis) == 3
 
     def test_sl2_toroidal_window(self):
@@ -46,11 +47,11 @@ class TestBasis:
         assert len(basis) == 11
 
     def test_witt_degree_zero(self):
-        basis = L.basis_of(L.AlgebraDesc("A", 1, 2, "witt"), [(0, 0)])
+        basis = L.basis_of(AlgebraDesc("A", 1, 2, "witt"), [(0, 0)])
         assert [b.text() for b in basis] == ["D1(0,0)", "D2(0,0)"]
 
     def test_da_relation_collapses(self):
-        t2 = L.AlgebraDesc("A", 1, 2, "toroidal")
+        t2 = AlgebraDesc("A", 1, 2, "toroidal")
         r = (2, -1)
         z = L.central_k(t2, 1, r).scale(2) + L.central_k(t2, 2, r).scale(-1)
         assert z.is_zero()
@@ -69,13 +70,13 @@ class TestBracket:
         assert L.coroot(A1T, 1) == L.cartan_h(A1T, 1).scale(2)
 
     def test_degree_derivations_commute(self):
-        t2 = L.AlgebraDesc("A", 1, 2, "toroidal")
+        t2 = AlgebraDesc("A", 1, 2, "toroidal")
         d1 = L.elt(t2, ("D", 1, (0, 0)))
         d2 = L.elt(t2, ("D", 2, (0, 0)))
         assert L.bracket(t2, d1, d2).is_zero()
 
     def test_derivation_loop_pairing_vanishes(self):
-        fd = L.AlgebraDesc("A", 1, 2, "full", (Fraction(0), Fraction(0)))
+        fd = AlgebraDesc("A", 1, 2, "full", (Fraction(0), Fraction(0)))
         D = L.derivation(fd, (1, 0), (1, 0))
         x = L.chevalley_x(fd, 1, (0, 2))
         assert L.bracket(fd, D, x).is_zero()  # (e_1, (0,2)) = 0
@@ -104,15 +105,15 @@ class TestBracket:
 
 class TestInvariantForm:
     def test_xy_pairing(self):
-        d = L.AlgebraDesc("A", 1)
+        d = AlgebraDesc("A", 1)
         assert L.invariant_form(d, L.chevalley_x(d, 1), L.chevalley_y(d, 1)) == 1
 
     def test_coroot_norm(self):
-        d = L.AlgebraDesc("A", 1)
+        d = AlgebraDesc("A", 1)
         assert L.invariant_form(d, L.coroot(d, 1), L.coroot(d, 1)) == 2
 
     def test_nilpotent_isotropic(self):
-        d = L.AlgebraDesc("A", 1)
+        d = AlgebraDesc("A", 1)
         assert L.invariant_form(d, L.chevalley_x(d, 1), L.chevalley_x(d, 1)) == 0
 
 
@@ -122,7 +123,7 @@ class TestCocycles:
         assert got == L.central_k(A1F, 1)
 
     def test_phi2_vanishes_at_degree_zero_first_slot(self):
-        fd = L.AlgebraDesc("A", 1, 2, "full", (Fraction(0), Fraction(1)))
+        fd = AlgebraDesc("A", 1, 2, "full", (Fraction(0), Fraction(1)))
         got = L.cocycle(fd, (0, 1), L.elt(fd, ("D", 1, (0, 0))), L.elt(fd, ("D", 2, (3, 1))))
         assert got.is_zero()
 
@@ -145,21 +146,21 @@ class TestLieAxioms:
         "desc",
         [
             A1T,
-            L.AlgebraDesc("C", 2, 1, "toroidal"),
+            AlgebraDesc("C", 2, 1, "toroidal"),
             A1F,
-            L.AlgebraDesc("A", 1, 1, "full", (Fraction(2), Fraction(-3))),
+            AlgebraDesc("A", 1, 1, "full", (Fraction(2), Fraction(-3))),
         ],
     )
     def test_exhaustive_window(self, desc):
-        report = jacobi_check(desc, L.degree_box(1, -1, 1))
+        report = jacobi_check(desc, degree_box(1, -1, 1))
         assert report.passed, report.failures[:1]
 
     def test_finite_sp4(self):
         assert jacobi_check(C2, [()]).passed
 
     def test_sampled_n2(self):
-        fd = L.AlgebraDesc("A", 1, 2, "full", (Fraction(1), Fraction(1)))
-        assert jacobi_check(fd, L.degree_box(2, -1, 1), samples=250, seed=9).passed
+        fd = AlgebraDesc("A", 1, 2, "full", (Fraction(1), Fraction(1)))
+        assert jacobi_check(fd, degree_box(2, -1, 1), samples=250, seed=9).passed
 
     def test_defect_injection_has_power(self):
         # perturb one structure constant: the suite must notice
@@ -172,19 +173,19 @@ class TestLieAxioms:
                 out = out + L.cartan_h(desc, 1)
             return out
 
-        report = jacobi_check(A1T, L.degree_box(1, -1, 1), bracket_fn=bad_bracket)
+        report = jacobi_check(A1T, degree_box(1, -1, 1), bracket_fn=bad_bracket)
         assert not report.passed
 
 
 class TestGeneratorWords:
     def test_sl3_word(self):
-        fin = L.AlgebraDesc("A", 2).fin
+        fin = AlgebraDesc("A", 2).fin
         word, scalar = fin.generator_word(fin.labels.index("E(1,3)"))
         assert word == ("br", ("x", 1), ("x", 2))
         assert scalar == 1
 
     def test_single_letters(self):
-        fin = L.AlgebraDesc("A", 2).fin
+        fin = AlgebraDesc("A", 2).fin
         assert fin.generator_word(fin.x_index[1]) == (("x", 1), 1)
         assert fin.generator_word(fin.h_index[2]) == (("h", 2), 1)
 
@@ -197,7 +198,7 @@ class TestGeneratorWords:
     @pytest.mark.parametrize("family,rank", [("A", 1), ("A", 2), ("A", 3), ("A", 4),
                                              ("C", 2), ("C", 3), ("C", 4)])
     def test_words_evaluate_back(self, family, rank):
-        fin = L.FiniteAlgebra(family, rank)
+        fin = FiniteAlgebra(family, rank)
         mats = dense_basis(fin)
         letters = {"x": fin.x_index, "y": fin.y_index, "h": fin.h_index}
 
@@ -218,7 +219,7 @@ class TestTextForms:
         assert L.chevalley_x(A1T, 1, (1,)).text() == "x1(1)"
         assert L.central_k(A1T, 1, (0,)).text() == "K1(0)"
         assert L.cartan_h(A1T, 1, (0,)).text() == "h1(0)"
-        t2 = L.AlgebraDesc("A", 1, 2, "full")
+        t2 = AlgebraDesc("A", 1, 2, "full")
         assert L.derivation(t2, (1, 0), (2, 1)).text() == "D1(2,1)"
         combo = L.derivation(t2, (1, -2), (0, 0))
         assert combo.text() == "D1(0,0) - 2*D2(0,0)"
@@ -240,7 +241,7 @@ class TestStructureTables:
     @pytest.mark.parametrize("family,rank", [("A", 1), ("A", 2), ("A", 3), ("A", 4),
                                              ("C", 2), ("C", 3), ("C", 4)])
     def test_tables_match_the_realization(self, family, rank):
-        fin = L.FiniteAlgebra(family, rank)
+        fin = FiniteAlgebra(family, rank)
         mats = dense_basis(fin)
         for m1 in range(fin.dim):
             for m2 in range(fin.dim):
@@ -255,21 +256,21 @@ class TestStructureTables:
 
     def test_coords_refuse_a_matrix_outside_the_algebra(self):
         # E_11 has trace 1, so it is not in sl_2
-        fin = L.FiniteAlgebra("A", 1)
+        fin = FiniteAlgebra("A", 1)
         with pytest.raises(StructureError, match="not in the algebra span"):
             fin._coords({(0, 0): 1}, 1)
         with pytest.raises(ValueError, match="not in the span"):
             decompose(fin, ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(0))))
 
     def test_tables_are_built_on_first_use(self):
-        fin = L.FiniteAlgebra("C", 3)
+        fin = FiniteAlgebra("C", 3)
         assert not {"table", "forms", "_words"} & set(vars(fin))
         fin.generator_word(0)
         assert {"table", "_words"} <= set(vars(fin))
 
     def test_importing_the_cli_builds_no_algebra(self):
-        code = ("import torofree.cli; from torofree import liealg; "
-                "print(liealg.finite_algebra.cache_info().currsize)")
+        code = ("import torofree.cli; from torofree import algebras; "
+                "print(algebras.finite_algebra.cache_info().currsize)")
         proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                               text=True, env=src_env())
         assert proc.returncode == 0, proc.stderr
@@ -287,7 +288,7 @@ class TestFrozenRealization:
     def test_realization_digest(self):
         h = hashlib.sha256()
         for family, rank in self.REALIZED:
-            fin = L.FiniteAlgebra(family, rank)
+            fin = FiniteAlgebra(family, rank)
             h.update(repr((family, rank, fin.labels, sorted(fin.x_index.items()),
                            sorted(fin.y_index.items()), sorted(fin.h_index.items()))).encode())
             for mat in dense_basis(fin):
@@ -301,7 +302,7 @@ class TestFrozenRealization:
 
         h = hashlib.sha256()
         for family, rank in self.REALIZED + [("A", 8), ("C", 6)]:
-            fin = L.FiniteAlgebra(family, rank)
+            fin = FiniteAlgebra(family, rank)
             h.update(f"{family}{rank}\n".encode())
             for row in fin.table:
                 h.update(repr([[(m, typed(c)) for m, c in entry] for entry in row]).encode())
@@ -317,12 +318,12 @@ class TestFrozenRealization:
 # -- the bracket against the formulas, through the validating constructor -----
 
 PROPERTY_DESCS = [
-    L.AlgebraDesc("A", 1, 1, "toroidal"),
-    L.AlgebraDesc("C", 2, 2, "toroidal"),
-    L.AlgebraDesc("A", 2, 1, "full", (Fraction(2), Fraction(-3))),
-    L.AlgebraDesc("A", 1, 2, "full", (Fraction(1, 2), Fraction(1))),
-    L.AlgebraDesc("A", 0, 1, "witt"),
-    L.AlgebraDesc("A", 0, 2, "witt"),
+    AlgebraDesc("A", 1, 1, "toroidal"),
+    AlgebraDesc("C", 2, 2, "toroidal"),
+    AlgebraDesc("A", 2, 1, "full", (Fraction(2), Fraction(-3))),
+    AlgebraDesc("A", 1, 2, "full", (Fraction(1, 2), Fraction(1))),
+    AlgebraDesc("A", 0, 1, "witt"),
+    AlgebraDesc("A", 0, 2, "witt"),
 ]
 
 

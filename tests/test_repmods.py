@@ -7,11 +7,11 @@ import pytest
 
 from conftest import mk_spec
 from torofree import liealg, repmods as R
+from torofree.algebras import AlgebraDesc, window_degrees
+from torofree.checks import random_poly
 from torofree.errors import DomainError, StructureError
-from torofree.liealg import AlgebraDesc
 from torofree.polyalg import Poly, ShiftOperator, shift_sigma, shift_tau
 from torofree.repmods import Generator, ModuleSpec, act, parse_generator
-from torofree.verify import random_poly
 
 
 class TestSpecValidation:
@@ -320,7 +320,7 @@ class TestOperators:
     @pytest.mark.parametrize("spec", OPERATOR_PANEL, ids=_panel_id)
     def test_composition_is_acting_twice(self, spec):
         rng = random.Random(7)
-        window = liealg.window_degrees(spec.algebra, self.WINDOW)
+        window = window_degrees(spec.algebra, self.WINDOW)
         ops = [R.generator_operator(spec, g) for g in R.generators_for(spec, window)]
         polys = [random_poly(rng, *spec.ranks, max_total_deg=3, max_terms=4) for _ in range(3)]
         for k, (A, B) in enumerate(itertools.product(ops, ops)):
@@ -329,7 +329,7 @@ class TestOperators:
 
     @pytest.mark.parametrize("spec", OPERATOR_PANEL, ids=_panel_id)
     def test_generator_operators_are_single_terms(self, spec):
-        window = liealg.window_degrees(spec.algebra, self.WINDOW)
+        window = window_degrees(spec.algebra, self.WINDOW)
         for gen in R.generators_for(spec, window):
             op = R.generator_operator(spec, gen)
             assert len(op.terms) == (0 if gen.kind == "K" else 1), gen
@@ -337,7 +337,7 @@ class TestOperators:
     @pytest.mark.parametrize("spec", OPERATOR_PANEL, ids=_panel_id)
     def test_word_letters_are_the_listed_generators(self, spec):
         # a black-box memo keyed by generators then finds each by identity
-        window = liealg.window_degrees(spec.algebra, self.WINDOW)
+        window = window_degrees(spec.algebra, self.WINDOW)
         listed = {id(g) for g in R.generators_for(spec, window)}
 
         def letters(word):

@@ -10,11 +10,11 @@ from functools import partial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torofree import classify as C, repmods as R
-from torofree.liealg import AlgebraDesc, degree_box
+from torofree import recovery as RC, repmods as R
+from torofree.algebras import AlgebraDesc, degree_box
+from torofree.checks import random_poly
 from torofree.polyalg import Poly
 from torofree.repmods import ModuleSpec
-from torofree.verify import random_poly
 
 BIG = 10**200
 SHAPES = [("A", 1), ("A", 2), ("C", 2)]
@@ -127,23 +127,23 @@ class TestCanonicalForms:
     def test_flip_is_isomorphism(self, s):
         t = flipped(s)
         assert act_alike(s, t)
-        assert C.iso_test(s, t) and C.iso_test(t, s)
+        assert R.iso_test(s, t) and R.iso_test(t, s)
 
     @given(specs(max_loop_vars=1), st.data())
     @settings(max_examples=40, deadline=None)
     def test_iso_is_action_equality(self, s, data):
         t = data.draw(perturbed(s))
-        assert C.iso_test(s, t) == act_alike(s, t) == C.iso_test(t, s)
+        assert R.iso_test(s, t) == act_alike(s, t) == R.iso_test(t, s)
 
     @given(specs(shapes=DECODE_SHAPES, variants=VARIANTS[:3], height=10**20))
     @settings(max_examples=60, deadline=None)
     def test_decoder_is_complete(self, s):
         n = s.algebra.loop_vars
         window = degree_box(n, -1, 1) if s.algebra.variant != "finite" else None
-        rec = C.recover_parameters(C.oracle_from_spec(s), window)
+        rec = RC.recover_parameters(RC.oracle_from_spec(s), window)
         found = [(rec.family, rec.S, rec.base_a, rec.base_b)] + rec.alternates
         assert (s.algebra.family, s.S, s.base_a, s.base_b) in found
-        keys = [C._decode_key(t) for t in found]
+        keys = [RC._decode_key(t) for t in found]
         assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))  # sorted, no duplicates
         want = R.base_action_polys(s)
         for family, S, a, b in found:

@@ -9,7 +9,7 @@ import pytest
 
 from torofree import repmods as R
 from torofree.errors import StructureError
-from torofree.liealg import AlgebraDesc
+from torofree.algebras import AlgebraDesc
 from torofree.polyalg import Poly, VarId
 from torofree.repmods import Generator, ModuleSpec
 

@@ -7,9 +7,11 @@ from pathlib import Path
 import pytest
 
 from conftest import mk_spec
-from torofree import classify as C, repmods as R, verify as V
+from torofree import recovery as RC, repmods as R, verify as V
+from torofree.algebras import AlgebraDesc, degree_box
+from torofree.checks import random_poly
 from torofree.errors import DomainError, Frozen, StructureError
-from torofree.liealg import AlgebraDesc, bracket, central_k, degree_box
+from torofree.liealg import bracket, central_k
 from torofree.polyalg import Poly, ShiftOperator
 from torofree.repmods import Generator
 
@@ -47,7 +49,7 @@ class TestBracketCompat:
         assert rep.failures[0]["difference"] != "0"
 
     def test_center_defect_oracle_detected(self, sl2_toroidal):
-        bad = C.inject_defect(C.oracle_from_spec(sl2_toroidal), "center")
+        bad = RC.inject_defect(RC.oracle_from_spec(sl2_toroidal), "center")
 
         def action(spec_, gen, p):
             return bad.eval(gen, p)
@@ -519,14 +521,14 @@ class TestBlackBoxBracketCompat:
 
     @pytest.mark.parametrize("kind,seed", list(FROZEN), ids=lambda v: str(v))
     def test_defect_oracle_report_is_unchanged(self, kind, seed):
-        bad = C.inject_defect(C.oracle_from_spec(self.SPEC), kind)
+        bad = RC.inject_defect(RC.oracle_from_spec(self.SPEC), kind)
         report = V.bracket_compat_check(self.SPEC, self.WINDOW, samples=2, seed=seed,
                                         action=lambda s, g, p: bad.eval(g, p)).to_dict()
         assert (report["cases_run"], len(report["failures"]), _digest(report)) \
             == self.FROZEN[kind, seed]
 
     def test_each_action_is_evaluated_once(self, monkeypatch):
-        bad = C.inject_defect(C.oracle_from_spec(self.SPEC), "center")
+        bad = RC.inject_defect(RC.oracle_from_spec(self.SPEC), "center")
         current = []  # the generator pair whose cases are running
         calls = []    # (pair, generator, input)
 
@@ -542,7 +544,7 @@ class TestBlackBoxBracketCompat:
         monkeypatch.setattr(R, "generator_bracket", bracket)
         seed = 1
         rng = random.Random(seed)
-        samples = [V.random_poly(rng, *self.SPEC.ranks) for _ in range(2)]
+        samples = [random_poly(rng, *self.SPEC.ranks) for _ in range(2)]
         assert not V.bracket_compat_check(self.SPEC, self.WINDOW, samples=2, seed=seed,
                                           action=action).passed
         # within one generator pair, each (generator, input value) is evaluated once
@@ -564,7 +566,7 @@ class TestBlackBoxBracketCompat:
         # of an equal algebra made by an earlier test is matched by value
         for cache in (R._symbol_word, R._as_elt):
             cache.cache_clear()
-        bad = C.inject_defect(C.oracle_from_spec(self.SPEC), "center")
+        bad = RC.inject_defect(RC.oracle_from_spec(self.SPEC), "center")
         eq_calls = []
         eq = Frozen.__eq__
         monkeypatch.setattr(Frozen, "__eq__", lambda a, b: eq_calls.append(a) or eq(a, b))
@@ -597,7 +599,7 @@ class TestBlackBoxBracketCompat:
     @pytest.mark.parametrize("case,seed", list(FROZEN_MORE), ids=lambda v: str(v))
     def test_c2_full_and_witt_reports_are_unchanged(self, case, seed):
         if case.startswith("C2"):
-            bad = C.inject_defect(C.oracle_from_spec(self.C2_FULL), case.split()[1])
+            bad = RC.inject_defect(RC.oracle_from_spec(self.C2_FULL), case.split()[1])
             spec, window, action = self.C2_FULL, [(0,), (1,)], lambda s, g, p: bad.eval(g, p)
         else:
             spec, window = self.WITT, degree_box(2, 0, 1)
@@ -627,7 +629,7 @@ def test_random_poly_equals_the_constructor_built_polynomial(ranks):
         for degree, terms in ((4, 6), (6, 6), (2, 3)):
             got_rng, want_rng = random.Random(seed), random.Random(seed)
             for _ in range(3):
-                got = V.random_poly(got_rng, *ranks, degree, terms)
+                got = random_poly(got_rng, *ranks, degree, terms)
                 want = _constructor_random_poly(want_rng, *ranks, degree, terms)
                 assert (got.l, got.n, got.den, got.nums) == (want.l, want.n, want.den, want.nums)
                 assert got.text() == want.text() and list(got.nums) == list(want.nums)

@@ -62,9 +62,11 @@ Keys are unpacked to exponent tuples (``unpack_exponent``, once per key) and
 ``Fraction``s made only at the edges: by ``terms`` (a read-only view
 exponent tuple -> Fraction that packs the tuple it is asked for and makes
 each coefficient as it is read), ``sorted_terms`` and iteration, ``coeff``,
-``constant_term``, ``leading``, ``as_scalar`` and ``eval``, by
-``total_degree``, ``text`` and the graded-lex order, and where the public
-constructor, ``const``, ``scale`` or ``==`` coerce a scalar argument.
+``constant_term``, ``leading``, ``as_scalar`` and ``eval``, by ``text``
+and the graded-lex order, and where the public constructor, ``const``,
+``scale`` or ``==`` coerce a scalar argument.  ``total_degree`` reads each
+key's slot sum as the key modulo 2^16 - 1 (2^16 is 1 modulo it), unpacking
+only when some slot is too large for that sum to be exact.
 
 The serialized text form is a sum of terms in graded-lex order (total degree
 descending, then lexicographic on the exponent tuple with H_1 largest),
@@ -152,6 +154,12 @@ class _PerWidth(dict):
 _TOP_BITS = _PerWidth(lambda width: sum(1 << SLOT_BITS * (p + 1) - 1 for p in range(width)))
 _CODEC = _PerWidth(lambda width: struct.Struct(f"<{width}H"))
 _SLOT_BYTES = SLOT_BITS // 8
+# the bits of each slot from 2^b up, b = SLOT_BITS - bit length of the width: a
+# key with none of them set has width slots below 2^b, whose sum is below
+# MAX_SLOT_EXPONENT
+_WIDE_BITS = _PerWidth(lambda width: sum(
+    (1 << SLOT_BITS) - (1 << max(SLOT_BITS - width.bit_length(), 0)) << SLOT_BITS * p
+    for p in range(width)))
 
 
 def pack_exponent(exp: Sequence[int]) -> int:
@@ -472,11 +480,19 @@ class Poly:
         return Fraction(self.nums.get(0, 0), self.den)
 
     def total_degree(self) -> int:
-        """Maximum total degree; -1 for the zero polynomial."""
-        if not self.nums:
+        """Maximum total degree; -1 for the zero polynomial.
+
+        A key is congruent to the sum of its slots modulo MAX_SLOT_EXPONENT
+        (2^SLOT_BITS is 1 modulo it), so it leaves that sum as its remainder
+        when no key has a bit of ``_WIDE_BITS`` set.
+        """
+        nums = self.nums
+        if not nums:
             return -1
         width = self.l + self.n
-        return max(sum(unpack_exponent(k, width)) for k in self.nums)
+        if reduce(or_, nums, 0) & _WIDE_BITS[width]:
+            return max(sum(unpack_exponent(k, width)) for k in nums)
+        return max(k % MAX_SLOT_EXPONENT for k in nums)
 
     def _leading_key(self) -> int:
         if not self.nums:

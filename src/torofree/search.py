@@ -28,7 +28,13 @@ verified kinds:
 
 The rule these searches arbitrate is ``repmods.simplicity_rule``.  The
 exact linear algebra (``Echelon``, ``nullspace``) serves both the quotient
-scan and ``cyclicity_check``.
+scan and ``cyclicity_check``.  ``Echelon`` takes sparse rows of ints or
+Fractions and eliminates on integers: the quotient scan's base-condition
+rows (Gelfand-Tsetlin entries, which are Fractions, scaled by the common
+denominator of the integer values of x_i.1 and y_i.1 at the weights) are
+first brought over their common denominator, and ``cyclicity_check`` hands
+it each image's integer numerators as they are.  The principal search tries
+its chains on the integer numerators of each orbit's factor constants.
 """
 
 from __future__ import annotations
@@ -69,19 +75,20 @@ def mat_vec(m: list[Row], v: Vector) -> Vector:
 class Echelon:
     """Fraction-free echelon form of sparse rows {key: value} with ordered keys.
 
-    Keys are int columns or packed monomial keys; values are ints or Fractions (a
-    polynomial's integer ``nums`` serve as its row).  A row is scaled to
-    integers and reduced on its lowest key by the pivot row of that key; a
-    nonzero remainder, divided by its content, becomes the pivot row of its
-    lowest key.
+    Keys are int columns or packed monomial keys.  Values are ints or
+    Fractions; a row of ints, such as a polynomial's integer ``nums``, is
+    passed with ``integral=True`` and skips the pass over the common
+    denominator that brings the others to integers.  A row is reduced on its
+    lowest key by the pivot row of that key; a nonzero remainder, divided by
+    its content, becomes the pivot row of its lowest key.
     """
 
     def __init__(self):
         self.pivots: dict = {}
 
-    def reduce(self, row: dict) -> dict:
+    def reduce(self, row: dict, integral: bool = False) -> dict:
         """The integer remainder of a row after elimination; empty iff in the span."""
-        vec = _over_common_denominator(row)[1]
+        vec = dict(row) if integral else _over_common_denominator(row)[1]
         while vec:
             j = min(vec)
             prow = self.pivots.get(j)
@@ -99,9 +106,9 @@ class Echelon:
                     del vec[k]
         return vec
 
-    def add(self, row: dict) -> bool:
+    def add(self, row: dict, integral: bool = False) -> bool:
         """Insert a row; True when it enlarges the span."""
-        vec = self.reduce(row)
+        vec = self.reduce(row, integral)
         if not vec:
             return False
         g = math.gcd(*vec.values())
@@ -301,10 +308,11 @@ def principal_witness_search(spec: ModuleSpec, maxdeg: int) -> Poly | None:
         # one row per x_i.1 and y_i.1 whose shift on this orbit is nonzero
         rows = []
         for i in range(l):
-            delta = Fraction(form.nums.get(1 << SLOT_BITS * i, 0), form.den)
-            for norm, d in ((x_norm[i], -delta), (y_norm[i], delta)):
-                if d:
-                    rows.append((int(d) if d.denominator == 1 else None, norm.get(key, {})))
+            delta = form.nums.get(1 << SLOT_BITS * i, 0)
+            if delta:
+                d = delta // form.den if delta % form.den == 0 else None
+                rows.append((None if d is None else -d, x_norm[i].get(key, {})))
+                rows.append((d, y_norm[i].get(key, {})))
         found = _first_chain(rows, maxdeg)
         if found is not None:
             mult, length, start = found
@@ -318,21 +326,28 @@ def principal_witness_search(spec: ModuleSpec, maxdeg: int) -> Poly | None:
 def _first_chain(rows: list, maxdeg: int) -> tuple[int, int, Rat] | None:
     """(mult, length, start) of the least chain that holds, or None.
 
-    Rows are (d, {constant: mult}), d an int or None when fractional.
+    Rows are (d, {constant: mult}), d an int or None when fractional.  The
+    constants are brought over their common denominator D once, so the chains
+    are tried on integer numerators, stepping by D.
     """
+    den = math.lcm(*[c.denominator for _, absorbers in rows for c in absorbers])
+    rows = [(d, {c.numerator * (den // c.denominator): m for c, m in absorbers.items()})
+            for d, absorbers in rows]
     consts = {c for _, absorbers in rows for c in absorbers}
     for mult in (1, 2):
-        chains = sorted((int(e - s) + 1, s) for s in consts for e in consts
-                        if (e - s).denominator == 1 and 0 <= e - s < maxdeg // mult)
+        limit = maxdeg // mult * den
+        chains = sorted(((e - s) // den + 1, s) for s in consts for e in consts
+                        if 0 <= e - s < limit and (e - s) % den == 0)
         for length, start in chains:
-            if _chain_holds(start, length, mult, rows):
-                return mult, length, start
+            if _chain_holds(start, length, mult, rows, den):
+                return mult, length, Fraction(start, den)
     return None
 
 
-def _chain_holds(start: Rat, length: int, mult: int, rows: list) -> bool:
-    """The invariance conditions for the chain start .. start + length - 1:
-    t < d for d > 0, t >= length + d for d < 0, every t for a fractional d."""
+def _chain_holds(start: int, length: int, mult: int, rows: list, den: int) -> bool:
+    """The invariance conditions for the chain of numerators start, start +
+    den, .., start + (length - 1) den over den: t < d for d > 0, t >= length
+    + d for d < 0, every t for a fractional d."""
     for d, absorbers in rows:
         if d is None:
             ts = range(length)
@@ -341,7 +356,7 @@ def _chain_holds(start: Rat, length: int, mult: int, rows: list) -> bool:
         else:
             ts = range(max(length + d, 0), length)
         for t in ts:
-            if absorbers.get(start + t, 0) < mult:
+            if absorbers.get(start + t * den, 0) < mult:
                 return False
     return True
 
@@ -406,12 +421,13 @@ class QuotientCert:
         }
 
 
-def _at_weights(p: Poly, rep: IrrepA) -> list[Poly]:
-    """p(h_j, d) for each basis weight h_j: the H-block evaluated, d kept.
+def _weight_numerators(p: Poly, rep: IrrepA) -> tuple[int, list[dict]]:
+    """(D, [{d-part key: numerator} for each basis weight h_j]): p(h_j, d) is
+    the sum of numerator / D times the monomial of Q[d] with that key.
 
-    With D the denominator of p, e the largest degree of an H-monomial and
-    w_j = (l + 1) h_j the integer weights, each value is an integer sum over
-    D (l + 1)^e.
+    With e the largest degree of an H-monomial of p and w_j = (l + 1) h_j the
+    integer weights, D is the denominator of p times (l + 1)^e.  Numerators
+    that cancel are kept as 0.
     """
     l = rep.rank
     size = l + 1
@@ -424,15 +440,20 @@ def _at_weights(p: Poly, rep: IrrepA) -> list[Poly]:
         (beta, [(k, e) for k, e in enumerate(h) if e], c * size ** (top - sum(h)))
         for beta, h, c in split
     ]
-    den = p.den * size**top
     out = []
     for w in rep.h_int:
         acc: dict = {}
         for beta, powers, c in monomials:
             value = math.prod((w[k] ** e for k, e in powers), start=c)
             acc[beta] = acc.get(beta, 0) + value
-        out.append(Poly._reduced(0, p.n, den, {e: v for e, v in acc.items() if v}))
-    return out
+        out.append(acc)
+    return p.den * size**top, out
+
+
+def _at_weights(p: Poly, rep: IrrepA) -> list[Poly]:
+    """p(h_j, d) for each basis weight h_j: the H-block evaluated, d kept."""
+    den, values = _weight_numerators(p, rep)
+    return [Poly._reduced(0, p.n, den, {e: v for e, v in acc.items() if v}) for acc in values]
 
 
 def quotient_certificate_search(
@@ -487,14 +508,17 @@ def _quotient_scan_applies(spec: ModuleSpec) -> bool:
 def _base_condition_rows(xs: list[Poly], ys: list[Poly], rep: IrrepA) -> Iterator[Row]:
     """Rows of each X_i - (x_i.1)(H) and Y_i - (y_i.1)(H) as matrices on rep.
 
-    They are built as nullspace asks for them; poly(H) is diagonal and
-    d-free, since b is a scalar here.
+    They are built as nullspace asks for them.  poly(H) is diagonal and
+    d-free, since b is a scalar here, so its value at weight h_j is one
+    integer numerator over the denominator D of _weight_numerators, and each
+    row is scaled by D, which keeps the kernel.
     """
     for i in range(rep.rank):
         for op, poly in ((rep.x_mats[i], xs[i]), (rep.y_mats[i], ys[i])):
-            for r, value in enumerate(_at_weights(poly, rep)):
-                row = dict(op[r])
-                row[r] = row.get(r, 0) - value.constant_term()
+            den, values = _weight_numerators(poly, rep)
+            for r, acc in enumerate(values):
+                row = {c: den * x for c, x in op[r].items()}
+                row[r] = row.get(r, 0) - acc.get(0, 0)
                 yield row
 
 
@@ -673,7 +697,7 @@ def verify_quotient_certificate(
 MAX_DEFAULT_DIM_BOUND = 220
 # the largest quotient bound a search accepts: the scan of a simple point
 # grows faster than linearly in it, and M(l = 1, b = -3, S = FULL) takes
-# 0.24 s at 200, 0.85 s at 400 and 1.4 s at 500 (2-core machine, Python 3.11)
+# 0.24 s at 200, 0.76 s at 400 and 1.2 s at 500 (2-core machine, Python 3.11)
 MAX_DIM_BOUND = 500
 
 
@@ -793,6 +817,10 @@ def cyclicity_check(
     more letter of enveloping-algebra filtration), up to max_word_len rounds.
     The span only grows, so the check returns True at the first insert after
     which it holds 1; the rest of that round could not change the verdict.
+    The span takes each image's integer ``nums`` as its row.  The remainder
+    of 1 is kept and reduced further only when a new pivot lands on its
+    lowest key: a reduction stops at the first lowest key without a pivot,
+    so a pivot on any other key leaves it as it is.
     False means "not within budget", never a proof of non-cyclicity.
     loop_window is accepted but unused: phase 2 uses degree-zero generators
     only.  A negative max_word_len is a DomainError.
@@ -821,11 +849,12 @@ def cyclicity_check(
     zero = spec.algebra.zero_degree()
     for i in range(1, l + 1):
         gens += [_generator("x", i, zero), _generator("y", i, zero), _generator("h", i, zero)]
-    target = {0: 1}  # the constant 1 as a numerator row
     span = Echelon()
-    span.add(current.nums)
-    if span.contains(target):
+    span.add(current.nums, integral=True)
+    rest = span.reduce({0: 1}, integral=True)  # the remainder of the constant 1
+    if not rest:
         return True
+    low = min(rest)
     frontier = [current]
     for _ in range(max_word_len):
         new_frontier = []
@@ -834,9 +863,12 @@ def cyclicity_check(
                 img = repmods.act(spec, gen, vec)
                 if img.is_zero() or img.total_degree() > degbound:
                     continue
-                if span.add(img.nums):
-                    if span.contains(target):
-                        return True
+                if span.add(img.nums, integral=True):
+                    if low in span.pivots:
+                        rest = span.reduce(rest, integral=True)
+                        if not rest:
+                            return True
+                        low = min(rest)
                     new_frontier.append(img)
         if not new_frontier:
             return False

@@ -299,29 +299,45 @@ class TestPrincipalReference:
         # absorbers clustered on a half-integer grid, so chains often pass
         rows = paired_rows(pairs)
         chain = {start + t: mult for t in range(length)}
-        assert SR._chain_holds(start, length, mult, chain_rows(rows)) == multiset_check(chain, rows)
+        den, scaled, (num,) = over_one_denominator(chain_rows(rows), start)
+        assert SR._chain_holds(num, length, mult, scaled, den) == multiset_check(chain, rows)
 
     @settings(max_examples=300, deadline=None)
-    @given(
-        pairs=st.lists(
-            st.tuples(
-                st.dictionaries(st.sampled_from([F(k, 3) for k in range(-9, 10)]),
-                                st.integers(1, 2), max_size=8),
-                st.dictionaries(st.sampled_from([F(k, 3) for k in range(-9, 10)]),
-                                st.integers(1, 2), max_size=8),
-                st.sampled_from([F(k, 3) for k in range(-6, 7) if k]),
-            ),
-            min_size=1, max_size=2,
-        ),
-        maxdeg=st.integers(1, 6),
-    )
-    def test_first_chain_matches_the_scan_by_value(self, pairs, maxdeg):
-        # constants in up to three residue classes, so chains of two classes
-        # can start on one floor and the value order decides between them
+    @given(data=st.data(), maxdeg=st.integers(1, 6))
+    def test_first_chain_matches_the_scan_by_value(self, data, maxdeg):
+        # constants in up to three residue classes of denominators 2-7 and
+        # both signs, so the rows' common denominator scales the chains, and
+        # chains of two classes can start on one floor and the value order
+        # decides between them; each pair also absorbs the ends of one chain,
+        # so chains longer than 1 hold too
+        classes = data.draw(st.lists(st.builds(F, st.integers(-13, 13), st.integers(2, 7)),
+                                     min_size=1, max_size=3))
+        const = st.builds(lambda c, k: c + k, st.sampled_from(classes), st.integers(-3, 3))
+        extra = st.dictionaries(const, st.integers(1, 2), max_size=3)
+        shift = st.one_of(st.sampled_from([F(k) for k in (-2, -1, 1, 2)]),
+                          st.sampled_from([F(k, 3) for k in range(-6, 7) if k % 3]))
+        chain = [data.draw(const) + t for t in range(data.draw(st.integers(1, 5)))]
+        pairs = []
+        for _ in range(data.draw(st.integers(1, 2))):
+            delta = data.draw(shift)
+            x, y = planted_ends(chain, delta)
+            pairs.append(({**dict.fromkeys(x, 1), **data.draw(extra)},
+                          {**dict.fromkeys(y, 1), **data.draw(extra)}, delta))
         rows = paired_rows(pairs)
         consts = {c for absorbers, _ in rows for c in absorbers}
         want = reference_first_chain(consts, rows, maxdeg)
         assert SR._first_chain(chain_rows(rows), maxdeg) == want
+
+
+def planted_ends(chain, delta):
+    """The constants an x row (shift -delta) and a y row (shift +delta) need
+    for the chain to hold: all of it for a fractional delta, else the |delta|
+    elements at the end that each shift moves out of the chain."""
+    if delta.denominator > 1:
+        return chain, chain
+    k = min(abs(int(delta)), len(chain))
+    low, high = chain[:k], chain[len(chain) - k:]
+    return (high, low) if delta > 0 else (low, high)
 
 
 def paired_rows(pairs):
@@ -331,8 +347,18 @@ def paired_rows(pairs):
 
 
 def chain_rows(rows):
-    """The (d, absorbers) rows of _chain_holds, d an int or None when fractional."""
+    """The (d, absorbers) rows of _first_chain, d an int or None when fractional."""
     return [(int(d) if d.denominator == 1 else None, absorbers) for absorbers, d in rows]
+
+
+def over_one_denominator(rows, *values):
+    """(D, rows, values) with every constant of the rows and every value
+    written as its integer numerator over the lcm D of their denominators:
+    the integer form of _chain_holds."""
+    den = math.lcm(*[c.denominator for _, absorbers in rows for c in absorbers],
+                   *[v.denominator for v in values])
+    scaled = [(d, {int(c * den): m for c, m in absorbers.items()}) for d, absorbers in rows]
+    return den, scaled, [int(v * den) for v in values]
 
 
 class TestWitnessVerify:
@@ -660,6 +686,89 @@ class TestQuotientWeightFilter:
         monkeypatch.setattr(SR, "irrep_A", lambda *args: built.append(args))
         assert SR.quotient_certificate_search(mk_spec(rank=2, base_b=F(1, 3), S={1}), 64) is None
         assert built == []
+
+
+class TestBaseConditionRows:
+    """The integer base-condition rows are the rows of the Fraction values,
+    each block of one x_i.1 or y_i.1 scaled by one positive factor."""
+
+    @staticmethod
+    def assert_rows_match(xs, ys, rep, context):
+        got = list(SR._base_condition_rows(xs, ys, rep))
+        want = list(reference_base_condition_rows(xs, ys, rep))
+        assert len(got) == len(want) == 2 * rep.rank * rep.dim
+        for start in range(0, len(got), rep.dim):
+            block = list(zip(got[start:start + rep.dim], want[start:start + rep.dim]))
+            # a block of zero rows has any scale
+            scale = next((F(g[k]) / w[k] for g, w in block for k in w if w[k]), 1)
+            assert scale > 0
+            for g, w in block:
+                assert {k: c for k, c in g.items() if c} \
+                    == {k: scale * c for k, c in w.items() if c}, (context, rep.weights)
+
+    def test_every_irrep_the_search_grid_scans(self, monkeypatch):
+        W = load_workloads()
+        scanned = []
+        rows = SR._base_condition_rows
+        monkeypatch.setattr(SR, "_base_condition_rows",
+                            lambda *args: scanned.append(args) or rows(*args))
+        for seed in range(1, 6):
+            for job in W.build("search", seed):
+                assert job.run() is None
+        monkeypatch.undo()
+        # sl_2 and sl_3 irreps (30 scans on seeds 1-5 when this was written)
+        assert {rep.rank for _, _, rep in scanned} == {1, 2}
+        for xs, ys, rep in scanned:
+            self.assert_rows_match(xs, ys, rep, "search grid")
+
+    def test_every_irrep_to_dim_60_at_the_grid_b(self):
+        # every V(m) of sl_2, sl_3 and sl_4 up to dim 60, each at a third of
+        # the b of the grid's seeds 1-5 (every b meets a third of the V(m)),
+        # with the pattern S rotating through the subsets
+        W = load_workloads()
+        bs = set()
+        for seed in range(1, 6):
+            for job in W.build("search", seed):
+                spec = next(cell.cell_contents for cell in job.run.__closure__
+                            if isinstance(cell.cell_contents, R.ModuleSpec))
+                bs.add(spec.base_b.as_scalar())
+        assert len(bs) > 10
+        for l in (1, 2, 3):
+            patterns = subsets(l + 1)
+            polys = {}
+            for k, weights in enumerate(SR._dominant_weights(l, 60)):
+                rep = SR.irrep_A(l, weights)
+                for j, b in enumerate(sorted(bs)):
+                    if (k + j) % 3:
+                        continue
+                    S = patterns[(k + j) // 3 % len(patterns)]
+                    if (b, S) not in polys:
+                        polys[b, S] = R.base_action_polys(mk_spec(rank=l, base_b=b, S=S))
+                    self.assert_rows_match(*polys[b, S], rep, (l, S, b))
+
+    def test_at_weights_is_the_value_at_each_weight(self):
+        # the reference above, against Poly.eval at h_j = w_j / (l + 1), with
+        # d kept as a variable of the value
+        rng = random.Random(5)
+        for l in (1, 2, 3):
+            for weights in SR._dominant_weights(l, 20):
+                rep = SR.irrep_A(l, weights)
+                for _ in range(3):
+                    p = random_poly(rng, l, 1, max_total_deg=4, max_terms=5)
+                    for value, w in zip(SR._at_weights(p, rep), rep.h_int):
+                        h = [F(x, l + 1) for x in w]
+                        for d in (0, 1, F(-3, 2)):
+                            assert value.eval([d]) == p.eval(h + [d]), (p.text(), w, d)
+
+
+def reference_base_condition_rows(xs, ys, rep):
+    """_base_condition_rows from the Fraction values of _at_weights, unscaled."""
+    for i in range(rep.rank):
+        for op, poly in ((rep.x_mats[i], xs[i]), (rep.y_mats[i], ys[i])):
+            for r, value in enumerate(SR._at_weights(poly, rep)):
+                row = dict(op[r])
+                row[r] = row.get(r, 0) - value.constant_term()
+                yield row
 
 
 def reference_common_zeros(factor_lists, l):

@@ -699,6 +699,22 @@ class TestDegrees:
         assert shift_difference("power_minus_id", k, i, p) \
             == iterated_shift_difference("power_minus_id", k, i, p)
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_total_degree_is_the_largest_exponent_sum(self, data):
+        # exponents at the edges of the slot-sum shortcut (2^b for the
+        # widths drawn here runs from 2^11 to 2^15) and at the slot limit,
+        # so sums pass 2^16 - 1 and a slot holds it exactly
+        width = data.draw(st.integers(1, 17))
+        l = data.draw(st.integers(0, width))
+        edges = [0, 1, 2, 7] + [2**b + k for b in range(11, 16) for k in (-1, 0)]
+        exponent = st.lists(st.sampled_from(edges + [MAX_SLOT_EXPONENT]),
+                            min_size=width, max_size=width).map(tuple)
+        exps = data.draw(st.lists(exponent, min_size=1, max_size=4, unique=True))
+        p = Poly(l, width - l, {e: k + 1 for k, e in enumerate(exps)})
+        assert p.total_degree() == max(sum(e) for e in exps)
+        assert Poly.zero(l, width - l).total_degree() == -1
+
 
 def reference_text(p):
     """The text form built term by term from Fraction coefficients, sorted by

@@ -315,6 +315,24 @@ def base_action_factor_lists(spec: ModuleSpec) -> tuple[tuple[tuple[Poly, ...], 
     return tuple(map(tuple, xs)), tuple(map(tuple, ys))
 
 
+@lru_cache(maxsize=256)
+def affine_factors(spec: ModuleSpec) -> tuple[tuple[tuple, ...], ...]:
+    """base_action_factor_lists with each factor f as (row, c): the integer
+    numerators of its coefficients of H_1..H_l and of its constant, so f is
+    row . H + c up to a unit.  The one place the factors' keys are read.  A
+    factor that carries d (a non-scalar b) is None: it stays outside the
+    H-only contract of the witness searches."""
+    units = [1 << SLOT_BITS * k for k in range(spec.ranks[0])]
+
+    def form(f: Poly):
+        if f.nums.keys() <= {0, *units}:
+            return tuple(f.nums.get(u, 0) for u in units), f.nums.get(0, 0)
+        return None
+
+    return tuple(tuple(tuple(map(form, fs)) for fs in side)
+                 for side in base_action_factor_lists(spec))
+
+
 def factor_counts(family: str, l: int, S: Iterable[int]) -> tuple[tuple[int, ...], ...]:
     """The number of linear factors of each x_i.1 and of each y_i.1 of the
     family-l modules with pattern S (len() of base_action_factor_lists)."""

@@ -33,8 +33,10 @@ Fractions and eliminates on integers: the quotient scan's base-condition
 rows (Gelfand-Tsetlin entries, which are Fractions, scaled by the common
 denominator of the integer values of x_i.1 and y_i.1 at the weights) are
 first brought over their common denominator, and ``cyclicity_check`` hands
-it each image's integer numerators as they are.  The principal search tries
-its chains on the integer numerators of each orbit's factor constants.
+it each image's integer numerators as they are.  The witness searches read the
+factors of x_i.1 and y_i.1 as the integer rows of ``repmods.affine_factors``;
+the principal search orders its orbits by those rows and tries its chains on
+the integer numerators of each orbit's factor constants.
 """
 
 from __future__ import annotations
@@ -114,9 +116,6 @@ class Echelon:
         g = math.gcd(*vec.values())
         self.pivots[min(vec)] = {k: x // g for k, x in vec.items()} if g > 1 else vec
         return True
-
-    def contains(self, row: dict) -> bool:
-        return not self.reduce(row)
 
 
 def nullspace(rows: Iterable[Row], cols: int) -> list[Vector]:
@@ -279,48 +278,64 @@ def _h_only(p: Poly) -> bool:
 def principal_witness_search(spec: ModuleSpec, maxdeg: int) -> Poly | None:
     """Search monic H-only products of shifted linear factors, per shift orbit.
 
-    Candidates are chains prod_{t < L} (key + s + t)^m of one normalized
-    linear form key, tried by multiplicity m, then length L, then start s.
-    The invariance conditions p | (x_i.1) sigma_i(p), p | (y_i.1)
-    sigma_i^(-1)(p) are decided on the factor multisets, with no polynomial
-    division: x_i.1 and y_i.1 are rows that shift a constant c to c + d, and
-    element s + t of the chain needs the factor key + s + t at least m times
-    in a row unless s + t - d is in the chain (_chain_holds).  Every
-    delta_i != 0 gives a row with d = -delta_i and one with d = +delta_i, so
-    the start is absorbed by a row with d > 0 or a fractional d and the end
-    by a row with d < 0 or a fractional d: both ends are constants of the
-    rows, and only chains between two of them are tried (_first_chain).  A
-    found candidate is re-verified through the module action by
-    witness_verify.
+    Made monic, a factor (row, c) of ``repmods.affine_factors`` is
+    form + c / lead, with lead the row's first nonzero entry and form the
+    monic form of its orbit key: the row over its gcd with a positive first
+    entry (a d-carrying factor, None, is skipped).  Orbits are tried in the
+    order of their keys' (variable, coefficient) pairs (_orbit_order), the
+    text order of the forms on every reachable key; the first with a chain
+    decides.  Candidates are chains prod_{t < L} (form + s + t)^m, tried by
+    multiplicity m, then length L, then start s.  The invariance conditions
+    p | (x_i.1) sigma_i(p), p | (y_i.1) sigma_i^(-1)(p) are decided on the
+    factor multisets, with no polynomial division: x_i.1 and y_i.1 are rows
+    that shift a constant c to c + d, and element s + t of the chain needs
+    the factor form + s + t at least m times in a row unless s + t - d is in
+    the chain (_chain_holds).  Every delta_i != 0 gives a row with
+    d = -delta_i and one with d = +delta_i, so the start is absorbed by a row
+    with d > 0 or a fractional d and the end by a row with d < 0 or a
+    fractional d: both ends are constants of the rows, and only chains
+    between two of them are tried (_first_chain).  A found candidate is
+    re-verified through the module action by witness_verify.
     """
-    if maxdeg < 1:
-        return None
     l, n = spec.ranks
-    if l == 0:
+    if maxdeg < 1 or l == 0:
         return None
-    xs_f, ys_f = repmods.base_action_factor_lists(spec)
-    x_norm = [_normalize_factors(fs) for fs in xs_f]
-    y_norm = [_normalize_factors(fs) for fs in ys_f]
-    # an integer key over its positive lead is the normalized form, reduced
-    polys = {key: Poly._raw(l, n, key[0][1], dict(key)) for norm in x_norm + y_norm for key in norm}
-    for key in sorted(polys, key=lambda k: polys[k].text()):
-        form = polys[key]
+    # {key: {constant over the lead: multiplicity}} for each x_i.1, then each y_i.1
+    orbits = []
+    for forms in itertools.chain(*repmods.affine_factors(spec)):
+        out: dict = {}
+        for row, c in filter(None, forms):  # None: a d-carrying factor
+            lead = next(x for x in row if x)
+            g = math.gcd(*row) if lead > 0 else -math.gcd(*row)
+            consts = out.setdefault(tuple(x // g for x in row), {})
+            const = Fraction(c, lead)
+            consts[const] = consts.get(const, 0) + 1
+        orbits.append(out)
+    x_orb, y_orb = orbits[:l], orbits[l:]
+    for key in sorted({key for out in orbits for key in out}, key=_orbit_order):
+        lead = next(x for x in key if x)
         # one row per x_i.1 and y_i.1 whose shift on this orbit is nonzero
         rows = []
-        for i in range(l):
-            delta = form.nums.get(1 << SLOT_BITS * i, 0)
+        for i, delta in enumerate(key):
             if delta:
-                d = delta // form.den if delta % form.den == 0 else None
-                rows.append((None if d is None else -d, x_norm[i].get(key, {})))
-                rows.append((d, y_norm[i].get(key, {})))
+                d = delta // lead if delta % lead == 0 else None
+                rows.append((None if d is None else -d, x_orb[i].get(key, {})))
+                rows.append((d, y_orb[i].get(key, {})))
         found = _first_chain(rows, maxdeg)
         if found is not None:
             mult, length, start = found
+            form = Poly(l, n, {tuple(int(j == k) for j in range(l + n)): Fraction(x, lead)
+                               for k, x in enumerate(key) if x})
             p = Poly.const(l, n, 1)
             for t in range(length):
                 p = p * (form + Poly.const(l, n, start + t)) ** mult
             return p
     return None
+
+
+def _orbit_order(key: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The (variable, coefficient) pairs of an orbit key, in variable order."""
+    return [(k, x) for k, x in enumerate(key) if x]
 
 
 def _first_chain(rows: list, maxdeg: int) -> tuple[int, int, Rat] | None:
@@ -359,34 +374,6 @@ def _chain_holds(start: int, length: int, mult: int, rows: list, den: int) -> bo
             if absorbers.get(start + t * den, 0) < mult:
                 return False
     return True
-
-
-def _normalize_factors(factors: Sequence[Poly]) -> dict:
-    """{orbit key: {constant: multiplicity}} for the H-only factors of a list.
-
-    A factor c_0 + sum_k c_k H_k, scaled to leading coefficient 1, is
-    key + c_0 / c_lead, where the lead is its lowest nonzero key (the
-    graded-lex leading term of an affine form).  The key is read off the
-    integer numerators: the pairs (monomial key, c_k) of its linear part
-    over their gcd, signed so that the lead is positive.  d-carrying factors
-    fall outside the H-only witness contract and are dropped.
-    """
-    out: dict = {}
-    for f in factors:
-        if not _h_only(f):
-            continue
-        nums = f.nums
-        linear = sorted((k, c) for k, c in nums.items() if k)
-        if not linear:
-            continue
-        lead = linear[0][1]
-        g = math.gcd(*(c for _, c in linear))
-        if lead < 0:
-            g = -g
-        consts = out.setdefault(tuple((k, c // g) for k, c in linear), {})
-        const = Fraction(nums.get(0, 0), lead)
-        consts[const] = consts.get(const, 0) + 1
-    return out
 
 
 def witness_verify(spec: ModuleSpec, p: Poly, loop_window: Iterable | None = None) -> bool:
@@ -481,7 +468,7 @@ def quotient_certificate_search(
     if not _quotient_scan_applies(spec):
         return None
     l = spec.algebra.rank
-    sides = [_common_zeros(factors, l) for factors in repmods.base_action_factor_lists(spec)]
+    sides = [_common_zeros(forms) for forms in repmods.affine_factors(spec)]
     if set() in sides:
         return None
     xs, ys = base_action_polys(spec)
@@ -522,32 +509,26 @@ def _base_condition_rows(xs: list[Poly], ys: list[Poly], rep: IrrepA) -> Iterato
                 yield row
 
 
-def _common_zeros(factor_lists: list[list[Poly]], l: int) -> set | None:
+def _common_zeros(form_lists: Sequence[Sequence[tuple]]) -> set | None:
     """Weight keys of the points h where every list has a vanishing factor.
 
-    Each choice of one factor per list is a system of l affine equations in
-    H_1..H_l, solved by integer elimination; a unique solution h is kept as
-    the _weight_key of (l + 1) h when that is an integer vector (every
-    weight of every V(m) is one).  None when a factor is not affine in H or
-    a consistent system has more than one solution: the zeros are then no
-    finite list.  The systems are l x l and there are many of them, so the
-    elimination is kept here rather than routed through nullspace, which gives
-    the same keys on the 120 scalar-A specs of the search workload's seeds
-    1-5 at ~92 us per spec against ~24 us (2-core machine, Python 3.11).
+    The lists are one side of ``repmods.affine_factors``, one per x_i.1 or
+    per y_i.1; a factor (row, c) is the equation row . H = -c.  Each choice
+    of one factor per list is a system of l equations, solved by integer
+    elimination; a unique solution h is kept as the _weight_key of (l + 1) h
+    when that is an integer vector (every weight of every V(m) is one).
+    None when a consistent system has more than one solution: the zeros are
+    then no finite list.  The systems are l x l and many, so the elimination
+    is kept here rather than routed through nullspace, which gives the same
+    keys on the 120 scalar-A specs of the search workload's seeds 1-5 at
+    ~92 us per spec against ~24 us (2-core machine, Python 3.11).
     """
+    l = len(form_lists)
     size = l + 1
-    units = [1 << SLOT_BITS * k for k in range(l)]
-    lists = []
-    for factors in factor_lists:
-        equations = []
-        for f in factors:
-            if not f.nums.keys() <= {0, *units}:
-                return None
-            equations.append([f.nums.get(u, 0) for u in units] + [-f.nums.get(0, 0)])
-        lists.append(equations)
+    lists = [[(*row, -c) for row, c in forms] for forms in form_lists]
     keys = set()
     for system in itertools.product(*lists):
-        m = [list(eq) for eq in system]
+        m = list(system)
         rank = 0
         for col in range(l):
             pivot = next((r for r in range(rank, l) if m[r][col]), None)

@@ -131,6 +131,21 @@ def unit_exp(l, n, pos):
     return tuple(int(k == pos) for k in range(l + n))
 
 
+def orbit_key(row):
+    """An integer row over its gcd, signed so that its first nonzero entry
+    is positive."""
+    g = math.gcd(*row)
+    return tuple(x // g for x in row) if next(x for x in row if x) > 0 \
+        else tuple(-x // g for x in row)
+
+
+def monic_form(key, n):
+    """The linear form of an integer row over its first nonzero entry."""
+    l = len(key)
+    lead = next(x for x in key if x)
+    return Poly(l, n, {unit_exp(l, n, k): F(x, lead) for k, x in enumerate(key) if x})
+
+
 def reference_principal_search(spec, maxdeg):
     """The chain scan with the plain multiset check: the chain dict is built
     and every element of it is tested against every row.  Constants and
@@ -242,7 +257,9 @@ class TestPrincipalReference:
         assert skipped
 
     def test_integer_keys_match_the_poly_normalization(self):
-        # the integer key over its leading entry is the monic linear part
+        # a form's row over its gcd, signed to a positive lead, is the orbit
+        # key: over that lead it is the monic linear part, and the constant
+        # over the form's lead is the monic factor's constant
         d1 = Poly.d(2, 1, 1)
         specs = [toroidal(l, b, S) for l in (1, 2, 3) for S in subsets(l + 1)
                  for b in (F(0), F(-5, 3))]
@@ -251,12 +268,31 @@ class TestPrincipalReference:
         specs += [mk_spec(rank=2, loop_vars=1, base_b=d1, S=S) for S in subsets(3)]
         for spec in specs:
             l, n = spec.ranks
-            for fs in itertools.chain(*R.base_action_factor_lists(spec)):
-                got = {Poly._raw(l, n, key[0][1], dict(key)): consts
-                       for key, consts in SR._normalize_factors(fs).items()}
-                want = {key: consts for key, consts in reference_normalize_factors(fs).items()
+            lists, forms = R.base_action_factor_lists(spec), R.affine_factors(spec)
+            for f, form in zip(itertools.chain(*lists[0], *lists[1]),
+                               itertools.chain(*forms[0], *forms[1])):
+                got = {}
+                if form is not None:
+                    row, c = form
+                    key = orbit_key(row)
+                    got = {monic_form(key, n): {F(c, next(x for x in row if x)): 1}}
+                want = {key: consts for key, consts in reference_normalize_factors([f]).items()
                         if SR._h_only(key)}
-                assert got == want, (spec.algebra, spec.S, fs)
+                assert got == want, (spec.algebra, spec.S, f)
+
+    def test_orbit_order_is_the_text_order(self):
+        # the first orbit with a chain decides the witness, so the order of
+        # the keys' (variable, coefficient) pairs must be the text order of
+        # the monic forms on every reachable key
+        specs = [mk_spec(rank=l, S=S) for l in range(1, 8) for S in subsets(l + 1)]
+        specs += [mk_spec(family="C", rank=l, base_a=(1,) * l, S=S)
+                  for l in range(2, 8) for S in subsets(l)]
+        for spec in specs:
+            forms = R.affine_factors(spec)
+            keys = {orbit_key(row) for row, _ in itertools.chain(*forms[0], *forms[1])}
+            text = {key: monic_form(key, 0).text() for key in keys}
+            assert sorted(keys, key=SR._orbit_order) == sorted(keys, key=text.get), \
+                (spec.algebra, spec.S)
 
     def test_only_pairs_of_constants_are_checked(self, monkeypatch):
         # at M(l = 2, b = 5/7, S = {}) only chains from one row constant to
@@ -611,7 +647,7 @@ class TestQuotientWeightFilter:
         rejected = 0
         for l, S, b in filter_grid():
             spec = mk_spec(rank=l, base_b=b, S=S)
-            sides = [SR._common_zeros(fs, l) for fs in R.base_action_factor_lists(spec)]
+            sides = [SR._common_zeros(forms) for forms in R.affine_factors(spec)]
             assert None not in sides
             xs, ys = R.base_action_polys(spec)
             for weights in SR._dominant_weights(l, 40):
@@ -648,37 +684,25 @@ class TestQuotientWeightFilter:
             "dbf7df50825e0e983e959833d6e50c704be26bdbd75d82f5feb0b4fc36b8043c"
 
     def test_common_zeros_fall_back_or_end_the_scan(self):
-        H1, H2 = Poly.H(2, 0, 1), Poly.H(2, 0, 2)
-        one = Poly.const(2, 0, 1)
         # h = (1, 2) on the second choice; the first, H1 = 1 and H1 = 0, has no zero
-        assert SR._common_zeros([[H1 - one], [H1, H2 - one - one]], 2) \
+        assert SR._common_zeros([[((1, 0), -1)], [((1, 0), 0), ((0, 1), -2)]]) \
             == {SR._weight_key((3, 6))}
-        # a line of common zeros, or a factor that is not affine: no finite list
-        assert SR._common_zeros([[H1 - H2], [(H1 - H2).scale(2)]], 2) is None
-        assert SR._common_zeros([[H1 * H1], [H2]], 2) is None
+        # a line of common zeros: no finite list
+        assert SR._common_zeros([[((1, -1), 0)], [((2, -2), 0)]]) is None
         # a row with no factor has no zero
-        assert SR._common_zeros([[H1], []], 2) == set()
+        assert SR._common_zeros([[((1, 0), 0)], []]) == set()
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_common_zeros_match_a_nullspace_solve(self, data):
-        # coefficients in {0, +-1, 2, 1/2} make singular and inconsistent
-        # systems common; an occasional factor times H_k is not affine
+        # coefficients in {0, +-1, +-2} make singular and inconsistent
+        # systems common
         l = data.draw(st.integers(1, 3))
-        coeff = st.sampled_from([F(0), F(0), F(1), F(-1), F(2), F(1, 2)])
-        const = st.sampled_from([F(k, 2) for k in range(-6, 7)])
-        lists = []
-        for _ in range(l):
-            factors = []
-            for _ in range(data.draw(st.integers(0, 3))):
-                f = Poly.const(l, 0, data.draw(const))
-                for k in range(l):
-                    f = f + Poly.H(l, 0, k + 1).scale(data.draw(coeff))
-                if data.draw(st.integers(0, 9)) == 0:
-                    f = f * Poly.H(l, 0, data.draw(st.integers(1, l)))
-                factors.append(f)
-            lists.append(factors)
-        assert SR._common_zeros(lists, l) == reference_common_zeros(lists, l)
+        coeff = st.sampled_from([0, 0, 1, -1, 2, -2])
+        lists = [[(tuple(data.draw(coeff) for _ in range(l)), data.draw(st.integers(-6, 6)))
+                  for _ in range(data.draw(st.integers(0, 3)))]
+                 for _ in range(l)]
+        assert SR._common_zeros(lists) == reference_common_zeros(lists)
 
     def test_a_side_without_zeros_builds_no_irrep(self, monkeypatch):
         # S = {1}: x_1.1 is a nonzero constant, so no irrep carries a kernel vector
@@ -771,21 +795,13 @@ def reference_base_condition_rows(xs, ys, rep):
                 yield row
 
 
-def reference_common_zeros(factor_lists, l):
-    """_common_zeros by a nullspace solve: the zeros of the factors chosen
-    one per list are the kernel vectors (h, 1) of their coefficient rows."""
-    coeffs = {}
-    for f in itertools.chain(*factor_lists):
-        c = [f.coeff(unit_exp(l, f.n, k)) for k in range(l)] + [f.constant_term()]
-        affine = Poly.const(l, f.n, c[l])
-        for k in range(l):
-            affine = affine + Poly.H(l, f.n, k + 1).scale(c[k])
-        if f != affine:
-            return None
-        coeffs[f] = c
+def reference_common_zeros(form_lists):
+    """_common_zeros by a nullspace solve: the zeros of the forms chosen one
+    per list are the kernel vectors (h, 1) of their rows (row, c)."""
+    l = len(form_lists)
     keys = set()
-    for system in itertools.product(*factor_lists):
-        rows = [{k: c for k, c in enumerate(coeffs[f]) if c} for f in system]
+    for system in itertools.product(*form_lists):
+        rows = [{k: x for k, x in enumerate((*row, c)) if x} for row, c in system]
         basis = SR.nullspace(rows, l + 1)
         if all(v[l] == 0 for v in basis):
             continue  # no solution
@@ -817,7 +833,7 @@ def reference_cyclicity(spec, w, max_word_len):
     span.add(current.nums)
     frontier = [current]
     for _ in range(max_word_len):
-        if span.contains({0: 1}):
+        if not span.reduce({0: 1}):
             return True
         new_frontier = []
         for vec in frontier:
@@ -828,7 +844,7 @@ def reference_cyclicity(spec, w, max_word_len):
         if not new_frontier:
             break
         frontier = new_frontier
-    return span.contains({0: 1})
+    return not span.reduce({0: 1})
 
 
 def load_workloads():
@@ -1310,11 +1326,11 @@ class TestLinearAlgebraHelpers:
                     for k, x in r.items():
                         v[k] = v.get(k, F(0)) + c * x
             after = rank(added + [v])
-            assert echelon.contains(v) == (after == before)
+            assert (not echelon.reduce(v)) == (after == before)
             assert echelon.add(v) == (after > before)
             added.append(v)
             before = after
-            assert echelon.contains(v)
+            assert not echelon.reduce(v)
 
     @settings(max_examples=300, deadline=None)
     @given(

@@ -139,6 +139,63 @@ class TestFactorLists:
         assert all(isinstance(fs, tuple) for side in lists for fs in (side, *side))
 
 
+class TestAffineFactors:
+    """affine_factors holds each factor as an integer row over H and an
+    integer constant; the d-carrying factors are None."""
+
+    @staticmethod
+    def _specs():
+        for l in range(1, 6):
+            for k in range(l + 2):
+                for S in itertools.combinations(range(1, l + 2), k):
+                    for b in (0, 1, Fraction(1, 2), -3):
+                        yield mk_spec(rank=l, base_b=b, S=S)
+        for l in range(2, 6):
+            for k in range(l + 1):
+                for S in itertools.combinations(range(1, l + 1), k):
+                    yield mk_spec(family="C", rank=l, S=S)
+
+    def test_each_form_is_its_factor_up_to_a_unit(self):
+        for spec in self._specs():
+            l, n = spec.ranks
+            lists = R.base_action_factor_lists(spec)
+            forms = R.affine_factors(spec)
+            assert [list(map(len, side)) for side in forms] \
+                == [list(map(len, side)) for side in lists]
+            for f, (row, c) in zip(itertools.chain(*lists[0], *lists[1]),
+                                   itertools.chain(*forms[0], *forms[1])):
+                assert len(row) == l and any(row)
+                assert all(type(x) is int for x in (*row, c))
+                g = Poly.const(l, n, c)
+                for k, x in enumerate(row, 1):
+                    g = g + Poly.H(l, n, k).scale(x)
+                unit = g.leading()[1] / f.leading()[1]
+                assert g == f.scale(unit), (spec.algebra, spec.S, f)
+
+    def test_an_equal_spec_returns_the_cached_forms(self):
+        forms = R.affine_factors(mk_spec(rank=2, base_b=1, S={1}))
+        assert R.affine_factors(mk_spec(rank=2, base_b=1, S={1})) is forms
+
+    def test_exactly_the_d_carrying_factors_are_marked(self):
+        # on finite A_2 with a loop variable, b = d1 enters every factor and a
+        # scalar b none
+        d1, half = Poly.d(2, 1, 1), Poly.const(2, 1, Fraction(1, 2))
+        marked = kept = 0
+        for k in range(4):
+            for S in itertools.combinations(range(1, 4), k):
+                for b in (d1, half):
+                    spec = mk_spec(rank=2, loop_vars=1, base_b=b, S=S)
+                    lists = R.base_action_factor_lists(spec)
+                    forms = R.affine_factors(spec)
+                    for f, form in zip(itertools.chain(*lists[0], *lists[1]),
+                                       itertools.chain(*forms[0], *forms[1])):
+                        carries_d = any(exp[2] for exp in f.terms)
+                        assert (form is None) == carries_d == (b is d1), (S, f)
+                        marked += form is None
+                        kept += form is not None
+        assert marked and kept
+
+
 class TestToroidal:
     def test_cartan_loop_action(self, sl2_toroidal):
         H, d = Poly.H(1, 1, 1), Poly.d(1, 1, 1)

@@ -26,6 +26,10 @@ verified kinds:
   codimension (quotient witness), so the two kinds jointly cover l <= 2 at
   the searched bounds.
 
+Before the quotient scan builds an irrep, point_set_search looks for the
+finite point set that the weight support of such a v0 would be; where there
+is none up to the bound, the scan ends with that proof.
+
 The rule these searches arbitrate is ``repmods.simplicity_rule``.  The
 exact linear algebra (``Echelon``, ``nullspace``) serves both the quotient
 scan and ``cyclicity_check``.  ``Echelon`` takes sparse rows of ints or
@@ -388,6 +392,90 @@ def witness_verify(spec: ModuleSpec, p: Poly, loop_window: Iterable | None = Non
     return True
 
 
+# -- invariant point sets -------------------------------------------------------
+
+
+def point_set_search(spec: ModuleSpec, max_points: int) -> frozenset | None:
+    """A finite invariant point set of at most max_points points, or None.
+
+    With x_i.p = f_i p(H - e_i) and y_i.p = g_i p(H + e_i), a finite set Z
+    of points has an invariant ideal I(Z) iff it obeys the closure rule:
+    for z in Z, f_i(z) != 0 => z - e_i in Z and g_i(z) != 0 => z + e_i in Z.
+    The least point of Z for a generic positive functional is a seed, a
+    common zero of the f_i, and Z holds the seed's closure, the least set
+    through it that obeys the rule.  The seeds are the _integer_zeros of the
+    x_i.1; each closure is built on the integer weights w = (l + 1) h and is
+    given up once it passes max_points, or at a ray: a step along -e_i
+    (+e_i) after which no factor of f_i (g_i) vanishes at any whole number
+    of further steps (one integer division per factor) makes it infinite.
+
+    Z is the first closure of at most max_points points, as integer weights.
+    None proves that no seed of integer weight has one.
+    """
+    if not _quotient_scan_applies(spec):
+        raise DomainError("point sets are searched for the A family with a scalar b")
+    x_forms, y_forms = repmods.affine_factors(spec)
+    seeds = _integer_zeros(x_forms)
+    if seeds is None:
+        # each system picks l distinct forms H_k - H_(k-1), k = 1..l + 1,
+        # and any l of them are independent
+        raise StructureError("the common zeros of the x_i.1 are no finite list")
+    for seed in seeds:
+        points = _closure(seed, x_forms, y_forms, max_points)
+        if points is not None:
+            return frozenset(points)
+    return None
+
+
+def _closure(seed: tuple[int, ...], x_forms: Sequence, y_forms: Sequence,
+             max_points: int) -> set | None:
+    """The closure of one seed in integer weights; None at a ray or once it
+    holds more than max_points points."""
+    if max_points < 1:
+        return None
+    size = len(seed) + 1
+    points = {seed}
+    todo = [seed]
+    while todo:
+        w = todo.pop()
+        for i in range(size - 1):
+            for step, forms in ((-size, x_forms[i]), (size, y_forms[i])):
+                # size times each factor's value at h = w / size
+                values = [sum(a * x for a, x in zip(row, w)) + size * c for row, c in forms]
+                if 0 in values:
+                    continue
+                # a factor vanishes t >= 1 steps on iff v + t step row_i = 0
+                if not any(v * row[i] * step < 0 and v % (step * row[i]) == 0
+                           for (row, _), v in zip(forms, values)):
+                    return None
+                moved = w[:i] + (w[i] + step,) + w[i + 1:]
+                if moved not in points:
+                    points.add(moved)
+                    if len(points) > max_points:
+                        return None
+                    todo.append(moved)
+    return points
+
+
+def verify_point_set(spec: ModuleSpec, points: Iterable[Sequence[int]]) -> bool:
+    """True iff the integer weights w = (l + 1) h are a nonempty set that
+    obeys the closure rule of point_set_search, with x_i.1 and y_i.1
+    evaluated as polynomials (base_action_polys) at each h."""
+    if not _quotient_scan_applies(spec):
+        raise DomainError("point sets are checked for the A family with a scalar b")
+    l, n = spec.ranks
+    size = l + 1
+    z = {tuple(w) for w in points}
+    xs, ys = base_action_polys(spec)
+    for w in z:
+        h = [Fraction(x, size) for x in w] + [0] * n
+        for i in range(l):
+            for poly, step in ((xs[i], -size), (ys[i], size)):
+                if poly.eval(h) and w[:i] + (w[i] + step,) + w[i + 1:] not in z:
+                    return False
+    return bool(z)
+
+
 # -- quotient certificates -------------------------------------------------------
 
 
@@ -437,12 +525,6 @@ def _weight_numerators(p: Poly, rep: IrrepA) -> tuple[int, list[dict]]:
     return p.den * size**top, out
 
 
-def _at_weights(p: Poly, rep: IrrepA) -> list[Poly]:
-    """p(h_j, d) for each basis weight h_j: the H-block evaluated, d kept."""
-    den, values = _weight_numerators(p, rep)
-    return [Poly._reduced(0, p.n, den, {e: v for e, v in acc.items() if v}) for acc in values]
-
-
 def quotient_certificate_search(
     spec: ModuleSpec, dim_bound: int, loop_window: Iterable | None = None
 ) -> QuotientCert | None:
@@ -451,21 +533,24 @@ def quotient_certificate_search(
     A kernel vector of the base conditions is returned only once
     verify_quotient_certificate accepts it at loop_window.
 
-    An irrep is ruled out from its weights, before it is built, when it
-    cannot carry a kernel vector.  Let v0 != 0 solve X_i v0 = (x_i.1)(H) v0
-    and Y_i v0 = (y_i.1)(H) v0 for every i.  X_i maps weight nu - e_i to nu,
-    so at the weight nu of v0's support with the smallest coordinate sum the
-    nu-component of X_i v0 is 0, and (x_i.1)(nu) = 0 for every i; at the one
-    with the largest sum every (y_i.1)(nu) = 0.  So V(m) needs a weight where
-    all the x_i.1 vanish and one where all the y_i.1 vanish.  Each x_i.1 is
-    a product of affine factors, so those weights are the solutions of the
-    systems that pick one factor per row (_common_zeros), and membership in
-    V(m) is a majorization test (_weight_key).  A side whose zeros are not a
-    finite list filters nothing, and a side with no zero ends the scan.  A
-    ruled-out irrep has no kernel vector, so the scan's result is the same
-    and "searched up to dim_bound" still holds.
+    Let v0 != 0 solve X_i v0 = (x_i.1)(H) v0 and Y_i v0 = (y_i.1)(H) v0.
+    X_i maps weight nu - e_i to nu and Y_i maps nu + e_i to nu, so a
+    nu-component of v0 with (x_i.1)(nu) != 0 needs a nonzero
+    (nu - e_i)-component, and one with (y_i.1)(nu) != 0 a nonzero
+    (nu + e_i)-component: the weight support of v0 obeys the closure rule of
+    point_set_search, has at most dim V(m) points and holds a seed's
+    closure.  So where point_set_search finds no closure of at most
+    dim_bound points, no irrep is built and "searched up to dim_bound" is
+    proved.  Otherwise V(m) needs a weight where all the x_i.1 vanish (the
+    least of the support) and one where all the y_i.1 vanish (the largest):
+    the solutions of the systems that pick one factor per row
+    (_common_zeros), met by a majorization test (_weight_key), before V(m)
+    is built.  A side whose zeros are no finite list filters nothing, and a
+    side with no zero ends the scan.
     """
     if not _quotient_scan_applies(spec):
+        return None
+    if point_set_search(spec, dim_bound) is None:
         return None
     l = spec.algebra.rank
     sides = [_common_zeros(forms) for forms in repmods.affine_factors(spec)]
@@ -509,24 +594,25 @@ def _base_condition_rows(xs: list[Poly], ys: list[Poly], rep: IrrepA) -> Iterato
                 yield row
 
 
-def _common_zeros(form_lists: Sequence[Sequence[tuple]]) -> set | None:
-    """Weight keys of the points h where every list has a vanishing factor.
+def _integer_zeros(form_lists: Sequence[Sequence[tuple]]) -> list[tuple[int, ...]] | None:
+    """Integer weights w = (l + 1) h of the points h where every list has a
+    vanishing factor, each once, in the order the systems are solved.
 
     The lists are one side of ``repmods.affine_factors``, one per x_i.1 or
     per y_i.1; a factor (row, c) is the equation row . H = -c.  Each choice
     of one factor per list is a system of l equations, solved by integer
-    elimination; a unique solution h is kept as the _weight_key of (l + 1) h
-    when that is an integer vector (every weight of every V(m) is one).
-    None when a consistent system has more than one solution: the zeros are
-    then no finite list.  The systems are l x l and many, so the elimination
-    is kept here rather than routed through nullspace, which gives the same
-    keys on the 120 scalar-A specs of the search workload's seeds 1-5 at
-    ~92 us per spec against ~24 us (2-core machine, Python 3.11).
+    elimination; a unique solution h is kept when (l + 1) h is an integer
+    vector (every weight of every V(m) is one).  None when a consistent
+    system has more than one solution: the zeros are then no finite list.
+    The systems are l x l and many, so the elimination is kept here rather
+    than routed through nullspace, which gives the same keys on the 120
+    scalar-A specs of the search workload's seeds 1-5 at ~92 us per spec
+    against ~24 us (2-core machine, Python 3.11).
     """
     l = len(form_lists)
     size = l + 1
     lists = [[(*row, -c) for row, c in forms] for forms in form_lists]
-    keys = set()
+    zeros: dict[tuple[int, ...], None] = {}
     for system in itertools.product(*lists):
         m = list(system)
         rank = 0
@@ -547,10 +633,17 @@ def _common_zeros(form_lists: Sequence[Sequence[tuple]]) -> set | None:
             return None
         # pivots sit on the diagonal: (l + 1) h_k = (l + 1) c_k / a_kk
         if all(size * eq[l] % eq[k] == 0 for k, eq in enumerate(m)):
-            key = _weight_key([size * eq[l] // eq[k] for k, eq in enumerate(m)])
-            if key is not None:
-                keys.add(key)
-    return keys
+            zeros[tuple(size * eq[l] // eq[k] for k, eq in enumerate(m))] = None
+    return list(zeros)
+
+
+def _common_zeros(form_lists: Sequence[Sequence[tuple]]) -> set | None:
+    """The _weight_keys of the _integer_zeros that are weights of some V(m);
+    None when the zeros are no finite list."""
+    zeros = _integer_zeros(form_lists)
+    if zeros is None:
+        return None
+    return {key for key in map(_weight_key, zeros) if key is not None}
 
 
 def _weight_key(w: Sequence[int]) -> tuple[int, tuple[int, ...]] | None:
@@ -629,11 +722,13 @@ def verify_quotient_certificate(
     F(h_j, d) T_r.  With u_H = +e_i (-e_i) and M = X_i (Y_i), coordinate j
     of Phi(F T_u f) is F(h_j, d) f(h_j - u_H, d - r) v0_j and that of
     lambda^r M T_r Phi(f) is lambda^r f(h_j - u_H, d - r) (M v0)_j, so the
-    term factors iff F(h_j, d) v0_j = lambda^r (M v0)_j for every j; at
+    term factors iff (F / lambda^r)(h_j, d) v0_j = (M v0)_j for every j; at
     r = 0 these are the base conditions X_i v0 = (x_i.1)(H) v0 and
-    Y_i v0 = (y_i.1)(H) v0.  Any other H-shift fails.
+    Y_i v0 = (y_i.1)(H) v0.  Any other H-shift fails.  Every windowed
+    operator is read, and the terms that share (u_H, F / lambda^r), such as
+    those of x_i(r) for every loop degree r, are evaluated once.
     """
-    l, n = spec.ranks
+    l = spec.ranks[0]
     if all(c == 0 for c in cert.v0):
         return False
     rep = irrep_A(l, tuple(cert.weights))
@@ -653,6 +748,8 @@ def verify_quotient_certificate(
             shift = tuple(step if j == i else 0 for j in range(l))
             images[shift] = mat_vec(ops[i], v0)
     window = window_degrees(spec.algebra, loop_window)
+    held = set()  # (u_H, F / lambda^r) of the terms shown to factor
+    inverse: dict[tuple[int, ...], Rat] = {}  # 1 / lambda^r by loop degree r
     for gen in repmods.generators_for(spec, window):
         for u, f in repmods.generator_operator(spec, gen).terms.items():
             if not any(u[:l]):
@@ -660,10 +757,18 @@ def verify_quotient_certificate(
             image = images.get(u[:l])
             if image is None:
                 return False
-            lam_r = spec.lam_pow(u[l:])
-            for fj, x, mx in zip(_at_weights(f, rep), v0, image):
-                if fj.scale(x) != Poly.const(0, n, lam_r * mx):
+            r = u[l:]
+            if r not in inverse:
+                inverse[r] = 1 / spec.lam_pow(r)
+            key = (u[:l], f.scale(inverse[r]))
+            if key in held:
+                continue
+            den, values = _weight_numerators(key[1], rep)
+            for acc, x, mx in zip(values, v0, image):
+                # (F / lambda^r)(h_j, d) v0_j is the constant (M v0)_j
+                if acc.get(0, 0) * x != den * mx or (x and any(c for e, c in acc.items() if e)):
                     return False
+            held.add(key)
     return True
 
 
@@ -671,14 +776,14 @@ def verify_quotient_certificate(
 
 
 # the default quotient bound from rank 3 on stops here, and reports carry it
-# as checked_dim_bound: a scan of the simple point M(b = 1, S = {}) up to
-# dimension 220 takes 0.013 s at l = 3 and 0.001 s at l = 4, and up to 1000
-# 0.19 s and 0.002 s (2-core machine, Python 3.11); of the 156 l = 3 irreps
-# up to 1000 the weight filter leaves 4 to build
+# as checked_dim_bound: the point sets rule out every irrep of the simple
+# point M(b = 1, S = {}) in ~40 us at l = 3 and 4, at 220 or 1000 alike
+# (the weight filter alone left 4 of the 156 l = 3 irreps up to 1000 to
+# build, 0.2 s; 2-core machine, Python 3.11)
 MAX_DEFAULT_DIM_BOUND = 220
-# the largest quotient bound a search accepts: the scan of a simple point
-# grows faster than linearly in it, and M(l = 1, b = -3, S = FULL) takes
-# 0.24 s at 200, 0.76 s at 400 and 1.2 s at 500 (2-core machine, Python 3.11)
+# the largest quotient bound a search accepts: a simple point builds no irrep
+# at any bound, and the dim-495 certificate V(8 w_4) of M(l = 4, b = 8/5,
+# S = FULL) takes 0.26 s (2-core machine, Python 3.11)
 MAX_DIM_BOUND = 500
 
 
@@ -727,8 +832,8 @@ def submodule_witness_search(
     A bound of 0 skips that search (maxdeg for the principal one, dim_bound
     for the quotient scan); a negative bound is a DomainError, and so is a
     maxdeg above MAX_EXPONENT, since an l = 1 witness that long could not be
-    parsed back, and a dim_bound above MAX_DIM_BOUND, whose scan would run
-    for seconds.  A principal witness ends the search before the quotient
+    parsed back, and so is a dim_bound above MAX_DIM_BOUND (see its
+    comment).  A principal witness ends the search before the quotient
     scan, so its report says checked_dim_bound 0.
     """
     if spec.algebra.variant == "witt":

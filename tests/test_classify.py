@@ -489,6 +489,18 @@ class TestQuotientCertificates:
         assert not SR.verify_quotient_certificate(lift, cert, [(-1,), (0,), (1,)])
         assert SR.verify_quotient_certificate(lift, cert, [(0,)])
 
+    def test_each_condition_is_evaluated_once(self, monkeypatch):
+        # x_i(r) is lambda^r (x_i.1) T_(e_i, r) at each of the 5 loop degrees,
+        # and y_i(r) likewise: 20 terms, 4 conditions
+        lift = toroidal(2, F(1, 3), {1, 2, 3}, lam=(3,))
+        cert = SR.quotient_certificate_search(mk_spec(rank=2, base_b=F(1, 3), S={1, 2, 3}), 8)
+        evaluated = []
+        numerators = SR._weight_numerators
+        monkeypatch.setattr(SR, "_weight_numerators",
+                            lambda p, rep: evaluated.append(p) or numerators(p, rep))
+        assert SR.verify_quotient_certificate(lift, cert, WIN1)
+        assert len(evaluated) == 4
+
     def test_d_stays_a_variable(self):
         # b = d1 - 2/3 agrees with b = 1/3 only at d1 = 1
         cert = SR.quotient_certificate_search(mk_spec(rank=2, base_b=F(1, 3), S={1, 2, 3}), 8)
@@ -712,6 +724,84 @@ class TestQuotientWeightFilter:
         assert built == []
 
 
+# ROADMAP item 2's b grid: integer and fractional edges of l = 1..4 on both
+# sides of 0, and b off every edge
+POINT_SET_BS = tuple(F(x) for x in ("0", "1", "2", "-1", "-2", "-3", "1/2", "-3/2", "1/3",
+                                    "2/3", "-4/3", "1/4", "3/4", "-5/4", "1/5", "-6/5",
+                                    "5/7", "-9/7"))
+# the quotient bounds of the parity test; A_4 reaches its 126-point sets
+POINT_SET_BOUNDS = {1: 60, 2: 60, 3: 60, 4: 126}
+
+
+class TestPointSets:
+    """The point-set closure that rules out the quotient scan, against the
+    scan without it and against verify_point_set's own check of the rule."""
+
+    @pytest.mark.parametrize("l", [1, 2, 3, 4])
+    def test_closure_matches_the_ungated_scan(self, l, monkeypatch):
+        bound = POINT_SET_BOUNDS[l]
+        found = 0
+        for S in subsets(l + 1):
+            for b in POINT_SET_BS:
+                spec = mk_spec(rank=l, base_b=b, S=S)
+                points = SR.point_set_search(spec, bound)
+                with monkeypatch.context() as m:
+                    m.setattr(SR, "point_set_search", lambda *args: frozenset())
+                    cert = SR.quotient_certificate_search(spec, bound)
+                if points is None:
+                    # the closure's proof: no certificate up to the bound
+                    assert cert is None, (S, b)
+                else:
+                    assert SR.verify_point_set(spec, points), (S, b)
+                    assert not R.simplicity_rule(spec)[0], (S, b)
+                    found += 1
+                if cert is not None:
+                    # the weight support of v0 holds the closure
+                    rep = SR.irrep_A(l, cert.weights)
+                    support = {w for w, c in zip(rep.h_int, cert.v0) if c}
+                    assert points <= support, (S, b)
+        assert found > 0
+
+    def test_closure_decides_the_rule_on_the_grid(self):
+        # every closure on the grid is finite or ends at a ray, so past the
+        # largest set (1001 points, A_4 at b = 2, S = FULL and b = -3, S = {})
+        # no set is left undecided and the search agrees with the rule
+        for l in (1, 2, 3, 4):
+            for S in subsets(l + 1):
+                for b in POINT_SET_BS:
+                    spec = mk_spec(rank=l, base_b=b, S=S)
+                    points = SR.point_set_search(spec, 2000)
+                    assert (points is None) == R.simplicity_rule(spec)[0], (l, S, b)
+
+    def test_verify_point_set_rejects_broken_sets(self):
+        spec = mk_spec(rank=2, base_b=F(1, 3), S={1, 2, 3})
+        points = SR.point_set_search(spec, 10)
+        assert len(points) == 3 and SR.verify_point_set(spec, points)
+        for w in points:
+            assert not SR.verify_point_set(spec, points - {w})
+        assert not SR.verify_point_set(spec, points | {(30, 30)})
+        assert not SR.verify_point_set(spec, [])
+        c_spec = mk_spec(family="C", rank=2, base_a=(1, 1), S={1})
+        for check in (SR.point_set_search, SR.verify_point_set):
+            with pytest.raises(DomainError):
+                check(c_spec, points)
+
+    def test_simple_points_build_no_irrep(self, monkeypatch):
+        calls = []
+        for name in ("build_irrep_A", "nullspace"):
+            monkeypatch.setattr(SR, name, lambda *args, f=getattr(SR, name), name=name:
+                                calls.append(name) or f(*args))
+        spec = mk_spec(rank=3, base_b=1, S=())
+        assert SR.quotient_certificate_search(spec, 1000) is None
+        # a ray ends the closure, whatever the cap
+        assert SR.point_set_search(mk_spec(rank=1, base_b=-3, S={1, 2}), 10**9) is None
+        assert calls == []
+        # the weight filter alone passes 4 of the 156 irreps up to dim 1000
+        monkeypatch.setattr(SR, "point_set_search", lambda *args: frozenset())
+        assert SR.quotient_certificate_search(spec, 1000) is None
+        assert calls.count("nullspace") == 4
+
+
 class TestBaseConditionRows:
     """The integer base-condition rows are the rows of the Fraction values,
     each block of one x_i.1 or y_i.1 scaled by one positive factor."""
@@ -739,8 +829,15 @@ class TestBaseConditionRows:
         for seed in range(1, 6):
             for job in W.build("search", seed):
                 assert job.run() is None
+                spec = grid_spec(job)
+                if spec.algebra.rank == 1 and spec.base_b.as_scalar().denominator == 1:
+                    # the l = 1 edge points: a principal witness or the point
+                    # sets end their search before any sl_2 irrep is built,
+                    # and where a finite point set exists the scan still runs
+                    SR.quotient_certificate_search(spec, 13)
         monkeypatch.undo()
-        # sl_2 and sl_3 irreps (30 scans on seeds 1-5 when this was written)
+        # sl_2 and sl_3 irreps: 10 scans on seeds 1-5, one V(2) and one V(1, 0)
+        # or V(0, 1) per seed (30, up to sl_2 dim 13, before the point sets)
         assert {rep.rank for _, _, rep in scanned} == {1, 2}
         for xs, ys, rep in scanned:
             self.assert_rows_match(xs, ys, rep, "search grid")
@@ -753,9 +850,7 @@ class TestBaseConditionRows:
         bs = set()
         for seed in range(1, 6):
             for job in W.build("search", seed):
-                spec = next(cell.cell_contents for cell in job.run.__closure__
-                            if isinstance(cell.cell_contents, R.ModuleSpec))
-                bs.add(spec.base_b.as_scalar())
+                bs.add(grid_spec(job).base_b.as_scalar())
         assert len(bs) > 10
         for l in (1, 2, 3):
             patterns = subsets(l + 1)
@@ -771,25 +866,31 @@ class TestBaseConditionRows:
                     self.assert_rows_match(*polys[b, S], rep, (l, S, b))
 
     def test_at_weights_is_the_value_at_each_weight(self):
-        # the reference above, against Poly.eval at h_j = w_j / (l + 1), with
-        # d kept as a variable of the value
+        # at_weights (below), the reference's values, against Poly.eval at
+        # h_j = w_j / (l + 1), with d kept as a variable of the value
         rng = random.Random(5)
         for l in (1, 2, 3):
             for weights in SR._dominant_weights(l, 20):
                 rep = SR.irrep_A(l, weights)
                 for _ in range(3):
                     p = random_poly(rng, l, 1, max_total_deg=4, max_terms=5)
-                    for value, w in zip(SR._at_weights(p, rep), rep.h_int):
+                    for value, w in zip(at_weights(p, rep), rep.h_int):
                         h = [F(x, l + 1) for x in w]
                         for d in (0, 1, F(-3, 2)):
                             assert value.eval([d]) == p.eval(h + [d]), (p.text(), w, d)
 
 
+def at_weights(p, rep):
+    """p(h_j, d) for each basis weight h_j: the H-block evaluated, d kept."""
+    den, values = SR._weight_numerators(p, rep)
+    return [Poly._reduced(0, p.n, den, {e: v for e, v in acc.items() if v}) for acc in values]
+
+
 def reference_base_condition_rows(xs, ys, rep):
-    """_base_condition_rows from the Fraction values of _at_weights, unscaled."""
+    """_base_condition_rows from the Fraction values of at_weights, unscaled."""
     for i in range(rep.rank):
         for op, poly in ((rep.x_mats[i], xs[i]), (rep.y_mats[i], ys[i])):
-            for r, value in enumerate(SR._at_weights(poly, rep)):
+            for r, value in enumerate(at_weights(poly, rep)):
                 row = dict(op[r])
                 row[r] = row.get(r, 0) - value.constant_term()
                 yield row
@@ -854,6 +955,12 @@ def load_workloads():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def grid_spec(job):
+    """The module spec of a search-grid job."""
+    return next(cell.cell_contents for cell in job.run.__closure__
+                if isinstance(cell.cell_contents, R.ModuleSpec))
 
 
 class TestCyclicity:

@@ -263,6 +263,29 @@ class TestWitnessAndRecover:
         code, out = run(capsys, ["witness", "--spec", path, "--maxdeg", "4"])
         assert code == 0 and json.loads(out)["report"]["found"]
 
+    def test_witness_at_the_dim_bound_ceiling_builds_no_irrep(self, specfile, capsys,
+                                                              monkeypatch):
+        # M(l = 1, b = -3, S = FULL) is simple: its point-set closure ends at
+        # a ray, so the report is the full scan's with no irrep built
+        from torofree import search
+
+        calls = []
+        for name in ("build_irrep_A", "nullspace"):
+            monkeypatch.setattr(search, name, lambda *args, f=getattr(search, name), name=name:
+                                calls.append(name) or f(*args))
+        spec = {"algebra": {"family": "A", "rank": 1, "loop_vars": 0, "variant": "finite"},
+                "base_a": ["1"], "base_b": "-3", "S": [1, 2]}
+        code, out = run(capsys, ["witness", "--spec", specfile(spec), "--maxdeg", "4",
+                                 "--dim-bound", "500"])
+        assert code == 0 and calls == []
+        assert out == (
+            '{"command":"witness","report":{"checked_degree_bound":4,"checked_dim_bound":500,'
+            '"checked_loop_window":[[]],"found":false,"notes":"no witness at the searched bounds",'
+            '"quotient_cert":null,"verified":false,"witness":null},"spec":{"S":[1,2],"algebra":'
+            '{"family":"A","loop_vars":0,"rank":1,"variant":"finite"},"base_a":["1"],'
+            '"base_b":"-3"}}\n'
+        )
+
     def test_witness_help_states_the_dim_bound_ceiling(self, capsys):
         from torofree.search import MAX_DIM_BOUND
 

@@ -426,12 +426,16 @@ class Poly:
     def scale(self, c) -> "Poly":
         if not isinstance(c, (int, Fraction)):
             c = Fraction(c)
-        num, c_den = c.numerator, c.denominator
+        num = c.numerator
         if not num:
             return Poly.zero(self.l, self.n)
-        if num == c_den:  # c == 1
+        return self._times(num, c.denominator)
+
+    def _times(self, num: int, den: int) -> "Poly":
+        """self * num / den for ints num != 0 and den > 0, not always coprime."""
+        if num == den:
             return self
-        return Poly._reduced(self.l, self.n, self.den * c_den,
+        return Poly._reduced(self.l, self.n, self.den * den,
                              {e: num * v for e, v in self.nums.items()})
 
     def __pow__(self, k: int) -> "Poly":
@@ -767,6 +771,17 @@ class ShiftOperator:
 
     def __setattr__(self, *_):
         raise AttributeError("ShiftOperator is immutable")
+
+    @staticmethod
+    def _term(u: Shift, f: Poly) -> "ShiftOperator":
+        """f T_u for a nonzero f and a shift tuple of width f.l + f.n, unchecked
+        (as ``Poly._raw``), with the plan of ``apply`` set."""
+        op = object.__new__(ShiftOperator)
+        _set(op, "l", f.l)
+        _set(op, "n", f.n)
+        _set(op, "terms", {u: f})
+        _set(op, "_plan", (f.den, f.nums, reduce(or_, f.nums, 0), ((_moved(u), f.nums),)))
+        return op
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -16,10 +16,12 @@ t^r K_j acts by zero; t^r d_i acts by lambda^r tau^r(.) * (d_i - r_i(a+1)).
 Operator form.  The modules are free of rank 1 over U(h), so every
 generator acts as one term f * T_u of the skew group ring
 (``polyalg.ShiftOperator``): T_u is the shift p -> p.shift(u) of (H, d) and
-f = lambda^r * (X . 1) is a polynomial.  ``generator_operator`` builds that
-term once per (spec, generator) from the formulas above (the only place
-they are written down) and keeps it in a bounded cache; ``act`` applies it
-as f * p.shift(u).  Terms compose in closed form,
+f = lambda^r * (X . 1) is a polynomial.  The factors of x_i.1 and y_i.1 are
+written in one place, ``factor_table``, as integers per (family, l, S).
+``generator_operator`` builds each term once per (spec, generator) on
+integers, from the numerators of X . 1 and lambda^r as a numerator and
+denominator, keeps it in a bounded cache, and ``act`` applies it as
+f * p.shift(u).  Terms compose in closed form,
 (f T_u)(g T_v) = f * T_u(g) * T_(u+v), so the operator of a root vector is
 the commutator of its generator word (``FiniteAlgebra.generator_word``),
 built once per (spec, basis element, degree), and ``element_operator`` sums
@@ -50,12 +52,11 @@ import re
 import sys
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
-from functools import lru_cache, reduce
-from operator import or_
+from functools import lru_cache
 
 from .algebras import AlgebraDesc
 from .errors import DomainError, Frozen, StructureError
-from .polyalg import MAX_SLOT_EXPONENT, SLOT_BITS, Poly, ShiftOperator, VarId
+from .polyalg import SLOT_BITS, Poly, ShiftOperator
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without loading typing
 if TYPE_CHECKING:
@@ -196,14 +197,12 @@ class ModuleSpec(Frozen):
                 b = Poly.const(l, n, b)
             if b.ranks != (l, n):
                 raise StructureError("base_b has wrong ranks")
-            if any(VarId("H", i).position(l, n) in _support(b) for i in range(1, l + 1)):
+            if any(key & ((1 << SLOT_BITS * l) - 1) for key in b.nums):  # the low slots are H's
                 raise StructureError("base_b must have zero degree in every H-variable")
             if alg.family == "C" and not b.is_zero():
                 raise StructureError("the C-family modules carry no b parameter")
             if alg.variant in ("toroidal", "full") and b.as_scalar() is None:
-                raise StructureError(
-                    "b must be a scalar for the toroidal/full variants"
-                )
+                raise StructureError("b must be a scalar for the toroidal/full variants")
             base_b = b
             smax = l + 1 if alg.family == "A" else l
             if not S <= set(range(1, smax + 1)):
@@ -230,120 +229,127 @@ class ModuleSpec(Frozen):
     def lam_pow(self, r: Sequence[int]) -> Rat:
         """lambda^r, a DomainError when a factor would have more digits than
         Python prints (sys.get_int_max_str_digits(); 0 means no limit)."""
+        return Fraction(*self._lam_ratio(r))
+
+    def _lam_ratio(self, r: Sequence[int]) -> tuple[int, int]:
+        """lambda^r as an integer numerator and positive denominator, not
+        always in lowest terms, with the DomainError of ``lam_pow``."""
         if not any(r):
-            return Fraction(1)
+            return 1, 1
+        num = den = 1
         limit = sys.get_int_max_str_digits()
-        out = Fraction(1)
         for j, (lam_j, rj) in enumerate(zip(self.lam, r), 1):
             # lambda_j^{r_j} has floor(|r_j| log10 m) + 1 digits (none to
             # bound at m = 1, lambda_j = +-1); every m >= 2 passes the limit
             # by |r_j| = 4 * limit, and capping |r_j| there keeps the
             # product a float
-            m = max(abs(lam_j.numerator), lam_j.denominator)
-            if limit and min(abs(rj), 4 * limit) * math.log10(m) >= limit:
+            p, q = lam_j.numerator, lam_j.denominator
+            if limit and min(abs(rj), 4 * limit) * math.log10(max(abs(p), q)) >= limit:
                 raise DomainError(
                     f"lambda_{j}^r_{j} exceeds the {limit}-digit limit"
                     " for integer string conversion"
                 )
-            out *= lam_j**rj
-        return out
-
-
-def _support(p: Poly) -> set[int]:
-    """The slots of the variables p involves: those of the OR of its keys
-    that are nonzero."""
-    held = reduce(or_, p.nums, 0)
-    return {pos for pos in range(p.l + p.n) if held >> SLOT_BITS * pos & MAX_SLOT_EXPONENT}
+            if rj < 0:
+                p, q, rj = q, p, -rj
+            num, den = num * p**rj, den * q**rj
+        return (num, den) if den > 0 else (-num, -den)
 
 
 # -- base action polynomials x_i.1 and y_i.1 ---------------------------------
 
 
-def hvar(l: int, n: int, i: int) -> Poly:
-    """H_i with the convention H_0 = H_{l+1} = 0."""
-    if i < 1 or i > l:
-        return Poly.zero(l, n)
-    return Poly.H(l, n, i)
+@lru_cache(maxsize=256)
+def factor_table(family: str, l: int, S: frozenset[int]) -> tuple[tuple[tuple, ...], ...]:
+    """The linear factors of each x_i.1 and y_i.1 (unit scalars omitted) of
+    the family-l modules with pattern S: the one place they are written.
+
+    A factor (row, c0, cb, den) of integers, den > 0, is (row . H + c0) / den
+    + cb * b, with a nonzero row over H_1..H_l (b carries no H), so x_i.1 and
+    y_i.1 have H-degree equal to their factor counts.  The A-family factors
+    are u_i - b - 1, v_i - b (x_i) and u_i - b, v_i - b - 1 (y_i), with u_i =
+    H_i - H_(i-1) and v_i = H_(i+1) - H_i; the C family's are those of
+    ``c_family_formula_notes``.
+    """
+    def e(*pairs):  # the row of sum c H_k over the pairs (k, c), H_0 = H_(l+1) = 0
+        return tuple(sum(c for k, c in pairs if k == j) for j in range(1, l + 1))
+
+    xs, ys = [], []
+    top = l if family == "A" else l - 1
+    for i in range(1, top + 1):
+        if family == "A":
+            u, v = e((i, 1), (i - 1, -1)), e((i + 1, 1), (i, -1))
+            xu, xv, yu, yv = (u, -1, -1, 1), (v, 0, -1, 1), (u, 0, -1, 1), (v, -1, -1, 1)
+        else:  # 2 u_k and 2 B_k
+            u, B = e((i, 2), (i - 1, -2)), e((i + 1, 4 if i == l - 1 else 2), (i, -2))
+            xu, xv, yu, yv = (u, -1, 0, 2), (B, 1, 0, 2), (u, 1, 0, 2), (B, -1, 0, 2)
+        xs.append(((xu,) if i not in S else ()) + ((xv,) if i + 1 in S else ()))
+        ys.append(((yu,) if i in S else ()) + ((yv,) if i + 1 not in S else ()))
+    if family == "C":  # 4 A
+        A = e((l, 4), (l - 1, -2))
+        xs.append(() if l in S else ((A, -3, 0, 4), (A, -1, 0, 4)))
+        ys.append(((A, 3, 0, 4), (A, 1, 0, 4)) if l in S else ())
+    return tuple(xs), tuple(ys)
+
+
+def _instances(spec: ModuleSpec) -> list[list[list]]:
+    """The factors of ``factor_table`` at the spec's b, per x_i.1 then per
+    y_i.1: (D, row, c), the reduced integer form (row . H + c) / D, at a
+    scalar b = p / q, and the polynomial where a non-scalar b enters."""
+    alg = spec.algebra
+    if alg.variant == "witt":
+        return [[], []]
+    b = spec.base_b.as_scalar()
+    p, q = (b.numerator, b.denominator) if b is not None else (0, 1)
+    out = []
+    for side in factor_table(alg.family, alg.rank, spec.S):
+        out.append([])
+        for fs in side:
+            forms = []
+            for row, c0, cb, den in fs:
+                c, D = c0 * q + cb * p * den, den * q
+                if q != 1:
+                    row = tuple(x * q for x in row)
+                g = math.gcd(D, c, *row)
+                if g != 1:
+                    D, row, c = D // g, tuple(x // g for x in row), c // g
+                forms.append((D, row, c) if b is not None or not cb
+                             else _poly(spec, (D, row, c)) + spec.base_b.scale(cb))
+            out[-1].append(forms)
+    return out
+
+
+def _poly(spec: ModuleSpec, form) -> Poly:
+    """The polynomial of one factor of ``_instances``."""
+    if form.__class__ is Poly:
+        return form
+    D, row, c = form
+    nums = {1 << SLOT_BITS * k: x for k, x in enumerate(row) if x}
+    if c:
+        nums[0] = c
+    return Poly._raw(*spec.ranks, D, nums)
 
 
 @lru_cache(maxsize=256)
 def base_action_factor_lists(spec: ModuleSpec) -> tuple[tuple[tuple[Poly, ...], ...], ...]:
-    """Linear factors of each x_i.1 and y_i.1 (unit scalars omitted).
-
-    Built once per spec and shared by base_action_polys and the witness
-    searches, so the lists are tuples.  Each factor is affine in H with a
-    nonzero H part (b carries no H), so x_i.1 and y_i.1 have H-degree equal
-    to their factor counts (factor_counts).
-    """
-    if spec.algebra.variant == "witt":
-        return ((), ())
-    l, n = spec.ranks
-    b = spec.base_b
-    half = Fraction(1, 2)
-    xs: list[list[Poly]] = []
-    ys: list[list[Poly]] = []
-    if spec.algebra.family == "A":
-        for i in range(1, l + 1):
-            u = hvar(l, n, i) - hvar(l, n, i - 1)
-            v = hvar(l, n, i + 1) - hvar(l, n, i)
-            xf = ([] if i in spec.S else [u - b - 1]) + (
-                [v - b] if i + 1 in spec.S else []
-            )
-            yf = ([u - b] if i in spec.S else []) + (
-                [] if i + 1 in spec.S else [v - b - 1]
-            )
-            xs.append(xf)
-            ys.append(yf)
-        return tuple(map(tuple, xs)), tuple(map(tuple, ys))
-    for k in range(1, l):
-        u = hvar(l, n, k) - hvar(l, n, k - 1)
-        stretch = 2 if k == l - 1 else 1
-        B = hvar(l, n, k + 1).scale(stretch) - hvar(l, n, k)
-        xs.append(
-            ([] if k in spec.S else [u - half]) + ([B + half] if k + 1 in spec.S else [])
-        )
-        ys.append(
-            ([u + half] if k in spec.S else []) + ([] if k + 1 in spec.S else [B - half])
-        )
-    A = hvar(l, n, l) - hvar(l, n, l - 1).scale(half)
-    if l in spec.S:
-        xs.append([])
-        ys.append([A + Fraction(3, 4), A + Fraction(1, 4)])
-    else:
-        xs.append([A - Fraction(3, 4), A - Fraction(1, 4)])
-        ys.append([])
-    return tuple(map(tuple, xs)), tuple(map(tuple, ys))
+    """The factors of ``factor_table`` at the spec's b as polynomials, in tuples."""
+    return tuple(tuple(tuple(_poly(spec, f) for f in fs) for fs in side)
+                 for side in _instances(spec))
 
 
 @lru_cache(maxsize=256)
 def affine_factors(spec: ModuleSpec) -> tuple[tuple[tuple, ...], ...]:
-    """base_action_factor_lists with each factor f as (row, c): the integer
-    numerators of its coefficients of H_1..H_l and of its constant, so f is
-    row . H + c up to a unit.  The one place the factors' keys are read.  A
-    factor that carries d (a non-scalar b) is None: it stays outside the
-    H-only contract of the witness searches."""
-    units = [1 << SLOT_BITS * k for k in range(spec.ranks[0])]
-
-    def form(f: Poly):
-        if f.nums.keys() <= {0, *units}:
-            return tuple(f.nums.get(u, 0) for u in units), f.nums.get(0, 0)
-        return None
-
-    return tuple(tuple(tuple(map(form, fs)) for fs in side)
-                 for side in base_action_factor_lists(spec))
+    """``factor_table`` at the spec's b with each factor f as (row, c): the
+    integer numerators of its coefficients of H_1..H_l and of its constant,
+    so f is row . H + c up to a unit.  A factor that carries d (a non-scalar
+    b) is None: it stays outside the H-only contract of the witness searches."""
+    return tuple(tuple(tuple([None if f.__class__ is Poly else f[1:] for f in fs]) for fs in side)
+                 for side in _instances(spec))
 
 
 def factor_counts(family: str, l: int, S: Iterable[int]) -> tuple[tuple[int, ...], ...]:
     """The number of linear factors of each x_i.1 and of each y_i.1 of the
-    family-l modules with pattern S (len() of base_action_factor_lists)."""
-    S = frozenset(S)
-    top = l if family == "A" else l - 1  # C_l: x_l.1 and y_l.1 are read apart
-    xs = [(i not in S) + (i + 1 in S) for i in range(1, top + 1)]
-    ys = [(i in S) + (i + 1 not in S) for i in range(1, top + 1)]
-    if family == "C":
-        xs.append(0 if l in S else 2)
-        ys.append(2 if l in S else 0)
-    return tuple(xs), tuple(ys)
+    family-l modules with pattern S (len() of the ``factor_table`` lists)."""
+    return tuple(tuple(map(len, side)) for side in factor_table(family, l, frozenset(S)))
 
 
 def base_action_polys(spec: ModuleSpec) -> tuple[list[Poly], list[Poly]]:
@@ -352,17 +358,18 @@ def base_action_polys(spec: ModuleSpec) -> tuple[list[Poly], list[Poly]]:
     Each is a_i (for x_i) or 1/a_i (for y_i) times the product of its
     linear factors; the C_l quadratic -(A -+ 3/4)(A -+ 1/4) is negated.
     """
-    xs_f, ys_f = base_action_factor_lists(spec)
-    l = len(xs_f)
-    quad_row = l if spec.algebra.family == "C" else 0
+    xs_f, ys_f = _instances(spec)
+    quad_row = spec.ranks[0] if spec.algebra.family == "C" else 0
     xs: list[Poly] = []
     ys: list[Poly] = []
-    for i, a_i in enumerate(spec.base_a, start=1):
-        for out, factors, scalar in ((xs, xs_f[i - 1], a_i), (ys, ys_f[i - 1], 1 / a_i)):
-            p = factors[0] if factors else spec.one()
+    for i, a in enumerate(spec.base_a, start=1):
+        for out, factors, num, den in ((xs, xs_f[i - 1], a.numerator, a.denominator),
+                                       (ys, ys_f[i - 1], a.denominator, a.numerator)):
+            p = _poly(spec, factors[0]) if factors else spec.one()
             for f in factors[1:]:
-                p = p * f
-            out.append(p.scale(-scalar if i == quad_row and factors else scalar))
+                p = p * _poly(spec, f)
+            sign = (-1 if den < 0 else 1) * (-1 if i == quad_row and factors else 1)
+            out.append(p._times(sign * num, abs(den)))
     return xs, ys
 
 
@@ -436,19 +443,11 @@ def iso_test(s1: ModuleSpec, s2: ModuleSpec) -> bool:
     equal lambda, equal witt_a and equal x_i.1, y_i.1.  Different parameters can give the same action
     (at l = 1, M(a, b, FULL) = M(-a, -b-1, {}), and b <-> -b-1 for mixed S).
     """
-    a1, a2 = s1.algebra, s2.algebra
-    if (a1.family, a1.rank, a1.loop_vars, a1.variant) != (
-        a2.family,
-        a2.rank,
-        a2.loop_vars,
-        a2.variant,
-    ):
+    shape = [(a.family, a.rank, a.loop_vars, a.variant) for a in (s1.algebra, s2.algebra)]
+    if shape[0] != shape[1]:
         raise DomainError("isomorphism test requires matching algebra shapes")
-    return (
-        s1.lam == s2.lam
-        and s1.witt_a == s2.witt_a
-        and base_action_polys(s1) == base_action_polys(s2)
-    )
+    return (s1.lam == s2.lam and s1.witt_a == s2.witt_a
+            and base_action_polys(s1) == base_action_polys(s2))
 
 
 def c_family_formula_notes(l: int) -> str:
@@ -489,23 +488,14 @@ def c_family_formula_notes(l: int) -> str:
         "",
         f"Concrete sp_{2 * l} values with a = ({', '.join(['1'] * l)}):",
     ]
-    for S in _subsets(l):
-        spec = ModuleSpec(
-            algebra=desc, base_a=tuple(Fraction(1) for _ in range(l)), S=frozenset(S)
-        )
+    for S in (tuple(i + 1 for i in range(l) if mask >> i & 1) for mask in range(1 << l)):
+        spec = ModuleSpec(algebra=desc, base_a=(Fraction(1),) * l, S=S)
         xs, ys = base_action_polys(spec)
         sname = "{" + ",".join(str(s) for s in sorted(S)) + "}"
         for k in range(1, l + 1):
             lines.append(f"  S={sname or '{}'}: x_{k}.1 = {xs[k - 1].text()}")
             lines.append(f"  S={sname or '{}'}: y_{k}.1 = {ys[k - 1].text()}")
     return "\n".join(lines) + "\n"
-
-
-def _subsets(l: int) -> list[tuple[int, ...]]:
-    out = []
-    for mask in range(1 << l):
-        out.append(tuple(i + 1 for i in range(l) if mask >> i & 1))
-    return out
 
 
 # -- the action --------------------------------------------------------------
@@ -532,41 +522,32 @@ def generator_operator(spec: ModuleSpec, gen: Generator) -> ShiftOperator:
         raise StructureError(f"generator degree {gen.r} has wrong length (n={n})")
     if variant == "finite" and any(r):
         raise DomainError("finite variant generators carry no loop degree")
-    tau = (0,) * l + r
-    lam_r = spec.lam_pow(r)
-
+    u = (0,) * l + r
+    num, den = spec._lam_ratio(r)
     if gen.kind == "K":
         if variant not in ("toroidal", "full"):
             raise DomainError(f"variant {variant} has no central generators")
         if not 1 <= gen.index <= n:
             raise StructureError("central index out of range")
         return ShiftOperator(l, n)
-
     if gen.kind == "D":
         if not 1 <= gen.index <= n:
             raise StructureError("derivation index out of range")
-        factor = Poly.d(l, n, gen.index)
-        if variant in ("finite", "toroidal"):
-            if any(r):
-                raise DomainError(
-                    f"variant {variant} has degree-zero derivations only"
-                )
-        else:
-            factor = factor - Poly.const(l, n, r[gen.index - 1] * (spec.witt_a + 1))
-        return ShiftOperator(l, n, {tau: factor.scale(lam_r)})
-
-    if variant == "witt":
+        d_j = 1 << SLOT_BITS * (l + gen.index - 1)
+        if variant in ("finite", "toroidal") and any(r):
+            raise DomainError(f"variant {variant} has degree-zero derivations only")
+        c = r[gen.index - 1] * (spec.witt_a + 1) if variant in ("witt", "full") else 0
+        f = Poly._raw(l, n, c.denominator, {d_j: c.denominator, 0: -c.numerator} if c else {d_j: 1})
+    elif variant == "witt":
         raise DomainError("witt variant has derivation generators only")
-    if not 1 <= gen.index <= l:
+    elif not 1 <= gen.index <= l:
         raise StructureError("generator index out of range")
-    if gen.kind == "h":
-        return ShiftOperator(l, n, {tau: Poly.H(l, n, gen.index).scale(lam_r)})
-    # sigma_i^{+-1} and tau^r move disjoint variables: one shift does both
-    xs, ys = _base(spec)
-    u = list(tau)
-    u[gen.index - 1] = 1 if gen.kind == "x" else -1
-    base = (xs if gen.kind == "x" else ys)[gen.index - 1]
-    return ShiftOperator(l, n, {tuple(u): base.scale(lam_r)})
+    elif gen.kind == "h":
+        f = Poly._raw(l, n, 1, {1 << SLOT_BITS * (gen.index - 1): 1})
+    else:  # sigma_i^{+-1} and tau^r move disjoint variables: one shift does both
+        i, y = gen.index - 1, gen.kind == "y"
+        u, f = u[:i] + (-1 if y else 1,) + u[i + 1:], _base(spec)[y][i]
+    return ShiftOperator._term(u, f._times(num, den))  # lambda^r f T_u
 
 
 def act(spec: ModuleSpec, gen: Generator, p: Poly) -> Poly:

@@ -395,7 +395,8 @@ def witness_verify(spec: ModuleSpec, p: Poly, loop_window: Iterable | None = Non
 # -- invariant point sets -------------------------------------------------------
 
 
-def point_set_search(spec: ModuleSpec, max_points: int) -> frozenset | None:
+def point_set_search(spec: ModuleSpec, max_points: int,
+                     seeds: list[tuple[int, ...]] | None = None) -> frozenset | None:
     """A finite invariant point set of at most max_points points, or None.
 
     With x_i.p = f_i p(H - e_i) and y_i.p = g_i p(H + e_i), a finite set Z
@@ -415,7 +416,7 @@ def point_set_search(spec: ModuleSpec, max_points: int) -> frozenset | None:
     if not _quotient_scan_applies(spec):
         raise DomainError("point sets are searched for the A family with a scalar b")
     x_forms, y_forms = repmods.affine_factors(spec)
-    seeds = _integer_zeros(x_forms)
+    seeds = _integer_zeros(x_forms) if seeds is None else seeds
     if seeds is None:
         # each system picks l distinct forms H_k - H_(k-1), k = 1..l + 1,
         # and any l of them are independent
@@ -550,10 +551,12 @@ def quotient_certificate_search(
     """
     if not _quotient_scan_applies(spec):
         return None
-    if point_set_search(spec, dim_bound) is None:
+    x_forms, y_forms = repmods.affine_factors(spec)
+    seeds = _integer_zeros(x_forms)
+    if point_set_search(spec, dim_bound, seeds) is None:
         return None
     l = spec.algebra.rank
-    sides = [_common_zeros(forms) for forms in repmods.affine_factors(spec)]
+    sides = [_common_zeros(x_forms, seeds), _common_zeros(y_forms)]
     if set() in sides:
         return None
     xs, ys = base_action_polys(spec)
@@ -637,13 +640,12 @@ def _integer_zeros(form_lists: Sequence[Sequence[tuple]]) -> list[tuple[int, ...
     return list(zeros)
 
 
-def _common_zeros(form_lists: Sequence[Sequence[tuple]]) -> set | None:
-    """The _weight_keys of the _integer_zeros that are weights of some V(m);
-    None when the zeros are no finite list."""
-    zeros = _integer_zeros(form_lists)
-    if zeros is None:
-        return None
-    return {key for key in map(_weight_key, zeros) if key is not None}
+def _common_zeros(form_lists: Sequence[Sequence[tuple]], zeros: list | None = None) -> set | None:
+    """The _weight_keys of the _integer_zeros (``zeros``, when the caller has
+    solved them) that are weights of some V(m); None when the zeros are no
+    finite list."""
+    zeros = _integer_zeros(form_lists) if zeros is None else zeros
+    return None if zeros is None else {key for key in map(_weight_key, zeros) if key is not None}
 
 
 def _weight_key(w: Sequence[int]) -> tuple[int, tuple[int, ...]] | None:

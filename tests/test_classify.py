@@ -801,6 +801,28 @@ class TestPointSets:
         assert SR.quotient_certificate_search(spec, 1000) is None
         assert calls.count("nullspace") == 4
 
+    def test_the_scan_solves_each_side_once(self, monkeypatch):
+        # the weight filter reuses the x-side seeds that point_set_search solved
+        calls = []
+        solve = SR._integer_zeros
+        monkeypatch.setattr(SR, "_integer_zeros", lambda lists: calls.append(1) or solve(lists))
+        assert SR.quotient_certificate_search(mk_spec(rank=2, base_b=F(1, 3), S={1, 2, 3}), 10)
+        assert len(calls) == 2
+        calls.clear()
+        assert SR.quotient_certificate_search(mk_spec(rank=3, base_b=1, S=()), 1000) is None
+        assert len(calls) == 1
+
+    def test_reused_seeds_give_the_same_certificates(self, monkeypatch):
+        # against the scan that solves the x side again for the weight filter
+        specs = [mk_spec(rank=l, base_b=b, S=S) for l in (1, 2) for S in subsets(l + 1)
+                 for b in (F(1), F(-2), F(1, 3), F(-4, 3), F(2, 3), F(5, 7))]
+        got = [SR.quotient_certificate_search(spec, 13) for spec in specs]
+        common = SR._common_zeros
+        monkeypatch.setattr(SR, "_common_zeros", lambda lists, zeros=None: common(lists))
+        want = [SR.quotient_certificate_search(spec, 13) for spec in specs]
+        assert [c and c.to_dict() for c in got] == [c and c.to_dict() for c in want]
+        assert sum(c is not None for c in got) >= 4
+
 
 class TestBaseConditionRows:
     """The integer base-condition rows are the rows of the Fraction values,

@@ -10,7 +10,7 @@ from torofree import liealg, repmods as R
 from torofree.algebras import AlgebraDesc, window_degrees
 from torofree.checks import random_poly
 from torofree.errors import DomainError, StructureError
-from torofree.polyalg import Poly, ShiftOperator, shift_sigma, shift_tau
+from torofree.polyalg import SLOT_BITS, Poly, ShiftOperator, shift_sigma, shift_tau
 from torofree.repmods import Generator, ModuleSpec, act, parse_generator
 
 
@@ -194,6 +194,142 @@ class TestAffineFactors:
                         marked += form is None
                         kept += form is not None
         assert marked and kept
+
+
+# -- the Poly-arithmetic reference for factor_table --------------------------------
+
+
+def _hvar(l, n, i):
+    """H_i with the convention H_0 = H_(l+1) = 0."""
+    return Poly.H(l, n, i) if 1 <= i <= l else Poly.zero(l, n)
+
+
+def reference_factor_lists(spec):
+    """The linear factors of each x_i.1 and y_i.1 (unit scalars omitted),
+    built by Poly arithmetic from the printed formulas, independently of
+    repmods.factor_table."""
+    if spec.algebra.variant == "witt":
+        return ((), ())
+    l, n = spec.ranks
+    b, S, half = spec.base_b, spec.S, Fraction(1, 2)
+    xs, ys = [], []
+    if spec.algebra.family == "A":
+        for i in range(1, l + 1):
+            u = _hvar(l, n, i) - _hvar(l, n, i - 1)
+            v = _hvar(l, n, i + 1) - _hvar(l, n, i)
+            xs.append(([] if i in S else [u - b - 1]) + ([v - b] if i + 1 in S else []))
+            ys.append(([u - b] if i in S else []) + ([] if i + 1 in S else [v - b - 1]))
+        return tuple(map(tuple, xs)), tuple(map(tuple, ys))
+    for k in range(1, l):
+        u = _hvar(l, n, k) - _hvar(l, n, k - 1)
+        B = _hvar(l, n, k + 1).scale(2 if k == l - 1 else 1) - _hvar(l, n, k)
+        xs.append(([] if k in S else [u - half]) + ([B + half] if k + 1 in S else []))
+        ys.append(([u + half] if k in S else []) + ([] if k + 1 in S else [B - half]))
+    A = _hvar(l, n, l) - _hvar(l, n, l - 1).scale(half)
+    xs.append([] if l in S else [A - Fraction(3, 4), A - Fraction(1, 4)])
+    ys.append([A + Fraction(3, 4), A + Fraction(1, 4)] if l in S else [])
+    return tuple(map(tuple, xs)), tuple(map(tuple, ys))
+
+
+def reference_affine_factors(spec):
+    """The reference factors as (row, c), read off their numerator keys; None
+    for a factor that carries d."""
+    units = [1 << SLOT_BITS * k for k in range(spec.ranks[0])]
+
+    def form(f):
+        if f.nums.keys() <= {0, *units}:
+            return tuple(f.nums.get(u, 0) for u in units), f.nums.get(0, 0)
+        return None
+
+    return tuple(tuple(tuple(map(form, fs)) for fs in side)
+                 for side in reference_factor_lists(spec))
+
+
+def reference_base_action_polys(spec):
+    """a_i (1/a_i) times the product of the reference factors of x_i.1 (y_i.1),
+    the C_l quadratic negated."""
+    xs_f, ys_f = reference_factor_lists(spec)
+    quad_row = spec.ranks[0] if spec.algebra.family == "C" else 0
+    xs, ys = [], []
+    for i, a_i in enumerate(spec.base_a, start=1):
+        for out, factors, scalar in ((xs, xs_f[i - 1], a_i), (ys, ys_f[i - 1], 1 / a_i)):
+            p = spec.one()
+            for f in factors:
+                p = p * f
+            out.append(p.scale(-scalar if i == quad_row and factors else scalar))
+    return xs, ys
+
+
+def _subsets(top):
+    return [S for k in range(top + 1) for S in itertools.combinations(range(1, top + 1), k)]
+
+
+TABLE_BS = (0, 1, -2, Fraction(1, 3), Fraction(-4, 3), Fraction(5, 7),
+            Fraction(10**20 + 1, 7), Fraction(-1, 2))
+
+
+def _table_grid():
+    """A_1-A_4 over every S and TABLE_BS, finite (n = 0), toroidal (n = 1) and
+    finite at n = 2 with a d-polynomial b; C_2-C_5 over every S."""
+    specs = []
+    for l in range(1, 5):
+        a = tuple(Fraction(-3, 2) ** k for k in range(l))
+        d1, d2 = Poly.d(l, 2, 1), Poly.d(l, 2, 2)
+        for S in _subsets(l + 1):
+            for b in TABLE_BS:
+                specs.append(mk_spec(rank=l, base_a=a, base_b=b, S=S))
+                specs.append(mk_spec(rank=l, loop_vars=1, variant="toroidal", lam=(3,),
+                                     base_a=a, base_b=b, S=S))
+                specs.append(mk_spec(rank=l, loop_vars=2, base_a=a, S=S,
+                                     base_b=(d1 - d1 * d2.scale(Fraction(2, 3))) + b))
+    for l in range(2, 6):
+        for S in _subsets(l):
+            specs.append(mk_spec(family="C", rank=l, base_a=(Fraction(5, 4),) * l, S=S))
+    return specs
+
+
+TABLE_GRID = _table_grid()
+
+
+def _integer_forms(lists):
+    return [[[(f.den, f.nums) for f in fs] for fs in side] for side in lists]
+
+
+class TestFactorTable:
+    """factor_table, instantiated at each spec's b, against the Poly-arithmetic
+    reference."""
+
+    def test_factor_lists_match_the_reference(self):
+        for spec in TABLE_GRID:
+            assert _integer_forms(R.base_action_factor_lists(spec)) \
+                == _integer_forms(reference_factor_lists(spec)), (spec.algebra, spec.S)
+
+    def test_affine_factors_match_the_reference_keys(self):
+        for spec in TABLE_GRID:
+            assert R.affine_factors(spec) == reference_affine_factors(spec), (spec.algebra, spec.S)
+
+    def test_base_action_polys_match_the_reference_products(self):
+        for spec in TABLE_GRID:
+            got, want = R.base_action_polys(spec), reference_base_action_polys(spec)
+            assert [[(p.den, p.nums) for p in side] for side in got] \
+                == [[(p.den, p.nums) for p in side] for side in want], (spec.algebra, spec.S)
+
+    def test_factor_counts_are_the_reference_lengths(self):
+        for spec in TABLE_GRID:
+            alg = spec.algebra
+            want = tuple(tuple(map(len, side)) for side in reference_factor_lists(spec))
+            assert R.factor_counts(alg.family, alg.rank, spec.S) == want, (alg, spec.S)
+            assert R.factor_counts(alg.family, alg.rank, sorted(spec.S)) == want
+
+    def test_entries_are_integers_and_the_table_is_shared(self):
+        for family, l, S in [("A", l, S) for l in range(1, 5) for S in _subsets(l + 1)] \
+                + [("C", l, S) for l in range(2, 6) for S in _subsets(l)]:
+            table = R.factor_table(family, l, frozenset(S))
+            assert R.factor_table(family, l, frozenset(S)) is table
+            for row, c0, cb, den in itertools.chain(*table[0], *table[1]):
+                assert len(row) == l and any(row) and den > 0
+                assert all(type(x) is int for x in (*row, c0, cb, den))
+                assert cb == (-1 if family == "A" else 0)
 
 
 class TestToroidal:
@@ -451,6 +587,99 @@ class TestOperators:
             R.generator_operator(sl2_toroidal, Generator("x", 2, (0,)))
         with pytest.raises(StructureError):
             R.generator_operator(sl2_toroidal, Generator("x", 1, (0, 0)))
+
+
+def reference_operator(spec, gen):
+    """The operator of one generator through the validating ShiftOperator
+    constructor: lambda^r as a Fraction times the reference x_i.1, y_i.1,
+    H_i or d_j - r_j(a + 1), and zero for the center."""
+    l, n = spec.ranks
+    r = gen.r or (0,) * n
+    lam = Fraction(1)
+    for lam_j, r_j in zip(spec.lam, r):
+        lam *= lam_j**r_j
+    tau = (0,) * l + tuple(r)
+    if gen.kind == "K":
+        return ShiftOperator(l, n)
+    if gen.kind == "D":
+        f = Poly.d(l, n, gen.index)
+        if spec.algebra.variant in ("witt", "full"):
+            f = f - r[gen.index - 1] * (spec.witt_a + 1)
+        return ShiftOperator(l, n, {tau: f.scale(lam)})
+    if gen.kind == "h":
+        return ShiftOperator(l, n, {tau: Poly.H(l, n, gen.index).scale(lam)})
+    xs, ys = reference_base_action_polys(spec)
+    u = list(tau)
+    u[gen.index - 1] = 1 if gen.kind == "x" else -1
+    return ShiftOperator(l, n, {tuple(u): (xs if gen.kind == "x" else ys)[gen.index - 1].scale(lam)})
+
+
+def _height_panel():
+    """The shapes of the axioms workload's panel (A_1, A_2, C_2 finite, toroidal
+    and full, and Witt) with lambda, a, b and witt_a near 10, 1e8 and 1e20."""
+    specs = []
+    for height, h in (("10", Fraction(10, 3)), ("1e8", Fraction(10**8 + 7, 9)),
+                      ("1e20", Fraction(-(10**20 + 3), 7))):
+        at = len(specs)
+        for family, rank, S in (("A", 1, {1}), ("A", 2, {1, 3}), ("C", 2, {2})):
+            a = tuple(h / (k + 2) for k in range(rank))
+            b = h / 5 if family == "A" else 0
+            specs.append(mk_spec(family=family, rank=rank, base_a=a, base_b=b, S=S))
+            specs.append(mk_spec(family=family, rank=rank, loop_vars=1, variant="toroidal",
+                                 lam=(h,), base_a=a, base_b=b, S=S))
+            specs.append(mk_spec(family=family, rank=rank, loop_vars=1, variant="full",
+                                 cocycle=(1, -2), lam=(-1 / h,), witt_a=h / 3, base_a=a,
+                                 base_b=b, S=S))
+        specs.append(mk_spec(rank=0, loop_vars=1, variant="witt", lam=(h,), witt_a=h / 7))
+        specs[at:] = [pytest.param(s, id=f"{_panel_id(s)}-{height}") for s in specs[at:]]
+    return specs
+
+
+class TestOperatorReference:
+    """generator_operator's trusted one-term operators against the validating
+    constructor, at every generator kind, heights up to 1e20 and r in -2..2."""
+
+    @pytest.mark.parametrize("spec", _height_panel())
+    def test_operators_and_their_action_match_the_reference(self, spec):
+        rng = random.Random(5)
+        window = window_degrees(spec.algebra, [(r,) for r in range(-2, 3)])
+        gens = R.generators_for(spec, window)
+        variant, n = spec.algebra.variant, spec.algebra.loop_vars
+        kinds = ({"D"} if n else set()) | (set() if variant == "witt" else {"x", "y", "h"})
+        assert {g.kind for g in gens} == kinds | ({"K"} if variant in ("toroidal", "full") else set())
+        polys = [random_poly(rng, *spec.ranks, max_total_deg=3, max_terms=4) for _ in range(2)]
+        for gen in gens:
+            op, want = R.generator_operator(spec, gen), reference_operator(spec, gen)
+            assert op == want, gen
+            for p in polys:
+                assert op.apply(p) == want.apply(p) == act(spec, gen, p), gen
+
+    @pytest.mark.parametrize("lam", [(2, Fraction(1, 2)), (Fraction(-4, 9), Fraction(3, 2))])
+    def test_two_loop_variables(self, lam):
+        # lambda^r as a numerator and denominator that need not be coprime
+        spec = mk_spec(rank=2, loop_vars=2, variant="full", cocycle=(1, 1), lam=lam,
+                       witt_a=Fraction(-5, 3), base_a=(3, Fraction(-1, 2)), base_b=Fraction(2, 7),
+                       S={2})
+        window = [(r1, r2) for r1 in range(-2, 3) for r2 in range(-2, 3)]
+        p = Poly.parse("H1*H2*d1 - 2/3*d2^2 + H2", 2, 2)
+        for gen in R.generators_for(spec, window):
+            op, want = R.generator_operator(spec, gen), reference_operator(spec, gen)
+            assert op == want and op.apply(p) == want.apply(p), gen
+
+    @pytest.mark.parametrize("kind", ["x", "y", "h", "K"])
+    def test_digit_limit_reaches_the_operator_and_the_action(self, sl2_toroidal, kind):
+        gen = Generator(kind, 1, (10**6,))
+        with pytest.raises(DomainError, match="digit limit"):
+            R.generator_operator(sl2_toroidal, gen)
+        with pytest.raises(DomainError, match="digit limit"):
+            act(sl2_toroidal, Generator(kind, 1, (-(10**6),)), sl2_toroidal.one())
+
+    def test_unit_lambda_has_no_digit_limit(self):
+        spec = mk_spec(rank=1, loop_vars=1, variant="toroidal", lam=(-1,), base_a=(2,),
+                       base_b=3, S={1})
+        for r in (10**6, 10**6 + 1):
+            gen = Generator("x", 1, (r,))
+            assert R.generator_operator(spec, gen) == reference_operator(spec, gen)
 
 
 class TestGeneratorLiterals:

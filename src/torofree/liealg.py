@@ -102,14 +102,7 @@ class LieElt:
     def __add__(self, other: "LieElt") -> "LieElt":
         if self.desc is not other.desc and self.desc != other.desc:
             raise StructureError("cannot add elements of different algebras")
-        out = dict(self.terms)
-        for sym, c in other.terms.items():
-            v = out.get(sym, 0) + c
-            if v:
-                out[sym] = v
-            else:
-                del out[sym]
-        return LieElt._raw(self.desc, out)
+        return LieElt._raw(self.desc, add_terms(self.terms, other.terms))
 
     def __sub__(self, other: "LieElt") -> "LieElt":
         return self + other.scale(-1)
@@ -139,6 +132,20 @@ class LieElt:
             else:
                 chunks.append(("+ " if c > 0 else "- ") + piece)
         return " ".join(chunks)
+
+
+def add_terms(first: dict[Symbol, Rat], *rest: dict[Symbol, Rat]) -> dict[Symbol, Rat]:
+    """The term maps added symbol by symbol into a copy of ``first``; a sum
+    that reaches zero drops its symbol."""
+    out = dict(first)
+    for terms in rest:
+        for sym, c in terms.items():
+            v = out.get(sym, 0) + c
+            if v:
+                out[sym] = v
+            else:
+                del out[sym]
+    return out
 
 
 # the slot setters, which bypass the immutability guard of __setattr__
@@ -302,7 +309,7 @@ def bracket(desc: AlgebraDesc, X: LieElt, Y: LieElt) -> LieElt:
             elif k1 == "D" and k2 == "D":
                 _witt_into(out, s1, s2, a * b)
                 if variant == "full":
-                    _cocycle_into(out, desc.cocycle, s1, s2, a * b)
+                    _cocycle_into(out, _algebra_cocycle(desc), s1, s2, a * b)
             elif k1 == "D":
                 _der_loop(out, s1, s2, a * b)
             else:
@@ -376,12 +383,33 @@ def _cocycle_into(out: dict, cc: tuple, s1: Symbol, s2: Symbol, c: Rat) -> None:
     weight = -c1 * (s[i - 1] * r[j - 1]) + c2 * (r[i - 1] * s[j - 1])
     if not weight:
         return
-    if weight.denominator == 1:
+    if weight.__class__ is not int and weight.denominator == 1:
         weight = weight.numerator
     deg = tuple(map(add, r, s))
     for p, rp in enumerate(r, 1):
         if rp:
             _add_central(out, p, deg, c * weight * rp)
+
+
+def cocycle_coefficients(c: tuple) -> tuple[Rat, Rat]:
+    """The cocycle coefficients (c1, c2), each an int where it is integral;
+    anything but an int is read by ``Fraction``, so "-3/2" is accepted too."""
+    return _rat(c[0]), _rat(c[1])
+
+
+def _rat(x) -> Rat:
+    if x.__class__ is int:
+        return x
+    if x.__class__ is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+@lru_cache(maxsize=256)
+def _algebra_cocycle(desc: AlgebraDesc) -> tuple[Rat, Rat]:
+    """``desc.cocycle`` as ``cocycle_coefficients``, converted once per algebra:
+    the full bracket's D-D term then multiplies ints where it can."""
+    return cocycle_coefficients(desc.cocycle)
 
 
 def _derivation_pairs(X: LieElt, Y: LieElt, what: str):
@@ -399,7 +427,7 @@ def cocycle(
     """Evaluate c[0]*phi1 + c[1]*phi2 on derivation elements (central result)."""
     if desc.loop_vars < 1:
         raise DomainError("cocycles require loop_vars >= 1")
-    cc = (Fraction(c[0]), Fraction(c[1]))
+    cc = cocycle_coefficients(c)
     out: dict[Symbol, Rat] = {}
     for s1, s2, ab in _derivation_pairs(X, Y, "cocycle"):
         _cocycle_into(out, cc, s1, s2, ab)

@@ -291,18 +291,28 @@ def factor_table(family: str, l: int, S: frozenset[int]) -> tuple[tuple[tuple, .
     return tuple(xs), tuple(ys)
 
 
-def _instances(spec: ModuleSpec) -> list[list[list]]:
+def _instances(spec: ModuleSpec) -> tuple[tuple[tuple, ...], ...]:
     """The factors of ``factor_table`` at the spec's b, per x_i.1 then per
     y_i.1: (D, row, c), the reduced integer form (row . H + c) / D, at a
-    scalar b = p / q, and the polynomial where a non-scalar b enters."""
+    scalar b = p / q, and the polynomial where a non-scalar b enters.
+    ``base_action_factor_lists``, ``affine_factors`` and ``base_action_polys``
+    read them."""
     alg = spec.algebra
     if alg.variant == "witt":
-        return [[], []]
-    b = spec.base_b.as_scalar()
-    p, q = (b.numerator, b.denominator) if b is not None else (0, 1)
+        return (), ()
+    return _factor_instances(alg.family, alg.rank, spec.S, spec.base_b)
+
+
+@lru_cache(maxsize=256)
+def _factor_instances(family: str, l: int, S: frozenset[int], b: Poly) -> tuple:
+    """``_instances``, built once per (family, l, S, b): a key that hashes
+    no Fraction, so a spec that is only instantiated, as recovery's trial
+    specs are, is never hashed."""
+    scalar = b.as_scalar()
+    p, q = (scalar.numerator, scalar.denominator) if scalar is not None else (0, 1)
     out = []
-    for side in factor_table(alg.family, alg.rank, spec.S):
-        out.append([])
+    for side in factor_table(family, l, S):
+        instances = []
         for fs in side:
             forms = []
             for row, c0, cb, den in fs:
@@ -312,27 +322,29 @@ def _instances(spec: ModuleSpec) -> list[list[list]]:
                 g = math.gcd(D, c, *row)
                 if g != 1:
                     D, row, c = D // g, tuple(x // g for x in row), c // g
-                forms.append((D, row, c) if b is not None or not cb
-                             else _poly(spec, (D, row, c)) + spec.base_b.scale(cb))
-            out[-1].append(forms)
-    return out
+                forms.append((D, row, c) if scalar is not None or not cb
+                             else _poly(b.ranks, (D, row, c)) + b.scale(cb))
+            instances.append(tuple(forms))
+        out.append(tuple(instances))
+    return tuple(out)
 
 
-def _poly(spec: ModuleSpec, form) -> Poly:
-    """The polynomial of one factor of ``_instances``."""
+def _poly(ranks: tuple[int, int], form) -> Poly:
+    """The polynomial of one factor of ``_instances``, in ``ranks`` = (l, n)."""
     if form.__class__ is Poly:
         return form
     D, row, c = form
     nums = {1 << SLOT_BITS * k: x for k, x in enumerate(row) if x}
     if c:
         nums[0] = c
-    return Poly._raw(*spec.ranks, D, nums)
+    return Poly._raw(*ranks, D, nums)
 
 
 @lru_cache(maxsize=256)
 def base_action_factor_lists(spec: ModuleSpec) -> tuple[tuple[tuple[Poly, ...], ...], ...]:
     """The factors of ``factor_table`` at the spec's b as polynomials, in tuples."""
-    return tuple(tuple(tuple(_poly(spec, f) for f in fs) for fs in side)
+    ranks = spec.ranks
+    return tuple(tuple(tuple(_poly(ranks, f) for f in fs) for fs in side)
                  for side in _instances(spec))
 
 
@@ -359,15 +371,16 @@ def base_action_polys(spec: ModuleSpec) -> tuple[list[Poly], list[Poly]]:
     linear factors; the C_l quadratic -(A -+ 3/4)(A -+ 1/4) is negated.
     """
     xs_f, ys_f = _instances(spec)
-    quad_row = spec.ranks[0] if spec.algebra.family == "C" else 0
+    ranks = spec.ranks
+    quad_row = ranks[0] if spec.algebra.family == "C" else 0
     xs: list[Poly] = []
     ys: list[Poly] = []
     for i, a in enumerate(spec.base_a, start=1):
         for out, factors, num, den in ((xs, xs_f[i - 1], a.numerator, a.denominator),
                                        (ys, ys_f[i - 1], a.denominator, a.numerator)):
-            p = _poly(spec, factors[0]) if factors else spec.one()
+            p = _poly(ranks, factors[0]) if factors else spec.one()
             for f in factors[1:]:
-                p = p * _poly(spec, f)
+                p = p * _poly(ranks, f)
             sign = (-1 if den < 0 else 1) * (-1 if i == quad_row and factors else 1)
             out.append(p._times(sign * num, abs(den)))
     return xs, ys

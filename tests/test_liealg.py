@@ -131,6 +131,19 @@ class TestCocycles:
         got = L.cocycle(A1F, (0, 0), L.elt(A1F, ("D", 1, (2,))), L.elt(A1F, ("D", 1, (-1,))))
         assert got.is_zero()
 
+    @pytest.mark.parametrize("spellings", [
+        ((2, -3), (Fraction(2), Fraction(-3)), ("2", "-3")),
+        ((Fraction(1, 2), 3), (Fraction(1, 2), Fraction(3)), ("1/2", "3")),
+    ])
+    def test_int_fraction_and_string_coefficients_agree(self, spellings):
+        fd = AlgebraDesc("A", 1, 2, "full", spellings[1])
+        ders = [L.elt(fd, ("D", i, r)) for r in degree_box(2, -1, 2) for i in (1, 2)]
+        for X in ders[::3]:
+            for Y in ders[1::2]:
+                got = [L.cocycle(fd, c, X, Y) for c in spellings]
+                assert got[0] == got[1] == got[2], (X, Y)
+                assert got[0].text() == got[1].text() == got[2].text()
+
     def test_cocycle_identity_phi1(self):
         assert cocycle_identity_check((1, 0), 1, samples=40, seed=3).passed
 

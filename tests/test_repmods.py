@@ -132,6 +132,24 @@ class TestFactorLists:
             degrees = tuple(tuple(p.total_degree() for p in side) for side in (xs, ys))
             assert R.factor_counts(family, l, S) == degrees, (family, l, S)
 
+    def test_the_factors_are_instantiated_once_per_spec(self, monkeypatch):
+        # the factor lists, the affine forms and the base action polynomials
+        # read one instantiation of the table
+        reads = []
+        table = R.factor_table
+
+        def counted(*args):
+            reads.append(args)
+            return table(*args)
+
+        monkeypatch.setattr(R, "factor_table", counted)
+        spec = mk_spec(rank=3, base_b=Fraction(5, 11), S={2})
+        for _ in range(2):
+            R.base_action_factor_lists(spec)
+            R.affine_factors(spec)
+            R.base_action_polys(spec)
+        assert reads == [("A", 3, frozenset({2}))]
+
     def test_lists_are_shared_immutable_tuples(self):
         spec = mk_spec(rank=2, base_b=1, S={1})
         lists = R.base_action_factor_lists(spec)

@@ -7,11 +7,11 @@ from pathlib import Path
 import pytest
 
 from conftest import mk_spec
-from torofree import recovery as RC, repmods as R, verify as V
+from torofree import liealg as L, recovery as RC, repmods as R, verify as V
 from torofree.algebras import AlgebraDesc, degree_box
 from torofree.checks import random_poly
 from torofree.errors import DomainError, Frozen, StructureError
-from torofree.liealg import bracket, central_k
+from torofree.liealg import LieElt, bracket, central_k
 from torofree.polyalg import Poly, ShiftOperator
 from torofree.repmods import Generator
 
@@ -366,12 +366,75 @@ class TestJacobiReport:
         assert _digest(data) == "26c7cdd716b378da3254edc31c094e5765d2a50263c09646e74f4374c6fbd759"
 
 
+    def test_explicit_zero_coefficient_report_is_unchanged(self):
+        # a bracket that adds D1(0) with coefficient 0 to the nonzero brackets
+        # of x1(-1): the zero is kept where LieElt.__add__ keeps it, so a pair
+        # or triple whose sum carries it fails; frozen before the cases were
+        # decided on term maps
+        desc = AlgebraDesc("A", 1, 1, "toroidal")
+        first, zero_sym = ("f", 0, (-1,)), ("D", 1, (0,))
+
+        def zero_bracket(desc_, X, Y):
+            out = bracket(desc_, X, Y)
+            if out.terms and X.terms.keys() == {first}:
+                return LieElt._raw(desc_, {**out.terms, zero_sym: 0})
+            return out
+
+        data = V.jacobi_check(desc, degree_box(1, -1, 1), bracket_fn=zero_bracket).to_dict()
+        assert data["cases_run"] == 352 and len(data["failures"]) == 26
+        assert data["failures"][0] == {"law": "antisymmetry", "inputs": "(x1(-1), y1(-1))",
+                                       "difference": "LieElt(-0*D1(0))"}
+        assert data["failures"][-1] == {"law": "jacobi", "inputs": "(x1(-1), h1(1), D1(0))",
+                                        "difference": "LieElt(-0*D1(0))"}
+        assert _digest(data) == "8cbeff74d955ab2b6a1909d88054d4fd0608b785432107de080594ae2a904df0"
+
+
+class TestCocycleIdentityReport:
+    @staticmethod
+    def _doubled(cocycle):
+        """The cocycle, doubled where its first argument has a term of first degree 1."""
+        def doubled(desc, c, X, Y):
+            out = cocycle(desc, c, X, Y)
+            return out.scale(2) if any(s[2][0] == 1 for s in X.terms) else out
+
+        return doubled
+
+    @pytest.mark.parametrize("args,failures,first,digest", [
+        (((2, -3), 2, None, 30, 5), 13,
+         {"inputs": "(D2(1,2), D1(-1,1), D2(2,1))", "lhs": "LieElt(0)",
+          "rhs": "LieElt(-24*K2(2,4))", "difference": "LieElt(24*K2(2,4))"},
+         "72a6b858e9401122fac40e8554d65174724f5c50522cbc70c8cf8d914e847207"),
+        (((F(1, 2), "-3"), 2, (-1, 1), 30, 5), 11,
+         {"inputs": "(D1(0,0), D2(0,1), D1(1,1))", "lhs": "LieElt(-6*K2(1,2))",
+          "rhs": "LieElt(-3*K2(1,2))", "difference": "LieElt(-3*K2(1,2))"},
+         "420b5a2895e89dbb09aeb22b891c34f3079fdb77e420db74fb451b0afad5bfe1"),
+    ])
+    def test_planted_failure_report_is_unchanged(self, monkeypatch, args, failures, first,
+                                                 digest):
+        # frozen before the sides were compared as term maps
+        monkeypatch.setattr(L, "cocycle", self._doubled(L.cocycle))
+        data = V.cocycle_identity_check(*args).to_dict()
+        assert data["cases_run"] == 30 and len(data["failures"]) == failures
+        assert data["failures"][0] == first
+        assert _digest(data) == digest
+
+
 class TestSampleCounts:
     @pytest.mark.parametrize("suite", ["bracket_compat_check", "freeness_check",
                                        "eva_twist_check", "degree_reduction_check"])
     def test_negative_samples_rejected(self, sl2_toroidal, suite):
         with pytest.raises(DomainError):
             getattr(V, suite)(sl2_toroidal, samples=-1)
+
+    def test_empty_window_with_samples_rejected(self):
+        witt = AlgebraDesc("A", 0, 1, "witt")
+        with pytest.raises(DomainError, match="loop window is empty"):
+            V.jacobi_check(witt, [], samples=5)
+        with pytest.raises(DomainError, match="loop window is empty"):
+            V.cocycle_identity_check((1, 0), 1, [], samples=3)
+        # with nothing to sample, an empty window is a report of no cases
+        assert V.jacobi_check(witt, []).cases_run == 0
+        assert V.cocycle_identity_check((1, 0), 1, [], samples=0).cases_run == 0
 
     def test_lemma_pa_bounds(self):
         with pytest.raises(DomainError):

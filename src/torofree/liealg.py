@@ -136,7 +136,8 @@ class LieElt:
 
 def add_terms(first: dict[Symbol, Rat], *rest: dict[Symbol, Rat]) -> dict[Symbol, Rat]:
     """The term maps added symbol by symbol into a copy of ``first``; a sum
-    that reaches zero drops its symbol."""
+    that reaches zero drops its symbol (a zero coefficient of ``first`` is
+    kept until a later operand names its symbol)."""
     out = dict(first)
     for terms in rest:
         for sym, c in terms.items():
@@ -144,7 +145,7 @@ def add_terms(first: dict[Symbol, Rat], *rest: dict[Symbol, Rat]) -> dict[Symbol
             if v:
                 out[sym] = v
             else:
-                del out[sym]
+                out.pop(sym, None)
     return out
 
 

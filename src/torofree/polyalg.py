@@ -40,21 +40,26 @@ lcm of their denominators, which leaves the form reduced.  Every other
 operation builds the integer form itself and wraps it with the private
 ``Poly._raw``, which stores it without checking, or ``Poly._reduced``, which
 first divides out gcd(den, numerators).  Both are only for maps built here
-(or in ``search`` and ``checks``) from valid keys and nonzero numerators.
+(or in ``search``, ``checks`` and ``recovery``) from valid keys and nonzero
+numerators.
 
 One integer kernel does the arithmetic: ``_shift_nums`` is the only
 binomial-expansion loop (it expands only the slots with a nonzero delta, by
-the integer rows comb(e, j) * (-delta)^(e - j)) and ``_mul_into`` the only
+the integer rows comb(e, j) * (-delta)^(e - j), one slot at a time, so like
+terms merge before the next slot expands them) and ``_mul_into`` the only
 product loop.  ``+`` and ``-`` work over the lcm of the two denominators,
 ``*`` over their product and ``scale`` over den times the scalar's
 denominator, each dividing out the gcd at the end.  ``shift`` needs no gcd:
 an integer shift is an automorphism of Z[H, d], so it keeps the content of
 the numerators.  ``ShiftOperator.apply`` multiplies the shifted numerators
 of p by those of each f_u, brought over their lcm D, into one int map over
-D * den(p) and reduces once; ``compose`` uses the same shift-multiply step
-for f * T_u(g), and ``bracket`` for f * T_u(g) - g * T_v(f) into one map per
-pair of terms, and ``try_divide`` divides numerators fraction-free, reading
-divisibility of two monomials off the borrows of one key subtraction.
+D * den(p) and reduces once; it returns at once for a zero operator or a
+zero p, and for one term f T_u whose f or shifted p is a single term the
+product is one offset of the other's keys.  ``compose`` uses the same
+shift-multiply step for f * T_u(g), and ``bracket`` for f * T_u(g) -
+g * T_v(f) into one map per pair of terms, and ``try_divide`` divides
+numerators fraction-free, reading divisibility of two monomials off the
+borrows of one key subtraction.
 ``shift_difference``'s ``(sigma_i - Id)^k`` is one pass over the numerators
 with a cached integer row per (exponent, k), not k shift-and-subtract passes.
 
@@ -338,6 +343,9 @@ class Poly:
         return bool(self.nums)
 
     def __eq__(self, other) -> bool:
+        if other.__class__ is Poly:
+            return (self.den == other.den and self.nums == other.nums
+                    and self.l == other.l and self.n == other.n)
         if isinstance(other, (int, Fraction)):
             other = Poly.const(self.l, self.n, other)
         if not isinstance(other, Poly):
@@ -687,10 +695,11 @@ def _shift_row(s: int, e: int, dlt: int) -> tuple[tuple[int, int], ...]:
 
 
 def _shift_nums(nums: dict[int, int], moved: tuple[tuple[int, int], ...]) -> dict[int, int]:
-    """Integer numerators of the shift by ``moved`` of the terms ``nums``."""
-    out: dict[int, int] = {}
-    if len(moved) == 1:
-        ((s, dlt),) = moved
+    """Integer numerators of the shift by ``moved`` of the terms ``nums``,
+    some of them possibly zero.  The slots are moved one at a time, each
+    into a fresh map, so like terms merge before the next slot expands them."""
+    for s, dlt in moved:
+        out: dict[int, int] = {}
         for key, c in nums.items():
             e = key >> s & MAX_SLOT_EXPONENT
             if not e:
@@ -699,19 +708,8 @@ def _shift_nums(nums: dict[int, int], moved: tuple[tuple[int, int], ...]) -> dic
             for drop, w in _shift_row(s, e, dlt):
                 k = key - drop
                 out[k] = out.get(k, 0) + c * w
-        return out
-    for key, c in nums.items():
-        # expansion of prod over moved slots of (v - delta)^e; the monomials
-        # of one expansion are distinct, so a list suffices
-        partial = [(key, c)]
-        for s, dlt in moved:
-            e = key >> s & MAX_SLOT_EXPONENT
-            if e:
-                row = _shift_row(s, e, dlt)
-                partial = [(k - drop, v * w) for k, v in partial for drop, w in row]
-        for k, v in partial:
-            out[k] = out.get(k, 0) + v
-    return out
+        nums = out
+    return nums
 
 
 def _mul_into(out: dict[int, int], nums_a: dict[int, int], nums_b: dict[int, int],
@@ -798,14 +796,29 @@ class ShiftOperator:
         """sum_u f_u * p.shift(u), accumulated as integers over one denominator."""
         if p.l != self.l or p.n != self.n:
             raise StructureError(f"polynomial ranks {p.ranks} do not match {(self.l, self.n)}")
-        den, keys_f, held_f, steps = self._plan or self._make_plan()
         nums_p = p.nums
+        if not nums_p or not self.terms:
+            return Poly._raw(self.l, self.n, 1, {})
+        den, keys_f, held_f, steps = self._plan or self._make_plan()
         width = self.l + self.n
         if (held_f | reduce(or_, nums_p, 0)) & _TOP_BITS[width]:
             _check_products(keys_f, nums_p, width)
         out: dict[int, int] = {}
-        for moved, nums_f in steps:
-            _mul_into(out, nums_f, _shift_nums(nums_p, moved) if moved else nums_p)
+        if len(steps) == 1:
+            # one term f T_u: when f or T_u(p) is a single term, the product
+            # offsets the keys of the other, which stay distinct
+            ((moved, nums_f),) = steps
+            shifted = _nonzero(_shift_nums(nums_p, moved)) if moved else nums_p
+            if len(shifted) == 1:
+                nums_f, shifted = shifted, nums_f
+            if len(nums_f) == 1:
+                ((key, c),) = nums_f.items()
+                return Poly._reduced(self.l, self.n, den * p.den,
+                                     {k + key: v * c for k, v in shifted.items()})
+            _mul_into(out, nums_f, shifted)
+        else:
+            for moved, nums_f in steps:
+                _mul_into(out, nums_f, _shift_nums(nums_p, moved) if moved else nums_p)
         return Poly._reduced(self.l, self.n, den * p.den, _nonzero(out))
 
     def _make_plan(self) -> tuple:

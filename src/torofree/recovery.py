@@ -5,9 +5,21 @@ An ``ActionOracle`` is a generator action seen only through its values:
 corrupts one for the harness's power tests.  ``recover_parameters`` reads
 lambda, witt_a and the base parameters off the oracle, checks each module
 requirement it relies on (a violation is a ``ClassificationError`` naming
-it), and decodes every (family, S, a, b) whose rebuilt module reproduces
-the read action; ``build_spec_from_recovery`` turns the canonical decoding
-back into a ``ModuleSpec``.
+it), and decodes every (family, S, a, b) whose module reproduces the read
+action; ``build_spec_from_recovery`` turns the canonical decoding back into
+a ``ModuleSpec``.
+
+One call asks each distinct (generator, value) query of the oracle once: it
+keeps a table of the answers on 1, so the checks that read x_i.1, y_i.1 and
+h_i(r).1 again find them there, and asks each distinct Cartan probe once
+(no later check acts on a probe other than 1); a second call asks again.
+The expected values are compared on integer numerators: H_i p and d_j p
+are key offsets of p, and the loop-scaling, lambda and Witt checks
+cross-multiply against lambda^r as an integer ratio instead of scaling a
+copy.  The decoder reads the factors of x_i.1 and y_i.1 from
+``repmods.factor_table`` (the one place they are written): the slot
+polynomials in b that give the candidate b, and the integer forms each
+candidate is compared against.
 """
 
 from __future__ import annotations
@@ -17,13 +29,14 @@ import math
 import random
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
+from functools import lru_cache
 
 from . import repmods
 from .algebras import AlgebraDesc, window_degrees
 from .checks import CheckReport, _check_samples, random_poly
 from .errors import ClassificationError, DomainError, StructureError
-from .polyalg import SLOT_BITS, Poly, unpack_exponent
-from .repmods import Generator, ModuleSpec, _generator, base_action_polys
+from .polyalg import SLOT_BITS, Poly, _mul_into, _nonzero, unpack_exponent
+from .repmods import Generator, ModuleSpec, _generator
 
 Rat = Fraction
 
@@ -148,13 +161,16 @@ def check_assertion_A(oracle: ActionOracle, loop_window: Iterable | None = None)
     if oracle.variant not in ("toroidal", "full"):
         return report
     one = oracle.one()
+    passed = 0
     for a in window_degrees(oracle, loop_window):
         for j in range(1, oracle.loop_vars + 1):
             got = oracle.eval(_generator("K", j, a), one)
-            report.record_lazily(got.is_zero(), lambda: dict(
-                generator=_generator("K", j, a).text(), input=one,
-                lhs=got, rhs=Poly.zero(*oracle.ranks), difference=got,
-            ))
+            if got.is_zero():
+                passed += 1
+            else:
+                report.record(False, **_mismatch(_generator("K", j, a), one, got,
+                                                 Poly.zero(*oracle.ranks)))
+    report.cases_run += passed
     return report
 
 
@@ -169,21 +185,23 @@ def check_assertion_B(oracle: ActionOracle, loop_window: Iterable | None, lam: S
     for i in range(1, oracle.rank + 1):
         for kind in ("x", "y", "h"):
             base[kind, i] = oracle.eval(_generator(kind, i, zero), one)
+    passed = 0
     for a in window_degrees(oracle, loop_window):
-        factor = Fraction(1)
-        for lam_j, aj in zip(lam, a):
-            factor *= Fraction(lam_j) ** aj
+        num, den = repmods.lam_ratio(lam, a)
         for (kind, i), b0 in base.items():
             got = oracle.eval(_generator(kind, i, a), one)
-            want = b0.scale(factor)
-            report.record_lazily(got == want, lambda: dict(
-                generator=_generator(kind, i, a).text(),
-                input=one,
-                lhs=got,
-                rhs=want,
-                difference=got - want,
-            ))
+            if _is_multiple(got, b0, num, den):
+                passed += 1
+            else:
+                report.record(False, **_mismatch(_generator(kind, i, a), one, got,
+                                                 b0.scale(Fraction(num, den))))
+    report.cases_run += passed
     return report
+
+
+def _mismatch(gen: Generator, p: Poly, got: Poly, want: Poly) -> dict:
+    """The failure fields of a check that read ``got`` for gen . p, not ``want``."""
+    return dict(generator=gen.text(), input=p, lhs=got, rhs=want, difference=got - want)
 
 
 def recover_lambda(oracle: ActionOracle) -> tuple[Rat, ...]:
@@ -211,7 +229,7 @@ def recover_lambda(oracle: ActionOracle) -> tuple[Rat, ...]:
                     f"direction {j}: rows give {value} and {ratio}",
                 )
             back = oracle.eval(_generator("h", i, neg), one)
-            if back != hvar.scale(1 / ratio):
+            if not _is_multiple(back, hvar, ratio.denominator, ratio.numerator):
                 raise ClassificationError(
                     "shift-scalar-consistency",
                     f"h{i}(-e{j}).1 does not invert the scalar {ratio}",
@@ -226,9 +244,40 @@ def _scalar_ratio(p: Poly, q: Poly) -> Rat | None:
         return None
     if p.is_zero():
         return Fraction(0)
-    exp, coeff = q.leading()
-    c = p.coeff(exp) / coeff
-    return c if p == q.scale(c) else None
+    if (p.l, p.n) != (q.l, q.n):
+        return None
+    return _num_ratio(p.nums, p.den, q.nums, q.den)
+
+
+def _num_ratio(p_nums: dict[int, int], p_den: int, q_nums: dict[int, int],
+               q_den: int) -> Rat | None:
+    """c with p = c q for p, q given as integer numerators (without zeros)
+    over a denominator, not necessarily reduced, and q nonzero; else None.
+    The numerators of p must be those of q times one ratio, read off a
+    pivot term."""
+    if p_nums.keys() != q_nums.keys():
+        return None
+    pivot = next(iter(q_nums))
+    s, t = p_nums[pivot], q_nums[pivot]
+    if any(v * t != q_nums[k] * s for k, v in p_nums.items()):
+        return None
+    return Fraction(s * q_den, t * p_den)
+
+
+def _is_multiple(p: Poly, q: Poly, num: int, den: int) -> bool:
+    """p == q * num / den for nonzero ints num, den, with the numerators
+    cross-multiplied instead of a scaled copy of q."""
+    return (p.l, p.n) == (q.l, q.n) and _nums_multiple(p.nums, p.den, q.nums, q.den, num, den)
+
+
+def _nums_multiple(p_nums: dict[int, int], p_den: int, q_nums: dict[int, int], q_den: int,
+                   num: int, den: int) -> bool:
+    """``_is_multiple`` on integer numerators (without zeros) over
+    denominators, none of them necessarily reduced."""
+    if p_nums.keys() != q_nums.keys():
+        return False
+    s, t = q_den * den, num * p_den
+    return all(v * s == q_nums[k] * t for k, v in p_nums.items())
 
 
 def recover_witt_a(oracle: ActionOracle, lam: Sequence[Rat]) -> tuple[tuple[Rat, ...], Rat]:
@@ -269,10 +318,8 @@ def recover_witt_a(oracle: ActionOracle, lam: Sequence[Rat]) -> tuple[tuple[Rat,
                 "witt-scalar-consistency", f"directions give a = {value} and {a}"
             )
         back = oracle.eval(_generator("D", j, tuple(-x for x in e_j)), one)
-        want = (Poly.d(*oracle.ranks, j) + Poly.const(*oracle.ranks, value + 1)).scale(
-            1 / lam_j
-        )
-        if back != want:
+        if not _is_multiple(back, Poly.d(*oracle.ranks, j) + (value + 1),
+                            lam_j.denominator, lam_j.numerator):
             raise ClassificationError(
                 "witt-scalar-consistency", f"t^(-e{j}) d{j}.1 inconsistent with a = {value}"
             )
@@ -289,19 +336,23 @@ def recover_parameters(
     _check_samples(samples)
     l, n = oracle.ranks
     rng = random.Random(seed)
+    asked = _asked_once(oracle)
     one = oracle.one()
     window = window_degrees(oracle, loop_window)
 
-    # Cartan freeness first (checked, not assumed)
+    # Cartan freeness first (checked, not assumed), once per distinct probe;
+    # every later query acts on 1, so only 1's answers go into the table
     probes = [one] + [random_poly(rng, l, n) for _ in range(samples)]
     zero = (0,) * n if oracle.variant != "finite" else ()
-    for p in probes:
+    for p in dict.fromkeys(probes):
+        ask = asked.eval if p == one else oracle.eval
         for i in range(1, l + 1):
-            if oracle.eval(_generator("h", i, zero), p) != Poly.H(l, n, i) * p:
+            if not _is_times_variable(ask(_generator("h", i, zero), p), p, i - 1):
                 raise ClassificationError("cartan-freeness", f"H{i} is not multiplication")
         for j in range(1, n + 1):
-            if oracle.eval(_generator("D", j, zero), p) != Poly.d(l, n, j) * p:
+            if not _is_times_variable(ask(_generator("D", j, zero), p), p, l + j - 1):
                 raise ClassificationError("cartan-freeness", f"d{j} is not multiplication")
+    oracle = asked
 
     lam: tuple[Rat, ...] = ()
     witt_a: Rat | None = None
@@ -343,69 +394,182 @@ def recover_parameters(
     )
 
 
-def _decode_base(oracle, x_polys, y_polys, lam, witt_a) -> list[tuple]:
-    """All (family, S, a, b) tuples whose rebuilt module reproduces the oracle.
+def _asked_once(oracle: ActionOracle) -> ActionOracle:
+    """``oracle`` behind a table of its answers keyed by (generator, value),
+    so each distinct query reaches it once."""
+    answers: dict = {}
+    ask = oracle.eval
 
-    u_i and v_i vanish at H = 0, so in the A family
-    (x_i.1 * y_i.1)|_{H=0} = (b + e_i)(b + e_{i+1}) with e_k = [k not in S],
-    whatever a is.  Slot 1 gives at most two b per S, the roots of
-    (2b + e_1 + e_2)^2 = 4 P_1 + (e_1 - e_2)^2, and the other slots prune S;
-    the C family has b = 0.  Each surviving (S, b) is rebuilt once with unit
-    a: x_i.1 and y_i.1 are a_i and 1/a_i times products fixed by (family, S,
-    b), so a_i is the ratio x_i.1 / X_i and the tuple holds iff
-    y_i.1 = Y_i / a_i for every i.  Every factor of X_i and Y_i is linear in
-    H with a nonzero H part, so a pattern whose factor counts differ from the
-    H-degrees of the read x_i.1 and y_i.1 is skipped before it is rebuilt.
+    def eval_fn(gen: Generator, p: Poly) -> Poly:
+        key = (gen, p)
+        out = answers.get(key)
+        if out is None:
+            out = answers[key] = ask(gen, p)
+        return out
+
+    return ActionOracle(oracle.rank, oracle.loop_vars, oracle.variant, eval_fn)
+
+
+def _is_times_variable(got: Poly, p: Poly, slot: int) -> bool:
+    """got == p v for the variable v of exponent slot ``slot``, whose product
+    with p is one offset of every key (the probes' exponents are far below
+    the limit, so no slot spills)."""
+    step = 1 << SLOT_BITS * slot
+    return (got.den == p.den and got.l == p.l and got.n == p.n
+            and got.nums == {k + step: v for k, v in p.nums.items()})
+
+
+def _decode_base(oracle, x_polys, y_polys, lam, witt_a) -> list[tuple]:
+    """All (family, S, a, b) tuples whose module reproduces the oracle.
+
+    At unit a, x_i.1 and y_i.1 are the products X_i and Y_i of their
+    ``repmods.factor_table`` factors, with the ``repmods.factor_sign``; a_i
+    and 1/a_i scale them.  Every factor is linear in H with a nonzero H
+    part, so a pattern whose factor counts differ from the H-degrees of the
+    read x_i.1 and y_i.1 is skipped.  At H = 0 the factors are c0/den + cb b,
+    so (x_i.1 * y_i.1)|_{H=0} is the slot polynomial P_i(b) of
+    ``slot_polynomials``, whatever a is: slot 1 gives the candidate b (the
+    roots of the A family's quadratic, or b = 0 in the C family, whose
+    slots carry no b), and the other slots prune them.  A candidate holds iff
+    x_i.1 = a_i X_i with a_i nonzero and y_i.1 = Y_i / a_i for every i,
+    compared on integer numerators (``_pattern_scalars``); only then is its
+    spec built (``_trial_spec``), which refuses a b the family or variant
+    does not take.
     """
     l, n = oracle.ranks
     degrees = (tuple(map(_h_degree, x_polys)), tuple(map(_h_degree, y_polys)))
-    at_zero = [
-        Poly(l, n, {e: c for e, c in (x * y).terms.items() if not any(e[:l])})
-        for x, y in zip(x_polys, y_polys)
-    ]
-    roots = [_poly_sqrt(at_zero[0].scale(4) + delta) for delta in (0, 1)]
-    slot1: dict = {}
-    for e1, e2 in itertools.product((0, 1), repeat=2):
-        root = roots[(e1 - e2) ** 2]
-        signs = () if root is None else (1, -1) if root else (1,)
-        slot1[e1, e2] = [(root.scale(s) - e1 - e2).scale(Fraction(1, 2)) for s in signs]
-    products: dict = {}
-
-    def slot_product(b: Poly, e: int, f: int) -> Poly:
-        key = (b, e + f)
-        if key not in products:
-            products[key] = (b + e) * (b + f)
-        return products[key]
-
+    h_block = (1 << SLOT_BITS * l) - 1
+    # (x y)|_{H=0} is x|_{H=0} y|_{H=0}: the products of the H-free parts
+    at_zero = [_h_free(x, h_block) * _h_free(y, h_block) for x, y in zip(x_polys, y_polys)]
+    roots: dict = {}
     ones = (Fraction(1),) * l
     found: list[tuple] = []
     for family in ("A",) if l == 1 else ("A", "C"):
-        smax = l + 1 if family == "A" else l
-        for bits in itertools.product((False, True), repeat=smax):
-            S = frozenset(i + 1 for i, in_s in enumerate(bits) if in_s)
-            if repmods.factor_counts(family, l, S) != degrees:
+        for S, counts, (first, *rest) in _patterns(family, l):
+            if counts != degrees:
                 continue
-            if family == "C":
-                bs = [Poly.zero(l, n)]
-            else:
-                e = [int(not in_s) for in_s in bits]
-                bs = [
-                    b
-                    for b in slot1[e[0], e[1]]
-                    if all(at_zero[i] == slot_product(b, e[i], e[i + 1]) for i in range(1, l))
-                ]
-            for b in bs:
-                trial = _trial_spec(oracle, family, ones, b, S, lam, witt_a)
-                if trial is None:
+            for b in _slot_solutions(first, at_zero[0], roots):
+                if not all(_slot_holds(slot, b, z) for slot, z in zip(rest, at_zero[1:])):
                     continue
-                xs, ys = base_action_polys(trial)
-                a = tuple(_scalar_ratio(x, X) for x, X in zip(x_polys, xs))
-                if all(a) and all(y == Y.scale(1 / a_i) for y, Y, a_i in zip(y_polys, ys, a)):
-                    entry = (family, S, a, b)
-                    if entry not in found:
-                        found.append(entry)
+                a = _pattern_scalars(family, l, S, b, x_polys, y_polys)
+                if a is None or _trial_spec(oracle, family, ones, b, S, lam, witt_a) is None:
+                    continue
+                entry = (family, S, a, b)
+                if entry not in found:
+                    found.append(entry)
     found.sort(key=_decode_key)
     return found
+
+
+def _h_free(p: Poly, h_block: int) -> Poly:
+    """p at H = 0: the terms whose keys have no bit of ``h_block``."""
+    return Poly._reduced(p.l, p.n, p.den, {k: v for k, v in p.nums.items() if not k & h_block})
+
+
+@lru_cache(maxsize=64)
+def _patterns(family: str, l: int) -> tuple[tuple, ...]:
+    """(S, factor counts, slot polynomials) of every family-l pattern S, in
+    the decoder's order: S read as the bits of 1..l+1 (A) or 1..l (C)."""
+    smax = l + 1 if family == "A" else l
+    out = []
+    for bits in itertools.product((False, True), repeat=smax):
+        S = frozenset(i + 1 for i, in_s in enumerate(bits) if in_s)
+        out.append((S, repmods.factor_counts(family, l, S), slot_polynomials(family, l, S)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=256)
+def slot_polynomials(family: str, l: int, S: frozenset[int]) -> tuple[tuple, ...]:
+    """Per slot i, (x_i.1 * y_i.1)|_{H=0} at unit a as a polynomial in b:
+    ((c_0, c_1, c_2), den), its integer coefficients of 1, b, b^2 over a
+    positive den.  It is the sign of both times the product of c0/den + cb b
+    over the ``repmods.factor_table`` factors of x_i.1 and y_i.1, two in
+    every slot; the A factors carry b, the C factors do not."""
+    out = []
+    for i, (xf, yf) in enumerate(zip(*repmods.factor_table(family, l, S)), 1):
+        coeffs = (repmods.factor_sign(family, l, i, xf) * repmods.factor_sign(family, l, i, yf),)
+        den = 1
+        for _, c0, cb, d in xf + yf:
+            # times (c0 + cb d b) / d
+            coeffs = tuple(c0 * c + cb * d * lower
+                           for c, lower in zip(coeffs + (0,), (0,) + coeffs))
+            den *= d
+        out.append((coeffs, den))
+    return tuple(out)
+
+
+def _slot_solutions(slot: tuple, z: Poly, roots: dict) -> list[Poly]:
+    """The candidate b with P(b) = z for a slot polynomial P: the roots of
+    a quadratic, each square root taken once per discriminant (kept in
+    ``roots``), or b = 0 for a slot that carries no b."""
+    (gamma, beta, alpha), den = slot
+    if not alpha:
+        return [Poly.zero(z.l, z.n)]
+    # (2 alpha b + beta)^2 = beta^2 - 4 alpha gamma + 4 alpha den z
+    key = (beta * beta - 4 * alpha * gamma, 4 * alpha * den)
+    if key not in roots:
+        roots[key] = _poly_sqrt(z.scale(key[1]) + key[0])
+    root = roots[key]
+    if root is None:
+        return []
+    # b = (s root - beta) / (2 alpha) for the signs s of a nonzero root
+    d = 2 * alpha * root.den
+    lift = -beta * root.den
+    out = []
+    for s in (1, -1) if root else (1,):
+        nums = {k: s * v for k, v in root.nums.items()}
+        nums[0] = nums.get(0, 0) + lift
+        if d < 0:
+            nums = {k: -v for k, v in nums.items()}
+        out.append(Poly._reduced(z.l, z.n, abs(d), _nonzero(nums)))
+    return out
+
+
+def _slot_holds(slot: tuple, b: Poly, z: Poly) -> bool:
+    """P(b) = z for a slot polynomial P = ((c_0, c_1, c_2), den), on integer
+    numerators: with b = B / e, c_0 e^2 + c_1 e B + c_2 B^2 = den e^2 z."""
+    (c0, c1, c2), den = slot
+    e = b.den
+    value = {0: c0 * e * e}
+    for k, v in b.nums.items():
+        value[k] = value.get(k, 0) + c1 * e * v
+    if c2:
+        _mul_into(value, {k: c2 * v for k, v in b.nums.items()}, b.nums)
+    return _nums_multiple(_nonzero(value), den * e * e, z.nums, z.den, 1, 1)
+
+
+def _pattern_scalars(family: str, l: int, S: frozenset[int], b: Poly,
+                     x_polys: list[Poly], y_polys: list[Poly]) -> tuple[Rat, ...] | None:
+    """The a with x_i.1 = a_i X_i and y_i.1 = Y_i / a_i for every i, where
+    X_i, Y_i are the (family, S) factor products at b with their signs, or
+    None when there is none or some a_i is zero.  The factors are the
+    integer forms of ``repmods._factor_instances`` at b, multiplied as
+    numerators and compared by cross-multiplication."""
+    a = []
+    for i, (x, y, xf, yf) in enumerate(
+            zip(x_polys, y_polys, *repmods._factor_instances(family, l, S, b)), 1):
+        a_i = _num_ratio(x.nums, x.den, *_form_product(xf, repmods.factor_sign(family, l, i, xf)))
+        # None for a zero x_i.1; y_i.1 = Y_i / a_i is y_i.1 a_i = Y_i
+        if a_i is None or not _nums_multiple(
+                *_form_product(yf, repmods.factor_sign(family, l, i, yf)),
+                y.nums, y.den, a_i.numerator, a_i.denominator):
+            return None
+        a.append(a_i)
+    return tuple(a)
+
+
+def _form_product(forms: tuple, sign: int) -> tuple[dict[int, int], int]:
+    """sign times the product of factor forms of ``repmods._factor_instances``
+    as (numerators without zeros, denominator), not reduced.  No exponent
+    check is needed: each form is linear in H and in b, and b^2 is already a
+    polynomial of the slot it solves."""
+    nums, den = {0: sign}, 1
+    for form in forms:
+        f_nums, f_den = repmods.form_nums(form)
+        out: dict[int, int] = {}
+        _mul_into(out, nums, f_nums)
+        nums, den = _nonzero(out), den * f_den
+    return nums, den
 
 
 def _h_degree(p: Poly) -> int:
@@ -421,18 +585,19 @@ def _decode_key(entry):
 
 def _trial_spec(oracle, family, base_a, base_b, S, lam, witt_a) -> ModuleSpec | None:
     try:
-        desc = AlgebraDesc(
-            family=family,
-            rank=oracle.rank,
-            loop_vars=oracle.loop_vars,
-            variant=oracle.variant,
-            cocycle=(Fraction(0), Fraction(0)),
-        )
+        desc = _trial_algebra(family, oracle.rank, oracle.loop_vars, oracle.variant)
         return ModuleSpec(
             algebra=desc, lam=lam, witt_a=witt_a, base_a=base_a, base_b=base_b, S=S
         )
     except (StructureError, DomainError):
         return None
+
+
+@lru_cache(maxsize=64)
+def _trial_algebra(family: str, rank: int, loop_vars: int, variant: str) -> AlgebraDesc:
+    """The algebra of the trial specs of one oracle shape and family."""
+    return AlgebraDesc(family=family, rank=rank, loop_vars=loop_vars, variant=variant,
+                       cocycle=(Fraction(0), Fraction(0)))
 
 
 def _poly_sqrt(p: Poly) -> Poly | None:

@@ -229,30 +229,32 @@ class ModuleSpec(Frozen):
     def lam_pow(self, r: Sequence[int]) -> Rat:
         """lambda^r, a DomainError when a factor would have more digits than
         Python prints (sys.get_int_max_str_digits(); 0 means no limit)."""
-        return Fraction(*self._lam_ratio(r))
+        return Fraction(*lam_ratio(self.lam, r))
 
-    def _lam_ratio(self, r: Sequence[int]) -> tuple[int, int]:
-        """lambda^r as an integer numerator and positive denominator, not
-        always in lowest terms, with the DomainError of ``lam_pow``."""
-        if not any(r):
-            return 1, 1
-        num = den = 1
-        limit = sys.get_int_max_str_digits()
-        for j, (lam_j, rj) in enumerate(zip(self.lam, r), 1):
-            # lambda_j^{r_j} has floor(|r_j| log10 m) + 1 digits (none to
-            # bound at m = 1, lambda_j = +-1); every m >= 2 passes the limit
-            # by |r_j| = 4 * limit, and capping |r_j| there keeps the
-            # product a float
-            p, q = lam_j.numerator, lam_j.denominator
-            if limit and min(abs(rj), 4 * limit) * math.log10(max(abs(p), q)) >= limit:
-                raise DomainError(
-                    f"lambda_{j}^r_{j} exceeds the {limit}-digit limit"
-                    " for integer string conversion"
-                )
-            if rj < 0:
-                p, q, rj = q, p, -rj
-            num, den = num * p**rj, den * q**rj
-        return (num, den) if den > 0 else (-num, -den)
+
+def lam_ratio(lam: Sequence[Rat], r: Sequence[int]) -> tuple[int, int]:
+    """lambda^r for nonzero rationals lambda as an integer numerator and
+    positive denominator, not always in lowest terms, with the DomainError
+    of ``ModuleSpec.lam_pow``."""
+    if not any(r):
+        return 1, 1
+    num = den = 1
+    limit = sys.get_int_max_str_digits()
+    for j, (lam_j, rj) in enumerate(zip(lam, r), 1):
+        # lambda_j^{r_j} has floor(|r_j| log10 m) + 1 digits (none to
+        # bound at m = 1, lambda_j = +-1); every m >= 2 passes the limit
+        # by |r_j| = 4 * limit, and capping |r_j| there keeps the
+        # product a float
+        p, q = lam_j.numerator, lam_j.denominator
+        if limit and min(abs(rj), 4 * limit) * math.log10(max(abs(p), q)) >= limit:
+            raise DomainError(
+                f"lambda_{j}^r_{j} exceeds the {limit}-digit limit"
+                " for integer string conversion"
+            )
+        if rj < 0:
+            p, q, rj = q, p, -rj
+        num, den = num * p**rj, den * q**rj
+    return (num, den) if den > 0 else (-num, -den)
 
 
 # -- base action polynomials x_i.1 and y_i.1 ---------------------------------
@@ -333,11 +335,18 @@ def _poly(ranks: tuple[int, int], form) -> Poly:
     """The polynomial of one factor of ``_instances``, in ``ranks`` = (l, n)."""
     if form.__class__ is Poly:
         return form
+    return Poly._raw(*ranks, form[0], form_nums(form)[0])
+
+
+def form_nums(form) -> tuple[dict[int, int], int]:
+    """One factor of ``_instances`` as its integer numerators and denominator."""
+    if form.__class__ is Poly:
+        return form.nums, form.den
     D, row, c = form
     nums = {1 << SLOT_BITS * k: x for k, x in enumerate(row) if x}
     if c:
         nums[0] = c
-    return Poly._raw(*ranks, D, nums)
+    return nums, D
 
 
 @lru_cache(maxsize=256)
@@ -358,6 +367,14 @@ def affine_factors(spec: ModuleSpec) -> tuple[tuple[tuple, ...], ...]:
                  for side in _instances(spec))
 
 
+def factor_sign(family: str, l: int, i: int, factors: tuple) -> int:
+    """The sign of x_i.1 or y_i.1 at unit a over the product of its factors
+    (``factors``, the ``factor_table`` list or its instances; only whether
+    it is empty matters): -1 for the C_l quadratic -(A -+ 3/4)(A -+ 1/4) of
+    slot l, else 1."""
+    return -1 if family == "C" and i == l and factors else 1
+
+
 def factor_counts(family: str, l: int, S: Iterable[int]) -> tuple[tuple[int, ...], ...]:
     """The number of linear factors of each x_i.1 and of each y_i.1 of the
     family-l modules with pattern S (len() of the ``factor_table`` lists)."""
@@ -372,7 +389,7 @@ def base_action_polys(spec: ModuleSpec) -> tuple[list[Poly], list[Poly]]:
     """
     xs_f, ys_f = _instances(spec)
     ranks = spec.ranks
-    quad_row = ranks[0] if spec.algebra.family == "C" else 0
+    family = spec.algebra.family
     xs: list[Poly] = []
     ys: list[Poly] = []
     for i, a in enumerate(spec.base_a, start=1):
@@ -381,7 +398,7 @@ def base_action_polys(spec: ModuleSpec) -> tuple[list[Poly], list[Poly]]:
             p = _poly(ranks, factors[0]) if factors else spec.one()
             for f in factors[1:]:
                 p = p * _poly(ranks, f)
-            sign = (-1 if den < 0 else 1) * (-1 if i == quad_row and factors else 1)
+            sign = (-1 if den < 0 else 1) * factor_sign(family, ranks[0], i, factors)
             out.append(p._times(sign * num, abs(den)))
     return xs, ys
 
@@ -536,7 +553,7 @@ def generator_operator(spec: ModuleSpec, gen: Generator) -> ShiftOperator:
     if variant == "finite" and any(r):
         raise DomainError("finite variant generators carry no loop degree")
     u = (0,) * l + r
-    num, den = spec._lam_ratio(r)
+    num, den = lam_ratio(spec.lam, r)
     if gen.kind == "K":
         if variant not in ("toroidal", "full"):
             raise DomainError(f"variant {variant} has no central generators")

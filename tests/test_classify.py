@@ -1248,6 +1248,119 @@ class TestDecodePruning:
         assert reference_decode_base(oracle, xs, ys, (), None) == [] != tried
 
 
+class TestSlotPolynomials:
+    """The decoder's slot polynomials, read off the factor table, are
+    (x_i.1 * y_i.1)|_{H=0} of the rebuilt module at unit a."""
+
+    @staticmethod
+    def _at_zero(p, l):
+        return Poly(p.l, p.n, {e: c for e, c in p.terms.items() if not any(e[:l])})
+
+    @pytest.mark.parametrize("family,ranks,bs", [
+        ("A", (1, 2, 3, 4), (F(0), F(-7, 3), F(5, 2))),
+        ("C", (2, 3, 4), (F(0),)),
+    ])
+    def test_slots_match_the_rebuilt_products(self, family, ranks, bs):
+        for l in ranks:
+            for S in subsets(l + 1 if family == "A" else l):
+                slots = RC.slot_polynomials(family, l, frozenset(S))
+                assert len(slots) == l
+                for b in bs:
+                    spec = mk_spec(family=family, rank=l, base_b=b, S=S)
+                    xs, ys = R.base_action_polys(spec)
+                    for (coeffs, den), x, y in zip(slots, xs, ys):
+                        value = sum(c * b**k for k, c in enumerate(coeffs)) / den
+                        assert self._at_zero(x * y, l) == value, (family, l, S, b)
+
+
+class TestDecodeRefusals:
+    """Candidates whose trial spec is refused decode to nothing, as before
+    the decoder compared integer forms."""
+
+    @staticmethod
+    def _reads(spec, variant=None):
+        inner = RC.oracle_from_spec(spec)
+        oracle = RC.ActionOracle(inner.rank, inner.loop_vars, variant or inner.variant,
+                                 inner.eval)
+        zero = spec.algebra.zero_degree()
+        xs = [inner.eval(Generator("x", i, zero), inner.one()) for i in range(1, inner.rank + 1)]
+        ys = [inner.eval(Generator("y", i, zero), inner.one()) for i in range(1, inner.rank + 1)]
+        return oracle, xs, ys
+
+    def test_a_non_scalar_b_under_a_toroidal_or_full_oracle(self):
+        spec = mk_spec(rank=2, loop_vars=1, base_a=(2, 5), base_b=Poly.parse("d1 - 3", 2, 1),
+                       S={1})
+        oracle, xs, ys = self._reads(spec)
+        assert RC._decode_base(oracle, xs, ys, (), None)
+        for variant, witt_a in (("toroidal", None), ("full", F(1))):
+            oracle, xs, ys = self._reads(spec, variant)
+            args = (oracle, xs, ys, (F(2),), witt_a)
+            assert RC._decode_base(*args) == reference_decode_base(*args) == []
+
+    def test_a_zero_x_or_y(self):
+        spec = mk_spec(rank=2, base_a=(2, 5), base_b=F(1, 3), S={1})
+        oracle, xs, ys = self._reads(spec)
+        for bad in ((xs[:1] + [Poly.zero(2, 0)], ys), (xs, [Poly.zero(2, 0)] + ys[1:])):
+            args = (oracle, *bad, (), None)
+            assert RC._decode_base(*args) == reference_decode_base(*args) == []
+
+
+class TestRecoveryParity:
+    @staticmethod
+    def _outcome(oracle, window, seed=0):
+        try:
+            return RC.recover_parameters(oracle, window, seed=seed).to_dict()
+        except ClassificationError as exc:
+            return [exc.violated, exc.details, str(exc)]
+
+    def test_outputs_are_frozen(self):
+        # the blackbox workload's recoveries at every shape and height (the
+        # huge-b l = 1 mixed-S specs among them), its defect kinds and its
+        # l = 1 flip pairs, for two seeds, and a finite n = 2 spec whose b is
+        # a d-polynomial; frozen before queries were asked once and the
+        # decoder compared integer forms
+        W = load_workloads()
+        out = []
+        for seed in (1, 7):
+            for job in W.blackbox(random.Random(f"blackbox:{seed}")):
+                v = dict(zip(job.run.__code__.co_freevars,
+                             (c.cell_contents for c in job.run.__closure__)))
+                if job.label.startswith("recover"):
+                    out.append(self._outcome(RC.oracle_from_spec(v["spec"]), v["window"],
+                                             v["seed"]))
+                elif job.label.startswith("defect"):
+                    out.append(self._outcome(
+                        RC.inject_defect(RC.oracle_from_spec(v["spec"]), v["kind"]), W.W3))
+                elif job.label.startswith("iso flip"):
+                    out += [self._outcome(RC.oracle_from_spec(s), W.W3) for s in (v["s1"], v["s2"])]
+        b = Poly.parse("3*d1^2 - 1/2*d2", 2, 2)
+        spec = mk_spec(rank=2, loop_vars=2, base_a=(2, 5), base_b=b, S={2})
+        out.append(self._outcome(RC.oracle_from_spec(spec), None))
+        assert len(out) == 87 and sum(isinstance(o, list) for o in out) == 6
+        digest = hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
+        assert digest == "af19836108d0aab16068c82bb677aaf2e1f82dfa63a1c2137a144f86caf26e5a"
+
+    @pytest.mark.parametrize("spec,window", [
+        (mk_spec(rank=2, loop_vars=1, variant="full", lam=(3,), witt_a=2, base_a=(2, 3),
+                 base_b=F(1, 2), S={1}), [(-1,), (0,), (1,)]),
+        (mk_spec(family="C", rank=2, loop_vars=1, variant="toroidal", lam=(2,),
+                 base_a=(3, -2), S={2}), None),
+        (mk_spec(rank=2, loop_vars=2, base_a=(2, 5), base_b=Poly.parse("d1 - 3", 2, 2),
+                 S={1, 3}), None),
+    ], ids=["A2-full", "C2-toroidal", "A2-finite"])
+    def test_each_query_reaches_the_oracle_once_per_call(self, spec, window):
+        inner = RC.oracle_from_spec(spec)
+        asked = []
+        oracle = RC.ActionOracle(inner.rank, inner.loop_vars, inner.variant,
+                                 lambda gen, p: asked.append((gen, p)) or inner.eval(gen, p))
+        first = RC.recover_parameters(oracle, window).to_dict()
+        calls = len(asked)
+        assert calls and len(set(asked)) == calls
+        # no answer is kept across calls: a second call asks every query again
+        assert RC.recover_parameters(oracle, window).to_dict() == first
+        assert asked[calls:] == asked[:calls]
+
+
 class TestDefectDetection:
     @pytest.mark.parametrize(
         "defect,violated",
@@ -1273,6 +1386,22 @@ class TestDefectDetection:
         bad = RC.inject_defect(oracle, "center")
         rep = RC.check_assertion_A(bad, WIN1)
         assert not rep.passed and rep.failures[0]["generator"].startswith("K1")
+
+    def test_assertion_failure_reports_are_frozen(self):
+        # frozen while the checks still scaled a Fraction copy per case and
+        # built a record closure for each
+        spec = mk_spec(rank=2, loop_vars=1, variant="toroidal", lam=(F(3, 2),),
+                       base_a=(2, F(-1, 3)), base_b=F(1, 2), S={1})
+        window = [(-1,), (0,), (1,)]
+        out = []
+        for defect in ("center", "loop-scaling", "lambda-mismatch"):
+            bad = RC.inject_defect(RC.oracle_from_spec(spec), defect)
+            out += [RC.check_assertion_A(bad, window).to_dict(),
+                    RC.check_assertion_B(bad, window, spec.lam).to_dict()]
+        assert [(r["cases_run"], len(r["failures"])) for r in out] == [
+            (3, 3), (18, 0), (3, 0), (18, 2), (3, 0), (18, 2)]
+        digest = hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
+        assert digest == "5b5bbea656485a26adac8981fb2cef8912af3cea44c17943a645cad8795dc4f9"
 
     @staticmethod
     def _tampered(spec, hit, change):

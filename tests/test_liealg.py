@@ -103,6 +103,22 @@ class TestBracket:
         assert got == L.central_k(A1T, 1).scale(Fraction(1, 2))
 
 
+class TestAddTerms:
+    def test_a_later_explicit_zero_is_dropped(self):
+        # the running sum lacks D1(0), so dropping it raised KeyError
+        zero = L.LieElt._raw(A1T, {("D", 1, (0,)): 0})
+        assert (L.LieElt(A1T) + zero).terms == {}
+        assert L.add_terms({}, {("D", 1, (0,)): 0}) == {}
+        x = L.chevalley_x(A1T, 1, (1,))
+        assert L.add_terms(x.terms, {("D", 1, (0,)): 0}, x.terms) == {
+            sym: 2 * c for sym, c in x.terms.items()}
+
+    def test_a_first_operand_zero_is_kept(self):
+        zero = L.LieElt._raw(A1T, {("D", 1, (0,)): 0})
+        assert (zero + L.LieElt(A1T)).terms == {("D", 1, (0,)): 0}
+        assert L.add_terms({("D", 1, (0,)): 0}, {("D", 1, (0,)): 0}) == {}
+
+
 class TestInvariantForm:
     def test_xy_pairing(self):
         d = AlgebraDesc("A", 1)

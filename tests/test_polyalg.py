@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -654,6 +654,79 @@ class TestOneBracketPass:
                 step()
         fits = ShiftOperator(2, 1, {(-1, 0, 0): Poly(2, 1, {(0, 2**(SLOT_BITS - 1) - 1, 0): 1})})
         assert op.bracket(fits) == op.compose(fits) - fits.compose(op)
+
+
+@st.composite
+def apply_cases(draw):
+    """An operator of 0-3 terms, each shift moving 0-3 slots, with monomial
+    or multi-term coefficients, and a zero, constant or dense input."""
+    l, n = draw(st.sampled_from([(1, 1), (2, 1), (2, 2), (3, 0)]))
+    width = l + n
+    terms = {}
+    for _ in range(draw(st.integers(0, 3))):
+        moved = draw(st.lists(st.integers(0, width - 1), max_size=3, unique=True))
+        u = tuple(draw(st.sampled_from((-2, -1, 1, 3))) if k in moved else 0
+                  for k in range(width))
+        monomial = draw(st.booleans())
+        terms[u] = draw(polys(l, n, max_deg=2, max_terms=1 if monomial else 4,
+                              coeffs=rationals()))
+    kind = draw(st.sampled_from(("zero", "constant", "dense")))
+    if kind == "zero":
+        p = Poly.zero(l, n)
+    elif kind == "constant":
+        p = Poly.const(l, n, draw(rationals()))
+    else:
+        p = draw(polys(l, n, max_deg=4, max_terms=8, coeffs=rationals()))
+    return ShiftOperator(l, n, terms), p
+
+
+def summed_shifts(A, p):
+    """sum_u f_u * p.shift(u) by Poly operations."""
+    out = Poly.zero(A.l, A.n)
+    for u, f in A.terms.items():
+        out = out + f * p.shift(u)
+    return out
+
+
+class TestApplyPaths:
+    """``ShiftOperator.apply``'s zero, one-term and slot-by-slot paths
+    against the sum of shifted products."""
+
+    @given(apply_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_apply_is_the_sum_of_shifted_products(self, case):
+        A, p = case
+        got = A.apply(p)
+        assert_canonical(got)
+        assert got == summed_shifts(A, p)
+
+    @given(apply_cases(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_an_input_at_the_exponent_limit_raises_as_the_products_do(self, case, data):
+        # the full slot is one no shift moves: a shift would expand its
+        # 2^16 terms (the check itself comes before any shift)
+        A, p = case
+        width = A.l + A.n
+        still = [k for k in range(width) if not any(u[k] for u in A.terms)]
+        assume(still)
+        slot = data.draw(st.sampled_from(still))
+        top = tuple(MAX_SLOT_EXPONENT if k == slot else 0 for k in range(width))
+        tall = p + Poly(A.l, A.n, {top: 1})
+        try:
+            want = summed_shifts(A, tall)
+        except DomainError:
+            with pytest.raises(DomainError, match="exponent"):
+                A.apply(tall)
+        else:
+            assert A.apply(tall) == want
+
+    def test_equality_with_scalars_and_other_ranks(self):
+        three = Poly.const(1, 1, 3)
+        assert three == 3 and three == Fraction(3) and three != Fraction(3, 2)
+        assert Poly.zero(1, 1) == 0 and Poly.zero(1, 1) != Poly.zero(2, 0)
+        assert three != Poly.const(2, 0, 3) and three != Poly.const(1, 2, 3)
+        assert Poly.H(1, 1, 1) != 0 and Poly.H(1, 1, 1) != Poly.H(2, 0, 1)
+        assert three.__eq__("3") is NotImplemented and three != "3"
 
 
 class TestDegrees:

@@ -388,6 +388,37 @@ class TestJacobiReport:
                                         "difference": "LieElt(-0*D1(0))"}
         assert _digest(data) == "8cbeff74d955ab2b6a1909d88054d4fd0608b785432107de080594ae2a904df0"
 
+    def test_explicit_zero_coefficient_sampled_report_matches_the_exhaustive(self):
+        # a later operand's explicit zero for a symbol the running sum lacks
+        # raised KeyError in add_terms, so this sampled run crashed
+        desc = AlgebraDesc("A", 1, 1, "toroidal")
+        first, zero_sym = ("f", 0, (-1,)), ("D", 1, (0,))
+
+        def zero_bracket(desc_, X, Y):
+            out = bracket(desc_, X, Y)
+            if out.terms and X.terms.keys() == {first}:
+                return LieElt._raw(desc_, {**out.terms, zero_sym: 0})
+            return out
+
+        window = degree_box(1, -1, 1)
+        exhaustive = V.jacobi_check(desc, window, bracket_fn=zero_bracket).to_dict()
+        sampled = V.jacobi_check(desc, window, samples=200, seed=5,
+                                 bracket_fn=zero_bracket).to_dict()
+        assert sampled["cases_run"] == 266 and len(sampled["failures"]) == 14
+
+        def law(report, name):
+            return [f for f in report["failures"] if f["law"] == name]
+
+        # every basis pair is checked in both modes
+        assert law(sampled, "antisymmetry") == law(exhaustive, "antisymmetry")
+        # a sampled triple in basis order is an exhaustive case, and reads the same
+        order = {x.text(): k for k, x in enumerate(L.basis_of(desc, window))}
+        by_inputs = {f["inputs"]: f for f in law(exhaustive, "jacobi")}
+        ordered = [f for f in law(sampled, "jacobi")
+                   if sorted(order[x] for x in f["inputs"][1:-1].split(", "))
+                   == [order[x] for x in f["inputs"][1:-1].split(", ")]]
+        assert ordered and all(by_inputs[f["inputs"]] == f for f in ordered)
+
 
 class TestCocycleIdentityReport:
     @staticmethod
@@ -698,3 +729,23 @@ def test_random_poly_equals_the_constructor_built_polynomial(ranks):
                 assert got.text() == want.text() and list(got.nums) == list(want.nums)
             # the same draws, so the generators end in the same state
             assert got_rng.getstate() == want_rng.getstate()
+
+
+def test_random_poly_refuses_an_empty_range_as_the_draws_did():
+    # the draws come from rng._randbelow, which never returns for 0
+    for bad in ((1, 1, 4, 0), (1, 1, -1, 6)):
+        with pytest.raises(ValueError):
+            _constructor_random_poly(random.Random(0), *bad)
+        with pytest.raises(ValueError):
+            random_poly(random.Random(0), *bad)
+    # with no variables, a term of positive degree raises and degree 0 does not
+    for seed in range(20):
+        for degree in (0, 2):
+            outcomes = []
+            for build in (random_poly, _constructor_random_poly):
+                rng = random.Random(seed)
+                try:
+                    outcomes.append((build(rng, 0, 0, degree, 3).text(), rng.getstate()))
+                except ValueError:
+                    outcomes.append(ValueError)
+            assert outcomes[0] == outcomes[1], (seed, degree)

@@ -61,28 +61,17 @@ def random_poly(
 
     Each unit of a term's degree adds one to the packed key slot of a random
     variable, so the integer form is built directly; a zero polynomial is
-    replaced by 1.  The draws are those of rng.randint(1, max_terms),
-    rng.randint(0, max_total_deg), rng.randrange(l + n) and
-    rng.choice(_COEFFS), taken from ``rng._randbelow``, the one draw all
-    four make, without their argument checks."""
+    replaced by 1."""
     if max_total_deg > MAX_SLOT_EXPONENT:
         raise DomainError(f"max_total_deg above the exponent limit {MAX_SLOT_EXPONENT}")
-    # _randbelow(0) never returns: an empty range raises, as randint's would
-    if max_terms < 1 or max_total_deg < 0:
-        raise ValueError("random_poly needs max_terms >= 1 and max_total_deg >= 0")
     units = [1 << SLOT_BITS * pos for pos in range(l + n)]
     width = len(units)
-    below = rng._randbelow
     nums: dict[int, int] = {}
-    for _ in range(1 + below(max_terms)):
+    for _ in range(rng.randint(1, max_terms)):
         key = 0
-        degree = below(max_total_deg + 1)
-        if degree and not width:
-            raise ValueError("random_poly has no variable to give a positive degree")
-        for _ in range(degree):
-            key += units[below(width)]
-        c = _COEFFS[below(len(_COEFFS))]
-        nums[key] = nums.get(key, 0) + c
+        for _ in range(rng.randint(0, max_total_deg)):
+            key += units[rng.randrange(width)]
+        nums[key] = nums.get(key, 0) + rng.choice(_COEFFS)
     nums = {k: c for k, c in nums.items() if c}
     return Poly._raw(l, n, 1, nums) if nums else Poly.const(l, n, 1)
 

@@ -806,15 +806,16 @@ class ShiftOperator:
         out: dict[int, int] = {}
         if len(steps) == 1:
             # one term f T_u: when f or T_u(p) is a single term, the product
-            # offsets the keys of the other, which stay distinct
+            # offsets the keys of the other, which stay distinct (a shifted
+            # map of one entry is one nonzero term: a shift is injective)
             ((moved, nums_f),) = steps
-            shifted = _nonzero(_shift_nums(nums_p, moved)) if moved else nums_p
+            shifted = _shift_nums(nums_p, moved) if moved else nums_p
             if len(shifted) == 1:
                 nums_f, shifted = shifted, nums_f
             if len(nums_f) == 1:
                 ((key, c),) = nums_f.items()
                 return Poly._reduced(self.l, self.n, den * p.den,
-                                     {k + key: v * c for k, v in shifted.items()})
+                                     {k + key: v * c for k, v in shifted.items() if v})
             _mul_into(out, nums_f, shifted)
         else:
             for moved, nums_f in steps:

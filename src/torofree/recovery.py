@@ -10,9 +10,9 @@ action; ``build_spec_from_recovery`` turns the canonical decoding back into
 a ``ModuleSpec``.
 
 One call asks each distinct (generator, value) query of the oracle once: it
-keeps a table of the answers on 1, so the checks that read x_i.1, y_i.1 and
-h_i(r).1 again find them there, and asks each distinct Cartan probe once
-(no later check acts on a probe other than 1); a second call asks again.
+keeps a table of the answers, so a repeated Cartan probe and the checks
+that read x_i.1, y_i.1 and h_i(r).1 again find them there; a second call
+asks again.
 The expected values are compared on integer numerators: H_i p and d_j p
 are key offsets of p, and the loop-scaling, lambda and Witt checks
 cross-multiply against lambda^r as an integer ratio instead of scaling a
@@ -336,23 +336,20 @@ def recover_parameters(
     _check_samples(samples)
     l, n = oracle.ranks
     rng = random.Random(seed)
-    asked = _asked_once(oracle)
+    oracle = _asked_once(oracle)
     one = oracle.one()
     window = window_degrees(oracle, loop_window)
 
-    # Cartan freeness first (checked, not assumed), once per distinct probe;
-    # every later query acts on 1, so only 1's answers go into the table
+    # Cartan freeness first (checked, not assumed)
     probes = [one] + [random_poly(rng, l, n) for _ in range(samples)]
     zero = (0,) * n if oracle.variant != "finite" else ()
-    for p in dict.fromkeys(probes):
-        ask = asked.eval if p == one else oracle.eval
+    for p in probes:
         for i in range(1, l + 1):
-            if not _is_times_variable(ask(_generator("h", i, zero), p), p, i - 1):
+            if not _is_times_variable(oracle.eval(_generator("h", i, zero), p), p, i - 1):
                 raise ClassificationError("cartan-freeness", f"H{i} is not multiplication")
         for j in range(1, n + 1):
-            if not _is_times_variable(ask(_generator("D", j, zero), p), p, l + j - 1):
+            if not _is_times_variable(oracle.eval(_generator("D", j, zero), p), p, l + j - 1):
                 raise ClassificationError("cartan-freeness", f"d{j} is not multiplication")
-    oracle = asked
 
     lam: tuple[Rat, ...] = ()
     witt_a: Rat | None = None
@@ -478,7 +475,6 @@ def _patterns(family: str, l: int) -> tuple[tuple, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=256)
 def slot_polynomials(family: str, l: int, S: frozenset[int]) -> tuple[tuple, ...]:
     """Per slot i, (x_i.1 * y_i.1)|_{H=0} at unit a as a polynomial in b:
     ((c_0, c_1, c_2), den), its integer coefficients of 1, b, b^2 over a
@@ -542,34 +538,21 @@ def _pattern_scalars(family: str, l: int, S: frozenset[int], b: Poly,
                      x_polys: list[Poly], y_polys: list[Poly]) -> tuple[Rat, ...] | None:
     """The a with x_i.1 = a_i X_i and y_i.1 = Y_i / a_i for every i, where
     X_i, Y_i are the (family, S) factor products at b with their signs, or
-    None when there is none or some a_i is zero.  The factors are the
-    integer forms of ``repmods._factor_instances`` at b, multiplied as
-    numerators and compared by cross-multiplication."""
+    None when there is none or some a_i is zero.  X_i and Y_i are the
+    integer products of ``repmods.form_product``, compared by
+    cross-multiplication."""
     a = []
     for i, (x, y, xf, yf) in enumerate(
             zip(x_polys, y_polys, *repmods._factor_instances(family, l, S, b)), 1):
-        a_i = _num_ratio(x.nums, x.den, *_form_product(xf, repmods.factor_sign(family, l, i, xf)))
+        # unchecked products: each form is linear in H and in b, and b^2 is
+        # already a polynomial of the slot it solves, so no slot spills
+        a_i = _num_ratio(x.nums, x.den, *repmods.form_product(family, l, i, xf))
         # None for a zero x_i.1; y_i.1 = Y_i / a_i is y_i.1 a_i = Y_i
-        if a_i is None or not _nums_multiple(
-                *_form_product(yf, repmods.factor_sign(family, l, i, yf)),
-                y.nums, y.den, a_i.numerator, a_i.denominator):
+        if a_i is None or not _nums_multiple(*repmods.form_product(family, l, i, yf),
+                                             y.nums, y.den, a_i.numerator, a_i.denominator):
             return None
         a.append(a_i)
     return tuple(a)
-
-
-def _form_product(forms: tuple, sign: int) -> tuple[dict[int, int], int]:
-    """sign times the product of factor forms of ``repmods._factor_instances``
-    as (numerators without zeros, denominator), not reduced.  No exponent
-    check is needed: each form is linear in H and in b, and b^2 is already a
-    polynomial of the slot it solves."""
-    nums, den = {0: sign}, 1
-    for form in forms:
-        f_nums, f_den = repmods.form_nums(form)
-        out: dict[int, int] = {}
-        _mul_into(out, nums, f_nums)
-        nums, den = _nonzero(out), den * f_den
-    return nums, den
 
 
 def _h_degree(p: Poly) -> int:
@@ -585,19 +568,18 @@ def _decode_key(entry):
 
 def _trial_spec(oracle, family, base_a, base_b, S, lam, witt_a) -> ModuleSpec | None:
     try:
-        desc = _trial_algebra(family, oracle.rank, oracle.loop_vars, oracle.variant)
+        desc = AlgebraDesc(
+            family=family,
+            rank=oracle.rank,
+            loop_vars=oracle.loop_vars,
+            variant=oracle.variant,
+            cocycle=(Fraction(0), Fraction(0)),
+        )
         return ModuleSpec(
             algebra=desc, lam=lam, witt_a=witt_a, base_a=base_a, base_b=base_b, S=S
         )
     except (StructureError, DomainError):
         return None
-
-
-@lru_cache(maxsize=64)
-def _trial_algebra(family: str, rank: int, loop_vars: int, variant: str) -> AlgebraDesc:
-    """The algebra of the trial specs of one oracle shape and family."""
-    return AlgebraDesc(family=family, rank=rank, loop_vars=loop_vars, variant=variant,
-                       cocycle=(Fraction(0), Fraction(0)))
 
 
 def _poly_sqrt(p: Poly) -> Poly | None:

@@ -56,7 +56,7 @@ from functools import lru_cache
 
 from .algebras import AlgebraDesc
 from .errors import DomainError, Frozen, StructureError
-from .polyalg import SLOT_BITS, Poly, ShiftOperator
+from .polyalg import SLOT_BITS, Poly, ShiftOperator, _mul_into, _nonzero
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without loading typing
 if TYPE_CHECKING:
@@ -347,6 +347,21 @@ def form_nums(form) -> tuple[dict[int, int], int]:
     if c:
         nums[0] = c
     return nums, D
+
+
+def form_product(family: str, l: int, i: int, forms: tuple) -> tuple[dict[int, int], int]:
+    """x_i.1 or y_i.1 at unit a on integers: the ``factor_sign`` times the
+    product, in order, of its factors ``forms`` of ``_instances``, as
+    (numerators without zeros, denominator), not reduced.  The integer twin
+    of ``base_action_polys``' product, without ``Poly.__mul__``'s exponent
+    check: a caller whose factors could spill a slot multiplies Poly values."""
+    nums, den = {0: factor_sign(family, l, i, forms)}, 1
+    for form in forms:
+        f_nums, f_den = form_nums(form)
+        out: dict[int, int] = {}
+        _mul_into(out, nums, f_nums)
+        nums, den = _nonzero(out), den * f_den
+    return nums, den
 
 
 @lru_cache(maxsize=256)

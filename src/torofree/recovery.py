@@ -17,9 +17,9 @@ The expected values are compared on integer numerators: H_i p and d_j p
 are key offsets of p, and the loop-scaling, lambda and Witt checks
 cross-multiply against lambda^r as an integer ratio instead of scaling a
 copy.  The decoder reads the factors of x_i.1 and y_i.1 from
-``repmods.factor_table`` (the one place they are written): the slot
-polynomials in b that give the candidate b, and the integer forms each
-candidate is compared against.
+``repmods.factor_table`` (the one place they are written): the slot-1
+polynomial in b that gives the candidate b, and the integer forms each
+candidate is compared against in every slot.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from . import repmods
 from .algebras import AlgebraDesc, window_degrees
 from .checks import CheckReport, _check_samples, random_poly
 from .errors import ClassificationError, DomainError, StructureError
-from .polyalg import SLOT_BITS, Poly, _mul_into, _nonzero, unpack_exponent
+from .polyalg import SLOT_BITS, Poly, _nonzero, unpack_exponent
 from .repmods import Generator, ModuleSpec, _generator
 
 Rat = Fraction
@@ -427,27 +427,24 @@ def _decode_base(oracle, x_polys, y_polys, lam, witt_a) -> list[tuple]:
     so (x_i.1 * y_i.1)|_{H=0} is the slot polynomial P_i(b) of
     ``slot_polynomials``, whatever a is: slot 1 gives the candidate b (the
     roots of the A family's quadratic, or b = 0 in the C family, whose
-    slots carry no b), and the other slots prune them.  A candidate holds iff
-    x_i.1 = a_i X_i with a_i nonzero and y_i.1 = Y_i / a_i for every i,
-    compared on integer numerators (``_pattern_scalars``); only then is its
-    spec built (``_trial_spec``), which refuses a b the family or variant
-    does not take.
+    slots carry no b).  A candidate holds iff x_i.1 = a_i X_i with a_i
+    nonzero and y_i.1 = Y_i / a_i in every slot, compared on integer
+    numerators (``_pattern_scalars``); only then is its spec built
+    (``_trial_spec``), which refuses a b the family or variant does not take.
     """
     l, n = oracle.ranks
     degrees = (tuple(map(_h_degree, x_polys)), tuple(map(_h_degree, y_polys)))
     h_block = (1 << SLOT_BITS * l) - 1
-    # (x y)|_{H=0} is x|_{H=0} y|_{H=0}: the products of the H-free parts
-    at_zero = [_h_free(x, h_block) * _h_free(y, h_block) for x, y in zip(x_polys, y_polys)]
+    # (x_1.1 y_1.1)|_{H=0} is x_1.1|_{H=0} y_1.1|_{H=0}
+    at_zero = _h_free(x_polys[0], h_block) * _h_free(y_polys[0], h_block)
     roots: dict = {}
     ones = (Fraction(1),) * l
     found: list[tuple] = []
     for family in ("A",) if l == 1 else ("A", "C"):
-        for S, counts, (first, *rest) in _patterns(family, l):
+        for S, counts, first in _patterns(family, l):
             if counts != degrees:
                 continue
-            for b in _slot_solutions(first, at_zero[0], roots):
-                if not all(_slot_holds(slot, b, z) for slot, z in zip(rest, at_zero[1:])):
-                    continue
+            for b in _slot_solutions(first, at_zero, roots):
                 a = _pattern_scalars(family, l, S, b, x_polys, y_polys)
                 if a is None or _trial_spec(oracle, family, ones, b, S, lam, witt_a) is None:
                     continue
@@ -465,13 +462,13 @@ def _h_free(p: Poly, h_block: int) -> Poly:
 
 @lru_cache(maxsize=64)
 def _patterns(family: str, l: int) -> tuple[tuple, ...]:
-    """(S, factor counts, slot polynomials) of every family-l pattern S, in
+    """(S, factor counts, slot-1 polynomial) of every family-l pattern S, in
     the decoder's order: S read as the bits of 1..l+1 (A) or 1..l (C)."""
     smax = l + 1 if family == "A" else l
     out = []
     for bits in itertools.product((False, True), repeat=smax):
         S = frozenset(i + 1 for i, in_s in enumerate(bits) if in_s)
-        out.append((S, repmods.factor_counts(family, l, S), slot_polynomials(family, l, S)))
+        out.append((S, repmods.factor_counts(family, l, S), slot_polynomials(family, l, S)[0]))
     return tuple(out)
 
 
@@ -521,31 +518,17 @@ def _slot_solutions(slot: tuple, z: Poly, roots: dict) -> list[Poly]:
     return out
 
 
-def _slot_holds(slot: tuple, b: Poly, z: Poly) -> bool:
-    """P(b) = z for a slot polynomial P = ((c_0, c_1, c_2), den), on integer
-    numerators: with b = B / e, c_0 e^2 + c_1 e B + c_2 B^2 = den e^2 z."""
-    (c0, c1, c2), den = slot
-    e = b.den
-    value = {0: c0 * e * e}
-    for k, v in b.nums.items():
-        value[k] = value.get(k, 0) + c1 * e * v
-    if c2:
-        _mul_into(value, {k: c2 * v for k, v in b.nums.items()}, b.nums)
-    return _nums_multiple(_nonzero(value), den * e * e, z.nums, z.den, 1, 1)
-
-
 def _pattern_scalars(family: str, l: int, S: frozenset[int], b: Poly,
                      x_polys: list[Poly], y_polys: list[Poly]) -> tuple[Rat, ...] | None:
     """The a with x_i.1 = a_i X_i and y_i.1 = Y_i / a_i for every i, where
     X_i, Y_i are the (family, S) factor products at b with their signs, or
     None when there is none or some a_i is zero.  X_i and Y_i are the
     integer products of ``repmods.form_product``, compared by
-    cross-multiplication."""
+    cross-multiplication; this decides a candidate b in every slot."""
     a = []
     for i, (x, y, xf, yf) in enumerate(
             zip(x_polys, y_polys, *repmods._factor_instances(family, l, S, b)), 1):
-        # unchecked products: each form is linear in H and in b, and b^2 is
-        # already a polynomial of the slot it solves, so no slot spills
+        # form_product's check holds: b solves slot 1, so b^2 has a polynomial's exponents
         a_i = _num_ratio(x.nums, x.den, *repmods.form_product(family, l, i, xf))
         # None for a zero x_i.1; y_i.1 = Y_i / a_i is y_i.1 a_i = Y_i
         if a_i is None or not _nums_multiple(*repmods.form_product(family, l, i, yf),

@@ -56,7 +56,7 @@ from functools import lru_cache
 
 from .algebras import AlgebraDesc
 from .errors import DomainError, Frozen, StructureError
-from .polyalg import SLOT_BITS, Poly, ShiftOperator, _mul_into, _nonzero
+from .polyalg import SLOT_BITS, Poly, ShiftOperator, _check_products, _mul_into, _nonzero
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without loading typing
 if TYPE_CHECKING:
@@ -352,12 +352,14 @@ def form_nums(form) -> tuple[dict[int, int], int]:
 def form_product(family: str, l: int, i: int, forms: tuple) -> tuple[dict[int, int], int]:
     """x_i.1 or y_i.1 at unit a on integers: the ``factor_sign`` times the
     product, in order, of its factors ``forms`` of ``_instances``, as
-    (numerators without zeros, denominator), not reduced.  The integer twin
-    of ``base_action_polys``' product, without ``Poly.__mul__``'s exponent
-    check: a caller whose factors could spill a slot multiplies Poly values."""
+    (numerators without zeros, denominator), not reduced.  A factor that
+    carries d (a non-scalar b) is multiplied only after ``_check_products``;
+    the H-only factors, at most two per slot, cannot spill one."""
     nums, den = {0: factor_sign(family, l, i, forms)}, 1
     for form in forms:
         f_nums, f_den = form_nums(form)
+        if form.__class__ is Poly:
+            _check_products(nums, f_nums, form.l + form.n)
         out: dict[int, int] = {}
         _mul_into(out, nums, f_nums)
         nums, den = _nonzero(out), den * f_den
@@ -397,24 +399,20 @@ def factor_counts(family: str, l: int, S: Iterable[int]) -> tuple[tuple[int, ...
 
 
 def base_action_polys(spec: ModuleSpec) -> tuple[list[Poly], list[Poly]]:
-    """([x_1.1, .., x_l.1], [y_1.1, .., y_l.1]) for the finite part.
-
-    Each is a_i (for x_i) or 1/a_i (for y_i) times the product of its
-    linear factors; the C_l quadratic -(A -+ 3/4)(A -+ 1/4) is negated.
-    """
+    """([x_1.1, .., x_l.1], [y_1.1, .., y_l.1]) for the finite part: a_i (for
+    x_i) or 1/a_i (for y_i) times the ``form_product`` of its factors."""
     xs_f, ys_f = _instances(spec)
-    ranks = spec.ranks
+    l, n = spec.ranks
     family = spec.algebra.family
     xs: list[Poly] = []
     ys: list[Poly] = []
     for i, a in enumerate(spec.base_a, start=1):
-        for out, factors, num, den in ((xs, xs_f[i - 1], a.numerator, a.denominator),
-                                       (ys, ys_f[i - 1], a.denominator, a.numerator)):
-            p = _poly(ranks, factors[0]) if factors else spec.one()
-            for f in factors[1:]:
-                p = p * _poly(ranks, f)
-            sign = (-1 if den < 0 else 1) * factor_sign(family, ranks[0], i, factors)
-            out.append(p._times(sign * num, abs(den)))
+        for out, forms, num, den in ((xs, xs_f[i - 1], a.numerator, a.denominator),
+                                     (ys, ys_f[i - 1], a.denominator, a.numerator)):
+            nums, f_den = form_product(family, l, i, forms)
+            if den < 0:
+                num, den = -num, -den
+            out.append(Poly._reduced(l, n, f_den * den, {k: num * v for k, v in nums.items()}))
     return xs, ys
 
 

@@ -756,10 +756,11 @@ class TestPointSets:
                     assert not R.simplicity_rule(spec)[0], (S, b)
                     found += 1
                 if cert is not None:
-                    # the weight support of v0 holds the closure
+                    # the weight support of v0 is the closure: the kernel is I(Z)
                     rep = SR.irrep_A(l, cert.weights)
                     support = {w for w, c in zip(rep.h_int, cert.v0) if c}
-                    assert points <= support, (S, b)
+                    assert points == support, (S, b)
+                    assert SR.verify_point_set(spec, support), (S, b)
         assert found > 0
 
     def test_closure_decides_the_rule_on_the_grid(self):
@@ -1225,6 +1226,18 @@ class TestDecodePruning:
             spec = mk_spec(rank=2, loop_vars=2, base_a=(2, 5), base_b=b, S=S)
             got, want = self._decode_both(spec)
             assert got == want and got, S
+
+    @pytest.mark.parametrize("l,S", [(2, {1, 2, 3}), (2, ()), (3, {1, 2, 3, 4}), (3, {2})])
+    def test_a_later_slot_that_does_not_hold_decodes_to_nothing(self, l, S):
+        # slot 1 still gives the candidate b; y_2.1 moved by a constant keeps
+        # its H-degree but no longer matches the rebuilt Y_2 / a_2
+        spec = mk_spec(rank=l, base_a=tuple(range(2, l + 2)), base_b=F(1, 3), S=S)
+        oracle = RC.oracle_from_spec(spec)
+        xs, ys = R.base_action_polys(spec)
+        assert len(RC._decode_base(oracle, xs, ys, (), None)) == 1
+        ys = [ys[0], ys[1] + 1, *ys[2:]]
+        assert RC._decode_base(oracle, xs, ys, (), None) \
+            == reference_decode_base(oracle, xs, ys, (), None) == []
 
     def test_only_matching_patterns_are_rebuilt(self, monkeypatch):
         spec = mk_spec(rank=2, base_a=(2, 3), base_b=F(1, 3), S={1})

@@ -332,6 +332,23 @@ class TestFactorTable:
             assert [[(p.den, p.nums) for p in side] for side in got] \
                 == [[(p.den, p.nums) for p in side] for side in want], (spec.algebra, spec.S)
 
+    def test_a_spilling_d_factor_product_is_refused(self):
+        # b = d^40000: two d-carrying factors in one x_1.1 or y_1.1 would hold
+        # d^80000, past the exponent limit; one factor per side fits
+        b = Poly(1, 1, {(0, 40000): 1})
+        x1 = Generator("x", 1)
+        for S in ({1}, {2}):
+            spec = mk_spec(rank=1, loop_vars=1, base_b=b, S=S)
+            with pytest.raises(DomainError):
+                R.base_action_polys(spec)
+            with pytest.raises(DomainError):
+                act(spec, x1, spec.one())
+        for S in ((), {1, 2}):
+            spec = mk_spec(rank=1, loop_vars=1, base_b=b, S=S)
+            xs, ys = R.base_action_polys(spec)
+            assert xs[0].total_degree() == ys[0].total_degree() == 40000, S
+            assert act(spec, x1, spec.one()).total_degree() == 40000, S
+
     def test_factor_counts_are_the_reference_lengths(self):
         for spec in TABLE_GRID:
             alg = spec.algebra

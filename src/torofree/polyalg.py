@@ -547,9 +547,15 @@ class Poly:
     # -- variable shifts ---------------------------------------------------
 
     def shift(self, deltas: Sequence[int]) -> "Poly":
-        """Substitute every variable v_p by v_p - deltas[p] (binomial expansion)."""
+        """Substitute every variable v_p by v_p - deltas[p] (binomial expansion);
+        StructureError on an entry that is not an int (a bool is one)."""
         if len(deltas) != self.l + self.n:
             raise StructureError("shift vector has wrong length")
+        # checked here, not in _moved: its cache finds the entry made for
+        # Fraction(1, 2) when asked for 0.5, and the one made for 1 for 1.0
+        for d in deltas:
+            if not isinstance(d, int):
+                raise StructureError(f"shift amount {d!r} is not an integer")
         moved = _moved(tuple(deltas))
         if not moved:
             return self
@@ -900,11 +906,20 @@ class ShiftOperator:
 # -- spec-level operations -------------------------------------------------
 
 
+def _h_position(i: int, p: Poly) -> int:
+    """The slot of H_i in p's exponent tuples, with the errors of
+    ``VarId("H", i).position(p.l, p.n)`` and no VarId built."""
+    if i < 1:
+        raise StructureError(f"variable index must be positive, got {i}")
+    if i > p.l:
+        raise StructureError(f"H{i} out of range for l={p.l}")
+    return i - 1
+
+
 def shift_sigma(i: int, k: int, p: Poly) -> Poly:
     """Apply sigma_i^k: H_i -> H_i - k."""
-    pos = VarId("H", i).position(p.l, p.n)
     deltas = [0] * (p.l + p.n)
-    deltas[pos] = k
+    deltas[_h_position(i, p)] = k
     return p.shift(deltas)
 
 
@@ -912,8 +927,7 @@ def shift_tau(a: Sequence[int], p: Poly) -> Poly:
     """Apply tau^a: d_j -> d_j - a_j for each j."""
     if len(a) != p.n:
         raise StructureError(f"tau vector length {len(a)} != n={p.n}")
-    deltas = [0] * p.l + [int(x) for x in a]
-    return p.shift(deltas)
+    return p.shift([0] * p.l + list(a))
 
 
 def deg_in(v: VarId, p: Poly) -> int:
@@ -921,7 +935,7 @@ def deg_in(v: VarId, p: Poly) -> int:
     s = SLOT_BITS * v.position(p.l, p.n)
     if not p.nums:
         return -1
-    return max(key >> s & MAX_SLOT_EXPONENT for key in p.nums)
+    return max([key >> s & MAX_SLOT_EXPONENT for key in p.nums])
 
 
 def shift_difference(mode: str, k: int, i: int, p: Poly) -> Poly:
@@ -930,6 +944,8 @@ def shift_difference(mode: str, k: int, i: int, p: Poly) -> Poly:
     mode "power_minus_id":  (sigma_i^k - Id)(p), k != 0
     mode "difference_power": (sigma_i - Id)^k (p), k >= 0
     """
+    if not isinstance(k, int):
+        raise StructureError(f"shift amount {k!r} is not an integer")
     if mode == "power_minus_id":
         if k == 0:
             raise DomainError("power_minus_id requires k != 0")
@@ -939,7 +955,7 @@ def shift_difference(mode: str, k: int, i: int, p: Poly) -> Poly:
             raise DomainError("difference_power requires k >= 0")
         # one pass: c * H_i^e goes to c times the row of (sigma_i - Id)^k H_i^e,
         # which is zero for e < k
-        s = SLOT_BITS * VarId("H", i).position(p.l, p.n)
+        s = SLOT_BITS * _h_position(i, p)
         out: dict[int, int] = {}
         for key, c in p.nums.items():
             e = key >> s & MAX_SLOT_EXPONENT

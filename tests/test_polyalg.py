@@ -25,6 +25,7 @@ from torofree.polyalg import (
     Poly,
     ShiftOperator,
     VarId,
+    _moved,
     _shift_row,
     deg_in,
     divides,
@@ -113,6 +114,43 @@ class TestShifts:
     def test_tau_length_check(self):
         with pytest.raises(StructureError):
             shift_tau((1,), D1)
+
+    @pytest.mark.parametrize("amount", [1.7, 0.5, 1.0, -2.0, Fraction(1, 2), Fraction(2), "1"])
+    def test_every_entry_point_refuses_an_amount_that_is_not_an_int(self, amount):
+        # shift_tau used to truncate through int(), so that (1.7, 0) moved d1
+        # by 1 and (1/2, 0) not at all; the others raised a TypeError whose
+        # text followed what the caches had seen
+        bad = f"shift amount {amount!r} is not an integer"
+        p = H1**3 * D1 + D2 - 4
+        for call in (lambda: p.shift((0, amount, 0, 0)),
+                     lambda: shift_tau((0, amount), p),
+                     lambda: shift_sigma(1, amount, p),
+                     lambda: shift_difference("power_minus_id", amount, 1, p),
+                     lambda: shift_difference("difference_power", amount, 2, p),
+                     lambda: shift_difference("difference_power", amount, 2, Poly.zero(L, N))):
+            with pytest.raises(StructureError) as err:
+                call()
+            assert str(err.value) == bad
+
+    def test_the_refusal_does_not_follow_the_shift_cache(self):
+        # the cache of moved slots finds the entry of Fraction(1, 2) for 0.5
+        # and that of 1 for 1.0; each call still names its own amount
+        _moved((Fraction(1, 2), 0, 0, 0))
+        assert H1.shift((1, 0, 0, 0)) == H1 - 1
+        for amount in (Fraction(1, 2), 0.5, 1.0):
+            for call in (lambda: H1.shift((amount, 0, 0, 0)),
+                         lambda: shift_difference("power_minus_id", amount, 1, H1 * H1)):
+                with pytest.raises(StructureError) as err:
+                    call()
+                assert str(err.value) == f"shift amount {amount!r} is not an integer"
+
+    def test_int_and_bool_amounts_shift_as_before(self):
+        p = H1 * H1 * D1
+        assert shift_tau((True, False), p) == shift_tau((1, 0), p) == H1 * H1 * (D1 - 1)
+        assert shift_sigma(1, True, p) == shift_sigma(1, 1, p) == (H1 - 1) * (H1 - 1) * D1
+        assert p.shift((False, True, 0, 0)) == p.shift((0, 1, 0, 0)) == p
+        assert shift_difference("difference_power", True, 1, p) == shift_sigma(1, 1, p) - p
+        assert shift_difference("power_minus_id", True, 1, p) == shift_sigma(1, 1, p) - p
 
     def test_shift_row_matches_the_binomial_formula(self):
         for e in range(41):
@@ -732,6 +770,24 @@ class TestApplyPaths:
 class TestDegrees:
     def test_deg_of_zero_is_minus_one(self):
         assert deg_in(VarId("H", 1), Poly.zero(L, N)) == -1
+
+    @pytest.mark.parametrize("i", [0, -1, L + 1])
+    def test_bad_h_index_errors_are_unchanged(self, i):
+        # the same texts as VarId("H", i).position(l, n)
+        want = (f"H{i} out of range for l={L}" if i > 0
+                else f"variable index must be positive, got {i}")
+        p = H1 * H2 + D1
+        for call in (lambda: shift_sigma(i, 1, p),
+                     lambda: shift_difference("power_minus_id", 2, i, p),
+                     lambda: shift_difference("difference_power", 2, i, p),
+                     lambda: shift_difference("difference_power", 0, i, p),
+                     lambda: shift_difference("difference_power", 1, i, Poly.zero(L, N))):
+            with pytest.raises(StructureError) as err:
+                call()
+            assert str(err.value) == want
+        with pytest.raises(StructureError) as err:
+            VarId("H", i).position(L, N)
+        assert str(err.value) == want
 
     def test_deg_reads_exponent(self):
         assert deg_in(VarId("H", 1), H1 * H1 * D1 + 3) == 2

@@ -293,6 +293,41 @@ class TestLemmaPa:
         assert rep.passed
         assert rep.cases_run == 200 * 16
 
+    def test_passing_reports_are_frozen(self):
+        # frozen while every case was recorded one by one
+        reports = [V.lemma_pa_property(samples=40, ranks=ranks, seed=seed).to_dict()
+                   for ranks in ((1, 0), (1, 1), (2, 0), (2, 1), (3, 2)) for seed in range(30)]
+        assert all(r["passed"] and r["cases_run"] == 40 * 16 for r in reports)
+        assert _digest(reports) == \
+            "1c51064a5e935eaaee407b91967a8fdbda2e99e08eca0c39d6618f2b31ee867b"
+
+    @pytest.mark.parametrize("ranks,seed,samples,digest,first_input", [
+        ((2, 1), 5, 30, "7beff6bf0dc583a5d792e73436bff3b961ab94fd6e15c52ed0bfeb2c6dda1b14",
+         "7*H1^4*H2*d1 - 9*H1^3*H2*d1^2 - 4*H1^2*H2^3 + 8*H2*d1 + 6"),
+        ((1, 0), 3, 20, "dbbf62d9158af4669452b34797ddea08a3dd550e79bfdaba4b63cd9ed1829516",
+         "4*H1^6 - 9*H1^4"),
+        ((3, 2), 9, 25, "1e05f8ed8f42f11da8716d4eeb63c53cbead517ba9a1211e1456be849d971f36",
+         "-4*H2^2*d1^3 - 9*H2^2*H3^2 - 7*d1*d2 - 8*d2^2"),
+    ])
+    def test_planted_defect_report_is_frozen(self, monkeypatch, ranks, seed, samples,
+                                             digest, first_input):
+        # (sigma_i - Id)^2 answered with p added: one failing case in each
+        # sample's sixteen, between passing ones; frozen while every case was
+        # recorded one by one, so the counting of passes cannot move it
+        real = V.shift_difference
+
+        def planted(mode, k, i, p):
+            out = real(mode, k, i, p)
+            return out + p if mode == "difference_power" and k == 2 else out
+
+        monkeypatch.setattr(V, "shift_difference", planted)
+        data = V.lemma_pa_property(samples=samples, ranks=ranks, seed=seed).to_dict()
+        assert data["cases_run"] == samples * 16 and len(data["failures"]) == samples
+        assert all(list(f) == ["mode", "input", "lhs", "rhs", "difference"]
+                   and f["mode"] == "difference_power k'=2" for f in data["failures"])
+        assert data["failures"][0]["input"] == first_input
+        assert _digest(data) == digest
+
     def test_specific_degrees(self):
         from torofree.polyalg import VarId, deg_in, shift_difference
 

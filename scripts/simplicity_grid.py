@@ -2,7 +2,7 @@
 """Sweep the A-family simplicity grid and tabulate prediction vs. search.
 
 For every (l, b, S) on the grid the script prints the predicted verdict, the
-witness-search outcome (principal polynomial or finite-quotient certificate),
+witness-search outcome (principal polynomial or invariant point set),
 and, for predicted-simple points, whether cyclicity succeeds from seeded
 random elements.  Exits nonzero on any disagreement.
 
@@ -57,8 +57,7 @@ def main() -> int:
                 if rep.witness is not None:
                     what = f"witness {rep.witness.text()}"
                 elif rep.quotient_cert is not None:
-                    qc = rep.quotient_cert
-                    what = f"quotient dim={qc.dim} weights={qc.weights}"
+                    what = f"point set size={rep.quotient_cert.to_dict()['size']}"
                 else:
                     what = "none"
                 cyc = "-"

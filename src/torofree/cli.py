@@ -290,8 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--maxdeg", type=int, default=6)
     p.add_argument("--window", help="loop-degree window 'lo:hi'")
     p.add_argument("--dim-bound", type=int, default=None, dest="dim_bound",
-                   help="largest irrep dimension the quotient scan tries, 0..search."
-                        "MAX_DIM_BOUND = 500 (default: grows with --maxdeg)")
+                   help="most points of an invariant point set (the dimension of its "
+                        "quotient), 0..search.MAX_DIM_BOUND = 500 (default: grows with --maxdeg)")
     p.set_defaults(fn=cmd_witness)
 
     p = sub.add_parser("recover", help="recover parameters from the module action")

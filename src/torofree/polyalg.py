@@ -764,6 +764,9 @@ class ShiftOperator:
             u = tuple(u)
             if len(u) != l + n:
                 raise StructureError(f"shift {u} has the wrong length for ranks ({l},{n})")
+            for d in u:  # before _moved and _shift_row cache it, as in Poly.shift
+                if not isinstance(d, int):
+                    raise StructureError(f"shift amount {d!r} is not an integer")
             if (f.l, f.n) != (l, n):
                 raise StructureError(f"coefficient ranks {f.ranks} do not match {(l, n)}")
             if f.nums:

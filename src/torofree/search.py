@@ -1,46 +1,37 @@
 """Submodule witness search, exact certificates and the cyclicity search.
 
 A witness certifies that a module is not simple: a nonzero proper invariant
-ideal of the carrier.  Certificates come in two exact, independently
+ideal of the carrier.  Certificates come in three exact, independently
 verified kinds:
 
 * principal: a monic polynomial p in the H-variables with
   p | (x_i.1) sigma_i(p) and p | (y_i.1) sigma_i^{-1}(p) for all i, so the
   ideal (p) is invariant.  Complete for l = 1 once maxdeg reaches the
-  quotient's dimension (invariant-ideal factor chains terminate on both
-  sides only along integer-shift intervals, and a chain's length is the
-  codimension of its ideal); below that the quotient scan still certifies,
-  e.g. l = 1, b = 5, S = FULL at maxdeg 6 has only the dim-11 quotient, so
-  the scan runs at l = 1 too.
+  codimension (invariant-ideal factor chains terminate on both sides only
+  along integer-shift intervals, and a chain's length is the codimension of
+  its ideal); below that a point set still certifies.
+
+* point set: a finite set Z of integer weights w = (l + 1) h that obeys the
+  closure rule of point_set_search, so I(Z) is invariant
+  (verify_point_set).  I(Z) is H-only, so every T_tau^r fixes it: it holds
+  at every loop degree.  For l >= 2 the edge-pattern submodules have finite
+  codimension and are never principal, so this is what
+  submodule_witness_search reports where the principal search finds none.
 
 * quotient: an irreducible V(m) of sl_{l+1} in its Gelfand-Tsetlin basis
-  (H diagonal, h_j the weight of basis vector j) plus v0 != 0, given in
-  those coordinates, such that f -> f(H) v0 has an invariant kernel, which
-  is then a nonzero proper invariant ideal.  verify_quotient_certificate
-  proves the invariance for every polynomial on every windowed generator
-  from the generators' shift operators; nothing is sampled.  For l >= 2 the
-  edge-pattern submodules have finite codimension and are never principal
-  (their generators share no common factor), so this second kind is what a
-  witness search must produce.  In two H-variables every proper invariant
-  ideal has either a nontrivial gcd (principal witness) or finite
-  codimension (quotient witness), so the two kinds jointly cover l <= 2 at
-  the searched bounds.
-
-Before the quotient scan builds an irrep, point_set_search looks for the
-finite point set that the weight support of such a v0 would be; where there
-is none up to the bound, the scan ends with that proof.
+  plus v0 != 0 such that f -> f(H) v0 has an invariant kernel
+  (verify_quotient_certificate).  The weight support of v0 obeys the
+  closure rule, and Q[H]/I(Z) of a closed Z has an irreducible quotient of
+  dimension at most |Z|, so a point set of at most k points exists iff such
+  a quotient of dimension at most k does; the scan stays as a reference.
+  In two H-variables every proper invariant ideal has a nontrivial gcd or
+  finite codimension, so the kinds jointly cover l <= 2 at the bounds.
 
 The rule these searches arbitrate is ``repmods.simplicity_rule``.  The
 exact linear algebra (``Echelon``, ``nullspace``) serves both the quotient
-scan and ``cyclicity_check``.  ``Echelon`` takes sparse rows of ints or
-Fractions and eliminates on integers: the quotient scan's base-condition
-rows (Gelfand-Tsetlin entries, which are Fractions, scaled by the common
-denominator of the integer values of x_i.1 and y_i.1 at the weights) are
-first brought over their common denominator, and ``cyclicity_check`` hands
-it each image's integer numerators as they are.  The witness searches read the
-factors of x_i.1 and y_i.1 as the integer rows of ``repmods.affine_factors``;
-the principal search orders its orbits by those rows and tries its chains on
-the integer numerators of each orbit's factor constants.
+scan and ``cyclicity_check`` and eliminates on integers.  The witness
+searches read the factors of x_i.1 and y_i.1 as the integer rows of
+``repmods.affine_factors``.
 """
 
 from __future__ import annotations
@@ -477,6 +468,18 @@ def verify_point_set(spec: ModuleSpec, points: Iterable[Sequence[int]]) -> bool:
     return bool(z)
 
 
+class PointSetCert:
+    """An invariant point set Z as sorted integer weights w = scale * h."""
+
+    def __init__(self, scale: int, points: Iterable[Sequence[int]]):
+        self.scale = scale
+        self.points = sorted(tuple(w) for w in points)
+
+    def to_dict(self) -> dict:
+        return {"kind": "point_set", "scale": self.scale,
+                "points": [list(w) for w in self.points], "size": len(self.points)}
+
+
 # -- quotient certificates -------------------------------------------------------
 
 
@@ -783,9 +786,9 @@ def verify_quotient_certificate(
 # (the weight filter alone left 4 of the 156 l = 3 irreps up to 1000 to
 # build, 0.2 s; 2-core machine, Python 3.11)
 MAX_DEFAULT_DIM_BOUND = 220
-# the largest quotient bound a search accepts: a simple point builds no irrep
-# at any bound, and the dim-495 certificate V(8 w_4) of M(l = 4, b = 8/5,
-# S = FULL) takes 0.26 s (2-core machine, Python 3.11)
+# the largest bound a search accepts: a closure is given up once it passes
+# the bound, and the 495-point set of M(l = 4, b = 8/5, S = FULL) (the weights of
+# V(8 w_4)) takes ~0.1 s (2-core machine, Python 3.11)
 MAX_DIM_BOUND = 500
 
 
@@ -794,7 +797,7 @@ class WitnessReport:
         self,
         found: bool,
         witness: Poly | None = None,
-        quotient_cert: QuotientCert | None = None,
+        quotient_cert: PointSetCert | QuotientCert | None = None,
         checked_degree_bound: int = 0,
         checked_dim_bound: int = 0,
         checked_loop_window: list | None = None,
@@ -832,11 +835,12 @@ def submodule_witness_search(
     """Search for an invariant-ideal certificate at the given bounds.
 
     A bound of 0 skips that search (maxdeg for the principal one, dim_bound
-    for the quotient scan); a negative bound is a DomainError, and so is a
+    for the point sets); a negative bound is a DomainError, and so is a
     maxdeg above MAX_EXPONENT, since an l = 1 witness that long could not be
     parsed back, and so is a dim_bound above MAX_DIM_BOUND (see its
-    comment).  A principal witness ends the search before the quotient
-    scan, so its report says checked_dim_bound 0.
+    comment).  A principal witness ends the search, so its report says
+    checked_dim_bound 0; else a closure of at most dim_bound points is
+    reported as a PointSetCert.
     """
     if spec.algebra.variant == "witt":
         raise DomainError("witness search applies to finite/toroidal/full variants")
@@ -869,16 +873,18 @@ def submodule_witness_search(
             verified=ok,
             notes="principal invariant ideal",
         )
-    cert = quotient_certificate_search(spec, dim_bound, window)
-    if cert is not None:
+    points = point_set_search(spec, dim_bound) if dim_bound else None
+    if points is not None:
+        ok = verify_point_set(spec, points)
         return WitnessReport(
-            found=True,
-            quotient_cert=cert,
+            found=ok,
+            quotient_cert=PointSetCert(spec.algebra.rank + 1, points) if ok else None,
             checked_degree_bound=maxdeg,
             checked_dim_bound=dim_bound,
             checked_loop_window=window,
-            verified=True,
-            notes="finite-codimension invariant ideal (module-map kernel)",
+            verified=ok,
+            notes="finite-codimension invariant ideal I(Z); H-only, so T_tau^r "
+                  "fixes it at every loop degree",
         )
     return WitnessReport(
         found=False,

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import RescalingEchelon, mat_comm, mat_is_zero, mat_sub, mk_spec
-from torofree import recovery as RC, repmods as R, search as SR
+from torofree import classify, recovery as RC, repmods as R, search as SR
 from torofree.checks import random_poly
 from torofree.errors import ClassificationError, DomainError
 from torofree.polyalg import MAX_EXPONENT, Poly, divides, unpack_exponent
@@ -591,9 +591,14 @@ class TestCombinedSearch:
             return verify(spec, cert, loop_window)
 
         monkeypatch.setattr(SR, "verify_quotient_certificate", counted)
-        report = SR.submodule_witness_search(toroidal(2, F(1, 3), {1, 2, 3}), 4, window)
-        assert report.verified and report.quotient_cert.dim == 3
+        spec = toroidal(2, F(1, 3), {1, 2, 3})
+        report = SR.submodule_witness_search(spec, 4, window)
+        # the combined search reports the point set and checks no quotient certificate
+        assert report.verified and calls == []
+        cert = SR.quotient_certificate_search(spec, report.checked_dim_bound, window)
+        assert cert.dim == 3
         assert calls == [window]
+        assert report_points(report.to_dict()) == v0_support(cert)
 
     def test_rank_3_default_dim_bound_reaches_the_edge_quotient(self):
         # A_3, b = 1, S = FULL: the certificate is V(0,0,4), of dimension
@@ -602,7 +607,10 @@ class TestCombinedSearch:
         window = [(-1,), (0,), (1,)]
         report = SR.submodule_witness_search(spec, 10, window)
         assert report.found and report.verified and report.checked_dim_bound == 35
-        assert (report.quotient_cert.weights, report.quotient_cert.dim) == ((0, 0, 4), 35)
+        cert = SR.quotient_certificate_search(spec, 35, window)
+        assert (cert.weights, cert.dim) == ((0, 0, 4), 35)
+        assert report_points(report.to_dict()) == v0_support(cert)
+        assert report.quotient_cert.to_dict()["size"] == 35
         assert not R.simplicity_predict(spec)
 
     def test_default_dim_bound_is_rank_aware_and_capped(self):
@@ -617,14 +625,19 @@ class TestCombinedSearch:
 
     def test_l1_needs_the_quotient_scan(self):
         # no principal witness up to degree 6; only the dim-11 quotient
-        # V(10) certifies non-simplicity, so the l = 1 scan must stay
+        # V(10), whose weight support is the 11-point set the search
+        # reports, certifies non-simplicity at l = 1
         spec = toroidal(1, 5, {1, 2})
         assert SR.principal_witness_search(spec, 6) is None
         report = SR.submodule_witness_search(spec, 6, WIN1, dim_bound=13)
         assert report.found and report.verified
-        cert = report.quotient_cert
+        cert = SR.quotient_certificate_search(spec, 13, WIN1)
         assert cert is not None and (cert.dim, cert.weights) == (11, (10,))
         assert SR.verify_quotient_certificate(spec, cert, WIN1)
+        assert report_points(report.to_dict()) == v0_support(cert)
+        assert report.quotient_cert.to_dict() == {
+            "kind": "point_set", "scale": 2, "points": [[w] for w in range(-10, 11, 2)],
+            "size": 11}
 
 
 # the edge patterns are non-simple at b = 0, 1, 1/3, 1/2, 2/3 (S = FULL) and
@@ -672,14 +685,31 @@ class TestQuotientWeightFilter:
         assert rejected > 4000
 
     def test_witness_reports_are_frozen(self):
+        # the reference reports (principal search, else quotient scan) were
         # computed on the scan without the weight filter
-        reports = []
+        reports, current = [], []
         for l, S, b in filter_grid():
             for spec, window in ((mk_spec(rank=l, base_b=b, S=S), None),
                                  (toroidal(l, b, S), [(-1,), (0,), (1,)])):
                 for maxdeg, dim_bound in ((6, None), (2, 40)):
-                    reports.append(
-                        SR.submodule_witness_search(spec, maxdeg, window, dim_bound).to_dict())
+                    report = SR.submodule_witness_search(spec, maxdeg, window, dim_bound)
+                    current.append(report.to_dict())
+                    reports.append(reference_witness_report(spec, report))
+        # the current search reports a point set where the reference has a
+        # quotient certificate, and nothing else moves
+        for new, old in zip(current, reports):
+            if old["quotient_cert"] is None:
+                assert new == old
+                continue
+            assert new["notes"] == POINT_SET_NOTES
+            assert {k: v for k, v in new.items() if k not in ("quotient_cert", "notes")} \
+                == {k: v for k, v in old.items() if k not in ("quotient_cert", "notes")}
+            cert = old["quotient_cert"]
+            assert report_points(new) == v0_support(SR.QuotientCert(
+                tuple(cert["weights"]), cert["dim"], tuple(F(c) for c in cert["v0"])))
+        blob = json.dumps(current, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == \
+            "c5d8fdb1bff408fe656dd4c2bb563a2a40ede265db633531268b1ae7b65cd14a"
         assert sum(r["quotient_cert"] is not None for r in reports) == 40
         # a principal witness ends the search before the quotient scan runs
         principal = [r for r in reports if r["notes"] == "principal invariant ideal"]
@@ -825,6 +855,54 @@ class TestPointSets:
         assert sum(c is not None for c in got) >= 4
 
 
+class TestPointSetReports:
+    """The witness search's point-set reports, read off the generator
+    operators rather than through verify_point_set."""
+
+    @staticmethod
+    def at_point(f, w, l):
+        """f at h = w / (l + 1) as a polynomial in d: {d-exponents: nonzero value}."""
+        out = {}
+        for e, c in f.terms.items():
+            value = c * math.prod(F(x, l + 1) ** k for x, k in zip(w, e[:l]))
+            out[e[l:]] = out.get(e[l:], 0) + value
+        return {e: v for e, v in out.items() if v}
+
+    def test_point_sets_hold_at_every_loop_degree(self):
+        # f T_u p = f(H, d) p(H - u_H, d - r): zero at every z of Z for every
+        # p in I(Z) iff f(z, d) = 0 or z - u_H is in Z, whatever r is
+        window = [(r,) for r in range(-3, 4)]
+        checked = 0
+        for l, S, b in filter_grid():
+            for spec in (toroidal(l, b, S),
+                         mk_spec(rank=l, loop_vars=1, variant="full", cocycle=(2, -3),
+                                 lam=(2,), witt_a=1, base_b=b, S=S)):
+                for maxdeg, dim_bound in ((6, None), (2, 40)):
+                    report = SR.submodule_witness_search(spec, maxdeg, [(-1,), (0,), (1,)],
+                                                         dim_bound)
+                    if report.quotient_cert is None:
+                        continue
+                    z = report_points(report.to_dict())
+                    for gen in R.generators_for(spec, window):
+                        for u, f in R.generator_operator(spec, gen).terms.items():
+                            step = [(l + 1) * x for x in u[:l]]
+                            for w in z:
+                                assert not self.at_point(f, w, l) \
+                                    or tuple(a - s for a, s in zip(w, step)) in z, \
+                                    (l, S, b, gen, w)
+                    checked += 1
+        assert checked == 40
+
+    def test_a_planted_point_is_rejected(self, monkeypatch):
+        spec = toroidal(2, F(1, 3), {1, 2, 3})
+        points = SR.point_set_search(spec, 10)
+        planted = points | {(30, 30)}
+        assert SR.verify_point_set(spec, points) and not SR.verify_point_set(spec, planted)
+        monkeypatch.setattr(SR, "point_set_search", lambda spec, max_points: planted)
+        report = SR.submodule_witness_search(spec, 4, [(0,)]).to_dict()
+        assert (report["found"], report["verified"], report["quotient_cert"]) == (False, False, None)
+
+
 class TestBaseConditionRows:
     """The integer base-condition rows are the rows of the Fraction values,
     each block of one x_i.1 or y_i.1 scaled by one positive factor."""
@@ -845,19 +923,36 @@ class TestBaseConditionRows:
 
     def test_every_irrep_the_search_grid_scans(self, monkeypatch):
         W = load_workloads()
-        scanned = []
+        scanned, searched = [], []
         rows = SR._base_condition_rows
         monkeypatch.setattr(SR, "_base_condition_rows",
                             lambda *args: scanned.append(args) or rows(*args))
+        witness = SR.submodule_witness_search
+
+        def recorded(spec, maxdeg, window, dim_bound):
+            report = witness(spec, maxdeg, window, dim_bound)
+            searched.append((spec, window, report))
+            return report
+
+        monkeypatch.setattr(classify, "submodule_witness_search", recorded)
         for seed in range(1, 6):
             for job in W.build("search", seed):
+                before = len(scanned)
                 assert job.run() is None
+                assert len(scanned) == before  # the witness search builds no irrep
                 spec = grid_spec(job)
                 if spec.algebra.rank == 1 and spec.base_b.as_scalar().denominator == 1:
                     # the l = 1 edge points: a principal witness or the point
                     # sets end their search before any sl_2 irrep is built,
                     # and where a finite point set exists the scan still runs
                     SR.quotient_certificate_search(spec, 13)
+        # the scan at the bound of each point-set report finds the quotient
+        # whose weight support is that set
+        assert any(report.quotient_cert is not None for _, _, report in searched)
+        for spec, window, report in searched:
+            if report.quotient_cert is not None:
+                cert = SR.quotient_certificate_search(spec, report.checked_dim_bound, window)
+                assert report_points(report.to_dict()) == v0_support(cert)
         monkeypatch.undo()
         # sl_2 and sl_3 irreps: 10 scans on seeds 1-5, one V(2) and one V(1, 0)
         # or V(0, 1) per seed (30, up to sl_2 dim 13, before the point sets)
@@ -901,6 +996,43 @@ class TestBaseConditionRows:
                         h = [F(x, l + 1) for x in w]
                         for d in (0, 1, F(-3, 2)):
                             assert value.eval([d]) == p.eval(h + [d]), (p.text(), w, d)
+
+
+POINT_SET_NOTES = ("finite-codimension invariant ideal I(Z); H-only, so T_tau^r fixes it at "
+                   "every loop degree")
+
+
+def reference_witness_report(spec, report):
+    """The report of the combined search before point-set reports, the
+    principal search else the quotient scan, at the bounds of a report of the
+    current search, as a dict."""
+    if report.notes == "principal invariant ideal":
+        return report.to_dict()
+    window = report.checked_loop_window
+    cert = SR.quotient_certificate_search(spec, report.checked_dim_bound, window)
+    return SR.WitnessReport(
+        found=cert is not None,
+        quotient_cert=cert,
+        checked_degree_bound=report.checked_degree_bound,
+        checked_dim_bound=report.checked_dim_bound,
+        checked_loop_window=window,
+        verified=cert is not None,
+        notes="finite-codimension invariant ideal (module-map kernel)" if cert
+        else "no witness at the searched bounds",
+    ).to_dict()
+
+
+def v0_support(cert):
+    """The integer weights (l + 1) h_j of the basis vectors where v0 is nonzero."""
+    rep = SR.irrep_A(len(cert.weights), cert.weights)
+    return {w for w, c in zip(rep.h_int, cert.v0) if c}
+
+
+def report_points(report):
+    """The integer weights of the Z of a point-set report's to_dict()."""
+    cert = report["quotient_cert"]
+    assert cert["kind"] == "point_set" and cert["size"] == len(cert["points"])
+    return {tuple(w) for w in cert["points"]}
 
 
 def at_weights(p, rep):

@@ -211,6 +211,21 @@ class TestShiftOperators:
         assert A.compose(B) == ShiftOperator(L, N, {(1, 0, 1, 0): H1 * (H1 - 1)})
         assert A.bracket(B) == ShiftOperator(L, N, {(1, 0, 1, 0): -H1})
 
+    def test_a_shift_amount_that_is_not_an_int_is_refused(self):
+        # such an operator used to reach the caches of apply: after
+        # ShiftOperator(1, 1, {(1.0, 0): 1}).apply(H1^3), _shift_row's entry
+        # for 1.0 held floats, so (H1^3).shift((1, 0)) came back with float
+        # numerators and its text() raised TypeError
+        _moved.cache_clear()
+        _shift_row.cache_clear()
+        h1 = Poly.H(1, 1, 1)
+        with pytest.raises(StructureError) as err:
+            ShiftOperator(1, 1, {(1.0, 0): Poly.const(1, 1, 1)}).apply(h1**3)
+        assert str(err.value) == "shift amount 1.0 is not an integer"
+        cube = (h1**3).shift((1, 0))
+        assert all(type(c) is int for c in cube.nums.values())
+        assert cube.text() == "H1^3 - 3*H1^2 + 3*H1 - 1"
+
     def test_zero_terms_dropped_and_text(self):
         op = ShiftOperator(L, N, {(0, 0, 0, 0): Poly.zero(L, N), (0, -1, 0, 0): H2 - 1})
         assert list(op.terms) == [(0, -1, 0, 0)]

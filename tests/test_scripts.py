@@ -5,7 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from conftest import src_env
+from conftest import mk_spec, src_env
+from torofree import search
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -24,11 +25,23 @@ def test_simplicity_grid_l1():
 
 
 def test_simplicity_grid_l3():
-    # the l = 3 edge quotients are V(0,0,4) and V(0,0,8), of dimension 35 and 165
+    # the l = 3 edge quotients are V(0,0,4) and V(0,0,8), of dimension 35 and
+    # 165; the script reports their weight supports, the invariant point sets
     proc = run_script("simplicity_grid.py", "--lmax", "3", "--seeds", "1")
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "quotient dim=165 weights=(0, 0, 8)" in proc.stdout
+    assert "point set size=165" in proc.stdout
     assert "all grid points agree" in proc.stdout
+    # the script's b = 2, S = FULL point at its maxdeg 18 and window -2:2
+    spec = mk_spec(rank=3, loop_vars=1, variant="toroidal", lam=(2,), base_b=2,
+                   S={1, 2, 3, 4})
+    window = [(-2,), (-1,), (0,), (1,), (2,)]
+    report = search.submodule_witness_search(spec, 18, window)
+    assert report.checked_dim_bound == 165
+    cert = search.quotient_certificate_search(spec, 165, window)
+    assert (cert.dim, cert.weights) == (165, (0, 0, 8))
+    rep = search.irrep_A(3, cert.weights)
+    assert {tuple(w) for w in report.quotient_cert.to_dict()["points"]} \
+        == {w for w, c in zip(rep.h_int, cert.v0) if c}
 
 
 def test_recovery_demo():

@@ -23,7 +23,8 @@ verified kinds:
   (verify_quotient_certificate).  The weight support of v0 obeys the
   closure rule, and Q[H]/I(Z) of a closed Z has an irreducible quotient of
   dimension at most |Z|, so a point set of at most k points exists iff such
-  a quotient of dimension at most k does; the scan stays as a reference.
+  a quotient of dimension at most k does; the scan, which reads neither the
+  affine factors nor the closure, stays as the point sets' reference.
   In two H-variables every proper invariant ideal has a nontrivial gcd or
   finite codimension, so the kinds jointly cover l <= 2 at the bounds.
 
@@ -386,8 +387,7 @@ def witness_verify(spec: ModuleSpec, p: Poly, loop_window: Iterable | None = Non
 # -- invariant point sets -------------------------------------------------------
 
 
-def point_set_search(spec: ModuleSpec, max_points: int,
-                     seeds: list[tuple[int, ...]] | None = None) -> frozenset | None:
+def point_set_search(spec: ModuleSpec, max_points: int) -> frozenset | None:
     """A finite invariant point set of at most max_points points, or None.
 
     With x_i.p = f_i p(H - e_i) and y_i.p = g_i p(H + e_i), a finite set Z
@@ -407,12 +407,7 @@ def point_set_search(spec: ModuleSpec, max_points: int,
     if not _quotient_scan_applies(spec):
         raise DomainError("point sets are searched for the A family with a scalar b")
     x_forms, y_forms = repmods.affine_factors(spec)
-    seeds = _integer_zeros(x_forms) if seeds is None else seeds
-    if seeds is None:
-        # each system picks l distinct forms H_k - H_(k-1), k = 1..l + 1,
-        # and any l of them are independent
-        raise StructureError("the common zeros of the x_i.1 are no finite list")
-    for seed in seeds:
+    for seed in _integer_zeros(x_forms):
         points = _closure(seed, x_forms, y_forms, max_points)
         if points is not None:
             return frozenset(points)
@@ -452,18 +447,22 @@ def _closure(seed: tuple[int, ...], x_forms: Sequence, y_forms: Sequence,
 def verify_point_set(spec: ModuleSpec, points: Iterable[Sequence[int]]) -> bool:
     """True iff the integer weights w = (l + 1) h are a nonempty set that
     obeys the closure rule of point_set_search, with x_i.1 and y_i.1
-    evaluated as polynomials (base_action_polys) at each h."""
+    evaluated as polynomials (base_action_polys) at each w by
+    _weight_numerators.  StructureError on a point that is not l ints."""
     if not _quotient_scan_applies(spec):
         raise DomainError("point sets are checked for the A family with a scalar b")
-    l, n = spec.ranks
+    l = spec.ranks[0]
     size = l + 1
-    z = {tuple(w) for w in points}
+    members = {tuple(w) for w in points}
+    if any(len(w) != l or not all(isinstance(x, int) for x in w) for w in members):
+        raise StructureError(f"a point must be {l} integer weights")
+    z = list(members)
     xs, ys = base_action_polys(spec)
-    for w in z:
-        h = [Fraction(x, size) for x in w] + [0] * n
-        for i in range(l):
-            for poly, step in ((xs[i], -size), (ys[i], size)):
-                if poly.eval(h) and w[:i] + (w[i] + step,) + w[i + 1:] not in z:
+    for i in range(l):
+        for poly, step in ((xs[i], -size), (ys[i], size)):
+            # b is a scalar, so the value at w is its d-free numerator
+            for w, acc in zip(z, _weight_numerators(poly, z)[1]):
+                if acc.get(0, 0) and w[:i] + (w[i] + step,) + w[i + 1:] not in members:
                     return False
     return bool(z)
 
@@ -500,15 +499,15 @@ class QuotientCert:
         }
 
 
-def _weight_numerators(p: Poly, rep: IrrepA) -> tuple[int, list[dict]]:
-    """(D, [{d-part key: numerator} for each basis weight h_j]): p(h_j, d) is
-    the sum of numerator / D times the monomial of Q[d] with that key.
+def _weight_numerators(p: Poly, weights: Iterable[Sequence[int]]) -> tuple[int, list[dict]]:
+    """(D, [{d-part key: numerator} for each integer weight w_j = (l + 1) h_j]):
+    p(h_j, d) is the sum of numerator / D times the monomial of Q[d] with
+    that key.
 
-    With e the largest degree of an H-monomial of p and w_j = (l + 1) h_j the
-    integer weights, D is the denominator of p times (l + 1)^e.  Numerators
-    that cancel are kept as 0.
+    With e the largest degree of an H-monomial of p, D is the denominator of
+    p times (l + 1)^e.  Numerators that cancel are kept as 0.
     """
-    l = rep.rank
+    l = p.l
     size = l + 1
     low = SLOT_BITS * l
     h_block = (1 << low) - 1
@@ -520,11 +519,12 @@ def _weight_numerators(p: Poly, rep: IrrepA) -> tuple[int, list[dict]]:
         for beta, h, c in split
     ]
     out = []
-    for w in rep.h_int:
+    for w in weights:
         acc: dict = {}
         for beta, powers, c in monomials:
-            value = math.prod((w[k] ** e for k, e in powers), start=c)
-            acc[beta] = acc.get(beta, 0) + value
+            for k, e in powers:
+                c *= w[k] ** e
+            acc[beta] = acc.get(beta, 0) + c
         out.append(acc)
     return p.den * size**top, out
 
@@ -534,38 +534,17 @@ def quotient_certificate_search(
 ) -> QuotientCert | None:
     """Scan irreducibles of dimension <= dim_bound for an intertwining vector.
 
-    A kernel vector of the base conditions is returned only once
-    verify_quotient_certificate accepts it at loop_window.
-
-    Let v0 != 0 solve X_i v0 = (x_i.1)(H) v0 and Y_i v0 = (y_i.1)(H) v0.
-    X_i maps weight nu - e_i to nu and Y_i maps nu + e_i to nu, so a
-    nu-component of v0 with (x_i.1)(nu) != 0 needs a nonzero
-    (nu - e_i)-component, and one with (y_i.1)(nu) != 0 a nonzero
-    (nu + e_i)-component: the weight support of v0 obeys the closure rule of
-    point_set_search, has at most dim V(m) points and holds a seed's
-    closure.  So where point_set_search finds no closure of at most
-    dim_bound points, no irrep is built and "searched up to dim_bound" is
-    proved.  Otherwise V(m) needs a weight where all the x_i.1 vanish (the
-    least of the support) and one where all the y_i.1 vanish (the largest):
-    the solutions of the systems that pick one factor per row
-    (_common_zeros), met by a majorization test (_weight_key), before V(m)
-    is built.  A side whose zeros are no finite list filters nothing, and a
-    side with no zero ends the scan.
+    Every V(m) up to dim_bound is built in _dominant_weights order, and the
+    first kernel vector v0 of the base conditions X_i v0 = (x_i.1)(H) v0,
+    Y_i v0 = (y_i.1)(H) v0 that verify_quotient_certificate accepts at
+    loop_window is returned.  Nothing is pruned: the scan is the reference
+    that the point sets are held against.
     """
     if not _quotient_scan_applies(spec):
         return None
-    x_forms, y_forms = repmods.affine_factors(spec)
-    seeds = _integer_zeros(x_forms)
-    if point_set_search(spec, dim_bound, seeds) is None:
-        return None
     l = spec.algebra.rank
-    sides = [_common_zeros(x_forms, seeds), _common_zeros(y_forms)]
-    if set() in sides:
-        return None
     xs, ys = base_action_polys(spec)
     for weights in _dominant_weights(l, dim_bound):
-        if not all(keys is None or _has_weight(weights, keys) for keys in sides):
-            continue
         rep = irrep_A(l, weights)
         kernel = nullspace(_base_condition_rows(xs, ys, rep), rep.dim)
         if kernel:
@@ -593,14 +572,14 @@ def _base_condition_rows(xs: list[Poly], ys: list[Poly], rep: IrrepA) -> Iterato
     """
     for i in range(rep.rank):
         for op, poly in ((rep.x_mats[i], xs[i]), (rep.y_mats[i], ys[i])):
-            den, values = _weight_numerators(poly, rep)
+            den, values = _weight_numerators(poly, rep.h_int)
             for r, acc in enumerate(values):
                 row = {c: den * x for c, x in op[r].items()}
                 row[r] = row.get(r, 0) - acc.get(0, 0)
                 yield row
 
 
-def _integer_zeros(form_lists: Sequence[Sequence[tuple]]) -> list[tuple[int, ...]] | None:
+def _integer_zeros(form_lists: Sequence[Sequence[tuple]]) -> list[tuple[int, ...]]:
     """Integer weights w = (l + 1) h of the points h where every list has a
     vanishing factor, each once, in the order the systems are solved.
 
@@ -608,12 +587,14 @@ def _integer_zeros(form_lists: Sequence[Sequence[tuple]]) -> list[tuple[int, ...
     per y_i.1; a factor (row, c) is the equation row . H = -c.  Each choice
     of one factor per list is a system of l equations, solved by integer
     elimination; a unique solution h is kept when (l + 1) h is an integer
-    vector (every weight of every V(m) is one).  None when a consistent
-    system has more than one solution: the zeros are then no finite list.
-    The systems are l x l and many, so the elimination is kept here rather
-    than routed through nullspace, which gives the same keys on the 120
-    scalar-A specs of the search workload's seeds 1-5 at ~92 us per spec
-    against ~24 us (2-core machine, Python 3.11).
+    vector (every weight of every V(m) is one).  StructureError when a
+    consistent system has more than one solution, as the zeros are then no
+    finite list; no A-family spec reaches it, since each system picks l
+    distinct forms H_k - H_(k-1), k = 1..l + 1, and any l of them are
+    independent.  The systems are l x l and many, so the elimination is
+    kept here rather than routed through nullspace, which gives the same
+    zeros on the 120 scalar-A specs of the search workload's seeds 1-5 at
+    ~92 us per spec against ~24 us (2-core machine, Python 3.11).
     """
     l = len(form_lists)
     size = l + 1
@@ -636,56 +617,11 @@ def _integer_zeros(form_lists: Sequence[Sequence[tuple]]) -> list[tuple[int, ...
         if any(eq[l] for eq in m[rank:]):
             continue
         if rank < l:
-            return None
+            raise StructureError("the common zeros of the x_i.1 are no finite list")
         # pivots sit on the diagonal: (l + 1) h_k = (l + 1) c_k / a_kk
         if all(size * eq[l] % eq[k] == 0 for k, eq in enumerate(m)):
             zeros[tuple(size * eq[l] // eq[k] for k, eq in enumerate(m))] = None
     return list(zeros)
-
-
-def _common_zeros(form_lists: Sequence[Sequence[tuple]], zeros: list | None = None) -> set | None:
-    """The _weight_keys of the _integer_zeros (``zeros``, when the caller has
-    solved them) that are weights of some V(m); None when the zeros are no
-    finite list."""
-    zeros = _integer_zeros(form_lists) if zeros is None else zeros
-    return None if zeros is None else {key for key in map(_weight_key, zeros) if key is not None}
-
-
-def _weight_key(w: Sequence[int]) -> tuple[int, tuple[int, ...]] | None:
-    """Majorization data of h = w / (l + 1): (r, (P_1, .., P_l)), or None.
-
-    With w_0 = w_{l+1} = 0 and d_i = w_i - w_{i-1}, h is a weight of V(m)
-    iff mu_i = (d_i + |lambda|) / (l + 1) is a gl_{l+1} weight of it, where
-    lambda_i = m_i + .. + m_l (the H_i eigenvalue of a Gelfand-Tsetlin
-    pattern is its row-i sum minus i |lambda| / (l + 1)).  So every d_i is
-    r mod l + 1, else h is no weight of any V(m) (None), and P_k sums the k
-    largest d_i.
-    """
-    size = len(w) + 1
-    d = [b - a for a, b in zip((0, *w), (*w, 0))]
-    r = d[0] % size
-    if any(x % size != r for x in d):
-        return None
-    return r, tuple(itertools.accumulate(sorted(d, reverse=True)))[:-1]
-
-
-def _has_weight(weights: Sequence[int], keys: Iterable) -> bool:
-    """True iff some _weight_key is of a weight of V(weights).
-
-    h is a weight iff mu is an integer vector, i.e. |lambda| + r = 0 mod
-    l + 1, and the sorted mu is majorized by lambda: its k largest entries
-    sum to at most lambda_1 + .. + lambda_k, i.e. P_k + k |lambda| <=
-    (l + 1)(lambda_1 + .. + lambda_k), for k = 1..l (at k = l + 1 both sums
-    are |lambda|).  Integers throughout.
-    """
-    size = len(weights) + 1
-    top = [sum(weights[i:]) for i in range(size)]
-    total = sum(top)
-    bounds = list(itertools.accumulate(size * x - total for x in top))
-    for r, prefix in keys:
-        if (total + r) % size == 0 and all(p <= b for p, b in zip(prefix, bounds)):
-            return True
-    return False
 
 
 def _dominant_weights(l: int, dim_bound: int) -> list[tuple[int, ...]]:
@@ -768,7 +704,7 @@ def verify_quotient_certificate(
             key = (u[:l], f.scale(inverse[r]))
             if key in held:
                 continue
-            den, values = _weight_numerators(key[1], rep)
+            den, values = _weight_numerators(key[1], rep.h_int)
             for acc, x, mx in zip(values, v0, image):
                 # (F / lambda^r)(h_j, d) v0_j is the constant (M v0)_j
                 if acc.get(0, 0) * x != den * mx or (x and any(c for e, c in acc.items() if e)):
@@ -782,13 +718,13 @@ def verify_quotient_certificate(
 
 # the default quotient bound from rank 3 on stops here, and reports carry it
 # as checked_dim_bound: the point sets rule out every irrep of the simple
-# point M(b = 1, S = {}) in ~40 us at l = 3 and 4, at 220 or 1000 alike
-# (the weight filter alone left 4 of the 156 l = 3 irreps up to 1000 to
-# build, 0.2 s; 2-core machine, Python 3.11)
+# point M(b = 1, S = {}) in ~20 us at l = 3 and 4, at 220 or 1000 alike
+# (2-core machine, Python 3.11)
 MAX_DEFAULT_DIM_BOUND = 220
 # the largest bound a search accepts: a closure is given up once it passes
-# the bound, and the 495-point set of M(l = 4, b = 8/5, S = FULL) (the weights of
-# V(8 w_4)) takes ~0.1 s (2-core machine, Python 3.11)
+# the bound, and the 495-point set of M(l = 4, b = 8/5, S = FULL) (the weights
+# of V(8 w_4)) is reported in ~11 ms, ~3 ms of it in verify_point_set
+# (2-core machine, Python 3.11)
 MAX_DIM_BOUND = 500
 
 

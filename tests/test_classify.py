@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from conftest import RescalingEchelon, mat_comm, mat_is_zero, mat_sub, mk_spec
 from torofree import classify, recovery as RC, repmods as R, search as SR
 from torofree.checks import random_poly
-from torofree.errors import ClassificationError, DomainError
+from torofree.errors import ClassificationError, DomainError, StructureError
 from torofree.polyalg import MAX_EXPONENT, Poly, divides, unpack_exponent
 from torofree.repmods import Generator
 
@@ -497,7 +497,7 @@ class TestQuotientCertificates:
         evaluated = []
         numerators = SR._weight_numerators
         monkeypatch.setattr(SR, "_weight_numerators",
-                            lambda p, rep: evaluated.append(p) or numerators(p, rep))
+                            lambda p, weights: evaluated.append(p) or numerators(p, weights))
         assert SR.verify_quotient_certificate(lift, cert, WIN1)
         assert len(evaluated) == 4
 
@@ -507,6 +507,20 @@ class TestQuotientCertificates:
         for b, ok in ((Poly.parse("d1 - 2/3", 2, 1), False), (F(1, 3), True)):
             spec = mk_spec(rank=2, loop_vars=1, base_b=b, S={1, 2, 3})
             assert SR.verify_quotient_certificate(spec, cert) == ok
+
+
+# the edge patterns are non-simple at b = 0, 1, 1/3, 1/2, 2/3 (S = FULL) and
+# b = -2, -4/3 (S = {}), for some of l = 1, 2, 3; 5/7 is simple everywhere
+FILTER_BS = (F(0), F(1), F(-2), F(1, 3), F(-4, 3), F(1, 2), F(2, 3), F(5, 7))
+
+
+def filter_grid():
+    """(l, S, b) for l in {1, 2, 3}, every S and every b of FILTER_BS."""
+    for l in (1, 2, 3):
+        for k in range(l + 2):
+            for S in itertools.combinations(range(1, l + 2), k):
+                for b in FILTER_BS:
+                    yield l, S, b
 
 
 class TestCombinedSearch:
@@ -570,7 +584,7 @@ class TestCombinedSearch:
         for dim_bound in (None, 10):
             report = SR.submodule_witness_search(spec, 3, dim_bound=dim_bound)
             assert not report.found and report.checked_dim_bound == 0
-        # a scan the weight filter ends before any irrep is built still counts
+        # a search whose point sets find no closure still claims its bound
         report = SR.submodule_witness_search(mk_spec(rank=2, base_b=F(1, 3), S={1}), 3)
         assert not report.found and report.checked_dim_bound == 6
 
@@ -639,54 +653,9 @@ class TestCombinedSearch:
             "kind": "point_set", "scale": 2, "points": [[w] for w in range(-10, 11, 2)],
             "size": 11}
 
-
-# the edge patterns are non-simple at b = 0, 1, 1/3, 1/2, 2/3 (S = FULL) and
-# b = -2, -4/3 (S = {}), for some of l = 1, 2, 3; 5/7 is simple everywhere
-FILTER_BS = (F(0), F(1), F(-2), F(1, 3), F(-4, 3), F(1, 2), F(2, 3), F(5, 7))
-
-
-def filter_grid():
-    """(l, S, b) for l in {1, 2, 3}, every S and every b of FILTER_BS."""
-    for l in (1, 2, 3):
-        for k in range(l + 2):
-            for S in itertools.combinations(range(1, l + 2), k):
-                for b in FILTER_BS:
-                    yield l, S, b
-
-
-class TestQuotientWeightFilter:
-    """The quotient scan rules an irrep out from its weights alone."""
-
-    def test_weight_test_matches_the_gelfand_tsetlin_weights(self):
-        for l in (1, 2, 3):
-            for weights in SR._dominant_weights(l, 64):
-                h_ints = set(SR.build_irrep_A(l, weights).h_int)
-                # every point of denominator l + 1 in a box one step past the weights
-                r = max(abs(x) for w in h_ints for x in w) + 1
-                for w in itertools.product(range(-r, r + 1), repeat=l):
-                    key = SR._weight_key(w)
-                    assert (key is not None and SR._has_weight(weights, [key])) \
-                        == (w in h_ints), (weights, w)
-
-    def test_rejected_irreps_have_no_kernel_vector(self):
-        rejected = 0
-        for l, S, b in filter_grid():
-            spec = mk_spec(rank=l, base_b=b, S=S)
-            sides = [SR._common_zeros(forms) for forms in R.affine_factors(spec)]
-            assert None not in sides
-            xs, ys = R.base_action_polys(spec)
-            for weights in SR._dominant_weights(l, 40):
-                if all(SR._has_weight(weights, keys) for keys in sides):
-                    continue
-                rejected += 1
-                rep = SR.irrep_A(l, weights)
-                assert SR.nullspace(SR._base_condition_rows(xs, ys, rep), rep.dim) == [], \
-                    (l, S, b, weights)
-        assert rejected > 4000
-
     def test_witness_reports_are_frozen(self):
-        # the reference reports (principal search, else quotient scan) were
-        # computed on the scan without the weight filter
+        # the reference reports: the principal search, else the plain quotient
+        # scan
         reports, current = [], []
         for l, S, b in filter_grid():
             for spec, window in ((mk_spec(rank=l, base_b=b, S=S), None),
@@ -725,34 +694,6 @@ class TestQuotientWeightFilter:
         assert hashlib.sha256(blob).hexdigest() == \
             "dbf7df50825e0e983e959833d6e50c704be26bdbd75d82f5feb0b4fc36b8043c"
 
-    def test_common_zeros_fall_back_or_end_the_scan(self):
-        # h = (1, 2) on the second choice; the first, H1 = 1 and H1 = 0, has no zero
-        assert SR._common_zeros([[((1, 0), -1)], [((1, 0), 0), ((0, 1), -2)]]) \
-            == {SR._weight_key((3, 6))}
-        # a line of common zeros: no finite list
-        assert SR._common_zeros([[((1, -1), 0)], [((2, -2), 0)]]) is None
-        # a row with no factor has no zero
-        assert SR._common_zeros([[((1, 0), 0)], []]) == set()
-
-    @settings(max_examples=300, deadline=None)
-    @given(data=st.data())
-    def test_common_zeros_match_a_nullspace_solve(self, data):
-        # coefficients in {0, +-1, +-2} make singular and inconsistent
-        # systems common
-        l = data.draw(st.integers(1, 3))
-        coeff = st.sampled_from([0, 0, 1, -1, 2, -2])
-        lists = [[(tuple(data.draw(coeff) for _ in range(l)), data.draw(st.integers(-6, 6)))
-                  for _ in range(data.draw(st.integers(0, 3)))]
-                 for _ in range(l)]
-        assert SR._common_zeros(lists) == reference_common_zeros(lists)
-
-    def test_a_side_without_zeros_builds_no_irrep(self, monkeypatch):
-        # S = {1}: x_1.1 is a nonzero constant, so no irrep carries a kernel vector
-        built = []
-        monkeypatch.setattr(SR, "irrep_A", lambda *args: built.append(args))
-        assert SR.quotient_certificate_search(mk_spec(rank=2, base_b=F(1, 3), S={1}), 64) is None
-        assert built == []
-
 
 # ROADMAP item 2's b grid: integer and fractional edges of l = 1..4 on both
 # sides of 0, and b off every edge
@@ -764,20 +705,19 @@ POINT_SET_BOUNDS = {1: 60, 2: 60, 3: 60, 4: 126}
 
 
 class TestPointSets:
-    """The point-set closure that rules out the quotient scan, against the
-    scan without it and against verify_point_set's own check of the rule."""
+    """The point-set closure against the quotient scan, which reads neither
+    the closure nor the affine factors, and against verify_point_set's own
+    check of the rule."""
 
     @pytest.mark.parametrize("l", [1, 2, 3, 4])
-    def test_closure_matches_the_ungated_scan(self, l, monkeypatch):
+    def test_closure_matches_the_ungated_scan(self, l):
         bound = POINT_SET_BOUNDS[l]
         found = 0
         for S in subsets(l + 1):
             for b in POINT_SET_BS:
                 spec = mk_spec(rank=l, base_b=b, S=S)
                 points = SR.point_set_search(spec, bound)
-                with monkeypatch.context() as m:
-                    m.setattr(SR, "point_set_search", lambda *args: frozenset())
-                    cert = SR.quotient_certificate_search(spec, bound)
+                cert = SR.quotient_certificate_search(spec, bound)
                 if points is None:
                     # the closure's proof: no certificate up to the bound
                     assert cert is None, (S, b)
@@ -817,42 +757,95 @@ class TestPointSets:
             with pytest.raises(DomainError):
                 check(c_spec, points)
 
+    def test_verify_point_set_matches_the_polynomial_values(self):
+        # against reference_verify_point_set, which evaluates x_i.1 and y_i.1
+        # with Poly.eval at h = w / (l + 1): every set of the grid, the set
+        # with one point dropped and the set with one point planted next to it
+        checked = 0
+        for l in (1, 2, 3, 4):
+            for S in subsets(l + 1):
+                for b in POINT_SET_BS:
+                    spec = mk_spec(rank=l, base_b=b, S=S)
+                    points = SR.point_set_search(spec, POINT_SET_BOUNDS[l])
+                    if points is None:
+                        continue
+                    top = max(points)
+                    planted = top[:-1] + (top[-1] + l + 1,)
+                    for z in (points, points - {sorted(points)[len(points) // 2]},
+                              points | {planted}):
+                        assert SR.verify_point_set(spec, z) \
+                            == reference_verify_point_set(spec, z), (l, S, b, len(z))
+                    checked += 1
+        assert checked == 32
+        spec = mk_spec(rank=2, base_b=F(1, 3), S={1, 2, 3})
+        assert SR.verify_point_set(spec, []) is reference_verify_point_set(spec, []) is False
+
+    def test_verify_point_set_rejects_malformed_points(self):
+        spec = mk_spec(rank=2, base_b=F(1, 3), S={1, 2, 3})
+        points = SR.point_set_search(spec, 10)
+        # a point off the set, so the union cannot absorb it into an equal one
+        for bad in ((30,), (30, 30, 30), (F(30), 30), (30, 30.0), ("30", 30)):
+            with pytest.raises(StructureError):
+                SR.verify_point_set(spec, points | {bad})
+
     def test_simple_points_build_no_irrep(self, monkeypatch):
         calls = []
-        for name in ("build_irrep_A", "nullspace"):
+        for name in ("irrep_A", "build_irrep_A", "nullspace"):
             monkeypatch.setattr(SR, name, lambda *args, f=getattr(SR, name), name=name:
                                 calls.append(name) or f(*args))
-        spec = mk_spec(rank=3, base_b=1, S=())
-        assert SR.quotient_certificate_search(spec, 1000) is None
+        report = SR.submodule_witness_search(mk_spec(rank=3, base_b=1, S=()), 0,
+                                             dim_bound=SR.MAX_DIM_BOUND)
+        assert not report.found and report.checked_dim_bound == SR.MAX_DIM_BOUND
         # a ray ends the closure, whatever the cap
         assert SR.point_set_search(mk_spec(rank=1, base_b=-3, S={1, 2}), 10**9) is None
         assert calls == []
-        # the weight filter alone passes 4 of the 156 irreps up to dim 1000
-        monkeypatch.setattr(SR, "point_set_search", lambda *args: frozenset())
-        assert SR.quotient_certificate_search(spec, 1000) is None
-        assert calls.count("nullspace") == 4
 
-    def test_the_scan_solves_each_side_once(self, monkeypatch):
-        # the weight filter reuses the x-side seeds that point_set_search solved
-        calls = []
-        solve = SR._integer_zeros
-        monkeypatch.setattr(SR, "_integer_zeros", lambda lists: calls.append(1) or solve(lists))
-        assert SR.quotient_certificate_search(mk_spec(rank=2, base_b=F(1, 3), S={1, 2, 3}), 10)
-        assert len(calls) == 2
-        calls.clear()
-        assert SR.quotient_certificate_search(mk_spec(rank=3, base_b=1, S=()), 1000) is None
-        assert len(calls) == 1
+    def test_the_scan_reads_no_point_set_code(self, monkeypatch):
+        # the certificates of TestQuotientCertificates' specs, with the point
+        # sets' closure and seeds unreachable
+        def refuse(*args):
+            raise AssertionError("the quotient scan reached the point-set code")
 
-    def test_reused_seeds_give_the_same_certificates(self, monkeypatch):
-        # against the scan that solves the x side again for the weight filter
-        specs = [mk_spec(rank=l, base_b=b, S=S) for l in (1, 2) for S in subsets(l + 1)
-                 for b in (F(1), F(-2), F(1, 3), F(-4, 3), F(2, 3), F(5, 7))]
-        got = [SR.quotient_certificate_search(spec, 13) for spec in specs]
-        common = SR._common_zeros
-        monkeypatch.setattr(SR, "_common_zeros", lambda lists, zeros=None: common(lists))
-        want = [SR.quotient_certificate_search(spec, 13) for spec in specs]
-        assert [c and c.to_dict() for c in got] == [c and c.to_dict() for c in want]
-        assert sum(c is not None for c in got) >= 4
+        for name in ("point_set_search", "_closure", "_integer_zeros"):
+            monkeypatch.setattr(SR, name, refuse)
+        certs = [SR.quotient_certificate_search(mk_spec(rank=2, base_b=b, S=S), bound)
+                 for b, S, bound in ((0, {1, 2, 3}, 16), (F(1, 3), {1, 2, 3}, 16),
+                                     (1, {1, 2, 3}, 16), (1, (), 16), (F(1, 3), {1}, 12),
+                                     (F(1, 3), {1, 2, 3}, 8))]
+        assert [c and (c.weights, c.dim, [str(x) for x in c.v0]) for c in certs] == [
+            ((0, 0), 1, ["1"]),
+            ((0, 1), 3, ["1", "-1", "1"]),
+            ((0, 3), 10, ["36", "-36", "36", "18", "-18", "9", "-6", "6", "-3", "1"]),
+            None,
+            None,
+            ((0, 1), 3, ["1", "-1", "1"]),
+        ]
+
+    def test_integer_zeros_of_a_point_a_line_and_an_empty_row(self):
+        # h = (1, 2) on the second choice; the first, H1 = 1 and H1 = 0, has no zero
+        assert SR._integer_zeros([[((1, 0), -1)], [((1, 0), 0), ((0, 1), -2)]]) == [(3, 6)]
+        # a line of common zeros: no finite list
+        with pytest.raises(StructureError, match="no finite list"):
+            SR._integer_zeros([[((1, -1), 0)], [((2, -2), 0)]])
+        # a row with no factor has no zero
+        assert SR._integer_zeros([[((1, 0), 0)], []]) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_integer_zeros_match_a_nullspace_solve(self, data):
+        # coefficients in {0, +-1, +-2} make singular and inconsistent
+        # systems common
+        l = data.draw(st.integers(1, 3))
+        coeff = st.sampled_from([0, 0, 1, -1, 2, -2])
+        lists = [[(tuple(data.draw(coeff) for _ in range(l)), data.draw(st.integers(-6, 6)))
+                  for _ in range(data.draw(st.integers(0, 3)))]
+                 for _ in range(l)]
+        want = reference_integer_zeros(lists)
+        if want is None:
+            with pytest.raises(StructureError):
+                SR._integer_zeros(lists)
+        else:
+            assert SR._integer_zeros(lists) == want
 
 
 class TestPointSetReports:
@@ -942,9 +935,8 @@ class TestBaseConditionRows:
                 assert len(scanned) == before  # the witness search builds no irrep
                 spec = grid_spec(job)
                 if spec.algebra.rank == 1 and spec.base_b.as_scalar().denominator == 1:
-                    # the l = 1 edge points: a principal witness or the point
-                    # sets end their search before any sl_2 irrep is built,
-                    # and where a finite point set exists the scan still runs
+                    # the l = 1 edge points: the scan builds the sl_2 irreps
+                    # up to dim 13 that the witness search never builds
                     SR.quotient_certificate_search(spec, 13)
         # the scan at the bound of each point-set report finds the quotient
         # whose weight support is that set
@@ -954,8 +946,8 @@ class TestBaseConditionRows:
                 cert = SR.quotient_certificate_search(spec, report.checked_dim_bound, window)
                 assert report_points(report.to_dict()) == v0_support(cert)
         monkeypatch.undo()
-        # sl_2 and sl_3 irreps: 10 scans on seeds 1-5, one V(2) and one V(1, 0)
-        # or V(0, 1) per seed (30, up to sl_2 dim 13, before the point sets)
+        # sl_2 and sl_3 irreps on seeds 1-5: 210 from the 20 sl_2 scans, and 12
+        # up to dim 3 from the scans at the 5 point-set reports
         assert {rep.rank for _, _, rep in scanned} == {1, 2}
         for xs, ys, rep in scanned:
             self.assert_rows_match(xs, ys, rep, "search grid")
@@ -1037,7 +1029,7 @@ def report_points(report):
 
 def at_weights(p, rep):
     """p(h_j, d) for each basis weight h_j: the H-block evaluated, d kept."""
-    den, values = SR._weight_numerators(p, rep)
+    den, values = SR._weight_numerators(p, rep.h_int)
     return [Poly._reduced(0, p.n, den, {e: v for e, v in acc.items() if v}) for acc in values]
 
 
@@ -1051,11 +1043,12 @@ def reference_base_condition_rows(xs, ys, rep):
                 yield row
 
 
-def reference_common_zeros(form_lists):
-    """_common_zeros by a nullspace solve: the zeros of the forms chosen one
-    per list are the kernel vectors (h, 1) of their rows (row, c)."""
+def reference_integer_zeros(form_lists):
+    """_integer_zeros by a nullspace solve: the zeros of the forms chosen one
+    per list are the kernel vectors (h, 1) of their rows (row, c); None where
+    the solved zeros are no finite list."""
     l = len(form_lists)
-    keys = set()
+    zeros = {}
     for system in itertools.product(*form_lists):
         rows = [{k: x for k, x in enumerate((*row, c)) if x} for row, c in system]
         basis = SR.nullspace(rows, l + 1)
@@ -1065,10 +1058,24 @@ def reference_common_zeros(form_lists):
             return None  # a consistent system with more than one solution
         w = [(l + 1) * x / basis[0][l] for x in basis[0][:l]]
         if all(x.denominator == 1 for x in w):
-            key = SR._weight_key([int(x) for x in w])
-            if key is not None:
-                keys.add(key)
-    return keys
+            zeros[tuple(int(x) for x in w)] = None
+    return list(zeros)
+
+
+def reference_verify_point_set(spec, points):
+    """verify_point_set with x_i.1 and y_i.1 evaluated by Poly.eval at
+    h = w / (l + 1) and d = 0."""
+    l, n = spec.ranks
+    size = l + 1
+    z = {tuple(w) for w in points}
+    xs, ys = R.base_action_polys(spec)
+    for w in z:
+        h = [F(x, size) for x in w] + [0] * n
+        for i in range(l):
+            for poly, step in ((xs[i], -size), (ys[i], size)):
+                if poly.eval(h) and w[:i] + (w[i] + step,) + w[i + 1:] not in z:
+                    return False
+    return bool(z)
 
 
 def reference_cyclicity(spec, w, max_word_len):

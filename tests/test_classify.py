@@ -800,6 +800,41 @@ class TestPointSets:
         assert SR.point_set_search(mk_spec(rank=1, base_b=-3, S={1, 2}), 10**9) is None
         assert calls == []
 
+    def test_a_side_without_zeros_builds_no_closure(self, monkeypatch):
+        # S = {1}: x_1.1 is a nonzero constant, so there is no seed, and the
+        # plain scan finds no certificate either
+        spec = mk_spec(rank=2, base_b=F(1, 3), S={1})
+        x_forms, _ = R.affine_factors(spec)
+        assert SR._integer_zeros(x_forms) == []
+        calls = []
+        for name in ("_closure", "irrep_A", "build_irrep_A", "nullspace"):
+            monkeypatch.setattr(SR, name, lambda *args, f=getattr(SR, name), name=name:
+                                calls.append(name) or f(*args))
+        assert SR.point_set_search(spec, 64) is None
+        report = SR.submodule_witness_search(spec, 3, dim_bound=64)
+        assert not report.found and report.checked_dim_bound == 64
+        assert calls == []
+        monkeypatch.undo()
+        assert SR.quotient_certificate_search(spec, 64) is None
+
+    def test_irreps_off_the_zeros_have_no_kernel_vector(self):
+        # a kernel vector's lowest and highest weights are common zeros of
+        # the x_i.1 and of the y_i.1, so an irrep whose weights miss either
+        # side's _integer_zeros has none
+        rejected = 0
+        for l, S, b in filter_grid():
+            spec = mk_spec(rank=l, base_b=b, S=S)
+            sides = [set(SR._integer_zeros(forms)) for forms in R.affine_factors(spec)]
+            xs, ys = R.base_action_polys(spec)
+            for weights in SR._dominant_weights(l, 40):
+                rep = SR.irrep_A(l, weights)
+                if all(side & set(rep.h_int) for side in sides):
+                    continue
+                rejected += 1
+                assert SR.nullspace(SR._base_condition_rows(xs, ys, rep), rep.dim) == [], \
+                    (l, S, b, weights)
+        assert rejected > 4000
+
     def test_the_scan_reads_no_point_set_code(self, monkeypatch):
         # the certificates of TestQuotientCertificates' specs, with the point
         # sets' closure and seeds unreachable

@@ -16,15 +16,14 @@ asks again.
 The expected values are compared on integer numerators: H_i p and d_j p
 are key offsets of p, and the loop-scaling, lambda and Witt checks
 cross-multiply against lambda^r as an integer ratio instead of scaling a
-copy.  The decoder reads the factors of x_i.1 and y_i.1 from
-``repmods.factor_table`` (the one place they are written): the slot-1
-polynomial in b that gives the candidate b, and the integer forms each
-candidate is compared against in every slot.
+copy.  The decoder reads S off the H-degrees of x_i.1, in time linear in l,
+and from ``repmods.factor_table`` (the one place the factors are written)
+the slot-1 polynomial in b that gives the candidate b and the integer
+forms each candidate is compared against in every slot.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from collections.abc import Callable, Iterable, Sequence
@@ -420,37 +419,37 @@ def _decode_base(oracle, x_polys, y_polys, lam, witt_a) -> list[tuple]:
     """All (family, S, a, b) tuples whose module reproduces the oracle.
 
     At unit a, x_i.1 and y_i.1 are the products X_i and Y_i of their
-    ``repmods.factor_table`` factors, with the ``repmods.factor_sign``; a_i
-    and 1/a_i scale them.  Every factor is linear in H with a nonzero H
-    part, so a pattern whose factor counts differ from the H-degrees of the
-    read x_i.1 and y_i.1 is skipped.  At H = 0 the factors are c0/den + cb b,
-    so (x_i.1 * y_i.1)|_{H=0} is the slot polynomial P_i(b) of
-    ``slot_polynomials``, whatever a is: slot 1 gives the candidate b (the
-    roots of the A family's quadratic, or b = 0 in the C family, whose
-    slots carry no b).  A candidate holds iff x_i.1 = a_i X_i with a_i
-    nonzero and y_i.1 = Y_i / a_i in every slot, compared on integer
+    ``repmods.factor_table`` factors, with the ``repmods.factor_sign``; a_i and
+    1/a_i scale them.  Every factor is linear in H with a nonzero H part, so
+    ``_degree_patterns`` inverts the H-degrees of the read x_i.1 to the at most
+    two patterns S with those factor counts, and y_i.1 has the rest:
+    deg x_i.1 + deg y_i.1 = 2 in every slot of both families.
+    At H = 0 the factors are c0/den + cb b, so (x_i.1 * y_i.1)|_{H=0} is the
+    slot polynomial P_i(b) of ``slot_polynomials``, whatever a is: slot 1 gives
+    the candidate b (the roots of the A family's quadratic, or b = 0 in the C
+    family, whose slots carry no b).  A candidate holds iff x_i.1 = a_i X_i
+    with a_i nonzero and y_i.1 = Y_i / a_i in every slot, compared on integer
     numerators (``_pattern_scalars``); only then is its spec built
     (``_trial_spec``), which refuses a b the family or variant does not take.
     """
     l, n = oracle.ranks
-    degrees = (tuple(map(_h_degree, x_polys)), tuple(map(_h_degree, y_polys)))
+    x_degrees = tuple(map(_h_degree, x_polys))
+    if any(x + _h_degree(y) != 2 for x, y in zip(x_degrees, y_polys)):
+        return []
     h_block = (1 << SLOT_BITS * l) - 1
     # (x_1.1 y_1.1)|_{H=0} is x_1.1|_{H=0} y_1.1|_{H=0}
     at_zero = _h_free(x_polys[0], h_block) * _h_free(y_polys[0], h_block)
     roots: dict = {}
     ones = (Fraction(1),) * l
     found: list[tuple] = []
-    for family in ("A",) if l == 1 else ("A", "C"):
-        for S, counts, first in _patterns(family, l):
-            if counts != degrees:
+    for family, S, first in _degree_patterns(l, x_degrees):
+        for b in _slot_solutions(first, at_zero, roots):
+            a = _pattern_scalars(family, l, S, b, x_polys, y_polys)
+            if a is None or _trial_spec(oracle, family, ones, b, S, lam, witt_a) is None:
                 continue
-            for b in _slot_solutions(first, at_zero, roots):
-                a = _pattern_scalars(family, l, S, b, x_polys, y_polys)
-                if a is None or _trial_spec(oracle, family, ones, b, S, lam, witt_a) is None:
-                    continue
-                entry = (family, S, a, b)
-                if entry not in found:
-                    found.append(entry)
+            entry = (family, S, a, b)
+            if entry not in found:
+                found.append(entry)
     found.sort(key=_decode_key)
     return found
 
@@ -461,14 +460,21 @@ def _h_free(p: Poly, h_block: int) -> Poly:
 
 
 @lru_cache(maxsize=64)
-def _patterns(family: str, l: int) -> tuple[tuple, ...]:
-    """(S, factor counts, slot-1 polynomial) of every family-l pattern S, in
-    the decoder's order: S read as the bits of 1..l+1 (A) or 1..l (C)."""
-    smax = l + 1 if family == "A" else l
+def _degree_patterns(l: int, x_degrees: tuple[int, ...]) -> tuple[tuple, ...]:
+    """(family, S, slot-1 polynomial) of the patterns whose x_i.1 have the
+    H-degrees ``x_degrees``.  In ``repmods.factor_table``, deg x_i.1 =
+    1 + s_(i+1) - s_i with s_k = [k in S]: each s_1 walks to one S, over
+    slots 1..l in the A family (both survive only for {} and FULL, all
+    degrees 1), over 1..l-1 in the C family, which keeps the s_l whose x_l.1
+    is quadratic exactly when l is not in S.  So at most two patterns."""
     out = []
-    for bits in itertools.product((False, True), repeat=smax):
-        S = frozenset(i + 1 for i, in_s in enumerate(bits) if in_s)
-        out.append((S, repmods.factor_counts(family, l, S), slot_polynomials(family, l, S)[0]))
+    for family in ("A",) if l == 1 else ("A", "C"):
+        for bits in ([0], [1]):
+            for d in x_degrees[:l if family == "A" else l - 1]:
+                bits.append(bits[-1] + d - 1)
+            if set(bits) <= {0, 1} and (family == "A" or x_degrees[-1] == 2 - 2 * bits[-1]):
+                S = frozenset(k for k, bit in enumerate(bits, 1) if bit)
+                out.append((family, S, slot_polynomials(family, l, S)[0]))
     return tuple(out)
 
 

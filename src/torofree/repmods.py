@@ -392,12 +392,6 @@ def factor_sign(family: str, l: int, i: int, factors: tuple) -> int:
     return -1 if family == "C" and i == l and factors else 1
 
 
-def factor_counts(family: str, l: int, S: Iterable[int]) -> tuple[tuple[int, ...], ...]:
-    """The number of linear factors of each x_i.1 and of each y_i.1 of the
-    family-l modules with pattern S (len() of the ``factor_table`` lists)."""
-    return tuple(tuple(map(len, side)) for side in factor_table(family, l, frozenset(S)))
-
-
 def base_action_polys(spec: ModuleSpec) -> tuple[list[Poly], list[Poly]]:
     """([x_1.1, .., x_l.1], [y_1.1, .., y_l.1]) for the finite part: a_i (for
     x_i) or 1/a_i (for y_i) times the ``form_product`` of its factors."""

@@ -12,7 +12,7 @@ import pytest
 
 from torofree.algebras import AlgebraDesc
 from torofree.polyalg import Poly, shift_sigma
-from torofree.repmods import ModuleSpec
+from torofree.repmods import ModuleSpec, factor_table
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -59,6 +59,25 @@ def mk_spec(
         base_b=b,
         S=frozenset(S),
     )
+
+
+# -- the pattern enumeration that recovery inverts -----------------------------
+
+
+def factor_counts(family, l, S):
+    """The number of linear factors of each x_i.1 and of each y_i.1 of the
+    family-l modules with pattern S (len() of the ``factor_table`` lists)."""
+    return tuple(tuple(map(len, side)) for side in factor_table(family, l, frozenset(S)))
+
+
+def reference_patterns(l):
+    """(family, S) of every pattern of rank l, both families (only A at
+    l = 1), S read as the bits of 1..l+1 (A) or 1..l (C): the brute-force
+    enumeration the decoder's degree inversion is held against."""
+    for family in ("A",) if l == 1 else ("A", "C"):
+        smax = l + 1 if family == "A" else l
+        for bits in itertools.product((False, True), repeat=smax):
+            yield family, frozenset(i + 1 for i, in_s in enumerate(bits) if in_s)
 
 
 # -- dense reference matrix arithmetic ------------------------------------------

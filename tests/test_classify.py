@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import RescalingEchelon, mat_comm, mat_is_zero, mat_sub, mk_spec
+from conftest import (RescalingEchelon, factor_counts, mat_comm, mat_is_zero, mat_sub, mk_spec,
+                      reference_patterns)
 from torofree import classify, recovery as RC, repmods as R, search as SR
 from torofree.checks import random_poly
 from torofree.errors import ClassificationError, DomainError, StructureError
@@ -865,6 +867,18 @@ class TestPointSets:
         # a row with no factor has no zero
         assert SR._integer_zeros([[((1, 0), 0)], []]) == []
 
+    def test_integer_zeros_solve_at_most_two_systems(self):
+        # one system per choice of a factor of each x_i.1; where every x_i.1
+        # has one, the degrees 1 + s_(i+1) - s_i sum to l + s_(l+1) - s_1, so
+        # at most one slot has two
+        most = 0
+        for l in range(1, 13):
+            for S in subsets(l + 1):
+                counts = factor_counts("A", l, S)[0]
+                if all(counts):
+                    most = max(most, math.prod(counts))
+        assert most == 2
+
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_integer_zeros_match_a_nullspace_solve(self, data):
@@ -1322,44 +1336,69 @@ class TestRecovery:
 
 
 def reference_decode_base(oracle, x_polys, y_polys, lam, witt_a):
-    """Every (family, S) pattern rebuilt and compared, with no pruning by
-    degree: the decoder before the factor-count check."""
+    """Every (family, S) pattern of ``reference_patterns`` rebuilt and
+    compared, with no reading of S off the degrees: the decoder before the
+    factor-count check and its inversion."""
     l, n = oracle.ranks
     at_zero = [Poly(l, n, {e: c for e, c in (x * y).terms.items() if not any(e[:l])})
                for x, y in zip(x_polys, y_polys)]
     roots = [RC._poly_sqrt(at_zero[0].scale(4) + delta) for delta in (0, 1)]
     ones = (F(1),) * l
     found = []
-    for family in ("A",) if l == 1 else ("A", "C"):
-        smax = l + 1 if family == "A" else l
-        for bits in itertools.product((False, True), repeat=smax):
-            S = frozenset(i + 1 for i, in_s in enumerate(bits) if in_s)
-            if family == "C":
-                bs = [Poly.zero(l, n)]
-            else:
-                e = [int(not in_s) for in_s in bits]
-                root = roots[(e[0] - e[1]) ** 2]
-                signs = () if root is None else (1, -1) if root else (1,)
-                bs = [(root.scale(s) - e[0] - e[1]).scale(F(1, 2)) for s in signs]
-                bs = [b for b in bs if all(at_zero[i] == (b + e[i]) * (b + e[i + 1])
-                                           for i in range(1, l))]
-            for b in bs:
-                trial = RC._trial_spec(oracle, family, ones, b, S, lam, witt_a)
-                if trial is None:
-                    continue
-                xs, ys = R.base_action_polys(trial)
-                a = tuple(RC._scalar_ratio(x, X) for x, X in zip(x_polys, xs))
-                if all(a) and all(y == Y.scale(1 / a_i) for y, Y, a_i in zip(y_polys, ys, a)):
-                    entry = (family, S, a, b)
-                    if entry not in found:
-                        found.append(entry)
+    for family, S in reference_patterns(l):
+        if family == "C":
+            bs = [Poly.zero(l, n)]
+        else:
+            e = [int(k not in S) for k in range(1, l + 2)]
+            root = roots[(e[0] - e[1]) ** 2]
+            signs = () if root is None else (1, -1) if root else (1,)
+            bs = [(root.scale(s) - e[0] - e[1]).scale(F(1, 2)) for s in signs]
+            bs = [b for b in bs if all(at_zero[i] == (b + e[i]) * (b + e[i + 1])
+                                       for i in range(1, l))]
+        for b in bs:
+            trial = RC._trial_spec(oracle, family, ones, b, S, lam, witt_a)
+            if trial is None:
+                continue
+            xs, ys = R.base_action_polys(trial)
+            a = tuple(RC._scalar_ratio(x, X) for x, X in zip(x_polys, xs))
+            if all(a) and all(y == Y.scale(1 / a_i) for y, Y, a_i in zip(y_polys, ys, a)):
+                entry = (family, S, a, b)
+                if entry not in found:
+                    found.append(entry)
     found.sort(key=RC._decode_key)
     return found
 
 
+class TestDegreeInversion:
+    """``_degree_patterns`` reads S off the H-degrees of the x_i.1: it
+    returns exactly the patterns that the brute-force enumeration groups
+    under those factor counts, and nothing for degrees no pattern has."""
+
+    @pytest.mark.parametrize("l", range(1, 9))
+    def test_groups_of_the_enumeration(self, l):
+        groups = {}
+        for family, S in reference_patterns(l):
+            groups.setdefault(factor_counts(family, l, S), set()).add((family, S))
+        for counts, group in groups.items():
+            got = RC._degree_patterns(l, counts[0])
+            assert {(family, S) for family, S, _ in got} == group, (l, counts)
+            # two A patterns share degrees only at {} and FULL, where x_l.1 is
+            # linear and no C pattern has it
+            assert len(got) == len(group) <= 2
+            for family, S, first in got:
+                assert first == RC.slot_polynomials(family, l, S)[0]
+
+    @pytest.mark.parametrize("l", range(1, 5))
+    def test_degrees_no_pattern_has(self, l):
+        # every x-degree tuple over -1 (a zero x_i.1) .. 3
+        have = {factor_counts(family, l, S)[0] for family, S in reference_patterns(l)}
+        for degrees in itertools.product(range(-1, 4), repeat=l):
+            assert bool(RC._degree_patterns(l, degrees)) == (degrees in have), degrees
+
+
 class TestDecodePruning:
-    """Patterns whose factor counts differ from the read H-degrees are skipped
-    before they are rebuilt, and the decodings stay the same."""
+    """S is read off the H-degrees of the x_i.1, so only the at most two
+    patterns that have them are rebuilt, and the decodings stay the same."""
 
     @staticmethod
     def _decode_both(spec, lam=(), witt_a=None):
@@ -1394,6 +1433,59 @@ class TestDecodePruning:
                 got, want = self._decode_both(spec)
                 assert got == want and got, (l, S)
 
+    @pytest.mark.parametrize("l", [4, 5])
+    def test_every_pattern_of_both_families(self, l):
+        bs = (F(0), F(1), F(-2), F(1, 3), F(-5, 2))
+        for k, S in enumerate(subsets(l + 1)):
+            spec = mk_spec(rank=l, base_a=tuple(F(j + 2, 3) for j in range(l)),
+                           base_b=bs[k % len(bs)], S=S)
+            got, want = self._decode_both(spec)
+            assert got == want and got, ("A", l, S)
+        for S in subsets(l):
+            spec = mk_spec(family="C", rank=l, base_a=tuple(range(1, l + 1)), S=S)
+            got, want = self._decode_both(spec)
+            assert got == want and got, ("C", l, S)
+
+    @pytest.mark.parametrize("family,S,changes,compared", [
+        # a zero x_2.1
+        ("A", {1}, {("x", 2): lambda out: out.scale(0)}, ()),
+        # x_1.1 of H-degree 3 (S = {2} gives it two factors) with a zero
+        # y_1.1, so that the degrees still add up to 2
+        ("A", {2}, {("x", 1): lambda out: out * (Poly.H(2, 0, 1) + 1),
+                    ("y", 1): lambda out: out.scale(0)}, ()),
+        # y_1.1 of one degree more than x + y = 2 allows
+        ("A", {1}, {("y", 1): lambda out: out * (Poly.H(2, 0, 2) + 1)}, ()),
+        # the C family's x_2.1 is quadratic or constant, never linear; the
+        # A family's {} and FULL have these degrees
+        ("C", (), {("x", 2): lambda out: Poly.H(2, 0, 2) + 1,
+                   ("y", 2): lambda out: out * (Poly.H(2, 0, 2) - 1)}, ("A",)),
+    ])
+    def test_degrees_no_pattern_has_decode_to_nothing(self, monkeypatch, family, S, changes,
+                                                      compared):
+        # only patterns of the families in ``compared`` reach a comparison
+        spec = mk_spec(family=family, rank=2, base_a=(2, 3),
+                       base_b=F(1, 3) if family == "A" else 0, S=S)
+        oracle = RC.oracle_from_spec(spec)
+        seen = []
+        scalars = RC._pattern_scalars
+        monkeypatch.setattr(RC, "_pattern_scalars", lambda family, *rest: (
+            seen.append(family) or scalars(family, *rest)))
+
+        def eval_fn(gen, p):
+            out = oracle.eval(gen, p)
+            change = changes.get((gen.kind, gen.index))
+            return out if change is None else change(out)
+
+        bad = RC.ActionOracle(2, 0, "finite", eval_fn)
+        xs = [bad.eval(Generator("x", i, ()), bad.one()) for i in (1, 2)]
+        ys = [bad.eval(Generator("y", i, ()), bad.one()) for i in (1, 2)]
+        assert RC._decode_base(bad, xs, ys, (), None) \
+            == reference_decode_base(bad, xs, ys, (), None) == []
+        with pytest.raises(ClassificationError) as err:
+            RC.recover_parameters(bad)
+        assert err.value.violated == "generator-pattern"
+        assert set(seen) <= set(compared)
+
     def test_finite_n2_with_a_d_polynomial_b(self):
         b = Poly.parse("3*d1^2 - 1/2*d2", 2, 2)
         for S in subsets(3):
@@ -1424,8 +1516,8 @@ class TestDecodePruning:
         got = RC._decode_base(oracle, xs, ys, (), None)
         pruned = list(tried)
         assert got == reference_decode_base(oracle, xs, ys, (), None)
-        counts = R.factor_counts("A", 2, {1})
-        assert pruned and all(R.factor_counts(f, 2, S) == counts for f, S in pruned)
+        counts = factor_counts("A", 2, {1})
+        assert pruned and all(factor_counts(f, 2, S) == counts for f, S in pruned)
         assert len(pruned) < len(tried) - len(pruned)
         # a y_1.1 of the wrong H-degree (its value at H = 0 kept, so b still
         # decodes) matches no pattern, whatever the x_i.1 say
@@ -1490,6 +1582,26 @@ class TestDecodeRefusals:
         for bad in ((xs[:1] + [Poly.zero(2, 0)], ys), (xs, [Poly.zero(2, 0)] + ys[1:])):
             args = (oracle, *bad, (), None)
             assert RC._decode_base(*args) == reference_decode_base(*args) == []
+
+
+class TestRecoveryAtMaxRank:
+    """S is read off the H-degrees in time linear in l, so a spec of the
+    largest rank the spec format takes recovers in-process within 2 s (the
+    enumeration of every pattern took ~55 s at A_16)."""
+
+    @pytest.mark.parametrize("family,S,b", [
+        ("A", frozenset(range(1, R.MAX_RANK + 2)), 1),
+        ("C", frozenset({2, 3, 7, 11, R.MAX_RANK}), 0),
+    ])
+    def test_rank_16_toroidal(self, family, S, b):
+        l = R.MAX_RANK
+        spec = mk_spec(family=family, rank=l, loop_vars=1, variant="toroidal", lam=(2,),
+                       base_b=b, S=S)
+        start = time.perf_counter()
+        rec = RC.recover_parameters(RC.oracle_from_spec(spec))
+        elapsed = time.perf_counter() - start
+        assert (rec.family, rec.S) == (family, S)
+        assert elapsed < 2, elapsed
 
 
 class TestRecoveryParity:

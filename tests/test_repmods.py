@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import mk_spec
+from conftest import factor_counts, mk_spec
 from torofree import liealg, repmods as R
 from torofree.algebras import AlgebraDesc, window_degrees
 from torofree.checks import random_poly
@@ -123,14 +123,14 @@ class TestFactorLists:
         for family, l, S, spec in self._specs():
             xs_f, ys_f = R.base_action_factor_lists(spec)
             want = (tuple(map(len, xs_f)), tuple(map(len, ys_f)))
-            assert R.factor_counts(family, l, S) == want, (family, l, S)
+            assert factor_counts(family, l, S) == want, (family, l, S)
 
     def test_counts_are_the_h_degrees(self):
         # each factor is affine in H with a nonzero H part
         for family, l, S, spec in self._specs():
             xs, ys = R.base_action_polys(spec)
             degrees = tuple(tuple(p.total_degree() for p in side) for side in (xs, ys))
-            assert R.factor_counts(family, l, S) == degrees, (family, l, S)
+            assert factor_counts(family, l, S) == degrees, (family, l, S)
 
     def test_the_factors_are_instantiated_once_per_spec(self, monkeypatch):
         # the factor lists, the affine forms and the base action polynomials
@@ -353,8 +353,8 @@ class TestFactorTable:
         for spec in TABLE_GRID:
             alg = spec.algebra
             want = tuple(tuple(map(len, side)) for side in reference_factor_lists(spec))
-            assert R.factor_counts(alg.family, alg.rank, spec.S) == want, (alg, spec.S)
-            assert R.factor_counts(alg.family, alg.rank, sorted(spec.S)) == want
+            assert factor_counts(alg.family, alg.rank, spec.S) == want, (alg, spec.S)
+            assert factor_counts(alg.family, alg.rank, sorted(spec.S)) == want
 
     def test_entries_are_integers_and_the_table_is_shared(self):
         for family, l, S in [("A", l, S) for l in range(1, 5) for S in _subsets(l + 1)] \

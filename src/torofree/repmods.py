@@ -297,8 +297,7 @@ def _instances(spec: ModuleSpec) -> tuple[tuple[tuple, ...], ...]:
     """The factors of ``factor_table`` at the spec's b, per x_i.1 then per
     y_i.1: (D, row, c), the reduced integer form (row . H + c) / D, at a
     scalar b = p / q, and the polynomial where a non-scalar b enters.
-    ``base_action_factor_lists``, ``affine_factors`` and ``base_action_polys``
-    read them."""
+    ``affine_factors`` and ``base_action_polys`` read them."""
     alg = spec.algebra
     if alg.variant == "witt":
         return (), ()
@@ -364,14 +363,6 @@ def form_product(family: str, l: int, i: int, forms: tuple) -> tuple[dict[int, i
         _mul_into(out, nums, f_nums)
         nums, den = _nonzero(out), den * f_den
     return nums, den
-
-
-@lru_cache(maxsize=256)
-def base_action_factor_lists(spec: ModuleSpec) -> tuple[tuple[tuple[Poly, ...], ...], ...]:
-    """The factors of ``factor_table`` at the spec's b as polynomials, in tuples."""
-    ranks = spec.ranks
-    return tuple(tuple(tuple(_poly(ranks, f) for f in fs) for fs in side)
-                 for side in _instances(spec))
 
 
 @lru_cache(maxsize=256)

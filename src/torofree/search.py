@@ -6,10 +6,10 @@ verified kinds:
 
 * principal: a monic polynomial p in the H-variables with
   p | (x_i.1) sigma_i(p) and p | (y_i.1) sigma_i^{-1}(p) for all i, so the
-  ideal (p) is invariant.  Complete for l = 1 once maxdeg reaches the
-  codimension (invariant-ideal factor chains terminate on both sides only
-  along integer-shift intervals, and a chain's length is the codimension of
-  its ideal); below that a point set still certifies.
+  ideal (p) is invariant.  Only l = 1 has one (principal_witness_search
+  gives the lemma): there (p) is I(Z) of the point set Z below, found once
+  maxdeg reaches |Z|, the codimension; below that the point set still
+  certifies.
 
 * point set: a finite set Z of integer weights w = (l + 1) h that obeys the
   closure rule of point_set_search, so I(Z) is invariant
@@ -272,104 +272,41 @@ def _h_only(p: Poly) -> bool:
 
 
 def principal_witness_search(spec: ModuleSpec, maxdeg: int) -> Poly | None:
-    """Search monic H-only products of shifted linear factors, per shift orbit.
+    """The l = 1 point set of at most maxdeg points as the principal witness
+    prod_{w in Z} (H1 - w / 2), or None.
 
-    Made monic, a factor (row, c) of ``repmods.affine_factors`` is
-    form + c / lead, with lead the row's first nonzero entry and form the
-    monic form of its orbit key: the row over its gcd with a positive first
-    entry (a d-carrying factor, None, is skipped).  Orbits are tried in the
-    order of their keys' (variable, coefficient) pairs (_orbit_order), the
-    text order of the forms on every reachable key; the first with a chain
-    decides.  Candidates are chains prod_{t < L} (form + s + t)^m, tried by
-    multiplicity m, then length L, then start s.  The invariance conditions
-    p | (x_i.1) sigma_i(p), p | (y_i.1) sigma_i^(-1)(p) are decided on the
-    factor multisets, with no polynomial division: x_i.1 and y_i.1 are rows
-    that shift a constant c to c + d, and element s + t of the chain needs
-    the factor form + s + t at least m times in a row unless s + t - d is in
-    the chain (_chain_holds).  Every delta_i != 0 gives a row with
-    d = -delta_i and one with d = +delta_i, so the start is absorbed by a row
-    with d > 0 or a fractional d and the end by a row with d < 0 or a
-    fractional d: both ends are constants of the rows, and only chains
-    between two of them are tried (_first_chain).  A found candidate is
-    re-verified through the module action by witness_verify.
+    Every irreducible factor of an H-only witness p is a shift of a linear
+    factor of some x_i.1 or y_i.1, and the invariance conditions hold on
+    each orbit of factors whose linear parts agree up to a scalar.  If the
+    form of an orbit moves under sigma_i (delta_i != 0) and x_i.1 (or y_i.1)
+    has no factor in it, p's part q in that orbit has q | sigma_i(q), which
+    no finite nonempty multiset of shifts obeys.  Such an index exists on
+    every orbit at l >= 2 (``repmods.factor_table``):
+
+    - A family: u_k = v_(k-1) share one orbit; x_k has u_k iff k not in S
+      and x_(k-1) has v_(k-1) iff k in S.  The orbits of H_1 and H_l are
+      each met by only one of x, y.
+    - C family: u_k = B_(k-1), and B_(l-1) with A, share orbits, with the
+      same split; the orbit of H_1 is met by only one of x_1, y_1.
+    - A non-scalar b enters every A factor (cb = -1), so no factor is
+      H-only.
+
+    So only l = 1 with a scalar b has one.  There the radical of (p) is an
+    invariant I(Z), Z a closed set through a seed, and an edge pattern has
+    one seed (a mixed pattern's closures are rays), so the least witness is
+    the product over that seed's closure.
     """
-    l, n = spec.ranks
-    if maxdeg < 1 or l == 0:
+    if spec.ranks[0] != 1 or not _point_sets_apply(spec):
         return None
-    # {key: {constant over the lead: multiplicity}} for each x_i.1, then each y_i.1
-    orbits = []
-    for forms in itertools.chain(*repmods.affine_factors(spec)):
-        out: dict = {}
-        for row, c in filter(None, forms):  # None: a d-carrying factor
-            lead = next(x for x in row if x)
-            g = math.gcd(*row) if lead > 0 else -math.gcd(*row)
-            consts = out.setdefault(tuple(x // g for x in row), {})
-            const = Fraction(c, lead)
-            consts[const] = consts.get(const, 0) + 1
-        orbits.append(out)
-    x_orb, y_orb = orbits[:l], orbits[l:]
-    for key in sorted({key for out in orbits for key in out}, key=_orbit_order):
-        lead = next(x for x in key if x)
-        # one row per x_i.1 and y_i.1 whose shift on this orbit is nonzero
-        rows = []
-        for i, delta in enumerate(key):
-            if delta:
-                d = delta // lead if delta % lead == 0 else None
-                rows.append((None if d is None else -d, x_orb[i].get(key, {})))
-                rows.append((d, y_orb[i].get(key, {})))
-        found = _first_chain(rows, maxdeg)
-        if found is not None:
-            mult, length, start = found
-            form = Poly(l, n, {tuple(int(j == k) for j in range(l + n)): Fraction(x, lead)
-                               for k, x in enumerate(key) if x})
-            p = Poly.const(l, n, 1)
-            for t in range(length):
-                p = p * (form + Poly.const(l, n, start + t)) ** mult
-            return p
-    return None
-
-
-def _orbit_order(key: tuple[int, ...]) -> list[tuple[int, int]]:
-    """The (variable, coefficient) pairs of an orbit key, in variable order."""
-    return [(k, x) for k, x in enumerate(key) if x]
-
-
-def _first_chain(rows: list, maxdeg: int) -> tuple[int, int, Rat] | None:
-    """(mult, length, start) of the least chain that holds, or None.
-
-    Rows are (d, {constant: mult}), d an int or None when fractional.  The
-    constants are brought over their common denominator D once, so the chains
-    are tried on integer numerators, stepping by D.
-    """
-    den = math.lcm(*[c.denominator for _, absorbers in rows for c in absorbers])
-    rows = [(d, {c.numerator * (den // c.denominator): m for c, m in absorbers.items()})
-            for d, absorbers in rows]
-    consts = {c for _, absorbers in rows for c in absorbers}
-    for mult in (1, 2):
-        limit = maxdeg // mult * den
-        chains = sorted(((e - s) // den + 1, s) for s in consts for e in consts
-                        if 0 <= e - s < limit and (e - s) % den == 0)
-        for length, start in chains:
-            if _chain_holds(start, length, mult, rows, den):
-                return mult, length, Fraction(start, den)
-    return None
-
-
-def _chain_holds(start: int, length: int, mult: int, rows: list, den: int) -> bool:
-    """The invariance conditions for the chain of numerators start, start +
-    den, .., start + (length - 1) den over den: t < d for d > 0, t >= length
-    + d for d < 0, every t for a fractional d."""
-    for d, absorbers in rows:
-        if d is None:
-            ts = range(length)
-        elif d > 0:
-            ts = range(min(d, length))
-        else:
-            ts = range(max(length + d, 0), length)
-        for t in ts:
-            if absorbers.get(start + t * den, 0) < mult:
-                return False
-    return True
+    points = point_set_search(spec, maxdeg)
+    if points is None:
+        return None
+    n = spec.ranks[1]
+    h1 = Poly.H(1, n, 1)
+    p = Poly.const(1, n, 1)
+    for (w,) in sorted(points):
+        p = p * (h1 - Poly.const(1, n, Fraction(w, 2)))
+    return p
 
 
 def witness_verify(spec: ModuleSpec, p: Poly, loop_window: Iterable | None = None) -> bool:
@@ -404,7 +341,7 @@ def point_set_search(spec: ModuleSpec, max_points: int) -> frozenset | None:
     Z is the first closure of at most max_points points, as integer weights.
     None proves that no seed of integer weight has one.
     """
-    if not _quotient_scan_applies(spec):
+    if not _point_sets_apply(spec):
         raise DomainError("point sets are searched for the A family with a scalar b")
     x_forms, y_forms = repmods.affine_factors(spec)
     for seed in _integer_zeros(x_forms):
@@ -449,7 +386,7 @@ def verify_point_set(spec: ModuleSpec, points: Iterable[Sequence[int]]) -> bool:
     obeys the closure rule of point_set_search, with x_i.1 and y_i.1
     evaluated as polynomials (base_action_polys) at each w by
     _weight_numerators.  StructureError on a point that is not l ints."""
-    if not _quotient_scan_applies(spec):
+    if not _point_sets_apply(spec):
         raise DomainError("point sets are checked for the A family with a scalar b")
     l = spec.ranks[0]
     size = l + 1
@@ -540,7 +477,7 @@ def quotient_certificate_search(
     loop_window is returned.  Nothing is pruned: the scan is the reference
     that the point sets are held against.
     """
-    if not _quotient_scan_applies(spec):
+    if not _point_sets_apply(spec):
         return None
     l = spec.algebra.rank
     xs, ys = base_action_polys(spec)
@@ -554,8 +491,9 @@ def quotient_certificate_search(
     return None
 
 
-def _quotient_scan_applies(spec: ModuleSpec) -> bool:
-    """The quotient scan covers the A family with a scalar b."""
+def _point_sets_apply(spec: ModuleSpec) -> bool:
+    """Point sets, and so the principal witnesses and the quotient scan,
+    cover the A family with a scalar b."""
     alg = spec.algebra
     if alg.variant == "witt" or alg.family != "A":
         return False
@@ -795,7 +733,7 @@ def submodule_witness_search(
             # C(k + l, l), with k up to (maxdeg - 2) / 2
             k = (maxdeg - 2) // 2
             dim_bound = min(max(dim_bound, math.comb(k + l, l)), MAX_DEFAULT_DIM_BOUND)
-    if not _quotient_scan_applies(spec):
+    if not _point_sets_apply(spec):
         # no irrep is scanned, so none is claimed
         dim_bound = 0
     p = principal_witness_search(spec, maxdeg)

@@ -12,7 +12,7 @@ import pytest
 
 from torofree.algebras import AlgebraDesc
 from torofree.polyalg import Poly, shift_sigma
-from torofree.repmods import ModuleSpec, factor_table
+from torofree.repmods import ModuleSpec, _instances, _poly, factor_table
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -59,6 +59,16 @@ def mk_spec(
         base_b=b,
         S=frozenset(S),
     )
+
+
+# -- the factor polynomials the references read ---------------------------------
+
+
+def base_action_factor_lists(spec):
+    """The factors of ``factor_table`` at the spec's b as polynomials, in tuples."""
+    ranks = spec.ranks
+    return tuple(tuple(tuple(_poly(ranks, f) for f in fs) for fs in side)
+                 for side in _instances(spec))
 
 
 # -- the pattern enumeration that recovery inverts -----------------------------

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (RescalingEchelon, factor_counts, mat_comm, mat_is_zero, mat_sub, mk_spec,
-                      reference_patterns)
+from conftest import (RescalingEchelon, base_action_factor_lists, factor_counts, mat_comm,
+                      mat_is_zero, mat_sub, mk_spec, reference_patterns)
 from torofree import classify, recovery as RC, repmods as R, search as SR
 from torofree.checks import random_poly
 from torofree.errors import ClassificationError, DomainError, StructureError
@@ -156,7 +156,7 @@ def reference_principal_search(spec, maxdeg):
     if maxdeg < 1 or spec.ranks[0] == 0:
         return None
     l, n = spec.ranks
-    xs_f, ys_f = R.base_action_factor_lists(spec)
+    xs_f, ys_f = base_action_factor_lists(spec)
     x_norm = [reference_normalize_factors(fs) for fs in xs_f]
     y_norm = [reference_normalize_factors(fs) for fs in ys_f]
     orbits = {}
@@ -187,18 +187,6 @@ def reference_principal_search(spec, maxdeg):
     return None
 
 
-def reference_first_chain(consts, rows, maxdeg):
-    """(mult, length, start) of the first chain that passes multiset_check,
-    with the starts tried in increasing order of value."""
-    starts = sorted({c + m for c in consts for m in range(-(maxdeg + 1), maxdeg + 2)})
-    for mult in (1, 2):
-        for length in range(1, maxdeg // mult + 1):
-            for start in starts:
-                if multiset_check({start + t: mult for t in range(length)}, rows):
-                    return mult, length, start
-    return None
-
-
 def multiset_check(chain, rows):
     """m <= (factors c in the row) + (multiplicity of c - d in the chain)."""
     for absorbers, d in rows:
@@ -215,7 +203,8 @@ def subsets(size):
 
 
 class TestPrincipalReference:
-    """The boundary test agrees with the plain multiset check."""
+    """The l = 1 closure agrees with the chain scan under the plain multiset
+    check, and the scan finds nothing from rank 2 on."""
 
     @pytest.mark.parametrize("l", [1, 2, 3])
     def test_a_family_grid(self, l):
@@ -250,7 +239,7 @@ class TestPrincipalReference:
         for S in subsets(3):
             for b in (d1, d1 + one.scale(F(1, 2)), one):
                 spec = mk_spec(rank=2, loop_vars=1, base_b=b, S=S)
-                keys = {key for fs in R.base_action_factor_lists(spec)[0]
+                keys = {key for fs in base_action_factor_lists(spec)[0]
                         for key in reference_normalize_factors(fs)}
                 skipped += any(not SR._h_only(key) for key in keys)
                 for maxdeg in (0, 3, 6, 10):
@@ -270,7 +259,7 @@ class TestPrincipalReference:
         specs += [mk_spec(rank=2, loop_vars=1, base_b=d1, S=S) for S in subsets(3)]
         for spec in specs:
             l, n = spec.ranks
-            lists, forms = R.base_action_factor_lists(spec), R.affine_factors(spec)
+            lists, forms = base_action_factor_lists(spec), R.affine_factors(spec)
             for f, form in zip(itertools.chain(*lists[0], *lists[1]),
                                itertools.chain(*forms[0], *forms[1])):
                 got = {}
@@ -282,121 +271,42 @@ class TestPrincipalReference:
                         if SR._h_only(key)}
                 assert got == want, (spec.algebra, spec.S, f)
 
-    def test_orbit_order_is_the_text_order(self):
-        # the first orbit with a chain decides the witness, so the order of
-        # the keys' (variable, coefficient) pairs must be the text order of
-        # the monic forms on every reachable key
-        specs = [mk_spec(rank=l, S=S) for l in range(1, 8) for S in subsets(l + 1)]
-        specs += [mk_spec(family="C", rank=l, base_a=(1,) * l, S=S)
-                  for l in range(2, 8) for S in subsets(l)]
-        for spec in specs:
-            forms = R.affine_factors(spec)
-            keys = {orbit_key(row) for row, _ in itertools.chain(*forms[0], *forms[1])}
-            text = {key: monic_form(key, 0).text() for key in keys}
-            assert sorted(keys, key=SR._orbit_order) == sorted(keys, key=text.get), \
-                (spec.algebra, spec.S)
+    @pytest.mark.parametrize("family", ["A", "C"])
+    def test_every_orbit_from_rank_2_has_an_empty_row(self, family):
+        # the lemma of principal_witness_search: on every orbit some index i
+        # that moves the orbit's form has no factor of x_i.1, or none of
+        # y_i.1, in it, so no chain holds and no rank from 2 on has a
+        # principal witness
+        for l in range(2, 11):
+            for S in subsets(l + 1 if family == "A" else l):
+                xs, ys = R.factor_table(family, l, frozenset(S))
+                x_keys = [{orbit_key(row) for row, *_ in fs} for fs in xs]
+                y_keys = [{orbit_key(row) for row, *_ in fs} for fs in ys]
+                for key in set().union(*x_keys, *y_keys):
+                    assert any(delta and (key not in x_keys[i] or key not in y_keys[i])
+                               for i, delta in enumerate(key)), (family, l, S, key)
+        # at l = 1 the edge pattern's one orbit meets both x_1.1 and y_1.1
+        xs, ys = R.factor_table("A", 1, frozenset({1, 2}))
+        assert {orbit_key(row) for row, *_ in xs[0]} == {orbit_key(row) for row, *_ in ys[0]}
 
-    def test_only_pairs_of_constants_are_checked(self, monkeypatch):
-        # at M(l = 2, b = 5/7, S = {}) only chains from one row constant to
-        # another are checked; checking every start made 405 calls
-        calls = []
-        holds = SR._chain_holds
-        monkeypatch.setattr(SR, "_chain_holds", lambda *args: calls.append(args) or holds(*args))
-        spec = mk_spec(rank=2, base_b=F(5, 7), S=())
-        assert SR.principal_witness_search(spec, 6) is None
-        assert reference_principal_search(spec, 6) is None
-        assert len(calls) < 40
-        # the pairs do not depend on maxdeg
-        at_6 = len(calls)
-        calls.clear()
-        assert SR.principal_witness_search(spec, 10**6) is None
-        assert len(calls) <= at_6
-        # chains are still tried in order: the l = 1 edge witness
-        spec = mk_spec(rank=1, base_b=1, S={1, 2})
-        assert SR.principal_witness_search(spec, 4) == reference_principal_search(spec, 4) \
-            == Poly.parse("H1^3 - H1", 1, 0)
-        assert calls
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        pairs=st.lists(
-            st.tuples(
-                st.dictionaries(st.sampled_from([F(k, 2) for k in range(-6, 7)]),
-                                st.integers(1, 2), max_size=6),
-                st.dictionaries(st.sampled_from([F(k, 2) for k in range(-6, 7)]),
-                                st.integers(1, 2), max_size=6),
-                st.sampled_from([F(k, 2) for k in range(-6, 7) if k]),
-            ),
-            min_size=1, max_size=3,
-        ),
-        start=st.sampled_from([F(k, 2) for k in range(-8, 9)]),
-        length=st.integers(1, 8),
-        mult=st.integers(1, 2),
-    )
-    def test_boundary_check_matches_multiset_check(self, pairs, start, length, mult):
-        # absorbers clustered on a half-integer grid, so chains often pass
-        rows = paired_rows(pairs)
-        chain = {start + t: mult for t in range(length)}
-        den, scaled, (num,) = over_one_denominator(chain_rows(rows), start)
-        assert SR._chain_holds(num, length, mult, scaled, den) == multiset_check(chain, rows)
-
-    @settings(max_examples=300, deadline=None)
-    @given(data=st.data(), maxdeg=st.integers(1, 6))
-    def test_first_chain_matches_the_scan_by_value(self, data, maxdeg):
-        # constants in up to three residue classes of denominators 2-7 and
-        # both signs, so the rows' common denominator scales the chains, and
-        # chains of two classes can start on one floor and the value order
-        # decides between them; each pair also absorbs the ends of one chain,
-        # so chains longer than 1 hold too
-        classes = data.draw(st.lists(st.builds(F, st.integers(-13, 13), st.integers(2, 7)),
-                                     min_size=1, max_size=3))
-        const = st.builds(lambda c, k: c + k, st.sampled_from(classes), st.integers(-3, 3))
-        extra = st.dictionaries(const, st.integers(1, 2), max_size=3)
-        shift = st.one_of(st.sampled_from([F(k) for k in (-2, -1, 1, 2)]),
-                          st.sampled_from([F(k, 3) for k in range(-6, 7) if k % 3]))
-        chain = [data.draw(const) + t for t in range(data.draw(st.integers(1, 5)))]
-        pairs = []
-        for _ in range(data.draw(st.integers(1, 2))):
-            delta = data.draw(shift)
-            x, y = planted_ends(chain, delta)
-            pairs.append(({**dict.fromkeys(x, 1), **data.draw(extra)},
-                          {**dict.fromkeys(y, 1), **data.draw(extra)}, delta))
-        rows = paired_rows(pairs)
-        consts = {c for absorbers, _ in rows for c in absorbers}
-        want = reference_first_chain(consts, rows, maxdeg)
-        assert SR._first_chain(chain_rows(rows), maxdeg) == want
-
-
-def planted_ends(chain, delta):
-    """The constants an x row (shift -delta) and a y row (shift +delta) need
-    for the chain to hold: all of it for a fractional delta, else the |delta|
-    elements at the end that each shift moves out of the chain."""
-    if delta.denominator > 1:
-        return chain, chain
-    k = min(abs(int(delta)), len(chain))
-    low, high = chain[:k], chain[len(chain) - k:]
-    return (high, low) if delta > 0 else (low, high)
-
-
-def paired_rows(pairs):
-    """(absorbers, d) rows of the search's contract: each delta_i != 0 gives
-    an x_i row shifting by -delta_i and a y_i row shifting by +delta_i."""
-    return [row for x, y, delta in pairs for row in ((x, -delta), (y, delta))]
-
-
-def chain_rows(rows):
-    """The (d, absorbers) rows of _first_chain, d an int or None when fractional."""
-    return [(int(d) if d.denominator == 1 else None, absorbers) for absorbers, d in rows]
-
-
-def over_one_denominator(rows, *values):
-    """(D, rows, values) with every constant of the rows and every value
-    written as its integer numerator over the lcm D of their denominators:
-    the integer form of _chain_holds."""
-    den = math.lcm(*[c.denominator for _, absorbers in rows for c in absorbers],
-                   *[v.denominator for v in values])
-    scaled = [(d, {int(c * den): m for c, m in absorbers.items()}) for d, absorbers in rows]
-    return den, scaled, [int(v * den) for v in values]
+    def test_l1_finite_full_and_a_loop_variable_b(self):
+        # finite n = 0 and n = 2, full, and b = d1, whose factors all carry d
+        bs = sorted({F(k, q) for q in (1, 2, 3) for k in (-q - 1, 0, 1, q + 1)})
+        found = 0
+        for S in subsets(2):
+            specs = [mk_spec(rank=1, loop_vars=1, base_b=Poly.d(1, 1, 1), S=S)]
+            for b in bs:
+                specs += [mk_spec(rank=1, base_b=b, S=S),
+                          mk_spec(rank=1, loop_vars=2, base_b=b, S=S),
+                          mk_spec(rank=1, loop_vars=1, variant="full", lam=(2,), witt_a=0,
+                                  base_b=b, S=S)]
+            for spec in specs:
+                for maxdeg in (0, 3, 6, 10):
+                    want = reference_principal_search(spec, maxdeg)
+                    assert SR.principal_witness_search(spec, maxdeg) == want, \
+                        (spec.algebra, S, spec.base_b, maxdeg)
+                    found += want is not None
+        assert found
 
 
 class TestWitnessVerify:

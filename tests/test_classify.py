@@ -289,6 +289,21 @@ class TestPrincipalReference:
         xs, ys = R.factor_table("A", 1, frozenset({1, 2}))
         assert {orbit_key(row) for row, *_ in xs[0]} == {orbit_key(row) for row, *_ in ys[0]}
 
+    def test_no_point_set_is_read_where_the_lemma_rules_a_witness_out(self, monkeypatch):
+        # from rank 2 on, and at l = 1 with a non-scalar b, the answer is None
+        # at any maxdeg without a search, so its cost does not grow with maxdeg
+        monkeypatch.setattr(SR, "point_set_search",
+                            lambda *a: pytest.fail(f"point set searched at {a}"))
+        specs = [mk_spec(rank=2, base_b=F(5, 7), S=()),
+                 mk_spec(rank=2, base_b=1, S={1, 2, 3}),
+                 mk_spec(rank=3, base_b=1, S={1}),
+                 mk_spec(family="C", rank=2, base_a=(1, 1), S={1}),
+                 mk_spec(rank=1, loop_vars=1, base_b=Poly.d(1, 1, 1), S={1, 2})]
+        for spec in specs:
+            for maxdeg in (6, 10**6):
+                assert SR.principal_witness_search(spec, maxdeg) is None, \
+                    (spec.algebra, spec.S, maxdeg)
+
     def test_l1_finite_full_and_a_loop_variable_b(self):
         # finite n = 0 and n = 2, full, and b = d1, whose factors all carry d
         bs = sorted({F(k, q) for q in (1, 2, 3) for k in (-q - 1, 0, 1, q + 1)})
